@@ -7,13 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use pdagent_bench::event_queue::{churn, ChurnPlan, Mix};
-use pdagent_net::queue::Scheduler;
+use pdagent_bench::event_queue::{churn_heap, churn_wheel, ChurnPlan, Mix};
 
 const EVENTS: u64 = 10_000;
 
-fn schedulers() -> [(&'static str, Scheduler); 2] {
-    [("wheel", Scheduler::Wheel), ("heap", Scheduler::Heap)]
+/// The queues every group compares: `(name, replay)`.
+fn queues() -> [(&'static str, fn(&ChurnPlan) -> u64); 2] {
+    [("wheel", churn_wheel), ("heap", churn_heap)]
 }
 
 fn bench_arm_fire(c: &mut Criterion) {
@@ -23,9 +23,9 @@ fn bench_arm_fire(c: &mut Criterion) {
     group.throughput(Throughput::Elements(EVENTS));
     for depth in [1_000usize, 10_000] {
         let plan = ChurnPlan::new(EVENTS, depth, 0.0, Mix::Soak, 42);
-        for (name, scheduler) in schedulers() {
+        for (name, churn) in queues() {
             group.bench_with_input(BenchmarkId::new(name, depth), &plan, |b, plan| {
-                b.iter(|| std::hint::black_box(churn(scheduler, plan)))
+                b.iter(|| std::hint::black_box(churn(plan)))
             });
         }
     }
@@ -38,9 +38,9 @@ fn bench_arm_cancel_fire(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/arm_cancel_fire");
     group.throughput(Throughput::Elements(EVENTS));
     let plan = ChurnPlan::new(EVENTS, 10_000, 0.3, Mix::Soak, 42);
-    for (name, scheduler) in schedulers() {
+    for (name, churn) in queues() {
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(churn(scheduler, &plan)))
+            b.iter(|| std::hint::black_box(churn(&plan)))
         });
     }
     group.finish();
@@ -52,9 +52,9 @@ fn bench_near_timers(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/near_timers");
     group.throughput(Throughput::Elements(EVENTS));
     let plan = ChurnPlan::new(EVENTS, 10_000, 0.0, Mix::Near, 42);
-    for (name, scheduler) in schedulers() {
+    for (name, churn) in queues() {
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(churn(scheduler, &plan)))
+            b.iter(|| std::hint::black_box(churn(&plan)))
         });
     }
     group.finish();
@@ -67,9 +67,9 @@ fn bench_far_timers(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue/far_timers");
     group.throughput(Throughput::Elements(EVENTS));
     let plan = ChurnPlan::new(EVENTS, 10_000, 0.0, Mix::Far, 42);
-    for (name, scheduler) in schedulers() {
+    for (name, churn) in queues() {
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(churn(scheduler, &plan)))
+            b.iter(|| std::hint::black_box(churn(&plan)))
         });
     }
     group.finish();

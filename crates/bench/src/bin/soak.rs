@@ -76,20 +76,20 @@ fn main() {
     // Congestion-sweep knobs: fan-in window / batch size, plus the delta
     // ablation (`SOAK_FED_DELTA=0` forces full snapshots every round).
     if let Some(n) = std::env::var("SOAK_FED_INFLIGHT").ok().and_then(|v| v.parse().ok()) {
-        spec.fed_max_inflight = n;
+        spec.fed.max_inflight = n;
     }
     if let Some(n) = std::env::var("SOAK_FED_BATCH").ok().and_then(|v| v.parse().ok()) {
-        spec.fed_batch = n;
+        spec.fed.batch = n;
     }
-    spec.fed_delta = std::env::var("SOAK_FED_DELTA").map_or(true, |v| v != "0");
+    spec.fed.delta = std::env::var("SOAK_FED_DELTA").map_or(true, |v| v != "0");
     if let Some(ms) = cadence_ms {
-        spec.fed_cadence = SimDuration::from_millis(ms);
+        spec.fed.cadence = SimDuration::from_millis(ms);
         // Hold the federated horizon fixed (~60 s of scrape coverage) so the
         // sweep compares like with like: a faster cadence buys freshness by
         // spending rounds — and therefore events — not by ending sooner.
-        spec.fed_rounds = (60_000 / ms).max(1) as u32;
+        spec.fed.rounds = (60_000 / ms).max(1) as u32;
     }
-    let cadence_ms = cadence_ms.unwrap_or(spec.fed_cadence.as_micros() / 1_000);
+    let cadence_ms = cadence_ms.unwrap_or(spec.fed.cadence.as_micros() / 1_000);
     let devices = spec.devices();
     println!(
         "soak: {devices} devices in {cells} cells, PI pad {} KB, seed {seed}, {} worker thread(s)",
@@ -235,7 +235,7 @@ fn main() {
         p
     });
 
-    // Paging-path chaos drill: a LinkChaos cut across the pager↔on-call
+    // Paging-path chaos drill: a ChaosPlan cut across the pager↔on-call
     // links swallows each page's first delivery attempt, so the retry path,
     // the `page.deliver` SLO rule on the notification path, and the exemplar
     // plumbing (breach edge → page → /traces) are all exercised end to end.

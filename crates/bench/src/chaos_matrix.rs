@@ -243,7 +243,7 @@ pub fn matrix_spec(seed: u64) -> SoakSpec {
     spec.observe = true;
     spec.federation = true;
     spec.monitor_rounds = 4;
-    spec.fed_rounds = 2;
+    spec.fed.rounds = 2;
     spec
 }
 

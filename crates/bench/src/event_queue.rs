@@ -1,22 +1,23 @@
 //! Event-queue throughput: timer wheel vs. reference binary heap.
 //!
 //! The simulator hot loop is pop → dispatch → push: every delivered frame,
-//! timer and scrape goes through [`pdagent_net::queue::EventQueue`] once.
-//! This harness replays that loop *without* the dispatch work, driving the
-//! queue with the soak's event mix (frame RTTs, protocol timers, scrape
-//! cadences, a far-future tail past the wheel horizon) at a steady depth,
-//! with a slice of arms cancelled immediately — the tombstones the dispatch
-//! path skips, exactly as [`pdagent_net::sim::Simulator`] does.
+//! timer and scrape goes through the simulator's [`TimerWheel`] once. This
+//! harness replays that loop *without* the dispatch work, driving the queue
+//! with the soak's event mix (frame RTTs, protocol timers, scrape cadences,
+//! a far-future tail past the wheel horizon) at a steady depth, with a slice
+//! of arms cancelled immediately — the tombstones the dispatch path skips,
+//! exactly as [`pdagent_net::sim::Simulator`] does.
 //!
-//! Both schedulers replay the identical op stream (same seed, same draw
-//! sequence) and fold every popped `(time, seq)` into an FNV checksum, so
-//! the throughput comparison doubles as an equivalence check: a speedup with
-//! a checksum mismatch is a bug, not a result. The `event_queue` binary
-//! writes `BENCH_event_queue.json` and fails on mismatch.
+//! The wheel and the reference [`HeapQueue`] replay the identical op stream
+//! (same seed, same draw sequence) and fold every popped `(time, seq)` into
+//! an FNV checksum, so the throughput comparison doubles as an equivalence
+//! check: a speedup with a checksum mismatch is a bug, not a result. The
+//! `event_queue` binary writes `BENCH_event_queue.json` and fails on
+//! mismatch.
 
 use std::time::Instant;
 
-use pdagent_net::queue::{EventQueue, Scheduler, TimerSlab, TimerToken, WHEEL_HORIZON};
+use pdagent_net::queue::{HeapQueue, TimerSlab, TimerToken, TimerWheel, WHEEL_HORIZON};
 use pdagent_net::rng::SimRng;
 
 /// Delay distribution a churn run draws arm offsets from.
@@ -65,7 +66,7 @@ pub struct ChurnPlan {
 
 impl ChurnPlan {
     /// Draw `events + depth` arms from `mix`, tombstoning `cancel_pct` of
-    /// them. The same plan replayed on both schedulers yields the same op
+    /// them. The same plan replayed on both queues yields the same op
     /// stream draw-for-draw.
     pub fn new(events: u64, depth: usize, cancel_pct: f64, mix: Mix, seed: u64) -> ChurnPlan {
         let mut rng = SimRng::new(seed);
@@ -81,12 +82,45 @@ impl ChurnPlan {
     }
 }
 
-/// Replay a plan's pop/arm rounds against one scheduler at the plan's
-/// steady queue depth. Returns an FNV-1a checksum over every popped
-/// `(time, seq)` — identical plans must produce identical checksums on
-/// both schedulers.
-pub fn churn(scheduler: Scheduler, plan: &ChurnPlan) -> u64 {
-    let mut queue: EventQueue<TimerToken> = EventQueue::new(scheduler);
+/// The two operations a churn replay needs. The wheel and the heap expose
+/// them as inherent methods; this trait lets one replay loop drive either.
+trait ChurnQueue: Default {
+    fn push(&mut self, time: u64, seq: u64, token: TimerToken);
+    fn pop(&mut self) -> Option<(u64, u64, TimerToken)>;
+}
+
+impl ChurnQueue for TimerWheel<TimerToken> {
+    fn push(&mut self, time: u64, seq: u64, token: TimerToken) {
+        TimerWheel::push(self, time, seq, token);
+    }
+    fn pop(&mut self) -> Option<(u64, u64, TimerToken)> {
+        TimerWheel::pop(self)
+    }
+}
+
+impl ChurnQueue for HeapQueue<TimerToken> {
+    fn push(&mut self, time: u64, seq: u64, token: TimerToken) {
+        HeapQueue::push(self, time, seq, token);
+    }
+    fn pop(&mut self) -> Option<(u64, u64, TimerToken)> {
+        HeapQueue::pop(self)
+    }
+}
+
+/// Replay a plan's pop/arm rounds on the timer wheel at the plan's steady
+/// queue depth. Returns an FNV-1a checksum over every popped `(time, seq)`
+/// — identical plans must produce identical checksums on both queues.
+pub fn churn_wheel(plan: &ChurnPlan) -> u64 {
+    churn::<TimerWheel<TimerToken>>(plan)
+}
+
+/// [`churn_wheel`] on the reference binary heap.
+pub fn churn_heap(plan: &ChurnPlan) -> u64 {
+    churn::<HeapQueue<TimerToken>>(plan)
+}
+
+fn churn<Q: ChurnQueue>(plan: &ChurnPlan) -> u64 {
+    let mut queue = Q::default();
     let mut slab = TimerSlab::new();
     let mut seq = 0u64;
     let mut now = 0u64;
@@ -98,7 +132,7 @@ pub fn churn(scheduler: Scheduler, plan: &ChurnPlan) -> u64 {
         }
     };
 
-    let arm = |queue: &mut EventQueue<TimerToken>,
+    let arm = |queue: &mut Q,
                slab: &mut TimerSlab,
                seq: &mut u64,
                now: u64,
@@ -128,9 +162,9 @@ pub fn churn(scheduler: Scheduler, plan: &ChurnPlan) -> u64 {
     checksum
 }
 
-/// One scheduler's timed replay.
+/// One queue's timed replay.
 #[derive(Debug, Clone)]
-pub struct SchedulerRun {
+pub struct QueueRun {
     /// Wall seconds for the whole replay.
     pub wall_secs: f64,
     /// Pops per wall second.
@@ -142,44 +176,44 @@ pub struct SchedulerRun {
 /// The head-to-head result the `event_queue` binary reports.
 #[derive(Debug, Clone)]
 pub struct QueueBenchResult {
-    /// Pops replayed per scheduler.
+    /// Pops replayed per queue.
     pub events: u64,
     /// Steady queue depth.
     pub depth: usize,
     /// Fraction of arms tombstoned.
     pub cancel_pct: f64,
     /// Reference binary heap.
-    pub heap: SchedulerRun,
+    pub heap: QueueRun,
     /// Timer wheel.
-    pub wheel: SchedulerRun,
+    pub wheel: QueueRun,
     /// `heap.wall_secs / wheel.wall_secs`.
     pub speedup: f64,
-    /// Did both schedulers pop the identical `(time, seq)` stream?
+    /// Did both queues pop the identical `(time, seq)` stream?
     pub checksum_match: bool,
 }
 
-fn timed(scheduler: Scheduler, plan: &ChurnPlan) -> SchedulerRun {
+fn timed(churn: fn(&ChurnPlan) -> u64, plan: &ChurnPlan) -> QueueRun {
     let t0 = Instant::now();
-    let checksum = churn(scheduler, plan);
+    let checksum = churn(plan);
     let wall_secs = t0.elapsed().as_secs_f64();
-    SchedulerRun {
+    QueueRun {
         wall_secs,
         events_per_sec: if wall_secs > 0.0 { plan.events() as f64 / wall_secs } else { 0.0 },
         checksum,
     }
 }
 
-/// Run the head-to-head at the soak mix. One untimed warm-up per scheduler
+/// Run the head-to-head at the soak mix. One untimed warm-up per queue
 /// primes allocator and caches; heap goes first so any residual warm-up bias
 /// favours the *baseline*, making the reported speedup conservative.
 pub fn run(events: u64, depth: usize, seed: u64) -> QueueBenchResult {
     const CANCEL_PCT: f64 = 0.3;
     let warm = ChurnPlan::new((events / 10).max(1), depth, CANCEL_PCT, Mix::Soak, seed);
     let plan = ChurnPlan::new(events, depth, CANCEL_PCT, Mix::Soak, seed);
-    churn(Scheduler::Heap, &warm);
-    churn(Scheduler::Wheel, &warm);
-    let heap = timed(Scheduler::Heap, &plan);
-    let wheel = timed(Scheduler::Wheel, &plan);
+    churn_heap(&warm);
+    churn_wheel(&warm);
+    let heap = timed(churn_heap, &plan);
+    let wheel = timed(churn_wheel, &plan);
     QueueBenchResult {
         events,
         depth,
@@ -199,16 +233,16 @@ mod tests {
     fn schedulers_pop_identical_streams_at_every_mix() {
         for mix in [Mix::Soak, Mix::Near, Mix::Far] {
             let plan = ChurnPlan::new(4_000, 512, 0.3, mix, 7);
-            let heap = churn(Scheduler::Heap, &plan);
-            let wheel = churn(Scheduler::Wheel, &plan);
+            let heap = churn_heap(&plan);
+            let wheel = churn_wheel(&plan);
             assert_eq!(heap, wheel, "{mix:?} streams diverged");
         }
     }
 
     #[test]
     fn checksum_depends_on_the_stream() {
-        let a = churn(Scheduler::Wheel, &ChurnPlan::new(2_000, 256, 0.3, Mix::Soak, 7));
-        let b = churn(Scheduler::Wheel, &ChurnPlan::new(2_000, 256, 0.3, Mix::Soak, 8));
+        let a = churn_wheel(&ChurnPlan::new(2_000, 256, 0.3, Mix::Soak, 7));
+        let b = churn_wheel(&ChurnPlan::new(2_000, 256, 0.3, Mix::Soak, 8));
         assert_ne!(a, b, "different seeds must produce different streams");
     }
 

@@ -35,7 +35,6 @@ use pdagent_net::message::Message;
 use pdagent_net::metrics::KEY_QUEUE_DEPTH;
 use pdagent_net::obs::{ObsEvent, ObsSummary, SampleClass, SamplerConfig, SamplerStats};
 use pdagent_net::paging::{PageReceiver, PagingGateway, PagingReport, Route, RoutePolicy, Severity};
-use pdagent_net::queue::Scheduler;
 use pdagent_net::sim::{Ctx, Node, NodeId, Simulator};
 use pdagent_net::slo::{MonitorSpec, SloMonitor, SloReport, SloRule};
 use pdagent_net::telemetry::{render_traces_body, FlightRecorder};
@@ -63,6 +62,11 @@ const PAGER_CHAOS_LABEL: u64 = 7;
 /// Label of the per-shard [`ChaosInjector`] compiling
 /// [`SoakSpec::chaos_plan`] (one per shard, never exported).
 const GLOBAL_CHAOS_LABEL: u64 = 8;
+
+/// e-bank transactions per device session.
+const TRANSACTIONS: u32 = 1;
+/// Link MTU: messages larger than this fragment into MTU-byte frames.
+const MTU: usize = 256;
 
 /// Node index of each role within a cell's label space.
 const J_CENTRAL: usize = 0;
@@ -158,8 +162,6 @@ pub struct SoakSpec {
     pub cells: usize,
     /// Handhelds per cell.
     pub devices_per_cell: usize,
-    /// e-bank transactions per device session.
-    pub transactions: u32,
     /// Extra bytes of user data packed into each PI (sized so the upload,
     /// not the handshake, dominates the session — the paper's 1.8 KB/s
     /// wireless regime).
@@ -168,8 +170,6 @@ pub struct SoakSpec {
     pub heartbeats: u32,
     /// Simulator shards to partition the cells over (clamped to `cells`).
     pub shards: usize,
-    /// Link MTU: messages larger than this fragment into MTU-byte frames.
-    pub mtu: Option<usize>,
     /// Batched (one event per burst) vs per-fragment event scheduling.
     pub batch_links: bool,
     /// Attach the observability collector to every shard.
@@ -193,23 +193,9 @@ pub struct SoakSpec {
     /// fleet SLO engine page on alert edges. Like monitors, the fleet plane
     /// rides its own labelled links, so enabling it never perturbs results.
     pub federation: bool,
-    /// Federation scrape interval.
-    pub fed_cadence: SimDuration,
-    /// Federation scrape rounds (bounded so the sim drains).
-    pub fed_rounds: u32,
-    /// Federation delta scrapes (`?since=<epoch>`); `false` forces a full
-    /// snapshot every round.
-    pub fed_delta: bool,
-    /// Federation bounded in-flight scrape window.
-    pub fed_max_inflight: usize,
-    /// Federation targets dispatched per fan-in batch tick.
-    pub fed_batch: usize,
-    /// Delay between federation fan-in batch ticks.
-    pub fed_batch_spacing: SimDuration,
-    /// Cell snapshots older than this are dropped from fleet rollups.
-    pub fed_stale_after: SimDuration,
-    /// Every Nth federation round is a full-snapshot resync.
-    pub fed_resync_every: u32,
+    /// The federation scraper's knobs (cadence, rounds, delta mode, fan-in
+    /// window, staleness bound); [`run_soak`] fills in `rules` and `pager`.
+    pub fed: FederationSpec,
     /// Primary on-call pickup time (`None` never acks, forcing escalation —
     /// the paging-drill configuration).
     pub oncall_ack: Option<SimDuration>,
@@ -233,10 +219,6 @@ pub struct SoakSpec {
     /// with a `page.deliver` p99 rule — paging the pager about its own
     /// degraded delivery path, exemplar attached.
     pub page_chaos: bool,
-    /// Event scheduler every shard runs on. The timer wheel is the
-    /// production default; the heap is kept as the reference implementation
-    /// the equivalence tests compare against.
-    pub scheduler: Scheduler,
     /// A declarative fault schedule compiled by one [`ChaosInjector`] per
     /// shard. Faults address nodes by their stable plan labels, so the same
     /// plan replays byte-identically at every shard count. `None` (and an
@@ -257,32 +239,22 @@ impl SoakSpec {
             seed,
             cells,
             devices_per_cell,
-            transactions: 1,
             pi_pad: 48 * 1024,
             heartbeats: 4,
             shards: 1,
-            mtu: Some(256),
             batch_links: true,
             observe: false,
             slo: false,
             monitor_rounds: 6,
             chaos: false,
             federation: false,
-            fed_cadence: SimDuration::from_secs(10),
-            fed_rounds: 3,
-            fed_delta: true,
-            fed_max_inflight: 8,
-            fed_batch: 16,
-            fed_batch_spacing: SimDuration::from_millis(200),
-            fed_stale_after: SimDuration::from_secs(30),
-            fed_resync_every: 8,
+            fed: FederationSpec::default(),
             oncall_ack: Some(SimDuration::from_secs(2)),
             escalation_tick: SimDuration::from_secs(60),
             page_backoff: SimDuration::from_secs(30),
             sample: false,
             sampler_cfg: SamplerConfig { seed, ..SamplerConfig::default() },
             page_chaos: false,
-            scheduler: Scheduler::default(),
             chaos_plan: None,
             gateway_replay_cap: 16,
         }
@@ -479,7 +451,7 @@ fn pad_text(len: usize, seed: u64) -> String {
 }
 
 fn device_commands(spec: &SoakSpec, cell: usize, dev: usize) -> Vec<DeviceCommand> {
-    let txs: Vec<Transaction> = (0..spec.transactions)
+    let txs: Vec<Transaction> = (0..TRANSACTIONS)
         .map(|i| {
             let bank = if i % 2 == 0 { "bank-a" } else { "bank-b" };
             Transaction::new(bank, "alice", "payee", 1_000 + i as i64)
@@ -689,8 +661,7 @@ pub fn run_soak_with(
 
     for s in 0..plan.shards() {
         let mut sim = Simulator::new(spec.seed);
-        sim.set_scheduler(spec.scheduler);
-        sim.set_wire_mtu(spec.mtu);
+        sim.set_wire_mtu(Some(MTU));
         sim.set_link_batching(spec.batch_links);
         if spec.observe {
             sim.enable_obs();
@@ -802,17 +773,9 @@ pub fn run_soak_with(
                     targets.push((mon, format!("cell-{cell}")));
                 }
                 let fed_spec = FederationSpec {
-                    cadence: spec.fed_cadence,
-                    rounds: spec.fed_rounds,
-                    delta: spec.fed_delta,
-                    max_inflight: spec.fed_max_inflight,
-                    batch: spec.fed_batch,
-                    batch_spacing: spec.fed_batch_spacing,
-                    stale_after: spec.fed_stale_after,
-                    resync_every: spec.fed_resync_every,
                     rules: default_federation_rules(),
                     pager: Some(pager.expect("pager built with federation")),
-                    ..FederationSpec::default()
+                    ..spec.fed.clone()
                 };
                 let fed = sim.add_node(Box::new(FederationScraper::new(
                     fed_spec,
@@ -1318,38 +1281,6 @@ mod tests {
         assert!(written.lines().count() >= 2, "dump holds the fire+resolve edges");
     }
 
-    /// The tentpole's soak-level digest check: swapping the timer wheel for
-    /// the reference heap must change *nothing observable* — results section,
-    /// event totals, peak queue depth, epochs, SLO digests, scrape counts,
-    /// alert timeline, and the rendered obs report all stay byte-identical.
-    #[test]
-    fn scheduler_swap_keeps_soak_digests_identical() {
-        let mut base = tiny(18);
-        base.slo = true;
-        base.observe = true;
-        base.shards = 2;
-        assert_eq!(base.scheduler, Scheduler::Wheel, "wheel is the production default");
-        let wheel = run_soak(&base);
-        let mut heap_spec = base.clone();
-        heap_spec.scheduler = Scheduler::Heap;
-        let heap = run_soak(&heap_spec);
-
-        assert_eq!(wheel.results, heap.results, "results diverged across schedulers");
-        assert_eq!(wheel.events, heap.events, "event totals diverged");
-        assert_eq!(wheel.peak_queue, heap.peak_queue, "queue high-water marks diverged");
-        assert_eq!(wheel.epochs, heap.epochs, "epoch counts diverged");
-        assert_eq!(wheel.slo, heap.slo, "SLO digests diverged");
-        assert_eq!(wheel.scrapes_ok, heap.scrapes_ok);
-        assert_eq!(wheel.probe_failures, heap.probe_failures);
-        assert_eq!(wheel.alerts, heap.alerts, "alert timelines diverged");
-        assert_eq!(wheel.unresolved_alerts, 0);
-        assert_eq!(
-            crate::report::obs_json(&wheel.obs).render(),
-            crate::report::obs_json(&heap.obs).render(),
-            "rendered obs digests diverged"
-        );
-    }
-
     #[test]
     fn federation_does_not_perturb_results() {
         let mut plain = tiny(19);
@@ -1419,11 +1350,11 @@ mod tests {
     #[test]
     fn full_snapshot_mode_is_byte_identical_across_shards() {
         // The delta-default variant is covered above; this pins the
-        // `fed_delta = false` ablation to the same shard invariance.
+        // `fed.delta = false` ablation to the same shard invariance.
         let mut base = tiny(22);
         base.slo = true;
         base.federation = true;
-        base.fed_delta = false;
+        base.fed.delta = false;
         let mono = run_soak(&base);
         let mono_fed = mono.federation.as_ref().expect("federation report");
         assert_eq!(mono_fed.delta_scrapes, 0, "full mode must never ask for deltas");
@@ -1447,10 +1378,10 @@ mod tests {
         let mut full = tiny(24);
         full.slo = true;
         full.federation = true;
-        full.fed_delta = false;
-        full.fed_rounds = 6;
+        full.fed.delta = false;
+        full.fed.rounds = 6;
         let mut delta = full.clone();
-        delta.fed_delta = true;
+        delta.fed.delta = true;
         let f = run_soak(&full);
         let d = run_soak(&delta);
 
@@ -1494,12 +1425,12 @@ mod tests {
         spec.pi_pad = 4 * 1024;
         spec.slo = true;
         spec.federation = true;
-        spec.fed_max_inflight = 1;
-        spec.fed_batch = 1;
-        spec.fed_batch_spacing = SimDuration::from_secs(8);
-        spec.fed_cadence = SimDuration::from_secs(5);
-        spec.fed_rounds = 4;
-        spec.fed_stale_after = SimDuration::from_secs(600);
+        spec.fed.max_inflight = 1;
+        spec.fed.batch = 1;
+        spec.fed.batch_spacing = SimDuration::from_secs(8);
+        spec.fed.cadence = SimDuration::from_secs(5);
+        spec.fed.rounds = 4;
+        spec.fed.stale_after = SimDuration::from_secs(600);
         let out = run_soak(&spec);
         let fed = out.federation.as_ref().expect("federation report");
         assert_eq!(fed.scrape_failures, 0, "congestion must not fail scrapes");

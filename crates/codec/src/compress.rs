@@ -306,6 +306,25 @@ mod tests {
     }
 
     #[test]
+    fn hostile_length_headers_fail_without_allocating() {
+        // A tiny LZSS / LZSS+Huffman container whose header promises far
+        // more output than its payload can encode must return an error,
+        // not abort on a huge preallocation or panic on capacity overflow.
+        for declared in [1usize << 40, usize::MAX] {
+            for alg in [Algorithm::Lzss, Algorithm::LzssHuffman] {
+                let mut packed = MAGIC.to_vec();
+                packed.push(alg.to_byte());
+                varint::write_usize(&mut packed, declared);
+                if alg == Algorithm::LzssHuffman {
+                    varint::write_usize(&mut packed, declared);
+                }
+                packed.extend_from_slice(&[0xff, 0x00, 0xaa]);
+                assert!(decompress(&packed).is_err(), "{alg:?} declaring {declared}");
+            }
+        }
+    }
+
+    #[test]
     fn large_payload_roundtrip() {
         let data = SAMPLE.repeat(500); // ~70 KB
         for alg in [Algorithm::Lzss, Algorithm::LzssHuffman, Algorithm::Auto] {

@@ -209,7 +209,10 @@ pub fn decode(data: &[u8], original_len: usize) -> Result<Vec<u8>, HuffmanError>
     if !any {
         return Err(HuffmanError::InvalidTable);
     }
-    let mut out = Vec::with_capacity(original_len);
+    // `original_len` may come from an untrusted header: every symbol costs
+    // at least one bit, so the stream cannot produce more bytes than it has
+    // bits, and a longer promise fails with `Truncated` once they run out.
+    let mut out = Vec::with_capacity(original_len.min(data.len().saturating_mul(8)));
     while out.len() < original_len {
         let mut code = 0u32;
         let mut len = 0u8;

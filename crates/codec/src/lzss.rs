@@ -123,9 +123,15 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress an LZSS stream into exactly `original_len` bytes.
+///
+/// `original_len` may come from an untrusted header, so the preallocation is
+/// capped at what `data` can actually produce: every 17-bit match token
+/// yields at most [`MAX_MATCH`] bytes. A stream that promises more runs out
+/// of bits and fails with [`LzssError::Truncated`].
 pub fn decode(data: &[u8], original_len: usize) -> Result<Vec<u8>, LzssError> {
     let mut r = BitReader::new(data);
-    let mut out = Vec::with_capacity(original_len);
+    let producible = (data.len().saturating_mul(8) / 17 + 1).saturating_mul(MAX_MATCH);
+    let mut out = Vec::with_capacity(original_len.min(producible));
     while out.len() < original_len {
         let is_literal = r.read_bit().map_err(|_| LzssError::Truncated)?;
         if is_literal {

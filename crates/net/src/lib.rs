@@ -16,9 +16,9 @@
 //!   insistence on XML wire encoding for interoperability.
 //! * [`link`] — link specifications (latency, jitter, bandwidth, loss,
 //!   up/down) and the topology.
-//! * [`queue`] — the event-loop schedulers: the hierarchical timer wheel +
-//!   slab event arena the simulator runs on, and the reference binary heap
-//!   it is proven byte-equivalent to.
+//! * [`queue`] — the event queue: the hierarchical timer wheel + slab event
+//!   arena the simulator runs on, and the reference binary heap its tests
+//!   and benchmark compare it against.
 //! * [`sim`] — the event loop: [`sim::Simulator`], the [`sim::Node`] trait
 //!   protocol state machines implement, and the per-event [`sim::Ctx`].
 //! * [`http`] — an HTTP-like request/response layer with timeouts and
@@ -113,7 +113,6 @@ pub mod prelude {
     pub use crate::message::{Kind, Message};
     pub use crate::metrics::Metrics;
     pub use crate::obs::{Histogram, ObsContext, ObsEvent, ObsSummary};
-    pub use crate::queue::Scheduler;
     pub use crate::rng::SimRng;
     pub use crate::sim::{Ctx, Node, NodeId, Simulator};
     pub use crate::slo::{MonitorSpec, SloEngine, SloMonitor, SloReport, SloRule, SloSignal};

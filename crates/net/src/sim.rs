@@ -9,8 +9,8 @@
 //! Determinism: events are ordered by `(time, insertion sequence)`, so equal
 //! timestamps resolve in a stable order and a run is a pure function of the
 //! seed and setup. The ordering is implemented by the hierarchical timer
-//! wheel in [`crate::queue`] (with the reference binary heap selectable via
-//! [`Simulator::set_scheduler`]); both yield byte-identical runs.
+//! wheel in [`crate::queue`], which that module's tests check against a
+//! reference binary heap.
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
@@ -19,7 +19,7 @@ use crate::link::{ChaosOverlay, LinkSpec, Topology};
 use crate::message::Message;
 use crate::metrics::{Metrics, MetricsRegistry};
 use crate::obs::{Collector, ObsEvent, ObsSummary};
-use crate::queue::{EventQueue, Scheduler, TimerSlab, TimerToken};
+use crate::queue::{TimerSlab, TimerToken, TimerWheel};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEntry};
@@ -105,7 +105,7 @@ pub struct Outbound {
 pub struct Ctx<'a> {
     now: SimTime,
     self_id: NodeId,
-    queue: &'a mut EventQueue<EventKind>,
+    queue: &'a mut TimerWheel<EventKind>,
     seq: &'a mut u64,
     timers: &'a mut TimerSlab,
     topology: &'a mut Topology,
@@ -513,7 +513,7 @@ impl Ctx<'_> {
 pub struct Simulator {
     nodes: Vec<Option<Box<dyn Node>>>,
     topology: Topology,
-    queue: EventQueue<EventKind>,
+    queue: TimerWheel<EventKind>,
     time: SimTime,
     seq: u64,
     /// Timer arm/cancel/fire bookkeeping: generation-stamped slab slots. A
@@ -562,7 +562,7 @@ impl Simulator {
         Simulator {
             nodes: Vec::new(),
             topology,
-            queue: EventQueue::new(Scheduler::default()),
+            queue: TimerWheel::new(),
             time: SimTime::ZERO,
             seq: 0,
             timers: TimerSlab::new(),
@@ -584,23 +584,6 @@ impl Simulator {
             skews: HashMap::new(),
             max_events: 50_000_000,
         }
-    }
-
-    /// Select the event-queue implementation (default: the timer wheel).
-    /// Both schedulers produce byte-identical results — the heap stays
-    /// selectable for equivalence tests and before/after benchmarks. Must be
-    /// called before anything is scheduled.
-    pub fn set_scheduler(&mut self, scheduler: Scheduler) {
-        assert!(
-            !self.started && self.queue.is_empty(),
-            "set_scheduler must run before any event is scheduled"
-        );
-        self.queue = EventQueue::new(scheduler);
-    }
-
-    /// Which event-queue implementation this simulator runs on.
-    pub fn scheduler(&self) -> Scheduler {
-        self.queue.scheduler()
     }
 
     /// Start recording every delivered message (see [`crate::trace`]).
@@ -820,8 +803,8 @@ impl Simulator {
         self.time = time;
         self.events_processed += 1;
         // +1: the event just popped was in the queue a moment ago. The
-        // queue's len() is an O(1) occupancy counter on both schedulers and
-        // counts tombstoned timers, so the sample is scheduler-invariant.
+        // queue's len() is an O(1) occupancy counter and counts tombstoned
+        // timers, the same accounting the reference heap has.
         self.peak_queue = self.peak_queue.max(self.queue.len() + 1);
         let (node_id, action): (NodeId, NodeAction) =
             match kind {
@@ -1387,49 +1370,70 @@ mod tests {
 
     /// A timer-churn node driven by a generated op script. One drive timer
     /// steps through the script; each step arms near/far payload timers or
-    /// cancels a live / an already-fired handle, covering every arm/cancel/
-    /// fire interleaving class the scheduler swap must preserve.
+    /// cancels a live / an already-cancelled handle. Every `set_timer` call is
+    /// logged in arm order, which is the simulator's tie-break sequence since
+    /// this node is the only one arming, so the expected fire schedule follows
+    /// from the log alone.
     struct ScriptedChurn {
         script: Vec<(u8, u64)>,
         step: usize,
-        live: std::collections::VecDeque<TimerId>,
+        /// `(due time, is payload)` per `set_timer` call, in arm order.
+        arms: Vec<(SimTime, bool)>,
+        /// Arm index of the pending drive timer.
+        drive_arm: usize,
+        /// Live payload handles with their arm index, oldest first.
+        live: std::collections::VecDeque<(TimerId, usize)>,
         dead: Vec<TimerId>,
-        fired: Vec<(SimTime, u64)>,
+        /// `(payload arm index, cancel time, arm index of the cancelling
+        /// drive event)` per cancel of a live handle.
+        cancels: Vec<(usize, SimTime, usize)>,
+        /// `(fire time, payload arm index)` in dispatch order.
+        fired: Vec<(SimTime, usize)>,
     }
 
     const DRIVE: u64 = u64::MAX;
 
+    impl ScriptedChurn {
+        fn arm(&mut self, ctx: &mut Ctx<'_>, delay: u64, payload: bool) -> (TimerId, usize) {
+            let index = self.arms.len();
+            self.arms.push((ctx.now() + SimDuration(delay), payload));
+            let tag = if payload { index as u64 } else { DRIVE };
+            (ctx.set_timer(SimDuration(delay), tag), index)
+        }
+    }
+
     impl Node for ScriptedChurn {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(SimDuration::ZERO, DRIVE);
+            self.drive_arm = self.arm(ctx, 0, false).1;
         }
         fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Message) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
             if tag != DRIVE {
-                self.fired.push((ctx.now(), tag));
+                self.fired.push((ctx.now(), tag as usize));
                 return;
             }
             let Some(&(op, arg)) = self.script.get(self.step) else {
                 return;
             };
-            let step = self.step as u64;
             self.step += 1;
             match op % 4 {
                 // Near timer: within the wheel levels.
                 0 => {
-                    let id = ctx.set_timer(SimDuration(arg % 5_000_000), step);
-                    self.live.push_back(id);
+                    let armed = self.arm(ctx, arg % 5_000_000, true);
+                    self.live.push_back(armed);
                 }
                 // Far timer: past the wheel horizon → overflow promotion.
                 1 => {
                     let delay = crate::queue::WHEEL_HORIZON + arg % 2_000_000;
-                    let id = ctx.set_timer(SimDuration(delay), step);
-                    self.live.push_back(id);
+                    let armed = self.arm(ctx, delay, true);
+                    self.live.push_back(armed);
                 }
-                // Cancel the oldest live timer (tombstones its queued event).
+                // Cancel the oldest live handle (tombstones its queued event,
+                // or is a no-op if the timer already fired).
                 2 => {
-                    if let Some(id) = self.live.pop_front() {
+                    if let Some((id, index)) = self.live.pop_front() {
                         ctx.cancel_timer(id);
+                        self.cancels.push((index, ctx.now(), self.drive_arm));
                         self.dead.push(id);
                     }
                 }
@@ -1441,40 +1445,63 @@ mod tests {
                 }
             }
             // Uneven drive cadence so steps land on varied wheel ticks.
-            ctx.set_timer(SimDuration(1 + (arg % 97) * 1_013), DRIVE);
+            self.drive_arm = self.arm(ctx, 1 + (arg % 97) * 1_013, false).1;
         }
-    }
-
-    fn churn_run(scheduler: Scheduler, script: &[(u8, u64)]) -> (Vec<(SimTime, u64)>, u64, usize) {
-        let mut sim = Simulator::new(99);
-        sim.set_scheduler(scheduler);
-        let id = sim.add_node(Box::new(ScriptedChurn {
-            script: script.to_vec(),
-            step: 0,
-            live: Default::default(),
-            dead: Vec::new(),
-            fired: Vec::new(),
-        }));
-        sim.run_until_idle();
-        let node = sim.node_ref::<ScriptedChurn>(id).unwrap();
-        (node.fired.clone(), sim.events_processed(), sim.peak_queue_depth())
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(32))]
-        /// The tentpole's equivalence property at the simulator level: any
-        /// arm/cancel/fire interleaving — including cancels of already-fired
-        /// timers and far-future timers that ride the overflow heap — fires
-        /// the same timers at the same times in the same order, processes the
-        /// same number of events, and peaks at the same queue depth under the
-        /// timer wheel as under the reference binary heap.
+        /// The simulator's timers against an analytic oracle: for any
+        /// arm/cancel/fire interleaving — including far-future timers that
+        /// ride the overflow heap and cancels of timers that already fired —
+        /// every uncancelled timer fires exactly once at its due time, no
+        /// cancelled timer fires, and fires come out in `(time, arm order)`
+        /// order.
         #[test]
-        fn wheel_and_heap_schedulers_are_byte_equivalent(
+        fn timers_fire_once_on_schedule_in_arm_order(
             script in proptest::collection::vec((0u8..4, 0u64..u64::MAX / 2), 0..120),
         ) {
-            let wheel = churn_run(Scheduler::Wheel, &script);
-            let heap = churn_run(Scheduler::Heap, &script);
-            proptest::prop_assert_eq!(wheel, heap);
+            let mut sim = Simulator::new(99);
+            let id = sim.add_node(Box::new(ScriptedChurn {
+                script,
+                step: 0,
+                arms: Vec::new(),
+                drive_arm: 0,
+                live: Default::default(),
+                dead: Vec::new(),
+                cancels: Vec::new(),
+                fired: Vec::new(),
+            }));
+            sim.run_until_idle();
+            let node = sim.node_ref::<ScriptedChurn>(id).unwrap();
+
+            // A cancel issued by the drive event at `(time, arm)` takes effect
+            // iff the payload's own `(due, arm)` event sorts after it.
+            let cancelled: HashSet<usize> = node
+                .cancels
+                .iter()
+                .filter(|&&(index, at, by)| (node.arms[index].0, index) > (at, by))
+                .map(|&(index, _, _)| index)
+                .collect();
+            let mut fires = vec![0u32; node.arms.len()];
+            for &(at, index) in &node.fired {
+                proptest::prop_assert!(at == node.arms[index].0, "timer {index} fired off schedule");
+                fires[index] += 1;
+            }
+            for (index, &(_, payload)) in node.arms.iter().enumerate() {
+                if payload {
+                    let expected = u32::from(!cancelled.contains(&index));
+                    proptest::prop_assert!(
+                        fires[index] == expected,
+                        "timer {index} fired {} times, expected {expected}",
+                        fires[index]
+                    );
+                }
+            }
+            proptest::prop_assert!(
+                node.fired.windows(2).all(|w| w[0] < w[1]),
+                "fires out of (time, arm order) order"
+            );
         }
     }
 }

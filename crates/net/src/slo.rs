@@ -758,42 +758,6 @@ impl Node for SloMonitor {
     }
 }
 
-/// Failure injection: takes the `a`↔`b` link down at `down_at` and back up
-/// at `up_at` — the standard way to make latency/availability rules fire in
-/// tests and chaos soaks. Cuts are refcounted in the topology, so two
-/// `LinkChaos` nodes with overlapping windows on the same link keep it down
-/// until the **max** end-time, not whichever `up_at` fires last. For
-/// multi-fault schedules prefer a [`crate::chaos::ChaosPlan`].
-#[derive(Debug)]
-pub struct LinkChaos {
-    /// One endpoint of the link.
-    pub a: NodeId,
-    /// The other endpoint.
-    pub b: NodeId,
-    /// When to cut the link.
-    pub down_at: SimDuration,
-    /// When to restore it (must be after `down_at`).
-    pub up_at: SimDuration,
-}
-
-impl Node for LinkChaos {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.down_at, 0);
-        ctx.set_timer(self.up_at, 1);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Message) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if tag == 1 {
-            ctx.heal_link(self.a, self.b);
-        } else {
-            ctx.cut_link(self.a, self.b);
-        }
-        ctx.metrics().bump(if tag == 1 { "chaos.link_up" } else { "chaos.link_down" }, 1.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -906,63 +870,5 @@ mod tests {
         let mut b = SloEngine::new(rules());
         assert_eq!(feed(&mut a), feed(&mut b));
         assert_eq!(a.reports(), b.reports());
-    }
-
-    #[test]
-    fn overlapping_link_chaos_heals_at_max_end() {
-        use crate::link::LinkSpec;
-        use crate::sim::Simulator;
-
-        // Sender fires one message every 100ms; two LinkChaos windows
-        // 300–600ms and 500–1050ms overlap. With last-write-wins the link
-        // would come back at 600ms; refcounted cuts keep it down until
-        // 1050ms, so sends 3..=10 (at 300..=1000ms) all drop.
-        struct Sender {
-            peer: NodeId,
-            left: u32,
-        }
-        impl Node for Sender {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer(SimDuration::ZERO, 0);
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Message) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-                if self.left == 0 {
-                    return;
-                }
-                self.left -= 1;
-                ctx.send(self.peer, Message::new("tick", Vec::new()));
-                if self.left > 0 {
-                    ctx.set_timer(SimDuration::from_millis(100), 0);
-                }
-            }
-        }
-        struct Sink {
-            seen: u32,
-        }
-        impl Node for Sink {
-            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Message) {
-                self.seen += 1;
-            }
-        }
-
-        let mut sim = Simulator::new(3);
-        let sink = sim.add_node(Box::new(Sink { seen: 0 }));
-        let sender = sim.add_node(Box::new(Sender { peer: sink, left: 20 }));
-        sim.add_node(Box::new(LinkChaos {
-            a: sender,
-            b: sink,
-            down_at: SimDuration::from_millis(300),
-            up_at: SimDuration::from_millis(600),
-        }));
-        sim.add_node(Box::new(LinkChaos {
-            a: sender,
-            b: sink,
-            down_at: SimDuration::from_millis(500),
-            up_at: SimDuration::from_millis(1_050),
-        }));
-        sim.connect(sender, sink, LinkSpec::ideal());
-        sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Sink>(sink).unwrap().seen, 12);
     }
 }

@@ -9,6 +9,14 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 
+# pdbench is a standalone package (not a workspace member), so the
+# workspace run above cannot catch a change that breaks its build. Test it,
+# then run one pass of its fleet_ops workload; pdbench exits nonzero when
+# any of its correctness checks fails.
+cargo test --offline -q --manifest-path pdbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
+    --workload fleet_ops --seconds 0 > /dev/null
+
 # Federation ablation smoke: with the fleet plane off, the soak must still
 # pass every shape check (results are asserted byte-identical to the
 # federated run by the crate's unit tests; here we guard the knob itself).
