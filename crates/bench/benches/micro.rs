@@ -51,6 +51,31 @@ fn bench_xml(c: &mut Criterion) {
     group.finish();
 }
 
+/// A PI carrying `pad` bytes of base64-alphabet text (six bits of entropy
+/// per byte, xorshift64*): the shape of pdbench's `bulk_pi` upload.
+fn padded_pi_doc(pad: usize) -> String {
+    const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    let mut state = 42u64;
+    let pad_text: String = (0..pad)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ALPHABET[(state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 58) as usize] as char
+        })
+        .collect();
+    let txs = [Transaction::new("bank-0", "alice", "payee-0", 1000)];
+    let pi = PackedInformation {
+        code_id: "ebank@dev#1".into(),
+        auth_key: "0123456789abcdef0123456789abcdef".into(),
+        program: ebank_program(),
+        itinerary: vec!["bank-0".into()],
+        params: vec![transactions_param(&txs), ("pi_pad".into(), Value::Str(pad_text))],
+        fuel_per_hop: 1_000_000,
+    };
+    pi.to_document_string()
+}
+
 fn bench_compression(c: &mut Criterion) {
     let doc = sample_pi_doc(10);
     let bytes = doc.as_bytes();
@@ -69,6 +94,18 @@ fn bench_compression(c: &mut Criterion) {
             |b, packed| b.iter(|| decompress(std::hint::black_box(packed)).unwrap()),
         );
     }
+    // The bulk_pi shape: 48 KB of base64 pad, where Auto tries every coder
+    // and keeps Huffman.
+    let bulk = padded_pi_doc(48 * 1024);
+    let bulk = bulk.as_bytes();
+    group.throughput(Throughput::Bytes(bulk.len() as u64));
+    group.bench_function("compress/auto_48k_base64_pi", |b| {
+        b.iter(|| compress(std::hint::black_box(bulk), Algorithm::Auto))
+    });
+    let packed = compress(bulk, Algorithm::Auto);
+    group.bench_function("decompress/auto_48k_base64_pi", |b| {
+        b.iter(|| decompress(std::hint::black_box(&packed)).unwrap())
+    });
     group.finish();
 }
 

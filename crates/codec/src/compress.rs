@@ -8,6 +8,8 @@
 //! output, falling back to [`Algorithm::Store`] when compression does not
 //! pay — so `compress` never expands data by more than the 6–15 byte header.
 
+use std::borrow::Cow;
+
 use crate::{huffman, lzss, rle, varint};
 
 /// Magic prefix of the container.
@@ -31,7 +33,7 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             Algorithm::Store => 0,
             Algorithm::Rle => 1,
@@ -102,49 +104,51 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn encode_with(data: &[u8], alg: Algorithm) -> Vec<u8> {
-    match alg {
-        Algorithm::Store => data.to_vec(),
-        Algorithm::Rle => rle::encode(data),
-        Algorithm::Lzss => lzss::encode(data),
-        Algorithm::Huffman => huffman::encode(data),
-        Algorithm::LzssHuffman => huffman::encode(&lzss::encode(data)),
-        Algorithm::Auto => unreachable!(),
-    }
-}
-
 /// Compress `data` into a `PDAZ` container.
 pub fn compress(data: &[u8], alg: Algorithm) -> Vec<u8> {
-    let (alg, payload) = match alg {
-        Algorithm::Auto => {
-            let mut best = (Algorithm::Store, data.to_vec());
-            for cand in [Algorithm::Rle, Algorithm::Lzss, Algorithm::Huffman, Algorithm::LzssHuffman]
-            {
-                let enc = encode_with(data, cand);
-                if enc.len() < best.1.len() {
-                    best = (cand, enc);
-                }
-            }
-            best
-        }
-        other => {
-            let enc = encode_with(data, other);
-            // Never ship an expanded payload: fall back to Store.
-            if enc.len() >= data.len() && other != Algorithm::Store {
-                (Algorithm::Store, data.to_vec())
-            } else {
-                (other, enc)
-            }
-        }
+    use Algorithm::*;
+    let wants = |algs: &[Algorithm]| algs.contains(&alg);
+    // The LZSS stream is a candidate of its own, the input of LzssHuffman and
+    // (by length) part of LzssHuffman's header, so it is encoded once. The
+    // Huffman candidates know their sizes before they are written, so only
+    // the one kept is ever encoded.
+    let run_length = wants(&[Rle, Auto]).then(|| rle::encode(data));
+    let lz = wants(&[Lzss, LzssHuffman, Auto]).then(|| lzss::encode(data));
+    let huff = wants(&[Huffman, Auto]).then(|| huffman::Fitted::new(data));
+    let lz_huff = lz.as_deref().filter(|_| wants(&[LzssHuffman, Auto])).map(huffman::Fitted::new);
+    // Only the candidates this call considers are ever sized.
+    let size = |alg| match alg {
+        Store => data.len(),
+        Rle => run_length.as_ref().map_or(usize::MAX, Vec::len),
+        Lzss => lz.as_ref().map_or(usize::MAX, Vec::len),
+        Huffman => huff.as_ref().map_or(usize::MAX, |h| h.encoded_len()),
+        LzssHuffman => lz_huff.as_ref().map_or(usize::MAX, |h| h.encoded_len()),
+        Auto => unreachable!(),
+    };
+    let alg = match alg {
+        // The first strictly smallest wins, Store first.
+        Auto => [Rle, Lzss, Huffman, LzssHuffman]
+            .into_iter()
+            .fold(Store, |best, cand| if size(cand) < size(best) { cand } else { best }),
+        // Never ship an expanded payload: fall back to Store.
+        other if other != Store && size(other) >= data.len() => Store,
+        other => other,
+    };
+    let payload: Cow<'_, [u8]> = match alg {
+        Store => Cow::Borrowed(data),
+        Rle => Cow::Owned(run_length.expect("RLE candidate encoded")),
+        Lzss => Cow::Borrowed(lz.as_deref().expect("LZSS candidate encoded")),
+        Huffman => Cow::Owned(huff.expect("Huffman candidate fitted").encode()),
+        LzssHuffman => Cow::Owned(lz_huff.expect("LzssHuffman candidate fitted").encode()),
+        Auto => unreachable!(),
     };
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(MAGIC);
     out.push(alg.to_byte());
     varint::write_usize(&mut out, data.len());
     // For LzssHuffman the Huffman layer needs the intermediate length too.
-    if alg == Algorithm::LzssHuffman {
-        let mid = lzss::encode(data);
-        varint::write_usize(&mut out, mid.len());
+    if alg == LzssHuffman {
+        varint::write_usize(&mut out, lz.as_ref().expect("LZSS stream encoded").len());
     }
     out.extend_from_slice(&payload);
     out

@@ -34,7 +34,7 @@ impl std::error::Error for HuffmanError {}
 /// Compute code lengths for the byte frequencies using package-merge-free
 /// heap construction, then flatten depths. Zero-frequency symbols get length
 /// 0 (absent).
-fn code_lengths(freqs: &[u64; 256]) -> [u8; 256] {
+pub(crate) fn code_lengths(freqs: &[u64; 256]) -> [u8; 256] {
     // Build the Huffman tree with a simple two-queue/heap method.
     #[derive(Debug)]
     struct NodeArena {
@@ -127,7 +127,7 @@ fn limit_lengths(lengths: &mut [u8; 256]) {
 }
 
 /// Assign canonical codes given lengths. Returns (code, len) per symbol.
-fn canonical_codes(lengths: &[u8; 256]) -> Result<[(u32, u8); 256], HuffmanError> {
+pub(crate) fn canonical_codes(lengths: &[u8; 256]) -> Result<[(u32, u8); 256], HuffmanError> {
     let mut codes = [(0u32, 0u8); 256];
     // Count codes per length.
     let mut bl_count = [0u32; MAX_CODE_LEN as usize + 1];
@@ -160,33 +160,139 @@ fn canonical_codes(lengths: &[u8; 256]) -> Result<[(u32, u8); 256], HuffmanError
     Ok(codes)
 }
 
-/// Encode `data`. Output = header (256 nibble-packed code lengths = 128
-/// bytes... compacted with RLE-of-nibbles) + bit payload. Empty input yields
-/// an empty vector.
-pub fn encode(data: &[u8]) -> Vec<u8> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let mut freqs = [0u64; 256];
-    for &b in data {
-        freqs[b as usize] += 1;
-    }
-    let lengths = code_lengths(&freqs);
-    let codes = canonical_codes(&lengths).expect("own table is valid");
+/// Bytes of the code-length header: 256 lengths of 4 bits each.
+const HEADER_BYTES: usize = 256 * 4 / 8;
 
-    let mut w = BitWriter::new();
-    // Header: 256 x 4-bit code lengths.
-    for &l in lengths.iter() {
-        w.write_bits(l as u32, 4);
+/// The Huffman code fitted to one input. It knows the size of its encoding
+/// before writing it, so [`crate::compress`] can rank the candidates of
+/// `Algorithm::Auto` and encode only the one it keeps.
+pub(crate) struct Fitted<'a> {
+    data: &'a [u8],
+    lengths: [u8; 256],
+    /// Payload bits: every symbol's code length, summed over `data`.
+    bits: u64,
+}
+
+impl<'a> Fitted<'a> {
+    pub(crate) fn new(data: &'a [u8]) -> Fitted<'a> {
+        let mut freqs = [0u64; 256];
+        for &b in data {
+            freqs[b as usize] += 1;
+        }
+        let lengths = code_lengths(&freqs);
+        let bits = freqs.iter().zip(&lengths).map(|(&f, &l)| f * u64::from(l)).sum();
+        Fitted { data, lengths, bits }
     }
-    for &b in data {
-        let (code, len) = codes[b as usize];
-        w.write_bits(code, len);
+
+    /// Length of what [`Fitted::encode`] returns.
+    pub(crate) fn encoded_len(&self) -> usize {
+        if self.data.is_empty() {
+            0
+        } else {
+            HEADER_BYTES + self.bits.div_ceil(8) as usize
+        }
     }
-    w.finish()
+
+    /// The header followed by the coded payload.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        if self.data.is_empty() {
+            return Vec::new();
+        }
+        let codes = canonical_codes(&self.lengths).expect("own table is valid");
+        let mut w = BitWriter::new();
+        for &l in self.lengths.iter() {
+            w.write_bits(l as u32, 4);
+        }
+        for &b in self.data {
+            let (code, len) = codes[b as usize];
+            w.write_bits(code, len);
+        }
+        w.finish()
+    }
+}
+
+/// Encode `data`: a header of 256 4-bit code lengths (128 bytes), then one
+/// canonical code per input byte. Empty input yields an empty vector.
+pub fn encode(data: &[u8]) -> Vec<u8> {
+    Fitted::new(data).encode()
+}
+
+/// Width of the primary decode table: a code up to this long decodes with
+/// one probe. Longer codes (rare: they belong to the least frequent symbols)
+/// finish with a canonical first-code walk. Ten bits keep the table at 2 KiB,
+/// cheap to build even for a 1 KB document.
+const TABLE_BITS: u8 = 10;
+
+/// Canonical decode tables for one code-length header.
+struct DecodeTable {
+    /// Indexed by the next [`TABLE_BITS`] bits: `symbol << 4 | length` of the
+    /// code that prefixes them, or 0 when no code that short does.
+    primary: [u16; 1 << TABLE_BITS],
+    /// Per length above [`TABLE_BITS`]: the first canonical code, how many
+    /// codes follow it, and where their symbols start in `symbols`.
+    first_code: [u32; MAX_CODE_LEN as usize + 1],
+    count: [u32; MAX_CODE_LEN as usize + 1],
+    first_index: [usize; MAX_CODE_LEN as usize + 1],
+    /// Long-code symbols in canonical (length, symbol) order.
+    symbols: Vec<u8>,
+}
+
+impl DecodeTable {
+    fn new(codes: &[(u32, u8); 256]) -> DecodeTable {
+        let mut table = DecodeTable {
+            primary: [0; 1 << TABLE_BITS],
+            first_code: [0; MAX_CODE_LEN as usize + 1],
+            count: [0; MAX_CODE_LEN as usize + 1],
+            first_index: [0; MAX_CODE_LEN as usize + 1],
+            symbols: Vec::new(),
+        };
+        for (sym, &(code, len)) in codes.iter().enumerate() {
+            if len > 0 && len <= TABLE_BITS {
+                let shift = TABLE_BITS - len;
+                let start = (code << shift) as usize;
+                let entry = (sym as u16) << 4 | u16::from(len);
+                table.primary[start..start + (1 << shift)].fill(entry);
+            }
+        }
+        // Canonical codes of one length are consecutive in symbol order.
+        for len in TABLE_BITS + 1..=MAX_CODE_LEN {
+            let l = len as usize;
+            table.first_index[l] = table.symbols.len();
+            for sym in (0..256).filter(|&sym| codes[sym].1 == len) {
+                if table.count[l] == 0 {
+                    table.first_code[l] = codes[sym].0;
+                }
+                table.count[l] += 1;
+                table.symbols.push(sym as u8);
+            }
+        }
+        table
+    }
+
+    /// The (symbol, length) of the code that prefixes `window`, the next
+    /// [`MAX_CODE_LEN`] bits of the stream; `None` when no code does (only
+    /// possible with an under-full table).
+    #[inline]
+    fn lookup(&self, window: u32) -> Option<(u8, u8)> {
+        let entry = self.primary[(window >> (MAX_CODE_LEN - TABLE_BITS)) as usize];
+        if entry != 0 {
+            return Some(((entry >> 4) as u8, (entry & 0xf) as u8));
+        }
+        (TABLE_BITS + 1..=MAX_CODE_LEN).find_map(|len| {
+            let l = len as usize;
+            let offset = (window >> (MAX_CODE_LEN - len)).wrapping_sub(self.first_code[l]);
+            (offset < self.count[l])
+                .then(|| (self.symbols[self.first_index[l] + offset as usize], len))
+        })
+    }
 }
 
 /// Decode exactly `original_len` bytes from a stream produced by [`encode`].
+///
+/// Errors classify like a bit-serial prefix walk: a symbol whose code is
+/// longer than the bits left is [`HuffmanError::Truncated`]; bits that match
+/// no code are [`HuffmanError::InvalidTable`] once `MAX_CODE_LEN + 1` bits
+/// prove it, and `Truncated` when the stream ends first.
 pub fn decode(data: &[u8], original_len: usize) -> Result<Vec<u8>, HuffmanError> {
     if original_len == 0 {
         return Ok(Vec::new());
@@ -197,36 +303,26 @@ pub fn decode(data: &[u8], original_len: usize) -> Result<Vec<u8>, HuffmanError>
         *l = r.read_bits(4).map_err(|_| HuffmanError::Truncated)? as u8;
     }
     let codes = canonical_codes(&lengths)?;
-    // Build a simple decode map: (len, code) -> symbol.
-    let mut table = std::collections::HashMap::new();
-    let mut any = false;
-    for (sym, &(code, len)) in codes.iter().enumerate() {
-        if len > 0 {
-            table.insert((len, code), sym as u8);
-            any = true;
-        }
-    }
-    if !any {
+    if lengths.iter().all(|&l| l == 0) {
         return Err(HuffmanError::InvalidTable);
     }
+    let table = DecodeTable::new(&codes);
     // `original_len` may come from an untrusted header: every symbol costs
     // at least one bit, so the stream cannot produce more bytes than it has
     // bits, and a longer promise fails with `Truncated` once they run out.
     let mut out = Vec::with_capacity(original_len.min(data.len().saturating_mul(8)));
     while out.len() < original_len {
-        let mut code = 0u32;
-        let mut len = 0u8;
-        loop {
-            code = (code << 1) | r.read_bit().map_err(|_| HuffmanError::Truncated)? as u32;
-            len += 1;
-            if len > MAX_CODE_LEN {
-                return Err(HuffmanError::InvalidTable);
-            }
-            if let Some(&sym) = table.get(&(len, code)) {
-                out.push(sym);
-                break;
-            }
-        }
+        // Past the end the peek pads with zeros; `consume` then rejects a
+        // code longer than the bits that really remain.
+        let Some((sym, len)) = table.lookup(r.peek_bits(MAX_CODE_LEN)) else {
+            return Err(if r.remaining_bits() > MAX_CODE_LEN as usize {
+                HuffmanError::InvalidTable
+            } else {
+                HuffmanError::Truncated
+            });
+        };
+        r.consume(usize::from(len)).map_err(|_| HuffmanError::Truncated)?;
+        out.push(sym);
     }
     Ok(out)
 }
@@ -337,5 +433,109 @@ mod tests {
         assert!(lengths.iter().all(|&l| l <= MAX_CODE_LEN));
         // And they must form a decodable code.
         canonical_codes(&lengths).unwrap();
+    }
+
+    /// The table decoder and the bit-serial oracle agree on `stream` cut at
+    /// every byte, asked for `len` symbols and for one more.
+    fn agrees_with_oracle(stream: &[u8], len: usize) {
+        for cut in 0..=stream.len() {
+            for n in [len, len + 1] {
+                assert_eq!(
+                    decode(&stream[..cut], n),
+                    crate::oracle::huffman_decode(&stream[..cut], n),
+                    "cut {cut}, {n} symbols"
+                );
+            }
+        }
+    }
+
+    /// A header giving `sym` code length `len` for each pair, then `payload`.
+    fn stream(lengths: &[(u8, u8)], payload: &[u8]) -> Vec<u8> {
+        let mut table = [0u8; 256];
+        for &(sym, len) in lengths {
+            table[sym as usize] = len;
+        }
+        let mut w = BitWriter::new();
+        for l in table {
+            w.write_bits(u32::from(l), 4);
+        }
+        let mut out = w.finish();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn last_code_ends_in_the_final_byte_with_fewer_bits_than_the_table() {
+        // Lengths a:1 b:2 c:3 d:4 e:5 f:6 g:7 h:7, with a 7-bit code last.
+        let mut data = Vec::new();
+        for (sym, count) in [(b'a', 64), (b'b', 32), (b'c', 16), (b'd', 8), (b'e', 4), (b'f', 2)] {
+            data.extend(std::iter::repeat_n(sym, count));
+        }
+        data.extend_from_slice(b"hg");
+        let mut freqs = [0u64; 256];
+        data.iter().for_each(|&b| freqs[b as usize] += 1);
+        let lengths = code_lengths(&freqs);
+        let bits: usize = data.iter().map(|&b| usize::from(lengths[b as usize])).sum();
+        let last = usize::from(lengths[b'g' as usize]);
+        let left_at_last = last + (8 - bits % 8) % 8;
+        assert!(last == 7 && left_at_last < usize::from(TABLE_BITS), "{last} {left_at_last}");
+        let enc = roundtrip(&data);
+        agrees_with_oracle(&enc, data.len());
+    }
+
+    #[test]
+    fn fifteen_bit_codes_decode_through_the_long_code_walk() {
+        // Fibonacci frequencies over 17 symbols want a 16-deep tree; the
+        // length limit leaves several 15-bit codes. The rarest symbol is last.
+        let (mut a, mut b) = (1usize, 1usize);
+        let mut data = Vec::new();
+        for sym in (0..17u8).rev() {
+            data.extend(std::iter::repeat_n(sym, a));
+            (a, b) = (b, a + b);
+        }
+        data.reverse();
+        let mut freqs = [0u64; 256];
+        data.iter().for_each(|&b| freqs[b as usize] += 1);
+        let lengths = code_lengths(&freqs);
+        assert_eq!(lengths.iter().max(), Some(&MAX_CODE_LEN));
+        assert_eq!(lengths[data[data.len() - 1] as usize], MAX_CODE_LEN);
+        let enc = roundtrip(&data);
+        // Cut only near the end: the oracle is slow on 4 k symbols.
+        for cut in enc.len() - 4..=enc.len() {
+            let n = data.len();
+            assert_eq!(decode(&enc[..cut], n), crate::oracle::huffman_decode(&enc[..cut], n));
+        }
+    }
+
+    #[test]
+    fn single_symbol_table_uses_a_one_bit_code() {
+        let data = vec![b'x'; 100];
+        let enc = roundtrip(&data);
+        agrees_with_oracle(&enc, data.len());
+        // x is `0`; a `1` matches nothing. With 16 or more bits left that is
+        // a bad table; with fewer the stream may just be cut short.
+        let bad = stream(&[(b'x', 1)], &[0b0010_0000, 0, 0]);
+        assert_eq!(decode(&bad, 2).unwrap(), b"xx");
+        assert_eq!(decode(&bad, 3), Err(HuffmanError::InvalidTable));
+        assert_eq!(decode(&bad[..bad.len() - 1], 3), Err(HuffmanError::Truncated));
+        agrees_with_oracle(&bad, 3);
+    }
+
+    #[test]
+    fn under_full_table_rejects_the_unused_code() {
+        // a:`0` b:`10` leave `11` unassigned (Kraft sum 3/4).
+        let good = stream(&[(b'a', 1), (b'b', 2)], &[0b0100_1100, 0, 0]);
+        assert_eq!(decode(&good, 3).unwrap(), b"aba");
+        assert_eq!(decode(&good, 4), Err(HuffmanError::InvalidTable));
+        assert_eq!(decode(&good[..good.len() - 1], 4), Err(HuffmanError::Truncated));
+        agrees_with_oracle(&good, 4);
+        // The boundary: `11` after eight `a`s leaves 16 bits (a bad table),
+        // after nine leaves 15 (a stream cut short).
+        let sixteen = stream(&[(b'a', 1), (b'b', 2)], &[0, 0b1100_0000, 0]);
+        assert_eq!(decode(&sixteen, 9), Err(HuffmanError::InvalidTable));
+        let fifteen = stream(&[(b'a', 1), (b'b', 2)], &[0, 0b0110_0000, 0]);
+        assert_eq!(decode(&fifteen, 10), Err(HuffmanError::Truncated));
+        agrees_with_oracle(&sixteen, 9);
+        agrees_with_oracle(&fifteen, 10);
     }
 }

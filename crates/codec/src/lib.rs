@@ -32,6 +32,8 @@ pub mod compress;
 pub mod hex;
 pub mod huffman;
 pub mod lzss;
+#[cfg(test)]
+mod oracle;
 pub mod rle;
 pub mod varint;
 

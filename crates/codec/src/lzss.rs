@@ -51,14 +51,22 @@ impl std::fmt::Display for LzssError {
 
 impl std::error::Error for LzssError {}
 
+/// Token widths: a flag bit plus the literal byte, or a flag bit plus the
+/// 12-bit distance and 4-bit length fields.
+const LITERAL_BITS: u8 = 9;
+const MATCH_BITS: u8 = 17;
+
 /// Compress `data`. Returns the raw LZSS bit stream (no header; pair it with
 /// the original length, as [`crate::compress`] does).
 pub fn encode(data: &[u8]) -> Vec<u8> {
     let mut w = BitWriter::new();
-    // Hash chains over 3-byte prefixes for O(1) candidate lookup.
+    // Hash chains over 3-byte prefixes for O(1) candidate lookup. A chain is
+    // only followed while it stays inside the window, so its links live in a
+    // window-sized ring indexed by position: the slot of a position `WINDOW`
+    // or more behind the cursor may be reused, but is never read again.
     const HASH_SIZE: usize = 1 << 13;
     let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; data.len()];
+    let mut prev = vec![usize::MAX; WINDOW];
 
     #[inline]
     fn hash3(data: &[u8], i: usize) -> usize {
@@ -74,50 +82,47 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
             let h = hash3(data, i);
             let mut cand = head[h];
             let mut chain_budget = 64; // bounded search keeps encoding O(n)
+            let limit = (data.len() - i).min(MAX_MATCH);
+            let ahead = &data[i..i + limit];
             while cand != usize::MAX && chain_budget > 0 {
                 if i - cand > WINDOW {
                     break;
                 }
-                let limit = (data.len() - i).min(MAX_MATCH);
-                let mut l = 0;
-                while l < limit && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = i - cand;
-                    if l == limit {
-                        break;
+                // A candidate can only beat `best_len` if it also matches
+                // the byte at that offset, so check that one first.
+                if data[cand + best_len] == ahead[best_len] {
+                    let l = data[cand..cand + limit]
+                        .iter()
+                        .zip(ahead)
+                        .take_while(|(a, b)| a == b)
+                        .count();
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - cand;
+                        if l == limit {
+                            break;
+                        }
                     }
                 }
-                cand = prev[cand];
+                cand = prev[cand % WINDOW];
                 chain_budget -= 1;
             }
         }
-        if best_len >= MIN_MATCH {
-            w.write_bit(false);
-            w.write_bits((best_dist - 1) as u32, 12);
-            w.write_bits((best_len - MIN_MATCH) as u32, 4);
-            // Insert all covered positions into the hash chains.
-            let end = i + best_len;
-            while i < end {
-                if i + MIN_MATCH <= data.len() {
-                    let h = hash3(data, i);
-                    prev[i] = head[h];
-                    head[h] = i;
-                }
-                i += 1;
-            }
+        let advance = if best_len >= MIN_MATCH {
+            let fields = ((best_dist - 1) << 4 | (best_len - MIN_MATCH)) as u32;
+            w.write_bits(fields, MATCH_BITS);
+            best_len
         } else {
-            w.write_bit(true);
-            w.write_bits(data[i] as u32, 8);
-            if i + MIN_MATCH <= data.len() {
-                let h = hash3(data, i);
-                prev[i] = head[h];
-                head[h] = i;
-            }
-            i += 1;
+            w.write_bits(1 << 8 | u32::from(data[i]), LITERAL_BITS);
+            1
+        };
+        // Insert every covered position into the hash chains.
+        for pos in i..(i + advance).min((data.len() + 1).saturating_sub(MIN_MATCH)) {
+            let h = hash3(data, pos);
+            prev[pos % WINDOW] = head[h];
+            head[h] = pos;
         }
+        i += advance;
     }
     w.finish()
 }
@@ -133,23 +138,27 @@ pub fn decode(data: &[u8], original_len: usize) -> Result<Vec<u8>, LzssError> {
     let producible = (data.len().saturating_mul(8) / 17 + 1).saturating_mul(MAX_MATCH);
     let mut out = Vec::with_capacity(original_len.min(producible));
     while out.len() < original_len {
-        let is_literal = r.read_bit().map_err(|_| LzssError::Truncated)?;
+        // Read the whole token at once: its flag bit says how wide it is.
+        let is_literal = r.peek_bits(1) == 1;
+        let width = if is_literal { LITERAL_BITS } else { MATCH_BITS };
+        let token = r.read_bits(width).map_err(|_| LzssError::Truncated)? as usize;
         if is_literal {
-            let byte = r.read_bits(8).map_err(|_| LzssError::Truncated)? as u8;
-            out.push(byte);
+            out.push(token as u8);
+            continue;
+        }
+        let dist = (token >> 4) + 1;
+        let len = (token & 0xf) + MIN_MATCH;
+        if dist > out.len() {
+            return Err(LzssError::BadDistance { at: out.len(), distance: dist });
+        }
+        let start = out.len() - dist;
+        let len = len.min(original_len - out.len());
+        if dist >= len {
+            out.extend_from_within(start..start + len);
         } else {
-            let dist = r.read_bits(12).map_err(|_| LzssError::Truncated)? as usize + 1;
-            let len = r.read_bits(4).map_err(|_| LzssError::Truncated)? as usize + MIN_MATCH;
-            if dist > out.len() {
-                return Err(LzssError::BadDistance { at: out.len(), distance: dist });
-            }
-            let start = out.len() - dist;
-            for k in 0..len {
-                if out.len() == original_len {
-                    break;
-                }
-                let byte = out[start + k];
-                out.push(byte);
+            // Overlapping copy: later bytes repeat ones this match writes.
+            for k in start..start + len {
+                out.push(out[k]);
             }
         }
     }
@@ -242,7 +251,7 @@ mod tests {
     fn bad_distance_errors() {
         // Hand-craft: one match token with dist 5 at output position 0.
         let mut w = BitWriter::new();
-        w.write_bit(false);
+        w.write_bits(0, 1);
         w.write_bits(4, 12); // dist 5
         w.write_bits(0, 4); // len MIN_MATCH
         let bytes = w.finish();

@@ -235,6 +235,13 @@ const TAG_ENTRY_DONE: u64 = 2;
 const TAG_PROBE_TIMEOUT: u64 = 3;
 const TAG_POLL: u64 = 4;
 
+/// Retransmissions before the handheld abandons a request. On a link that
+/// loses 5% of packets each way an attempt fails with probability
+/// 1 - 0.95^2 ~= 0.0975; with `HttpClient`'s default of 4 retries all five
+/// attempts are lost ~8.8e-6 of the time, which a few thousand deploys do
+/// hit. With 8 retries all nine are lost ~0.0975^9 ~= 8e-10 of the time.
+const DEVICE_MAX_RETRIES: u32 = 8;
+
 /// Observability handles for one agent journey (§ [`pdagent_net::obs`]):
 /// the trace id minted at data entry plus the span ids opened so far. All
 /// zeros when no collector is attached — every hook call is then a no-op,
@@ -345,10 +352,12 @@ impl DeviceNode {
     /// A device with the given config and an initial command queue.
     pub fn new(config: DeviceConfig, commands: Vec<DeviceCommand>) -> DeviceNode {
         let gateways = config.gateways.clone();
+        let mut http = HttpClient::new();
+        http.max_retries = DEVICE_MAX_RETRIES;
         DeviceNode {
             config,
             db: DeviceDb::new(),
-            http: HttpClient::new(),
+            http,
             queue: commands.into(),
             phase: Phase::Idle,
             parked: None,
@@ -387,6 +396,17 @@ impl DeviceNode {
     /// True if every queued command has completed.
     pub fn idle(&self) -> bool {
         matches!(self.phase, Phase::Idle) && self.queue.is_empty() && self.parked.is_none()
+    }
+
+    /// Retransmission timeout for a `pi_bytes` envelope upload. Beyond the
+    /// small-PI regime the default timeout covers, every extra KiB buys
+    /// serialization time on the wireless link. The gateway's
+    /// `GatewayConfig::replay_ttl` must outlast `DEVICE_MAX_RETRIES + 1` of
+    /// these for the largest PI deployed, or a late retransmission runs the
+    /// dispatch twice.
+    fn upload_rto(&self, pi_bytes: usize) -> SimDuration {
+        let extra_kib = (pi_bytes.saturating_sub(4096) as u64).div_ceil(1024);
+        self.http.timeout + SimDuration(self.config.upload_rto_per_kib.as_micros() * extra_kib)
     }
 
     fn error(&mut self, context: &str, detail: impl Into<String>) {
@@ -717,12 +737,7 @@ impl DeviceNode {
         // trace context so the gateway (and everything downstream) can hang
         // its spans off this journey's root.
         obs.upload = ctx.span_begin(obs.trace, obs.root, "http.upload");
-        // Scale the upload RTO with the envelope: beyond the small-PI regime
-        // the default timeout covers, every extra KiB buys serialization
-        // time on the wireless link.
-        let extra_kib = (pi_bytes.saturating_sub(4096) as u64).div_ceil(1024);
-        let upload_rto = self.http.timeout
-            + SimDuration(self.config.upload_rto_per_kib.as_micros() * extra_kib);
+        let upload_rto = self.upload_rto(pi_bytes);
         let req_id = self.http.send_with_timeout(
             ctx,
             gateway.node,
@@ -1085,5 +1100,23 @@ impl Node for DeviceNode {
                 TimerOutcome::Retried { .. } | TimerOutcome::NotMine => {}
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdagent_gateway::GatewayConfig;
+
+    #[test]
+    fn replay_ttl_outlasts_a_48k_upload_retransmission_window() {
+        let device = DeviceNode::new(DeviceConfig::new("d"), Vec::new());
+        assert_eq!(device.http.max_retries, DEVICE_MAX_RETRIES);
+        // An incompressible 48 KiB PI: the envelope is at least this large.
+        let rto = device.upload_rto(48 * 1024);
+        assert_eq!(rto, SimDuration::from_secs(3 + 44));
+        let window = SimDuration(rto.as_micros() * u64::from(DEVICE_MAX_RETRIES + 1));
+        let ttl = GatewayConfig::new("g", 1).replay_ttl;
+        assert!(window < ttl, "window {window:?} must be inside replay_ttl {ttl:?}");
     }
 }

@@ -50,8 +50,9 @@ pub struct GatewayConfig {
     /// matters while its client could still retransmit the request, so this
     /// must exceed the client's worst-case retransmission window —
     /// `timeout × (max_retries + 1)`, stretched further by size-scaled
-    /// upload RTOs (`DeviceConfig::upload_rto_per_kib`). The default is a
-    /// generous multiple of the stock 15 s window.
+    /// upload RTOs (`DeviceConfig::upload_rto_per_kib`). The handheld makes
+    /// 9 attempts with a 3 s RTO plus 1 s per KiB of envelope beyond 4 KiB,
+    /// so the default of 600 s covers envelopes up to 67 KiB (9 × 66 s).
     pub replay_ttl: SimDuration,
     /// Hard cap on replay-cache entries; the oldest are evicted first.
     pub replay_max_entries: usize,
@@ -76,7 +77,7 @@ impl GatewayConfig {
             operator_secret: "pdagent-operator".into(),
             ack_timeout: SimDuration::from_millis(500),
             max_transfer_attempts: 3,
-            replay_ttl: SimDuration::from_secs(300),
+            replay_ttl: SimDuration::from_secs(600),
             replay_max_entries: 8192,
             completed_ttl: SimDuration::from_secs(600),
             completed_max_entries: 8192,

@@ -17,6 +17,20 @@ cargo test --offline -q --manifest-path pdbench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
     --workload fleet_ops --seconds 0 > /dev/null
 
+# Codec smoke: one bulk_pi pass pushes a thousand 48 KB PIs through compress
+# and decompress; pdbench exits nonzero if a repeated instance's digest drifts.
+cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
+    --workload bulk_pi --seconds 0 > /dev/null
+
+# Retry budget: lossy seed 310 once abandoned a deploy after five lost
+# attempts in a row. The handheld's retry budget must keep it at zero failed.
+lossy=$(cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
+    --workload lossy --seed 310 --seconds 0 | tail -n 1)
+case "$lossy" in
+    *'"failed": 0,'*) ;;
+    *) echo "verify: lossy seed 310 reported failed deploys: $lossy" >&2; exit 1 ;;
+esac
+
 # Federation ablation smoke: with the fleet plane off, the soak must still
 # pass every shape check (results are asserted byte-identical to the
 # federated run by the crate's unit tests; here we guard the knob itself).
