@@ -6,20 +6,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use pdagent_apps::ebank::{ebank_program, transactions_param};
-use pdagent_apps::Transaction;
+use pdagent_apps::ebank::{ebank_program, itinerary_for, transactions_param};
+use pdagent_apps::{BankService, Transaction};
 use pdagent_codec::compress::{compress, decompress, Algorithm};
 use pdagent_crypto::envelope::{open_envelope, seal_envelope};
 use pdagent_crypto::md5::md5;
 use pdagent_crypto::rsa::KeyPair;
 use pdagent_gateway::pi::PackedInformation;
 use pdagent_core::rms::RecordStore;
-use pdagent_mas::{AgentId, Itinerary, MobileAgent};
+use pdagent_mas::{AgentId, Itinerary, MobileAgent, Service};
 use pdagent_net::link::LinkSpec;
 use pdagent_net::message::Message;
 use pdagent_net::sim::{Ctx, Node, NodeId, Simulator};
 use pdagent_net::time::SimDuration;
-use pdagent_vm::{run, AgentState, MapHost, Value};
+use pdagent_vm::{run, AgentState, Host, MapHost, Value};
 use pdagent_xml::Element;
 
 fn sample_pi_doc(n_tx: u32) -> String {
@@ -144,6 +144,67 @@ fn bench_vm(c: &mut Criterion) {
             host.set_service("bank", "transfer", Value::Str("rcpt".into()));
             let mut state = AgentState::default();
             run(&program, &mut state, &mut host, 1_000_000)
+        })
+    });
+}
+
+/// A MAS site as the agent sees it: one bank service.
+struct BankHost<'a> {
+    site: &'a str,
+    bank: &'a mut BankService,
+    params: &'a [(String, Value)],
+    emitted: Vec<(String, Value)>,
+}
+
+impl Host for BankHost<'_> {
+    fn invoke(&mut self, service: &str, op: &str, args: &[Value]) -> Result<Value, String> {
+        match service {
+            "bank" => self.bank.invoke(op, args),
+            other => Err(format!("no service {other:?}")),
+        }
+    }
+    fn param(&self, name: &str) -> Option<Value> {
+        self.params.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+    }
+    fn emit(&mut self, key: &str, value: Value) {
+        self.emitted.push((key.to_owned(), value));
+    }
+    fn site_name(&self) -> &str {
+        self.site
+    }
+}
+
+/// One hop of the `roaming` deploy shape: the agent walks all 32
+/// transactions at one of 8 bank sites and executes the 4 addressed to it
+/// against a real `BankService`. Iterations visit the sites in turn and carry
+/// the agent's migrating state, as the itinerary does.
+fn bench_vm_ebank_hop(c: &mut Criterion) {
+    let program = ebank_program();
+    let txs: Vec<Transaction> = (0..32)
+        .map(|i| {
+            Transaction::new(format!("bank-{}", i % 8), "alice", format!("payee-{i}"), 100 + i)
+        })
+        .collect();
+    let params = vec![transactions_param(&txs)];
+    let sites = itinerary_for(&txs);
+    let mut banks: Vec<BankService> = sites
+        .iter()
+        .map(|site| BankService::new(site.clone()).with_account("alice", i64::MAX / 2))
+        .collect();
+    let mut state = AgentState::default();
+    let mut hop = 0;
+    c.bench_function("vm/ebank_hop_32tx_8sites", |b| {
+        b.iter(|| {
+            let k = hop % sites.len();
+            hop += 1;
+            let mut host = BankHost {
+                site: &sites[k],
+                bank: &mut banks[k],
+                params: &params,
+                emitted: Vec::new(),
+            };
+            let outcome = run(&program, &mut state, &mut host, 1_000_000);
+            (outcome, host.emitted)
         })
     });
 }
@@ -328,6 +389,7 @@ criterion_group!(
     bench_compression,
     bench_security,
     bench_vm,
+    bench_vm_ebank_hop,
     bench_pi_roundtrip,
     bench_rms,
     bench_agent_transfer,

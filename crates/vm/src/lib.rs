@@ -47,6 +47,8 @@
 
 pub mod asm;
 pub mod isa;
+#[cfg(test)]
+mod oracle;
 pub mod program;
 pub mod value;
 pub mod vm;

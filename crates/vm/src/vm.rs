@@ -8,7 +8,10 @@
 //! scratch space (the paper's platform, like most weak-mobility systems,
 //! resumes agents from their entry point at each hop).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::rc::Rc;
 
 use pdagent_codec::varint;
 
@@ -16,8 +19,8 @@ use crate::isa::Instr;
 use crate::program::Program;
 use crate::value::Value;
 
-/// Number of local variable slots.
-pub const LOCALS: usize = 64;
+/// Number of local variable slots: one for every `load`/`store` operand.
+pub const LOCALS: usize = u8::MAX as usize + 1;
 /// Operand stack limit.
 pub const STACK_LIMIT: usize = 1024;
 
@@ -33,7 +36,9 @@ pub trait Host {
     /// Append a value to the agent's result document.
     fn emit(&mut self, key: &str, value: Value);
 
-    /// Name of the site the agent is currently executing at.
+    /// Name of the site the agent is currently executing at. [`run`] reads
+    /// it at most once and reuses it, so it must stay constant for the
+    /// duration of a run.
     fn site_name(&self) -> &str;
 }
 
@@ -210,12 +215,118 @@ impl AgentState {
     }
 }
 
+/// A value as [`run`] holds it on its operand stack, in its locals and in
+/// its constant pool: a [`Value`] whose strings and lists are shared, so
+/// `load`, `dup`, `listget` and constant pushes copy a pointer instead of a
+/// tree. It never leaves `run`; it converts to and from `Value` only where
+/// the agent touches its host or its migrating globals.
+#[derive(Clone, PartialEq)]
+enum Val {
+    Nil,
+    Bool(bool),
+    Int(i64),
+    Str(Rc<str>),
+    List(Rc<Vec<Val>>),
+}
+
+impl Val {
+    /// [`Value::truthy`].
+    fn truthy(&self) -> bool {
+        match self {
+            Val::Nil => false,
+            Val::Bool(b) => *b,
+            Val::Int(i) => *i != 0,
+            Val::Str(s) => !s.is_empty(),
+            Val::List(l) => !l.is_empty(),
+        }
+    }
+
+    /// [`Value::type_name`].
+    fn type_name(&self) -> &'static str {
+        match self {
+            Val::Nil => "nil",
+            Val::Bool(_) => "bool",
+            Val::Int(_) => "int",
+            Val::Str(_) => "str",
+            Val::List(_) => "list",
+        }
+    }
+
+    /// Append the [`Value::render`] form to `out`.
+    fn render_into(&self, out: &mut String) {
+        match self {
+            Val::Nil => out.push_str("nil"),
+            Val::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Val::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Val::Str(s) => out.push_str(s),
+            Val::List(items) => {
+                out.push('[');
+                for (k, item) in items.iter().enumerate() {
+                    if k > 0 {
+                        out.push_str(", ");
+                    }
+                    item.render_into(out);
+                }
+                out.push(']');
+            }
+        }
+    }
+}
+
+impl From<&Value> for Val {
+    fn from(v: &Value) -> Val {
+        match v {
+            Value::Nil => Val::Nil,
+            Value::Bool(b) => Val::Bool(*b),
+            Value::Int(i) => Val::Int(*i),
+            Value::Str(s) => Val::Str(Rc::from(s.as_str())),
+            Value::List(items) => Val::List(Rc::new(items.iter().map(Val::from).collect())),
+        }
+    }
+}
+
+impl From<&Val> for Value {
+    fn from(v: &Val) -> Value {
+        match v {
+            Val::Nil => Value::Nil,
+            Val::Bool(b) => Value::Bool(*b),
+            Val::Int(i) => Value::Int(*i),
+            Val::Str(s) => Value::Str(String::from(&**s)),
+            Val::List(items) => Value::List(items.iter().map(Value::from).collect()),
+        }
+    }
+}
+
+/// A constant used as a name (a global, service, operation, parameter,
+/// result key or failure message): a `Str` is borrowed, anything else is
+/// rendered.
+fn name(c: &Value) -> Cow<'_, str> {
+    match c {
+        Value::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.render()),
+    }
+}
+
+/// `a` and `b` rendered back to back into one new string, built in the
+/// reusable `text` buffer.
+fn concat(text: &mut String, a: &Val, b: &Val) -> Val {
+    text.clear();
+    a.render_into(text);
+    b.render_into(text);
+    Val::Str(Rc::from(text.as_str()))
+}
+
 /// Execute `program` against `host` with at most `fuel` instructions,
 /// reading and updating the agent's migrating `state`.
 pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel: u64) -> Outcome {
     debug_assert!(program.validate().is_ok(), "run() requires a validated program");
-    let mut stack: Vec<Value> = Vec::with_capacity(32);
-    let mut locals: Vec<Value> = vec![Value::Nil; LOCALS];
+    let consts: Vec<Val> = program.consts.iter().map(Val::from).collect();
+    let mut stack: Vec<Val> = Vec::with_capacity(32);
+    let mut locals: Vec<Val> = vec![Val::Nil; LOCALS];
+    let mut site: Option<Rc<str>> = None;
+    let mut text = String::new();
     let mut pc: usize = 0;
     let mut remaining = fuel;
 
@@ -238,7 +349,7 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
     macro_rules! pop_int {
         ($at:expr, $opname:expr) => {
             match pop!($at) {
-                Value::Int(i) => i,
+                Val::Int(i) => i,
                 other => {
                     return Outcome::Trapped(VmError::TypeError {
                         at: $at,
@@ -246,6 +357,11 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                     })
                 }
             }
+        };
+    }
+    macro_rules! name {
+        ($i:expr) => {
+            name(&program.consts[$i as usize])
         };
     }
 
@@ -259,11 +375,11 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
         let ins = program.code[pc];
         pc += 1;
         match ins {
-            Instr::PushConst(i) => push!(at, program.consts[i as usize].clone()),
-            Instr::PushInt(v) => push!(at, Value::Int(v)),
-            Instr::PushTrue => push!(at, Value::Bool(true)),
-            Instr::PushFalse => push!(at, Value::Bool(false)),
-            Instr::PushNil => push!(at, Value::Nil),
+            Instr::PushConst(i) => push!(at, consts[i as usize].clone()),
+            Instr::PushInt(v) => push!(at, Val::Int(v)),
+            Instr::PushTrue => push!(at, Val::Bool(true)),
+            Instr::PushFalse => push!(at, Val::Bool(false)),
+            Instr::PushNil => push!(at, Val::Nil),
             Instr::Dup => {
                 let v = pop!(at);
                 push!(at, v.clone());
@@ -278,42 +394,35 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                 push!(at, b);
                 push!(at, a);
             }
-            Instr::Load(n) => {
-                let v = locals.get(n as usize).cloned().unwrap_or(Value::Nil);
-                push!(at, v);
-            }
-            Instr::Store(n) => {
-                let v = pop!(at);
-                if let Some(slot) = locals.get_mut(n as usize) {
-                    *slot = v;
-                }
-            }
+            Instr::Load(n) => push!(at, locals[n as usize].clone()),
+            Instr::Store(n) => locals[n as usize] = pop!(at),
             Instr::GLoad(i) => {
-                let name = program.consts[i as usize].render();
-                let v = state.globals.get(&name).cloned().unwrap_or(Value::Nil);
+                let v = state.globals.get(&*name!(i)).map_or(Val::Nil, Val::from);
                 push!(at, v);
             }
             Instr::GStore(i) => {
-                let name = program.consts[i as usize].render();
-                let v = pop!(at);
-                state.globals.insert(name, v);
+                let v = Value::from(&pop!(at));
+                let key = name!(i);
+                match state.globals.get_mut(&*key) {
+                    Some(slot) => *slot = v,
+                    None => {
+                        state.globals.insert(key.into_owned(), v);
+                    }
+                }
             }
             Instr::Add => {
                 let b = pop!(at);
                 let a = pop!(at);
-                match (a, b) {
-                    (Value::Int(x), Value::Int(y)) => {
-                        push!(at, Value::Int(x.wrapping_add(y)))
-                    }
-                    (Value::Str(x), y) => push!(at, Value::Str(format!("{x}{y}"))),
-                    (x, Value::Str(y)) => push!(at, Value::Str(format!("{x}{y}"))),
-                    (x, y) => {
+                match (&a, &b) {
+                    (Val::Int(x), Val::Int(y)) => push!(at, Val::Int(x.wrapping_add(*y))),
+                    (Val::Str(_), _) | (_, Val::Str(_)) => push!(at, concat(&mut text, &a, &b)),
+                    _ => {
                         return Outcome::Trapped(VmError::TypeError {
                             at,
                             message: format!(
                                 "add: {} + {}",
-                                x.type_name(),
-                                y.type_name()
+                                a.type_name(),
+                                b.type_name()
                             ),
                         })
                     }
@@ -322,12 +431,12 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
             Instr::Sub => {
                 let b = pop_int!(at, "sub");
                 let a = pop_int!(at, "sub");
-                push!(at, Value::Int(a.wrapping_sub(b)));
+                push!(at, Val::Int(a.wrapping_sub(b)));
             }
             Instr::Mul => {
                 let b = pop_int!(at, "mul");
                 let a = pop_int!(at, "mul");
-                push!(at, Value::Int(a.wrapping_mul(b)));
+                push!(at, Val::Int(a.wrapping_mul(b)));
             }
             Instr::Div => {
                 let b = pop_int!(at, "div");
@@ -335,7 +444,7 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                 if b == 0 {
                     return Outcome::Trapped(VmError::DivisionByZero { at });
                 }
-                push!(at, Value::Int(a.wrapping_div(b)));
+                push!(at, Val::Int(a.wrapping_div(b)));
             }
             Instr::Mod => {
                 let b = pop_int!(at, "mod");
@@ -343,28 +452,28 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                 if b == 0 {
                     return Outcome::Trapped(VmError::DivisionByZero { at });
                 }
-                push!(at, Value::Int(a.wrapping_rem(b)));
+                push!(at, Val::Int(a.wrapping_rem(b)));
             }
             Instr::Neg => {
                 let a = pop_int!(at, "neg");
-                push!(at, Value::Int(a.wrapping_neg()));
+                push!(at, Val::Int(a.wrapping_neg()));
             }
             Instr::Eq => {
                 let b = pop!(at);
                 let a = pop!(at);
-                push!(at, Value::Bool(a == b));
+                push!(at, Val::Bool(a == b));
             }
             Instr::Ne => {
                 let b = pop!(at);
                 let a = pop!(at);
-                push!(at, Value::Bool(a != b));
+                push!(at, Val::Bool(a != b));
             }
             Instr::Lt | Instr::Le | Instr::Gt | Instr::Ge => {
                 let b = pop!(at);
                 let a = pop!(at);
                 let ord = match (&a, &b) {
-                    (Value::Int(x), Value::Int(y)) => x.cmp(y),
-                    (Value::Str(x), Value::Str(y)) => x.cmp(y),
+                    (Val::Int(x), Val::Int(y)) => x.cmp(y),
+                    (Val::Str(x), Val::Str(y)) => x.cmp(y),
                     _ => {
                         return Outcome::Trapped(VmError::TypeError {
                             at,
@@ -382,26 +491,26 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                     Instr::Gt => ord.is_gt(),
                     _ => ord.is_ge(),
                 };
-                push!(at, Value::Bool(result));
+                push!(at, Val::Bool(result));
             }
             Instr::And => {
                 let b = pop!(at);
                 let a = pop!(at);
-                push!(at, Value::Bool(a.truthy() && b.truthy()));
+                push!(at, Val::Bool(a.truthy() && b.truthy()));
             }
             Instr::Or => {
                 let b = pop!(at);
                 let a = pop!(at);
-                push!(at, Value::Bool(a.truthy() || b.truthy()));
+                push!(at, Val::Bool(a.truthy() || b.truthy()));
             }
             Instr::Not => {
                 let a = pop!(at);
-                push!(at, Value::Bool(!a.truthy()));
+                push!(at, Val::Bool(!a.truthy()));
             }
             Instr::Concat => {
                 let b = pop!(at);
                 let a = pop!(at);
-                push!(at, Value::Str(format!("{a}{b}")));
+                push!(at, concat(&mut text, &a, &b));
             }
             Instr::Jump(t) => pc = t as usize,
             Instr::JumpIfFalse(t) => {
@@ -409,13 +518,15 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                     pc = t as usize;
                 }
             }
-            Instr::ListNew => push!(at, Value::List(Vec::new())),
+            Instr::ListNew => push!(at, Val::List(Rc::default())),
             Instr::ListPush => {
                 let v = pop!(at);
                 match pop!(at) {
-                    Value::List(mut items) => {
-                        items.push(v);
-                        push!(at, Value::List(items));
+                    // Copy on write: a list still held by a local or another
+                    // stack slot is cloned (shallowly) before the push.
+                    Val::List(mut items) => {
+                        Rc::make_mut(&mut items).push(v);
+                        push!(at, Val::List(items));
                     }
                     other => {
                         return Outcome::Trapped(VmError::TypeError {
@@ -428,7 +539,7 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
             Instr::ListGet => {
                 let idx = pop_int!(at, "listget");
                 match pop!(at) {
-                    Value::List(items) => {
+                    Val::List(items) => {
                         let Some(v) =
                             usize::try_from(idx).ok().and_then(|i| items.get(i)).cloned()
                         else {
@@ -445,7 +556,7 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                 }
             }
             Instr::ListLen => match pop!(at) {
-                Value::List(items) => push!(at, Value::Int(items.len() as i64)),
+                Val::List(items) => push!(at, Val::Int(items.len() as i64)),
                 other => {
                     return Outcome::Trapped(VmError::TypeError {
                         at,
@@ -454,32 +565,31 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                 }
             },
             Instr::Invoke(s, o, argc) => {
-                let service = program.consts[s as usize].render();
-                let op = program.consts[o as usize].render();
                 let argc = argc as usize;
                 if stack.len() < argc {
                     return Outcome::Trapped(VmError::StackUnderflow { at });
                 }
-                let args: Vec<Value> = stack.split_off(stack.len() - argc);
-                match host.invoke(&service, &op, &args) {
-                    Ok(v) => push!(at, v),
+                let args: Vec<Value> =
+                    stack.drain(stack.len() - argc..).map(|v| Value::from(&v)).collect();
+                match host.invoke(&name!(s), &name!(o), &args) {
+                    Ok(v) => push!(at, Val::from(&v)),
                     Err(message) => return Outcome::Trapped(VmError::Host { at, message }),
                 }
             }
             Instr::Param(i) => {
-                let name = program.consts[i as usize].render();
-                push!(at, host.param(&name).unwrap_or(Value::Nil));
+                let v = host.param(&name!(i));
+                push!(at, v.as_ref().map_or(Val::Nil, Val::from));
             }
             Instr::Emit(i) => {
-                let key = program.consts[i as usize].render();
                 let v = pop!(at);
-                host.emit(&key, v);
+                host.emit(&name!(i), Value::from(&v));
             }
-            Instr::Site => push!(at, Value::Str(host.site_name().to_owned())),
+            Instr::Site => {
+                let here = site.get_or_insert_with(|| Rc::from(host.site_name()));
+                push!(at, Val::Str(Rc::clone(here)));
+            }
             Instr::Halt => return Outcome::Completed,
-            Instr::Fail(i) => {
-                return Outcome::Failed(program.consts[i as usize].render())
-            }
+            Instr::Fail(i) => return Outcome::Failed(name!(i).into_owned()),
         }
     }
     Outcome::Completed
@@ -705,6 +815,74 @@ mod tests {
         assert_eq!(out, Outcome::Completed);
         assert_eq!(host.emitted("len"), Some(&Value::Int(2)));
         assert_eq!(host.emitted("second"), Some(&Value::Int(20)));
+    }
+
+    #[test]
+    fn listpush_copies_a_list_still_held_by_a_local() {
+        let (out, host, _) = exec(
+            r#"
+            listnew
+            push 7
+            listpush
+            store 0
+            load 0
+            push 1
+            listpush
+            emit "pushed"
+            load 0
+            emit "local"
+            halt
+        "#,
+        );
+        assert_eq!(out, Outcome::Completed);
+        let pushed = Value::List(vec![Value::Int(7), Value::Int(1)]);
+        assert_eq!(host.emitted("pushed"), Some(&pushed));
+        assert_eq!(host.emitted("local"), Some(&Value::List(vec![Value::Int(7)])));
+    }
+
+    #[test]
+    fn every_encodable_local_slot_exists() {
+        let (out, host, _) = exec(
+            r#"
+            push 42
+            store 200
+            push 9
+            store 255
+            load 200
+            emit "x"
+            load 255
+            emit "y"
+            halt
+        "#,
+        );
+        assert_eq!(out, Outcome::Completed);
+        assert_eq!(host.emitted("x"), Some(&Value::Int(42)));
+        assert_eq!(host.emitted("y"), Some(&Value::Int(9)));
+    }
+
+    #[test]
+    fn add_and_concat_render_like_value() {
+        let (out, host, _) = exec(
+            r#"
+            push "n="
+            nil
+            add
+            push true
+            concat
+            listnew
+            push 1
+            listpush
+            push "a"
+            listpush
+            listnew
+            listpush
+            add
+            emit "s"
+            halt
+        "#,
+        );
+        assert_eq!(out, Outcome::Completed);
+        assert_eq!(host.emitted("s"), Some(&Value::Str("n=niltrue[1, a, []]".into())));
     }
 
     #[test]

@@ -22,6 +22,17 @@ cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
 cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
     --workload bulk_pi --seconds 0 > /dev/null
 
+# VM smoke: one traced roaming pass interprets the ebank agent over 32
+# transactions at 8 bank sites per deploy. pdbench exits nonzero if a traced
+# instance's digest differs from its untraced run or the replayed hops' VM
+# instruction counts differ from the MASes'; every deploy must complete.
+roaming=$(cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
+    --workload roaming --seconds 0 --trace 1 | tail -n 1)
+case "$roaming" in
+    *'"failed": 0,'*) ;;
+    *) echo "verify: roaming reported failed deploys: $roaming" >&2; exit 1 ;;
+esac
+
 # Retry budget: lossy seed 310 once abandoned a deploy after five lost
 # attempts in a row. The handheld's retry budget must keep it at zero failed.
 lossy=$(cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
