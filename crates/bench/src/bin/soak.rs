@@ -7,8 +7,10 @@
 //!    event-count baseline the batched path is measured against.
 //! 2. **Batched** single-shard run — the canonical results; also run with
 //!    observability on for the per-stage percentiles.
-//! 3. A **scaling curve** over shard counts, asserting every partitioning's
-//!    results section is byte-identical to the single-shard run.
+//! 3. A **partition-invariance check** over shard counts, asserting every
+//!    partitioning's results section is byte-identical to the single-shard
+//!    run (the shards step on one thread, so wall times compare partitioning
+//!    overhead, not parallel speedup).
 //!
 //! `cargo run -p pdagent-bench --release --bin soak [devices] [shard_list] [seed]`
 //! — defaults: 1000 devices, shards `1,2,4,8`, seed 42. The CI smoke runs
@@ -21,7 +23,6 @@ use pdagent_bench::report::{
     alerts_json, federation_json, paging_json, slo_json, write_bench_report_with_obs, Json,
 };
 use pdagent_bench::soak::{run_soak, SoakOutcome, SoakSpec};
-use pdagent_bench::parallel;
 use pdagent_net::chaos::{ChaosPlan, FaultKind};
 use pdagent_net::time::SimDuration;
 
@@ -92,9 +93,8 @@ fn main() {
     let cadence_ms = cadence_ms.unwrap_or(spec.fed.cadence.as_micros() / 1_000);
     let devices = spec.devices();
     println!(
-        "soak: {devices} devices in {cells} cells, PI pad {} KB, seed {seed}, {} worker thread(s)",
-        spec.pi_pad / 1024,
-        parallel::thread_count()
+        "soak: {devices} devices in {cells} cells, PI pad {} KB, seed {seed}",
+        spec.pi_pad / 1024
     );
 
     // 1. Per-fragment reference: same results, every wire fragment is a
@@ -127,9 +127,9 @@ fn main() {
         base.events, unbatched.events
     );
 
-    // 3. Scaling curve over shard counts; every point must reproduce the
-    //    single-shard results byte-for-byte.
-    let mut curve = Vec::new();
+    // 3. Partition invariance over shard counts; every partitioning must
+    //    reproduce the single-shard results byte-for-byte.
+    let mut partitions = Vec::new();
     println!("\n{:>7} {:>10} {:>12} {:>12} {:>10} {:>8}", "shards", "wall_s", "devices/s", "events/s", "peak_q", "epochs");
     for &shards in &shard_list {
         let mut s = spec.clone();
@@ -148,7 +148,7 @@ fn main() {
             out.peak_queue,
             out.epochs
         );
-        curve.push(Json::obj(vec![
+        partitions.push(Json::obj(vec![
             ("shards", shards.into()),
             ("wall_secs", wall.into()),
             ("devices_per_sec", (devices as f64 / wall).into()),
@@ -383,7 +383,7 @@ fn main() {
             }))
             .into(),
         ),
-        ("scaling", Json::Arr(curve)),
+        ("scaling", Json::Arr(partitions)),
         ("slo", slo_json(&base.slo)),
         ("alerts", alerts_json(&base.alerts)),
     ]);

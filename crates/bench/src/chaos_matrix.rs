@@ -24,7 +24,6 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use pdagent_net::chaos::{
     json, shrink_plan, ChaosPlan, CheckPhase, Fault, FaultKind, Invariant, InvariantRegistry,
@@ -157,16 +156,16 @@ pub fn quiesce_invariants() -> InvariantRegistry<SoakEvidence> {
 // Epoch-barrier invariants (over live shard counters)
 // ---------------------------------------------------------------------------
 
-fn live_total(shards: &[Mutex<Simulator>], key: &str) -> f64 {
-    shards.iter().map(|s| s.lock().unwrap().counter_total(key)).sum()
+fn live_total(shards: &[Simulator], key: &str) -> f64 {
+    shards.iter().map(|s| s.counter_total(key)).sum()
 }
 
 struct LiveNoDuplicateExecution;
-impl Invariant<[Mutex<Simulator>]> for LiveNoDuplicateExecution {
+impl Invariant<[Simulator]> for LiveNoDuplicateExecution {
     fn name(&self) -> &'static str {
         "no-duplicate-execution"
     }
-    fn check(&mut self, cx: &[Mutex<Simulator>], _phase: CheckPhase) -> Result<(), String> {
+    fn check(&mut self, cx: &[Simulator], _phase: CheckPhase) -> Result<(), String> {
         match live_total(cx, "gateway.duplicate_executions") as u64 {
             0 => Ok(()),
             n => Err(format!("{n} duplicate execution(s) observed live")),
@@ -175,11 +174,11 @@ impl Invariant<[Mutex<Simulator>]> for LiveNoDuplicateExecution {
 }
 
 struct LiveNoDroppedPages;
-impl Invariant<[Mutex<Simulator>]> for LiveNoDroppedPages {
+impl Invariant<[Simulator]> for LiveNoDroppedPages {
     fn name(&self) -> &'static str {
         "no-dropped-pages"
     }
-    fn check(&mut self, cx: &[Mutex<Simulator>], _phase: CheckPhase) -> Result<(), String> {
+    fn check(&mut self, cx: &[Simulator], _phase: CheckPhase) -> Result<(), String> {
         match live_total(cx, "page.dropped") as u64 {
             0 => Ok(()),
             n => Err(format!("{n} dropped page(s) observed live")),
@@ -188,11 +187,11 @@ impl Invariant<[Mutex<Simulator>]> for LiveNoDroppedPages {
 }
 
 struct LiveMonotoneEpochs;
-impl Invariant<[Mutex<Simulator>]> for LiveMonotoneEpochs {
+impl Invariant<[Simulator]> for LiveMonotoneEpochs {
     fn name(&self) -> &'static str {
         "monotone-epochs"
     }
-    fn check(&mut self, cx: &[Mutex<Simulator>], _phase: CheckPhase) -> Result<(), String> {
+    fn check(&mut self, cx: &[Simulator], _phase: CheckPhase) -> Result<(), String> {
         match live_total(cx, "slo.epoch_regressions") as u64 {
             0 => Ok(()),
             n => Err(format!("{n} epoch regression(s) observed live")),
@@ -205,11 +204,11 @@ impl Invariant<[Mutex<Simulator>]> for LiveMonotoneEpochs {
 struct MonotoneCounters {
     last: f64,
 }
-impl Invariant<[Mutex<Simulator>]> for MonotoneCounters {
+impl Invariant<[Simulator]> for MonotoneCounters {
     fn name(&self) -> &'static str {
         "monotone-counters"
     }
-    fn check(&mut self, cx: &[Mutex<Simulator>], _phase: CheckPhase) -> Result<(), String> {
+    fn check(&mut self, cx: &[Simulator], _phase: CheckPhase) -> Result<(), String> {
         let sent = live_total(cx, "msgs_sent");
         if sent < self.last {
             return Err(format!("msgs_sent total fell from {} to {sent}", self.last));
@@ -220,7 +219,7 @@ impl Invariant<[Mutex<Simulator>]> for MonotoneCounters {
 }
 
 /// The standard epoch-barrier registry, in check order.
-pub fn live_invariants() -> InvariantRegistry<[Mutex<Simulator>]> {
+pub fn live_invariants() -> InvariantRegistry<[Simulator]> {
     let mut reg = InvariantRegistry::new();
     reg.register(Box::new(LiveNoDuplicateExecution))
         .register(Box::new(LiveNoDroppedPages))

@@ -22,7 +22,9 @@
 //! * [`parallel`] — fans independent `(seed, params)` simulations across
 //!   worker threads with deterministic, order-merged results. Every figure
 //!   module has a parallel `run` and a `run_sequential` reference;
-//!   `PDAGENT_BENCH_THREADS` pins the worker count.
+//!   `PDAGENT_BENCH_THREADS` pins the worker count. The sharded engine
+//!   ([`shard`]) does not use it: it steps every shard on the caller's
+//!   thread.
 //! * [`report`] — the `BENCH_<figure>.json` machine-readable reports the
 //!   `src/bin/*` binaries emit (wall time, events/sec, per-point results).
 //! * [`event_queue`] — timer-wheel vs. binary-heap scheduler head-to-head

@@ -13,9 +13,8 @@
 //! the speedup measurements in `BENCH_*.json` and for forcing sequential
 //! execution with `PDAGENT_BENCH_THREADS=1`).
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Worker threads to use: `PDAGENT_BENCH_THREADS` if set (≥ 1), else the
 /// machine's available parallelism.
@@ -70,84 +69,6 @@ where
         .collect()
 }
 
-/// Iterated fork-join on a *persistent* worker pool.
-///
-/// `parallel_map` suits one-shot sweeps; the sharded simulation engine
-/// instead alternates many short rounds of "step every shard" with a
-/// sequential exchange, and spawning threads per round would dominate the
-/// round cost. This helper keeps `thread_count()` workers parked on a pair
-/// of barriers for the whole run:
-///
-/// 1. main calls `control(slots)` — the sequential phase. It may mutate any
-///    slot (locks are uncontended between rounds) and returns `Some(param)`
-///    to run another round, or `None` to stop.
-/// 2. every worker steps its strided subset of slots with
-///    `step(&mut slot, param)`.
-/// 3. back to 1.
-///
-/// Determinism: workers only ever step disjoint slots between two barriers,
-/// so the outcome is independent of the worker count — `PDAGENT_BENCH_THREADS=1`
-/// produces byte-identical state to a 64-thread run. A panic in `step` is
-/// caught, the pool is shut down cleanly, and the panic resumes on the
-/// calling thread (no barrier deadlock).
-pub fn parallel_epochs<T, P, S, X>(slots: &[Mutex<T>], step: S, mut control: X)
-where
-    T: Send,
-    P: Copy + Send,
-    S: Fn(&mut T, P) + Sync,
-    X: FnMut(&[Mutex<T>]) -> Option<P>,
-{
-    let n = slots.len();
-    let workers = thread_count().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        while let Some(p) = control(slots) {
-            for slot in slots {
-                step(&mut slot.lock().unwrap(), p);
-            }
-        }
-        return;
-    }
-    let param: Mutex<Option<P>> = Mutex::new(None);
-    let poisoned = AtomicBool::new(false);
-    let payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let start = Barrier::new(workers + 1);
-    let done = Barrier::new(workers + 1);
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (param, poisoned, payload) = (&param, &poisoned, &payload);
-            let (start, done, step) = (&start, &done, &step);
-            s.spawn(move || loop {
-                start.wait();
-                let Some(p) = *param.lock().unwrap() else { break };
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    let mut i = w;
-                    while i < n {
-                        step(&mut slots[i].lock().unwrap(), p);
-                        i += workers;
-                    }
-                }));
-                if let Err(e) = r {
-                    poisoned.store(true, Ordering::Relaxed);
-                    payload.lock().unwrap().get_or_insert(e);
-                }
-                done.wait();
-            });
-        }
-        loop {
-            let p = if poisoned.load(Ordering::Relaxed) { None } else { control(slots) };
-            *param.lock().unwrap() = p;
-            start.wait();
-            if p.is_none() {
-                break;
-            }
-            done.wait();
-        }
-    });
-    if let Some(e) = payload.into_inner().unwrap() {
-        resume_unwind(e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,59 +100,5 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    fn epochs_step_every_slot_each_round() {
-        // 8 counters, 5 rounds of +param: every slot sees every round.
-        let slots: Vec<Mutex<u64>> = (0..8).map(|_| Mutex::new(0)).collect();
-        let mut rounds = 0;
-        parallel_epochs(
-            &slots,
-            |v, p: u64| *v += p,
-            |_| {
-                rounds += 1;
-                (rounds <= 5).then_some(rounds)
-            },
-        );
-        // 1+2+3+4+5 = 15 in every slot.
-        for s in &slots {
-            assert_eq!(*s.lock().unwrap(), 15);
-        }
-    }
-
-    #[test]
-    fn epochs_control_sees_results_between_rounds() {
-        // control reads slot state mutated by the previous round.
-        let slots: Vec<Mutex<u64>> = (0..4).map(|_| Mutex::new(1)).collect();
-        let mut seen = Vec::new();
-        parallel_epochs(
-            &slots,
-            |v, _p: ()| *v *= 2,
-            |slots| {
-                let total: u64 = slots.iter().map(|s| *s.lock().unwrap()).sum();
-                seen.push(total);
-                (total < 32).then_some(())
-            },
-        );
-        assert_eq!(seen, vec![4, 8, 16, 32]);
-    }
-
-    #[test]
-    fn epochs_panic_in_step_propagates_without_deadlock() {
-        let slots: Vec<Mutex<u64>> = (0..4).map(|_| Mutex::new(0)).collect();
-        let mut started = false;
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            parallel_epochs(
-                &slots,
-                |_v, _p: ()| panic!("boom"),
-                |_| {
-                    let go = !started;
-                    started = true;
-                    go.then_some(())
-                },
-            );
-        }));
-        assert!(r.is_err(), "panic must propagate");
     }
 }

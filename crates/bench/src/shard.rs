@@ -1,11 +1,12 @@
 //! The sharded simulation engine.
 //!
-//! A single [`Simulator`] is one thread stepping one event queue; a
-//! thousand-device soak wants many cores. [`ShardedSim`] runs one simulator
-//! per *shard* (a cell of devices plus their serving gateway and sites) on
-//! the persistent worker pool of [`crate::parallel::parallel_epochs`], and
-//! bridges the few cross-shard messages through a deterministic epoch-based
-//! exchange.
+//! [`ShardedSim`] runs one simulator per *shard* (a cell of devices plus
+//! their serving gateway and sites) and bridges the few cross-shard messages
+//! through a deterministic epoch-based exchange. The caller's thread steps
+//! every shard in index order: epochs are one WAN lookahead (50 ms of
+//! simulated time) wide and most hold work for only one shard, so stepping
+//! shards on parallel workers does not pay (EXPERIMENTS.md §SOAK). Sharding
+//! is here for what it proves — partition invariance — not for speed.
 //!
 //! ## Epoch exchange
 //!
@@ -16,22 +17,21 @@
 //! and lands in the shard's outbox instead of its event queue. The engine
 //! loop is:
 //!
-//! 1. pick the epoch deadline `D = min(next event time over shards) + L`,
-//!    where the *lookahead* `L` is the minimum base latency of any
-//!    cross-shard link;
-//! 2. step every shard to `D` in parallel ([`Simulator::run_until`]);
-//! 3. drain all outboxes, sort the messages by `(arrival, from, to)`, and
+//! 1. drain all outboxes, sort the messages by `(arrival, from, to)`, and
 //!    inject each into its destination shard at its already-decided arrival
-//!    time ([`Simulator::inject_at`]).
+//!    time ([`Simulator::inject_at`]);
+//! 2. pick the epoch deadline `D = min(next event time over shards) + L`,
+//!    where the *lookahead* `L` is the minimum base latency of any
+//!    cross-shard link (stop when every queue is empty);
+//! 3. step every shard to `D` ([`Simulator::run_until`]).
 //!
 //! A message sent at `t ≥ min-next-event` arrives no earlier than
-//! `t + L + serialization > D`, so step 3 always injects into the
+//! `t + L + serialization > D`, so step 1 always injects into the
 //! destination's future: no shard ever has to roll back, and the exchange
 //! order cannot influence results. Combined with per-direction link RNG
 //! streams keyed by stable node *labels* (see [`pdagent_net::link::Topology`])
 //! the whole run is a pure function of seed + labels: an `N`-shard run is
-//! byte-identical to the 1-shard run of the same topology, whatever the
-//! worker count.
+//! byte-identical to the 1-shard run of the same topology.
 //!
 //! ## What the builder must guarantee
 //!
@@ -45,12 +45,9 @@
 //!   epoch and ties across shards cannot occur).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use pdagent_net::sim::{NodeId, Outbound, Simulator};
 use pdagent_net::time::SimDuration;
-
-use crate::parallel::parallel_epochs;
 
 /// One simulator per shard plus the cross-shard message bridge.
 pub struct ShardedSim {
@@ -115,67 +112,51 @@ impl ShardedSim {
     }
 
     /// Like [`ShardedSim::run_until_idle`], but invokes `on_epoch` at every
-    /// epoch barrier with the epoch number and the (quiescent, locked-free)
-    /// shard slots — the hook the chaos suite uses to evaluate invariants on
-    /// live counters mid-run. Called between the message exchange and the
-    /// next horizon computation, while no shard is stepping.
-    pub fn run_until_idle_with(
-        &mut self,
-        on_epoch: &mut dyn FnMut(u64, &[Mutex<Simulator>]),
-    ) {
+    /// epoch barrier with the epoch number (from 1 within this call) and the
+    /// shards — the hook the chaos suite uses to evaluate invariants on live
+    /// counters mid-run. Called after the message exchange and the horizon
+    /// computation, before the shards step to the new deadline.
+    pub fn run_until_idle_with(&mut self, on_epoch: &mut dyn FnMut(u64, &[Simulator])) {
         for s in &mut self.shards {
             s.ensure_started();
         }
-        let owners = std::mem::take(&mut self.owners);
-        let lookahead = self.lookahead;
-        let mut epochs = 0u64;
-        let slots: Vec<Mutex<Simulator>> =
-            self.shards.drain(..).map(Mutex::new).collect();
-        parallel_epochs(
-            &slots,
-            |sim, deadline| {
-                sim.run_until(deadline);
-            },
-            |slots| {
-                // Sequential exchange: drain every outbox and inject each
-                // message into its destination shard at the arrival time the
-                // sending shard already decided. The sort key makes the
-                // injection (and thus seq-number) order a pure function of
-                // the messages themselves, not of shard iteration order.
-                let mut pending: Vec<Outbound> = Vec::new();
-                for slot in slots.iter() {
-                    pending.extend(slot.lock().unwrap().take_outbox());
-                }
-                pending.sort_by(|a, b| {
-                    (a.at, a.from_label, a.to_label).cmp(&(b.at, b.from_label, b.to_label))
+        let first = self.epochs;
+        loop {
+            // Drain every outbox and inject each message into its destination
+            // shard at the arrival time the sending shard already decided.
+            // The sort key makes the injection (and thus seq-number) order a
+            // pure function of the messages themselves, not of shard order.
+            let mut pending: Vec<Outbound> =
+                self.shards.iter_mut().flat_map(Simulator::take_outbox).collect();
+            pending.sort_by(|a, b| {
+                (a.at, a.from_label, a.to_label).cmp(&(b.at, b.from_label, b.to_label))
+            });
+            for o in pending {
+                let &(si, to) = self
+                    .owners
+                    .get(&o.to_label)
+                    .unwrap_or_else(|| panic!("label {} not exported", o.to_label));
+                let dest = &mut self.shards[si];
+                let from = dest.remote_id(o.from_label).unwrap_or_else(|| {
+                    panic!("shard {si} has no placeholder for label {}", o.from_label)
                 });
-                for o in pending {
-                    let &(si, to) = owners
-                        .get(&o.to_label)
-                        .unwrap_or_else(|| panic!("label {} not exported", o.to_label));
-                    let mut dest = slots[si].lock().unwrap();
-                    let from = dest.remote_id(o.from_label).unwrap_or_else(|| {
-                        panic!("shard {si} has no placeholder for label {}", o.from_label)
-                    });
-                    dest.inject_at(to, from, o.msg, o.at);
-                }
-                // `next_event_time` takes `&mut self` since the timer wheel
-                // settles (advances cursors, cascades buckets, discards
-                // tombstones) to find its true head; the temporary
-                // MutexGuard auto-refs mutably, and settling never changes
-                // which event fires next, so the epoch horizon is unchanged.
-                let next = slots
-                    .iter()
-                    .filter_map(|s| s.lock().unwrap().next_event_time())
-                    .min()?;
-                epochs += 1;
-                on_epoch(epochs, slots);
-                Some(next + lookahead)
-            },
-        );
-        self.shards = slots.into_iter().map(|m| m.into_inner().unwrap()).collect();
-        self.owners = owners;
-        self.epochs += epochs;
+                dest.inject_at(to, from, o.msg, o.at);
+            }
+            // `next_event_time` takes `&mut self` since the timer wheel
+            // settles (advances cursors, cascades buckets, discards
+            // tombstones) to find its true head; settling never changes
+            // which event fires next, so the epoch horizon is unchanged.
+            let Some(next) = self.shards.iter_mut().filter_map(|s| s.next_event_time()).min()
+            else {
+                break;
+            };
+            self.epochs += 1;
+            on_epoch(self.epochs - first, &self.shards);
+            let deadline = next + self.lookahead;
+            for s in &mut self.shards {
+                s.run_until(deadline);
+            }
+        }
     }
 }
 
@@ -252,6 +233,13 @@ mod tests {
     }
 
     fn sharded(seed: u64) -> (Vec<Vec<SimTime>>, ShardedSim) {
+        sharded_with(seed, &mut |_, _| {})
+    }
+
+    fn sharded_with(
+        seed: u64,
+        on_epoch: &mut dyn FnMut(u64, &[Simulator]),
+    ) -> (Vec<Vec<SimTime>>, ShardedSim) {
         // Shard RNG seeds don't matter for link draws (the topology seed
         // does), but keep them equal to the single-sim seed anyway.
         let build_cell = |caller_label: u64, echo_label: u64, far_echo: u64, far_caller: u64| {
@@ -277,7 +265,7 @@ mod tests {
         engine.export(0, echo_a);
         engine.export(1, caller_b);
         engine.export(1, echo_b);
-        engine.run_until_idle();
+        engine.run_until_idle_with(on_epoch);
         let pongs = vec![
             engine.shard(0).node_ref::<Caller>(caller_a).unwrap().pongs.clone(),
             engine.shard(1).node_ref::<Caller>(caller_b).unwrap().pongs.clone(),
@@ -301,6 +289,16 @@ mod tests {
         assert_eq!(engine.shard_count(), 2);
         assert!(engine.events_processed() > 0);
         assert!(engine.peak_queue_depth() > 0);
+    }
+
+    #[test]
+    fn epoch_hook_runs_once_per_epoch_over_every_shard() {
+        let mut seen: Vec<(u64, usize)> = Vec::new();
+        let (_, engine) = sharded_with(5, &mut |epoch, shards| seen.push((epoch, shards.len())));
+        assert!(engine.epochs() > 1, "expected multiple epochs");
+        let expected: Vec<(u64, usize)> =
+            (1..=engine.epochs()).map(|e| (e, engine.shard_count())).collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]

@@ -41,8 +41,6 @@ use pdagent_net::telemetry::{render_traces_body, FlightRecorder};
 use pdagent_net::time::SimDuration;
 use pdagent_vm::Value;
 
-use std::sync::Mutex;
-
 use crate::shard::ShardedSim;
 
 /// Label of the global coordinator (below the cell label stride).
@@ -644,7 +642,7 @@ pub fn run_soak(spec: &SoakSpec) -> SoakOutcome {
 /// mid-run instead of only at quiesce.
 pub fn run_soak_with(
     spec: &SoakSpec,
-    on_epoch: &mut dyn FnMut(u64, &[Mutex<Simulator>]),
+    on_epoch: &mut dyn FnMut(u64, &[Simulator]),
 ) -> SoakOutcome {
     let plan = ShardPlan::new(spec.cells, spec.shards);
     let mut shards: Vec<Simulator> = Vec::with_capacity(plan.shards());

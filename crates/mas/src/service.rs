@@ -10,8 +10,8 @@ use pdagent_vm::Value;
 
 /// A stationary service agent at a site.
 ///
-/// `Send` because services live inside simulator nodes, and whole simulators
-/// migrate between the sharded engine's worker threads.
+/// `Send` because services live inside simulator nodes, which are `Send`
+/// so that whole simulators can move between threads.
 pub trait Service: Send {
     /// Handle `op(args…)`, returning a value to the visiting agent or an
     /// error string (which traps the agent's VM and aborts its itinerary).

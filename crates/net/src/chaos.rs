@@ -709,8 +709,14 @@ pub fn shrink_plan(
 /// A small hand-rolled JSON reader — the workspace is offline and has no
 /// serde. Covers exactly what chaos plans and repro files need: objects,
 /// arrays, strings (with the escapes our writers emit), numbers, booleans
-/// and null.
+/// and null. Nesting is capped at [`json::MAX_DEPTH`].
 pub mod json {
+    /// Deepest array/object nesting [`parse`] accepts. The reader recurses
+    /// once per level, so an unbounded depth would let a hostile file
+    /// overflow the stack; plans, repro files and pdbench records nest a few
+    /// levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Jv {
@@ -771,7 +777,7 @@ pub mod json {
     pub fn parse(text: &str) -> Result<Jv, String> {
         let b = text.as_bytes();
         let mut pos = 0usize;
-        let v = value(b, &mut pos)?;
+        let v = value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -794,11 +800,15 @@ pub mod json {
         }
     }
 
-    fn value(b: &[u8], pos: &mut usize) -> Result<Jv, String> {
+    /// One value inside `depth` enclosing arrays/objects.
+    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Jv, String> {
         skip_ws(b, pos);
         match b.get(*pos) {
-            Some(b'{') => obj(b, pos),
-            Some(b'[') => arr(b, pos),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(format!("nested deeper than {MAX_DEPTH} at offset {pos}"))
+            }
+            Some(b'{') => obj(b, pos, depth + 1),
+            Some(b'[') => arr(b, pos, depth + 1),
             Some(b'"') => Ok(Jv::Str(string(b, pos)?)),
             Some(b't') => lit(b, pos, "true", Jv::Bool(true)),
             Some(b'f') => lit(b, pos, "false", Jv::Bool(false)),
@@ -886,7 +896,7 @@ pub mod json {
         }
     }
 
-    fn arr(b: &[u8], pos: &mut usize) -> Result<Jv, String> {
+    fn arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Jv, String> {
         expect(b, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(b, pos);
@@ -895,7 +905,7 @@ pub mod json {
             return Ok(Jv::Arr(items));
         }
         loop {
-            items.push(value(b, pos)?);
+            items.push(value(b, pos, depth)?);
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -908,7 +918,7 @@ pub mod json {
         }
     }
 
-    fn obj(b: &[u8], pos: &mut usize) -> Result<Jv, String> {
+    fn obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Jv, String> {
         expect(b, pos, b'{')?;
         let mut pairs = Vec::new();
         skip_ws(b, pos);
@@ -921,7 +931,7 @@ pub mod json {
             let key = string(b, pos)?;
             skip_ws(b, pos);
             expect(b, pos, b':')?;
-            pairs.push((key, value(b, pos)?));
+            pairs.push((key, value(b, pos, depth)?));
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -1271,6 +1281,19 @@ mod tests {
         assert_eq!(f.kind, FaultKind::Duplicate);
         // The window bisected down around the 30s point.
         assert!(f.to.saturating_sub(f.from) < ms(15_000));
+    }
+
+    #[test]
+    fn json_nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects =
+            |depth: usize| format!("{}0{}", r#"{"k":"#.repeat(depth), "}".repeat(depth));
+        assert!(json::parse(&arrays(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&objects(json::MAX_DEPTH)).is_ok());
+        let err = json::parse(&arrays(json::MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nested deeper than {0} at offset {0}", json::MAX_DEPTH));
+        assert_eq!(json::parse(&arrays(100_000)).unwrap_err(), err);
+        assert!(json::parse(&objects(100_000)).is_err());
     }
 
     proptest::proptest! {

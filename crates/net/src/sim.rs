@@ -55,9 +55,8 @@ impl<T: Any> AsAny for T {
 
 /// A protocol state machine living at one network node.
 ///
-/// `Send` is a supertrait so a whole [`Simulator`] can move between worker
-/// threads (the sharded engine parks each shard's simulator in a slot that
-/// any thread of the pool may step).
+/// `Send` is a supertrait so a whole [`Simulator`] can move between
+/// threads.
 pub trait Node: AsAny + Send {
     /// Called once at simulation start (time zero), in node-id order.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}

@@ -32,6 +32,12 @@ impl std::fmt::Display for ValueDecodeError {
 
 impl std::error::Error for ValueDecodeError {}
 
+/// Deepest list nesting [`Value::decode`] accepts. Decoding recurses once
+/// per list level, so an unbounded depth would let a hostile agent transfer
+/// (a few bytes per level) overflow the stack. The example agents nest two
+/// levels at most (ebank's list of transaction lists).
+pub const MAX_DEPTH: usize = 256;
+
 /// ZigZag encoding maps signed to unsigned for varints.
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -105,8 +111,14 @@ impl Value {
         }
     }
 
-    /// Decode one value from `input` starting at `*pos`.
+    /// Decode one value from `input` starting at `*pos`. Lists nested more
+    /// than [`MAX_DEPTH`] deep are rejected.
     pub fn decode(input: &[u8], pos: &mut usize) -> Result<Value, ValueDecodeError> {
+        Value::decode_at(input, pos, 0)
+    }
+
+    /// [`Value::decode`] inside `depth` enclosing lists.
+    fn decode_at(input: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ValueDecodeError> {
         let err = |pos: usize| ValueDecodeError { offset: pos };
         let tag = *input.get(*pos).ok_or(err(*pos))?;
         *pos += 1;
@@ -131,6 +143,9 @@ impl Value {
                 Ok(Value::Str(s))
             }
             5 => {
+                if depth == MAX_DEPTH {
+                    return Err(err(*pos - 1));
+                }
                 let len = varint::read_usize(input, pos).map_err(|_| err(*pos))?;
                 // Guard absurd lengths before allocating.
                 if len > input.len().saturating_sub(*pos) {
@@ -138,7 +153,7 @@ impl Value {
                 }
                 let mut items = Vec::with_capacity(len);
                 for _ in 0..len {
-                    items.push(Value::decode(input, pos)?);
+                    items.push(Value::decode_at(input, pos, depth + 1)?);
                 }
                 Ok(Value::List(items))
             }
@@ -305,6 +320,38 @@ mod tests {
         assert!(Value::decode(&[5, 0xff, 0xff, 0x7f], &mut 0).is_err());
         // Invalid UTF-8 payload.
         assert!(Value::decode(&[4, 1, 0xff], &mut 0).is_err());
+    }
+
+    fn nested(depth: usize) -> Value {
+        (0..depth).fold(Value::Nil, |inner, _| Value::List(vec![inner]))
+    }
+
+    fn encoded(v: &Value) -> Vec<u8> {
+        let mut out = Vec::new();
+        v.encode(&mut out);
+        out
+    }
+
+    #[test]
+    fn max_depth_value_round_trips() {
+        let v = nested(MAX_DEPTH);
+        let bytes = encoded(&v);
+        let mut pos = 0;
+        assert_eq!(Value::decode(&bytes, &mut pos).unwrap(), v);
+        assert_eq!(pos, bytes.len());
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let bytes = encoded(&nested(MAX_DEPTH + 1));
+        assert_eq!(
+            Value::decode(&bytes, &mut 0),
+            Err(ValueDecodeError { offset: 2 * MAX_DEPTH })
+        );
+        // 200k one-item lists: two bytes a level, then a nil.
+        let mut hostile = [5u8, 1].repeat(200_000);
+        hostile.push(0);
+        assert!(Value::decode(&hostile, &mut 0).is_err());
     }
 
     #[test]

@@ -8,6 +8,13 @@ use crate::error::{XmlError, XmlResult};
 use crate::pull::{PullParser, XmlEvent};
 use crate::writer::XmlWriter;
 
+/// Deepest element nesting [`Element::parse_str`] accepts (the root is depth
+/// 1). The DOM builder recurses once per open element, so an unbounded
+/// depth would let a few KB of hostile input — a Packed Information document
+/// compresses `<a><a><a>…` to almost nothing — overflow the stack. Real
+/// PDAgent documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// A node in the DOM tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
@@ -172,7 +179,7 @@ impl Element {
                     root.attributes =
                         attributes.into_iter().map(|a| (a.name, a.value)).collect();
                     if !self_closing {
-                        Self::fill(&mut root, parser)?;
+                        Self::fill(&mut root, parser, 1)?;
                     }
                     // Drain the epilog so trailing garbage is diagnosed.
                     loop {
@@ -194,15 +201,23 @@ impl Element {
         }
     }
 
-    fn fill(parent: &mut Element, parser: &mut PullParser<'_>) -> XmlResult<()> {
+    /// Read `parent`'s content up to its end tag; `depth` is `parent`'s
+    /// nesting depth.
+    fn fill(parent: &mut Element, parser: &mut PullParser<'_>, depth: usize) -> XmlResult<()> {
         loop {
             match parser.next_event()? {
                 XmlEvent::StartElement { name, attributes, self_closing } => {
+                    if depth >= MAX_DEPTH {
+                        return Err(XmlError::Syntax {
+                            offset: parser.offset(),
+                            message: format!("elements nested deeper than {MAX_DEPTH}"),
+                        });
+                    }
                     let mut el = Element::new(name);
                     el.attributes =
                         attributes.into_iter().map(|a| (a.name, a.value)).collect();
                     if !self_closing {
-                        Self::fill(&mut el, parser)?;
+                        Self::fill(&mut el, parser, depth + 1)?;
                     }
                     parent.children.push(Node::Element(el));
                 }
@@ -403,5 +418,37 @@ mod tests {
         }
         let doc = Element::parse_str(&s).unwrap();
         assert_eq!(doc.element_count(), depth);
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_up_to_max_depth_parses() {
+        let doc = Element::parse_str(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(doc.element_count(), MAX_DEPTH);
+        let leaf_at_max = format!(
+            "{}<b/>{}",
+            "<a>".repeat(MAX_DEPTH - 1),
+            "</a>".repeat(MAX_DEPTH - 1)
+        );
+        assert!(Element::parse_str(&leaf_at_max).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            match Element::parse_str(&nested(depth)) {
+                Err(XmlError::Syntax { offset, message }) => {
+                    assert_eq!(offset, 3 * (MAX_DEPTH + 1), "depth {depth}");
+                    assert!(message.contains("nested deeper"), "{message}");
+                }
+                other => panic!("depth {depth}: expected a syntax error, got {other:?}"),
+            }
+        }
+        let leaf_past_max =
+            format!("{}<b/>{}", "<a>".repeat(MAX_DEPTH), "</a>".repeat(MAX_DEPTH));
+        assert!(Element::parse_str(&leaf_past_max).is_err());
     }
 }

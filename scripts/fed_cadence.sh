@@ -2,8 +2,7 @@
 # Federation cadence sweep: run the soak at a range of scrape cadences and
 # record the staleness-vs-traffic trade-off into EXPERIMENTS.md (between the
 # fed_cadence markers). Staleness here is sim-time — fully deterministic for
-# a given seed — so the recorded table is reproducible anywhere, unlike the
-# wall-clock scaling curve.
+# a given seed — so the recorded table is reproducible anywhere.
 #
 #   scripts/fed_cadence.sh [devices] [seed] [cadence_ms_list] [window_list]
 #
