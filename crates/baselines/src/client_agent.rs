@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use pdagent_mas::{AgentId, Itinerary, MobileAgent, KIND_COMPLETE, KIND_TRANSFER};
 use pdagent_net::http::{reply, HttpClient, HttpRequest, HttpStatus, TimerOutcome};
 use pdagent_net::prelude::*;
-use pdagent_gateway::pi::{value_from_xml, value_to_xml, ResultDoc};
+use pdagent_gateway::pi::ResultDoc;
 use pdagent_mas::server::SiteDirectory;
 use pdagent_vm::{Program, Value};
 use pdagent_xml::Element;
@@ -88,7 +88,7 @@ impl AgentServerNode {
         let mut params = Vec::new();
         for p in doc.children_named("param") {
             let (Some(name), Some(v_el)) = (p.attr("name"), p.child("v")) else { continue };
-            if let Ok(v) = value_from_xml(v_el) {
+            if let Ok(v) = Value::from_xml(v_el) {
                 params.push((name.to_owned(), v));
             }
         }
@@ -208,7 +208,7 @@ impl Node for ClientAgentDevice {
         let mut doc = Element::new("launch").with_attr("app", &self.app);
         for (name, v) in &self.params {
             let mut p = Element::new("param").with_attr("name", name);
-            p.push_child(value_to_xml(v));
+            p.push_child(v.to_xml());
             doc.push_child(p);
         }
         ctx.connection_opened();
@@ -353,7 +353,7 @@ mod tests {
         // No code mobility — the launch body carries only parameters.
         let mut doc = Element::new("launch").with_attr("app", "tour");
         let mut p = Element::new("param").with_attr("name", "user");
-        p.push_child(value_to_xml(&Value::Str("carol".into())));
+        p.push_child(Value::Str("carol".into()).to_xml());
         doc.push_child(p);
         let body = doc.to_document_string();
         // Far below the 1 KB floor of the paper's agent-code sizes.

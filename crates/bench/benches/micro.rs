@@ -12,9 +12,9 @@ use pdagent_codec::compress::{compress, decompress, Algorithm};
 use pdagent_crypto::envelope::{open_envelope, seal_envelope};
 use pdagent_crypto::md5::md5;
 use pdagent_crypto::rsa::KeyPair;
-use pdagent_gateway::pi::PackedInformation;
+use pdagent_gateway::pi::{PackedInformation, ResultDoc, ResultStatus};
 use pdagent_core::rms::RecordStore;
-use pdagent_mas::{AgentId, Itinerary, MobileAgent, Service};
+use pdagent_mas::{AgentId, Itinerary, MobileAgent, ResultEntry, Service};
 use pdagent_net::link::LinkSpec;
 use pdagent_net::message::Message;
 use pdagent_net::sim::{Ctx, Node, NodeId, Simulator};
@@ -37,6 +37,40 @@ fn sample_pi_doc(n_tx: u32) -> String {
     pi.to_document_string()
 }
 
+/// The roaming workload's PI: 32 transactions over 8 banks and a 1 KB pad.
+fn roaming_pi() -> PackedInformation {
+    let txs: Vec<Transaction> = (0..32)
+        .map(|i| {
+            Transaction::new(format!("bank-{}", i % 8), "alice", format!("payee-{i}"), 100 + i)
+        })
+        .collect();
+    PackedInformation {
+        code_id: "ebank@dev#1".into(),
+        auth_key: "0123456789abcdef0123456789abcdef".into(),
+        program: ebank_program(),
+        itinerary: itinerary_for(&txs),
+        params: vec![transactions_param(&txs), ("pi_pad".into(), Value::Str("Q".repeat(1024)))],
+        fuel_per_hop: 1_000_000,
+    }
+}
+
+/// A roaming agent's result document: 32 receipts and 8 settlement lines.
+fn roaming_result() -> ResultDoc {
+    let entries = (0..40)
+        .map(|i| ResultEntry {
+            site: format!("bank-{}", i % 8),
+            key: if i < 32 { "receipt" } else { "settled" }.into(),
+            value: Value::Str(format!("rcpt-bank-{}-{i}: alice->payee-{i} {}", i % 8, 100 + i)),
+        })
+        .collect();
+    ResultDoc {
+        agent_id: "ag-17@gw-0".into(),
+        status: ResultStatus::Completed,
+        entries,
+        instructions: 25_660,
+    }
+}
+
 fn bench_xml(c: &mut Criterion) {
     let doc = sample_pi_doc(10);
     let mut group = c.benchmark_group("xml");
@@ -47,6 +81,21 @@ fn bench_xml(c: &mut Criterion) {
     let parsed = Element::parse_str(&doc).unwrap();
     group.bench_function("write_pi_document", |b| {
         b.iter(|| std::hint::black_box(&parsed).to_document_string())
+    });
+    // The streaming encoders and decoders the deploy path uses.
+    let pi = roaming_pi();
+    let pi_doc = pi.to_document_string();
+    group.throughput(Throughput::Bytes(pi_doc.len() as u64));
+    group.bench_function("stream_write_pi_32tx", |b| {
+        b.iter(|| std::hint::black_box(&pi).to_document_string())
+    });
+    group.bench_function("stream_read_pi_32tx", |b| {
+        b.iter(|| PackedInformation::from_document_str(std::hint::black_box(&pi_doc)).unwrap())
+    });
+    let result_doc = roaming_result().to_document_string();
+    group.throughput(Throughput::Bytes(result_doc.len() as u64));
+    group.bench_function("stream_read_result_40", |b| {
+        b.iter(|| ResultDoc::from_document_str(std::hint::black_box(&result_doc)).unwrap())
     });
     group.finish();
 }

@@ -3,89 +3,13 @@
 //! subscriptions (downloaded MA code) and collected result documents.
 
 use pdagent_codec::compress::{compress, decompress, Algorithm};
-use pdagent_crypto::rsa::PublicKey;
 use pdagent_gateway::pi::ResultDoc;
-use pdagent_vm::Program;
-use pdagent_xml::Element;
 
 use crate::rms::{RecordStore, RmsError};
 
-/// A stored subscription: everything the device needs to deploy the service
-/// later without talking to the gateway again (§3.1: "Once the service agent
-/// code is present in PDAgent's database, the subscription is no longer
-/// needed").
-#[derive(Debug, Clone, PartialEq)]
-pub struct Subscription {
-    /// Service name (e.g. `"ebank"`).
-    pub service: String,
-    /// The unique code id assigned by the gateway.
-    pub code_id: String,
-    /// Shared secret for deriving the authorization key.
-    pub secret: String,
-    /// Issuing gateway's name.
-    pub gateway: String,
-    /// Issuing gateway's public key (for sealing envelopes).
-    pub public_key: PublicKey,
-    /// The agent program.
-    pub program: Program,
-}
-
-impl Subscription {
-    /// Parse the gateway's subscription download (a compressed XML doc).
-    pub fn from_download(service: &str, body: &[u8]) -> Result<Subscription, String> {
-        let xml = decompress(body).map_err(|e| e.to_string())?;
-        let doc = Element::parse_bytes(&xml).map_err(|e| e.to_string())?;
-        if doc.name() != "subscription" {
-            return Err(format!("expected <subscription>, found <{}>", doc.name()));
-        }
-        let attr = |name: &str| -> Result<String, String> {
-            doc.require_attr(name).map(str::to_owned).map_err(|e| e.to_string())
-        };
-        let public_key = PublicKey {
-            n: attr("pubkey-n")?.parse().map_err(|e| format!("pubkey-n: {e}"))?,
-            e: attr("pubkey-e")?.parse().map_err(|e| format!("pubkey-e: {e}"))?,
-        };
-        let code_el = doc.require_child("ma-code").map_err(|e| e.to_string())?;
-        let program = Program::from_xml(code_el).map_err(|e| e.to_string())?;
-        Ok(Subscription {
-            service: service.to_owned(),
-            code_id: attr("id")?,
-            secret: attr("secret")?,
-            gateway: attr("gateway")?,
-            public_key,
-            program,
-        })
-    }
-
-    /// Serialize for storage — the XML form, *compressed*, exactly as the
-    /// paper stores agent code ("compressing the agent code before storing
-    /// it in the device's database").
-    pub fn to_record(&self) -> Vec<u8> {
-        let mut doc = Element::new("subscription")
-            .with_attr("service", &self.service)
-            .with_attr("id", &self.code_id)
-            .with_attr("secret", &self.secret)
-            .with_attr("gateway", &self.gateway)
-            .with_attr("pubkey-n", self.public_key.n.to_string())
-            .with_attr("pubkey-e", self.public_key.e.to_string());
-        doc.push_child(self.program.to_xml());
-        compress(doc.to_document_string().as_bytes(), Algorithm::Auto)
-    }
-
-    /// Parse a stored record.
-    pub fn from_record(record: &[u8]) -> Result<Subscription, String> {
-        let xml = decompress(record).map_err(|e| e.to_string())?;
-        let doc = Element::parse_bytes(&xml).map_err(|e| e.to_string())?;
-        let service = doc.require_attr("service").map_err(|e| e.to_string())?.to_owned();
-        // Re-wrap without the service attr for from_download's shape.
-        let mut sub = Subscription::from_download(
-            &service,
-            &compress(xml.as_slice(), Algorithm::Store),
-        )?;
-        sub.service = service;
-        Ok(sub)
-    }
-}
+/// A stored subscription. Its documents are a gateway wire format, so the
+/// type lives with the others in [`pdagent_gateway::pi`].
+pub use pdagent_gateway::pi::Subscription;
 
 /// The typed device database: one record store for subscriptions, one for
 /// results.
@@ -227,6 +151,7 @@ impl DeviceDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdagent_crypto::rsa::PublicKey;
     use pdagent_mas::ResultEntry;
     use pdagent_vm::{assemble, Value};
 
@@ -259,6 +184,18 @@ mod tests {
         let sub = sample_sub("ebank");
         let rec = sub.to_record();
         assert_eq!(Subscription::from_record(&rec).unwrap(), sub);
+    }
+
+    #[test]
+    fn record_without_service_is_rejected() {
+        // A download document stored as a record: every field but the
+        // service name, which only a record carries.
+        let sub = sample_sub("ebank");
+        let download = sub.download_document();
+        let rec = compress(download.as_bytes(), Algorithm::Auto);
+        assert!(Subscription::from_record(&rec).is_err());
+        // The same document is a valid download.
+        assert_eq!(Subscription::from_download("ebank", &rec).unwrap(), sub);
     }
 
     #[test]
@@ -328,16 +265,8 @@ mod tests {
                 + "halt"),
         )
         .unwrap();
-        let mut doc = Element::new("subscription")
-            .with_attr("service", &sub.service)
-            .with_attr("id", &sub.code_id)
-            .with_attr("secret", &sub.secret)
-            .with_attr("gateway", &sub.gateway)
-            .with_attr("pubkey-n", sub.public_key.n.to_string())
-            .with_attr("pubkey-e", sub.public_key.e.to_string());
-        doc.push_child(sub.program.to_xml());
-        let raw_len = doc.to_document_string().len();
         let rec = sub.to_record();
+        let raw_len = decompress(&rec).unwrap().len();
         assert!(rec.len() < raw_len, "record {} vs raw {}", rec.len(), raw_len);
         assert_eq!(Subscription::from_record(&rec).unwrap(), sub);
     }

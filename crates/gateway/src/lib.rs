@@ -31,6 +31,8 @@
 
 pub mod central;
 pub mod filedir;
+#[cfg(test)]
+mod oracle;
 pub mod pi;
 pub mod server;
 

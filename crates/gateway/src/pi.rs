@@ -1,24 +1,45 @@
-//! The Packed Information (PI) and result-document wire formats.
+//! The Packed Information (PI), result-document and subscription wire
+//! formats.
 //!
-//! Both are XML "for interoperability" (paper §3.2): any gateway or MAS that
+//! All are XML "for interoperability" (paper §3.2): any gateway or MAS that
 //! understands the schema can process agents from any device. The PI carries
 //! the agent code, the authorization id/key, the itinerary and the user's
 //! typed parameters; the result document carries everything the agent
-//! brought back.
+//! brought back; the subscription document carries downloaded agent code to
+//! the handheld, which keeps it (compressed) in its database.
+//!
+//! Each format has one encoder, into an [`XmlWriter`], and one decoder, from
+//! a [`DocReader`]: documents go straight between typed values and text,
+//! with no element tree in between. The decoders answer exactly as a walk
+//! over the parsed [`pdagent_xml::Element`] tree would: the first child of a
+//! given name counts, unknown elements and attributes are ignored, and the
+//! DOM's whitespace rule and nesting cap apply.
 
+use pdagent_codec::compress::{compress, decompress, Algorithm};
+use pdagent_crypto::rsa::PublicKey;
 use pdagent_mas::{MobileAgent, ResultEntry};
 use pdagent_vm::{Program, Value};
-use pdagent_xml::{Element, XmlError};
+use pdagent_xml::{DocReader, Tag, XmlError, XmlWriter};
 
-/// Typed value → XML element `<v t="...">...</v>` (recursive for lists).
-/// Delegates to [`Value::to_xml`], the shared encoding.
-pub fn value_to_xml(value: &Value) -> Element {
-    value.to_xml()
+/// Start a compact document with the XML declaration: the wire form.
+fn document() -> XmlWriter {
+    let mut w = XmlWriter::compact();
+    w.declaration();
+    w
 }
 
-/// XML element → typed value.
-pub fn value_from_xml(el: &Element) -> Result<Value, XmlError> {
-    Value::from_xml(el).map_err(|message| XmlError::Syntax { offset: 0, message })
+/// The value in the first `<v>` child of `parent` (others are ignored), or
+/// `None` if there is none.
+fn first_value<'a>(r: &mut DocReader<'a>, mut parent: Tag<'a>) -> Result<Option<Value>, String> {
+    let mut value = None;
+    while let Some(child) = r.next_child(&mut parent)? {
+        if child.name == "v" && value.is_none() {
+            value = Some(Value::read_xml(r, child)?);
+        } else {
+            r.skip(child)?;
+        }
+    }
+    Ok(value)
 }
 
 /// The Packed Information: what the Agent Dispatcher on the device assembles
@@ -40,85 +61,113 @@ pub struct PackedInformation {
 }
 
 impl PackedInformation {
-    /// Serialize to the `<pi>` document (the plaintext that gets compressed
-    /// and sealed into the envelope).
-    pub fn to_xml(&self) -> Element {
-        let mut pi = Element::new("pi").with_attr("version", "1");
-        pi.push_child(
-            Element::new("auth")
-                .with_attr("id", &self.code_id)
-                .with_attr("key", &self.auth_key),
-        );
-        pi.push_child(self.program.to_xml());
-        let mut itin = Element::new("itinerary");
-        for site in &self.itinerary {
-            itin.push_child(Element::new("site").with_text(site.clone()));
-        }
-        pi.push_child(itin);
-        let mut params = Element::new("params");
-        for (name, value) in &self.params {
-            let mut p = Element::new("param").with_attr("name", name);
-            p.push_child(value_to_xml(value));
-            params.push_child(p);
-        }
-        pi.push_child(params);
-        pi.push_child(
-            Element::new("options").with_attr("fuel", self.fuel_per_hop.to_string()),
-        );
-        pi
-    }
-
-    /// Serialize to the compact document string.
+    /// Serialize to the compact `<pi>` document (the plaintext that gets
+    /// compressed and sealed into the envelope).
     pub fn to_document_string(&self) -> String {
-        self.to_xml().to_document_string()
+        let mut w = document();
+        w.start("pi");
+        w.attr("version", "1");
+        w.start("auth");
+        w.attr("id", &self.code_id);
+        w.attr("key", &self.auth_key);
+        w.end();
+        self.program.write_xml(&mut w);
+        w.start("itinerary");
+        for site in &self.itinerary {
+            w.start("site");
+            w.text(site);
+            w.end();
+        }
+        w.end();
+        w.start("params");
+        for (name, value) in &self.params {
+            w.start("param");
+            w.attr("name", name);
+            value.write_xml(&mut w);
+            w.end();
+        }
+        w.end();
+        w.start("options");
+        w.attr_int("fuel", self.fuel_per_hop);
+        w.end();
+        w.end();
+        w.finish()
     }
 
-    /// Parse from the `<pi>` root element. Only version 1 documents are
-    /// understood; a future device speaking `version="2"` gets a clean
-    /// error (→ HTTP 400) instead of a misparse.
-    pub fn from_xml(pi: &Element) -> Result<PackedInformation, String> {
-        if pi.name() != "pi" {
-            return Err(format!("expected <pi>, found <{}>", pi.name()));
+    /// Parse a `<pi>` document. Only version 1 documents are understood; a
+    /// future device speaking `version="2"` gets a clean error (→ HTTP 400)
+    /// instead of a misparse.
+    pub fn from_document_str(doc: &str) -> Result<PackedInformation, String> {
+        DocReader::read_document(doc, Self::read_xml)
+    }
+
+    fn read_xml<'a>(r: &mut DocReader<'a>, mut pi: Tag<'a>) -> Result<PackedInformation, String> {
+        if pi.name != "pi" {
+            return Err(format!("expected <pi>, found <{}>", pi.name));
         }
-        match pi.attr("version") {
+        match pi.attr("version").as_deref() {
             Some("1") | None => {}
             Some(other) => return Err(format!("unsupported PI version {other:?}")),
         }
-        let auth = pi.require_child("auth").map_err(|e| e.to_string())?;
-        let code_id = auth.require_attr("id").map_err(|e| e.to_string())?.to_owned();
-        let auth_key = auth.require_attr("key").map_err(|e| e.to_string())?.to_owned();
-        let code_el = pi.require_child("ma-code").map_err(|e| e.to_string())?;
-        let program = Program::from_xml(code_el).map_err(|e| e.to_string())?;
-        let itinerary = pi
-            .require_child("itinerary")
-            .map_err(|e| e.to_string())?
-            .children_named("site")
-            .map(|s| s.text())
-            .collect();
-        let mut params = Vec::new();
-        if let Some(params_el) = pi.child("params") {
-            for p in params_el.children_named("param") {
-                let name = p.require_attr("name").map_err(|e| e.to_string())?.to_owned();
-                let v_el = p
-                    .child("v")
-                    .ok_or_else(|| format!("param {name:?} missing <v>"))?;
-                let value = value_from_xml(v_el).map_err(|e| e.to_string())?;
-                params.push((name, value));
+        let (mut auth, mut program, mut itinerary, mut params, mut fuel) =
+            (None, None, None, None, None);
+        while let Some(mut child) = r.next_child(&mut pi)? {
+            match child.name {
+                "auth" if auth.is_none() => {
+                    let id = child.require_attr("id")?.into_owned();
+                    let key = child.require_attr("key")?.into_owned();
+                    auth = Some((id, key));
+                    r.skip(child)?;
+                }
+                "ma-code" if program.is_none() => {
+                    program = Some(Program::read_xml(r, child).map_err(|e| e.to_string())?);
+                }
+                "itinerary" if itinerary.is_none() => {
+                    let mut sites = Vec::new();
+                    while let Some(site) = r.next_child(&mut child)? {
+                        match site.name {
+                            "site" => sites.push(r.text(site)?.into_owned()),
+                            _ => r.skip(site)?,
+                        }
+                    }
+                    itinerary = Some(sites);
+                }
+                "params" if params.is_none() => {
+                    let mut list = Vec::new();
+                    while let Some(param) = r.next_child(&mut child)? {
+                        if param.name != "param" {
+                            r.skip(param)?;
+                            continue;
+                        }
+                        let name = param.require_attr("name")?.into_owned();
+                        let value = first_value(r, param)?
+                            .ok_or_else(|| format!("param {name:?} missing <v>"))?;
+                        list.push((name, value));
+                    }
+                    params = Some(list);
+                }
+                "options" if fuel.is_none() => {
+                    let per_hop = child
+                        .attr("fuel")
+                        .map(|f| f.parse::<u64>().map_err(|e| format!("bad fuel: {e}")))
+                        .transpose()?;
+                    fuel = Some(per_hop);
+                    r.skip(child)?;
+                }
+                _ => r.skip(child)?,
             }
         }
-        let fuel_per_hop = pi
-            .child("options")
-            .and_then(|o| o.attr("fuel"))
-            .map(|f| f.parse::<u64>().map_err(|e| format!("bad fuel: {e}")))
-            .transpose()?
-            .unwrap_or(1_000_000);
-        Ok(PackedInformation { code_id, auth_key, program, itinerary, params, fuel_per_hop })
-    }
-
-    /// Parse from a document string.
-    pub fn from_document_str(doc: &str) -> Result<PackedInformation, String> {
-        let root = Element::parse_str(doc).map_err(|e| e.to_string())?;
-        Self::from_xml(&root)
+        let (code_id, auth_key) = auth.ok_or_else(|| pi.missing_child("auth").to_string())?;
+        let program = program.ok_or_else(|| pi.missing_child("ma-code").to_string())?;
+        let itinerary = itinerary.ok_or_else(|| pi.missing_child("itinerary").to_string())?;
+        Ok(PackedInformation {
+            code_id,
+            auth_key,
+            program,
+            itinerary,
+            params: params.unwrap_or_default(),
+            fuel_per_hop: fuel.flatten().unwrap_or(1_000_000),
+        })
     }
 }
 
@@ -183,55 +232,52 @@ impl ResultDoc {
         }
     }
 
-    /// Serialize to the `<result>` document.
-    pub fn to_xml(&self) -> Element {
-        let mut root = Element::new("result")
-            .with_attr("agent", &self.agent_id)
-            .with_attr("status", self.status.as_str())
-            .with_attr("instructions", self.instructions.to_string());
-        for entry in &self.entries {
-            let mut el = Element::new("entry")
-                .with_attr("site", &entry.site)
-                .with_attr("key", &entry.key);
-            el.push_child(value_to_xml(&entry.value));
-            root.push_child(el);
-        }
-        root
-    }
-
-    /// Serialize to the compact document string.
+    /// Serialize to the compact `<result>` document.
     pub fn to_document_string(&self) -> String {
-        self.to_xml().to_document_string()
+        let mut w = document();
+        w.start("result");
+        w.attr("agent", &self.agent_id);
+        w.attr("status", self.status.as_str());
+        w.attr_int("instructions", self.instructions);
+        for entry in &self.entries {
+            w.start("entry");
+            w.attr("site", &entry.site);
+            w.attr("key", &entry.key);
+            entry.value.write_xml(&mut w);
+            w.end();
+        }
+        w.end();
+        w.finish()
     }
 
-    /// Parse from the `<result>` root element.
-    pub fn from_xml(root: &Element) -> Result<ResultDoc, String> {
-        if root.name() != "result" {
-            return Err(format!("expected <result>, found <{}>", root.name()));
-        }
-        let agent_id = root.require_attr("agent").map_err(|e| e.to_string())?.to_owned();
-        let status = ResultStatus::parse(root.require_attr("status").map_err(|e| e.to_string())?)
-            .ok_or("unknown status")?;
-        let instructions = root
-            .attr("instructions")
-            .unwrap_or("0")
-            .parse::<u64>()
-            .map_err(|e| format!("bad instructions: {e}"))?;
-        let mut entries = Vec::new();
-        for el in root.children_named("entry") {
-            let site = el.require_attr("site").map_err(|e| e.to_string())?.to_owned();
-            let key = el.require_attr("key").map_err(|e| e.to_string())?.to_owned();
-            let v_el = el.child("v").ok_or("entry missing <v>")?;
-            let value = value_from_xml(v_el).map_err(|e| e.to_string())?;
-            entries.push(ResultEntry { site, key, value });
-        }
-        Ok(ResultDoc { agent_id, status, entries, instructions })
-    }
-
-    /// Parse from a document string.
+    /// Parse a `<result>` document.
     pub fn from_document_str(doc: &str) -> Result<ResultDoc, String> {
-        let root = Element::parse_str(doc).map_err(|e| e.to_string())?;
-        Self::from_xml(&root)
+        DocReader::read_document(doc, |r, mut root| {
+            if root.name != "result" {
+                return Err(format!("expected <result>, found <{}>", root.name));
+            }
+            let agent_id = root.require_attr("agent")?.into_owned();
+            let status =
+                ResultStatus::parse(&root.require_attr("status")?).ok_or("unknown status")?;
+            let instructions = root
+                .attr("instructions")
+                .as_deref()
+                .unwrap_or("0")
+                .parse::<u64>()
+                .map_err(|e| format!("bad instructions: {e}"))?;
+            let mut entries = Vec::new();
+            while let Some(entry) = r.next_child(&mut root)? {
+                if entry.name != "entry" {
+                    r.skip(entry)?;
+                    continue;
+                }
+                let site = entry.require_attr("site")?.into_owned();
+                let key = entry.require_attr("key")?.into_owned();
+                let value = first_value(r, entry)?.ok_or("entry missing <v>")?;
+                entries.push(ResultEntry { site, key, value });
+            }
+            Ok(ResultDoc { agent_id, status, entries, instructions })
+        })
     }
 
     /// Entries with a given key.
@@ -240,10 +286,111 @@ impl ResultDoc {
     }
 }
 
+/// A subscription: everything the device needs to deploy the service later
+/// without talking to the gateway again (§3.1: "Once the service agent code
+/// is present in PDAgent's database, the subscription is no longer
+/// needed"). The gateway sends it as the download document; the device
+/// stores it as a record, the same document with the service name added.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Subscription {
+    /// Service name (e.g. `"ebank"`).
+    pub service: String,
+    /// The unique code id assigned by the gateway.
+    pub code_id: String,
+    /// Shared secret for deriving the authorization key.
+    pub secret: String,
+    /// Issuing gateway's name.
+    pub gateway: String,
+    /// Issuing gateway's public key (for sealing envelopes).
+    pub public_key: PublicKey,
+    /// The agent program.
+    pub program: Program,
+}
+
+impl Subscription {
+    /// The `<subscription>` document, with the `service` attribute in a
+    /// stored record and without it in the gateway's download.
+    fn to_document_string(&self, with_service: bool) -> String {
+        let mut w = document();
+        w.start("subscription");
+        if with_service {
+            w.attr("service", &self.service);
+        }
+        w.attr("id", &self.code_id);
+        w.attr("secret", &self.secret);
+        w.attr("gateway", &self.gateway);
+        w.attr_int("pubkey-n", self.public_key.n);
+        w.attr_int("pubkey-e", self.public_key.e);
+        self.program.write_xml(&mut w);
+        w.end();
+        w.finish()
+    }
+
+    /// The download document the gateway's subscribe handler sends
+    /// (uncompressed).
+    pub fn download_document(&self) -> String {
+        self.to_document_string(false)
+    }
+
+    /// Parse the gateway's subscription download (a compressed XML doc).
+    pub fn from_download(service: &str, body: &[u8]) -> Result<Subscription, String> {
+        let xml = decompress(body).map_err(|e| e.to_string())?;
+        Self::from_document(&xml, Some(service))
+    }
+
+    /// Serialize for storage — the XML form, *compressed*, exactly as the
+    /// paper stores agent code ("compressing the agent code before storing
+    /// it in the device's database").
+    pub fn to_record(&self) -> Vec<u8> {
+        compress(self.to_document_string(true).as_bytes(), Algorithm::Auto)
+    }
+
+    /// Parse a stored record.
+    pub fn from_record(record: &[u8]) -> Result<Subscription, String> {
+        let xml = decompress(record).map_err(|e| e.to_string())?;
+        Self::from_document(&xml, None)
+    }
+
+    /// Decode a subscription document. A download names its service out of
+    /// band (`service`); a record carries it in its `service` attribute.
+    fn from_document(xml: &[u8], service: Option<&str>) -> Result<Subscription, String> {
+        let doc = std::str::from_utf8(xml)
+            .map_err(|e| XmlError::InvalidUtf8 { offset: e.valid_up_to() }.to_string())?;
+        DocReader::read_document(doc, |r, mut root| {
+            let service = match service {
+                Some(service) => service.to_owned(),
+                None => root.require_attr("service")?.into_owned(),
+            };
+            if root.name != "subscription" {
+                return Err(format!("expected <subscription>, found <{}>", root.name));
+            }
+            let attr = |name: &str| -> Result<String, String> {
+                Ok(root.require_attr(name)?.into_owned())
+            };
+            let public_key = PublicKey {
+                n: attr("pubkey-n")?.parse().map_err(|e| format!("pubkey-n: {e}"))?,
+                e: attr("pubkey-e")?.parse().map_err(|e| format!("pubkey-e: {e}"))?,
+            };
+            let (code_id, secret, gateway) = (attr("id")?, attr("secret")?, attr("gateway")?);
+            let mut program = None;
+            while let Some(child) = r.next_child(&mut root)? {
+                if child.name == "ma-code" && program.is_none() {
+                    program = Some(Program::read_xml(r, child).map_err(|e| e.to_string())?);
+                } else {
+                    r.skip(child)?;
+                }
+            }
+            let program = program.ok_or_else(|| root.missing_child("ma-code").to_string())?;
+            Ok(Subscription { service, code_id, secret, gateway, public_key, program })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdagent_vm::assemble;
+    use pdagent_xml::Element;
 
     fn sample_pi() -> PackedInformation {
         let program = assemble(
@@ -296,7 +443,7 @@ mod tests {
         let mut params = Element::new("params");
         for (name, value) in &pi.params {
             let mut p = Element::new("param").with_attr("name", name);
-            p.push_child(value_to_xml(value));
+            p.push_child(value.to_xml());
             params.push_child(p);
         }
         el.push_child(params);
@@ -323,23 +470,23 @@ mod tests {
             Value::Str("x <&> y".into()),
             Value::List(vec![Value::Int(1), Value::List(vec![Value::Str("deep".into())])]),
         ] {
-            let el = value_to_xml(&v);
+            let el = v.to_xml();
             let doc = el.to_document_string();
             let parsed = Element::parse_str(&doc).unwrap();
-            assert_eq!(value_from_xml(&parsed).unwrap(), v);
+            assert_eq!(Value::from_xml(&parsed).unwrap(), v);
         }
     }
 
     #[test]
     fn value_xml_rejects_garbage() {
         let el = Element::new("v").with_attr("t", "int").with_text("not-a-number");
-        assert!(value_from_xml(&el).is_err());
+        assert!(Value::from_xml(&el).is_err());
         let el = Element::new("v").with_attr("t", "alien");
-        assert!(value_from_xml(&el).is_err());
+        assert!(Value::from_xml(&el).is_err());
         let el = Element::new("w").with_attr("t", "int");
-        assert!(value_from_xml(&el).is_err());
+        assert!(Value::from_xml(&el).is_err());
         let el = Element::new("v");
-        assert!(value_from_xml(&el).is_err());
+        assert!(Value::from_xml(&el).is_err());
     }
 
     #[test]

@@ -18,10 +18,9 @@ use pdagent_net::http::{reply, HttpRequest, HttpStatus};
 use pdagent_net::prelude::*;
 use pdagent_net::telemetry::TelemetryServer;
 use pdagent_vm::Program;
-use pdagent_xml::Element;
 
 use crate::filedir::{FileDirectory, FileKind};
-use crate::pi::{PackedInformation, ResultDoc};
+use crate::pi::{PackedInformation, ResultDoc, Subscription};
 use crate::{KIND_PROBE, KIND_PROBE_ACK, PATH_DISPATCH, PATH_MANAGE, PATH_RESULT, PATH_SUBSCRIBE};
 
 /// Gateway tuning knobs.
@@ -314,15 +313,16 @@ impl GatewayNode {
         // authorization key at dispatch time.
         let secret = code_secret(&self.config.operator_secret, &id);
         self.registry.register_code(id.clone(), secret.clone());
-        let mut doc = Element::new("subscription")
-            .with_attr("id", &id.0)
-            .with_attr("secret", &secret)
-            .with_attr("gateway", &self.config.name)
-            .with_attr("pubkey-n", self.keys.public.n.to_string())
-            .with_attr("pubkey-e", self.keys.public.e.to_string());
-        doc.push_child(program.to_xml());
+        let subscription = Subscription {
+            service: service.to_owned(),
+            code_id: id.0.clone(),
+            secret,
+            gateway: self.config.name.clone(),
+            public_key: self.keys.public,
+            program,
+        };
         let body = compress(
-            doc.to_document_string().as_bytes(),
+            subscription.download_document().as_bytes(),
             self.config.compression,
         );
         ctx.metrics().bump("gateway.subscriptions", 1.0);
@@ -811,18 +811,8 @@ mod tests {
                         self.phase = Phase::Done;
                         return;
                     }
-                    let xml = decompress(&body).unwrap();
-                    let doc =
-                        Element::parse_str(std::str::from_utf8(&xml).unwrap()).unwrap();
-                    let pubkey = PublicKey {
-                        n: doc.attr("pubkey-n").unwrap().parse().unwrap(),
-                        e: doc.attr("pubkey-e").unwrap().parse().unwrap(),
-                    };
-                    self.sub = Some((
-                        doc.attr("id").unwrap().to_owned(),
-                        doc.attr("secret").unwrap().to_owned(),
-                        pubkey,
-                    ));
+                    let sub = Subscription::from_download("ebank", &body).unwrap();
+                    self.sub = Some((sub.code_id, sub.secret, sub.public_key));
                     self.dispatch(ctx);
                 }
                 Phase::Dispatching => {

@@ -5,8 +5,10 @@
 //! and compressed; the XML form wraps the (base64) binary with metadata and
 //! is what the paper's interoperable wire formats carry.
 
+use std::borrow::Cow;
+
 use pdagent_codec::{base64, varint};
-use pdagent_xml::Element;
+use pdagent_xml::{DocReader, Element, Tag, TreeBuilder, XmlError, XmlSink};
 
 use crate::isa::Instr;
 use crate::value::Value;
@@ -64,88 +66,95 @@ impl std::fmt::Display for ProgramError {
 
 impl std::error::Error for ProgramError {}
 
-/// One instruction as a `pdax-1` XML element: `<i op="..." .../>` with
-/// operand attributes `c` (const index), `n` (immediate int), `l` (local
-/// slot), `t` (jump target), `s`/`o`/`a` (invoke service/op/argc).
-fn instr_to_xml(ins: &Instr) -> Element {
-    let el = Element::new("i");
+/// Operand attributes of one `pdax-1` instruction (at most three).
+type Operands = [Option<(&'static str, i64)>; 3];
+
+/// One instruction's `pdax-1` form: `<i op="..." .../>` with operand
+/// attributes `c` (const index), `n` (immediate int), `l` (local slot), `t`
+/// (jump target), `s`/`o`/`a` (invoke service/op/argc).
+fn instr_attrs(ins: &Instr) -> (&'static str, Operands) {
+    const NONE: Operands = [None; 3];
+    let one = |name: &'static str, v: i64| [Some((name, v)), None, None];
     match *ins {
-        Instr::PushConst(c) => el.with_attr("op", "pushc").with_attr("c", c.to_string()),
-        Instr::PushInt(n) => el.with_attr("op", "pushi").with_attr("n", n.to_string()),
-        Instr::PushTrue => el.with_attr("op", "ptrue"),
-        Instr::PushFalse => el.with_attr("op", "pfalse"),
-        Instr::PushNil => el.with_attr("op", "nil"),
-        Instr::Dup => el.with_attr("op", "dup"),
-        Instr::Pop => el.with_attr("op", "pop"),
-        Instr::Swap => el.with_attr("op", "swap"),
-        Instr::Load(l) => el.with_attr("op", "load").with_attr("l", l.to_string()),
-        Instr::Store(l) => el.with_attr("op", "store").with_attr("l", l.to_string()),
-        Instr::GLoad(c) => el.with_attr("op", "gload").with_attr("c", c.to_string()),
-        Instr::GStore(c) => el.with_attr("op", "gstore").with_attr("c", c.to_string()),
-        Instr::Add => el.with_attr("op", "add"),
-        Instr::Sub => el.with_attr("op", "sub"),
-        Instr::Mul => el.with_attr("op", "mul"),
-        Instr::Div => el.with_attr("op", "div"),
-        Instr::Mod => el.with_attr("op", "mod"),
-        Instr::Neg => el.with_attr("op", "neg"),
-        Instr::Eq => el.with_attr("op", "eq"),
-        Instr::Ne => el.with_attr("op", "ne"),
-        Instr::Lt => el.with_attr("op", "lt"),
-        Instr::Le => el.with_attr("op", "le"),
-        Instr::Gt => el.with_attr("op", "gt"),
-        Instr::Ge => el.with_attr("op", "ge"),
-        Instr::And => el.with_attr("op", "and"),
-        Instr::Or => el.with_attr("op", "or"),
-        Instr::Not => el.with_attr("op", "not"),
-        Instr::Concat => el.with_attr("op", "concat"),
-        Instr::Jump(t) => el.with_attr("op", "jmp").with_attr("t", t.to_string()),
-        Instr::JumpIfFalse(t) => el.with_attr("op", "jmpf").with_attr("t", t.to_string()),
-        Instr::ListNew => el.with_attr("op", "listnew"),
-        Instr::ListPush => el.with_attr("op", "listpush"),
-        Instr::ListGet => el.with_attr("op", "listget"),
-        Instr::ListLen => el.with_attr("op", "listlen"),
-        Instr::Invoke(s, o, a) => el
-            .with_attr("op", "invoke")
-            .with_attr("s", s.to_string())
-            .with_attr("o", o.to_string())
-            .with_attr("a", a.to_string()),
-        Instr::Param(c) => el.with_attr("op", "param").with_attr("c", c.to_string()),
-        Instr::Emit(c) => el.with_attr("op", "emit").with_attr("c", c.to_string()),
-        Instr::Site => el.with_attr("op", "site"),
-        Instr::Halt => el.with_attr("op", "halt"),
-        Instr::Fail(c) => el.with_attr("op", "fail").with_attr("c", c.to_string()),
+        Instr::PushConst(c) => ("pushc", one("c", c.into())),
+        Instr::PushInt(n) => ("pushi", one("n", n)),
+        Instr::PushTrue => ("ptrue", NONE),
+        Instr::PushFalse => ("pfalse", NONE),
+        Instr::PushNil => ("nil", NONE),
+        Instr::Dup => ("dup", NONE),
+        Instr::Pop => ("pop", NONE),
+        Instr::Swap => ("swap", NONE),
+        Instr::Load(l) => ("load", one("l", l.into())),
+        Instr::Store(l) => ("store", one("l", l.into())),
+        Instr::GLoad(c) => ("gload", one("c", c.into())),
+        Instr::GStore(c) => ("gstore", one("c", c.into())),
+        Instr::Add => ("add", NONE),
+        Instr::Sub => ("sub", NONE),
+        Instr::Mul => ("mul", NONE),
+        Instr::Div => ("div", NONE),
+        Instr::Mod => ("mod", NONE),
+        Instr::Neg => ("neg", NONE),
+        Instr::Eq => ("eq", NONE),
+        Instr::Ne => ("ne", NONE),
+        Instr::Lt => ("lt", NONE),
+        Instr::Le => ("le", NONE),
+        Instr::Gt => ("gt", NONE),
+        Instr::Ge => ("ge", NONE),
+        Instr::And => ("and", NONE),
+        Instr::Or => ("or", NONE),
+        Instr::Not => ("not", NONE),
+        Instr::Concat => ("concat", NONE),
+        Instr::Jump(t) => ("jmp", one("t", t.into())),
+        Instr::JumpIfFalse(t) => ("jmpf", one("t", t.into())),
+        Instr::ListNew => ("listnew", NONE),
+        Instr::ListPush => ("listpush", NONE),
+        Instr::ListGet => ("listget", NONE),
+        Instr::ListLen => ("listlen", NONE),
+        Instr::Invoke(s, o, a) => (
+            "invoke",
+            [Some(("s", s.into())), Some(("o", o.into())), Some(("a", a.into()))],
+        ),
+        Instr::Param(c) => ("param", one("c", c.into())),
+        Instr::Emit(c) => ("emit", one("c", c.into())),
+        Instr::Site => ("site", NONE),
+        Instr::Halt => ("halt", NONE),
+        Instr::Fail(c) => ("fail", one("c", c.into())),
     }
 }
 
-/// Parse a `pdax-1` instruction element.
-fn instr_from_xml(el: &Element) -> Result<Instr, ProgramError> {
-    let bad = |msg: String| ProgramError::BadXml(msg);
-    if el.name() != "i" {
-        return Err(bad(format!("expected <i>, found <{}>", el.name())));
+fn write_instr(w: &mut impl XmlSink, ins: &Instr) {
+    let (op, operands) = instr_attrs(ins);
+    w.start("i");
+    w.attr("op", op);
+    for (name, value) in operands.into_iter().flatten() {
+        w.attr_int(name, value);
     }
-    let op = el.attr("op").ok_or_else(|| bad("missing op".into()))?;
+    w.end();
+}
+
+/// Read a `pdax-1` instruction element to its end.
+fn read_instr<'a>(r: &mut DocReader<'a>, tag: Tag<'a>) -> Result<Instr, ProgramError> {
+    let bad = |msg: String| ProgramError::BadXml(msg);
+    if tag.name != "i" {
+        return Err(bad(format!("expected <i>, found <{}>", tag.name)));
+    }
+    let op = tag.attr("op").ok_or_else(|| bad("missing op".into()))?;
+    let attr = |name: &str| -> Result<Cow<'a, str>, ProgramError> {
+        tag.attr(name).ok_or_else(|| bad(format!("{op}: missing {name:?}")))
+    };
     let attr_u16 = |name: &str| -> Result<u16, ProgramError> {
-        el.attr(name)
-            .ok_or_else(|| bad(format!("{op}: missing {name:?}")))?
-            .parse::<u16>()
-            .map_err(|e| bad(format!("{op}: bad {name:?}: {e}")))
+        attr(name)?.parse::<u16>().map_err(|e| bad(format!("{op}: bad {name:?}: {e}")))
     };
     let attr_u8 = |name: &str| -> Result<u8, ProgramError> {
-        el.attr(name)
-            .ok_or_else(|| bad(format!("{op}: missing {name:?}")))?
-            .parse::<u8>()
-            .map_err(|e| bad(format!("{op}: bad {name:?}: {e}")))
+        attr(name)?.parse::<u8>().map_err(|e| bad(format!("{op}: bad {name:?}: {e}")))
     };
     let attr_u32 = |name: &str| -> Result<u32, ProgramError> {
-        el.attr(name)
-            .ok_or_else(|| bad(format!("{op}: missing {name:?}")))?
-            .parse::<u32>()
-            .map_err(|e| bad(format!("{op}: bad {name:?}: {e}")))
+        attr(name)?.parse::<u32>().map_err(|e| bad(format!("{op}: bad {name:?}: {e}")))
     };
-    Ok(match op {
+    let ins = match &*op {
         "pushc" => Instr::PushConst(attr_u16("c")?),
         "pushi" => Instr::PushInt(
-            el.attr("n")
+            tag.attr("n")
                 .ok_or_else(|| bad("pushi: missing n".into()))?
                 .parse::<i64>()
                 .map_err(|e| bad(format!("pushi: bad n: {e}")))?,
@@ -189,15 +198,15 @@ fn instr_from_xml(el: &Element) -> Result<Instr, ProgramError> {
         "halt" => Instr::Halt,
         "fail" => Instr::Fail(attr_u16("c")?),
         other => return Err(bad(format!("unknown op {other:?}"))),
-    })
+    };
+    r.skip(tag)?;
+    Ok(ins)
 }
 
-fn value_to_xml(v: &Value) -> Element {
-    v.to_xml()
-}
-
-fn value_from_xml(el: &Element) -> Result<Value, ProgramError> {
-    Value::from_xml(el).map_err(ProgramError::BadXml)
+impl From<XmlError> for ProgramError {
+    fn from(e: XmlError) -> ProgramError {
+        ProgramError::BadXml(e.to_string())
+    }
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -394,29 +403,36 @@ impl Program {
         Ok(())
     }
 
-    /// Wrap in the `<ma-code>` XML element used inside Packed Information.
-    ///
-    /// This is the **verbose, structured** `pdax-1` form — every instruction
-    /// an element — realizing the paper's proposal of "a standard MA code
-    /// format (e.g., specified using XML) which can be understood and
-    /// interpreted by gateways and different MA servers". It is larger than
-    /// the binary form but self-describing and highly compressible (which is
-    /// why the platform compresses MA code before storing/shipping it).
-    pub fn to_xml(&self) -> Element {
-        let mut root = Element::new("ma-code")
-            .with_attr("name", &self.name)
-            .with_attr("format", "pdax-1");
-        let mut consts = Element::new("consts");
+    /// Write the `<ma-code>` element used inside Packed Information: the
+    /// one encoder of the **verbose, structured** `pdax-1` form — every
+    /// instruction an element — realizing the paper's proposal of "a
+    /// standard MA code format (e.g., specified using XML) which can be
+    /// understood and interpreted by gateways and different MA servers". It
+    /// is larger than the binary form but self-describing and highly
+    /// compressible (which is why the platform compresses MA code before
+    /// storing/shipping it).
+    pub fn write_xml(&self, w: &mut impl XmlSink) {
+        w.start("ma-code");
+        w.attr("name", &self.name);
+        w.attr("format", "pdax-1");
+        w.start("consts");
         for c in &self.consts {
-            consts.push_child(value_to_xml(c));
+            c.write_xml(w);
         }
-        root.push_child(consts);
-        let mut code = Element::new("code");
+        w.end();
+        w.start("code");
         for ins in &self.code {
-            code.push_child(instr_to_xml(ins));
+            write_instr(w, ins);
         }
-        root.push_child(code);
-        root
+        w.end();
+        w.end();
+    }
+
+    /// The `pdax-1` form as an [`Element`], built by [`Program::write_xml`].
+    pub fn to_xml(&self) -> Element {
+        let mut tree = TreeBuilder::default();
+        self.write_xml(&mut tree);
+        tree.finish()
     }
 
     /// Wrap in the compact `pdac-1` form: base64 of the binary encoding.
@@ -430,42 +446,57 @@ impl Program {
             .with_text(base64::encode(&bytes))
     }
 
-    /// Unwrap from a `<ma-code>` element (either format).
-    pub fn from_xml(el: &Element) -> Result<Program, ProgramError> {
-        if el.name() != "ma-code" {
-            return Err(ProgramError::BadXml(format!(
-                "expected <ma-code>, found <{}>",
-                el.name()
-            )));
+    /// Read a `<ma-code>` element (either format) to its end: `tag` is its
+    /// start tag. This is the one decoder of both forms. As with any DOM
+    /// lookup, the first `<consts>` and the first `<code>` count and other
+    /// children are ignored.
+    pub fn read_xml<'a>(r: &mut DocReader<'a>, mut tag: Tag<'a>) -> Result<Program, ProgramError> {
+        if tag.name != "ma-code" {
+            return Err(ProgramError::BadXml(format!("expected <ma-code>, found <{}>", tag.name)));
         }
-        match el.attr("format") {
+        match tag.attr("format").as_deref() {
             Some("pdac-1") => {
-                let bytes = base64::decode(&el.text())
+                let bytes = base64::decode(&r.text(tag)?)
                     .map_err(|e| ProgramError::BadXml(format!("base64: {e}")))?;
                 Program::from_bytes(&bytes)
             }
             Some("pdax-1") => {
-                let name = el.attr("name").unwrap_or_default().to_owned();
-                let consts_el = el
-                    .child("consts")
-                    .ok_or_else(|| ProgramError::BadXml("missing <consts>".into()))?;
-                let mut consts = Vec::new();
-                for v in consts_el.children() {
-                    consts.push(value_from_xml(v)?);
+                let name = tag.attr("name").unwrap_or_default().into_owned();
+                let (mut consts, mut code) = (None, None);
+                while let Some(mut child) = r.next_child(&mut tag)? {
+                    match child.name {
+                        "consts" if consts.is_none() => {
+                            let mut values = Vec::new();
+                            while let Some(v) = r.next_child(&mut child)? {
+                                values.push(Value::read_xml(r, v).map_err(ProgramError::BadXml)?);
+                            }
+                            consts = Some(values);
+                        }
+                        "code" if code.is_none() => {
+                            let mut instrs = Vec::new();
+                            while let Some(i) = r.next_child(&mut child)? {
+                                instrs.push(read_instr(r, i)?);
+                            }
+                            code = Some(instrs);
+                        }
+                        _ => r.skip(child)?,
+                    }
                 }
-                let code_el = el
-                    .child("code")
-                    .ok_or_else(|| ProgramError::BadXml("missing <code>".into()))?;
-                let mut code = Vec::new();
-                for i in code_el.children() {
-                    code.push(instr_from_xml(i)?);
-                }
+                let consts =
+                    consts.ok_or_else(|| ProgramError::BadXml("missing <consts>".into()))?;
+                let code = code.ok_or_else(|| ProgramError::BadXml("missing <code>".into()))?;
                 let program = Program { name, consts, code };
                 program.validate()?;
                 Ok(program)
             }
             other => Err(ProgramError::BadXml(format!("unsupported format {other:?}"))),
         }
+    }
+
+    /// Unwrap from a `<ma-code>` [`Element`] (either format), walking it
+    /// with [`Program::read_xml`].
+    pub fn from_xml(el: &Element) -> Result<Program, ProgramError> {
+        DocReader::read_element(el, Program::read_xml)
     }
 
     /// Size of the binary form in bytes — the quantity the paper budgets at

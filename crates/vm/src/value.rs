@@ -1,6 +1,7 @@
 //! The dynamic value type agents compute with, and its serialization.
 
 use pdagent_codec::varint;
+use pdagent_xml::{DocReader, Element, Tag, TreeBuilder, XmlSink};
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,50 +178,80 @@ impl Value {
 }
 
 impl Value {
-    /// Typed XML form `<v t="...">...</v>` (recursive for lists) — used by
-    /// the PI parameter encoding and the verbose program format.
-    pub fn to_xml(&self) -> pdagent_xml::Element {
-        use pdagent_xml::Element;
+    /// Write the typed XML form `<v t="...">...</v>` (recursive for lists)
+    /// — used by the PI parameter encoding, result entries and the verbose
+    /// program format. This is the one encoder of the form; a string is
+    /// written as text even when empty (`<v t="str"></v>`).
+    pub fn write_xml(&self, w: &mut impl XmlSink) {
+        w.start("v");
         match self {
-            Value::Nil => Element::new("v").with_attr("t", "nil"),
+            Value::Nil => w.attr("t", "nil"),
             Value::Bool(b) => {
-                Element::new("v").with_attr("t", "bool").with_text(b.to_string())
+                w.attr("t", "bool");
+                w.text(if *b { "true" } else { "false" });
             }
-            Value::Int(i) => Element::new("v").with_attr("t", "int").with_text(i.to_string()),
-            Value::Str(s) => Element::new("v").with_attr("t", "str").with_text(s.clone()),
+            Value::Int(i) => {
+                w.attr("t", "int");
+                w.text_int(*i);
+            }
+            Value::Str(s) => {
+                w.attr("t", "str");
+                w.text(s);
+            }
             Value::List(items) => {
-                let mut el = Element::new("v").with_attr("t", "list");
+                w.attr("t", "list");
                 for item in items {
-                    el.push_child(item.to_xml());
+                    item.write_xml(w);
                 }
-                el
             }
         }
+        w.end();
     }
 
-    /// Parse the typed XML form.
-    pub fn from_xml(el: &pdagent_xml::Element) -> Result<Value, String> {
-        if el.name() != "v" {
-            return Err(format!("expected <v>, found <{}>", el.name()));
+    /// Read the typed XML form: `tag` is the element's start tag, and the
+    /// element is read to its end. This is the one decoder of the form.
+    /// List nesting is bounded by the reader's depth cap.
+    pub fn read_xml<'a>(r: &mut DocReader<'a>, mut tag: Tag<'a>) -> Result<Value, String> {
+        if tag.name != "v" {
+            return Err(format!("expected <v>, found <{}>", tag.name));
         }
-        match el.attr("t").ok_or("missing t attribute")? {
-            "nil" => Ok(Value::Nil),
-            "bool" => match el.text().as_str() {
+        let t = tag.attr("t").ok_or("missing t attribute")?;
+        match &*t {
+            "nil" => {
+                r.skip(tag)?;
+                Ok(Value::Nil)
+            }
+            "bool" => match &*r.text(tag)? {
                 "true" => Ok(Value::Bool(true)),
                 "false" => Ok(Value::Bool(false)),
                 other => Err(format!("bad bool {other:?}")),
             },
-            "int" => el.text().parse::<i64>().map(Value::Int).map_err(|e| format!("bad int: {e}")),
-            "str" => Ok(Value::Str(el.text())),
+            "int" => {
+                r.text(tag)?.parse::<i64>().map(Value::Int).map_err(|e| format!("bad int: {e}"))
+            }
+            "str" => Ok(Value::Str(r.text(tag)?.into_owned())),
             "list" => {
                 let mut items = Vec::new();
-                for child in el.children() {
-                    items.push(Value::from_xml(child)?);
+                while let Some(child) = r.next_child(&mut tag)? {
+                    items.push(Value::read_xml(r, child)?);
                 }
                 Ok(Value::List(items))
             }
             other => Err(format!("unknown value type {other:?}")),
         }
+    }
+
+    /// The typed XML form as an [`Element`], built by [`Value::write_xml`].
+    pub fn to_xml(&self) -> Element {
+        let mut tree = TreeBuilder::default();
+        self.write_xml(&mut tree);
+        tree.finish()
+    }
+
+    /// Parse the typed XML form from an [`Element`], walking it with
+    /// [`Value::read_xml`].
+    pub fn from_xml(el: &Element) -> Result<Value, String> {
+        DocReader::read_element(el, Value::read_xml)
     }
 }
 

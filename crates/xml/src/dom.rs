@@ -4,9 +4,11 @@
 //! (Packed Information, agent code documents, result documents) are built
 //! from and serialized to.
 
+use std::fmt;
+
 use crate::error::{XmlError, XmlResult};
-use crate::pull::{PullParser, XmlEvent};
-use crate::writer::XmlWriter;
+use crate::pull::{Attributes, PullParser, XmlEvent};
+use crate::writer::{push_int, XmlSink, XmlWriter};
 
 /// Deepest element nesting [`Element::parse_str`] accepts (the root is depth
 /// 1). The DOM builder recurses once per open element, so an unbounded
@@ -26,22 +28,145 @@ pub enum Node {
     Comment(String),
 }
 
+/// A string kept inline when it is short, so that holding it allocates
+/// nothing. An element's packed tag ([`push_piece`]) is one: most elements
+/// of PDAgent documents fit (`1:v1:t3:str`, `1:i2:op5:gload1:c1:0`).
+#[derive(Clone)]
+pub(crate) enum XmlStr {
+    /// The first `len` bytes of `bytes`, copied from a `str`.
+    Inline { len: u8, bytes: [u8; XmlStr::INLINE] },
+    Heap(Box<str>),
+}
+
+impl XmlStr {
+    /// Longest string kept inline: the enum then takes 32 bytes.
+    const INLINE: usize = 30;
+
+    #[inline]
+    pub(crate) fn new(s: &str) -> XmlStr {
+        if s.len() <= Self::INLINE {
+            let mut bytes = [0; Self::INLINE];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            XmlStr::Inline { len: s.len() as u8, bytes }
+        } else {
+            XmlStr::Heap(s.into())
+        }
+    }
+
+    #[inline]
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            XmlStr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("copied from a str")
+            }
+            XmlStr::Heap(s) => s,
+        }
+    }
+}
+
+impl Default for XmlStr {
+    fn default() -> XmlStr {
+        XmlStr::new("")
+    }
+}
+
+impl PartialEq for XmlStr {
+    fn eq(&self, other: &XmlStr) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for XmlStr {}
+
+/// Append `piece` to a packed tag: its length in bytes, in decimal, then
+/// `:`, then the piece. A packed tag is the element name followed by each
+/// attribute's name and value, so it is one string however many attributes
+/// there are, and all of it is valid UTF-8.
+pub(crate) fn push_piece(tag: &mut String, piece: &str) {
+    if piece.len() < 10 {
+        tag.push(char::from(b'0' + piece.len() as u8));
+        tag.push(':');
+        tag.push_str(piece);
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = piece.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    tag.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    tag.push(':');
+    tag.push_str(piece);
+}
+
+/// Split the first piece off a packed tag: `(piece, rest)`. An empty tag
+/// gives `None`.
+#[inline]
+pub(crate) fn split_piece(tag: &str) -> Option<(&str, &str)> {
+    let bytes = tag.as_bytes();
+    let mut len = 0usize;
+    let mut at = 0;
+    while let Some(&b) = bytes.get(at) {
+        at += 1;
+        if b == b':' {
+            let rest = &tag[at..];
+            return Some((&rest[..len], &rest[len..]));
+        }
+        len = len * 10 + usize::from(b - b'0');
+    }
+    None
+}
+
+/// The attribute pairs of a packed tag, after its name.
+#[derive(Debug, Clone)]
+pub(crate) struct Pairs<'a>(pub(crate) &'a str);
+
+impl<'a> Iterator for Pairs<'a> {
+    type Item = (&'a str, &'a str);
+
+    #[inline]
+    fn next(&mut self) -> Option<(&'a str, &'a str)> {
+        let (name, rest) = split_piece(self.0)?;
+        let (value, rest) = split_piece(rest).expect("packed tags hold attribute pairs");
+        self.0 = rest;
+        Some((name, value))
+    }
+}
+
 /// An XML element: name, attributes, children.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Element {
-    name: String,
-    attributes: Vec<(String, String)>,
-    children: Vec<Node>,
+    /// The name and the attributes, packed ([`push_piece`]).
+    pub(crate) tag: XmlStr,
+    pub(crate) children: Vec<Node>,
+}
+
+impl fmt::Debug for Element {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Element")
+            .field("name", &self.name())
+            .field("attributes", &self.attrs().collect::<Vec<_>>())
+            .field("children", &self.children)
+            .finish()
+    }
 }
 
 impl Element {
     /// Create an empty element.
-    pub fn new(name: impl Into<String>) -> Self {
-        Element { name: name.into(), attributes: Vec::new(), children: Vec::new() }
+    pub fn new(name: impl AsRef<str>) -> Self {
+        let mut tag = String::new();
+        push_piece(&mut tag, name.as_ref());
+        Element { tag: XmlStr::new(&tag), children: Vec::new() }
     }
 
     /// Builder-style: add an attribute.
-    pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr(mut self, name: impl AsRef<str>, value: impl AsRef<str>) -> Self {
         self.set_attr(name, value);
         self
     }
@@ -59,18 +184,25 @@ impl Element {
     }
 
     /// Element name.
+    #[inline]
     pub fn name(&self) -> &str {
-        &self.name
+        self.split_tag().0
     }
 
-    /// All attributes in document order.
-    pub fn attrs(&self) -> &[(String, String)] {
-        &self.attributes
+    /// The name, and the packed attribute pairs after it.
+    #[inline]
+    pub(crate) fn split_tag(&self) -> (&str, &str) {
+        split_piece(self.tag.as_str()).unwrap_or_default()
+    }
+
+    /// All attributes in document order, as `(name, value)` pairs.
+    pub fn attrs(&self) -> impl Iterator<Item = (&str, &str)> {
+        Pairs(self.split_tag().1)
     }
 
     /// Look up an attribute value.
     pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attributes.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        self.attrs().find(|&(n, _)| n == name).map(|(_, v)| v)
     }
 
     /// Look up an attribute, erroring with a descriptive message if missing.
@@ -78,19 +210,26 @@ impl Element {
     pub fn require_attr(&self, name: &str) -> XmlResult<&str> {
         self.attr(name).ok_or_else(|| XmlError::Syntax {
             offset: 0,
-            message: format!("element <{}> missing required attribute {name:?}", self.name),
+            message: format!("element <{}> missing required attribute {name:?}", self.name()),
         })
     }
 
     /// Set (insert or replace) an attribute.
-    pub fn set_attr(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        let name = name.into();
-        let value = value.into();
-        if let Some(slot) = self.attributes.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = value;
-        } else {
-            self.attributes.push((name, value));
+    pub fn set_attr(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
+        let (name, value) = (name.as_ref(), value.as_ref());
+        let mut tag = String::with_capacity(self.tag.as_str().len() + name.len() + value.len() + 8);
+        push_piece(&mut tag, self.name());
+        let mut replaced = false;
+        for (k, v) in self.attrs() {
+            push_piece(&mut tag, k);
+            push_piece(&mut tag, if k == name { value } else { v });
+            replaced |= k == name;
         }
+        if !replaced {
+            push_piece(&mut tag, name);
+            push_piece(&mut tag, value);
+        }
+        self.tag = XmlStr::new(&tag);
     }
 
     /// All child nodes.
@@ -118,20 +257,20 @@ impl Element {
 
     /// First child element with the given name.
     pub fn child(&self, name: &str) -> Option<&Element> {
-        self.children().find(|e| e.name == name)
+        self.children().find(|e| e.name() == name)
     }
 
     /// First child element with the given name, or a descriptive error.
     pub fn require_child(&self, name: &str) -> XmlResult<&Element> {
         self.child(name).ok_or_else(|| XmlError::Syntax {
             offset: 0,
-            message: format!("element <{}> missing required child <{name}>", self.name),
+            message: format!("element <{}> missing required child <{name}>", self.name()),
         })
     }
 
     /// All child elements with the given name.
     pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> {
-        self.children().filter(move |e| e.name == name)
+        self.children().filter(move |e| e.name() == name)
     }
 
     /// Concatenated text content of *direct* text/CDATA children.
@@ -175,11 +314,10 @@ impl Element {
                 | XmlEvent::Comment(_)
                 | XmlEvent::ProcessingInstruction { .. } => continue,
                 XmlEvent::StartElement { name, attributes, self_closing } => {
-                    let mut root = Element::new(name);
-                    root.attributes =
-                        attributes.into_iter().map(|a| (a.name, a.value)).collect();
+                    let mut tag = String::new();
+                    let mut root = Element::from_tag(name, attributes, &mut tag);
                     if !self_closing {
-                        Self::fill(&mut root, parser, 1)?;
+                        Self::fill(&mut root, parser, 1, &mut tag)?;
                     }
                     // Drain the epilog so trailing garbage is diagnosed.
                     loop {
@@ -190,7 +328,6 @@ impl Element {
                             _ => unreachable!("parser enforces single root"),
                         }
                     }
-                    root.normalize_whitespace();
                     return Ok(root);
                 }
                 XmlEvent::Eof => return Err(XmlError::NoRootElement),
@@ -201,30 +338,44 @@ impl Element {
         }
     }
 
+    /// The element a start tag opens; `tag` is scratch space for packing.
+    fn from_tag(name: &str, attributes: Attributes<'_>, tag: &mut String) -> Element {
+        tag.clear();
+        push_piece(tag, name);
+        for a in attributes.iter() {
+            push_piece(tag, a.name);
+            push_piece(tag, &a.value);
+        }
+        Element { tag: XmlStr::new(tag), children: Vec::new() }
+    }
+
     /// Read `parent`'s content up to its end tag; `depth` is `parent`'s
     /// nesting depth.
-    fn fill(parent: &mut Element, parser: &mut PullParser<'_>, depth: usize) -> XmlResult<()> {
+    fn fill(
+        parent: &mut Element,
+        parser: &mut PullParser<'_>,
+        depth: usize,
+        tag: &mut String,
+    ) -> XmlResult<()> {
         loop {
             match parser.next_event()? {
                 XmlEvent::StartElement { name, attributes, self_closing } => {
                     if depth >= MAX_DEPTH {
-                        return Err(XmlError::Syntax {
-                            offset: parser.offset(),
-                            message: format!("elements nested deeper than {MAX_DEPTH}"),
-                        });
+                        return Err(too_deep(parser.offset()));
                     }
-                    let mut el = Element::new(name);
-                    el.attributes =
-                        attributes.into_iter().map(|a| (a.name, a.value)).collect();
+                    let mut el = Element::from_tag(name, attributes, tag);
                     if !self_closing {
-                        Self::fill(&mut el, parser, depth + 1)?;
+                        Self::fill(&mut el, parser, depth + 1, tag)?;
                     }
                     parent.children.push(Node::Element(el));
                 }
-                XmlEvent::EndElement { .. } => return Ok(()),
-                XmlEvent::Text(t) => parent.children.push(Node::Text(t)),
-                XmlEvent::CData(t) => parent.children.push(Node::Text(t)),
-                XmlEvent::Comment(c) => parent.children.push(Node::Comment(c)),
+                XmlEvent::EndElement { .. } => {
+                    parent.normalize_children();
+                    return Ok(());
+                }
+                XmlEvent::Text(t) => parent.children.push(Node::Text(t.into_owned())),
+                XmlEvent::CData(t) => parent.children.push(Node::Text(t.to_owned())),
+                XmlEvent::Comment(c) => parent.children.push(Node::Comment(c.to_owned())),
                 XmlEvent::ProcessingInstruction { .. } | XmlEvent::Declaration { .. } => {}
                 XmlEvent::Eof => {
                     return Err(XmlError::UnexpectedEof { context: "element content" })
@@ -233,30 +384,32 @@ impl Element {
         }
     }
 
-    /// Drop whitespace-only text children of elements that also have element
-    /// children (i.e. indentation), recursively; merge adjacent text runs.
-    fn normalize_whitespace(&mut self) {
+    /// Drop whitespace-only text children if the element also has element
+    /// children (i.e. indentation); merge adjacent text runs. The parser
+    /// calls this as each element closes, so children come already
+    /// normalized. The child list is rebuilt only when something is dropped
+    /// or merged.
+    fn normalize_children(&mut self) {
         let has_element_child =
             self.children.iter().any(|n| matches!(n, Node::Element(_)));
-        if has_element_child {
-            self.children.retain(|n| match n {
-                Node::Text(t) => !t.trim().is_empty(),
-                _ => true,
-            });
-        }
-        // Merge adjacent text runs (CDATA + text, or text split by comments removal).
-        let mut merged: Vec<Node> = Vec::with_capacity(self.children.len());
-        for node in self.children.drain(..) {
-            match (merged.last_mut(), node) {
-                (Some(Node::Text(prev)), Node::Text(next)) => prev.push_str(&next),
-                (_, node) => merged.push(node),
+        let droppable =
+            |n: &Node| has_element_child && matches!(n, Node::Text(t) if t.trim().is_empty());
+        let adjacent_text = self
+            .children
+            .windows(2)
+            .any(|w| matches!(w, [Node::Text(_), Node::Text(_)]));
+        if adjacent_text || self.children.iter().any(droppable) {
+            let mut merged: Vec<Node> = Vec::with_capacity(self.children.len());
+            for node in self.children.drain(..) {
+                if droppable(&node) {
+                    continue;
+                }
+                match (merged.last_mut(), node) {
+                    (Some(Node::Text(prev)), Node::Text(next)) => prev.push_str(&next),
+                    (_, node) => merged.push(node),
+                }
             }
-        }
-        self.children = merged;
-        for node in &mut self.children {
-            if let Node::Element(e) = node {
-                e.normalize_whitespace();
-            }
+            self.children = merged;
         }
     }
 
@@ -279,8 +432,9 @@ impl Element {
 
     /// Write this element (recursively) into an [`XmlWriter`].
     pub fn write_to(&self, w: &mut XmlWriter) {
-        w.start(&self.name);
-        for (k, v) in &self.attributes {
+        let (name, pairs) = self.split_tag();
+        w.start(name);
+        for (k, v) in Pairs(pairs) {
             w.attr(k, v);
         }
         for node in &self.children {
@@ -296,6 +450,102 @@ impl Element {
     /// Total number of elements in this subtree (including `self`).
     pub fn element_count(&self) -> usize {
         1 + self.children().map(Element::element_count).sum::<usize>()
+    }
+}
+
+/// The error for an element nested deeper than [`MAX_DEPTH`], detected at
+/// `offset` (just past its start tag).
+pub(crate) fn too_deep(offset: usize) -> XmlError {
+    XmlError::Syntax { offset, message: format!("elements nested deeper than {MAX_DEPTH}") }
+}
+
+/// An [`XmlSink`] that builds an [`Element`] tree, node for node what the
+/// same calls into an [`XmlWriter`] would write.
+///
+/// ```
+/// use pdagent_xml::dom::TreeBuilder;
+/// use pdagent_xml::writer::XmlSink;
+/// let mut b = TreeBuilder::default();
+/// b.start("v");
+/// b.attr("t", "int");
+/// b.text_int(7);
+/// b.end();
+/// assert_eq!(b.finish().to_document_string(),
+///            "<?xml version=\"1.0\" encoding=\"UTF-8\"?><v t=\"int\">7</v>");
+/// ```
+#[derive(Debug, Default)]
+pub struct TreeBuilder {
+    open: Vec<Element>,
+    root: Option<Element>,
+    /// The packed tag of the last element started, while attributes may
+    /// still be added to it.
+    tag: String,
+    tag_open: bool,
+    /// Reused buffer for formatting values.
+    scratch: String,
+}
+
+impl TreeBuilder {
+    /// The finished tree.
+    ///
+    /// # Panics
+    /// Panics if no element was written or one is still open.
+    pub fn finish(self) -> Element {
+        assert!(self.open.is_empty(), "finish() with unclosed elements");
+        self.root.expect("finish() with no element written")
+    }
+
+    /// Store the pending packed tag in its element: its attributes are done.
+    fn close_tag(&mut self) -> &mut Element {
+        let el = self.open.last_mut().expect("no open element");
+        if self.tag_open {
+            el.tag = XmlStr::new(&self.tag);
+            self.tag_open = false;
+        }
+        el
+    }
+}
+
+impl XmlSink for TreeBuilder {
+    fn start(&mut self, name: &str) {
+        if !self.open.is_empty() {
+            self.close_tag();
+        }
+        self.tag.clear();
+        push_piece(&mut self.tag, name);
+        self.tag_open = true;
+        self.open.push(Element::default());
+    }
+    fn attr(&mut self, name: &str, value: &str) {
+        assert!(self.tag_open, "attr() must directly follow start()");
+        push_piece(&mut self.tag, name);
+        push_piece(&mut self.tag, value);
+    }
+    fn attr_int(&mut self, name: &str, value: impl Into<i128>) {
+        self.scratch.clear();
+        push_int(&mut self.scratch, value.into());
+        let value = std::mem::take(&mut self.scratch);
+        self.attr(name, &value);
+        self.scratch = value;
+    }
+    fn text(&mut self, text: &str) {
+        self.close_tag().push_text(text);
+    }
+    fn text_int(&mut self, value: impl Into<i128>) {
+        let mut text = String::new();
+        push_int(&mut text, value.into());
+        self.close_tag().push_text(text);
+    }
+    fn end(&mut self) {
+        self.close_tag();
+        let el = self.open.pop().expect("end() with no open element");
+        match self.open.last_mut() {
+            Some(parent) => parent.push_child(el),
+            None => {
+                assert!(self.root.is_none(), "a document has one root element");
+                self.root = Some(el);
+            }
+        }
     }
 }
 
@@ -322,7 +572,7 @@ mod tests {
         let mut el = Element::new("a");
         el.set_attr("k", "1");
         el.set_attr("k", "2");
-        assert_eq!(el.attrs().len(), 1);
+        assert_eq!(el.attrs().count(), 1);
         assert_eq!(el.attr("k"), Some("2"));
     }
 

@@ -90,6 +90,13 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// Decoders that report errors as text can use `?` on XML results.
+impl From<XmlError> for String {
+    fn from(e: XmlError) -> String {
+        e.to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

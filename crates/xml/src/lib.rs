@@ -10,12 +10,16 @@
 //! (pull parsing, a minimal DOM, and document writing):
 //!
 //! * [`pull`] — an event-based *pull* parser ([`pull::PullParser`]) that yields
-//!   [`pull::XmlEvent`]s one at a time. This is the lowest-allocation way to
-//!   consume a document and is what the higher layers are built on.
+//!   [`pull::XmlEvent`]s one at a time, borrowing from the input. This is the
+//!   lowest-allocation way to consume a document and is what the higher
+//!   layers are built on.
 //! * [`dom`] — a small in-memory tree ([`dom::Element`]) with convenience
 //!   accessors (`child`, `attr`, `text`), built from the pull parser.
 //! * [`writer`] — [`writer::XmlWriter`] for producing well-formed documents,
-//!   with optional pretty-printing.
+//!   with optional pretty-printing, and the [`writer::XmlSink`] trait that
+//!   lets one encoder write either text or a tree.
+//! * [`reader`] — [`reader::DocReader`], which decodes typed values straight
+//!   from the pull parser with the DOM's semantics, no tree built.
 //!
 //! The dialect supported is the subset the PDAgent wire formats need:
 //! elements, attributes (single- or double-quoted), character data, CDATA
@@ -37,10 +41,14 @@
 pub mod dom;
 pub mod error;
 pub mod escape;
+#[cfg(test)]
+mod oracle;
 pub mod pull;
+pub mod reader;
 pub mod writer;
 
-pub use dom::Element;
+pub use dom::{Element, TreeBuilder};
 pub use error::{XmlError, XmlResult};
 pub use pull::{PullParser, XmlEvent};
-pub use writer::XmlWriter;
+pub use reader::{DocReader, Tag};
+pub use writer::{XmlSink, XmlWriter};

@@ -5,7 +5,27 @@
 //! shipped over the wireless link, per the paper's packet-size concern) and
 //! *pretty* (indented, for logs and human inspection).
 
+use std::ops::Range;
+
 use crate::escape::{escape_attr, escape_text};
+
+/// The calls a document encoder makes. [`XmlWriter`] turns them into text;
+/// [`crate::dom::TreeBuilder`] turns them into an [`crate::Element`] tree,
+/// so one encoder serves both the wire form and the DOM form of a format.
+pub trait XmlSink {
+    /// Open an element.
+    fn start(&mut self, name: &str);
+    /// Add an attribute to the element opened by the last `start` call.
+    fn attr(&mut self, name: &str, value: &str);
+    /// Add an attribute whose value is the integer `value` in decimal.
+    fn attr_int(&mut self, name: &str, value: impl Into<i128>);
+    /// Write character data inside the current element.
+    fn text(&mut self, text: &str);
+    /// Write the integer `value` in decimal as character data.
+    fn text_int(&mut self, value: impl Into<i128>);
+    /// Close the most recently opened element.
+    fn end(&mut self);
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -17,7 +37,19 @@ enum State {
     Content,
 }
 
-/// A streaming XML writer.
+/// An element the writer has opened and not yet closed.
+#[derive(Debug)]
+struct Open {
+    /// Where the element's name sits in the output (just after its `<`).
+    name: Range<usize>,
+    /// Set when the element has text content, which suppresses
+    /// pretty-printing for its end tag (so text round-trips exactly).
+    has_text: bool,
+}
+
+/// A streaming XML writer. It appends straight to one output buffer: names
+/// of open elements are kept as ranges of that buffer and escaped text is
+/// copied in clean runs, so writing an element allocates nothing.
 ///
 /// ```
 /// use pdagent_xml::writer::XmlWriter;
@@ -33,24 +65,15 @@ enum State {
 #[derive(Debug)]
 pub struct XmlWriter {
     out: String,
-    stack: Vec<String>,
+    stack: Vec<Open>,
     state: State,
     pretty: bool,
-    /// Set when the current element has text content, which suppresses
-    /// pretty-printing for its end tag (so text round-trips exactly).
-    text_content: Vec<bool>,
 }
 
 impl XmlWriter {
     /// Writer with no inter-tag whitespace (wire form).
     pub fn compact() -> Self {
-        XmlWriter {
-            out: String::new(),
-            stack: Vec::new(),
-            state: State::Start,
-            pretty: false,
-            text_content: Vec::new(),
-        }
+        XmlWriter { out: String::new(), stack: Vec::new(), state: State::Start, pretty: false }
     }
 
     /// Writer that indents nested elements by two spaces.
@@ -67,6 +90,7 @@ impl XmlWriter {
         }
     }
 
+    #[inline]
     fn close_open_tag(&mut self) {
         if self.state == State::TagOpen {
             self.out.push('>');
@@ -87,58 +111,87 @@ impl XmlWriter {
 
     /// Open an element. Attributes may be added until the next `start`,
     /// `text` or `end` call.
+    #[inline]
     pub fn start(&mut self, name: &str) {
         self.close_open_tag();
-        let depth = self.stack.len();
         if self.pretty && !self.current_has_text() {
-            self.newline_indent(depth);
+            self.newline_indent(self.stack.len());
         }
         self.out.push('<');
+        let at = self.out.len();
         self.out.push_str(name);
-        self.stack.push(name.to_owned());
-        self.text_content.push(false);
+        self.stack.push(Open { name: at..self.out.len(), has_text: false });
         self.state = State::TagOpen;
     }
 
     fn current_has_text(&self) -> bool {
-        self.text_content.last().copied().unwrap_or(false)
+        self.stack.last().is_some_and(|open| open.has_text)
+    }
+
+    fn open_name(&self) -> Option<&str> {
+        self.stack.last().map(|open| &self.out[open.name.clone()])
+    }
+
+    #[inline]
+    fn begin_attr(&mut self, name: &str) {
+        assert_eq!(
+            self.state,
+            State::TagOpen,
+            "attr() must directly follow start() (element <{:?}>)",
+            self.open_name()
+        );
+        self.out.push(' ');
+        self.out.push_str(name);
+        self.out.push_str("=\"");
     }
 
     /// Add an attribute to the element opened by the last `start` call.
     ///
     /// # Panics
     /// Panics if called when no start tag is open for attributes.
+    #[inline]
     pub fn attr(&mut self, name: &str, value: &str) {
-        assert_eq!(
-            self.state,
-            State::TagOpen,
-            "attr() must directly follow start() (element <{:?}>)",
-            self.stack.last()
-        );
-        self.out.push(' ');
-        self.out.push_str(name);
-        self.out.push_str("=\"");
-        self.out.push_str(&escape_attr(value));
+        self.begin_attr(name);
+        escape_attr(&mut self.out, value);
         self.out.push('"');
     }
 
-    /// Write escaped character data inside the current element.
-    pub fn text(&mut self, text: &str) {
+    /// Add an attribute whose value is the integer `value` in decimal.
+    ///
+    /// # Panics
+    /// Panics if called when no start tag is open for attributes.
+    pub fn attr_int(&mut self, name: &str, value: impl Into<i128>) {
+        self.begin_attr(name);
+        push_int(&mut self.out, value.into());
+        self.out.push('"');
+    }
+
+    #[inline]
+    fn begin_text(&mut self) {
         self.close_open_tag();
-        if let Some(flag) = self.text_content.last_mut() {
-            *flag = true;
+        if let Some(open) = self.stack.last_mut() {
+            open.has_text = true;
         }
-        self.out.push_str(&escape_text(text));
+    }
+
+    /// Write escaped character data inside the current element.
+    #[inline]
+    pub fn text(&mut self, text: &str) {
+        self.begin_text();
+        escape_text(&mut self.out, text);
+    }
+
+    /// Write the integer `value` in decimal as character data.
+    pub fn text_int(&mut self, value: impl Into<i128>) {
+        self.begin_text();
+        push_int(&mut self.out, value.into());
     }
 
     /// Write a CDATA section. A literal `]]>` in the payload is handled with
     /// the standard section-splitting trick (`]]` ends one section, `>` starts
     /// the next), so any string re-parses identically.
     pub fn cdata(&mut self, data: &str) {
-        self.close_open_tag();
-        if let Some(flag) = self.text_content.last_mut() {
-            *flag = true;
-        }
+        self.begin_text();
         let parts: Vec<&str> = data.split("]]>").collect();
         for (i, part) in parts.iter().enumerate() {
             self.out.push_str("<![CDATA[");
@@ -153,16 +206,26 @@ impl XmlWriter {
         }
     }
 
-    /// Write a comment. `--` inside the payload is replaced by `- -` to keep
-    /// the document well-formed.
+    /// Write a comment. A comment may not contain `--` or end in `-`, so a
+    /// space goes between any two adjacent dashes and after a final dash:
+    /// the comment then re-parses as one comment with that payload.
     pub fn comment(&mut self, text: &str) {
         self.close_open_tag();
-        let depth = self.stack.len();
         if self.pretty && !self.current_has_text() {
-            self.newline_indent(depth);
+            self.newline_indent(self.stack.len());
         }
         self.out.push_str("<!--");
-        self.out.push_str(&text.replace("--", "- -"));
+        let mut prev_dash = false;
+        for ch in text.chars() {
+            if ch == '-' && prev_dash {
+                self.out.push(' ');
+            }
+            self.out.push(ch);
+            prev_dash = ch == '-';
+        }
+        if prev_dash {
+            self.out.push(' ');
+        }
         self.out.push_str("-->");
     }
 
@@ -170,19 +233,19 @@ impl XmlWriter {
     ///
     /// # Panics
     /// Panics if there is no open element.
+    #[inline]
     pub fn end(&mut self) {
-        let name = self.stack.pop().expect("end() with no open element");
-        let had_text = self.text_content.pop().unwrap_or(false);
+        let open = self.stack.pop().expect("end() with no open element");
         match self.state {
             State::TagOpen => {
                 self.out.push_str("/>");
             }
             _ => {
-                if self.pretty && !had_text {
+                if self.pretty && !open.has_text {
                     self.newline_indent(self.stack.len());
                 }
                 self.out.push_str("</");
-                self.out.push_str(&name);
+                self.out.extend_from_within(open.name);
                 self.out.push('>');
             }
         }
@@ -197,7 +260,7 @@ impl XmlWriter {
         assert!(
             self.stack.is_empty(),
             "finish() with unclosed elements: {:?}",
-            self.stack
+            self.stack.iter().map(|open| &self.out[open.name.clone()]).collect::<Vec<_>>()
         );
         if self.pretty && !self.out.ends_with('\n') {
             self.out.push('\n');
@@ -213,6 +276,52 @@ impl XmlWriter {
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.out.is_empty()
+    }
+}
+
+/// Append `value` in decimal: what `Display` writes, without the
+/// formatting machinery (numbers fill the PI's instruction attributes).
+pub(crate) fn push_int(out: &mut String, value: i128) {
+    if value < 0 {
+        out.push('-');
+    }
+    // Every caller passes an `i64` or a `u64`, so the magnitude fits a `u64`
+    // and the digit loop avoids 128-bit division.
+    let Ok(mut n) = u64::try_from(value.unsigned_abs()) else {
+        out.push_str(&value.unsigned_abs().to_string());
+        return;
+    };
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+impl XmlSink for XmlWriter {
+    fn start(&mut self, name: &str) {
+        XmlWriter::start(self, name);
+    }
+    fn attr(&mut self, name: &str, value: &str) {
+        XmlWriter::attr(self, name, value);
+    }
+    fn attr_int(&mut self, name: &str, value: impl Into<i128>) {
+        XmlWriter::attr_int(self, name, value);
+    }
+    fn text(&mut self, text: &str) {
+        XmlWriter::text(self, text);
+    }
+    fn text_int(&mut self, value: impl Into<i128>) {
+        XmlWriter::text_int(self, value);
+    }
+    fn end(&mut self) {
+        XmlWriter::end(self);
     }
 }
 
@@ -294,6 +403,25 @@ mod tests {
         w.start("a");
         w.text("x");
         w.attr("k", "v");
+    }
+
+    #[test]
+    fn comment_dashes_never_close_early() {
+        for (payload, written) in [
+            ("x--->", "<!--x- - ->-->"),
+            ("a---b", "<!--a- - -b-->"),
+            ("end-", "<!--end- -->"),
+            ("-", "<!--- -->"),
+        ] {
+            let mut w = XmlWriter::compact();
+            w.start("a");
+            w.comment(payload);
+            w.end();
+            let s = w.finish();
+            assert_eq!(s, format!("<a>{written}</a>"));
+            let el = Element::parse_str(&s).unwrap();
+            assert_eq!(el.nodes().len(), 1, "{s}");
+        }
     }
 
     #[test]

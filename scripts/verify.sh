@@ -17,10 +17,18 @@ cargo test --offline -q --manifest-path pdbench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
     --workload fleet_ops --seconds 0 > /dev/null
 
-# Codec smoke: one bulk_pi pass pushes a thousand 48 KB PIs through compress
-# and decompress; pdbench exits nonzero if a repeated instance's digest drifts.
-cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
-    --workload bulk_pi --seconds 0 > /dev/null
+# Codec and XML smoke: one traced bulk_pi pass pushes a thousand 48 KB PIs
+# through the streaming XML writer, compress and decompress; pdbench exits
+# nonzero if a repeated instance's digest drifts. Its replay rebuilds every
+# PI and subscription record through the DOM writer and checks them against
+# what the handheld sent, so the streaming writer is held to the DOM's bytes
+# on 48 KB documents too; every deploy must complete.
+bulk=$(cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
+    --workload bulk_pi --seconds 0 --trace 1 | tail -n 1)
+case "$bulk" in
+    *'"failed": 0,'*) ;;
+    *) echo "verify: bulk_pi reported failed deploys: $bulk" >&2; exit 1 ;;
+esac
 
 # VM smoke: one traced roaming pass interprets the ebank agent over 32
 # transactions at 8 bank sites per deploy. pdbench exits nonzero if a traced

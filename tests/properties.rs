@@ -378,7 +378,7 @@ proptest! {
 fn normalize(el: &Element) -> Element {
     let mut out = Element::new(el.name());
     for (k, v) in el.attrs() {
-        out.set_attr(k.clone(), v.clone());
+        out.set_attr(k, v);
     }
     let has_element_child = el.children().next().is_some();
     let mut pending_text = String::new();
