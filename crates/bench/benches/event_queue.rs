@@ -11,8 +11,11 @@ use pdagent_bench::event_queue::{churn_heap, churn_wheel, ChurnPlan, Mix};
 
 const EVENTS: u64 = 10_000;
 
+/// Replays a pre-drawn op stream on one queue implementation.
+type Churn = fn(&ChurnPlan) -> u64;
+
 /// The queues every group compares: `(name, replay)`.
-fn queues() -> [(&'static str, fn(&ChurnPlan) -> u64); 2] {
+fn queues() -> [(&'static str, Churn); 2] {
     [("wheel", churn_wheel), ("heap", churn_heap)]
 }
 

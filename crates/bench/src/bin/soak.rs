@@ -22,7 +22,7 @@ use pdagent_bench::chaos_matrix::{plan_for, run_case};
 use pdagent_bench::report::{
     alerts_json, federation_json, paging_json, slo_json, write_bench_report_with_obs, Json,
 };
-use pdagent_bench::soak::{run_soak, SoakOutcome, SoakSpec};
+use pdagent_bench::soak::{run_soak, Drill, SoakOutcome, SoakSpec};
 use pdagent_net::chaos::{ChaosPlan, FaultKind};
 use pdagent_net::time::SimDuration;
 
@@ -59,30 +59,24 @@ fn main() {
     let cells = devices.div_ceil(DEVICES_PER_CELL).max(1);
     let mut spec = SoakSpec::new(seed, cells, DEVICES_PER_CELL);
     // The operational plane rides along: one SLO monitor per cell scraping
-    // its gateway's /metrics + /healthz and evaluating the default rules.
-    // `SOAK_SLO=0` disables it — the telemetry-overhead ablation knob
-    // (EXPERIMENTS.md measures rules-on vs rules-off with it).
-    spec.slo = std::env::var("SOAK_SLO").map_or(true, |v| v != "0");
-    // The fleet plane rides along too: a federation scraper rolling every
-    // cell monitor up over the WAN, plus the paging gateway its fleet rules
-    // (and the cell monitors) page. `SOAK_FED=0` is the ablation knob — it
-    // must leave the results section byte-identical. `SOAK_FED_CADENCE_MS`
-    // overrides the scrape cadence for the staleness/cadence sweep
-    // (`scripts/fed_cadence.sh`).
-    spec.federation = std::env::var("SOAK_FED").map_or(true, |v| v != "0");
+    // its gateway's /metrics + /healthz and evaluating the default rules,
+    // plus the fleet plane — a federation scraper rolling every cell monitor
+    // up over the WAN, and the paging gateway its fleet rules (and the cell
+    // monitors) page. `SOAK_FED_CADENCE_MS` overrides the scrape cadence for
+    // the staleness/cadence sweep (`scripts/fed_cadence.sh`).
+    spec.slo = true;
+    spec.federation = true;
     let cadence_ms = std::env::var("SOAK_FED_CADENCE_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .filter(|&ms| ms > 0);
-    // Congestion-sweep knobs: fan-in window / batch size, plus the delta
-    // ablation (`SOAK_FED_DELTA=0` forces full snapshots every round).
+    // Congestion-sweep knobs: fan-in window / batch size.
     if let Some(n) = std::env::var("SOAK_FED_INFLIGHT").ok().and_then(|v| v.parse().ok()) {
         spec.fed.max_inflight = n;
     }
     if let Some(n) = std::env::var("SOAK_FED_BATCH").ok().and_then(|v| v.parse().ok()) {
         spec.fed.batch = n;
     }
-    spec.fed.delta = std::env::var("SOAK_FED_DELTA").map_or(true, |v| v != "0");
     if let Some(ms) = cadence_ms {
         spec.fed.cadence = SimDuration::from_millis(ms);
         // Hold the federated horizon fixed (~60 s of scrape coverage) so the
@@ -191,90 +185,62 @@ fn main() {
         );
     }
 
-    if let Some(fed) = &base.federation {
+    let fed = base.federation.as_ref().expect("federation report");
+    println!(
+        "\nfederation: {} cells x {} rounds @ {cadence_ms} ms cadence; {} scrapes ok, {} failed, {} series dropped; staleness p50 {} us p99 {} us; {} fleet rules, {} unresolved",
+        fed.cells,
+        fed.rounds,
+        fed.scrapes_ok,
+        fed.scrape_failures,
+        fed.dropped_series,
+        fed.staleness.p50(),
+        fed.staleness.p99(),
+        fed.slo.len(),
+        fed.breached
+    );
+
+    // Paging drill: the whole notification path — fire, deliver, escalate,
+    // ack by the secondary — exercised and timed on the small drill soak,
+    // which shares the seed but not the fleet-size knobs (3 cells is enough
+    // to fire one page per cell).
+    let paging = run_soak(&SoakSpec::drill(seed, Drill::Escalation))
+        .paging
+        .expect("drill paging report");
+    println!(
+        "paging drill: {} fired, {} delivered, {} escalated, {} dropped; delivery p50 {} us p99 {} us",
+        paging.fired,
+        paging.delivered,
+        paging.escalated,
+        paging.dropped,
+        paging.delivery.p50(),
+        paging.delivery.p99()
+    );
+
+    // Paging-path chaos drill: the pager↔on-call cut swallows each page's
+    // first delivery attempt, so the retry path, the `page.deliver` SLO rule
+    // on the notification path, and the exemplar plumbing (breach edge →
+    // page → /traces) are all exercised end to end.
+    let page_drill = run_soak(&SoakSpec::drill(seed, Drill::PagerOutage));
+    let page_paging = page_drill.paging.as_ref().expect("page drill paging report");
+    println!(
+        "page-chaos drill: {} fired, {} delivered through the cut ({} dropped); delivery max {} us; {} exemplar page(s)",
+        page_paging.fired,
+        page_paging.delivered,
+        page_paging.dropped,
+        page_paging.delivery.max(),
+        page_drill.exemplar_pages
+    );
+    for r in &page_drill.page_slo {
         println!(
-            "\nfederation: {} cells x {} rounds @ {cadence_ms} ms cadence; {} scrapes ok, {} failed, {} series dropped; staleness p50 {} us p99 {} us; {} fleet rules, {} unresolved",
-            fed.cells,
-            fed.rounds,
-            fed.scrapes_ok,
-            fed.scrape_failures,
-            fed.dropped_series,
-            fed.staleness.p50(),
-            fed.staleness.p99(),
-            fed.slo.len(),
-            fed.breached
+            "  {:<20} limit {:>10}  evals {:>4}  fired {}  resolved {}  {}",
+            r.name,
+            r.limit,
+            r.evaluations,
+            r.fired,
+            r.resolved,
+            if r.breached { "BREACHED" } else { "ok" }
         );
     }
-
-    // Paging drill: a small chaos soak with an on-call who never acks and a
-    // 500 ms escalation tick, so the whole notification path — fire, deliver,
-    // escalate, ack by the secondary — is exercised and timed inside the
-    // ~3 s window before the alert resolves and closes the page. Runs only
-    // when the fleet plane is on; the drill shares the seed but not the
-    // fleet-size knobs (3 cells is enough to fire one page per cell).
-    let drill = spec.federation.then(|| {
-        let mut d = SoakSpec::new(seed, 3, 2);
-        d.pi_pad = 4 * 1024;
-        d.slo = true;
-        d.observe = true;
-        d.chaos = true;
-        d.federation = true;
-        d.oncall_ack = None;
-        d.escalation_tick = SimDuration::from_millis(500);
-        let out = run_soak(&d);
-        let p = out.paging.clone().expect("drill paging report");
-        println!(
-            "paging drill: {} fired, {} delivered, {} escalated, {} dropped; delivery p50 {} us p99 {} us",
-            p.fired,
-            p.delivered,
-            p.escalated,
-            p.dropped,
-            p.delivery.p50(),
-            p.delivery.p99()
-        );
-        p
-    });
-
-    // Paging-path chaos drill: a ChaosPlan cut across the pager↔on-call
-    // links swallows each page's first delivery attempt, so the retry path,
-    // the `page.deliver` SLO rule on the notification path, and the exemplar
-    // plumbing (breach edge → page → /traces) are all exercised end to end.
-    // The 2 s backoff retries once the cut lifts; the 500 ms ack beats the
-    // cell alerts' resolve edge that would otherwise close the pages.
-    let page_drill = spec.federation.then(|| {
-        let mut d = SoakSpec::new(seed, 3, 2);
-        d.pi_pad = 4 * 1024;
-        d.slo = true;
-        d.observe = true;
-        d.chaos = true;
-        d.federation = true;
-        d.sample = true;
-        d.page_chaos = true;
-        d.page_backoff = SimDuration::from_secs(2);
-        d.oncall_ack = Some(SimDuration::from_millis(500));
-        let out = run_soak(&d);
-        let p = out.paging.as_ref().expect("page drill paging report");
-        println!(
-            "page-chaos drill: {} fired, {} delivered through the cut ({} dropped); delivery max {} us; {} exemplar page(s)",
-            p.fired,
-            p.delivered,
-            p.dropped,
-            p.delivery.max(),
-            out.exemplar_pages
-        );
-        for r in &out.page_slo {
-            println!(
-                "  {:<20} limit {:>10}  evals {:>4}  fired {}  resolved {}  {}",
-                r.name,
-                r.limit,
-                r.evaluations,
-                r.fired,
-                r.resolved,
-                if r.breached { "BREACHED" } else { "ok" }
-            );
-        }
-        out
-    });
 
     // Chaos ride-along (`SOAK_CHAOS=1`): re-run the soak spec under a mixed
     // fault schedule (loss + duplication bursts, a gateway crash window, a
@@ -364,40 +330,28 @@ fn main() {
             "trace_probe_ok",
             u64::from(!sample || base.trace_probe.starts_with("traces ")).into(),
         ),
-        (
-            "page_drill_fired",
-            page_drill.as_ref().map_or(0, |d| d.page_slo.iter().map(|r| r.fired).sum()).into(),
-        ),
+        ("page_drill_fired", page_drill.page_slo.iter().map(|r| r.fired).sum::<u64>().into()),
         (
             "page_drill_resolved",
-            page_drill
-                .as_ref()
-                .map_or(0, |d| d.page_slo.iter().map(|r| r.resolved).sum())
-                .into(),
+            page_drill.page_slo.iter().map(|r| r.resolved).sum::<u64>().into(),
         ),
-        ("exemplar_pages", page_drill.as_ref().map_or(0, |d| d.exemplar_pages).into()),
+        ("exemplar_pages", page_drill.exemplar_pages.into()),
         (
             "exemplar_probe_ok",
-            u64::from(page_drill.as_ref().is_none_or(|d| {
-                d.exemplar_probe.as_ref().is_some_and(|(_, body)| !body.contains("not retained"))
-            }))
+            u64::from(
+                page_drill
+                    .exemplar_probe
+                    .as_ref()
+                    .is_some_and(|(_, body)| !body.contains("not retained")),
+            )
             .into(),
         ),
         ("scaling", Json::Arr(partitions)),
         ("slo", slo_json(&base.slo)),
         ("alerts", alerts_json(&base.alerts)),
+        ("federation", federation_json(fed, cadence_ms)),
+        ("paging", paging_json(&paging)),
     ]);
-    // With `SOAK_FED=0` both sections are absent, which `bench_diff.sh`
-    // treats as "gate not applicable" rather than a regression.
-    let results = match (&base.federation, &drill) {
-        (Some(fed), Some(paging)) => {
-            let Json::Obj(mut pairs) = results else { unreachable!("results is an object") };
-            pairs.push(("federation".to_owned(), federation_json(fed, cadence_ms)));
-            pairs.push(("paging".to_owned(), paging_json(paging)));
-            Json::Obj(pairs)
-        }
-        _ => results,
-    };
     // Only with `SOAK_CHAOS=1`, so default reports keep their historical key
     // set and `bench_diff.sh` baselines never churn.
     let results = match &chaos_ride {
@@ -444,30 +398,23 @@ fn main() {
     if reduction < 5.0 {
         fail(format!("batching saved only {reduction:.1}x events (need ≥5x)"), &base);
     }
-    if spec.slo {
-        if base.slo.len() < 3 || base.slo.iter().any(|r| r.evaluations == 0) {
-            fail(format!("need ≥3 evaluated SLO rules, got {:?}", base.slo), &base);
-        }
-        if base.unresolved_alerts > 0 {
-            fail(
-                format!("{} SLO alert(s) fired and never resolved", base.unresolved_alerts),
-                &base,
-            );
-        }
+    if base.slo.len() < 3 || base.slo.iter().any(|r| r.evaluations == 0) {
+        fail(format!("need ≥3 evaluated SLO rules, got {:?}", base.slo), &base);
     }
-    if let Some(fed) = &base.federation {
-        if fed.scrape_failures > 0 || fed.dropped_series > 0 {
-            fail(
-                format!(
-                    "federation degraded: {} scrape failures, {} series dropped",
-                    fed.scrape_failures, fed.dropped_series
-                ),
-                &base,
-            );
-        }
-        if fed.slo.is_empty() || fed.breached > 0 {
-            fail(format!("fleet rules unhealthy: {:?}", fed.slo), &base);
-        }
+    if base.unresolved_alerts > 0 {
+        fail(format!("{} SLO alert(s) fired and never resolved", base.unresolved_alerts), &base);
+    }
+    if fed.scrape_failures > 0 || fed.dropped_series > 0 {
+        fail(
+            format!(
+                "federation degraded: {} scrape failures, {} series dropped",
+                fed.scrape_failures, fed.dropped_series
+            ),
+            &base,
+        );
+    }
+    if fed.slo.is_empty() || fed.breached > 0 {
+        fail(format!("fleet rules unhealthy: {:?}", fed.slo), &base);
     }
     if sample {
         let s = base.sampler.as_ref().unwrap_or_else(|| {
@@ -488,57 +435,48 @@ fn main() {
     } else if base.sampler.is_some() {
         fail("SOAK_SAMPLE=0 but sampler stats present".into(), &base);
     }
-    if let Some(paging) = &drill {
-        // The drill's on-call never acks, so every page must both escalate
-        // and still land (the secondary acks); a dropped page means the
-        // notification path lost an alert outright.
-        if paging.fired == 0 || paging.dropped > 0 {
-            fail(
-                format!(
-                    "paging drill broken: {} fired, {} dropped",
-                    paging.fired, paging.dropped
-                ),
-                &base,
-            );
-        }
-        if paging.escalated == 0 || paging.delivered < paging.fired {
-            fail(
-                format!(
-                    "paging drill must escalate and deliver every page: {} fired, {} delivered, {} escalated",
-                    paging.fired, paging.delivered, paging.escalated
-                ),
-                &base,
-            );
-        }
+    // The drill's on-call never acks, so every page must both escalate and
+    // still land (the secondary acks); a dropped page means the notification
+    // path lost an alert outright.
+    if paging.fired == 0 || paging.dropped > 0 {
+        fail(
+            format!("paging drill broken: {} fired, {} dropped", paging.fired, paging.dropped),
+            &base,
+        );
     }
-    if let Some(d) = &page_drill {
-        let p = d.paging.as_ref().expect("page drill paging report");
-        if p.dropped > 0 || p.delivered < p.fired {
-            fail(
-                format!(
-                    "page-chaos drill lost pages: {} fired, {} delivered, {} dropped",
-                    p.fired, p.delivered, p.dropped
-                ),
-                d,
-            );
-        }
-        let rule = d.page_slo.iter().find(|r| r.name == "page-delivery-p99");
-        match rule {
-            Some(r) if r.fired >= 1 && r.resolved == r.fired => {}
-            other => fail(format!("page-delivery SLO did not breach+resolve: {other:?}"), d),
-        }
-        if d.exemplar_pages == 0 {
-            fail("no page carried an exemplar trace id".into(), d);
-        }
-        match &d.exemplar_probe {
-            Some((trace, body)) if !body.contains("not retained") => {
-                println!("exemplar trace {trace:012} resolves via /traces");
-            }
-            other => fail(
-                format!("breach exemplar did not resolve to a retained trace: {other:?}"),
-                d,
+    if paging.escalated == 0 || paging.delivered < paging.fired {
+        fail(
+            format!(
+                "paging drill must escalate and deliver every page: {} fired, {} delivered, {} escalated",
+                paging.fired, paging.delivered, paging.escalated
             ),
+            &base,
+        );
+    }
+    if page_paging.dropped > 0 || page_paging.delivered < page_paging.fired {
+        fail(
+            format!(
+                "page-chaos drill lost pages: {} fired, {} delivered, {} dropped",
+                page_paging.fired, page_paging.delivered, page_paging.dropped
+            ),
+            &page_drill,
+        );
+    }
+    match page_drill.page_slo.iter().find(|r| r.name == "page-delivery-p99") {
+        Some(r) if r.fired >= 1 && r.resolved == r.fired => {}
+        other => fail(format!("page-delivery SLO did not breach+resolve: {other:?}"), &page_drill),
+    }
+    if page_drill.exemplar_pages == 0 {
+        fail("no page carried an exemplar trace id".into(), &page_drill);
+    }
+    match &page_drill.exemplar_probe {
+        Some((trace, body)) if !body.contains("not retained") => {
+            println!("exemplar trace {trace:012} resolves via /traces");
         }
+        other => fail(
+            format!("breach exemplar did not resolve to a retained trace: {other:?}"),
+            &page_drill,
+        ),
     }
     if let Some((plan, result)) = &chaos_ride {
         if !result.violations.is_empty() {

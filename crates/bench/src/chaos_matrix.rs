@@ -501,6 +501,10 @@ mod tests {
     use pdagent_net::paging::PagingReport;
     use pdagent_net::time::SimTime;
 
+    /// A synthetic violation: a mutation of a healthy outcome and the
+    /// invariant it must trip.
+    type SyntheticCase = (Box<dyn Fn(&mut SoakOutcome)>, &'static str);
+
     /// One tiny chaos-free soak, reused (via clone) as the base evidence for
     /// every synthetic-violation unit test below.
     fn tiny_outcome() -> SoakOutcome {
@@ -534,7 +538,7 @@ mod tests {
 
         // (mutator, expected violated invariant) — one synthetic violation
         // per registered invariant.
-        let cases: Vec<(Box<dyn Fn(&mut SoakOutcome)>, &str)> = vec![
+        let cases: Vec<SyntheticCase> = vec![
             (Box::new(|o| o.lost_agents = 1), "no-lost-agents"),
             (Box::new(|o| o.duplicate_executions = 2), "no-duplicate-execution"),
             (Box::new(|o| o.replay_overflow = 3), "replay-cache-safety"),
@@ -566,6 +570,47 @@ mod tests {
             assert_eq!(vs.len(), 1, "{expect}: expected exactly one violation, got {vs:?}");
             assert_eq!(vs[0].invariant, expect);
             assert_eq!(vs[0].phase, "quiesce");
+        }
+    }
+
+    /// Every shard compiles the full plan, and a shard that does not host a
+    /// fault's target must skip it: the injectors' summed activity is the
+    /// same at 1 and 2 shards, and the only extra event is the second
+    /// shard's injector start.
+    #[test]
+    fn plan_faults_apply_only_where_their_nodes_live() {
+        const KEYS: [&str; 9] = [
+            "chaos.link_down",
+            "chaos.link_up",
+            "chaos.blackout_down",
+            "chaos.blackout_up",
+            "chaos.crashes",
+            "chaos.resumes",
+            "chaos.skew_steps",
+            "chaos.burst_on",
+            "chaos.burst_off",
+        ];
+        for kind in FaultKind::all() {
+            let run = |shards: usize| {
+                let mut spec = matrix_spec(42);
+                spec.shards = shards;
+                spec.chaos_plan = Some(plan_for(kind, 0.5, spec.devices_per_cell));
+                // Counters only grow, so the last barrier's sums are the
+                // largest seen; every fault window closes long before the
+                // run drains.
+                let mut sums = [0u64; KEYS.len()];
+                let out = run_soak_with(&spec, &mut |_, shards| {
+                    for (sum, key) in sums.iter_mut().zip(KEYS) {
+                        *sum = shards.iter().map(|s| s.counter_total(key) as u64).sum();
+                    }
+                });
+                (sums, out.events)
+            };
+            let (one, one_events) = run(1);
+            let (two, two_events) = run(2);
+            assert!(one.iter().any(|&n| n > 0), "{kind:?}: plan injected nothing");
+            assert_eq!(one, two, "{kind:?}: chaos activity {KEYS:?} moved with the shard count");
+            assert_eq!(two_events, one_events + 1, "{kind:?}: phantom fault timers fired");
         }
     }
 

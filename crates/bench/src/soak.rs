@@ -53,12 +53,11 @@ const PAGER_LABEL: u64 = 3;
 const ONCALL_LABEL: u64 = 4;
 /// Label of the escalation page receiver (shard 0).
 const ONCALL_ESC_LABEL: u64 = 5;
-/// Label of the notification-path monitor (page-chaos drill, shard 0).
+/// Label of the notification-path monitor ([`Drill::PagerOutage`], shard 0).
 const PAGER_MON_LABEL: u64 = 6;
-/// Label of the drill's pager↔on-call link chaos injector (shard 0).
-const PAGER_CHAOS_LABEL: u64 = 7;
 /// Label of the per-shard [`ChaosInjector`] compiling
-/// [`SoakSpec::chaos_plan`] (one per shard, never exported).
+/// [`SoakSpec::chaos_plan`] plus the drill's faults (one per shard, never
+/// exported).
 const GLOBAL_CHAOS_LABEL: u64 = 8;
 
 /// e-bank transactions per device session.
@@ -150,6 +149,63 @@ pub fn default_slo_rules() -> Vec<SloRule> {
     ]
 }
 
+/// A scripted incident drill. Every drill cuts each cell's monitor↔gateway
+/// link across the round-2 scrape (9.5 s – 11.9 s): the request retransmits
+/// after the 2 s RTO into a multi-second RTT, so the scrape-latency p99 rule
+/// fires and then resolves once per cell. Only monitor links are touched,
+/// never device traffic. The variants differ in what the paging plane (with
+/// [`SoakSpec::federation`]) does with those alerts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drill {
+    /// The scrape outage alone; the on-call acks each page after 2 s.
+    ScrapeOutage,
+    /// The on-call never acks and the escalation tick is 500 ms, so every
+    /// page escalates and the secondary acks it — the whole notification
+    /// path, inside the ~3 s window before the alert resolves.
+    Escalation,
+    /// Also cut the pager↔on-call link across the window where the cell
+    /// alerts page (11.5 s – 12.5 s), and run a monitor holding the paging
+    /// gateway's own `page.deliver` p99 to 2 s. The first delivery is lost;
+    /// a 2 s retry backoff lands it once the link is back, and a 500 ms ack
+    /// beats the cell alerts' resolve edge that would otherwise close it.
+    PagerOutage,
+}
+
+/// Primary on-call pickup time (`None` never acks), page retry backoff and
+/// escalation tick (a page unacked for two ticks escalates) under `drill`.
+/// Without a drill the 30 s backoff never retries inside the run and the
+/// 60 s tick never escalates.
+fn paging_knobs(drill: Option<Drill>) -> (Option<SimDuration>, SimDuration, SimDuration) {
+    let secs = SimDuration::from_secs;
+    match drill {
+        None | Some(Drill::ScrapeOutage) => (Some(secs(2)), secs(30), secs(60)),
+        Some(Drill::Escalation) => (None, secs(30), SimDuration::from_millis(500)),
+        Some(Drill::PagerOutage) => (Some(SimDuration::from_millis(500)), secs(2), secs(60)),
+    }
+}
+
+/// The fault windows `spec.drill` adds to the run's fault schedule: one
+/// monitor↔gateway cut per cell (when monitors run) and, for
+/// [`Drill::PagerOutage`] with the paging plane on, the pager↔on-call cut.
+fn drill_faults(spec: &SoakSpec, plan: &ShardPlan) -> Vec<Fault> {
+    let Some(drill) = spec.drill.filter(|_| spec.slo) else { return Vec::new() };
+    let ms = SimDuration::from_millis;
+    let mut faults: Vec<Fault> = (0..spec.cells)
+        .map(|cell| {
+            Fault::partition(
+                plan.label(cell, J_DEVICE0 + spec.devices_per_cell),
+                plan.label(cell, J_GATEWAY),
+                ms(9_500),
+                ms(11_900),
+            )
+        })
+        .collect();
+    if drill == Drill::PagerOutage && spec.federation {
+        faults.push(Fault::partition(PAGER_LABEL, ONCALL_LABEL, ms(11_500), ms(12_500)));
+    }
+    faults
+}
+
 /// Soak parameters.
 #[derive(Debug, Clone)]
 pub struct SoakSpec {
@@ -179,12 +235,9 @@ pub struct SoakSpec {
     pub slo: bool,
     /// Scrape rounds each monitor runs (bounded so the sim drains).
     pub monitor_rounds: u32,
-    /// Cut each monitor↔gateway link over a fixed window (9.5 s – 11.9 s),
-    /// forcing the round-2 scrape to retransmit into a multi-second RTT —
-    /// the injected-latency scenario that makes the p99 rule fire and then
-    /// resolve. Implies nothing about device traffic: only monitor links are
-    /// touched.
-    pub chaos: bool,
+    /// The incident drill to run (needs `slo`; its paging half needs
+    /// `federation`). Its faults join [`SoakSpec::chaos_plan`]'s.
+    pub drill: Option<Drill>,
     /// Run the fleet plane (needs `slo`): a [`FederationScraper`] in shard 0
     /// scraping every cell monitor's cell view over the WAN, plus a
     /// [`PagingGateway`] with two on-call receivers that monitors and the
@@ -194,15 +247,6 @@ pub struct SoakSpec {
     /// The federation scraper's knobs (cadence, rounds, delta mode, fan-in
     /// window, staleness bound); [`run_soak`] fills in `rules` and `pager`.
     pub fed: FederationSpec,
-    /// Primary on-call pickup time (`None` never acks, forcing escalation —
-    /// the paging-drill configuration).
-    pub oncall_ack: Option<SimDuration>,
-    /// Paging escalation tick: a page unacked for two ticks escalates.
-    pub escalation_tick: SimDuration,
-    /// Page delivery retry backoff (doubles per attempt). The production-ish
-    /// 30 s default never retries inside a drill window; the page-chaos
-    /// drill shortens it so a retry lands after the injected outage lifts.
-    pub page_backoff: SimDuration,
     /// Tail-sample every shard collector (needs `observe`): spans buffer
     /// per-trace and only alert-touched, slow, or head-sampled traces are
     /// retained. `false` keeps the store-everything collector whose scrape
@@ -211,12 +255,6 @@ pub struct SoakSpec {
     /// Sampler knobs used when `sample` is set. `new()` seeds the
     /// head-sample stream from the trial seed.
     pub sampler_cfg: SamplerConfig,
-    /// The notification-path chaos drill (needs `slo && federation`): cut
-    /// the pager↔on-call link across the window where cell alerts page, and
-    /// run a dedicated monitor scraping the paging gateway's own `/metrics`
-    /// with a `page.deliver` p99 rule — paging the pager about its own
-    /// degraded delivery path, exemplar attached.
-    pub page_chaos: bool,
     /// A declarative fault schedule compiled by one [`ChaosInjector`] per
     /// shard. Faults address nodes by their stable plan labels, so the same
     /// plan replays byte-identically at every shard count. `None` (and an
@@ -244,18 +282,28 @@ impl SoakSpec {
             observe: false,
             slo: false,
             monitor_rounds: 6,
-            chaos: false,
+            drill: None,
             federation: false,
             fed: FederationSpec::default(),
-            oncall_ack: Some(SimDuration::from_secs(2)),
-            escalation_tick: SimDuration::from_secs(60),
-            page_backoff: SimDuration::from_secs(30),
             sample: false,
             sampler_cfg: SamplerConfig { seed, ..SamplerConfig::default() },
-            page_chaos: false,
             chaos_plan: None,
             gateway_replay_cap: 16,
         }
+    }
+
+    /// The 3-cell × 2-device drill soak (4 KB PI pad) with SLO monitors,
+    /// observability and the fleet plane on. [`Drill::PagerOutage`] also
+    /// tail-samples, so its breach exemplar resolves to a retained trace.
+    pub fn drill(seed: u64, drill: Drill) -> SoakSpec {
+        let mut spec = SoakSpec::new(seed, 3, 2);
+        spec.pi_pad = 4 * 1024;
+        spec.slo = true;
+        spec.observe = true;
+        spec.federation = true;
+        spec.sample = drill == Drill::PagerOutage;
+        spec.drill = Some(drill);
+        spec
     }
 
     /// Total devices across all cells.
@@ -354,7 +402,7 @@ pub struct SoakOutcome {
     /// that recorded the edge (`None` when no fired edge carried one).
     pub exemplar_probe: Option<(u64, String)>,
     /// The notification-path monitor's per-rule digests (empty unless
-    /// `page_chaos`).
+    /// [`Drill::PagerOutage`] runs with the fleet plane).
     pub page_slo: Vec<SloReport>,
     /// Devices whose deploy dispatched an agent but at quiesce neither
     /// collected a result nor recorded any error — plus devices stuck
@@ -577,8 +625,8 @@ fn build_cell(
             rules: default_slo_rules(),
             ..MonitorSpec::default()
         };
-        if !spec.chaos {
-            // Stagger cadences so cells don't scrape in lockstep; chaos runs
+        if spec.drill.is_none() {
+            // Stagger cadences so cells don't scrape in lockstep; drills
             // keep the plain 5 s cadence so the round-2 scrape of every cell
             // lands inside the outage window.
             mon_spec.cadence = SimDuration::from_millis(5_000 + 41 * cell as u64);
@@ -604,22 +652,6 @@ fn build_cell(
             // Pages ride the WAN backbone: the gateway may live in another
             // shard, and the backbone latency satisfies the lookahead bound.
             sim.connect(mon, pager, LinkSpec::wan_backbone());
-        }
-        if spec.chaos {
-            // Cut the monitor↔gateway link across the round-2 scrape: the
-            // request retransmits after the 2 s RTO and lands once the link
-            // is back, so the observed RTT blows through the 1 s p99 budget.
-            // Expressed as a one-fault ChaosPlan: the injector emits the same
-            // two timers (cut, heal) at the same instants and bumps the same
-            // chaos.link_down/chaos.link_up keys the old bespoke node did.
-            let drill = ChaosPlan::new().with(Fault::partition(
-                plan.label(cell, J_DEVICE0 + spec.devices_per_cell),
-                plan.label(cell, J_GATEWAY),
-                SimDuration::from_millis(9_500),
-                SimDuration::from_millis(11_900),
-            ));
-            let chaos = sim.add_node(Box::new(ChaosInjector::new(drill)));
-            sim.set_label(chaos, plan.label(cell, J_DEVICE0 + spec.devices_per_cell + 1));
         }
         Some(mon)
     } else {
@@ -650,7 +682,14 @@ pub fn run_soak_with(
     let mut coordinator_home: NodeId = 0;
     // The fleet plane needs cell monitors to federate and page from.
     let federation = spec.federation && spec.slo;
-    let page_chaos = spec.page_chaos && federation;
+    let pager_outage = federation && spec.drill == Some(Drill::PagerOutage);
+    let (oncall_ack, page_backoff, escalation_tick) = paging_knobs(spec.drill);
+    // The declarative fault schedule: the caller's plan plus the drill's
+    // windows. An absent (or inert — every intensity at zero) schedule adds
+    // no injector, leaving node ids, event counts, and therefore every RNG
+    // stream and seq number untouched.
+    let mut fault_plan = spec.chaos_plan.clone().unwrap_or_default();
+    fault_plan.faults.extend(drill_faults(spec, &plan));
     let mut fed_home: NodeId = 0;
     let mut pager_home: NodeId = 0;
     let mut oncall_home: NodeId = 0;
@@ -684,15 +723,15 @@ pub fn run_soak_with(
         // placeholder over the WAN backbone.
         let pager = if federation {
             Some(if s == 0 {
-                let oncall = sim.add_node(Box::new(PageReceiver::new(spec.oncall_ack)));
+                let oncall = sim.add_node(Box::new(PageReceiver::new(oncall_ack)));
                 sim.set_label(oncall, ONCALL_LABEL);
                 let esc =
                     sim.add_node(Box::new(PageReceiver::new(Some(SimDuration::from_secs(1)))));
                 sim.set_label(esc, ONCALL_ESC_LABEL);
                 let mut route = Route::new(Severity::Critical, oncall).with_escalation(esc);
-                route.backoff = spec.page_backoff;
+                route.backoff = page_backoff;
                 let mut policy = RoutePolicy::new(vec![route]);
-                policy.tick = spec.escalation_tick;
+                policy.tick = escalation_tick;
                 let pg = sim.add_node(Box::new(PagingGateway::new(policy)));
                 sim.set_label(pg, PAGER_LABEL);
                 sim.connect(pg, oncall, LinkSpec::wired_internet());
@@ -700,11 +739,11 @@ pub fn run_soak_with(
                 oncall_home = oncall;
                 esc_home = esc;
                 pager_home = pg;
-                if page_chaos {
+                if pager_outage {
                     // The notification-path drill: a dedicated monitor
                     // scrapes the paging gateway's own `/metrics` and holds
                     // its delivery latency to a 2 s p99 — paging the pager
-                    // (exemplar attached) when the drilled outage below
+                    // (exemplar attached) when the drilled pager↔on-call cut
                     // stretches fire→ack past the budget.
                     let mon_spec = MonitorSpec {
                         rounds: spec.monitor_rounds,
@@ -723,17 +762,6 @@ pub fn run_soak_with(
                     sim.set_label(pmon, PAGER_MON_LABEL);
                     sim.connect(pmon, pg, LinkSpec::wired_internet());
                     pager_mon_home = Some(pmon);
-                    // Cut the pager↔on-call link across the window where the
-                    // cell alerts page (~12.1 s): the first delivery is
-                    // lost, and only a post-restore retry can land it.
-                    let drill = ChaosPlan::new().with(Fault::partition(
-                        PAGER_LABEL,
-                        ONCALL_LABEL,
-                        SimDuration::from_millis(11_500),
-                        SimDuration::from_millis(12_500),
-                    ));
-                    let chaos = sim.add_node(Box::new(ChaosInjector::new(drill)));
-                    sim.set_label(chaos, PAGER_CHAOS_LABEL);
                 }
                 pg
             } else {
@@ -795,17 +823,12 @@ pub fn run_soak_with(
                 }
             }
         }
-        // The declarative fault schedule: one injector per shard holding the
-        // full plan. Link faults apply wherever both endpoint labels resolve
-        // (locally or as remote placeholders); node faults only where the
-        // node lives. Added last so an absent (or inert — every intensity at
-        // zero) plan leaves node ids, event counts, and therefore every RNG
-        // stream and seq number untouched.
-        if let Some(cp) = &spec.chaos_plan {
-            if !cp.is_inert() {
-                let inj = sim.add_node(Box::new(ChaosInjector::new(cp.clone())));
-                sim.set_label(inj, GLOBAL_CHAOS_LABEL);
-            }
+        // One injector per shard holding the full schedule, added last. Link
+        // faults apply wherever both endpoint labels resolve (locally or as
+        // remote placeholders); node faults only where the node lives.
+        if !fault_plan.is_inert() {
+            let inj = sim.add_node(Box::new(ChaosInjector::new(fault_plan.clone())));
+            sim.set_label(inj, GLOBAL_CHAOS_LABEL);
         }
         shards.push(sim);
     }
@@ -1225,7 +1248,7 @@ mod tests {
         calm.slo = true;
         calm.observe = true;
         let mut stormy = calm.clone();
-        stormy.chaos = true;
+        stormy.drill = Some(Drill::ScrapeOutage);
         let calm_out = run_soak(&calm);
         let out = run_soak(&stormy);
 
@@ -1450,12 +1473,7 @@ mod tests {
 
     #[test]
     fn chaos_with_federation_delivers_pages() {
-        let mut spec = tiny(21);
-        spec.slo = true;
-        spec.observe = true;
-        spec.chaos = true;
-        spec.federation = true;
-        let out = run_soak(&spec);
+        let out = run_soak(&SoakSpec::drill(21, Drill::ScrapeOutage));
 
         // Chaos fires the latency rule once per cell; each edge pages the
         // gateway, the on-call receiver acks after its 2 s think time, and
@@ -1475,6 +1493,19 @@ mod tests {
         assert!(out.flight.iter().any(|(n, _)| n == "pager"), "pager flight dump captured");
         let dump = &out.flight.iter().find(|(n, _)| n == "pager").unwrap().1;
         assert!(dump.contains("page.deliver"), "delivery spans recorded");
+    }
+
+    #[test]
+    fn escalation_drill_escalates_and_delivers_every_page() {
+        let out = run_soak(&SoakSpec::drill(42, Drill::Escalation));
+        // The on-call never acks, so each cell's page escalates after two
+        // 500 ms ticks and the secondary acks it; none may be lost.
+        let paging = out.paging.as_ref().expect("paging report");
+        assert_eq!(paging.fired, 3, "one page per cell alert");
+        assert_eq!(paging.dropped, 0);
+        assert_eq!(paging.escalated, paging.fired, "every page escalates: {paging:?}");
+        assert_eq!(paging.delivered, paging.fired, "every page lands: {paging:?}");
+        assert_eq!(out.unresolved_alerts, 0);
     }
 
     #[test]
@@ -1525,7 +1556,7 @@ mod tests {
         let mut spec = tiny(28);
         spec.slo = true;
         spec.observe = true;
-        spec.chaos = true;
+        spec.drill = Some(Drill::ScrapeOutage);
         spec.sample = true;
         let out = run_soak(&spec);
         // The chaos soak fires one latency alert per cell; each episode's
@@ -1545,19 +1576,7 @@ mod tests {
 
     #[test]
     fn page_chaos_drill_breaches_delivery_slo_with_exemplar() {
-        let mut spec = tiny(29);
-        spec.slo = true;
-        spec.observe = true;
-        spec.chaos = true;
-        spec.federation = true;
-        spec.sample = true;
-        spec.page_chaos = true;
-        // A retry two seconds after the lost first delivery lands once the
-        // injected outage lifts — and the on-call picks up fast enough to
-        // beat the cell alerts' resolve edge closing the pages.
-        spec.page_backoff = SimDuration::from_secs(2);
-        spec.oncall_ack = Some(SimDuration::from_millis(500));
-        let out = run_soak(&spec);
+        let out = run_soak(&SoakSpec::drill(29, Drill::PagerOutage));
 
         // The cut link delayed but did not lose the pages.
         let paging = out.paging.as_ref().expect("paging report");
@@ -1600,15 +1619,9 @@ mod tests {
 
     #[test]
     fn page_chaos_drill_leaves_results_untouched() {
-        let mut base = tiny(30);
-        base.slo = true;
-        base.observe = true;
-        base.chaos = true;
-        base.federation = true;
-        let mut drill = base.clone();
-        drill.page_chaos = true;
-        drill.page_backoff = SimDuration::from_secs(2);
-        drill.oncall_ack = Some(SimDuration::from_millis(500));
+        let drill = SoakSpec::drill(30, Drill::PagerOutage);
+        let mut base = drill.clone();
+        base.drill = Some(Drill::ScrapeOutage);
         let plain = run_soak(&base);
         let drilled = run_soak(&drill);
         // The drill only touches pager links and adds its own monitor: the

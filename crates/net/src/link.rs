@@ -241,6 +241,9 @@ pub struct Topology {
     /// keeps the same RNG streams no matter which simulator of a sharded
     /// run hosts it; set them before any traffic flows.
     labels: HashMap<NodeId, u64>,
+    /// Nodes registered with the owning simulator (ids `0..nodes`): the
+    /// label → id fallback resolves only ids below this.
+    nodes: usize,
     /// Lazily created per-direction RNG streams, keyed by `(from label,
     /// to label)`.
     streams: HashMap<(u64, u64), SimRng>,
@@ -293,16 +296,23 @@ impl Topology {
         self.labels.get(&node).copied().unwrap_or(node as u64)
     }
 
+    /// Record that node ids `0..nodes` exist (the simulator calls this as it
+    /// registers nodes).
+    pub(crate) fn set_node_count(&mut self, nodes: usize) {
+        self.nodes = nodes;
+    }
+
     /// Resolve a label back to the node carrying it (linear scan — called
-    /// only at fault-plan compile time, never on the message path). Labels
-    /// that were never explicitly set resolve through the id fallback.
+    /// only at fault-plan compile time, never on the message path). A label
+    /// no node carries resolves to `None`, so a fault addressed to a node
+    /// of another shard is skipped rather than applied to a phantom id.
     pub fn node_by_label(&self, label: u64) -> Option<NodeId> {
         if let Some((&node, _)) = self.labels.iter().find(|&(_, &l)| l == label) {
             return Some(node);
         }
         // Fallback: an unlabelled node's label is its id.
-        let id = label as NodeId;
-        (!self.labels.contains_key(&id)).then_some(id)
+        let id = usize::try_from(label).ok()?;
+        (id < self.nodes && !self.labels.contains_key(&id)).then_some(id)
     }
 
     /// The RNG stream for the `from → to` direction.
@@ -671,6 +681,20 @@ mod tests {
                 .collect()
         };
         assert_eq!(drive(0, 1), drive(5, 9));
+    }
+
+    #[test]
+    fn labels_resolve_only_to_registered_nodes() {
+        let mut topo = Topology::new();
+        topo.set_node_count(3);
+        topo.set_label(0, 100);
+        assert_eq!(topo.node_by_label(100), Some(0));
+        // Unlabelled nodes answer to their id; a relabelled id does not.
+        assert_eq!(topo.node_by_label(2), Some(2));
+        assert_eq!(topo.node_by_label(0), None);
+        // No node carries these labels.
+        assert_eq!(topo.node_by_label(3), None);
+        assert_eq!(topo.node_by_label(1_000_005), None);
     }
 
     #[test]

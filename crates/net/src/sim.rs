@@ -637,6 +637,7 @@ impl Simulator {
         let id = self.nodes.len();
         self.nodes.push(Some(node));
         self.metrics.ensure(self.nodes.len());
+        self.topology.set_node_count(self.nodes.len());
         id
     }
 
@@ -650,6 +651,7 @@ impl Simulator {
         let id = self.nodes.len();
         self.nodes.push(None);
         self.metrics.ensure(self.nodes.len());
+        self.topology.set_node_count(self.nodes.len());
         self.topology.set_label(id, label);
         self.remote_ids.insert(id);
         self.remotes.insert(label, id);

@@ -336,6 +336,16 @@ impl SloEngine {
     }
 }
 
+/// Per-request retransmission timeout for monitor probes and scrapes.
+const MONITOR_RTO: SimDuration = SimDuration::from_secs(2);
+/// Retransmissions before a monitor probe counts as failed.
+const MONITOR_RETRIES: u32 = 1;
+/// Monitors scrape conditionally (`?since=<last epoch>`, so steady-state
+/// scrapes carry only changed series), except that every Nth round (and the
+/// first) is a full-snapshot resync round, bounding how long a lost update
+/// could go unnoticed.
+const MONITOR_RESYNC_EVERY: u32 = 8;
+
 /// Monitor configuration.
 #[derive(Debug, Clone)]
 pub struct MonitorSpec {
@@ -343,32 +353,13 @@ pub struct MonitorSpec {
     pub cadence: SimDuration,
     /// Total scrape rounds — bounded, so simulations always drain.
     pub rounds: u32,
-    /// Per-request retransmission timeout for probes/scrapes.
-    pub rto: SimDuration,
-    /// Retransmissions before a probe counts as failed.
-    pub retries: u32,
     /// The rule set every target is evaluated against.
     pub rules: Vec<SloRule>,
-    /// Conditional scrapes: ask each target for `?since=<last epoch>` so
-    /// steady-state scrapes carry only changed series. Off = every scrape
-    /// ships the full exposition.
-    pub delta: bool,
-    /// With `delta` on, every Nth round (and the first) is a full-snapshot
-    /// resync round, bounding how long a lost update could go unnoticed.
-    pub resync_every: u32,
 }
 
 impl Default for MonitorSpec {
     fn default() -> MonitorSpec {
-        MonitorSpec {
-            cadence: SimDuration::from_secs(5),
-            rounds: 6,
-            rto: SimDuration::from_secs(2),
-            retries: 1,
-            rules: Vec::new(),
-            delta: true,
-            resync_every: 8,
-        }
+        MonitorSpec { cadence: SimDuration::from_secs(5), rounds: 6, rules: Vec::new() }
     }
 }
 
@@ -449,8 +440,8 @@ impl SloMonitor {
     /// Monitor over `(target node, instance name)` pairs.
     pub fn new(spec: MonitorSpec, targets: Vec<(NodeId, String)>) -> SloMonitor {
         let mut http = HttpClient::new();
-        http.timeout = spec.rto;
-        http.max_retries = spec.retries;
+        http.timeout = MONITOR_RTO;
+        http.max_retries = MONITOR_RETRIES;
         let targets = targets
             .into_iter()
             .map(|(node, instance)| TargetState {
@@ -586,10 +577,9 @@ impl SloMonitor {
     }
 
     fn scrape_all(&mut self, ctx: &mut Ctx<'_>) {
-        // Every `resync_every`-th round (and the first) scrapes full
-        // snapshots even in delta mode, bounding resync debt.
-        let full_round =
-            !self.spec.delta || (self.round - 1).is_multiple_of(self.spec.resync_every.max(1));
+        // Every `MONITOR_RESYNC_EVERY`-th round (and the first) scrapes full
+        // snapshots, bounding resync debt.
+        let full_round = (self.round - 1).is_multiple_of(MONITOR_RESYNC_EVERY);
         for tidx in 0..self.targets.len() {
             let node = self.targets[tidx].node;
             let now = ctx.now();

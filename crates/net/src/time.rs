@@ -43,17 +43,17 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// From whole microseconds.
-    pub fn from_micros(us: u64) -> SimDuration {
+    pub const fn from_micros(us: u64) -> SimDuration {
         SimDuration(us)
     }
 
     /// From whole milliseconds.
-    pub fn from_millis(ms: u64) -> SimDuration {
+    pub const fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms * 1_000)
     }
 
     /// From whole seconds.
-    pub fn from_secs(s: u64) -> SimDuration {
+    pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s * 1_000_000)
     }
 

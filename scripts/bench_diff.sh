@@ -129,8 +129,9 @@ for baseline in "$baseline_dir"/BENCH_*.json; do
       "$name" "$old_red" "$new_red" "$red_pct" "$red_verdict"
   fi
 
-  # The soak report's federation section (absent under SOAK_FED=0, in which
-  # case both sides read 0 and the gates stay quiet). Staleness is sim-time,
+  # The soak report's federation section (absent from reports that predate
+  # the fleet plane, in which case both sides read 0 and the gates stay
+  # quiet). Staleness is sim-time,
   # fully deterministic, so a p99 past the threshold vs baseline means the
   # scrape plane genuinely got slower — not host noise.
   old_stale=$(field "$baseline" staleness_p99_us)
@@ -150,7 +151,7 @@ for baseline in "$baseline_dir"/BENCH_*.json; do
     printf '%-28s staleness p99 %sus   SKIP (no federation section in baseline)\n' \
       "$name" "$new_stale"
   elif [[ "$old_stale" != 0 ]]; then
-    printf '%-28s staleness p99 baseline %sus   SKIP (no federation section in report: SOAK_FED=0?)\n' \
+    printf '%-28s staleness p99 baseline %sus   SKIP (no federation section in report)\n' \
       "$name" "$old_stale"
   fi
 

@@ -28,7 +28,7 @@ for ms in ${CADENCES//,/ }; do
     out=$(SOAK_FED_CADENCE_MS="${ms}" ./target/release/soak "${DEVICES}" 1 "${SEED}")
     # One line like: "federation: N cells x R rounds @ C ms cadence; ..."
     if ! printf '%s\n' "${out}" | grep -q '^federation:'; then
-        echo "fed_cadence: soak output had no federation line (SOAK_FED=0?)" >&2
+        echo "fed_cadence: soak output had no federation line" >&2
         exit 1
     fi
     json=BENCH_soak.json
@@ -54,7 +54,7 @@ for win in ${WINDOWS//,/ }; do
     out=$(SOAK_FED_CADENCE_MS="${SWEEP_MS}" SOAK_FED_INFLIGHT="${inflight}" \
         SOAK_FED_BATCH="${batch}" ./target/release/soak "${DEVICES}" 1 "${SEED}")
     if ! printf '%s\n' "${out}" | grep -q '^federation:'; then
-        echo "fed_cadence: soak output had no federation line (SOAK_FED=0?)" >&2
+        echo "fed_cadence: soak output had no federation line" >&2
         exit 1
     fi
     json=BENCH_soak.json

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # pdbench is a standalone package (not a workspace member), so the
 # workspace run above cannot catch a change that breaks its build. Test it,
@@ -50,24 +50,18 @@ case "$lossy" in
     *) echo "verify: lossy seed 310 reported failed deploys: $lossy" >&2; exit 1 ;;
 esac
 
-# Federation ablation smoke: with the fleet plane off, the soak must still
-# pass every shape check (results are asserted byte-identical to the
-# federated run by the crate's unit tests; here we guard the knob itself).
-# Runs first so the BENCH_soak.json left on disk is the full federated one.
-cargo build --release -p pdagent-bench --bin soak
-SOAK_FED=0 ./target/release/soak 64 1,2 > /dev/null
-
 # Tail-sampling ablation smoke: with the sampler off, the soak must still
 # pass every shape check and drop zero spans (the crate's unit tests assert
 # the off mode leaves results, events and obs digest byte-identical; here we
 # guard the knob and the inertness gate bench_diff.sh enforces).
+cargo build --release -p pdagent-bench --bin soak
 SOAK_SAMPLE=0 ./target/release/soak 64 1,2 > /dev/null
 
 # Soak smoke: a small sharded soak (64 devices, 1 vs 2 shards) must stay
 # byte-identical across the partitionings and keep the batched-delivery
-# event reduction above 5x; the binary exits nonzero if either fails. The
-# default run also exercises the fleet plane — federation scrapes, fleet
-# rules and the paging drill — via its own shape checks.
+# event reduction above 5x; the binary exits nonzero if either fails. Every
+# run also exercises the fleet plane — federation scrapes, fleet rules and
+# the escalation and pager-outage drills — via its own shape checks.
 ./target/release/soak 64 1,2 > /dev/null
 
 # Federation delta-plane smoke: the 300-cell A/B must keep the merged
