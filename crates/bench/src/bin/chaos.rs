@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! cargo run -p pdagent-bench --release --bin chaos [--classes a,b,..]
-//!     [--intensities 0.3,0.8] [--seeds 42,43] [--shards 1,2]
-//!     [--replay-cap N] [--out DIR]
+//!     [--intensities 0.3,0.8] [--seeds 42,43] [--shards 1,2] [--out DIR]
 //! cargo run -p pdagent-bench --release --bin chaos -- --replay <repro.json>
 //! ```
 //!
@@ -44,12 +43,11 @@ fn replay(path: &str) -> ! {
         }
     };
     println!(
-        "replaying {path}: seed {}, {} cell(s) x {} device(s), {} shard(s), replay cap {}, {} fault(s)",
+        "replaying {path}: seed {}, {} cell(s) x {} device(s), {} shard(s), {} fault(s)",
         repro.seed,
         repro.cells,
         repro.devices_per_cell,
         repro.shards,
-        repro.replay_cap,
         repro.plan.faults.len()
     );
     let result = repro.replay();
@@ -78,7 +76,6 @@ fn main() {
     let mut intensities: Vec<f64> = vec![0.3, 0.8];
     let mut seeds: Vec<u64> = vec![42, 43];
     let mut shard_list: Vec<usize> = vec![1, 2];
-    let mut replay_cap: usize = 16;
     let mut out_dir = String::from("target/chaos");
     let mut i = 0;
     while i < args.len() {
@@ -95,7 +92,6 @@ fn main() {
             ("--intensities", Some(v)) => intensities = parse_list(&v),
             ("--seeds", Some(v)) => seeds = parse_list(&v),
             ("--shards", Some(v)) => shard_list = parse_list(&v),
-            ("--replay-cap", Some(v)) => replay_cap = v.parse().unwrap_or(replay_cap),
             ("--out", Some(v)) => out_dir = v,
             _ => {
                 eprintln!("chaos: unknown or incomplete flag {flag}");
@@ -135,7 +131,6 @@ fn main() {
                 for &shards in &shard_list {
                     let mut spec = pdagent_bench::chaos_matrix::matrix_spec(seed);
                     spec.shards = shards;
-                    spec.gateway_replay_cap = replay_cap;
                     let plan = plan_for(class, intensity, spec.devices_per_cell);
                     let result = run_case(&spec, &plan);
                     total_events += result.outcome.events;
@@ -183,7 +178,6 @@ fn main() {
                         ("lost_agents", result.outcome.lost_agents.into()),
                         ("duplicate_executions", result.outcome.duplicate_executions.into()),
                         ("epoch_regressions", result.outcome.epoch_regressions.into()),
-                        ("replay_overflow", result.outcome.replay_overflow.into()),
                         (
                             "dropped_pages",
                             result.outcome.paging.as_ref().map_or(0, |p| p.dropped).into(),
@@ -213,7 +207,6 @@ fn main() {
     let results = Json::obj(vec![
         ("cases", cases.into()),
         ("failures", failures.into()),
-        ("replay_cap", replay_cap.into()),
         ("per_class", Json::Arr(per_class)),
         ("rows", Json::Arr(rows)),
     ]);

@@ -365,7 +365,6 @@ fn main() {
                     ("lost_agents", result.outcome.lost_agents.into()),
                     ("duplicate_executions", result.outcome.duplicate_executions.into()),
                     ("epoch_regressions", result.outcome.epoch_regressions.into()),
-                    ("replay_overflow", result.outcome.replay_overflow.into()),
                     (
                         "chaos_activity",
                         Json::Arr(

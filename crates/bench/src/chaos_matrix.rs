@@ -7,8 +7,8 @@
 //!
 //! * **Invariants** — [`quiesce_invariants`] checks a finished
 //!   [`SoakOutcome`] (no lost agents, no duplicate execution of
-//!   non-idempotent steps, replay-cache bounds, `dropped_pages == 0`,
-//!   monotone metric epochs, alert fire⇒resolve pairing);
+//!   non-idempotent steps, `dropped_pages == 0`, monotone metric epochs,
+//!   alert fire⇒resolve pairing);
 //!   [`live_invariants`] checks live shard counters at sharded-engine epoch
 //!   barriers, catching violations *while the run is still going*.
 //! * **The matrix** — [`plan_for`] builds a canonical plan per
@@ -40,9 +40,7 @@ use crate::soak::{
 // Quiesce invariants (over the finished outcome)
 // ---------------------------------------------------------------------------
 
-/// The evidence quiesce invariants read: the finished soak outcome. (The
-/// replay-cache cap is already folded into
-/// [`SoakOutcome::replay_overflow`] by the harvest.)
+/// The evidence quiesce invariants read: the finished soak outcome.
 pub struct SoakEvidence {
     /// The finished run.
     pub outcome: SoakOutcome,
@@ -70,19 +68,6 @@ impl Invariant<SoakEvidence> for NoDuplicateExecution {
         match cx.outcome.duplicate_executions {
             0 => Ok(()),
             n => Err(format!("dispatch handler re-ran {n} time(s) for an already-served request")),
-        }
-    }
-}
-
-struct ReplayCacheSafety;
-impl Invariant<SoakEvidence> for ReplayCacheSafety {
-    fn name(&self) -> &'static str {
-        "replay-cache-safety"
-    }
-    fn check(&mut self, cx: &SoakEvidence, _phase: CheckPhase) -> Result<(), String> {
-        match cx.outcome.replay_overflow {
-            0 => Ok(()),
-            n => Err(format!("replay caches held {n} entry(ies) beyond cap+1")),
         }
     }
 }
@@ -145,7 +130,6 @@ pub fn quiesce_invariants() -> InvariantRegistry<SoakEvidence> {
     let mut reg = InvariantRegistry::new();
     reg.register(Box::new(NoLostAgents))
         .register(Box::new(NoDuplicateExecution))
-        .register(Box::new(ReplayCacheSafety))
         .register(Box::new(NoDroppedPages))
         .register(Box::new(MonotoneEpochs))
         .register(Box::new(AlertPairing));
@@ -401,8 +385,6 @@ pub struct Repro {
     pub devices_per_cell: usize,
     /// Shard count the violation was observed at.
     pub shards: usize,
-    /// Gateway replay-cache cap the case ran with.
-    pub replay_cap: usize,
     /// Invariants the plan violated.
     pub violated: Vec<String>,
     /// The (shrunk) fault schedule.
@@ -417,7 +399,6 @@ impl Repro {
             cells: spec.cells,
             devices_per_cell: spec.devices_per_cell,
             shards: spec.shards,
-            replay_cap: spec.gateway_replay_cap,
             violated,
             plan: plan.clone(),
         }
@@ -429,7 +410,6 @@ impl Repro {
         spec.cells = self.cells;
         spec.devices_per_cell = self.devices_per_cell;
         spec.shards = self.shards;
-        spec.gateway_replay_cap = self.replay_cap;
         spec
     }
 
@@ -438,8 +418,8 @@ impl Repro {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"seed\":{},\"cells\":{},\"devices_per_cell\":{},\"shards\":{},\"replay_cap\":{},\"violated\":[",
-            self.seed, self.cells, self.devices_per_cell, self.shards, self.replay_cap,
+            "{{\"seed\":{},\"cells\":{},\"devices_per_cell\":{},\"shards\":{},\"violated\":[",
+            self.seed, self.cells, self.devices_per_cell, self.shards,
         );
         for (i, v) in self.violated.iter().enumerate() {
             if i > 0 {
@@ -474,7 +454,6 @@ impl Repro {
             cells: num("cells")? as usize,
             devices_per_cell: num("devices_per_cell")? as usize,
             shards: num("shards")? as usize,
-            replay_cap: num("replay_cap")? as usize,
             violated,
             plan,
         })
@@ -499,6 +478,7 @@ mod tests {
     use super::*;
     use pdagent_net::obs::ObsEvent;
     use pdagent_net::paging::PagingReport;
+    use pdagent_net::prelude::{Ctx, Message, Node, NodeId};
     use pdagent_net::time::SimTime;
 
     /// A synthetic violation: a mutation of a healthy outcome and the
@@ -541,7 +521,6 @@ mod tests {
         let cases: Vec<SyntheticCase> = vec![
             (Box::new(|o| o.lost_agents = 1), "no-lost-agents"),
             (Box::new(|o| o.duplicate_executions = 2), "no-duplicate-execution"),
-            (Box::new(|o| o.replay_overflow = 3), "replay-cache-safety"),
             (
                 Box::new(|o| {
                     o.paging = Some(PagingReport {
@@ -638,6 +617,7 @@ mod tests {
         assert_eq!(vs[0].invariant, "alert-pairing");
     }
 
+    /// Pins the repro file format; the fixture is parsed, never replayed.
     #[test]
     fn golden_repro_fixture_round_trips() {
         let golden = include_str!("../fixtures/repro-golden.json");
@@ -649,18 +629,67 @@ mod tests {
         // And the recorded spec reconstructs.
         let spec = repro.spec();
         assert_eq!(spec.seed, repro.seed);
-        assert_eq!(spec.gateway_replay_cap, repro.replay_cap);
+        assert_eq!(spec.cells, repro.cells);
+        assert_eq!(spec.devices_per_cell, repro.devices_per_cell);
     }
 
-    /// The acceptance demo: disabling the gateway replay cache under a
-    /// duplication burst re-executes a non-idempotent dispatch. The matrix
-    /// catches it (live *and* at quiesce), the shrinker reduces the 3-fault
-    /// plan to its single trigger, and the written repro replays the failure
-    /// from disk.
+    /// A node that bumps one counter when the run starts.
+    struct Bump(&'static str, f64);
+    impl Node for Bump {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.metrics().bump(self.0, self.1);
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Message) {}
+    }
+
+    /// A drained one-node shard whose only activity is `key += by`.
+    fn shard_with(key: &'static str, by: f64) -> Simulator {
+        let mut sim = Simulator::new(1);
+        sim.add_node(Box::new(Bump(key, by)));
+        sim.run_until_idle();
+        sim
+    }
+
     #[test]
-    fn seeded_replay_cache_violation_is_caught_shrunk_and_replayable() {
-        let mut spec = SoakSpec::new(77, 1, 2);
-        spec.gateway_replay_cap = 0; // the deliberately broken configuration
+    fn every_live_invariant_detects_its_synthetic_violation() {
+        let mut reg = live_invariants();
+        // A healthy shard with traffic passes and sets the counter baseline.
+        let healthy = [shard_with("msgs_sent", 5.0)];
+        assert_eq!(reg.check(&healthy[..], CheckPhase::Epoch(1)), Vec::new());
+
+        let cases = [
+            ("gateway.duplicate_executions", "no-duplicate-execution"),
+            ("page.dropped", "no-dropped-pages"),
+            ("slo.epoch_regressions", "monotone-epochs"),
+        ];
+        for (epoch, (key, expect)) in (2..).zip(cases) {
+            // Traffic holds at 5, so only the bumped counter's invariant trips.
+            let shards = [shard_with("msgs_sent", 5.0), shard_with(key, 1.0)];
+            let vs = reg.check(&shards[..], CheckPhase::Epoch(epoch));
+            assert_eq!(vs.len(), 1, "{expect}: expected exactly one violation, got {vs:?}");
+            assert_eq!(vs[0].invariant, expect);
+            assert_eq!(vs[0].phase, format!("epoch {epoch}"));
+        }
+        // Sent-message totals falling from 5 to 0 between barriers.
+        let vs = reg.check(&[Simulator::new(1)][..], CheckPhase::Epoch(9));
+        assert_eq!(vs.len(), 1, "expected exactly one violation, got {vs:?}");
+        assert_eq!(vs[0].invariant, "monotone-counters");
+        assert_eq!(vs[0].phase, "epoch 9");
+        assert_eq!(cases.len() + 1, reg.len(), "every live invariant needs a synthetic case");
+    }
+
+    fn gateway_replays(result: &CaseResult) -> u64 {
+        result.outcome.results.cells.iter().map(|c| c.gateway_replays).sum()
+    }
+
+    /// The acceptance demo: a duplication burst on a handheld's link
+    /// delivers every request twice, and the gateway's reply slots answer
+    /// each second copy without re-running a dispatch. The shrinker, driven
+    /// by a count only the burst causes, reduces the 3-fault plan to it, and
+    /// the written repro replays the case from disk.
+    #[test]
+    fn duplication_burst_is_absorbed_shrunk_and_replayable() {
+        let spec = SoakSpec::new(77, 1, 2);
         let sec = SimDuration::from_secs;
         let trigger = Fault::duplicate(
             device_label(0, 0),
@@ -676,51 +705,25 @@ mod tests {
             .with(Fault::clock_skew(device_label(0, 1), sec(5), sec(6), 1.5));
 
         let result = run_case(&spec, &plan);
-        assert!(
-            result.violations.iter().any(|v| v.invariant == "no-duplicate-execution"),
-            "expected a duplicate-execution violation, got {:?}",
-            result.violations,
-        );
-        // The live layer sees it mid-run, before quiesce.
-        assert!(
-            result.violations.iter().any(|v| v.invariant == "no-duplicate-execution"
-                && v.phase.starts_with("epoch")),
-            "expected the violation at an epoch barrier, got {:?}",
-            result.violations,
-        );
+        assert_eq!(result.violations, Vec::new());
+        assert!(gateway_replays(&result) > 0, "the burst must reach the reply slots");
+        assert_eq!(result.outcome.duplicate_executions, 0);
 
-        let shrunk = shrink_case(&spec, &plan, "no-duplicate-execution", 24);
-        assert!(shrunk.faults.len() <= 3, "shrunk plan too large: {shrunk:?}");
+        let mut oracle = |cand: &ChaosPlan| gateway_replays(&run_case(&spec, cand)) > 0;
+        let shrunk = shrink_plan(&plan, &mut oracle, 24);
         assert_eq!(shrunk.faults.len(), 1, "decoys must be dropped: {shrunk:?}");
         assert_eq!(shrunk.faults[0].kind, FaultKind::Duplicate);
 
-        // Serialize → reload → replay: the repro file alone reproduces it.
-        let repro = Repro::from_case(&spec, &shrunk, vec!["no-duplicate-execution".to_owned()]);
+        // Serialize → reload → replay: the repro file alone re-runs the case.
+        let repro = Repro::from_case(&spec, &shrunk, Vec::new());
         let dir = std::env::temp_dir().join("pdagent-chaos-test");
         let path = repro.write_to(&dir).expect("write repro");
         let reloaded = Repro::parse(&fs::read_to_string(&path).expect("read repro"))
             .expect("parse repro");
         assert_eq!(reloaded, repro);
-        // The repro's own spec() is the matrix shape; pin it back to the
-        // original scenario shape for the replay equivalence we assert here.
-        let mut replay_spec = spec.clone();
-        replay_spec.chaos_plan = None;
-        let replayed = run_case(&replay_spec, &reloaded.plan);
-        assert!(
-            replayed.violations.iter().any(|v| v.invariant == "no-duplicate-execution"),
-            "reloaded repro must still fail: {:?}",
-            replayed.violations,
-        );
-        // With the cache restored to its healthy cap, the same plan passes —
-        // the violation is the configuration's fault, not the plan's.
-        let mut healthy = spec.clone();
-        healthy.gateway_replay_cap = 16;
-        let ok = run_case(&healthy, &reloaded.plan);
-        assert!(
-            !ok.violations.iter().any(|v| v.invariant == "no-duplicate-execution"),
-            "healthy replay cache must absorb the duplicates: {:?}",
-            ok.violations,
-        );
+        let replayed = reloaded.replay();
+        assert_eq!(replayed.violations, Vec::new());
+        assert!(gateway_replays(&replayed) > 0, "the reloaded plan must still duplicate");
     }
 
     #[test]

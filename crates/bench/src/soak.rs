@@ -121,8 +121,9 @@ pub fn default_slo_rules() -> Vec<SloRule> {
         SloRule::p99("scrape-latency-p99", pdagent_net::slo::STAGE_SCRAPE_RTT, 1_000_000.0),
         // Three consecutive health-probe failures means the gateway is down.
         SloRule::gauge("probe-failures", pdagent_net::slo::KEY_PROBE_FAILURES, 2.0),
-        // Replay-cache occupancy: the soak gateways cap at 16 entries, so a
-        // reading above 64 would mean eviction is broken.
+        // Reply-slot occupancy: one slot per client, and no soak cell has
+        // more than ten handhelds, so a reading above 64 would mean slots
+        // are leaking.
         SloRule::gauge("replay-occupancy", "gateway.replay_entries", 64.0),
         // Gateway-side request error ratio (gave-up HTTP exchanges / sends).
         SloRule::error_ratio("gateway-error-ratio", "http.gave_up", "msgs_sent", 0.01),
@@ -261,10 +262,6 @@ pub struct SoakSpec {
     /// inert plan with every intensity at zero) leaves the run byte-identical
     /// to a chaos-free soak.
     pub chaos_plan: Option<ChaosPlan>,
-    /// Gateway replay-cache cap ([`GatewayConfig::replay_max_entries`]).
-    /// The default 16 matches the historical soak; the chaos suite sets 0 to
-    /// deliberately break idempotency under duplication bursts.
-    pub gateway_replay_cap: usize,
 }
 
 impl SoakSpec {
@@ -288,7 +285,6 @@ impl SoakSpec {
             sample: false,
             sampler_cfg: SamplerConfig { seed, ..SamplerConfig::default() },
             chaos_plan: None,
-            gateway_replay_cap: 16,
         }
     }
 
@@ -327,9 +323,9 @@ pub struct CellResult {
     pub wireless_bytes: u64,
     /// Heartbeat acks the cell's auditor got back from the coordinator.
     pub auditor_acks: u32,
-    /// Replayed responses the cell's gateway served from its replay cache.
+    /// Replayed responses the cell's gateway served from its reply slots.
     pub gateway_replays: u64,
-    /// Entries the gateway's replay/result caches evicted.
+    /// Collected agents the gateway's completed list evicted.
     pub gateway_evictions: u64,
 }
 
@@ -411,15 +407,11 @@ pub struct SoakOutcome {
     pub lost_agents: u64,
     /// `gateway.duplicate_executions` summed over every cell gateway: times
     /// a dispatch handler re-ran for a `(client, req_id)` it had already
-    /// executed. Must be zero while the replay cache is correctly sized.
+    /// executed. Must be zero: the reply slots absorb every retransmission.
     pub duplicate_executions: u64,
     /// `slo.epoch_regressions` summed over all shards: scrape epochs that
     /// went backwards on some monitor's target. Must be zero.
     pub epoch_regressions: u64,
-    /// Replay-cache entries observed beyond `gateway_replay_cap + 1` (the
-    /// lazy sweep admits one transient over-cap insert), summed over
-    /// gateways. Must be zero: eviction keeps the cache bounded.
-    pub replay_overflow: u64,
     /// Fault-schedule activity counters, for the chaos report section:
     /// `(loss_drops, corrupt_drops, dups, reorders, crash_drops)` summed
     /// over all shards. All zero when no plan is active.
@@ -551,10 +543,9 @@ fn build_cell(
     directory.insert("bank-b".to_string(), gateway_id + 2);
 
     let mut gw_cfg = GatewayConfig::new(format!("gw-{cell}"), 1000 + spec.seed);
-    // Tight cache bounds so the soak exercises replay/completed eviction:
-    // each device leaves ~3 replayable responses and one completed agent
-    // behind, so a ten-device cell overflows both caps deterministically.
-    gw_cfg.replay_max_entries = spec.gateway_replay_cap;
+    // A tight completed-list cap so the soak exercises eviction: each device
+    // leaves one collected agent behind, so a ten-device cell overflows it
+    // deterministically.
     gw_cfg.completed_max_entries = 8;
     let mut gw = GatewayNode::new(gw_cfg, directory.clone());
     gw.publish("ebank".to_string(), ebank_program());
@@ -855,7 +846,6 @@ pub fn run_soak_with(
     let mut out_cells = Vec::with_capacity(spec.cells);
     let mut lost_agents = 0u64;
     let mut duplicate_executions = 0u64;
-    let mut replay_overflow = 0u64;
     for cell in cells.iter().flatten() {
         let sim = engine.shard(cell.shard);
         let mut completed = 0u32;
@@ -891,9 +881,6 @@ pub fn run_soak_with(
         }
         let gw = sim.metrics(cell.gateway);
         duplicate_executions += gw.counter("gateway.duplicate_executions") as u64;
-        let replay_entries = gw.gauge("gateway.replay_entries") as u64;
-        replay_overflow +=
-            replay_entries.saturating_sub(spec.gateway_replay_cap as u64 + 1);
         out_cells.push(CellResult {
             completed,
             completion_us,
@@ -901,8 +888,7 @@ pub fn run_soak_with(
             wireless_bytes,
             auditor_acks: sim.node_ref::<Auditor>(cell.auditor).expect("auditor").acks,
             gateway_replays: gw.counter("gateway.replays") as u64,
-            gateway_evictions: (gw.counter("gateway.replay_evictions")
-                + gw.counter("gateway.completed_evictions")) as u64,
+            gateway_evictions: gw.counter("gateway.completed_evictions") as u64,
         });
     }
     let coordinator_beats =
@@ -1132,7 +1118,6 @@ pub fn run_soak_with(
         lost_agents,
         duplicate_executions,
         epoch_regressions,
-        replay_overflow,
         chaos_activity,
     }
 }

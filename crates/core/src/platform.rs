@@ -192,12 +192,6 @@ pub struct DeviceConfig {
     pub result_poll_initial: SimDuration,
     /// Re-poll interval while the result is not ready (409).
     pub result_poll_interval: SimDuration,
-    /// Extra upload-RTO allowance per KiB of PI envelope beyond the first
-    /// 4 KiB. Large PIs serialize for tens of seconds on the wireless link,
-    /// so a fixed RTO would retransmit (and eventually abandon) an upload
-    /// that is still trickling out; small PIs stay under the client's
-    /// default timeout and are unaffected.
-    pub upload_rto_per_kib: SimDuration,
     /// Compression for the PI payload.
     pub compression: Algorithm,
     /// Encrypt the PI (ablation switch; the paper always encrypts).
@@ -220,7 +214,6 @@ impl DeviceConfig {
             entry_time_per_param: SimDuration::from_secs(2),
             result_poll_initial: SimDuration::from_secs(2),
             result_poll_interval: SimDuration::from_secs(2),
-            upload_rto_per_kib: SimDuration::from_secs(1),
             compression: Algorithm::Auto,
             encrypt: true,
             entropy_seed: 1,
@@ -241,6 +234,13 @@ const TAG_POLL: u64 = 4;
 /// attempts are lost ~8.8e-6 of the time, which a few thousand deploys do
 /// hit. With 8 retries all nine are lost ~0.0975^9 ~= 8e-10 of the time.
 const DEVICE_MAX_RETRIES: u32 = 8;
+
+/// Extra upload-RTO allowance per KiB of PI envelope beyond the first 4 KiB.
+/// Large PIs serialize for tens of seconds on the wireless link, so a fixed
+/// RTO would retransmit (and eventually abandon) an upload that is still
+/// trickling out; small PIs stay under the client's default timeout and are
+/// unaffected.
+const UPLOAD_RTO_PER_KIB: SimDuration = SimDuration::from_secs(1);
 
 /// Observability handles for one agent journey (§ [`pdagent_net::obs`]):
 /// the trace id minted at data entry plus the span ids opened so far. All
@@ -400,13 +400,10 @@ impl DeviceNode {
 
     /// Retransmission timeout for a `pi_bytes` envelope upload. Beyond the
     /// small-PI regime the default timeout covers, every extra KiB buys
-    /// serialization time on the wireless link. The gateway's
-    /// `GatewayConfig::replay_ttl` must outlast `DEVICE_MAX_RETRIES + 1` of
-    /// these for the largest PI deployed, or a late retransmission runs the
-    /// dispatch twice.
+    /// serialization time on the wireless link.
     fn upload_rto(&self, pi_bytes: usize) -> SimDuration {
         let extra_kib = (pi_bytes.saturating_sub(4096) as u64).div_ceil(1024);
-        self.http.timeout + SimDuration(self.config.upload_rto_per_kib.as_micros() * extra_kib)
+        self.http.timeout + SimDuration(UPLOAD_RTO_PER_KIB.as_micros() * extra_kib)
     }
 
     fn error(&mut self, context: &str, detail: impl Into<String>) {
@@ -1100,23 +1097,5 @@ impl Node for DeviceNode {
                 TimerOutcome::Retried { .. } | TimerOutcome::NotMine => {}
             },
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pdagent_gateway::GatewayConfig;
-
-    #[test]
-    fn replay_ttl_outlasts_a_48k_upload_retransmission_window() {
-        let device = DeviceNode::new(DeviceConfig::new("d"), Vec::new());
-        assert_eq!(device.http.max_retries, DEVICE_MAX_RETRIES);
-        // An incompressible 48 KiB PI: the envelope is at least this large.
-        let rto = device.upload_rto(48 * 1024);
-        assert_eq!(rto, SimDuration::from_secs(3 + 44));
-        let window = SimDuration(rto.as_micros() * u64::from(DEVICE_MAX_RETRIES + 1));
-        let ttl = GatewayConfig::new("g", 1).replay_ttl;
-        assert!(window < ttl, "window {window:?} must be inside replay_ttl {ttl:?}");
     }
 }

@@ -30,37 +30,12 @@ pub struct GatewayConfig {
     pub name: String,
     /// Seed for the gateway's RSA key pair.
     pub key_seed: u64,
-    /// Fixed request-processing overhead (servlet dispatch, XML parsing).
-    pub processing_base: SimDuration,
-    /// Additional processing time per KiB of dispatched payload.
-    pub processing_per_kib: SimDuration,
-    /// Compression used for subscription payloads and result documents.
-    pub compression: Algorithm,
     /// Secret shared by all gateways of one operator. Code ids issued by any
     /// trusted gateway validate at any other (the paper's gateways form one
     /// trusted federation), and the key pair is derived from `key_seed`,
     /// which the operator also shares across its gateways.
     pub operator_secret: String,
-    /// Ack timeout for agent transfers to the first site.
-    pub ack_timeout: SimDuration,
-    /// Transfer attempts before skipping the first site.
-    pub max_transfer_attempts: u32,
-    /// How long a replayable response is retained. A replay entry only
-    /// matters while its client could still retransmit the request, so this
-    /// must exceed the client's worst-case retransmission window —
-    /// `timeout × (max_retries + 1)`, stretched further by size-scaled
-    /// upload RTOs (`DeviceConfig::upload_rto_per_kib`). The handheld makes
-    /// 9 attempts with a 3 s RTO plus 1 s per KiB of envelope beyond 4 KiB,
-    /// so the default of 600 s covers envelopes up to 67 KiB (9 × 66 s).
-    pub replay_ttl: SimDuration,
-    /// Hard cap on replay-cache entries; the oldest are evicted first.
-    pub replay_max_entries: usize,
-    /// How long a *completed* agent — `dispatched` marked done plus its
-    /// stored result — is retained after the result lands. The device polls
-    /// for the result within seconds (`result_poll_interval`), so anything
-    /// this old is abandoned.
-    pub completed_ttl: SimDuration,
-    /// Hard cap on completed agents retained; the oldest are evicted first.
+    /// Hard cap on collected agents retained; the oldest are evicted first.
     pub completed_max_entries: usize,
 }
 
@@ -70,24 +45,35 @@ impl GatewayConfig {
         GatewayConfig {
             name: name.into(),
             key_seed,
-            processing_base: SimDuration::from_millis(20),
-            processing_per_kib: SimDuration::from_millis(2),
-            compression: Algorithm::Auto,
             operator_secret: "pdagent-operator".into(),
-            ack_timeout: SimDuration::from_millis(500),
-            max_transfer_attempts: 3,
-            replay_ttl: SimDuration::from_secs(600),
-            replay_max_entries: 8192,
-            completed_ttl: SimDuration::from_secs(600),
             completed_max_entries: 8192,
         }
     }
 }
 
+/// Fixed request-processing overhead (servlet dispatch, XML parsing).
+const PROCESSING_BASE: SimDuration = SimDuration::from_millis(20);
+/// Additional processing time per KiB of dispatched payload.
+const PROCESSING_PER_KIB: SimDuration = SimDuration::from_millis(2);
+/// Compression used for subscription payloads and result documents.
+const COMPRESSION: Algorithm = Algorithm::Auto;
+/// Ack timeout for agent transfers to the first site.
+const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Transfer attempts before skipping the first site.
+const MAX_TRANSFER_ATTEMPTS: u32 = 3;
+/// How long a collected agent — its `dispatched` entry plus its stored
+/// result — is kept after its first collect, for re-download and `Status`.
+/// Uncollected results are held until the device comes back for them.
+const COMPLETED_TTL: SimDuration = SimDuration::from_secs(600);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DispatchState {
+    /// Launched; no result yet.
     InFlight,
+    /// Result stored and held until the device collects it.
     Done,
+    /// Collected at least once; on the completed list.
+    Collected,
 }
 
 #[derive(Debug)]
@@ -121,26 +107,23 @@ pub struct GatewayNode {
     tags: HashMap<u64, (String, TagKind)>,
     next_tag: u64,
     pending_manage: HashMap<(u8, String), ManagePending>,
-    /// Idempotency cache: completed responses keyed by `(client, req_id)`,
-    /// stamped with insertion time. HTTP retransmissions (a slow link can
-    /// delay a response past the client's RTO) replay the original response
-    /// instead of re-executing the handler — without this, a retransmitted
-    /// dispatch would create a duplicate agent. Bounded by
-    /// [`GatewayConfig::replay_ttl`] / [`GatewayConfig::replay_max_entries`];
-    /// eviction runs lazily on every inbound message.
-    replay: HashMap<(NodeId, u64), (HttpStatus, Bytes, SimTime)>,
-    /// Replay keys in insertion order, for TTL/cap eviction. An entry whose
-    /// stamp no longer matches the map's is stale (the key was refreshed)
-    /// and is skipped.
-    replay_queue: VecDeque<(SimTime, (NodeId, u64))>,
-    /// Completed agent ids in completion order — the "completed list" the
-    /// device-facing `dispatched`/`results` maps grow into. Evicted on the
-    /// same lazy sweep, after [`GatewayConfig::completed_ttl`].
+    /// One reply slot per client: the id, status and body of the latest
+    /// request whose answer was cached. A handheld has one request in flight
+    /// at a time and its `HttpClient` ids only grow, so a retransmission
+    /// (a slow link can delay a response past the client's RTO) carries the
+    /// slot's id and is replayed instead of re-running the handler, and a
+    /// lower id is a stale copy from a sender that has already moved on.
+    /// Without this, a retransmitted dispatch would create a duplicate agent.
+    replies: HashMap<NodeId, (u64, HttpStatus, Bytes)>,
+    /// Collected agent ids in first-collect order — the "completed list" the
+    /// device-facing `dispatched`/`results` maps grow into. Evicted lazily on
+    /// every inbound message, after [`COMPLETED_TTL`] or past
+    /// [`GatewayConfig::completed_max_entries`].
     completed_queue: VecDeque<(SimTime, String)>,
     /// Ground-truth record of `(client, req_id)` pairs whose dispatch handler
-    /// actually ran (minted an agent). Unlike the replay cache this is never
-    /// evicted: executing the same pair twice is exactly the non-idempotent
-    /// re-execution the replay cache exists to prevent, and the
+    /// actually ran (minted an agent). It is never evicted: executing the
+    /// same pair twice is exactly the non-idempotent re-execution the reply
+    /// slots exist to prevent, and the
     /// `gateway.duplicate_executions` counter it feeds is the chaos suite's
     /// no-duplicate-execution oracle.
     dispatch_seen: HashSet<(NodeId, u64)>,
@@ -178,8 +161,7 @@ impl GatewayNode {
             tags: HashMap::new(),
             next_tag: 0,
             pending_manage: HashMap::new(),
-            replay: HashMap::new(),
-            replay_queue: VecDeque::new(),
+            replies: HashMap::new(),
             completed_queue: VecDeque::new(),
             dispatch_seen: HashSet::new(),
             obs: HashMap::new(),
@@ -189,7 +171,9 @@ impl GatewayNode {
         }
     }
 
-    /// Reply to `req` and remember the response for retransmission replay.
+    /// Reply to `req` and keep the response in `from`'s slot for
+    /// retransmission replay. A deferred manage answer whose client has
+    /// since moved on to a newer request leaves the newer slot alone.
     fn respond(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -198,48 +182,27 @@ impl GatewayNode {
         status: HttpStatus,
         body: impl Into<Bytes>,
     ) {
-        // The cache entry and the wire reply share one allocation; a later
-        // replay clones the `Bytes` handle, not the payload.
+        // The slot and the wire reply share one allocation; a later replay
+        // clones the `Bytes` handle, not the payload.
         let body = body.into();
-        let now = ctx.now();
-        self.replay.insert((from, req.req_id), (status, body.clone(), now));
-        self.replay_queue.push_back((now, (from, req.req_id)));
-        // Enforce the cap immediately so the cache never sits above it
-        // waiting for the next inbound message.
-        self.evict(ctx);
+        if self.replies.get(&from).is_none_or(|&(id, ..)| id <= req.req_id) {
+            self.replies.insert(from, (req.req_id, status, body.clone()));
+        }
         reply(ctx, from, req, status, body);
     }
 
-    /// Lazy TTL/cap sweep over the replay cache and the completed list, run
-    /// on every inbound message before the replay lookup — an expired entry
-    /// is never served. Anything evicted here is past every client's
-    /// retransmission window (see [`GatewayConfig::replay_ttl`]), so a
-    /// subsequent request with the same id can only be a genuinely new one.
+    /// Lazy TTL/cap sweep over the completed list, run on every inbound
+    /// message before the slot lookup.
     fn evict(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        while let Some(&(stamp, key)) = self.replay_queue.front() {
-            let expired = stamp + self.config.replay_ttl <= now;
-            if !expired && self.replay.len() <= self.config.replay_max_entries {
-                break;
-            }
-            self.replay_queue.pop_front();
-            // Skip stale queue entries whose key was refreshed since.
-            if self.replay.get(&key).is_some_and(|&(_, _, s)| s == stamp) {
-                self.replay.remove(&key);
-                ctx.metrics().bump("gateway.replay_evictions", 1.0);
-            }
-        }
         while let Some(&(stamp, _)) = self.completed_queue.front() {
-            let expired = stamp + self.config.completed_ttl <= now;
+            let expired = stamp + COMPLETED_TTL <= now;
             if !expired && self.completed_queue.len() <= self.config.completed_max_entries {
                 break;
             }
             let (_, id) = self.completed_queue.pop_front().expect("front checked");
-            // Only completed agents are evictable; a Dispose may have
-            // removed the entry already, and an in-flight re-dispatch under
-            // the same id (impossible today — ids are minted fresh) would
-            // not be Done.
-            if self.dispatched.get(&id) == Some(&DispatchState::Done) {
+            // A Dispose may have removed the entry already.
+            if self.dispatched.get(&id) == Some(&DispatchState::Collected) {
                 self.dispatched.remove(&id);
                 if self.results.remove(&id).is_some() {
                     let _ = self.files.release(&format!("{id}/result.xml"));
@@ -247,7 +210,7 @@ impl GatewayNode {
                 ctx.metrics().bump("gateway.completed_evictions", 1.0);
             }
         }
-        ctx.metrics().set_gauge("gateway.replay_entries", self.replay.len() as f64);
+        ctx.metrics().set_gauge("gateway.replay_entries", self.replies.len() as f64);
         ctx.metrics().set_gauge("gateway.results_entries", self.results.len() as f64);
         ctx.metrics().set_gauge("gateway.dispatched_entries", self.dispatched.len() as f64);
     }
@@ -286,10 +249,7 @@ impl GatewayNode {
 
     fn processing_delay(&self, payload_bytes: usize) -> SimDuration {
         let kib = payload_bytes as u64 / 1024;
-        SimDuration(
-            self.config.processing_base.as_micros()
-                + kib * self.config.processing_per_kib.as_micros(),
-        )
+        SimDuration(PROCESSING_BASE.as_micros() + kib * PROCESSING_PER_KIB.as_micros())
     }
 
     // --- request handlers -------------------------------------------------
@@ -321,10 +281,7 @@ impl GatewayNode {
             public_key: self.keys.public,
             program,
         };
-        let body = compress(
-            subscription.download_document().as_bytes(),
-            self.config.compression,
-        );
+        let body = compress(subscription.download_document().as_bytes(), COMPRESSION);
         ctx.metrics().bump("gateway.subscriptions", 1.0);
         self.log.push(format!("{}: issued code {} to device {from}", self.config.name, id.0));
         self.respond(ctx, from, req, HttpStatus::Ok, body);
@@ -369,8 +326,8 @@ impl GatewayNode {
         }
         if !self.dispatch_seen.insert((from, req.req_id)) {
             // The handler is running a second time for the same request —
-            // a retransmission or duplicated packet slipped past the replay
-            // cache, and the non-idempotent step below re-executes.
+            // a retransmission or duplicated packet slipped past the reply
+            // slot, and the non-idempotent step below re-executes.
             ctx.metrics().bump("gateway.duplicate_executions", 1.0);
         }
         self.next_agent += 1;
@@ -436,12 +393,16 @@ impl GatewayNode {
         let agent_id = agent_id.to_owned();
         match self.results.get(&agent_id) {
             Some(doc) => {
-                let body = compress(
-                    doc.to_document_string().as_bytes(),
-                    self.config.compression,
-                );
+                let body = compress(doc.to_document_string().as_bytes(), COMPRESSION);
                 ctx.metrics().bump("gateway.results_served", 1.0);
                 let _ = self.files.release(&format!("{agent_id}/result.xml"));
+                // The first collect puts the agent on the completed list; until
+                // then its result is held however long the device stays away.
+                if self.dispatched.insert(agent_id.clone(), DispatchState::Collected)
+                    != Some(DispatchState::Collected)
+                {
+                    self.completed_queue.push_back((ctx.now(), agent_id));
+                }
                 self.respond(ctx, from, req, HttpStatus::Ok, body);
             }
             None => {
@@ -566,7 +527,7 @@ impl GatewayNode {
                 let octx = self.obs.get(agent_id).map(|&(c, _)| c).unwrap_or_default();
                 ctx.send(node, Message::new(KIND_TRANSFER, agent.to_bytes()).traced(octx));
                 let tag = self.fresh_tag(agent_id, TagKind::AckTimeout);
-                ctx.set_timer(self.config.ack_timeout, tag);
+                ctx.set_timer(ACK_TIMEOUT, tag);
                 self.staging.insert(agent_id.to_owned(), (agent, attempts));
             }
             None => {
@@ -577,6 +538,15 @@ impl GatewayNode {
     }
 
     fn store_result(&mut self, ctx: &mut Ctx<'_>, agent: MobileAgent) {
+        // A second completion (a transfer retried past an ack the paused
+        // gateway dropped) must not take a collected agent off the
+        // completed list, where nothing would ever evict it.
+        if matches!(
+            self.dispatched.get(&agent.id.0),
+            Some(DispatchState::Done | DispatchState::Collected)
+        ) {
+            return;
+        }
         let doc = ResultDoc::from_agent(&agent);
         let _ = self.files.allocate(
             format!("{}/result.xml", agent.id.0),
@@ -598,7 +568,6 @@ impl GatewayNode {
         }
         self.dispatched.insert(agent.id.0.clone(), DispatchState::Done);
         self.results.insert(agent.id.0.clone(), doc);
-        self.completed_queue.push_back((ctx.now(), agent.id.0.clone()));
         ctx.metrics().set_gauge("gateway.results_entries", self.results.len() as f64);
         ctx.metrics().set_gauge("gateway.dispatched_entries", self.dispatched.len() as f64);
     }
@@ -648,17 +617,25 @@ impl Node for GatewayNode {
             KIND_CONTROL_RESP => self.handle_control_resp(ctx, &msg.body),
             _ => {
                 let Some(req) = HttpRequest::from_message(&msg) else { return };
-                // Telemetry endpoints answer before the replay lookup and
-                // never enter the replay cache: a scrape must always observe
-                // fresh state, and cached expositions would poison windows.
+                // Telemetry endpoints answer before the slot lookup and
+                // never enter a slot: a scrape must always observe fresh
+                // state, and cached expositions would poison windows.
                 if self.telemetry.serve(ctx, from, &req, &self.config.name) {
                     return;
                 }
-                // Retransmission of a request we already answered? Replay.
-                if let Some((status, body, _)) = self.replay.get(&(from, req.req_id)) {
-                    ctx.metrics().bump("gateway.replays", 1.0);
-                    reply(ctx, from, &req, *status, body.clone());
-                    return;
+                match self.replies.get(&from) {
+                    // Retransmission of the request we last answered: replay.
+                    Some((id, status, body)) if *id == req.req_id => {
+                        ctx.metrics().bump("gateway.replays", 1.0);
+                        reply(ctx, from, &req, *status, body.clone());
+                        return;
+                    }
+                    // A late copy of an older request: its sender has moved on.
+                    Some((id, ..)) if *id > req.req_id => {
+                        ctx.metrics().bump("gateway.stale_requests", 1.0);
+                        return;
+                    }
+                    _ => {}
                 }
                 match req.path.as_str() {
                     PATH_SUBSCRIBE => self.handle_subscribe(ctx, from, &req),
@@ -680,7 +657,7 @@ impl Node for GatewayNode {
                     return; // acked
                 };
                 let attempts = *attempts;
-                if attempts >= self.config.max_transfer_attempts {
+                if attempts >= MAX_TRANSFER_ATTEMPTS {
                     // First site unreachable: skip it and try the next.
                     if let Some((mut agent, _)) = self.staging.remove(&agent_id) {
                         let site = agent.next_site().unwrap_or("?").to_owned();
@@ -735,6 +712,11 @@ mod tests {
         agent_id: Option<String>,
         result: Option<ResultDoc>,
         statuses: Vec<HttpStatus>,
+        /// Every response that reached the device, including replays of
+        /// requests its `HttpClient` already finished.
+        wire: Vec<(u64, HttpStatus)>,
+        /// The request id of the last collect.
+        collect_req: Option<u64>,
         tamper_key: bool,
         poll_delay: SimDuration,
     }
@@ -758,6 +740,8 @@ mod tests {
                 agent_id: None,
                 result: None,
                 statuses: vec![],
+                wire: vec![],
+                collect_req: None,
                 tamper_key: false,
                 poll_delay: SimDuration::from_secs(2),
             }
@@ -800,6 +784,9 @@ mod tests {
         }
 
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
+            if let Some(resp) = HttpResponse::from_message(&msg) {
+                self.wire.push((resp.req_id, resp.status));
+            }
             let Some(HttpResponse { status, body, .. }) = self.http.on_response(ctx, &msg)
             else {
                 return;
@@ -850,11 +837,11 @@ mod tests {
             if tag == 1 && self.phase == Phase::Waiting {
                 self.phase = Phase::Collecting;
                 let id = self.agent_id.clone().unwrap();
-                self.http.send(
+                self.collect_req = Some(self.http.send(
                     ctx,
                     self.gateway,
                     HttpRequest::new("GET", PATH_RESULT, id.into_bytes()),
-                );
+                ));
             } else {
                 self.http.on_timer(ctx, tag);
             }
@@ -917,45 +904,171 @@ mod tests {
         assert!(gw.files.used() > 0);
     }
 
-    #[test]
-    fn replay_and_completed_caches_evict_after_ttl() {
-        let (mut sim, gateway, device) = build(9);
-        {
-            let gw = sim.node_mut::<GatewayNode>(gateway).unwrap();
-            gw.config.replay_ttl = SimDuration::from_secs(60);
-            gw.config.completed_ttl = SimDuration::from_secs(120);
+    /// A client that only records what the gateway sends it.
+    #[derive(Default)]
+    struct Sink {
+        received: Vec<HttpResponse>,
+    }
+
+    impl Node for Sink {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
+            self.received.extend(HttpResponse::from_message(&msg));
         }
+    }
+
+    /// A gateway with no MAS sites (agents complete at once, every hop
+    /// unreachable) and a [`Sink`] client on a LAN link.
+    fn build_sink(seed: u64) -> (Simulator, NodeId, NodeId, PublicKey) {
+        let mut sim = Simulator::new(seed);
+        let gw = GatewayNode::new(GatewayConfig::new("gw-1", 99), SiteDirectory::new());
+        let key = gw.public_key();
+        let gateway = sim.add_node(Box::new(gw));
+        let client = sim.add_node(Box::new(Sink::default()));
+        sim.connect(client, gateway, LinkSpec::lan());
+        (sim, gateway, client, key)
+    }
+
+    /// A dispatch request carrying `pad` bytes of stored (uncompressed)
+    /// parameter, authorized through the operator secret.
+    fn dispatch_request(key: &PublicKey, req_id: u64, pad: usize) -> Message {
+        let code_id = UniqueId("ebank/dev9/1".into());
+        let auth_key = code_id.derive_key(&code_secret("pdagent-operator", &code_id));
+        let pi = PackedInformation {
+            code_id: code_id.0,
+            auth_key,
+            program: banking_program(),
+            itinerary: vec!["bank-a".into()],
+            params: vec![
+                ("user".into(), pdagent_vm::Value::Str("alice".into())),
+                ("pad".into(), pdagent_vm::Value::Str("x".repeat(pad))),
+            ],
+            fuel_per_hop: 100_000,
+        };
+        let stored = compress(pi.to_document_string().as_bytes(), Algorithm::Store);
+        let env = seal_envelope(key, &stored, b"device-entropy-1");
+        let mut req = HttpRequest::new("POST", PATH_DISPATCH, env.bytes);
+        req.req_id = req_id;
+        req.to_message()
+    }
+
+    #[test]
+    fn dispatch_retransmitted_after_ten_minutes_is_replayed_not_rerun() {
+        // A 128 KiB upload's size-scaled RTO is over two minutes, so a
+        // retransmission 601 s after the first copy is within the handheld's
+        // nine attempts. Its slot still holds the answer.
+        let (mut sim, gateway, client, key) = build_sink(31);
+        let msg = dispatch_request(&key, 1, 128 * 1024);
+        assert!(msg.body.len() > 128 * 1024);
+        sim.inject_at(gateway, client, msg.clone(), SimTime::ZERO);
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<GatewayNode>(gateway).unwrap().stored_results(), 1);
-        assert!(sim.metrics(gateway).gauge("gateway.replay_entries") >= 3.0);
-        // A probe far beyond every client's retransmission window triggers
-        // the lazy sweep: every replayable response and the completed agent
-        // (dispatched entry + stored result) are dropped.
-        let later = sim.now() + SimDuration::from_secs(130);
-        sim.inject_at(gateway, device, Message::new(KIND_PROBE, vec![1]), later);
+        let later = SimTime::ZERO + SimDuration::from_secs(601);
+        sim.inject_at(gateway, client, msg, later);
         sim.run_until_idle();
         let m = sim.metrics(gateway);
-        assert!(
-            m.counter("gateway.replay_evictions") >= 3.0,
-            "subscribe/dispatch/collect responses should all expire"
-        );
+        assert_eq!(m.counter("gateway.dispatches"), 1.0);
+        assert_eq!(m.counter("gateway.replays"), 1.0);
+        assert_eq!(m.counter("gateway.duplicate_executions"), 0.0);
+        let sink = sim.node_ref::<Sink>(client).unwrap();
+        assert_eq!(sink.received.len(), 2);
+        assert_eq!(sink.received[0], sink.received[1], "the replay is the original answer");
+        assert_eq!(sink.received[1].status, HttpStatus::Accepted);
+    }
+
+    #[test]
+    fn stale_copy_of_an_older_request_is_dropped_unanswered() {
+        let (mut sim, gateway, client, key) = build_sink(32);
+        let first = dispatch_request(&key, 1, 0);
+        sim.inject_at(gateway, client, first.clone(), SimTime::ZERO);
+        sim.run_until_idle();
+        // The client moves on to its next request, which is answered and
+        // cached; only then does a delayed copy of the first one arrive.
+        let second = dispatch_request(&key, 2, 0);
+        let t = sim.now() + SimDuration::from_secs(1);
+        sim.inject_at(gateway, client, second, t);
+        sim.run_until_idle();
+        let t = sim.now() + SimDuration::from_secs(1);
+        sim.inject_at(gateway, client, first, t);
+        sim.run_until_idle();
+        let m = sim.metrics(gateway);
+        assert_eq!(m.counter("gateway.dispatches"), 2.0);
+        assert_eq!(m.counter("gateway.stale_requests"), 1.0);
+        assert_eq!(m.counter("gateway.replays"), 0.0);
+        assert_eq!(m.counter("gateway.duplicate_executions"), 0.0);
+        let ids: Vec<u64> =
+            sim.node_ref::<Sink>(client).unwrap().received.iter().map(|r| r.req_id).collect();
+        assert_eq!(ids, vec![1, 2], "the stale copy gets no answer");
+    }
+
+    #[test]
+    fn result_waits_for_its_first_collect_and_a_late_retransmit_replays_it() {
+        let (mut sim, gateway, device) = build(23);
+        // No collected agent may stay on the completed list, yet the result
+        // must survive until the device comes back for it.
+        sim.node_mut::<GatewayNode>(gateway).unwrap().config.completed_max_entries = 0;
+        sim.node_mut::<ScriptDevice>(device).unwrap().poll_delay = SimDuration::from_secs(30);
+        sim.run_until_idle();
+        let d = sim.node_ref::<ScriptDevice>(device).unwrap();
+        assert!(d.result.is_some(), "statuses {:?}", d.statuses);
+        let (agent_id, collect) = (d.agent_id.clone().unwrap(), d.collect_req.unwrap());
+        // A retransmitted collect arrives after the sweep evicted the result
+        // and is still answered from the device's slot.
+        let mut req = HttpRequest::new("GET", PATH_RESULT, agent_id.into_bytes());
+        req.req_id = collect;
+        let later = sim.now() + SimDuration::from_secs(5);
+        sim.inject_at(gateway, device, req.to_message(), later);
+        sim.run_until_idle();
+        let m = sim.metrics(gateway);
         assert_eq!(m.counter("gateway.completed_evictions"), 1.0);
-        assert_eq!(m.gauge("gateway.replay_entries"), 0.0);
+        assert_eq!(m.counter("gateway.replays"), 1.0);
+        assert_eq!(sim.node_ref::<GatewayNode>(gateway).unwrap().stored_results(), 0);
+        let wire = &sim.node_ref::<ScriptDevice>(device).unwrap().wire;
+        assert_eq!(wire.last(), Some(&(collect, HttpStatus::Ok)));
+        assert_eq!(wire.iter().filter(|&&w| w == (collect, HttpStatus::Ok)).count(), 2);
+    }
+
+    #[test]
+    fn duplicate_completion_leaves_a_collected_agent_evictable() {
+        let (mut sim, gateway, device) = build(24);
+        sim.run_until_idle();
+        let agent_id = sim.node_ref::<ScriptDevice>(device).unwrap().agent_id.clone().unwrap();
+        // A second completion for the collected agent, as a transfer retried
+        // after a lost ack would send.
+        let agent = MobileAgent::new(
+            AgentId(agent_id),
+            banking_program(),
+            vec![],
+            Itinerary { sites: vec![] },
+            gateway as u64,
+        );
+        let later = sim.now() + SimDuration::from_secs(1);
+        sim.inject_at(gateway, 1, Message::new(KIND_COMPLETE, agent.to_bytes()), later);
+        sim.run_until_idle();
+        assert_eq!(sim.metrics(gateway).counter("gateway.results_stored"), 1.0);
+        sim.node_mut::<GatewayNode>(gateway).unwrap().config.completed_max_entries = 0;
+        let later = sim.now() + SimDuration::from_secs(1);
+        sim.inject_at(gateway, device, Message::new(KIND_PROBE, vec![1]), later);
+        sim.run_until_idle();
+        assert_eq!(sim.metrics(gateway).counter("gateway.completed_evictions"), 1.0);
         assert_eq!(sim.node_ref::<GatewayNode>(gateway).unwrap().stored_results(), 0);
     }
 
     #[test]
-    fn replay_cache_is_bounded_by_max_entries() {
-        let (mut sim, gateway, _) = build(10);
-        sim.node_mut::<GatewayNode>(gateway).unwrap().config.replay_max_entries = 1;
+    fn completed_list_evicts_after_ttl_while_reply_slots_stay() {
+        let (mut sim, gateway, device) = build(9);
+        sim.run_until_idle();
+        assert_eq!(sim.node_ref::<GatewayNode>(gateway).unwrap().stored_results(), 1);
+        // One client, one slot, however many requests it made.
+        assert_eq!(sim.metrics(gateway).gauge("gateway.replay_entries"), 1.0);
+        // A probe past the TTL triggers the lazy sweep: the collected agent
+        // (dispatched entry + stored result) is dropped; the slot is not.
+        let later = sim.now() + COMPLETED_TTL + SimDuration::from_secs(1);
+        sim.inject_at(gateway, device, Message::new(KIND_PROBE, vec![1]), later);
         sim.run_until_idle();
         let m = sim.metrics(gateway);
-        assert!(m.counter("gateway.replay_evictions") >= 2.0, "cap must evict oldest");
-        assert!(m.gauge("gateway.replay_entries") <= 1.0);
-        // The exchange still completes: eviction only sheds entries whose
-        // clients already got their response.
-        let gw = sim.node_ref::<GatewayNode>(gateway).unwrap();
-        assert_eq!(gw.stored_results(), 1);
+        assert_eq!(m.counter("gateway.completed_evictions"), 1.0);
+        assert_eq!(m.gauge("gateway.results_entries"), 0.0);
+        assert_eq!(m.gauge("gateway.replay_entries"), 1.0);
+        assert_eq!(sim.node_ref::<GatewayNode>(gateway).unwrap().stored_results(), 0);
     }
 
     #[test]
@@ -984,30 +1097,27 @@ mod tests {
     fn eviction_metrics_round_trip_through_prom_exposition() {
         use pdagent_net::telemetry::{parse_prom, render_prom, TelemetrySnapshot};
         let (mut sim, gateway, device) = build(22);
-        {
-            let gw = sim.node_mut::<GatewayNode>(gateway).unwrap();
-            gw.config.replay_ttl = SimDuration::from_secs(60);
-        }
         sim.run_until_idle();
-        let later = sim.now() + SimDuration::from_secs(70);
+        let later = sim.now() + COMPLETED_TTL + SimDuration::from_secs(1);
         sim.inject_at(gateway, device, Message::new(KIND_PROBE, vec![1]), later);
         sim.run_until_idle();
 
-        // What an in-sim scraper would see: the eviction counters and the
+        // What an in-sim scraper would see: the eviction counter and the
         // occupancy gauges exposed as Prometheus families, losslessly.
         let snap = TelemetrySnapshot::capture(sim.metrics(gateway), &[]);
         let text = render_prom("gw-1", &snap);
         assert!(text.contains(
-            "pdagent_gateway_replay_evictions_total{instance=\"gw-1\",key=\"gateway.replay_evictions\"}"
+            "pdagent_gateway_completed_evictions_total{instance=\"gw-1\",key=\"gateway.completed_evictions\"} 1"
         ));
         assert!(text.contains("# TYPE pdagent_gateway_replay_entries gauge"));
         assert!(text.contains(
-            "pdagent_gateway_replay_entries{instance=\"gw-1\",key=\"gateway.replay_entries\"} 0"
+            "pdagent_gateway_replay_entries{instance=\"gw-1\",key=\"gateway.replay_entries\"} 1"
         ));
         let parsed = parse_prom(&text);
         assert_eq!(parsed.counters, snap.counters);
         assert_eq!(parsed.gauges, snap.gauges);
-        assert!(parsed.counter("gateway.replay_evictions") >= 3.0);
+        assert_eq!(parsed.counter("gateway.completed_evictions"), 1.0);
+        assert_eq!(parsed.gauge("gateway.replay_entries"), 1.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! interned `Arc<str>` (cloning a message kind is a refcount bump, and
 //! repeated kinds — there are only a dozen protocol discriminators — share
 //! one allocation process-wide), and the body is a [`Bytes`] buffer, so link
-//! transit, retransmission queues, replay caches and trace capture all alias
+//! transit, retransmission queues, reply slots and trace capture all alias
 //! one allocation instead of deep-copying the payload.
 
 use std::borrow::Borrow;

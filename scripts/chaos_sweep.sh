@@ -79,11 +79,10 @@ trap 'rm -f "${block}"' EXIT
 {
     echo '<!-- chaos_matrix:begin -->'
     echo "Recorded by \`scripts/chaos_sweep.sh\`: seeds ${SEEDS}, shard counts"
-    echo "${SHARDS}, gateway replay cap 16. Each cell is passing cases / cases"
-    echo "run for one fault class at intensity p — a pass means every system"
-    echo "invariant (no lost agents, no duplicate execution, replay-cache"
-    echo "bounds, zero dropped pages, monotone epochs, alert pairing) held at"
-    echo "every epoch barrier and at quiesce:"
+    echo "${SHARDS}. Each cell is passing cases / cases run for one fault class"
+    echo "at intensity p — a pass means every system invariant (no lost agents,"
+    echo "no duplicate execution, zero dropped pages, monotone epochs, alert"
+    echo "pairing) held at every epoch barrier and at quiesce:"
     echo
     echo '```'
     printf '%s\n' "${table}"

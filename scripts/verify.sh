@@ -80,6 +80,12 @@ cargo build --release -p pdagent-bench --bin chaos
     --intensities 0.5 --seeds 42 --shards 1,2 > /dev/null
 SOAK_CHAOS=1 ./target/release/soak 64 1,2 > /dev/null
 
+# Exactly-once dispatch at scale: 700 handhelds (70 cells) under the same
+# mixed schedule. A gateway that re-runs a retransmitted dispatch fails the
+# no-duplicate-execution invariant here; the global replay cache the reply
+# slots replaced did, at epoch 1110.
+SOAK_CHAOS=1 ./target/release/soak 700 1 > /dev/null
+
 # Event-scheduler smoke: the wheel-vs-heap replay must pop byte-identical
 # (time, seq) streams (the binary exits nonzero on divergence), and the
 # criterion event-loop benches must run clean.

@@ -13,9 +13,10 @@
 
 use pdagent_bench::soak::{run_soak, SoakSpec};
 
-/// The digest recorded before the event-queue, chaos, telemetry and
-/// `SoakSpec` deletion pass; every later build must reproduce it.
-const GOLDEN: u64 = 0xee17_c513_8205_d0f4;
+/// Re-recorded when the gateway's replay cache became one reply slot per
+/// client: the rendering moved only in the `replay-occupancy` SLO's last
+/// value (6.0 cached responses → 2.0 slots, one per handheld).
+const GOLDEN: u64 = 0x81d3_36f6_a974_e7d0;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
