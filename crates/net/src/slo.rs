@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 
 use bytes::Bytes;
 
-use crate::federation::merge_snapshot;
+use crate::federation::{add_scalar, merge_snapshot, merge_stage};
 use crate::http::{self, HttpClient, HttpRequest, HttpStatus, TimerOutcome};
 use crate::message::Message;
 use crate::metrics::KEY_QUEUE_DEPTH;
@@ -35,7 +35,7 @@ use crate::obs::Histogram;
 use crate::paging::{page_fire, page_resolve};
 use crate::sim::{Ctx, Node, NodeId};
 use crate::telemetry::{
-    escape_label, parse_epoch_header, parse_prom, parse_since, write_value, DeltaState,
+    escape_label, parse_epoch_header, parse_since, write_value, DeltaState, HeldSnapshot,
     TelemetrySnapshot, PATH_HEALTHZ, PATH_METRICS,
 };
 use crate::time::{SimDuration, SimTime};
@@ -220,6 +220,36 @@ pub struct SloReport {
     pub last_value: f64,
 }
 
+/// The signals [`SloEngine::evaluate`] reads, by name.
+pub trait Signals {
+    /// A counter's value (0 if absent).
+    fn counter(&self, key: &str) -> f64;
+    /// A gauge's value (0 if absent).
+    fn gauge(&self, key: &str) -> f64;
+    /// A stage's cumulative latency histogram, if present.
+    fn stage(&self, name: &str) -> Option<&Histogram>;
+    /// The trace id of the stage's highest-bucket exemplar (0 if none).
+    fn exemplar_for(&self, stage: &str) -> u64;
+}
+
+impl Signals for TelemetrySnapshot {
+    fn counter(&self, key: &str) -> f64 {
+        TelemetrySnapshot::counter(self, key)
+    }
+
+    fn gauge(&self, key: &str) -> f64 {
+        TelemetrySnapshot::gauge(self, key)
+    }
+
+    fn stage(&self, name: &str) -> Option<&Histogram> {
+        TelemetrySnapshot::stage(self, name)
+    }
+
+    fn exemplar_for(&self, stage: &str) -> u64 {
+        TelemetrySnapshot::exemplar_for(self, stage)
+    }
+}
+
 /// The pure rule-evaluation state machine: rules in, snapshots in on a
 /// cadence, alert edges out.
 #[derive(Debug, Clone, Default)]
@@ -240,7 +270,7 @@ impl SloEngine {
 
     /// Evaluate every rule against a snapshot, returning the transitions
     /// (edges only — a rule that stays breached or stays healthy is silent).
-    pub fn evaluate(&mut self, snap: &TelemetrySnapshot) -> Vec<AlertTransition> {
+    pub fn evaluate(&mut self, snap: &impl Signals) -> Vec<AlertTransition> {
         let mut out = Vec::new();
         for (rule, state) in &mut self.rules {
             let mut exemplar = 0u64;
@@ -249,7 +279,7 @@ impl SloEngine {
                     Some(cur) => {
                         exemplar = snap.exemplar_for(stage);
                         let window = cur.diff(&state.prev_stage);
-                        state.prev_stage = cur.clone();
+                        state.prev_stage.clone_from(cur);
                         if window.count() == 0 {
                             0.0
                         } else {
@@ -379,14 +409,51 @@ struct TargetState {
     consecutive_failures: f64,
     /// When the last successful `/metrics` scrape of this target landed.
     last_ok: Option<SimTime>,
-    last_snap: TelemetrySnapshot,
-    /// The target's snapshot epoch `last_snap` corresponds to (`None` until
+    /// The target's telemetry as of its last scrape.
+    held: HeldSnapshot,
+    /// The target's snapshot epoch `held` corresponds to (`None` until
     /// a delta-aware full snapshot lands — the next scrape must be full).
     last_epoch: Option<u64>,
     /// rule name → trace id of the open alert episode.
     episodes: HashMap<String, u64>,
     /// rule name → open `slo.alert` span id.
     open_spans: HashMap<String, u32>,
+}
+
+/// A target as its rules see it: the held snapshot under the monitor's
+/// synthetic probe-failure and staleness gauges and scrape-RTT stage, which
+/// shadow any scraped series of the same name.
+struct Observed<'a> {
+    snap: &'a TelemetrySnapshot,
+    probe_failures: f64,
+    staleness: f64,
+    rtt: &'a Histogram,
+}
+
+impl Signals for Observed<'_> {
+    fn counter(&self, key: &str) -> f64 {
+        self.snap.counter(key)
+    }
+
+    fn gauge(&self, key: &str) -> f64 {
+        match key {
+            KEY_PROBE_FAILURES => self.probe_failures,
+            KEY_SCRAPE_STALENESS => self.staleness,
+            _ => self.snap.gauge(key),
+        }
+    }
+
+    fn stage(&self, name: &str) -> Option<&Histogram> {
+        if name == STAGE_SCRAPE_RTT {
+            Some(self.rtt)
+        } else {
+            self.snap.stage(name)
+        }
+    }
+
+    fn exemplar_for(&self, stage: &str) -> u64 {
+        self.snap.exemplar_for(stage)
+    }
 }
 
 /// Timer tag for the scrape cadence (below `HTTP_TIMER_BASE`).
@@ -451,7 +518,7 @@ impl SloMonitor {
                 rtt: Histogram::new(),
                 consecutive_failures: 0.0,
                 last_ok: None,
-                last_snap: TelemetrySnapshot::default(),
+                held: HeldSnapshot::new(),
                 last_epoch: None,
                 episodes: HashMap::new(),
                 open_spans: HashMap::new(),
@@ -506,45 +573,35 @@ impl SloMonitor {
         t.last_ok.map_or(now.0, |ok| now.since(ok).0) as f64
     }
 
-    /// The engine's evaluation view for one target: last scraped snapshot
-    /// plus the synthetic probe-failure/staleness gauges and scrape-RTT
-    /// stage.
-    fn observed(t: &TargetState, now: SimTime) -> TelemetrySnapshot {
-        let mut snap = t.last_snap.clone();
-        snap.gauges.push((KEY_PROBE_FAILURES.to_owned(), t.consecutive_failures));
-        snap.gauges.push((KEY_SCRAPE_STALENESS.to_owned(), Self::staleness(t, now)));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.stages.push((STAGE_SCRAPE_RTT.to_owned(), t.rtt.clone()));
-        snap.stages.sort_by(|a, b| a.0.cmp(&b.0));
-        snap
-    }
-
-    /// The cell view the monitor serves at `GET /metrics`: its own metrics
-    /// merged with every target's observed snapshot, in target order. The
-    /// `sim.queue_depth` gauge is stripped — it reads a *shard's* event
+    /// The cell view the monitor serves at `GET /metrics`, minus the
+    /// staleness gauge (a function of `now`, appended to each reply): its
+    /// own metrics merged with every target's held snapshot plus the
+    /// synthetic probe-failure gauge and scrape-RTT stage, in target order.
+    /// The `sim.queue_depth` gauge is stripped — it reads a *shard's* event
     /// queue, which depends on how the fleet is partitioned, and federated
-    /// rollups must be byte-identical across shard counts. The staleness
-    /// gauge is fixed up to the max across targets (merge sums gauges).
+    /// rollups must be byte-identical across shard counts.
     fn cell_view(&self, ctx: &mut Ctx<'_>) -> TelemetrySnapshot {
-        let now = ctx.now();
         let mut view = TelemetrySnapshot::capture(ctx.metrics(), &[]);
         for t in &self.targets {
-            let mut snap = Self::observed(t, now);
-            snap.gauges.retain(|(k, _)| k != KEY_QUEUE_DEPTH);
-            merge_snapshot(&mut view, &snap);
+            merge_snapshot(&mut view, t.held.snapshot());
+            add_scalar(&mut view.gauges, KEY_PROBE_FAILURES, t.consecutive_failures);
+            merge_stage(&mut view.stages, STAGE_SCRAPE_RTT, &t.rtt);
         }
-        let max_staleness =
-            self.targets.iter().map(|t| Self::staleness(t, now)).fold(0.0, f64::max);
-        if let Some(g) = view.gauges.iter_mut().find(|(k, _)| k == KEY_SCRAPE_STALENESS) {
-            g.1 = max_staleness;
-        }
+        view.gauges.retain(|(k, _)| k != KEY_QUEUE_DEPTH && k != KEY_SCRAPE_STALENESS);
         view
     }
 
     fn evaluate_target(&mut self, ctx: &mut Ctx<'_>, tidx: usize) {
-        let snap = Self::observed(&self.targets[tidx], ctx.now());
+        let now = ctx.now();
         let t = &mut self.targets[tidx];
-        let transitions = t.engine.evaluate(&snap);
+        let staleness = Self::staleness(t, now);
+        let observed = Observed {
+            snap: t.held.snapshot(),
+            probe_failures: t.consecutive_failures,
+            staleness,
+            rtt: &t.rtt,
+        };
+        let transitions = t.engine.evaluate(&observed);
         ctx.metrics().bump("slo.evaluations", 1.0);
         for tr in transitions {
             let instance = self.targets[tidx].instance.clone();
@@ -616,8 +673,7 @@ impl Node for SloMonitor {
                 // *outside* the cached prefix and is re-appended fresh to
                 // every reply.
                 if self.observed_version != self.view_version {
-                    let mut view = self.cell_view(ctx);
-                    view.gauges.retain(|(k, _)| k != KEY_SCRAPE_STALENESS);
+                    let view = self.cell_view(ctx);
                     self.serve_delta.observe(&view);
                     self.observed_version = self.view_version;
                 }
@@ -688,21 +744,10 @@ impl Node for SloMonitor {
                         }
                         let t = &mut self.targets[tidx];
                         let prev_epoch = t.last_epoch;
-                        match header {
-                            Some(h) if h.base.is_some() => {
-                                t.last_snap.apply_delta(&parse_prom(text));
-                                t.last_epoch = Some(h.epoch);
-                            }
-                            Some(h) => {
-                                t.last_snap = parse_prom(text);
-                                t.last_epoch = Some(h.epoch);
-                            }
-                            None => {
-                                // Legacy full body without an epoch header.
-                                t.last_snap = parse_prom(text);
-                                t.last_epoch = None;
-                            }
-                        }
+                        // A body without an epoch header is a legacy full
+                        // snapshot.
+                        t.held.ingest(text, header.is_none_or(|h| h.base.is_none()));
+                        t.last_epoch = header.map(|h| h.epoch);
                         // Serving nodes only ever bump their exposition
                         // epoch; a regression means state went backwards
                         // (the chaos suite's monotone-epochs invariant).

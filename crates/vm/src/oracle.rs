@@ -11,8 +11,16 @@
 
 use crate::isa::Instr;
 use crate::program::Program;
-use crate::value::Value;
+use crate::value::{Value, MAX_DEPTH};
 use crate::vm::{AgentState, Host, Outcome, VmError, LOCALS, STACK_LIMIT};
+
+/// List nesting depth of `v`, found by walking it: 0 for a scalar.
+fn nesting(v: &Value) -> usize {
+    match v {
+        Value::List(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+        _ => 0,
+    }
+}
 
 /// Execute `program` against `host` with at most `fuel` instructions,
 /// reading and updating the agent's migrating `state`.
@@ -210,7 +218,11 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                 match pop!(at) {
                     Value::List(mut items) => {
                         items.push(v);
-                        push!(at, Value::List(items));
+                        let list = Value::List(items);
+                        if nesting(&list) > MAX_DEPTH {
+                            return Outcome::Trapped(VmError::NestingTooDeep { at });
+                        }
+                        push!(at, list);
                     }
                     other => {
                         return Outcome::Trapped(VmError::TypeError {

@@ -17,7 +17,7 @@ use pdagent_codec::varint;
 
 use crate::isa::Instr;
 use crate::program::Program;
-use crate::value::Value;
+use crate::value::{Value, MAX_DEPTH};
 
 /// Number of local variable slots: one for every `load`/`store` operand.
 pub const LOCALS: usize = u8::MAX as usize + 1;
@@ -137,6 +137,12 @@ pub enum VmError {
         /// Host-provided message.
         message: String,
     },
+    /// `listpush` would nest lists deeper than [`MAX_DEPTH`], the depth
+    /// every value codec accepts.
+    NestingTooDeep {
+        /// Instruction index.
+        at: usize,
+    },
 }
 
 impl std::fmt::Display for VmError {
@@ -148,6 +154,9 @@ impl std::fmt::Display for VmError {
             VmError::DivisionByZero { at } => write!(f, "division by zero at {at}"),
             VmError::IndexOutOfRange { at } => write!(f, "index out of range at {at}"),
             VmError::Host { at, message } => write!(f, "host error at {at}: {message}"),
+            VmError::NestingTooDeep { at } => {
+                write!(f, "list nesting deeper than {MAX_DEPTH} at {at}")
+            }
         }
     }
 }
@@ -220,13 +229,19 @@ impl AgentState {
 /// `load`, `dup`, `listget` and constant pushes copy a pointer instead of a
 /// tree. It never leaves `run`; it converts to and from `Value` only where
 /// the agent touches its host or its migrating globals.
+///
+/// A list carries its nesting depth (1 for a list of scalars), so `listpush`
+/// can refuse to build a value deeper than [`MAX_DEPTH`] without walking it:
+/// converting, encoding, rendering and dropping a value all recurse once per
+/// level, and an unbounded depth would let an agent overflow the host's
+/// stack.
 #[derive(Clone, PartialEq)]
 enum Val {
     Nil,
     Bool(bool),
     Int(i64),
     Str(Rc<str>),
-    List(Rc<Vec<Val>>),
+    List(Rc<Vec<Val>>, u32),
 }
 
 impl Val {
@@ -237,7 +252,15 @@ impl Val {
             Val::Bool(b) => *b,
             Val::Int(i) => *i != 0,
             Val::Str(s) => !s.is_empty(),
-            Val::List(l) => !l.is_empty(),
+            Val::List(l, _) => !l.is_empty(),
+        }
+    }
+
+    /// List nesting depth: 0 for a scalar.
+    fn depth(&self) -> u32 {
+        match self {
+            Val::List(_, depth) => *depth,
+            _ => 0,
         }
     }
 
@@ -248,7 +271,7 @@ impl Val {
             Val::Bool(_) => "bool",
             Val::Int(_) => "int",
             Val::Str(_) => "str",
-            Val::List(_) => "list",
+            Val::List(..) => "list",
         }
     }
 
@@ -261,7 +284,7 @@ impl Val {
                 let _ = write!(out, "{i}");
             }
             Val::Str(s) => out.push_str(s),
-            Val::List(items) => {
+            Val::List(items, _) => {
                 out.push('[');
                 for (k, item) in items.iter().enumerate() {
                     if k > 0 {
@@ -282,7 +305,11 @@ impl From<&Value> for Val {
             Value::Bool(b) => Val::Bool(*b),
             Value::Int(i) => Val::Int(*i),
             Value::Str(s) => Val::Str(Rc::from(s.as_str())),
-            Value::List(items) => Val::List(Rc::new(items.iter().map(Val::from).collect())),
+            Value::List(items) => {
+                let items: Vec<Val> = items.iter().map(Val::from).collect();
+                let depth = items.iter().map(Val::depth).max().unwrap_or(0).saturating_add(1);
+                Val::List(Rc::new(items), depth)
+            }
         }
     }
 }
@@ -294,7 +321,7 @@ impl From<&Val> for Value {
             Val::Bool(b) => Value::Bool(*b),
             Val::Int(i) => Value::Int(*i),
             Val::Str(s) => Value::Str(String::from(&**s)),
-            Val::List(items) => Value::List(items.iter().map(Value::from).collect()),
+            Val::List(items, _) => Value::List(items.iter().map(Value::from).collect()),
         }
     }
 }
@@ -518,15 +545,19 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                     pc = t as usize;
                 }
             }
-            Instr::ListNew => push!(at, Val::List(Rc::default())),
+            Instr::ListNew => push!(at, Val::List(Rc::default(), 1)),
             Instr::ListPush => {
                 let v = pop!(at);
                 match pop!(at) {
                     // Copy on write: a list still held by a local or another
                     // stack slot is cloned (shallowly) before the push.
-                    Val::List(mut items) => {
+                    Val::List(mut items, depth) => {
+                        let depth = depth.max(v.depth().saturating_add(1));
+                        if depth as usize > MAX_DEPTH {
+                            return Outcome::Trapped(VmError::NestingTooDeep { at });
+                        }
                         Rc::make_mut(&mut items).push(v);
-                        push!(at, Val::List(items));
+                        push!(at, Val::List(items, depth));
                     }
                     other => {
                         return Outcome::Trapped(VmError::TypeError {
@@ -539,7 +570,7 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
             Instr::ListGet => {
                 let idx = pop_int!(at, "listget");
                 match pop!(at) {
-                    Val::List(items) => {
+                    Val::List(items, _) => {
                         let Some(v) =
                             usize::try_from(idx).ok().and_then(|i| items.get(i)).cloned()
                         else {
@@ -556,7 +587,7 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                 }
             }
             Instr::ListLen => match pop!(at) {
-                Val::List(items) => push!(at, Val::Int(items.len() as i64)),
+                Val::List(items, _) => push!(at, Val::Int(items.len() as i64)),
                 other => {
                     return Outcome::Trapped(VmError::TypeError {
                         at,
@@ -838,6 +869,73 @@ mod tests {
         let pushed = Value::List(vec![Value::Int(7), Value::Int(1)]);
         assert_eq!(host.emitted("pushed"), Some(&pushed));
         assert_eq!(host.emitted("local"), Some(&Value::List(vec![Value::Int(7)])));
+    }
+
+    /// Wrap local 0 in `rounds` fresh lists, then store it in a global.
+    fn nesting_agent(rounds: i64) -> String {
+        format!(
+            r#"
+            listnew
+            store 0
+            push {rounds}
+            store 1
+        loop:
+            load 1
+            jmpf done
+            listnew
+            load 0
+            listpush
+            store 0
+            load 1
+            push 1
+            sub
+            store 1
+            jmp loop
+        done:
+            load 0
+            gstore "x"
+            halt
+        "#
+        )
+    }
+
+    #[test]
+    fn listpush_traps_past_max_depth_instead_of_overflowing_the_host_stack() {
+        // A hostile agent nests 20,000 lists and stores the result. Before
+        // the depth cap, converting it for `gstore` recursed once per level
+        // and aborted the whole process on a 2 MB thread.
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let program = assemble(&nesting_agent(20_000)).unwrap();
+                let mut host = MapHost::new("site-a");
+                let mut state = AgentState::default();
+                let outcome = run(&program, &mut state, &mut host, 1_000_000);
+                assert!(state.globals.is_empty(), "nothing deep may reach the globals");
+                outcome
+            })
+            .unwrap()
+            .join()
+            .expect("the agent must trap, not take the host down");
+        assert_eq!(outcome, Outcome::Trapped(VmError::NestingTooDeep { at: 8 }));
+    }
+
+    #[test]
+    fn max_depth_lists_are_built_and_round_trip_through_the_codec() {
+        // 255 wraps of the first list: exactly MAX_DEPTH levels, the deepest
+        // value `Value::decode` accepts.
+        let program = assemble(&nesting_agent(MAX_DEPTH as i64 - 1)).unwrap();
+        let mut host = MapHost::new("site-a");
+        let mut state = AgentState::default();
+        assert_eq!(run(&program, &mut state, &mut host, 1_000_000), Outcome::Completed);
+        let mut depth = 0;
+        let mut v = &state.globals["x"];
+        while let Value::List(items) = v {
+            depth += 1;
+            v = items.first().unwrap_or(&Value::Nil);
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        assert_eq!(AgentState::from_bytes(&state.to_bytes()).as_ref(), Some(&state));
     }
 
     #[test]

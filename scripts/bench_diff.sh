@@ -175,6 +175,13 @@ for baseline in "$baseline_dir"/BENCH_*.json; do
     printf '%-28s delta/full merged rollups DIVERGED   CHECKSUM MISMATCH\n' "$name"
     status=1
   fi
+  # Every full body the A/B served, streamed into a fresh held snapshot,
+  # must equal the reference parser's snapshot — always a hard failure.
+  ingest_ref=$(sed -n 's/.*"ingest_reference_match": *\(true\|false\).*/\1/p' "$report" | head -1)
+  if [[ "$ingest_ref" == "false" ]]; then
+    printf '%-28s streaming ingest differs from parse_prom   INGEST REFERENCE MISMATCH\n' "$name"
+    status=1
+  fi
 
   # The paging drill: a dropped page means the notification path lost an
   # alert outright — always a hard failure, no threshold.

@@ -66,7 +66,9 @@ SOAK_SAMPLE=0 ./target/release/soak 64 1,2 > /dev/null
 
 # Federation delta-plane smoke: the 300-cell A/B must keep the merged
 # rollup byte-identical between delta and full scrape modes while moving at
-# least 3x fewer bytes per round (the binary exits nonzero on either gate).
+# least 3x fewer bytes per round, and every full body's streaming ingest must
+# equal the reference parser's snapshot (the binary exits nonzero on any of
+# these gates).
 cargo build --release -p pdagent-bench --bin fed_bench
 ./target/release/fed_bench 300 12 42 > /dev/null
 
