@@ -107,7 +107,7 @@ fn federation_fixture() -> TelemetrySnapshot {
         rtt.record(base * 100);
         rtt.record(base * 200);
         let snap = TelemetrySnapshot::capture(&m, &[("scrape.rtt".to_string(), rtt)]);
-        rollup.upsert(cell, SimTime(base * 1_000), snap);
+        assert!(rollup.ingest(cell, SimTime(base * 1_000), &render_prom(cell, &snap), true));
     }
     rollup.merged()
 }
