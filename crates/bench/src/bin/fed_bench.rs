@@ -43,7 +43,8 @@ use pdagent_net::message::Message;
 use pdagent_net::obs::Histogram;
 use pdagent_net::sim::{Ctx, Node, NodeId, Simulator};
 use pdagent_net::telemetry::{
-    parse_prom, parse_since, render_prom, DeltaState, HeldSnapshot, TelemetrySnapshot, PATH_METRICS,
+    parse_prom, parse_since, render_prom, DeltaState, HeldSnapshot, Ingested, TelemetrySnapshot,
+    PATH_METRICS,
 };
 use pdagent_net::time::SimDuration;
 
@@ -125,14 +126,15 @@ impl Node for SynthCell {
         if req.method == "GET" && path == PATH_METRICS {
             self.mutate();
             self.delta.observe(&self.snap);
-            let since = since.filter(|&s| self.delta.can_delta(s));
             self.delta.render_into(&self.instance, since, &mut self.body);
-            if self.check && since.is_none() {
+            if self.check {
                 let started = Instant::now();
+                // A fresh holder takes a full body and refuses a delta.
                 let mut held = HeldSnapshot::new();
-                held.ingest(&self.body, true);
-                self.checked += 1;
-                self.mismatches += u64::from(*held.snapshot() != parse_prom(&self.body));
+                if held.apply(&self.body) != Ingested::Gap {
+                    self.checked += 1;
+                    self.mismatches += u64::from(*held.snapshot() != parse_prom(&self.body));
+                }
                 self.check_time += started.elapsed();
             }
             http::reply(ctx, from, &req, HttpStatus::Ok, self.body.clone().into_bytes());
@@ -178,13 +180,11 @@ fn run_fleet(
         cadence,
         rounds,
         rto: SimDuration::from_secs(30),
-        retries: 1,
         batch,
         batch_spacing,
         max_inflight,
         stale_after: SimDuration::from_secs(3_600),
         delta,
-        resync_every: 8,
         rules: default_federation_rules(),
         pager: None,
     };

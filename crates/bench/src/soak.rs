@@ -378,8 +378,8 @@ pub struct SoakOutcome {
     /// The paging gateway's outcome (`None` unless `slo && federation`).
     pub paging: Option<PagingReport>,
     /// Flight-recorder dumps captured for cells that saw alerts:
-    /// `(node name, JSONL body)`, ready for [`pdagent_net::telemetry::dump_flight`]-style
-    /// persistence by the caller (empty unless `slo && observe`).
+    /// `(node name, JSONL body)`, for the caller to persist (the soak binary
+    /// writes them under `target/flightrec/`; empty unless `slo && observe`).
     pub flight: Vec<(String, String)>,
     /// Tail-sampler accounting summed over every shard collector (`None`
     /// unless `observe && sample`).

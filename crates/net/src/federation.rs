@@ -26,12 +26,12 @@
 //! epoch protocol: after a first full snapshot per cell it asks
 //! `GET /metrics?since=<epoch>` and receives only the series that changed,
 //! streaming them into the cell's held snapshot via
-//! [`FederationRollup::ingest`]. Every
-//! `resync_every`-th round is a full-snapshot resync, and an epoch gap in
-//! either direction (server fell back to full, or a delta arrives against a
-//! base the scraper no longer holds) degrades safely to a full refetch —
-//! counted in `federation.resyncs`, never dropped. The merged rollup is
-//! byte-identical to full-snapshot mode at equal scrape counts.
+//! [`FederationRollup::ingest`]. Every 8th round is a full-snapshot resync,
+//! like the monitors', and an epoch gap in either direction (server fell
+//! back to full, or a delta arrives against a base the scraper no longer
+//! holds) degrades safely to a full refetch — counted in
+//! `federation.resyncs`, never dropped. The merged rollup is byte-identical
+//! to full-snapshot mode at equal scrape counts.
 //!
 //! Determinism: the scraper's links carry their own per-link RNG streams
 //! (keyed by node labels, like every link), its timers and HTTP req-ids are
@@ -41,13 +41,14 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::http::{HttpClient, HttpRequest, TimerOutcome};
+use crate::http::{HttpClient, TimerOutcome};
 use crate::message::Message;
 use crate::obs::Histogram;
-use crate::paging::{page_fire, page_resolve};
 use crate::sim::{Ctx, Node, NodeId};
-use crate::slo::{SloEngine, SloReport, SloRule};
-use crate::telemetry::{parse_epoch_header, HeldSnapshot, TelemetrySnapshot, PATH_METRICS};
+use crate::slo::{AlertEpisodes, SloEngine, SloReport, SloRule};
+use crate::telemetry::{
+    scrape_request, HeldSnapshot, Ingested, TelemetrySnapshot, RESYNC_EVERY, SCRAPE_RETRIES,
+};
 use crate::time::{SimDuration, SimTime};
 
 /// Synthetic gauge the scraper injects before fleet evaluation: the largest
@@ -149,22 +150,29 @@ impl FederationRollup {
         FederationRollup::default()
     }
 
-    /// Stream a scraped body into cell `instance`'s held snapshot (see
-    /// [`HeldSnapshot::ingest`]), scraped at `at`. A `full` body installs or
-    /// replaces the cell. A delta needs a held base: without one it returns
-    /// `false` and leaves the rollup untouched, and the caller must fall
-    /// back to a full scrape.
-    pub fn ingest(&mut self, instance: &str, at: SimTime, text: &str, full: bool) -> bool {
-        if !self.cells.contains_key(instance) {
-            if !full {
-                return false;
+    /// Apply a body scraped from cell `instance` at `at` to its held
+    /// snapshot (see [`HeldSnapshot::apply`]). A full body installs or
+    /// replaces the cell; a [`Ingested::Gap`] leaves the rollup untouched,
+    /// and the caller must fall back to a full scrape.
+    pub fn ingest(&mut self, instance: &str, at: SimTime, text: &str) -> Ingested {
+        let Some((held_at, held)) = self.cells.get_mut(instance) else {
+            let mut held = HeldSnapshot::new();
+            let got = held.apply(text);
+            if got != Ingested::Gap {
+                self.cells.insert(instance.to_owned(), (at, held));
             }
-            self.cells.insert(instance.to_owned(), (at, HeldSnapshot::new()));
+            return got;
+        };
+        let got = held.apply(text);
+        if got != Ingested::Gap {
+            *held_at = at;
         }
-        let Some((held_at, held)) = self.cells.get_mut(instance) else { return false };
-        held.ingest(text, full);
-        *held_at = at;
-        true
+        got
+    }
+
+    /// The epoch cell `instance`'s held snapshot corresponds to.
+    pub fn epoch(&self, instance: &str) -> Option<u64> {
+        self.cells.get(instance).and_then(|(_, held)| held.epoch())
     }
 
     /// Cells currently held.
@@ -219,8 +227,6 @@ pub struct FederationSpec {
     pub rounds: u32,
     /// Per-scrape retransmission timeout.
     pub rto: SimDuration,
-    /// Retransmissions before a scrape counts as failed.
-    pub retries: u32,
     /// Targets dispatched per fan-in batch tick.
     pub batch: usize,
     /// Delay between fan-in batch ticks within a round.
@@ -233,9 +239,6 @@ pub struct FederationSpec {
     /// Scrape cells with `?since=<epoch>` delta requests once a base
     /// snapshot is held; `false` forces a full snapshot every round.
     pub delta: bool,
-    /// In delta mode, every Nth round is a full-snapshot resync round
-    /// (round 0 is always full).
-    pub resync_every: u32,
     /// Fleet rule set evaluated against each round's rollup.
     pub rules: Vec<SloRule>,
     /// Paging gateway to notify on fleet alert edges, if any.
@@ -248,13 +251,11 @@ impl Default for FederationSpec {
             cadence: SimDuration::from_secs(10),
             rounds: 3,
             rto: SimDuration::from_secs(2),
-            retries: 1,
             batch: 16,
             batch_spacing: SimDuration::from_millis(200),
             max_inflight: 8,
             stale_after: SimDuration::from_secs(30),
             delta: true,
-            resync_every: 8,
             rules: Vec::new(),
             pager: None,
         }
@@ -309,10 +310,6 @@ pub struct FederationScraper {
     spec: FederationSpec,
     /// `(node, instance)` per target cell monitor, in dispatch order.
     targets: Vec<(NodeId, String)>,
-    /// Last successful scrape per target (for staleness accounting).
-    last_ok: Vec<Option<SimTime>>,
-    /// Last epoch seen per target (the `since=` base for delta scrapes).
-    last_epoch: Vec<Option<u64>>,
     /// True while the current round scrapes full snapshots.
     full_round: bool,
     http: HttpClient,
@@ -329,8 +326,7 @@ pub struct FederationScraper {
     inflight: usize,
     rounds_started: u32,
     round_pending: bool,
-    /// rule name → (episode trace id, open `slo.alert` span id).
-    episodes: HashMap<String, (u64, u32)>,
+    alerts: AlertEpisodes,
     /// Cumulative staleness histogram (µs), one record per cell per round.
     staleness: Histogram,
     /// Cumulative scrape RTT histogram (µs).
@@ -362,15 +358,11 @@ impl FederationScraper {
     pub fn new(spec: FederationSpec, targets: Vec<(NodeId, String)>) -> FederationScraper {
         let mut http = HttpClient::new();
         http.timeout = spec.rto;
-        http.max_retries = spec.retries;
+        http.max_retries = SCRAPE_RETRIES;
         let engine = SloEngine::new(spec.rules.clone());
-        let last_ok = vec![None; targets.len()];
-        let last_epoch = vec![None; targets.len()];
         FederationScraper {
             spec,
             targets,
-            last_ok,
-            last_epoch,
             full_round: true,
             http,
             pending: HashMap::new(),
@@ -382,7 +374,7 @@ impl FederationScraper {
             inflight: 0,
             rounds_started: 0,
             round_pending: false,
-            episodes: HashMap::new(),
+            alerts: AlertEpisodes::new("federation.alerts_fired", "federation.alerts_resolved"),
             staleness: Histogram::new(),
             rtt: Histogram::new(),
             rounds_done: 0,
@@ -429,8 +421,8 @@ impl FederationScraper {
     }
 
     fn start_round(&mut self, ctx: &mut Ctx<'_>) {
-        self.full_round = !self.spec.delta
-            || self.rounds_done.is_multiple_of(u64::from(self.spec.resync_every.max(1)));
+        self.full_round =
+            !self.spec.delta || self.rounds_done.is_multiple_of(u64::from(RESYNC_EVERY));
         self.queue = (0..self.targets.len()).collect();
         self.budget = self.spec.batch.max(1).min(self.targets.len());
         self.issued = 0;
@@ -448,13 +440,9 @@ impl FederationScraper {
             && !self.queue.is_empty()
         {
             let tidx = self.queue.pop_front().expect("non-empty queue");
-            let node = self.targets[tidx].0;
-            let since = if self.full_round { None } else { self.last_epoch[tidx] };
-            let req = match since {
-                Some(e) => HttpRequest::new("GET", format!("{PATH_METRICS}?since={e}"), Vec::new()),
-                None => HttpRequest::new("GET", PATH_METRICS, Vec::new()),
-            };
-            let id = self.http.send(ctx, node, req);
+            let (node, instance) = &self.targets[tidx];
+            let since = if self.full_round { None } else { self.rollup.epoch(instance) };
+            let id = self.http.send(ctx, *node, scrape_request(since));
             self.pending.insert(id, (tidx, ctx.now(), since.is_some()));
             self.issued += 1;
             self.inflight += 1;
@@ -482,9 +470,9 @@ impl FederationScraper {
     fn finish_round(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let mut max_staleness = 0u64;
-        for last in &self.last_ok {
+        for (_, instance) in &self.targets {
             // A cell that never reported is as stale as the run is old.
-            let age = last.map_or(now.0, |at| now.since(at).0);
+            let age = self.rollup.staleness(instance, now).map_or(now.0, |age| age.0);
             self.staleness.record(age);
             max_staleness = max_staleness.max(age);
         }
@@ -502,29 +490,7 @@ impl FederationScraper {
         let transitions = self.engine.evaluate(&merged);
         self.rounds_done += 1;
         ctx.metrics().bump("federation.rounds", 1.0);
-        for tr in transitions {
-            if tr.fired {
-                let trace = ctx.obs_new_trace();
-                let span = ctx.span_begin(trace, 0, "slo.alert");
-                self.episodes.insert(tr.rule.clone(), (trace, span));
-                ctx.metrics().bump("federation.alerts_fired", 1.0);
-                ctx.obs_alert(&tr.rule, "fleet", true, tr.value, tr.limit, trace, tr.exemplar);
-                if let Some(pager) = self.spec.pager {
-                    ctx.send(
-                        pager,
-                        page_fire(&tr.rule, "fleet", tr.value, tr.limit, trace, tr.exemplar),
-                    );
-                }
-            } else {
-                let (trace, span) = self.episodes.remove(&tr.rule).unwrap_or((0, 0));
-                ctx.span_end(span);
-                ctx.metrics().bump("federation.alerts_resolved", 1.0);
-                ctx.obs_alert(&tr.rule, "fleet", false, tr.value, tr.limit, trace, 0);
-                if let Some(pager) = self.spec.pager {
-                    ctx.send(pager, page_resolve(&tr.rule, "fleet"));
-                }
-            }
-        }
+        self.alerts.emit(ctx, transitions, "fleet", self.spec.pager);
     }
 }
 
@@ -550,50 +516,37 @@ impl Node for FederationScraper {
         let ingest_started = std::time::Instant::now();
         let mut ok = false;
         if let Some(text) = body {
-            let header = parse_epoch_header(text);
-            let is_delta = matches!(header, Some(h) if h.base.is_some());
-            if is_delta {
-                let h = header.expect("checked above");
-                let instance = &self.targets[tidx].1;
-                let applied = h.base == self.last_epoch[tidx]
-                    && self.rollup.ingest(instance, ctx.now(), text, false);
-                if applied {
-                    self.last_epoch[tidx] = Some(h.epoch);
-                    self.delta_scrapes += 1;
-                    ok = true;
-                } else {
+            match self.rollup.ingest(&self.targets[tidx].1, ctx.now(), text) {
+                Ingested::Gap => {
                     // Base mismatch (or no held snapshot): the delta is
-                    // unusable. Discard it and refetch the full snapshot
-                    // under the same window slot — the round stays open and
-                    // the RTT clock keeps running from the first send.
+                    // unusable. Refetch the full snapshot under the same
+                    // window slot — the round stays open and the RTT clock
+                    // keeps running from the first send.
                     self.ingest_nanos += ingest_started.elapsed().as_nanos() as u64;
                     self.resyncs += 1;
                     ctx.metrics().bump("federation.resyncs", 1.0);
-                    let node = self.targets[tidx].0;
-                    let refetch = HttpRequest::new("GET", PATH_METRICS, Vec::new());
-                    let id = self.http.send(ctx, node, refetch);
+                    let id = self.http.send(ctx, self.targets[tidx].0, scrape_request(None));
                     self.pending.insert(id, (tidx, sent, false));
                     return;
                 }
-            } else {
-                // Full snapshot (epoch header present or legacy headerless).
-                self.rollup.ingest(&self.targets[tidx].1, ctx.now(), text, true);
-                self.last_epoch[tidx] = header.map(|h| h.epoch);
-                self.full_scrapes += 1;
-                if asked_delta {
-                    // We asked for a delta; the server couldn't serve one
-                    // (epoch gap on its side). Count the forced resync.
-                    self.resyncs += 1;
-                    ctx.metrics().bump("federation.resyncs", 1.0);
+                Ingested::Delta { .. } => self.delta_scrapes += 1,
+                Ingested::Full { .. } => {
+                    self.full_scrapes += 1;
+                    if asked_delta {
+                        // We asked for a delta; the server couldn't serve
+                        // one (epoch gap on its side). Count the forced
+                        // resync.
+                        self.resyncs += 1;
+                        ctx.metrics().bump("federation.resyncs", 1.0);
+                    }
                 }
-                ok = true;
             }
+            ok = true;
         }
         self.ingest_nanos += ingest_started.elapsed().as_nanos() as u64;
         let rtt = ctx.now().since(sent);
         self.rtt.record(rtt.0);
         if ok {
-            self.last_ok[tidx] = Some(ctx.now());
             self.scrapes_ok += 1;
             ctx.metrics().bump("federation.scrapes_ok", 1.0);
         } else {
@@ -668,7 +621,8 @@ mod tests {
 
     /// Scrape `s` into the rollup as cell `instance`'s full body.
     fn install(r: &mut FederationRollup, instance: &str, at: SimTime, s: &TelemetrySnapshot) {
-        assert!(r.ingest(instance, at, &render_prom(instance, s), true));
+        let got = r.ingest(instance, at, &render_prom(instance, s));
+        assert_eq!(got, Ingested::Full { regressed: false });
     }
 
     #[test]
@@ -718,7 +672,6 @@ mod tests {
         let mut cell = DeltaState::new();
         let mut delta_rollup = FederationRollup::new();
         let mut full_rollup = FederationRollup::new();
-        let mut last_epoch = None;
         for round in 0..6u64 {
             m.bump("slo.scrapes_ok", round as f64);
             if round == 3 {
@@ -729,14 +682,14 @@ mod tests {
             // Full-mode scraper.
             let mut body = String::new();
             cell.render_into("cell-0", None, &mut body);
-            assert!(full_rollup.ingest("cell-0", SimTime(round), &body, true));
+            let got = full_rollup.ingest("cell-0", SimTime(round), &body);
+            assert!(matches!(got, Ingested::Full { .. }));
             // Delta-mode scraper (round 0 is the full base).
-            let since = last_epoch.filter(|&e| cell.can_delta(e));
             let mut dbody = String::new();
-            cell.render_into("cell-0", since, &mut dbody);
-            let h = parse_epoch_header(&dbody).expect("epoch header");
-            assert!(delta_rollup.ingest("cell-0", SimTime(round), &dbody, h.base.is_none()));
-            last_epoch = Some(h.epoch);
+            cell.render_into("cell-0", delta_rollup.epoch("cell-0"), &mut dbody);
+            let got = delta_rollup.ingest("cell-0", SimTime(round), &dbody);
+            assert_eq!(matches!(got, Ingested::Delta { .. }), round > 0, "round {round}: {got:?}");
+            assert_eq!(delta_rollup.epoch("cell-0"), Some(cell.epoch()));
             assert!(dbody.len() <= body.len(), "delta body larger than full");
             assert_eq!(
                 render_prom("fleet", &delta_rollup.merged()),
@@ -746,16 +699,29 @@ mod tests {
         }
     }
 
+    // The epoch rule through the rollup: a delta over a cell it does not
+    // hold is a gap that inserts no cell; once a full body holds the cell,
+    // a delta over its epoch applies and moves the cell's scrape time.
     #[test]
-    fn delta_without_a_base_demands_a_full_scrape() {
+    fn delta_over_a_fresh_holder_is_refused_and_inserts_no_cell() {
+        let body = |header: &str, x: f64| {
+            format!("{header}\n{}", render_prom("cell-0", &snap(&[("x", x)], &[], &[])))
+        };
+        let (full, delta) = (body("# EPOCH 2 full", 2.0), body("# EPOCH 3 base=2", 1.0));
         let mut r = FederationRollup::new();
-        let body = render_prom("cell-0", &snap(&[("x", 1.0)], &[], &[]));
-        assert!(!r.ingest("cell-0", SimTime(5), &body, false), "no base: caller must refetch");
+        let got = r.ingest("cell-0", SimTime(5), &delta);
+        assert_eq!(got, Ingested::Gap, "no base: caller must refetch");
         assert!(r.is_empty());
-        install(&mut r, "cell-0", SimTime(1), &snap(&[("x", 2.0)], &[], &[]));
-        assert!(r.ingest("cell-0", SimTime(5), &body, false));
+        assert_eq!(r.epoch("cell-0"), None);
+        assert_eq!(r.ingest("cell-0", SimTime(1), &full), Ingested::Full { regressed: false });
+        assert_eq!(r.ingest("cell-0", SimTime(5), &delta), Ingested::Delta { regressed: false });
+        assert_eq!(r.epoch("cell-0"), Some(3));
         assert_eq!(r.merged().counter("x"), 1.0);
         assert_eq!(r.staleness("cell-0", SimTime(7)), Some(SimDuration(2)));
+        // The same delta again names a base the cell no longer holds.
+        assert_eq!(r.ingest("cell-0", SimTime(9), &delta), Ingested::Gap);
+        let age = r.staleness("cell-0", SimTime(9));
+        assert_eq!(age, Some(SimDuration(4)), "a gap is not a scrape");
     }
 
     // Order-insensitivity and idempotence of the federation merge: any

@@ -127,11 +127,6 @@ impl RoutePolicy {
             .map(|(_, s)| *s)
             .unwrap_or(self.default_severity)
     }
-
-    /// The route serving `severity`, if any.
-    pub fn route_for(&self, severity: Severity) -> Option<&Route> {
-        self.routes.iter().find(|r| r.severity == severity)
-    }
 }
 
 fn write_str(out: &mut Vec<u8>, s: &str) {

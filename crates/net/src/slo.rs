@@ -35,8 +35,8 @@ use crate::obs::Histogram;
 use crate::paging::{page_fire, page_resolve};
 use crate::sim::{Ctx, Node, NodeId};
 use crate::telemetry::{
-    escape_label, parse_epoch_header, parse_since, write_value, DeltaState, HeldSnapshot,
-    TelemetrySnapshot, PATH_HEALTHZ, PATH_METRICS,
+    escape_label, parse_since, scrape_request, write_value, DeltaState, HeldSnapshot, Ingested,
+    TelemetrySnapshot, PATH_HEALTHZ, PATH_METRICS, RESYNC_EVERY, SCRAPE_RETRIES,
 };
 use crate::time::{SimDuration, SimTime};
 
@@ -263,11 +263,6 @@ impl SloEngine {
         SloEngine { rules: rules.into_iter().map(|r| (r, RuleState::default())).collect() }
     }
 
-    /// Number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Evaluate every rule against a snapshot, returning the transitions
     /// (edges only — a rule that stays breached or stays healthy is silent).
     pub fn evaluate(&mut self, snap: &impl Signals) -> Vec<AlertTransition> {
@@ -366,15 +361,60 @@ impl SloEngine {
     }
 }
 
+/// The open alert episodes of one rule set, and the one place an alert edge
+/// becomes observable: a fired edge mints the episode's trace and opens its
+/// `slo.alert` span, a resolved edge closes them, and either way the edge
+/// bumps its counter, lands in the obs alert timeline and pages.
+#[derive(Debug)]
+pub(crate) struct AlertEpisodes {
+    /// Counters bumped per fired and per resolved edge.
+    fired_key: &'static str,
+    resolved_key: &'static str,
+    /// rule name → (episode trace id, open `slo.alert` span id).
+    open: HashMap<String, (u64, u32)>,
+}
+
+impl AlertEpisodes {
+    pub(crate) fn new(fired_key: &'static str, resolved_key: &'static str) -> AlertEpisodes {
+        AlertEpisodes { fired_key, resolved_key, open: HashMap::new() }
+    }
+
+    /// Emit `transitions` of `instance`'s rules, paging `pager` if set.
+    pub(crate) fn emit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        transitions: Vec<AlertTransition>,
+        instance: &str,
+        pager: Option<NodeId>,
+    ) {
+        for tr in transitions {
+            if tr.fired {
+                let trace = ctx.obs_new_trace();
+                let span = ctx.span_begin(trace, 0, "slo.alert");
+                ctx.metrics().bump(self.fired_key, 1.0);
+                ctx.obs_alert(&tr.rule, instance, true, tr.value, tr.limit, trace, tr.exemplar);
+                if let Some(pager) = pager {
+                    ctx.send(
+                        pager,
+                        page_fire(&tr.rule, instance, tr.value, tr.limit, trace, tr.exemplar),
+                    );
+                }
+                self.open.insert(tr.rule, (trace, span));
+            } else {
+                let (trace, span) = self.open.remove(&tr.rule).unwrap_or((0, 0));
+                ctx.span_end(span);
+                ctx.metrics().bump(self.resolved_key, 1.0);
+                ctx.obs_alert(&tr.rule, instance, false, tr.value, tr.limit, trace, 0);
+                if let Some(pager) = pager {
+                    ctx.send(pager, page_resolve(&tr.rule, instance));
+                }
+            }
+        }
+    }
+}
+
 /// Per-request retransmission timeout for monitor probes and scrapes.
 const MONITOR_RTO: SimDuration = SimDuration::from_secs(2);
-/// Retransmissions before a monitor probe counts as failed.
-const MONITOR_RETRIES: u32 = 1;
-/// Monitors scrape conditionally (`?since=<last epoch>`, so steady-state
-/// scrapes carry only changed series), except that every Nth round (and the
-/// first) is a full-snapshot resync round, bounding how long a lost update
-/// could go unnoticed.
-const MONITOR_RESYNC_EVERY: u32 = 8;
 
 /// Monitor configuration.
 #[derive(Debug, Clone)]
@@ -409,15 +449,9 @@ struct TargetState {
     consecutive_failures: f64,
     /// When the last successful `/metrics` scrape of this target landed.
     last_ok: Option<SimTime>,
-    /// The target's telemetry as of its last scrape.
+    /// The target's telemetry and epoch as of its last scrape.
     held: HeldSnapshot,
-    /// The target's snapshot epoch `held` corresponds to (`None` until
-    /// a delta-aware full snapshot lands — the next scrape must be full).
-    last_epoch: Option<u64>,
-    /// rule name → trace id of the open alert episode.
-    episodes: HashMap<String, u64>,
-    /// rule name → open `slo.alert` span id.
-    open_spans: HashMap<String, u32>,
+    alerts: AlertEpisodes,
 }
 
 /// A target as its rules see it: the held snapshot under the monitor's
@@ -478,22 +512,11 @@ pub struct SloMonitor {
     round: u32,
     /// req_id → (target index, which probe, first-transmission time).
     pending: HashMap<u64, (usize, Probe, SimTime)>,
-    /// Monotonic version of the served cell view: bumped whenever target
-    /// state changes, so the serve path re-renders only when the view could
-    /// actually differ (the cache-invalidation signal).
-    view_version: u64,
-    /// `view_version` the delta state last observed.
-    observed_version: u64,
-    /// Delta state over the served cell view (minus the volatile staleness
-    /// gauge, which is a function of `now` and rides outside the cache).
+    /// Delta state over the served cell view (minus the staleness gauge,
+    /// which is a function of `now` and is appended to each reply).
     serve_delta: DeltaState,
     /// Pooled render buffer for served scrapes.
     body: String,
-    /// Length of the cached (epoch-stable) prefix of `body`; the staleness
-    /// gauge is re-appended past it on every reply.
-    body_core: usize,
-    /// `(epoch, since)` the buffer's cached prefix holds.
-    cached: Option<(u64, Option<u64>)>,
     /// Successful `/metrics` scrapes.
     pub scrapes_ok: u64,
     /// Probes that exhausted their retries.
@@ -508,7 +531,7 @@ impl SloMonitor {
     pub fn new(spec: MonitorSpec, targets: Vec<(NodeId, String)>) -> SloMonitor {
         let mut http = HttpClient::new();
         http.timeout = MONITOR_RTO;
-        http.max_retries = MONITOR_RETRIES;
+        http.max_retries = SCRAPE_RETRIES;
         let targets = targets
             .into_iter()
             .map(|(node, instance)| TargetState {
@@ -519,9 +542,7 @@ impl SloMonitor {
                 consecutive_failures: 0.0,
                 last_ok: None,
                 held: HeldSnapshot::new(),
-                last_epoch: None,
-                episodes: HashMap::new(),
-                open_spans: HashMap::new(),
+                alerts: AlertEpisodes::new("slo.alerts_fired", "slo.alerts_resolved"),
             })
             .collect();
         SloMonitor {
@@ -532,12 +553,8 @@ impl SloMonitor {
             http,
             round: 0,
             pending: HashMap::new(),
-            view_version: 1,
-            observed_version: 0,
             serve_delta: DeltaState::new(),
             body: String::new(),
-            body_core: 0,
-            cached: None,
             scrapes_ok: 0,
             probe_failures: 0,
             resyncs: 0,
@@ -603,52 +620,19 @@ impl SloMonitor {
         };
         let transitions = t.engine.evaluate(&observed);
         ctx.metrics().bump("slo.evaluations", 1.0);
-        for tr in transitions {
-            let instance = self.targets[tidx].instance.clone();
-            if tr.fired {
-                let trace = ctx.obs_new_trace();
-                let span = ctx.span_begin(trace, 0, "slo.alert");
-                let t = &mut self.targets[tidx];
-                t.episodes.insert(tr.rule.clone(), trace);
-                t.open_spans.insert(tr.rule.clone(), span);
-                ctx.metrics().bump("slo.alerts_fired", 1.0);
-                ctx.obs_alert(&tr.rule, &instance, true, tr.value, tr.limit, trace, tr.exemplar);
-                if let Some(pager) = self.pager {
-                    ctx.send(
-                        pager,
-                        page_fire(&tr.rule, &instance, tr.value, tr.limit, trace, tr.exemplar),
-                    );
-                }
-            } else {
-                let t = &mut self.targets[tidx];
-                let trace = t.episodes.remove(&tr.rule).unwrap_or(0);
-                let span = t.open_spans.remove(&tr.rule).unwrap_or(0);
-                ctx.span_end(span);
-                ctx.metrics().bump("slo.alerts_resolved", 1.0);
-                ctx.obs_alert(&tr.rule, &instance, false, tr.value, tr.limit, trace, 0);
-                if let Some(pager) = self.pager {
-                    ctx.send(pager, page_resolve(&tr.rule, &instance));
-                }
-            }
-        }
+        t.alerts.emit(ctx, transitions, &t.instance, self.pager);
     }
 
     fn scrape_all(&mut self, ctx: &mut Ctx<'_>) {
-        // Every `MONITOR_RESYNC_EVERY`-th round (and the first) scrapes full
-        // snapshots, bounding resync debt.
-        let full_round = (self.round - 1).is_multiple_of(MONITOR_RESYNC_EVERY);
+        let full_round = (self.round - 1).is_multiple_of(RESYNC_EVERY);
         for tidx in 0..self.targets.len() {
             let node = self.targets[tidx].node;
             let now = ctx.now();
             let health = HttpRequest::new("GET", PATH_HEALTHZ, Vec::new());
             let id = self.http.send(ctx, node, health);
             self.pending.insert(id, (tidx, Probe::Health, now));
-            let since = if full_round { None } else { self.targets[tidx].last_epoch };
-            let metrics = match since {
-                Some(e) => HttpRequest::new("GET", format!("{PATH_METRICS}?since={e}"), Vec::new()),
-                None => HttpRequest::new("GET", PATH_METRICS, Vec::new()),
-            };
-            let id = self.http.send(ctx, node, metrics);
+            let since = if full_round { None } else { self.targets[tidx].held.epoch() };
+            let id = self.http.send(ctx, node, scrape_request(since));
             self.pending.insert(id, (tidx, Probe::Metrics, now));
         }
     }
@@ -666,27 +650,13 @@ impl Node for SloMonitor {
         if let Some(req) = HttpRequest::from_message(&msg) {
             let (path, since) = parse_since(&req.path);
             if req.method == "GET" && path == PATH_METRICS {
-                // The rendered view is cached until target state actually
-                // changes (`view_version`); re-scrapes of an unchanged cell
-                // reuse the buffer byte-for-byte. The staleness gauge is a
-                // function of `now`, not of target state, so it rides
-                // *outside* the cached prefix and is re-appended fresh to
-                // every reply.
-                if self.observed_version != self.view_version {
-                    let view = self.cell_view(ctx);
-                    self.serve_delta.observe(&view);
-                    self.observed_version = self.view_version;
-                }
-                let epoch = self.serve_delta.epoch();
-                let since = since.filter(|&s| self.serve_delta.can_delta(s));
-                if self.cached == Some((epoch, since)) {
-                    ctx.metrics().bump("telemetry.render_cache_hits", 1.0);
-                } else {
-                    self.serve_delta.render_into(&self.instance, since, &mut self.body);
-                    self.body_core = self.body.len();
-                    self.cached = Some((epoch, since));
-                }
-                self.body.truncate(self.body_core);
+                // Every scrape re-observes the view: this request's delivery
+                // has already moved the monitor's own counters. The
+                // staleness gauge is a function of `now`, so it is appended
+                // to the rendered view rather than diffed with it.
+                let view = self.cell_view(ctx);
+                self.serve_delta.observe(&view);
+                self.serve_delta.render_into(&self.instance, since, &mut self.body);
                 let now = ctx.now();
                 let max_staleness =
                     self.targets.iter().map(|t| Self::staleness(t, now)).fold(0.0, f64::max);
@@ -721,39 +691,29 @@ impl Node for SloMonitor {
             Probe::Health => {
                 if resp.status.is_success() {
                     self.targets[tidx].consecutive_failures = 0.0;
-                    self.view_version += 1;
                 }
             }
             Probe::Metrics => {
                 if resp.status.is_success() {
                     if let Ok(text) = std::str::from_utf8(&resp.body) {
-                        let header = parse_epoch_header(text);
-                        let gap = matches!(header, Some(h)
-                            if h.base.is_some() && h.base != self.targets[tidx].last_epoch);
-                        if gap {
-                            // Epoch gap: a delta against a base we no longer
-                            // hold. Discard it, count the resync, and refetch
-                            // the full snapshot under the same probe slot.
-                            self.resyncs += 1;
-                            ctx.metrics().bump("slo.resyncs", 1.0);
-                            let node = self.targets[tidx].node;
-                            let refetch = HttpRequest::new("GET", PATH_METRICS, Vec::new());
-                            let id = self.http.send(ctx, node, refetch);
-                            self.pending.insert(id, (tidx, Probe::Metrics, sent));
-                            return;
-                        }
                         let t = &mut self.targets[tidx];
-                        let prev_epoch = t.last_epoch;
-                        // A body without an epoch header is a legacy full
-                        // snapshot.
-                        t.held.ingest(text, header.is_none_or(|h| h.base.is_none()));
-                        t.last_epoch = header.map(|h| h.epoch);
-                        // Serving nodes only ever bump their exposition
-                        // epoch; a regression means state went backwards
-                        // (the chaos suite's monotone-epochs invariant).
-                        if let (Some(p), Some(n)) = (prev_epoch, t.last_epoch) {
-                            if n < p {
-                                ctx.metrics().bump("slo.epoch_regressions", 1.0);
+                        match t.held.apply(text) {
+                            Ingested::Gap => {
+                                // A delta against a base we no longer hold:
+                                // count the resync and refetch the full
+                                // snapshot under the same probe slot.
+                                self.resyncs += 1;
+                                ctx.metrics().bump("slo.resyncs", 1.0);
+                                let id = self.http.send(ctx, t.node, scrape_request(None));
+                                self.pending.insert(id, (tidx, Probe::Metrics, sent));
+                                return;
+                            }
+                            // The chaos suite's monotone-epochs invariant
+                            // reads this counter.
+                            Ingested::Full { regressed } | Ingested::Delta { regressed } => {
+                                if regressed {
+                                    ctx.metrics().bump("slo.epoch_regressions", 1.0);
+                                }
                             }
                         }
                         t.last_ok = Some(ctx.now());
@@ -762,7 +722,6 @@ impl Node for SloMonitor {
                     }
                 }
                 self.targets[tidx].rtt.record(rtt.0);
-                self.view_version += 1;
                 self.evaluate_target(ctx, tidx);
             }
         }
@@ -776,7 +735,6 @@ impl Node for SloMonitor {
                     self.targets[tidx].consecutive_failures += 1.0;
                     self.probe_failures += 1;
                     ctx.metrics().bump("slo.probe_failures", 1.0);
-                    self.view_version += 1;
                     self.evaluate_target(ctx, tidx);
                 }
                 return;
@@ -812,6 +770,69 @@ mod tests {
         s.gauges.sort_by(|a, b| a.0.cmp(&b.0));
         s.stages.sort_by(|a, b| a.0.cmp(&b.0));
         s
+    }
+
+    /// Scrapes one node's full `GET /metrics` at each of `at`, keeping the
+    /// bodies.
+    struct Scraper {
+        target: NodeId,
+        at: Vec<SimDuration>,
+        http: HttpClient,
+        bodies: Vec<TelemetrySnapshot>,
+    }
+
+    impl Node for Scraper {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (tag, &at) in self.at.iter().enumerate() {
+                ctx.set_timer(at, tag as u64);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
+            if let Some(resp) = self.http.on_response(ctx, &msg) {
+                let text = std::str::from_utf8(&resp.body).expect("UTF-8 body");
+                self.bodies.push(crate::telemetry::parse_prom(text));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            if self.http.on_timer(ctx, tag) == TimerOutcome::NotMine {
+                self.http.send(ctx, self.target, scrape_request(None));
+            }
+        }
+    }
+
+    // A cell monitor scraped after its last round still serves its own live
+    // counters: each scrape's delivery moves them, so the view differs
+    // every time.
+    #[test]
+    fn monitor_serves_its_current_counters_after_its_last_round() {
+        use crate::link::LinkSpec;
+        use crate::sim::Simulator;
+        let mut sim = Simulator::new(3);
+        let target = sim.add_node(Box::new(SloMonitor::new(MonitorSpec::default(), vec![])));
+        let spec = MonitorSpec { cadence: SimDuration::from_secs(1), rounds: 1, rules: vec![] };
+        let monitor =
+            sim.add_node(Box::new(SloMonitor::new(spec, vec![(target, "target".to_owned())])));
+        let at = vec![SimDuration::from_secs(10), SimDuration::from_secs(20)];
+        let scraper = sim.add_node(Box::new(Scraper {
+            target: monitor,
+            at,
+            http: HttpClient::new(),
+            bodies: Vec::new(),
+        }));
+        sim.connect(monitor, target, LinkSpec::lan());
+        sim.connect(scraper, monitor, LinkSpec::lan());
+        sim.run_until_idle();
+        assert_eq!(sim.node_ref::<SloMonitor>(monitor).unwrap().scrapes_ok, 1);
+        let bodies = &sim.node_ref::<Scraper>(scraper).unwrap().bodies;
+        assert_eq!(bodies.len(), 2);
+        let (first, second) = (&bodies[0], &bodies[1]);
+        assert!(
+            second.counter("msgs_received") > first.counter("msgs_received"),
+            "the second scrape served a frozen view: {first:?} then {second:?}"
+        );
+        assert_eq!(second.counter("telemetry.scrapes"), first.counter("telemetry.scrapes") + 1.0);
     }
 
     #[test]

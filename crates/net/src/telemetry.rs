@@ -13,9 +13,9 @@
 //! ingest is tested against.
 //!
 //! The [`FlightRecorder`] is the post-mortem half: a bounded ring of recent
-//! span/alert lines for one node, dumped to
-//! `target/flightrec/<scenario>-<node>.jsonl` when an alert fires or a soak
-//! invariant fails, so a red CI run ships its own diagnosis.
+//! span/alert lines for one node, which the soak binary writes to
+//! `target/flightrec/soak-<node>.jsonl` when a shape check fails, so a red
+//! CI run ships its own diagnosis.
 //!
 //! Scrapes are *delta-encoded* end to end (see [`DeltaState`]): series
 //! identities are interned once into [`SeriesId`]s, every observation stamps
@@ -31,7 +31,6 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 
@@ -42,7 +41,7 @@ use crate::sim::{Ctx, NodeId};
 use crate::time::SimTime;
 
 mod ingest;
-pub use ingest::HeldSnapshot;
+pub use ingest::{HeldSnapshot, Ingested};
 
 /// Scrape endpoint path served by gateway and MAS nodes.
 pub const PATH_METRICS: &str = "/metrics";
@@ -51,6 +50,24 @@ pub const PATH_HEALTHZ: &str = "/healthz";
 /// Trace query endpoint path (`/traces?stage=&min_us=&limit=&trace=`),
 /// served wherever `/metrics` is.
 pub const PATH_TRACES: &str = "/traces";
+
+/// Retransmissions before a scrape or probe counts as failed, for every
+/// scraper (SLO monitors and the federation scraper).
+pub(crate) const SCRAPE_RETRIES: u32 = 1;
+/// Scrapers ask for deltas (`?since=<held epoch>`), except that every Nth
+/// round, the first included, scrapes full snapshots, bounding how long a
+/// lost update could go unnoticed.
+pub(crate) const RESYNC_EVERY: u32 = 8;
+
+/// The scrape of one target: `GET /metrics?since=<since>` for a delta over
+/// the epoch a scraper holds, or a full `GET /metrics` when `since` is
+/// `None`.
+pub(crate) fn scrape_request(since: Option<u64>) -> HttpRequest {
+    match since {
+        Some(e) => HttpRequest::new("GET", format!("{PATH_METRICS}?since={e}"), Vec::new()),
+        None => HttpRequest::new("GET", PATH_METRICS, Vec::new()),
+    }
+}
 
 /// Shared histogram family for per-stage latencies (one family, a `stage`
 /// label per series — the idiomatic Prometheus shape for homogeneous units).
@@ -915,14 +932,15 @@ impl DeltaState {
         &self.prev
     }
 
-    /// Render into a pooled buffer (cleared first). `since: None` renders
-    /// the full exposition — byte-identical to [`render_prom`] after the
-    /// header line. `since: Some(e)` renders only the series whose
-    /// last-changed epoch is beyond `e` (the caller must have checked
-    /// [`DeltaState::can_delta`]). Either way the first line is the
-    /// `# EPOCH` header the scraper resynchronizes on.
+    /// Render into a pooled buffer (cleared first). `since: None`, or a
+    /// base [`DeltaState::can_delta`] refuses, renders the full exposition —
+    /// byte-identical to [`render_prom`] after the header line. A servable
+    /// `since: Some(e)` renders only the series whose last-changed epoch is
+    /// beyond `e`. Either way the first line is the `# EPOCH` header the
+    /// scraper resynchronizes on.
     pub fn render_into(&self, instance: &str, since: Option<u64>, out: &mut String) {
         out.clear();
+        let since = since.filter(|&s| self.can_delta(s));
         match since {
             Some(s) => {
                 let _ = writeln!(out, "# EPOCH {} base={s}", self.epoch);
@@ -1019,17 +1037,17 @@ impl DeltaState {
 
 /// The parsed `# EPOCH` first line of a delta-aware exposition body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochHeader {
+struct EpochHeader {
     /// The snapshot epoch this body brings the scraper up to.
-    pub epoch: u64,
+    epoch: u64,
     /// `None` for a full snapshot (replace); `Some(base)` for a delta to
     /// apply over the scraper's copy of epoch `base`.
-    pub base: Option<u64>,
+    base: Option<u64>,
 }
 
 /// Parse the `# EPOCH <epoch> full|base=<n>` header off an exposition body.
 /// Returns `None` for legacy bodies without one (treat as a full snapshot).
-pub fn parse_epoch_header(text: &str) -> Option<EpochHeader> {
+fn parse_epoch_header(text: &str) -> Option<EpochHeader> {
     let rest = text.lines().next()?.strip_prefix("# EPOCH ")?;
     let mut parts = rest.split_whitespace();
     let epoch = parts.next()?.parse().ok()?;
@@ -1058,28 +1076,20 @@ pub fn parse_since(path: &str) -> (&str, Option<u64>) {
 /// buffer, so steady-state scrapes allocate no per-scrape `String`s and a
 /// conditional scrape (`?since=<epoch>`) costs only the changed series.
 ///
-/// A single-slot render cache short-circuits duplicate scrapes (same epoch,
-/// same base, same queue depth — e.g. a retransmitted request whose first
-/// copy already answered): the buffer is served as-is and
-/// `telemetry.render_cache_hits` counts the skip.
+/// Every scrape is observed and rendered afresh: the scrape's own delivery
+/// has already bumped the node's message and byte counters, so no two
+/// scrapes see the same state.
 #[derive(Debug, Default)]
 pub struct TelemetryServer {
     delta: DeltaState,
     /// Pooled render buffer, reused across scrapes.
     body: String,
-    /// `(epoch, since, queue_depth)` the buffer currently holds.
-    cached: Option<(u64, Option<u64>, usize)>,
 }
 
 impl TelemetryServer {
     /// Fresh server; nothing is observed or rendered until a scrape lands.
     pub fn new() -> TelemetryServer {
         TelemetryServer::default()
-    }
-
-    /// The delta state (epoch inspection in tests).
-    pub fn delta(&self) -> &DeltaState {
-        &self.delta
     }
 
     /// Handle `GET /metrics[?since=..]`, `GET /healthz` and `GET /traces`;
@@ -1101,30 +1111,23 @@ impl TelemetryServer {
                 let (metrics, obs) = ctx.metrics_and_obs();
                 let stages = obs.map(|c| c.stages()).unwrap_or_default();
                 let exemplars = obs.map(|c| c.exemplars()).unwrap_or_default();
-                let epoch = self.delta.observe_node(metrics, &stages, &exemplars);
-                let since = since.filter(|&s| self.delta.can_delta(s));
-                let key = (epoch, since, queue_depth);
-                if self.cached == Some(key) {
-                    ctx.metrics().bump("telemetry.render_cache_hits", 1.0);
-                } else {
-                    self.delta.render_into(instance, since, &mut self.body);
-                    // Engine-level gauge: the hosting simulator's event-queue
-                    // depth, read off the scheduler's O(1) occupancy counter.
-                    // Zero-padded to a fixed width because the value is
-                    // partition-*dependent* (each shard has its own queue)
-                    // while scrape bodies must cost the same bytes on the
-                    // wire under every shard count — otherwise transfer
-                    // times, and with them the monitor-plane SLO digests,
-                    // would diverge between partitionings. Emitted in every
-                    // body, full or delta, like any other live gauge.
-                    let _ = writeln!(self.body, "# TYPE pdagent_sim_queue_depth gauge");
-                    let _ = writeln!(
-                        self.body,
-                        "pdagent_sim_queue_depth{{instance=\"{}\",key=\"{KEY_QUEUE_DEPTH}\"}} {queue_depth:012}",
-                        escape_label(instance)
-                    );
-                    self.cached = Some(key);
-                }
+                self.delta.observe_node(metrics, &stages, &exemplars);
+                self.delta.render_into(instance, since, &mut self.body);
+                // Engine-level gauge: the hosting simulator's event-queue
+                // depth, read off the scheduler's O(1) occupancy counter.
+                // Zero-padded to a fixed width because the value is
+                // partition-*dependent* (each shard has its own queue) while
+                // scrape bodies must cost the same bytes on the wire under
+                // every shard count — otherwise transfer times, and with
+                // them the monitor-plane SLO digests, would diverge between
+                // partitionings. Emitted in every body, full or delta, like
+                // any other live gauge.
+                let _ = writeln!(self.body, "# TYPE pdagent_sim_queue_depth gauge");
+                let _ = writeln!(
+                    self.body,
+                    "pdagent_sim_queue_depth{{instance=\"{}\",key=\"{KEY_QUEUE_DEPTH}\"}} {queue_depth:012}",
+                    escape_label(instance)
+                );
                 ctx.metrics().bump("telemetry.scrapes", 1.0);
                 reply(ctx, from, req, HttpStatus::Ok, Bytes::copy_from_slice(self.body.as_bytes()));
                 true
@@ -1297,20 +1300,6 @@ impl FlightRecorder {
         }
         rec
     }
-}
-
-/// Write a recorder to `<dir>/<scenario>-<node>.jsonl`, creating the
-/// directory as needed. Returns the written path.
-pub fn dump_flight(
-    dir: &Path,
-    scenario: &str,
-    node: &str,
-    rec: &FlightRecorder,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{scenario}-{node}.jsonl"));
-    std::fs::write(&path, rec.to_jsonl())?;
-    Ok(path)
 }
 
 /// The owning delta apply that [`HeldSnapshot::ingest`] replaced, kept as
@@ -1677,7 +1666,6 @@ mod tests {
                 let stages = vec![("s.rtt".to_owned(), h.clone())];
                 ds.observe(&TelemetrySnapshot::capture(&m, &stages));
                 let since = if step == resync_at { None } else { last_epoch };
-                let since = since.filter(|&s| ds.can_delta(s));
                 let mut body = String::new();
                 ds.render_into("gw-0", since, &mut body);
                 let hd = parse_epoch_header(&body).expect("header");
@@ -1862,9 +1850,8 @@ mod tests {
                     exes.iter().map(|(b, e)| (*b, *e)).collect(),
                 )];
                 ds.observe(&snap);
-                let since = last_epoch.filter(|&s| ds.can_delta(s));
                 let mut body = String::new();
-                ds.render_into("gw-0", since, &mut body);
+                ds.render_into("gw-0", last_epoch, &mut body);
                 let hd = parse_epoch_header(&body).expect("header");
                 if hd.base.is_some() {
                     held.apply_delta(&parse_prom(&body));

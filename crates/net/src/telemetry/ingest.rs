@@ -14,9 +14,13 @@
 //! This is the scraper-side twin of the serve side's interned series ids
 //! ([`DeltaState`](super::DeltaState)).
 //!
-//! The result is exactly the reference's: `ingest(body, true)` leaves
-//! `parse_prom(body)`, and `ingest(body, false)` leaves the old owning
-//! apply of `parse_prom(body)` over the held copy (`# TYPE`-declared kinds,
+//! The holder also owns the scrape protocol's epoch rule: it keeps the epoch
+//! its snapshot corresponds to, applies a delta only over the `base=` it
+//! names, and reports a gap otherwise ([`HeldSnapshot::apply`]).
+//!
+//! The result is exactly the reference's: a full body leaves
+//! `parse_prom(body)`, and a delta leaves the old owning apply of
+//! `parse_prom(body)` over the held copy (`# TYPE`-declared kinds,
 //! last-wins repeats, stages rebuilt from cumulative buckets, exemplar rows
 //! replaced per stage). The tests below hold it to that on random delta
 //! streams, reordered lines and damaged bodies.
@@ -26,8 +30,8 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
 use super::{
-    bucket_index, histogram_from_cumulative, sort_last_wins, split_exemplar, unescape_label,
-    TelemetrySnapshot, STAGE_FAMILY,
+    bucket_index, histogram_from_cumulative, parse_epoch_header, sort_last_wins, split_exemplar,
+    unescape_label, TelemetrySnapshot, STAGE_FAMILY,
 };
 use crate::obs::Exemplar;
 
@@ -37,10 +41,13 @@ use crate::obs::Exemplar;
 const SLOT_CAP: usize = 4096;
 
 /// One scrape target's telemetry as the scraper holds it, kept current by
-/// [`HeldSnapshot::ingest`].
+/// [`HeldSnapshot::apply`].
 #[derive(Debug, Clone, Default)]
 pub struct HeldSnapshot {
     snap: TelemetrySnapshot,
+    /// The target's epoch `snap` corresponds to: `None` until a full body
+    /// with an `# EPOCH` header lands, and after a header-less one.
+    epoch: Option<u64>,
     /// Label set → what it resolved to. Positions index `snap`'s sections,
     /// so any insert or removal there clears the map. The family name is
     /// not part of the key: a family only picks which of a label set's
@@ -49,6 +56,21 @@ pub struct HeldSnapshot {
     /// label, so the map holds a few entries per stage rather than one per
     /// bound.
     slots: HashMap<Box<str>, Series>,
+}
+
+/// What [`HeldSnapshot::apply`] did with a body. `regressed` says the
+/// body's epoch is below the one held before it: serving nodes only move
+/// their epoch forward, so state went backwards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ingested {
+    /// A full snapshot (`# EPOCH <e> full`, or no header) replaced what
+    /// was held.
+    Full { regressed: bool },
+    /// A delta applied over the held epoch it names as its `base=`.
+    Delta { regressed: bool },
+    /// A delta over an epoch not held: refused, and nothing changed. The
+    /// scraper must fetch a full snapshot.
+    Gap,
 }
 
 thread_local! {
@@ -211,11 +233,35 @@ impl HeldSnapshot {
         &self.snap
     }
 
-    /// Apply one exposition body. A `full` body (a full snapshot, with or
-    /// without its `# EPOCH` header) replaces what is held; otherwise the
-    /// body is a delta whose series replace their slots and whose new series
-    /// are inserted in key order.
-    pub fn ingest(&mut self, text: &str, full: bool) {
+    /// The target's epoch the held telemetry corresponds to: the `since=`
+    /// base of the next delta scrape.
+    pub fn epoch(&self) -> Option<u64> {
+        self.epoch
+    }
+
+    /// Apply one scraped body under the epoch rule. A full body replaces
+    /// what is held; a delta applies only over the epoch it names as its
+    /// base, and is otherwise refused as a [`Ingested::Gap`].
+    pub fn apply(&mut self, text: &str) -> Ingested {
+        let header = parse_epoch_header(text);
+        let base = header.and_then(|h| h.base);
+        if base.is_some() && base != self.epoch {
+            return Ingested::Gap;
+        }
+        let epoch = header.map(|h| h.epoch);
+        let regressed = matches!((self.epoch, epoch), (Some(held), Some(new)) if new < held);
+        self.ingest(text, base.is_none());
+        self.epoch = epoch;
+        match base {
+            Some(_) => Ingested::Delta { regressed },
+            None => Ingested::Full { regressed },
+        }
+    }
+
+    /// Apply one exposition body's series. A `full` body replaces what is
+    /// held; otherwise the body is a delta whose series replace their slots
+    /// and whose new series are inserted in key order.
+    fn ingest(&mut self, text: &str, full: bool) {
         let mut sc = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         sc.types.clear();
         if sc.stages.len() < self.snap.stages.len() {
@@ -270,7 +316,7 @@ impl HeldSnapshot {
                 self.slots
                     .get(&line[brace..=guess])
                     .copied()
-                    .and_then(|series| self.apply(&mut sc, text, name, family, series, tail))
+                    .and_then(|series| self.apply_sample(&mut sc, text, name, family, series, tail))
             };
             if hit.is_some() {
                 continue;
@@ -329,7 +375,7 @@ impl HeldSnapshot {
                     }
                 }
             } else if self
-                .apply(&mut sc, text, name, family, series, tail)
+                .apply_sample(&mut sc, text, name, family, series, tail)
                 .is_none()
             {
                 // Not held: a new series, or a line without the label its
@@ -367,7 +413,7 @@ impl HeldSnapshot {
     /// Apply one `_sum`, `_max` or counter/gauge sample whose label set
     /// resolved to `series`. `None` (and nothing applied) when the series
     /// it names is not held; a value that is not a number is ignored.
-    fn apply(
+    fn apply_sample(
         &mut self,
         sc: &mut Scratch,
         text: &str,
@@ -1077,6 +1123,69 @@ mod tests {
             step(&mut held, &mut want, &body, full).unwrap();
             step(&mut held, &mut want, &body, full).unwrap();
         }
+    }
+
+    const FULL_AT_5: &str = "# EPOCH 5 full\n\
+        pdagent_x_total{instance=\"gw\",key=\"x\"} 1\n\
+        pdagent_y_total{instance=\"gw\",key=\"y\"} 4\n";
+    const DELTA_5_TO_6: &str = "# EPOCH 6 base=5\npdagent_x_total{instance=\"gw\",key=\"x\"} 2\n";
+
+    #[test]
+    fn delta_over_a_wrong_base_is_refused_and_leaves_the_snapshot_untouched() {
+        let mut fresh = HeldSnapshot::new();
+        assert_eq!(
+            fresh.apply(DELTA_5_TO_6),
+            Ingested::Gap,
+            "nothing held: no base"
+        );
+        assert_eq!(fresh.snapshot(), &TelemetrySnapshot::default());
+        assert_eq!(fresh.epoch(), None);
+
+        let mut held = HeldSnapshot::new();
+        assert_eq!(held.apply(FULL_AT_5), Ingested::Full { regressed: false });
+        let before = held.snapshot().clone();
+        let wrong = "# EPOCH 9 base=7\npdagent_x_total{instance=\"gw\",key=\"x\"} 3\n";
+        assert_eq!(held.apply(wrong), Ingested::Gap);
+        assert_eq!(held.snapshot(), &before, "a refused delta changes nothing");
+        assert_eq!(held.epoch(), Some(5));
+        assert_eq!(
+            held.apply(DELTA_5_TO_6),
+            Ingested::Delta { regressed: false }
+        );
+        assert_eq!(held.epoch(), Some(6));
+        assert_eq!(held.snapshot().counter("x"), 2.0);
+        assert_eq!(held.snapshot().counter("y"), 4.0);
+    }
+
+    #[test]
+    fn header_less_body_is_applied_as_a_full_snapshot() {
+        let mut held = HeldSnapshot::new();
+        held.apply(FULL_AT_5);
+        let legacy = "pdagent_x_total{instance=\"gw\",key=\"x\"} 7\n";
+        assert_eq!(held.apply(legacy), Ingested::Full { regressed: false });
+        assert_eq!(
+            held.snapshot(),
+            &parse_prom(legacy),
+            "series it lacks are dropped"
+        );
+        assert_eq!(held.epoch(), None, "no header, no epoch to delta over");
+        assert_eq!(held.apply(DELTA_5_TO_6), Ingested::Gap);
+    }
+
+    #[test]
+    fn an_epoch_going_backwards_is_reported() {
+        let mut held = HeldSnapshot::new();
+        held.apply(FULL_AT_5);
+        let back = "# EPOCH 3 full\npdagent_x_total{instance=\"gw\",key=\"x\"} 1\n";
+        assert_eq!(held.apply(back), Ingested::Full { regressed: true });
+        assert_eq!(held.epoch(), Some(3));
+        let delta_back = "# EPOCH 2 base=3\npdagent_x_total{instance=\"gw\",key=\"x\"} 0\n";
+        assert_eq!(held.apply(delta_back), Ingested::Delta { regressed: true });
+        assert_eq!(held.apply(FULL_AT_5), Ingested::Full { regressed: false });
+        assert_eq!(
+            held.apply(DELTA_5_TO_6),
+            Ingested::Delta { regressed: false }
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use pdagent_net::federation::FederationRollup;
 use pdagent_net::metrics::Metrics;
 use pdagent_net::obs::Histogram;
-use pdagent_net::telemetry::{parse_prom, render_prom, TelemetrySnapshot};
+use pdagent_net::telemetry::{parse_prom, render_prom, Ingested, TelemetrySnapshot};
 use pdagent_net::time::SimTime;
 
 /// A snapshot exercising every corner the format has: counter and gauge
@@ -107,7 +107,8 @@ fn federation_fixture() -> TelemetrySnapshot {
         rtt.record(base * 100);
         rtt.record(base * 200);
         let snap = TelemetrySnapshot::capture(&m, &[("scrape.rtt".to_string(), rtt)]);
-        assert!(rollup.ingest(cell, SimTime(base * 1_000), &render_prom(cell, &snap), true));
+        let got = rollup.ingest(cell, SimTime(base * 1_000), &render_prom(cell, &snap));
+        assert_eq!(got, Ingested::Full { regressed: false });
     }
     rollup.merged()
 }

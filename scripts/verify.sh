@@ -11,11 +11,31 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # pdbench is a standalone package (not a workspace member), so the
 # workspace run above cannot catch a change that breaks its build. Test it,
-# then run one pass of its fleet_ops workload; pdbench exits nonzero when
-# any of its correctness checks fails.
+# then run untraced first passes; pdbench exits nonzero when any of its
+# correctness checks fails.
 cargo test --offline -q --manifest-path pdbench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
-    --workload fleet_ops --seconds 0 > /dev/null
+
+# One untraced `--seconds 0` pdbench pass (arguments after the digest),
+# printed to stdout. Its first-pass digest must be the pinned one: a change
+# that moves what any deploy computes, sends or times fails here. A change
+# meant to move a digest re-pins it and says so.
+pdbench_pinned() {
+    local want=$1 out
+    shift
+    out=$(cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
+        "$@" --seconds 0)
+    case "$out" in
+        *"digest $want"*) ;;
+        *) echo "verify: pdbench $* first-pass digest is not $want:" >&2
+           grep 'first pass' <<< "$out" >&2 || true
+           exit 1 ;;
+    esac
+    printf '%s\n' "$out"
+}
+
+pdbench_pinned 69a31352277dfa9b --workload fleet_ops > /dev/null
+pdbench_pinned 50193c3905865c34 --workload bulk_pi > /dev/null
+pdbench_pinned 90c9e1e39da3699e --workload roaming > /dev/null
 
 # Codec and XML smoke: one traced bulk_pi pass pushes a thousand 48 KB PIs
 # through the streaming XML writer, compress and decompress; pdbench exits
@@ -43,8 +63,7 @@ esac
 
 # Retry budget: lossy seed 310 once abandoned a deploy after five lost
 # attempts in a row. The handheld's retry budget must keep it at zero failed.
-lossy=$(cargo run --release --offline --quiet --manifest-path pdbench/Cargo.toml -- \
-    --workload lossy --seed 310 --seconds 0 | tail -n 1)
+lossy=$(pdbench_pinned 9e06908a6c1a7158 --workload lossy --seed 310 | tail -n 1)
 case "$lossy" in
     *'"failed": 0,'*) ;;
     *) echo "verify: lossy seed 310 reported failed deploys: $lossy" >&2; exit 1 ;;
