@@ -97,14 +97,10 @@ fn main() {
     unbatched_spec.batch_links = false;
     let (unbatched, unbatched_wall) = timed(&unbatched_spec);
 
-    // 2. Canonical batched single-shard run, observability on. Tail sampling
-    //    rides this run by default; `SOAK_SAMPLE=0` is the ablation knob —
-    //    with no scrape plane attached the sampler may not change a single
-    //    byte of the results or obs digest, only the reservoir accounting.
-    let sample = std::env::var("SOAK_SAMPLE").map_or(true, |v| v != "0");
+    // 2. Canonical batched single-shard run, observability (tail-sampled)
+    //    on.
     let mut observed_spec = spec.clone();
     observed_spec.observe = true;
-    observed_spec.sample = sample;
     // `SOAK_SAMPLE_EVERY` overrides the 1-in-N head-sample rate for the
     // retained-bytes sweep (`scripts/sampler_sweep.sh`).
     if let Some(n) = std::env::var("SOAK_SAMPLE_EVERY").ok().and_then(|v| v.parse().ok()) {
@@ -173,17 +169,16 @@ fn main() {
         );
     }
 
-    if let Some(s) = &base.sampler {
-        println!(
-            "sampler: {} traces / {} spans retained in {} of {} budget bytes; {} spans dropped, {} exemplar slots",
-            s.retained_traces,
-            s.retained_spans,
-            s.sampler_bytes,
-            s.budget_bytes,
-            s.dropped_spans,
-            s.exemplars
-        );
-    }
+    let sampler = base.sampler.expect("the observed soak harvests sampler stats");
+    println!(
+        "sampler: {} traces / {} spans retained in {} of {} budget bytes; {} spans dropped, {} exemplar slots",
+        sampler.retained_traces,
+        sampler.retained_spans,
+        sampler.sampler_bytes,
+        sampler.budget_bytes,
+        sampler.dropped_spans,
+        sampler.exemplars
+    );
 
     let fed = base.federation.as_ref().expect("federation report");
     println!(
@@ -313,23 +308,13 @@ fn main() {
         ("alerts_fired", fired.into()),
         ("alerts_resolved", resolved.into()),
         ("unresolved_alerts", base.unresolved_alerts.into()),
-        ("sampler_enabled", u64::from(sample).into()),
-        ("sampler_budget_bytes", base.sampler.as_ref().map_or(0, |s| s.budget_bytes).into()),
-        ("sampler_bytes", base.sampler.as_ref().map_or(0, |s| s.sampler_bytes).into()),
-        (
-            "sampler_retained_traces",
-            base.sampler.as_ref().map_or(0, |s| s.retained_traces).into(),
-        ),
-        (
-            "sampler_retained_spans",
-            base.sampler.as_ref().map_or(0, |s| s.retained_spans).into(),
-        ),
-        ("sampler_dropped_spans", base.sampler.as_ref().map_or(0, |s| s.dropped_spans).into()),
-        ("sampler_exemplars", base.sampler.as_ref().map_or(0, |s| s.exemplars).into()),
-        (
-            "trace_probe_ok",
-            u64::from(!sample || base.trace_probe.starts_with("traces ")).into(),
-        ),
+        ("sampler_budget_bytes", sampler.budget_bytes.into()),
+        ("sampler_bytes", sampler.sampler_bytes.into()),
+        ("sampler_retained_traces", sampler.retained_traces.into()),
+        ("sampler_retained_spans", sampler.retained_spans.into()),
+        ("sampler_dropped_spans", sampler.dropped_spans.into()),
+        ("sampler_exemplars", sampler.exemplars.into()),
+        ("trace_probe_ok", u64::from(base.trace_probe.starts_with("traces ")).into()),
         ("page_drill_fired", page_drill.page_slo.iter().map(|r| r.fired).sum::<u64>().into()),
         (
             "page_drill_resolved",
@@ -415,24 +400,20 @@ fn main() {
     if fed.slo.is_empty() || fed.breached > 0 {
         fail(format!("fleet rules unhealthy: {:?}", fed.slo), &base);
     }
-    if sample {
-        let s = base.sampler.as_ref().unwrap_or_else(|| {
-            fail("sampling on but no sampler stats harvested".into(), &base)
-        });
-        if s.sampler_bytes > s.budget_bytes {
-            fail(
-                format!("reservoir over budget: {} of {} bytes", s.sampler_bytes, s.budget_bytes),
-                &base,
-            );
-        }
-        if s.pending_traces > 0 {
-            fail(format!("{} trace(s) still buffering after drain", s.pending_traces), &base);
-        }
-        if !base.trace_probe.starts_with("traces ") {
-            fail(format!("/traces probe returned {:?}", base.trace_probe), &base);
-        }
-    } else if base.sampler.is_some() {
-        fail("SOAK_SAMPLE=0 but sampler stats present".into(), &base);
+    if sampler.sampler_bytes > sampler.budget_bytes {
+        fail(
+            format!(
+                "reservoir over budget: {} of {} bytes",
+                sampler.sampler_bytes, sampler.budget_bytes
+            ),
+            &base,
+        );
+    }
+    if sampler.pending_traces > 0 {
+        fail(format!("{} trace(s) still buffering after drain", sampler.pending_traces), &base);
+    }
+    if !base.trace_probe.starts_with("traces ") {
+        fail(format!("/traces probe returned {:?}", base.trace_probe), &base);
     }
     // The drill's on-call never acks, so every page must both escalate and
     // still land (the secondary acks); a dropped page means the notification

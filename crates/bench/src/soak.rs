@@ -248,13 +248,10 @@ pub struct SoakSpec {
     /// The federation scraper's knobs (cadence, rounds, delta mode, fan-in
     /// window, staleness bound); [`run_soak`] fills in `rules` and `pager`.
     pub fed: FederationSpec,
-    /// Tail-sample every shard collector (needs `observe`): spans buffer
-    /// per-trace and only alert-touched, slow, or head-sampled traces are
-    /// retained. `false` keeps the store-everything collector whose scrape
-    /// bodies are byte-identical to the pre-sampler plane.
-    pub sample: bool,
-    /// Sampler knobs used when `sample` is set. `new()` seeds the
-    /// head-sample stream from the trial seed.
+    /// Tail-sampler knobs for every shard collector (used when `observe` is
+    /// set): spans buffer per trace and only alert-touched, slow, or
+    /// head-sampled traces are retained. `new()` seeds the head-sample
+    /// stream from the trial seed.
     pub sampler_cfg: SamplerConfig,
     /// A declarative fault schedule compiled by one [`ChaosInjector`] per
     /// shard. Faults address nodes by their stable plan labels, so the same
@@ -282,22 +279,19 @@ impl SoakSpec {
             drill: None,
             federation: false,
             fed: FederationSpec::default(),
-            sample: false,
             sampler_cfg: SamplerConfig { seed, ..SamplerConfig::default() },
             chaos_plan: None,
         }
     }
 
     /// The 3-cell × 2-device drill soak (4 KB PI pad) with SLO monitors,
-    /// observability and the fleet plane on. [`Drill::PagerOutage`] also
-    /// tail-samples, so its breach exemplar resolves to a retained trace.
+    /// observability (tail-sampled) and the fleet plane on.
     pub fn drill(seed: u64, drill: Drill) -> SoakSpec {
         let mut spec = SoakSpec::new(seed, 3, 2);
         spec.pi_pad = 4 * 1024;
         spec.slo = true;
         spec.observe = true;
         spec.federation = true;
-        spec.sample = drill == Drill::PagerOutage;
         spec.drill = Some(drill);
         spec
     }
@@ -382,16 +376,17 @@ pub struct SoakOutcome {
     /// writes them under `target/flightrec/`; empty unless `slo && observe`).
     pub flight: Vec<(String, String)>,
     /// Tail-sampler accounting summed over every shard collector (`None`
-    /// unless `observe && sample`).
+    /// unless `observe`).
     pub sampler: Option<SamplerStats>,
     /// Retained traces classified `Alert` across all shards (0 unless
-    /// sampling) — every fired episode should leave at least one behind.
+    /// `observe`) — every fired episode should leave at least one behind.
     pub alert_traces_retained: u64,
     /// Deliveries the on-call receivers got that carried a nonzero exemplar
     /// trace id (0 unless `slo && federation`).
     pub exemplar_pages: u64,
     /// `/traces?limit=3` body rendered from shard 0's collector (empty
-    /// unless sampling) — the query-plane smoke the soak binary shape-checks.
+    /// unless `observe`) — the query-plane smoke the soak binary
+    /// shape-checks.
     pub trace_probe: String,
     /// The first fired alert exemplar resolved through the query plane:
     /// `(exemplar trace id, its /traces?trace= body)` from the collector
@@ -693,11 +688,7 @@ pub fn run_soak_with(
         sim.set_link_batching(spec.batch_links);
         if spec.observe {
             sim.enable_obs();
-            if spec.sample {
-                sim.obs_mut()
-                    .expect("collector attached")
-                    .enable_sampling(spec.sampler_cfg.clone());
-            }
+            sim.obs_mut().expect("collector attached").enable_sampling(spec.sampler_cfg.clone());
         }
         // The coordinator lives in shard 0; every other shard sees a
         // placeholder under the same label.
@@ -989,26 +980,21 @@ pub fn run_soak_with(
     let mut alert_traces_retained = 0u64;
     for s in 0..engine.shard_count() {
         let Some(collector) = engine.shard(s).obs() else { continue };
-        if let Some(stats) = collector.sampler_stats() {
-            let agg = sampler.get_or_insert_with(SamplerStats::default);
-            agg.retained_traces += stats.retained_traces;
-            agg.retained_spans += stats.retained_spans;
-            agg.dropped_spans += stats.dropped_spans;
-            agg.sampler_bytes += stats.sampler_bytes;
-            agg.budget_bytes += stats.budget_bytes;
-            agg.exemplars += stats.exemplars;
-            agg.pending_traces += stats.pending_traces;
-            alert_traces_retained += collector
-                .retained()
-                .iter()
-                .filter(|r| r.class == SampleClass::Alert)
-                .count() as u64;
-        }
+        let stats = collector.sampler_stats();
+        let agg = sampler.get_or_insert_with(SamplerStats::default);
+        agg.retained_traces += stats.retained_traces;
+        agg.retained_spans += stats.retained_spans;
+        agg.dropped_spans += stats.dropped_spans;
+        agg.sampler_bytes += stats.sampler_bytes;
+        agg.budget_bytes = agg.budget_bytes.saturating_add(stats.budget_bytes);
+        agg.exemplars += stats.exemplars;
+        agg.pending_traces += stats.pending_traces;
+        alert_traces_retained +=
+            collector.retained().iter().filter(|r| r.class == SampleClass::Alert).count() as u64;
     }
     let trace_probe = engine
         .shard(0)
         .obs()
-        .filter(|c| c.sampling_enabled())
         .map(|c| render_traces_body(c, "/traces?limit=3"))
         .unwrap_or_default();
     // Resolve the first fired alert edge that carried an exemplar through
@@ -1495,19 +1481,22 @@ mod tests {
 
     #[test]
     fn tail_sampling_is_invisible_outside_the_reservoir() {
-        // With no scrape plane the sampler cannot even change message sizes:
-        // the whole run — results, event count, obs digest — must be
-        // byte-identical, while almost every trace is dropped.
-        let mut off = tiny(26);
-        off.observe = true;
-        let mut on = off.clone();
-        on.sample = true;
-        let plain = run_soak(&off);
-        let sampled = run_soak(&on);
-        assert_eq!(plain.results, sampled.results);
-        assert_eq!(plain.events, sampled.events, "sampling changed the event count");
-        assert_eq!(plain.obs, sampled.obs, "sampling changed the obs digest");
-        assert!(plain.sampler.is_none());
+        // With no scrape plane the head rate cannot even change message
+        // sizes: keeping every trace and the default 1-in-64 rate must give
+        // byte-identical runs — results, event count, obs digest — while the
+        // default rate drops almost every trace.
+        let mut sparse = tiny(26);
+        sparse.observe = true;
+        let mut keep_all = sparse.clone();
+        keep_all.sampler_cfg = SamplerConfig::keep_all();
+        let full = run_soak(&keep_all);
+        let sampled = run_soak(&sparse);
+        assert_eq!(full.results, sampled.results);
+        assert_eq!(full.events, sampled.events, "the head rate changed the event count");
+        assert_eq!(full.obs, sampled.obs, "the head rate changed the obs digest");
+        let kept = full.sampler.expect("sampler stats harvested");
+        assert_eq!(kept.dropped_spans, 0, "keep-all dropped spans: {kept:?}");
+        assert!(kept.retained_spans > 0);
         let stats = sampled.sampler.expect("sampler stats harvested");
         assert!(stats.sampler_bytes <= stats.budget_bytes, "{stats:?}");
         assert!(stats.dropped_spans > 0, "default 1-in-64 head rate must drop spans");
@@ -1520,7 +1509,6 @@ mod tests {
         let mut base = tiny(27);
         base.observe = true;
         base.slo = true;
-        base.sample = true;
         let mono = run_soak(&base);
         for shards in [2, 3] {
             let mut spec = base.clone();
@@ -1542,7 +1530,6 @@ mod tests {
         spec.slo = true;
         spec.observe = true;
         spec.drill = Some(Drill::ScrapeOutage);
-        spec.sample = true;
         let out = run_soak(&spec);
         // The chaos soak fires one latency alert per cell; each episode's
         // trace is alert-pinned and must survive in the reservoir.

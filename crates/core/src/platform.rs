@@ -184,18 +184,12 @@ pub struct DeviceConfig {
     pub gateways: Vec<GatewayEntry>,
     /// How long to wait for probe replies before choosing among those heard.
     pub probe_timeout: SimDuration,
-    /// §3.5: if the best RTT exceeds this, refresh the gateway list first.
-    pub rtt_threshold: SimDuration,
-    /// Offline think-time per form field during data entry.
-    pub entry_time_per_param: SimDuration,
     /// How long to stay disconnected before first trying to collect.
     pub result_poll_initial: SimDuration,
     /// Re-poll interval while the result is not ready (409).
     pub result_poll_interval: SimDuration,
     /// Compression for the PI payload.
     pub compression: Algorithm,
-    /// Encrypt the PI (ablation switch; the paper always encrypts).
-    pub encrypt: bool,
     /// Entropy seed for envelope session keys.
     pub entropy_seed: u64,
     /// Gateway selection policy.
@@ -210,12 +204,9 @@ impl DeviceConfig {
             central_server: None,
             gateways: Vec::new(),
             probe_timeout: SimDuration::from_secs(2),
-            rtt_threshold: SimDuration::from_millis(1500),
-            entry_time_per_param: SimDuration::from_secs(2),
             result_poll_initial: SimDuration::from_secs(2),
             result_poll_interval: SimDuration::from_secs(2),
             compression: Algorithm::Auto,
-            encrypt: true,
             entropy_seed: 1,
             selection: SelectionPolicy::NearestByRtt,
         }
@@ -241,6 +232,13 @@ const DEVICE_MAX_RETRIES: u32 = 8;
 /// trickling out; small PIs stay under the client's default timeout and are
 /// unaffected.
 const UPLOAD_RTO_PER_KIB: SimDuration = SimDuration::from_secs(1);
+
+/// §3.5: if the best probed RTT exceeds this, refresh the gateway list
+/// first.
+const RTT_THRESHOLD: SimDuration = SimDuration::from_millis(1500);
+
+/// Offline think-time per form field during data entry.
+const ENTRY_TIME_PER_PARAM: SimDuration = SimDuration::from_secs(2);
 
 /// Observability handles for one agent journey (§ [`pdagent_net::obs`]):
 /// the trace id minted at data entry plus the span ids opened so far. All
@@ -576,7 +574,7 @@ impl DeviceNode {
         let root = ctx.span_begin(trace, 0, "journey");
         let obs = JourneyObs { trace, root, ..JourneyObs::default() };
         let think = SimDuration(
-            self.config.entry_time_per_param.as_micros() * deploy.params.len().max(1) as u64,
+            ENTRY_TIME_PER_PARAM.as_micros() * deploy.params.len().max(1) as u64,
         );
         ctx.set_timer(think, TAG_ENTRY_DONE);
         self.phase = Phase::Entering { deploy, obs };
@@ -668,7 +666,7 @@ impl DeviceNode {
                 }
             }
             Some((idx, rtt)) => {
-                if rtt > self.config.rtt_threshold
+                if rtt > RTT_THRESHOLD
                     && !refreshed
                     && self.config.central_server.is_some()
                 {
@@ -718,16 +716,10 @@ impl DeviceNode {
         let compressed = compress(xml.as_bytes(), self.config.compression);
         ctx.metrics().bump("device.pi_raw_bytes", xml.len() as f64);
         ctx.metrics().bump("device.pi_compressed_bytes", compressed.len() as f64);
-        let payload = if self.config.encrypt {
-            self.entropy_counter += 1;
-            let entropy = format!(
-                "{}/{}/{}",
-                self.config.name, self.config.entropy_seed, self.entropy_counter
-            );
-            seal_envelope(&sub.public_key, &compressed, entropy.as_bytes()).bytes
-        } else {
-            compressed
-        };
+        self.entropy_counter += 1;
+        let entropy =
+            format!("{}/{}/{}", self.config.name, self.config.entropy_seed, self.entropy_counter);
+        let payload = seal_envelope(&sub.public_key, &compressed, entropy.as_bytes()).bytes;
         let pi_bytes = payload.len();
         // The connection has been up since the probe round started; it stays
         // up through the upload. The dispatch request carries the journey's

@@ -4,6 +4,7 @@ use pdagent_core::{
     ControlOp, DeployRequest, DeviceCommand, DeviceEvent, DeviceNode, Scenario, ScenarioSpec,
     SiteSpec,
 };
+use pdagent_crypto::KeyPair;
 use pdagent_mas::{AgentRecord, EchoService};
 use pdagent_net::http::HttpStatus;
 use pdagent_net::link::LinkSpec;
@@ -136,7 +137,7 @@ fn dead_gateway_does_not_block_dispatch() {
     let mut scenario = Scenario::build(spec);
     // Kill the link to gw-dead before anything runs.
     let dead = scenario.gateways[0];
-    scenario.sim.set_link_up(scenario.device, dead, false);
+    scenario.sim.cut_link(scenario.device, dead);
     let device = scenario.run();
     let gw = device
         .events
@@ -266,17 +267,28 @@ fn retract_brings_result_home_early() {
 }
 
 #[test]
-fn unencrypted_ablation_still_works_when_gateway_accepts_plaintext() {
-    // With encryption off the gateway rejects the payload (it expects an
-    // envelope) — the device reports the dispatch error rather than hanging.
+fn dispatch_the_gateway_cannot_open_is_a_deploy_error() {
+    // A subscription carrying the wrong gateway key seals an envelope the
+    // gateway cannot open: it answers 400, and the device reports the
+    // dispatch error rather than hanging.
     let mut spec = base_spec(10);
-    spec.device.encrypt = false;
+    let deploy = spec.commands.pop().expect("deploy command");
     let mut scenario = Scenario::build(spec);
-    let device = scenario.run();
-    assert!(device
+    scenario.run();
+    let device = scenario.device_mut();
+    let mut sub = device.db.subscription("ebank").expect("subscribed");
+    sub.public_key = KeyPair::generate(99).public;
+    device.db.put_subscription(&sub).unwrap();
+    device.enqueue(deploy);
+    DeviceNode::kick(&mut scenario.sim, scenario.device);
+    scenario.sim.run_until_idle();
+    assert!(scenario
+        .device_ref()
         .events
         .iter()
         .any(|e| matches!(e, DeviceEvent::Error { context, .. } if context == "deploy")));
+    let gw = scenario.gateways[0];
+    assert_eq!(scenario.sim.metrics(gw).counter("gateway.bad_envelopes"), 1.0);
 }
 
 #[test]
@@ -342,14 +354,14 @@ fn long_disconnection_during_collection_is_survived() {
     scenario.sim.run_until(pdagent_net::time::SimTime(12_000_000));
     assert!(scenario.device_ref().last_agent_id().is_some(), "dispatched by t=12s");
     let gw = scenario.gateways[0];
-    scenario.sim.set_link_up(scenario.device, gw, false);
+    scenario.sim.cut_link(scenario.device, gw);
     scenario.sim.run_until(pdagent_net::time::SimTime(90_000_000));
     // Still no result: the device is cut off (but has not given up).
     assert!(
         !scenario.device_ref().events.iter().any(|e| matches!(e, DeviceEvent::ResultCollected { .. }))
     );
     // Coverage returns.
-    scenario.sim.set_link_up(scenario.device, gw, true);
+    scenario.sim.heal_link(scenario.device, gw);
     scenario.sim.run_until_idle();
     let device = scenario.device_ref();
     assert!(

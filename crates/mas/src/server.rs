@@ -9,6 +9,11 @@ use crate::agent::{AgentId, AgentRecord, MobileAgent};
 use crate::service::Service;
 use crate::{KIND_ACK, KIND_COMPLETE, KIND_CONTROL, KIND_CONTROL_RESP, KIND_TRANSFER};
 
+/// How long to wait for a transfer ack before retrying.
+const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Transfer attempts (including the first) before skipping the site.
+const MAX_TRANSFER_ATTEMPTS: u32 = 3;
+
 /// Execution-time model for the site CPU: running an agent that executes
 /// `n` VM instructions occupies the site for `base + n * per_instruction`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,10 +220,6 @@ pub struct MasNode {
     tags: HashMap<u64, (AgentId, TagKind)>,
     next_tag: u64,
     clones: u64,
-    /// How long to wait for a transfer ack before retrying.
-    pub ack_timeout: SimDuration,
-    /// Transfer attempts (including the first) before skipping the site.
-    pub max_transfer_attempts: u32,
     /// Human-readable event log (tests and demos inspect this).
     pub log: Vec<String>,
     /// Delta-encoded `/metrics` + `/healthz` server: interned series, dirty
@@ -245,8 +246,6 @@ impl MasNode {
             tags: HashMap::new(),
             next_tag: 0,
             clones: 0,
-            ack_timeout: SimDuration::from_millis(500),
-            max_transfer_attempts: 3,
             log: Vec::new(),
             telemetry: pdagent_net::telemetry::TelemetryServer::new(),
         }
@@ -384,7 +383,7 @@ impl MasNode {
                 };
                 let sent = ctx.send(next_node, wire.clone());
                 let tag = self.fresh_tag(id, TagKind::AckTimeout);
-                ctx.set_timer(self.ack_timeout, tag);
+                ctx.set_timer(ACK_TIMEOUT, tag);
                 self.agents.insert(id.clone(), (agent, Slot::AwaitingAck { attempts, wire }));
                 if !sent {
                     ctx.metrics().bump("mas.transfer_send_failed", 1.0);
@@ -563,7 +562,7 @@ impl Node for MasNode {
                     return; // acked in the meantime
                 };
                 let attempts = *attempts;
-                if attempts >= self.max_transfer_attempts {
+                if attempts >= MAX_TRANSFER_ATTEMPTS {
                     // Give up on this site: skip the hop.
                     let (agent, _) = self.agents.remove(&id).expect("checked above");
                     let site = agent.next_site().unwrap_or("?").to_owned();
@@ -698,9 +697,9 @@ mod tests {
     fn down_site_is_skipped_with_note() {
         let (mut sim, origin, sites, _) = build(3, 3);
         // Take down site-1's links entirely.
-        sim.set_link_up(sites[0], sites[1], false);
-        sim.set_link_up(sites[1], sites[2], false);
-        sim.set_link_up(origin, sites[1], false);
+        sim.cut_link(sites[0], sites[1]);
+        sim.cut_link(sites[1], sites[2]);
+        sim.cut_link(origin, sites[1]);
         launch(&mut sim, origin, sites[0], Itinerary::new(["site-0", "site-1", "site-2"]));
         sim.run_until_idle();
         let done = &sim.node_ref::<StubOrigin>(origin).unwrap().completed;

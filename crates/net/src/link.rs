@@ -218,10 +218,10 @@ const CHAOS_STREAM_SALT: u64 = 0xC4A0_5F00_D15E_A5ED;
 #[derive(Debug, Default)]
 pub struct Topology {
     links: HashMap<(NodeId, NodeId), LinkSpec>,
-    down: HashMap<(NodeId, NodeId), bool>,
-    /// Refcounted administrative cuts (chaos partitions). A link is usable
-    /// only while its count is zero, so overlapping cut windows heal at the
-    /// *max* end time — each window decrements once.
+    /// Refcounted administrative cuts (chaos partitions, the wireless
+    /// disconnections the paper emphasizes). A link is usable only while its
+    /// count is zero, so overlapping cut windows heal at the *max* end time —
+    /// each window decrements once.
     cuts: HashMap<(NodeId, NodeId), u32>,
     /// Chaos overlays stacked per link, keyed by the installing fault's id
     /// so overlapping bursts compose and remove independently.
@@ -329,20 +329,6 @@ impl Topology {
         self.links.insert(Self::key(a, b), spec);
     }
 
-    /// Remove a link entirely.
-    pub fn disconnect(&mut self, a: NodeId, b: NodeId) {
-        self.links.remove(&Self::key(a, b));
-        self.down.remove(&Self::key(a, b));
-        self.busy_until.remove(&(a, b));
-        self.busy_until.remove(&(b, a));
-    }
-
-    /// Administratively mark a link up or down (messages on a down link are
-    /// dropped, modeling the wireless disconnections the paper emphasizes).
-    pub fn set_up(&mut self, a: NodeId, b: NodeId, up: bool) {
-        self.down.insert(Self::key(a, b), !up);
-    }
-
     /// Refcounted cut: the link stays down until every [`Topology::heal`]
     /// paired with a `cut` has run, so overlapping outage windows heal at
     /// the latest end time instead of the first.
@@ -365,9 +351,7 @@ impl Topology {
     /// Is there a usable link between `a` and `b`?
     pub fn is_up(&self, a: NodeId, b: NodeId) -> bool {
         let key = Self::key(a, b);
-        self.links.contains_key(&key)
-            && !self.down.get(&key).copied().unwrap_or(false)
-            && (self.cuts.is_empty() || !self.cuts.contains_key(&key))
+        self.links.contains_key(&key) && (self.cuts.is_empty() || !self.cuts.contains_key(&key))
     }
 
     /// Install (or replace) the chaos overlay `fault` contributes to the
@@ -567,11 +551,6 @@ impl Topology {
             Jitter::Normal(sigma) => rng.normal_duration(SimDuration::ZERO, sigma),
         }
     }
-
-    /// Number of installed links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
 }
 
 #[cfg(test)]
@@ -617,13 +596,13 @@ mod tests {
     }
 
     #[test]
-    fn down_link_drops() {
+    fn cut_link_drops() {
         let mut topo = Topology::new();
         topo.connect(0, 1, LinkSpec::ideal());
-        topo.set_up(0, 1, false);
+        topo.cut(0, 1);
         assert!(!topo.is_up(0, 1));
         assert!(topo.route(0, 1, &Message::signal("x"), SimTime::ZERO).is_none());
-        topo.set_up(1, 0, true); // symmetric key
+        topo.heal(1, 0); // symmetric key
         assert!(topo.is_up(0, 1));
     }
 
@@ -745,16 +724,6 @@ mod tests {
         // Compare at a quiet time so busy_until rounding cannot differ.
         let later = SimTime(60_000_000);
         assert_eq!(a.route(0, 1, &msg, later), b.route(0, 1, &msg, later));
-    }
-
-    #[test]
-    fn disconnect_removes_link() {
-        let mut topo = Topology::new();
-        topo.connect(0, 1, LinkSpec::lan());
-        assert_eq!(topo.link_count(), 1);
-        topo.disconnect(0, 1);
-        assert_eq!(topo.link_count(), 0);
-        assert!(!topo.is_up(0, 1));
     }
 
     #[test]

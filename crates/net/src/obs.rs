@@ -22,18 +22,19 @@
 //! [`crate::sim::Ctx`] are branch-and-return no-ops: no allocation, no
 //! recording, no behavioural difference (asserted by test).
 //!
-//! **Tail sampling** (PR 9): retaining every span of every trace cannot
-//! survive the ROADMAP's million-device north star. With
-//! [`Collector::enable_sampling`] the collector buffers spans per trace
-//! until the trace's root span closes, classifies the completed trace
-//! (alert-touched > slow-beyond-tracked-p99 > deterministic 1-in-N head
-//! sample) and either moves it into a byte-budgeted reservoir or drops it.
-//! Stage histograms keep recording *unconditionally* on span close, so
-//! [`ObsSummary`] digests — and every result derived from them — are
-//! byte-identical whether sampling is on, off, or re-budgeted. Retained
-//! traces feed per-bucket [`Exemplar`]s into the exposition layer and are
-//! queryable by stage/duration through [`Collector::query_traces`] (the
-//! `/traces` plane in [`crate::telemetry`]).
+//! **Tail sampling**: the collector's one span store is a [`TailSampler`].
+//! It buffers spans per trace until the trace's root span closes, classifies
+//! the completed trace (alert-touched > slow-beyond-tracked-p99 >
+//! deterministic 1-in-N head sample) and either moves it into a
+//! byte-budgeted reservoir or drops it. [`Collector::new`] keeps every trace
+//! ([`SamplerConfig::keep_all`]), so it stores every span ever begun;
+//! [`Collector::enable_sampling`] installs a sparser rate and a byte budget,
+//! which is what a million-device run needs. Stage histograms keep recording
+//! *unconditionally* on span close, so [`ObsSummary`] digests — and every
+//! result derived from them — are byte-identical at any head rate or budget.
+//! Retained traces feed per-bucket [`Exemplar`]s into the exposition layer
+//! and are queryable by stage/duration through [`Collector::query_traces`]
+//! (the `/traces` plane in [`crate::telemetry`]).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
@@ -88,6 +89,24 @@ impl Span {
         match self.index {
             Some(i) => format!("{}[{i}]", self.name),
             None => self.name.to_owned(),
+        }
+    }
+
+    /// Append this span's JSON object fields (`"trace"` through the optional
+    /// `"end_us"`, without braces) to `out` — the one span encoding behind
+    /// [`Collector::to_jsonl`] and the flight recorder. The name is
+    /// JSON-escaped, so labels with quotes, backslashes or control
+    /// characters can never corrupt a line.
+    pub fn write_json_fields(&self, out: &mut String) {
+        let _ = write!(out, "\"trace\":{},\"span\":{},\"parent\":{},\"name\":\"", self.trace, self.id, self.parent);
+        write_json_escaped(out, self.name);
+        out.push('"');
+        if let Some(i) = self.index {
+            let _ = write!(out, ",\"index\":{i}");
+        }
+        let _ = write!(out, ",\"node\":{},\"begin_us\":{}", self.node, self.begin.0);
+        if let Some(e) = self.end {
+            let _ = write!(out, ",\"end_us\":{}", e.0);
         }
     }
 }
@@ -317,6 +336,15 @@ impl Default for SamplerConfig {
     }
 }
 
+impl SamplerConfig {
+    /// Retain every trace: head rate 1 and no byte budget, so the reservoir
+    /// plus the still-buffering traces hold every span ever begun. This is
+    /// what [`Collector::new`] attaches.
+    pub fn keep_all() -> SamplerConfig {
+        SamplerConfig { budget_bytes: usize::MAX, head_every: 1, ..SamplerConfig::default() }
+    }
+}
+
 /// Point-in-time sampler accounting, exposed as `obs.*` gauges by the
 /// telemetry servers and harvested into bench reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -367,8 +395,8 @@ pub struct TraceHit {
     pub root: &'static str,
     /// Root duration in µs.
     pub duration_us: u64,
-    /// Retention class (`None` when sampling is off — everything is kept).
-    pub class: Option<SampleClass>,
+    /// Why the trace was retained.
+    pub class: SampleClass,
     /// Spans stored for the trace.
     pub spans: usize,
     /// Begin time of the root span.
@@ -772,54 +800,56 @@ impl ObsSummary {
 
 /// The span/histogram sink attached to a simulator via
 /// `Simulator::enable_obs()`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Collector {
-    spans: Vec<Span>,
     stages: Vec<(&'static str, Histogram)>,
     events: Vec<ObsEvent>,
     next_trace: u64,
-    /// Monotone span-id counter (always equals `spans.len()` while sampling
-    /// is off, so ids are identical to the historical scheme).
+    /// Monotone span-id counter (1-based; ids follow creation order).
     next_span: u32,
-    sampler: Option<TailSampler>,
+    /// The one span store.
+    sampler: TailSampler,
+}
+
+impl Default for Collector {
+    fn default() -> Collector {
+        Collector::new()
+    }
 }
 
 impl Collector {
-    /// An empty collector.
+    /// An empty collector that keeps every trace
+    /// ([`SamplerConfig::keep_all`]).
     pub fn new() -> Collector {
-        Collector::default()
+        Collector {
+            stages: Vec::new(),
+            events: Vec::new(),
+            next_trace: 0,
+            next_span: 0,
+            sampler: TailSampler::new(SamplerConfig::keep_all()),
+        }
     }
 
-    /// Switch the collector into tail-sampling mode. Must be called before
-    /// any span is recorded (sampling a half-recorded run is undefined, so
-    /// this panics instead).
+    /// Replace the sampler's configuration (head rate, byte budget, seed).
+    /// Must be called before any span is recorded (re-sampling a
+    /// half-recorded run is undefined, so this panics instead).
     pub fn enable_sampling(&mut self, cfg: SamplerConfig) {
         assert!(
             self.next_span == 0,
             "enable_sampling must run before any span is recorded"
         );
-        self.sampler = Some(TailSampler::new(cfg));
+        self.sampler = TailSampler::new(cfg);
     }
 
-    /// Is tail sampling active?
-    pub fn sampling_enabled(&self) -> bool {
-        self.sampler.is_some()
-    }
-
-    /// Sampler accounting (`None` while sampling is off).
-    pub fn sampler_stats(&self) -> Option<SamplerStats> {
-        self.sampler.as_ref().map(|s| s.stats())
+    /// Sampler accounting.
+    pub fn sampler_stats(&self) -> SamplerStats {
+        self.sampler.stats()
     }
 
     /// Per-stage exemplars: `(stage, (bucket, exemplar) rows sorted by
-    /// bucket)`, sorted by stage name. Empty while sampling is off — the
-    /// exposition layer emits exemplar suffixes only when this is non-empty,
-    /// which is what keeps sampling-off scrape bodies byte-identical.
+    /// bucket)`, sorted by stage name.
     pub fn exemplars(&self) -> Vec<(&'static str, &[(u8, Exemplar)])> {
-        match &self.sampler {
-            Some(s) => s.exemplars.iter().map(|(k, v)| (*k, v.as_slice())).collect(),
-            None => Vec::new(),
-        }
+        self.sampler.exemplars.iter().map(|(k, v)| (*k, v.as_slice())).collect()
     }
 
     /// Mint the next trace id (1-based; deterministic — a plain counter).
@@ -845,11 +875,7 @@ impl Collector {
     ) -> u32 {
         self.next_span += 1;
         let id = self.next_span;
-        let span = Span { id, parent, trace, name, index, node, begin: at, end: None };
-        match &mut self.sampler {
-            None => self.spans.push(span),
-            Some(sampler) => sampler.begin(span),
-        }
+        self.sampler.begin(Span { id, parent, trace, name, index, node, begin: at, end: None });
         id
     }
 
@@ -859,54 +885,35 @@ impl Collector {
     /// `gateway.stage`. Stage histograms record whether or not the span's
     /// trace ends up retained — sampling never changes [`ObsSummary`].
     pub fn end_span(&mut self, span: u32, at: SimTime) {
-        if span == 0 {
+        let Some(open) = self.sampler.open.remove(&span) else {
             return;
-        }
-        if let Some(sampler) = &mut self.sampler {
-            let Some(open) = sampler.open.remove(&span) else {
-                return;
-            };
-            let micros = at.0.saturating_sub(open.begin.0);
-            record_into(&mut self.stages, open.name, micros);
-            sampler.close(span, open, at, micros);
-            return;
-        }
-        let Some(s) = self.spans.get_mut(span as usize - 1) else { return };
-        if s.end.is_some() {
-            return;
-        }
-        s.end = Some(at);
-        let micros = at.0.saturating_sub(s.begin.0);
-        record_into(&mut self.stages, s.name, micros);
+        };
+        let micros = at.0.saturating_sub(open.begin.0);
+        record_into(&mut self.stages, open.name, micros);
+        self.sampler.close(span, open, at, micros);
     }
 
-    /// All stored spans sorted by id (= creation order). With sampling off
-    /// this is every span ever begun; with sampling on it is the reservoir
-    /// plus still-buffering traces.
+    /// All stored spans sorted by id (= creation order): the reservoir plus
+    /// still-buffering traces. With [`SamplerConfig::keep_all`] this is
+    /// every span ever begun.
     pub fn spans_snapshot(&self) -> Vec<&Span> {
-        match &self.sampler {
-            None => self.spans.iter().collect(),
-            Some(sampler) => {
-                let mut v: Vec<&Span> = sampler
-                    .pending
-                    .values()
-                    .flat_map(|b| b.spans.iter())
-                    .chain(sampler.retained.iter().flat_map(|r| r.spans.iter()))
-                    .collect();
-                v.sort_by_key(|s| s.id);
-                v
-            }
-        }
+        let sampler = &self.sampler;
+        let mut v: Vec<&Span> = sampler
+            .pending
+            .values()
+            .flat_map(|b| b.spans.iter())
+            .chain(sampler.retained.iter().flat_map(|r| r.spans.iter()))
+            .collect();
+        v.sort_by_key(|s| s.id);
+        v
     }
 
-    /// Record an alert transition into the timeline. With sampling on, the
-    /// episode's trace is pinned: its classification becomes `Alert`, the
-    /// last class to be evicted under byte pressure.
+    /// Record an alert transition into the timeline. The episode's trace is
+    /// pinned: its classification becomes `Alert`, the last class to be
+    /// evicted under byte pressure.
     pub fn record_event(&mut self, event: ObsEvent) {
-        if let Some(sampler) = &mut self.sampler {
-            if event.trace != 0 {
-                sampler.alert_traces.insert(event.trace);
-            }
+        if event.trace != 0 {
+            self.sampler.alert_traces.insert(event.trace);
         }
         self.events.push(event);
     }
@@ -916,93 +923,46 @@ impl Collector {
         &self.events
     }
 
-    /// Spans belonging to one trace (still stored — a dropped trace
-    /// yields nothing).
+    /// Spans belonging to one trace, in creation order (still stored — a
+    /// dropped trace yields nothing).
     pub fn spans_for(&self, trace: u64) -> impl Iterator<Item = &Span> {
-        let slice: &[Span] = match &self.sampler {
-            None => &self.spans,
-            Some(sampler) => match sampler.retained_index.get(&trace) {
-                Some(&i) => &sampler.retained[i].spans,
-                None => sampler.pending.get(&trace).map(|b| b.spans.as_slice()).unwrap_or(&[]),
-            },
+        let sampler = &self.sampler;
+        let slice: &[Span] = match sampler.retained_index.get(&trace) {
+            Some(&i) => &sampler.retained[i].spans,
+            None => sampler.pending.get(&trace).map(|b| b.spans.as_slice()).unwrap_or(&[]),
         };
-        slice.iter().filter(move |s| s.trace == trace)
+        slice.iter()
     }
 
-    /// Retained traces currently in the reservoir (empty while sampling is
-    /// off).
+    /// Retained traces currently in the reservoir.
     pub fn retained(&self) -> &[RetainedTrace] {
-        self.sampler.as_ref().map(|s| s.retained.as_slice()).unwrap_or(&[])
+        &self.sampler.retained
     }
 
     /// The `/traces` query engine: retained traces filtered by root stage
     /// and minimum root duration, sorted by duration (longest first, trace
-    /// id as tie-break), truncated to `limit`. With sampling off this scans
-    /// closed root spans instead, so the query plane works either way.
+    /// id as tie-break), truncated to `limit`.
     pub fn query_traces(&self, stage: Option<&str>, min_us: u64, limit: usize) -> Vec<TraceHit> {
-        let mut hits: Vec<TraceHit> = Vec::new();
-        match &self.sampler {
-            Some(sampler) => {
-                let mut push = |dur: u64, trace: u64| {
-                    if dur < min_us {
-                        return;
-                    }
-                    if let Some(&i) = sampler.retained_index.get(&trace) {
-                        let r = &sampler.retained[i];
-                        hits.push(TraceHit {
-                            trace,
-                            root: r.root,
-                            duration_us: r.duration_us,
-                            class: Some(r.class),
-                            spans: r.spans.len(),
-                            begin: r.begin,
-                        });
-                    }
-                };
-                match stage {
-                    Some(st) => {
-                        if let Some(rows) = sampler.index.get(st) {
-                            for &(d, t) in rows {
-                                push(d, t);
-                            }
-                        }
-                    }
-                    None => {
-                        for rows in sampler.index.values() {
-                            for &(d, t) in rows {
-                                push(d, t);
-                            }
-                        }
-                    }
-                }
-            }
-            None => {
-                for sp in &self.spans {
-                    if sp.parent != 0 {
-                        continue;
-                    }
-                    let Some(e) = sp.end else { continue };
-                    if let Some(st) = stage {
-                        if st != sp.name {
-                            continue;
-                        }
-                    }
-                    let dur = e.0.saturating_sub(sp.begin.0);
-                    if dur < min_us {
-                        continue;
-                    }
-                    let spans = self.spans.iter().filter(|x| x.trace == sp.trace).count();
-                    hits.push(TraceHit {
-                        trace: sp.trace,
-                        root: sp.name,
-                        duration_us: dur,
-                        class: None,
-                        spans,
-                        begin: sp.begin,
-                    });
-                }
-            }
-        }
+        let sampler = &self.sampler;
+        let rows: Vec<&(u64, u64)> = match stage {
+            Some(st) => sampler.index.get(st).into_iter().flatten().collect(),
+            None => sampler.index.values().flatten().collect(),
+        };
+        let mut hits: Vec<TraceHit> = rows
+            .into_iter()
+            .filter(|&&(dur, _)| dur >= min_us)
+            .filter_map(|&(_, trace)| {
+                let r = &sampler.retained[*sampler.retained_index.get(&trace)?];
+                Some(TraceHit {
+                    trace,
+                    root: r.root,
+                    duration_us: r.duration_us,
+                    class: r.class,
+                    spans: r.spans.len(),
+                    begin: r.begin,
+                })
+            })
+            .collect();
         hits.sort_by(|a, b| {
             b.duration_us.cmp(&a.duration_us).then(a.trace.cmp(&b.trace))
         });
@@ -1073,22 +1033,13 @@ impl Collector {
         }
     }
 
-    /// JSONL export: one JSON object per span, in creation order. Span
-    /// names are JSON-escaped so labels with quotes, backslashes, or
-    /// control characters can never corrupt the export.
+    /// JSONL export: one JSON object per span, in creation order (see
+    /// [`Span::write_json_fields`]).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in self.spans_snapshot() {
-            let _ = write!(out, "{{\"trace\":{},\"span\":{},\"parent\":{},\"name\":\"", s.trace, s.id, s.parent);
-            write_json_escaped(&mut out, s.name);
-            out.push('"');
-            if let Some(i) = s.index {
-                let _ = write!(out, ",\"index\":{i}");
-            }
-            let _ = write!(out, ",\"node\":{},\"begin_us\":{}", s.node, s.begin.0);
-            if let Some(e) = s.end {
-                let _ = write!(out, ",\"end_us\":{}", e.0);
-            }
+            out.push('{');
+            s.write_json_fields(&mut out);
             out.push_str("}\n");
         }
         out
@@ -1258,9 +1209,9 @@ mod tests {
 
     #[test]
     fn sampling_never_changes_the_summary() {
-        let run = |sample: bool| {
+        let run = |sparse: bool| {
             let mut c = Collector::new();
-            if sample {
+            if sparse {
                 // Drop almost everything: summary must not notice.
                 c.enable_sampling(SamplerConfig {
                     head_every: 1_000_000_000,
@@ -1282,13 +1233,34 @@ mod tests {
         for i in 0..8u64 {
             journey(&mut c, "journey", i * 1_000, 300);
         }
-        let stats = c.sampler_stats().unwrap();
+        let stats = c.sampler_stats();
         assert_eq!(stats.retained_traces, 8);
         assert_eq!(stats.retained_spans, 16);
         assert_eq!(stats.dropped_spans, 0);
         assert_eq!(stats.pending_traces, 0);
         assert!(stats.sampler_bytes > 0 && stats.sampler_bytes <= stats.budget_bytes);
         assert!(c.retained().iter().all(|r| r.class == SampleClass::Head));
+    }
+
+    #[test]
+    fn new_collector_stores_every_span_in_id_order() {
+        // Two interleaved traces, the second still open: the default
+        // collector drops nothing and lists both, pending trace included.
+        let mut c = Collector::new();
+        let (a, b) = (c.new_trace(), c.new_trace());
+        let ra = c.begin_span(a, 0, "journey", None, 0, SimTime(0));
+        let rb = c.begin_span(b, 0, "journey", None, 1, SimTime(5));
+        let ka = c.begin_span(a, ra, "child.step", None, 0, SimTime(10));
+        let kb = c.begin_span(b, rb, "child.step", None, 1, SimTime(15));
+        c.end_span(ka, SimTime(20));
+        c.end_span(ra, SimTime(30));
+        c.end_span(kb, SimTime(40));
+        let ids: Vec<u32> = c.spans_snapshot().iter().map(|s| s.id).collect();
+        assert_eq!(ids, vec![ra, rb, ka, kb]);
+        assert_eq!(c.spans_for(b).map(|s| s.id).collect::<Vec<_>>(), vec![rb, kb]);
+        let stats = c.sampler_stats();
+        assert_eq!((stats.retained_traces, stats.pending_traces, stats.dropped_spans), (1, 1, 0));
+        assert_eq!(c.to_jsonl().lines().count(), 4);
     }
 
     #[test]
@@ -1299,7 +1271,7 @@ mod tests {
             ..SamplerConfig::default()
         });
         let t = journey(&mut c, "journey", 0, 300);
-        let stats = c.sampler_stats().unwrap();
+        let stats = c.sampler_stats();
         assert_eq!(stats.retained_traces, 0);
         assert_eq!(stats.pending_traces, 0, "dropped trace still buffered");
         assert_eq!(stats.dropped_spans, 2);
@@ -1414,7 +1386,7 @@ mod tests {
         for i in 0..6u64 {
             journey(&mut c, "journey", 1_000 + i * 1_000, 400);
         }
-        let stats = c.sampler_stats().unwrap();
+        let stats = c.sampler_stats();
         assert!(stats.sampler_bytes <= stats.budget_bytes, "{stats:?}");
         assert!(stats.retained_traces <= 3);
         assert!(stats.dropped_spans > 0);
@@ -1428,7 +1400,6 @@ mod tests {
     #[test]
     fn retained_traces_carry_exemplars_latest_wins() {
         let mut c = Collector::new();
-        c.enable_sampling(SamplerConfig { head_every: 1, ..SamplerConfig::default() });
         let a = journey(&mut c, "journey", 0, 1_000);
         let b = journey(&mut c, "journey", 10_000, 1_000);
         let rows = c.exemplars();
@@ -1442,12 +1413,11 @@ mod tests {
         assert_eq!(journey_rows[0].0, Histogram::bucket_of(1_000) as u8);
         assert_eq!(journey_rows[0].1, Exemplar { trace: b, value_us: 1_000, ts_us: 11_000 });
         assert!(b > a);
-        assert_eq!(c.sampler_stats().unwrap().exemplars as usize, rows.iter().map(|(_, r)| r.len()).sum::<usize>());
+        assert_eq!(c.sampler_stats().exemplars as usize, rows.iter().map(|(_, r)| r.len()).sum::<usize>());
     }
 
     #[test]
     fn query_traces_filters_sorts_and_limits() {
-        // Off mode: scans closed roots.
         let mut c = Collector::new();
         let slow = journey(&mut c, "journey", 0, 9_000);
         let fast = journey(&mut c, "journey", 20_000, 100);
@@ -1458,7 +1428,7 @@ mod tests {
             vec![slow, other, fast],
             "longest first"
         );
-        assert!(hits.iter().all(|h| h.class.is_none()));
+        assert!(hits.iter().all(|h| h.class == SampleClass::Head));
         let hits = c.query_traces(Some("journey"), 1_000, 10);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].trace, slow);
@@ -1466,16 +1436,6 @@ mod tests {
         assert_eq!(hits[0].spans, 2);
         assert_eq!(c.query_traces(None, 0, 1).len(), 1);
         assert_eq!(c.query_traces(Some("nope"), 0, 10).len(), 0);
-
-        // Sampled mode: served from the reservoir index.
-        let mut c = Collector::new();
-        c.enable_sampling(SamplerConfig { head_every: 1, ..SamplerConfig::default() });
-        let slow = journey(&mut c, "journey", 0, 9_000);
-        journey(&mut c, "journey", 20_000, 100);
-        let hits = c.query_traces(Some("journey"), 1_000, 10);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].trace, slow);
-        assert_eq!(hits[0].class, Some(SampleClass::Head));
         // The hit renders to a timeline.
         assert!(c.render_trace(slow).contains("journey"));
     }

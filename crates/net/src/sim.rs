@@ -325,12 +325,6 @@ impl Ctx<'_> {
         self.metrics().connection_closed(now);
     }
 
-    /// Administratively raise/lower the link between two nodes (used by
-    /// failure-injection scenarios and by devices modeling disconnection).
-    pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) {
-        self.topology.set_up(a, b, up);
-    }
-
     /// Refcounted link cut (see [`Topology::cut`]): overlapping cut windows
     /// heal at the max end time, one [`Ctx::heal_link`] per cut.
     pub fn cut_link(&mut self, a: NodeId, b: NodeId) {
@@ -704,9 +698,15 @@ impl Simulator {
         self.topology.connect(a, b, spec);
     }
 
-    /// Raise/lower a link from outside the simulation.
-    pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) {
-        self.topology.set_up(a, b, up);
+    /// Cut a link from outside the simulation (refcounted, see
+    /// [`Topology::cut`]); messages on a cut link are dropped.
+    pub fn cut_link(&mut self, a: NodeId, b: NodeId) {
+        self.topology.cut(a, b);
+    }
+
+    /// Undo one [`Simulator::cut_link`].
+    pub fn heal_link(&mut self, a: NodeId, b: NodeId) {
+        self.topology.heal(a, b);
     }
 
     /// Current virtual time.
@@ -1173,7 +1173,7 @@ mod tests {
     fn link_down_mid_run_blocks_traffic() {
         let (mut sim, pinger, ponger) = ping_pong_sim(9, LinkSpec::ideal());
         sim.run_until(SimTime(1_500_000)); // 2 pings through
-        sim.set_link_up(pinger, ponger, false);
+        sim.cut_link(pinger, ponger);
         sim.run_until_idle();
         assert_eq!(sim.node_ref::<Ponger>(ponger).unwrap().pings_seen, 2);
         assert!(sim.metrics(pinger).msgs_dropped >= 3);

@@ -87,9 +87,8 @@ pub struct TelemetrySnapshot {
     pub stages: Vec<(String, Histogram)>,
     /// Per-stage bucket exemplars from the tail sampler, `(stage, rows)`
     /// sorted by stage name, each row's `(bucket, exemplar)` sorted by
-    /// bucket. Empty unless the producing node runs with sampling on — an
-    /// empty section renders nothing, keeping sampling-off expositions
-    /// byte-identical to the pre-exemplar format.
+    /// bucket. Empty when the producing node has no collector (or no
+    /// retained trace yet) — an empty section renders nothing.
     pub exemplars: Vec<(String, Vec<(u8, Exemplar)>)>,
 }
 
@@ -1149,10 +1148,9 @@ impl TelemetryServer {
 
 /// Refresh the serving node's `obs.*` sampler gauges from the attached
 /// collector, so every scrape body carries the reservoir's live accounting.
-/// No-op (and no new series — byte-identity preserved) while sampling is
-/// off.
+/// No-op (and no new series) without a collector.
 fn set_sampler_gauges(ctx: &mut Ctx<'_>) {
-    let Some(stats) = ctx.obs_collector().and_then(|c| c.sampler_stats()) else { return };
+    let Some(stats) = ctx.obs_collector().map(Collector::sampler_stats) else { return };
     let m = ctx.metrics();
     m.set_gauge("obs.retained_traces", stats.retained_traces as f64);
     m.set_gauge("obs.dropped_spans", stats.dropped_spans as f64);
@@ -1203,11 +1201,14 @@ pub fn render_traces_body(collector: &Collector, path: &str) -> String {
     let hits = collector.query_traces(stage.as_deref(), min_us, limit);
     let _ = writeln!(out, "traces {}", hits.len());
     for h in &hits {
-        let class = h.class.map(|c| c.as_str()).unwrap_or("all");
         let _ = writeln!(
             out,
-            "trace {:012} root={} dur_us={} class={class} spans={}",
-            h.trace, h.root, h.duration_us, h.spans
+            "trace {:012} root={} dur_us={} class={} spans={}",
+            h.trace,
+            h.root,
+            h.duration_us,
+            h.class.as_str(),
+            h.spans
         );
         out.push_str(&collector.render_trace(h.trace));
     }
@@ -1274,19 +1275,8 @@ impl FlightRecorder {
     pub fn capture(collector: &Collector, node: NodeId, cap: usize) -> FlightRecorder {
         let mut timed: Vec<(u64, String)> = Vec::new();
         for s in collector.spans_snapshot().into_iter().filter(|s| s.node == node) {
-            let mut line = format!(
-                "{{\"record\":\"span\",\"trace\":{},\"span\":{},\"parent\":{},\"name\":\"",
-                s.trace, s.id, s.parent
-            );
-            crate::obs::write_json_escaped(&mut line, s.name);
-            line.push('"');
-            if let Some(i) = s.index {
-                let _ = write!(line, ",\"index\":{i}");
-            }
-            let _ = write!(line, ",\"node\":{},\"begin_us\":{}", s.node, s.begin.0);
-            if let Some(e) = s.end {
-                let _ = write!(line, ",\"end_us\":{}", e.0);
-            }
+            let mut line = String::from("{\"record\":\"span\",");
+            s.write_json_fields(&mut line);
             line.push('}');
             timed.push((s.begin.0, line));
         }
@@ -1732,9 +1722,9 @@ mod tests {
     }
 
     #[test]
-    fn sampling_off_bodies_carry_no_exemplar_suffix() {
+    fn exemplar_free_bodies_carry_no_exemplar_suffix() {
         let text = render_prom("gw-0", &sample_snapshot());
-        assert!(!text.contains(" # {"), "exemplar leaked into a sampling-off body");
+        assert!(!text.contains(" # {"), "exemplar leaked into an exemplar-free body");
         let mut ds = DeltaState::new();
         ds.observe(&sample_snapshot());
         let (_, full) = render_split(&ds, None);
@@ -1778,10 +1768,6 @@ mod tests {
     #[test]
     fn traces_body_lists_and_renders_timelines() {
         let mut c = Collector::new();
-        c.enable_sampling(crate::obs::SamplerConfig {
-            head_every: 1,
-            ..crate::obs::SamplerConfig::default()
-        });
         let mk = |c: &mut Collector, at: u64, dur: u64| {
             let t = c.new_trace();
             let root = c.begin_span(t, 0, "journey", None, 0, SimTime(at));

@@ -2,8 +2,6 @@
 //! for debugging protocols and asserting on wire behaviour in tests
 //! (e.g. "the device sent exactly two HTTP requests after dispatch").
 
-use std::collections::VecDeque;
-
 use crate::message::Kind;
 use crate::time::SimTime;
 
@@ -25,38 +23,24 @@ pub struct TraceEntry {
     pub trace: u64,
 }
 
-/// A bounded trace buffer (drops the oldest entries beyond the cap).
-///
-/// Backed by a ring buffer, so a bounded trace evicts in O(1) — the old
-/// `Vec::remove(0)` implementation shifted the whole buffer on every record
-/// once full.
+/// Every delivery the simulator made, in delivery order.
 #[derive(Debug, Default)]
 pub struct Trace {
-    entries: VecDeque<TraceEntry>,
-    /// Maximum retained entries (0 = unbounded).
-    pub cap: usize,
+    entries: Vec<TraceEntry>,
 }
 
 impl Trace {
-    /// An unbounded trace.
+    /// An empty trace.
     pub fn new() -> Trace {
-        Trace { entries: VecDeque::new(), cap: 0 }
+        Trace::default()
     }
 
-    /// A bounded trace keeping the most recent `cap` entries.
-    pub fn bounded(cap: usize) -> Trace {
-        Trace { entries: VecDeque::with_capacity(cap), cap }
-    }
-
-    /// Record a delivery (O(1), including eviction when bounded).
+    /// Record a delivery.
     pub fn record(&mut self, entry: TraceEntry) {
-        if self.cap > 0 && self.entries.len() == self.cap {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(entry);
+        self.entries.push(entry);
     }
 
-    /// All retained entries, oldest first.
+    /// All entries, oldest first.
     pub fn entries(&self) -> impl ExactSizeIterator<Item = &TraceEntry> {
         self.entries.iter()
     }
@@ -119,27 +103,6 @@ mod tests {
         assert_eq!(t.between(0, 1).count(), 3);
         assert_eq!(t.bytes_touching(0), 41 + 41 + 900);
         assert_eq!(t.bytes_touching(2), 0);
-    }
-
-    #[test]
-    fn bounded_drops_oldest() {
-        let mut t = Trace::bounded(2);
-        t.record(entry(1, 0, 1, "a", 1));
-        t.record(entry(2, 0, 1, "b", 1));
-        t.record(entry(3, 0, 1, "c", 1));
-        let kinds: Vec<&str> = t.entries().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, vec!["b", "c"]);
-    }
-
-    #[test]
-    fn bounded_eviction_keeps_order_across_wraps() {
-        // Push far past the cap; the survivors must be the newest, in order.
-        let mut t = Trace::bounded(3);
-        for i in 0..100u64 {
-            t.record(entry(i, 0, 1, "k", i as usize));
-        }
-        let bytes: Vec<usize> = t.entries().map(|e| e.bytes).collect();
-        assert_eq!(bytes, vec![97, 98, 99]);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 #
 #   scripts/sampler_sweep.sh [devices] [seed] [head_every_list]
 #
-# Defaults: 64 devices, seed 42, head rates 1,4,16,64,256 plus a
-# sampling-off reference row.
+# Defaults: 64 devices, seed 42, head rates 1,4,16,64,256.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,14 +35,6 @@ for n in ${RATES//,/ }; do
 ${row}"
     echo "${row}"
 done
-SOAK_SAMPLE=0 ./target/release/soak "${DEVICES}" 1 "${SEED}" > /dev/null
-row=$(printf '%-12s %-10s %-10s %-14s %-14s %-12s\n' \
-    "off" "$(jfield sampler_retained_traces)" \
-    "$(jfield sampler_retained_spans)" "$(jfield sampler_dropped_spans)" \
-    "$(jfield sampler_bytes)" "$(jfield sampler_exemplars)")
-table="${table}
-${row}"
-echo "${row}"
 
 splice() { # begin_marker end_marker block_file
     local begin="$1" end="$2" bfile="$3"
@@ -69,8 +60,7 @@ trap 'rm -f "${block}"' EXIT
     echo '<!-- sampler_sweep:begin -->'
     echo "Recorded by \`scripts/sampler_sweep.sh\`: ${DEVICES} devices, seed ${SEED},"
     echo "single shard, default 512 KiB budget. head_every is the 1-in-N head"
-    echo "rate (alert-touched and slow traces are retained regardless); the"
-    echo "\`off\` row is the \`SOAK_SAMPLE=0\` reference — no reservoir at all:"
+    echo "rate (alert-touched and slow traces are retained regardless):"
     echo
     echo '```'
     printf '%s\n' "${table}"

@@ -69,18 +69,14 @@ case "$lossy" in
     *) echo "verify: lossy seed 310 reported failed deploys: $lossy" >&2; exit 1 ;;
 esac
 
-# Tail-sampling ablation smoke: with the sampler off, the soak must still
-# pass every shape check and drop zero spans (the crate's unit tests assert
-# the off mode leaves results, events and obs digest byte-identical; here we
-# guard the knob and the inertness gate bench_diff.sh enforces).
-cargo build --release -p pdagent-bench --bin soak
-SOAK_SAMPLE=0 ./target/release/soak 64 1,2 > /dev/null
-
 # Soak smoke: a small sharded soak (64 devices, 1 vs 2 shards) must stay
 # byte-identical across the partitionings and keep the batched-delivery
 # event reduction above 5x; the binary exits nonzero if either fails. Every
 # run also exercises the fleet plane — federation scrapes, fleet rules and
-# the escalation and pager-outage drills — via its own shape checks.
+# the escalation and pager-outage drills — and the tail sampler (reservoir
+# within budget, nothing left buffering, a well-formed /traces probe) via
+# its own shape checks.
+cargo build --release -p pdagent-bench --bin soak
 ./target/release/soak 64 1,2 > /dev/null
 
 # Federation delta-plane smoke: the 300-cell A/B must keep the merged

@@ -113,7 +113,7 @@ fn bank_site_down_mid_itinerary_is_reported_not_fatal() {
     let others: Vec<usize> = (0..scenario.sim_node_count()).collect();
     for o in others {
         if o != b {
-            scenario.sim.set_link_up(o, b, false);
+            scenario.sim.cut_link(o, b);
         }
     }
     let device = scenario.run();

@@ -34,7 +34,6 @@ fn soak_digest_matches_golden() {
     spec.slo = true;
     spec.observe = true;
     spec.federation = true;
-    spec.sample = true;
     spec.shards = 2;
     let out = run_soak(&spec);
     let rendered = format!("{:?}|{:?}|{:?}|{:?}", out.results, out.obs, out.slo, out.alerts);

@@ -147,3 +147,46 @@ fn obs_jsonl_export_writes_one_line_per_span() {
     assert_eq!(exported.lines().count(), n_spans);
     assert!(exported.lines().all(|l| l.starts_with("{\"trace\":") && l.ends_with('}')));
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a of a traced two-journey scenario's span export, both timelines
+/// and its stage digest, recorded when the collector still kept a separate
+/// every-span log: the keep-every-trace sampler must store, order and
+/// render exactly what that log did.
+const SCENARIO_OBS_GOLDEN: u64 = 0x7505_c235_c91c_b714;
+
+#[test]
+fn traced_scenario_obs_matches_golden() {
+    let txs = vec![
+        Transaction::new("bank-a", "alice", "rent", 50_000),
+        Transaction::new("bank-b", "alice", "food", 7_500),
+    ];
+    let mut spec = traced_ebank_spec(27, &txs);
+    spec.wireless = LinkSpec::wireless_gprs().with_loss(0.45);
+    spec.commands.push(DeviceCommand::Deploy(DeployRequest::new(
+        "ebank",
+        vec![transactions_param(&txs[1..])],
+        itinerary_for(&txs[1..]),
+    )));
+    let mut scenario = Scenario::build(spec);
+    scenario.run();
+    let collector = scenario.sim.obs().expect("observe = true attaches a collector");
+    assert_eq!(collector.traces(), 2);
+    let summary = scenario.sim.obs_summary().expect("collector attached");
+    let rendered = format!(
+        "{}|{}|{}|{summary:?}",
+        collector.to_jsonl(),
+        collector.render_trace(1),
+        collector.render_trace(2)
+    );
+    let digest = fnv1a(rendered.as_bytes());
+    assert_eq!(digest, SCENARIO_OBS_GOLDEN, "scenario obs digest drifted: got {digest:#018x}");
+}
