@@ -60,13 +60,6 @@ impl BankServer {
             transactions_processed: 0,
         }
     }
-
-    /// Override a route (builder style) — used by the web-based baseline to
-    /// shrink page weights for desktop rendering.
-    pub fn with_route(mut self, path: &str, resp_size: usize, processing: SimDuration) -> Self {
-        self.routes.insert(path.into(), Route { resp_size, processing });
-        self
-    }
 }
 
 impl Default for BankServer {

@@ -5,11 +5,11 @@
 //! [`ChaosPlan`] is the fault input. This module supplies the three layers
 //! the `chaos` binary and the CI smoke drive:
 //!
-//! * **Invariants** — [`quiesce_invariants`] checks a finished
+//! * **Invariants** — [`quiesce_violations`] checks a finished
 //!   [`SoakOutcome`] (no lost agents, no duplicate execution of
 //!   non-idempotent steps, `dropped_pages == 0`, monotone metric epochs,
 //!   alert fire⇒resolve pairing);
-//!   [`live_invariants`] checks live shard counters at sharded-engine epoch
+//!   [`LiveChecks`] checks live shard counters at sharded-engine epoch
 //!   barriers, catching violations *while the run is still going*.
 //! * **The matrix** — [`plan_for`] builds a canonical plan per
 //!   [`FaultKind`] at a given intensity, [`run_case`] runs one
@@ -21,14 +21,13 @@
 //!   to `target/chaos/repro-<seed>.json`, replayable by `cargo run --bin
 //!   chaos -- --replay <file>`.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use pdagent_net::chaos::{
-    json, shrink_plan, ChaosPlan, CheckPhase, Fault, FaultKind, Invariant, InvariantRegistry,
-    Violation,
-};
+use pdagent_net::chaos::{json, shrink_plan, ChaosPlan, Fault, FaultKind};
+use pdagent_net::obs::ObsEvent;
 use pdagent_net::sim::Simulator;
 use pdagent_net::time::SimDuration;
 
@@ -37,65 +36,53 @@ use crate::soak::{
 };
 
 // ---------------------------------------------------------------------------
-// Quiesce invariants (over the finished outcome)
+// Invariants
 // ---------------------------------------------------------------------------
 
-/// The evidence quiesce invariants read: the finished soak outcome.
-pub struct SoakEvidence {
-    /// The finished run.
-    pub outcome: SoakOutcome,
+/// A failed invariant check.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Violation {
+    /// Name of the invariant that failed.
+    pub invariant: String,
+    /// When it failed ("epoch N" at a barrier, "quiesce" after the drain).
+    pub phase: String,
+    /// What exactly went wrong.
+    pub detail: String,
 }
 
-struct NoLostAgents;
-impl Invariant<SoakEvidence> for NoLostAgents {
-    fn name(&self) -> &'static str {
-        "no-lost-agents"
-    }
-    fn check(&mut self, cx: &SoakEvidence, _phase: CheckPhase) -> Result<(), String> {
-        match cx.outcome.lost_agents {
-            0 => Ok(()),
-            n => Err(format!("{n} dispatched itineraries neither completed nor errored")),
-        }
-    }
-}
-
-struct NoDuplicateExecution;
-impl Invariant<SoakEvidence> for NoDuplicateExecution {
-    fn name(&self) -> &'static str {
-        "no-duplicate-execution"
-    }
-    fn check(&mut self, cx: &SoakEvidence, _phase: CheckPhase) -> Result<(), String> {
-        match cx.outcome.duplicate_executions {
-            0 => Ok(()),
-            n => Err(format!("dispatch handler re-ran {n} time(s) for an already-served request")),
-        }
+impl Violation {
+    fn new(invariant: &str, phase: &str, detail: String) -> Violation {
+        Violation { invariant: invariant.to_owned(), phase: phase.to_owned(), detail }
     }
 }
 
-struct NoDroppedPages;
-impl Invariant<SoakEvidence> for NoDroppedPages {
-    fn name(&self) -> &'static str {
-        "no-dropped-pages"
+/// Check a finished soak outcome: no lost agents, no duplicate execution of
+/// non-idempotent steps, no dropped pages, monotone metric epochs and alert
+/// fire⇒resolve pairing, in that order.
+pub fn quiesce_violations(outcome: &SoakOutcome) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut fail = |invariant: &str, detail: String| {
+        out.push(Violation::new(invariant, "quiesce", detail));
+    };
+    if let n @ 1.. = outcome.lost_agents {
+        fail("no-lost-agents", format!("{n} dispatched itineraries neither completed nor errored"));
     }
-    fn check(&mut self, cx: &SoakEvidence, _phase: CheckPhase) -> Result<(), String> {
-        match cx.outcome.paging.as_ref().map_or(0, |p| p.dropped) {
-            0 => Ok(()),
-            n => Err(format!("{n} page(s) exhausted every receiver")),
-        }
+    if let n @ 1.. = outcome.duplicate_executions {
+        fail(
+            "no-duplicate-execution",
+            format!("dispatch handler re-ran {n} time(s) for an already-served request"),
+        );
     }
-}
-
-struct MonotoneEpochs;
-impl Invariant<SoakEvidence> for MonotoneEpochs {
-    fn name(&self) -> &'static str {
-        "monotone-epochs"
+    if let n @ 1.. = outcome.paging.as_ref().map_or(0, |p| p.dropped) {
+        fail("no-dropped-pages", format!("{n} page(s) exhausted every receiver"));
     }
-    fn check(&mut self, cx: &SoakEvidence, _phase: CheckPhase) -> Result<(), String> {
-        match cx.outcome.epoch_regressions {
-            0 => Ok(()),
-            n => Err(format!("{n} scrape epoch(s) went backwards")),
-        }
+    if let n @ 1.. = outcome.epoch_regressions {
+        fail("monotone-epochs", format!("{n} scrape epoch(s) went backwards"));
     }
+    if let Err(detail) = alert_pairing(&outcome.alerts) {
+        fail("alert-pairing", detail);
+    }
+    out
 }
 
 /// Alert edges must pair: per `(rule, instance)` the resolve count never
@@ -103,113 +90,59 @@ impl Invariant<SoakEvidence> for MonotoneEpochs {
 /// edge-triggering means at most one episode is open at a time. A run may
 /// legitimately *end* breached (that is gated by `unresolved_alerts`
 /// elsewhere); a resolve without a fire, or a double fire, is an engine bug.
-struct AlertPairing;
-impl Invariant<SoakEvidence> for AlertPairing {
-    fn name(&self) -> &'static str {
-        "alert-pairing"
+fn alert_pairing(alerts: &[ObsEvent]) -> Result<(), String> {
+    let mut open: HashMap<(&str, &str), i64> = HashMap::new();
+    for e in alerts {
+        let slot = open.entry((e.rule.as_str(), e.instance.as_str())).or_insert(0);
+        *slot += if e.fired { 1 } else { -1 };
+        if *slot < 0 {
+            return Err(format!("{}/{} resolved before it fired", e.rule, e.instance));
+        }
+        if *slot > 1 {
+            return Err(format!("{}/{} fired twice without a resolve", e.rule, e.instance));
+        }
     }
-    fn check(&mut self, cx: &SoakEvidence, _phase: CheckPhase) -> Result<(), String> {
-        use std::collections::HashMap;
-        let mut open: HashMap<(&str, &str), i64> = HashMap::new();
-        for e in &cx.outcome.alerts {
-            let slot = open.entry((e.rule.as_str(), e.instance.as_str())).or_insert(0);
-            *slot += if e.fired { 1 } else { -1 };
-            if *slot < 0 {
-                return Err(format!("{}/{} resolved before it fired", e.rule, e.instance));
+    Ok(())
+}
+
+/// Live counters that must stay zero at every epoch barrier: `(invariant,
+/// counter, what a nonzero total means)`, in check order.
+const LIVE_ZERO: [(&str, &str, &str); 3] = [
+    ("no-duplicate-execution", "gateway.duplicate_executions", "duplicate execution(s)"),
+    ("no-dropped-pages", "page.dropped", "dropped page(s)"),
+    ("monotone-epochs", "slo.epoch_regressions", "epoch regression(s)"),
+];
+
+/// Epoch-barrier checks over live shard counters, catching violations
+/// *while the run is still going*: the [`LIVE_ZERO`] counters summed across
+/// shards, then `monotone-counters` — counters are cumulative, so the
+/// sent-message total falling between barriers would mean metric state was
+/// lost or rewound.
+#[derive(Debug, Default)]
+pub struct LiveChecks {
+    /// The summed `msgs_sent` seen at the previous barrier.
+    last_sent: f64,
+}
+
+impl LiveChecks {
+    /// Check the shards at epoch barrier `epoch`.
+    pub fn check(&mut self, shards: &[Simulator], epoch: u64) -> Vec<Violation> {
+        let total = |key: &str| -> f64 { shards.iter().map(|s| s.counter_total(key)).sum() };
+        let phase = format!("epoch {epoch}");
+        let mut out = Vec::new();
+        for (invariant, key, what) in LIVE_ZERO {
+            if let n @ 1.. = total(key) as u64 {
+                out.push(Violation::new(invariant, &phase, format!("{n} {what} observed live")));
             }
-            if *slot > 1 {
-                return Err(format!("{}/{} fired twice without a resolve", e.rule, e.instance));
-            }
         }
-        Ok(())
-    }
-}
-
-/// The standard quiesce registry, in check order.
-pub fn quiesce_invariants() -> InvariantRegistry<SoakEvidence> {
-    let mut reg = InvariantRegistry::new();
-    reg.register(Box::new(NoLostAgents))
-        .register(Box::new(NoDuplicateExecution))
-        .register(Box::new(NoDroppedPages))
-        .register(Box::new(MonotoneEpochs))
-        .register(Box::new(AlertPairing));
-    reg
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-barrier invariants (over live shard counters)
-// ---------------------------------------------------------------------------
-
-fn live_total(shards: &[Simulator], key: &str) -> f64 {
-    shards.iter().map(|s| s.counter_total(key)).sum()
-}
-
-struct LiveNoDuplicateExecution;
-impl Invariant<[Simulator]> for LiveNoDuplicateExecution {
-    fn name(&self) -> &'static str {
-        "no-duplicate-execution"
-    }
-    fn check(&mut self, cx: &[Simulator], _phase: CheckPhase) -> Result<(), String> {
-        match live_total(cx, "gateway.duplicate_executions") as u64 {
-            0 => Ok(()),
-            n => Err(format!("{n} duplicate execution(s) observed live")),
+        let sent = total("msgs_sent");
+        if sent < self.last_sent {
+            let detail = format!("msgs_sent total fell from {} to {sent}", self.last_sent);
+            out.push(Violation::new("monotone-counters", &phase, detail));
         }
+        self.last_sent = sent;
+        out
     }
-}
-
-struct LiveNoDroppedPages;
-impl Invariant<[Simulator]> for LiveNoDroppedPages {
-    fn name(&self) -> &'static str {
-        "no-dropped-pages"
-    }
-    fn check(&mut self, cx: &[Simulator], _phase: CheckPhase) -> Result<(), String> {
-        match live_total(cx, "page.dropped") as u64 {
-            0 => Ok(()),
-            n => Err(format!("{n} dropped page(s) observed live")),
-        }
-    }
-}
-
-struct LiveMonotoneEpochs;
-impl Invariant<[Simulator]> for LiveMonotoneEpochs {
-    fn name(&self) -> &'static str {
-        "monotone-epochs"
-    }
-    fn check(&mut self, cx: &[Simulator], _phase: CheckPhase) -> Result<(), String> {
-        match live_total(cx, "slo.epoch_regressions") as u64 {
-            0 => Ok(()),
-            n => Err(format!("{n} epoch regression(s) observed live")),
-        }
-    }
-}
-
-/// Counters are cumulative: a shard's sent-message total going down between
-/// epoch barriers would mean metric state was lost or rewound.
-struct MonotoneCounters {
-    last: f64,
-}
-impl Invariant<[Simulator]> for MonotoneCounters {
-    fn name(&self) -> &'static str {
-        "monotone-counters"
-    }
-    fn check(&mut self, cx: &[Simulator], _phase: CheckPhase) -> Result<(), String> {
-        let sent = live_total(cx, "msgs_sent");
-        if sent < self.last {
-            return Err(format!("msgs_sent total fell from {} to {sent}", self.last));
-        }
-        self.last = sent;
-        Ok(())
-    }
-}
-
-/// The standard epoch-barrier registry, in check order.
-pub fn live_invariants() -> InvariantRegistry<[Simulator]> {
-    let mut reg = InvariantRegistry::new();
-    reg.register(Box::new(LiveNoDuplicateExecution))
-        .register(Box::new(LiveNoDroppedPages))
-        .register(Box::new(LiveMonotoneEpochs))
-        .register(Box::new(MonotoneCounters { last: 0.0 }));
-    reg
 }
 
 // ---------------------------------------------------------------------------
@@ -306,24 +239,20 @@ pub struct CaseResult {
 pub fn run_case(spec: &SoakSpec, plan: &ChaosPlan) -> CaseResult {
     let mut spec = spec.clone();
     spec.chaos_plan = Some(plan.clone());
-    let mut live = live_invariants();
+    let mut live = LiveChecks::default();
     let mut violations: Vec<Violation> = Vec::new();
-    let outcome = run_soak_with(&spec, &mut |epoch, shards| {
-        // Live checks sum a handful of counters per shard — cheap next to
-        // the event stepping between barriers, so every barrier is checked.
-        for v in live.check(shards, CheckPhase::Epoch(epoch)) {
+    let mut keep_first = |found: Vec<Violation>| {
+        for v in found {
             if !violations.iter().any(|w| w.invariant == v.invariant) {
                 violations.push(v);
             }
         }
-    });
-    let ev = SoakEvidence { outcome };
-    for v in quiesce_invariants().check(&ev, CheckPhase::Quiesce) {
-        if !violations.iter().any(|w| w.invariant == v.invariant) {
-            violations.push(v);
-        }
-    }
-    CaseResult { violations, outcome: ev.outcome }
+    };
+    // Live checks sum a handful of counters per shard — cheap next to the
+    // event stepping between barriers, so every barrier is checked.
+    let outcome = run_soak_with(&spec, &mut |epoch, shards| keep_first(live.check(shards, epoch)));
+    keep_first(quiesce_violations(&outcome));
+    CaseResult { violations, outcome }
 }
 
 /// Sweep the full `classes × intensities × seeds` grid.
@@ -476,14 +405,13 @@ impl Repro {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdagent_net::obs::ObsEvent;
     use pdagent_net::paging::PagingReport;
     use pdagent_net::prelude::{Ctx, Message, Node, NodeId};
     use pdagent_net::time::SimTime;
 
-    /// A synthetic violation: a mutation of a healthy outcome and the
-    /// invariant it must trip.
-    type SyntheticCase = (Box<dyn Fn(&mut SoakOutcome)>, &'static str);
+    /// A synthetic violation: a mutation of a healthy outcome, the
+    /// invariant it must trip and the detail it must report.
+    type SyntheticCase = (Box<dyn Fn(&mut SoakOutcome)>, &'static str, &'static str);
 
     /// One tiny chaos-free soak, reused (via clone) as the base evidence for
     /// every synthetic-violation unit test below.
@@ -509,18 +437,25 @@ mod tests {
     #[test]
     fn every_invariant_detects_its_synthetic_violation() {
         let base = tiny_outcome();
-        let mut reg = quiesce_invariants();
         assert_eq!(
-            reg.check(&SoakEvidence { outcome: base.clone() }, CheckPhase::Quiesce),
+            quiesce_violations(&base),
             Vec::new(),
             "healthy tiny soak must pass every invariant",
         );
 
-        // (mutator, expected violated invariant) — one synthetic violation
-        // per registered invariant.
+        // (mutator, expected violated invariant, expected detail) — one
+        // synthetic violation per check, in check order.
         let cases: Vec<SyntheticCase> = vec![
-            (Box::new(|o| o.lost_agents = 1), "no-lost-agents"),
-            (Box::new(|o| o.duplicate_executions = 2), "no-duplicate-execution"),
+            (
+                Box::new(|o| o.lost_agents = 1),
+                "no-lost-agents",
+                "1 dispatched itineraries neither completed nor errored",
+            ),
+            (
+                Box::new(|o| o.duplicate_executions = 2),
+                "no-duplicate-execution",
+                "dispatch handler re-ran 2 time(s) for an already-served request",
+            ),
             (
                 Box::new(|o| {
                     o.paging = Some(PagingReport {
@@ -534,21 +469,24 @@ mod tests {
                     })
                 }),
                 "no-dropped-pages",
+                "1 page(s) exhausted every receiver",
             ),
-            (Box::new(|o| o.epoch_regressions = 1), "monotone-epochs"),
+            (
+                Box::new(|o| o.epoch_regressions = 1),
+                "monotone-epochs",
+                "1 scrape epoch(s) went backwards",
+            ),
             (
                 Box::new(|o| o.alerts = vec![edge("p99", "gw-0", 10, false)]),
                 "alert-pairing",
+                "p99/gw-0 resolved before it fired",
             ),
         ];
-        assert_eq!(cases.len(), reg.len(), "every registered invariant needs a synthetic case");
-        for (mutate, expect) in cases {
+        for (mutate, expect, detail) in cases {
             let mut outcome = base.clone();
             mutate(&mut outcome);
-            let vs = reg.check(&SoakEvidence { outcome }, CheckPhase::Quiesce);
-            assert_eq!(vs.len(), 1, "{expect}: expected exactly one violation, got {vs:?}");
-            assert_eq!(vs[0].invariant, expect);
-            assert_eq!(vs[0].phase, "quiesce");
+            let vs = quiesce_violations(&outcome);
+            assert_eq!(vs, vec![Violation::new(expect, "quiesce", detail.to_owned())]);
         }
     }
 
@@ -603,8 +541,7 @@ mod tests {
             edge("occ", "mas-a", 12, true),
             edge("occ", "mas-a", 14, false),
         ];
-        let vs = quiesce_invariants().check(&SoakEvidence { outcome }, CheckPhase::Quiesce);
-        assert_eq!(vs, Vec::new());
+        assert_eq!(quiesce_violations(&outcome), Vec::new());
     }
 
     #[test]
@@ -612,9 +549,14 @@ mod tests {
         let mut outcome = tiny_outcome();
         outcome.alerts =
             vec![edge("p99", "gw-0", 10, true), edge("p99", "gw-0", 11, true)];
-        let vs = quiesce_invariants().check(&SoakEvidence { outcome }, CheckPhase::Quiesce);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].invariant, "alert-pairing");
+        assert_eq!(
+            quiesce_violations(&outcome),
+            vec![Violation::new(
+                "alert-pairing",
+                "quiesce",
+                "p99/gw-0 fired twice without a resolve".to_owned(),
+            )],
+        );
     }
 
     /// Pins the repro file format; the fixture is parsed, never replayed.
@@ -652,30 +594,38 @@ mod tests {
 
     #[test]
     fn every_live_invariant_detects_its_synthetic_violation() {
-        let mut reg = live_invariants();
+        let mut live = LiveChecks::default();
         // A healthy shard with traffic passes and sets the counter baseline.
-        let healthy = [shard_with("msgs_sent", 5.0)];
-        assert_eq!(reg.check(&healthy[..], CheckPhase::Epoch(1)), Vec::new());
+        assert_eq!(live.check(&[shard_with("msgs_sent", 5.0)], 1), Vec::new());
 
         let cases = [
-            ("gateway.duplicate_executions", "no-duplicate-execution"),
-            ("page.dropped", "no-dropped-pages"),
-            ("slo.epoch_regressions", "monotone-epochs"),
+            (
+                "gateway.duplicate_executions",
+                "no-duplicate-execution",
+                "1 duplicate execution(s) observed live",
+            ),
+            ("page.dropped", "no-dropped-pages", "1 dropped page(s) observed live"),
+            ("slo.epoch_regressions", "monotone-epochs", "1 epoch regression(s) observed live"),
         ];
-        for (epoch, (key, expect)) in (2..).zip(cases) {
+        assert_eq!(cases.len(), LIVE_ZERO.len(), "every live counter needs a synthetic case");
+        for (epoch, (key, expect, detail)) in (2..).zip(cases) {
             // Traffic holds at 5, so only the bumped counter's invariant trips.
             let shards = [shard_with("msgs_sent", 5.0), shard_with(key, 1.0)];
-            let vs = reg.check(&shards[..], CheckPhase::Epoch(epoch));
-            assert_eq!(vs.len(), 1, "{expect}: expected exactly one violation, got {vs:?}");
-            assert_eq!(vs[0].invariant, expect);
-            assert_eq!(vs[0].phase, format!("epoch {epoch}"));
+            let phase = format!("epoch {epoch}");
+            assert_eq!(
+                live.check(&shards, epoch),
+                vec![Violation::new(expect, &phase, detail.to_owned())],
+            );
         }
-        // Sent-message totals falling from 5 to 0 between barriers.
-        let vs = reg.check(&[Simulator::new(1)][..], CheckPhase::Epoch(9));
-        assert_eq!(vs.len(), 1, "expected exactly one violation, got {vs:?}");
-        assert_eq!(vs[0].invariant, "monotone-counters");
-        assert_eq!(vs[0].phase, "epoch 9");
-        assert_eq!(cases.len() + 1, reg.len(), "every live invariant needs a synthetic case");
+        // Sent-message totals falling from 5 to 2 between barriers.
+        assert_eq!(
+            live.check(&[shard_with("msgs_sent", 2.0)], 9),
+            vec![Violation::new(
+                "monotone-counters",
+                "epoch 9",
+                "msgs_sent total fell from 5 to 2".to_owned(),
+            )],
+        );
     }
 
     fn gateway_replays(result: &CaseResult) -> u64 {

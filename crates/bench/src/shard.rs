@@ -85,11 +85,6 @@ impl ShardedSim {
         &self.shards[i]
     }
 
-    /// A shard's simulator, mutably (pre-run setup, post-run inspection).
-    pub fn shard_mut(&mut self, i: usize) -> &mut Simulator {
-        &mut self.shards[i]
-    }
-
     /// Epoch rounds executed so far.
     pub fn epochs(&self) -> u64 {
         self.epochs

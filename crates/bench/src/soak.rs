@@ -86,25 +86,10 @@ pub fn device_label(cell: usize, dev: usize) -> u64 {
     ShardPlan::new(cell + 1, 1).label(cell, J_DEVICE0 + dev)
 }
 
-/// Stable plan label of a cell's bank MAS site (`0` = bank-a, `1` = bank-b).
-pub fn site_label(cell: usize, which: usize) -> u64 {
-    ShardPlan::new(cell + 1, 1).label(cell, J_SITE_A + which.min(1))
-}
-
 /// Stable plan label of a cell's SLO monitor (needs the cell's device count,
 /// since the monitor label sits just past the device range).
 pub fn monitor_label(cell: usize, devices_per_cell: usize) -> u64 {
     ShardPlan::new(cell + 1, 1).label(cell, J_DEVICE0 + devices_per_cell)
-}
-
-/// Stable label of the shard-0 paging gateway.
-pub fn pager_label() -> u64 {
-    PAGER_LABEL
-}
-
-/// Stable label of the shard-0 primary on-call receiver.
-pub fn oncall_label() -> u64 {
-    ONCALL_LABEL
 }
 
 /// The default SLO rule set every cell monitor evaluates against each of

@@ -6,9 +6,7 @@ use pdagent_apps::{BankService, Transaction};
 use pdagent_baselines::{
     BankServer, ClientServerConfig, ClientServerDevice, WebClient, WebClientConfig,
 };
-use pdagent_core::{
-    DeployRequest, DeviceCommand, Scenario, ScenarioSpec, SelectionPolicy, SiteSpec,
-};
+use pdagent_core::{DeployRequest, DeviceCommand, Scenario, ScenarioSpec, SiteSpec};
 use pdagent_net::link::LinkSpec;
 use pdagent_net::obs::ObsSummary;
 use pdagent_net::sim::Simulator;
@@ -128,13 +126,6 @@ fn measure_pdagent(scenario: &Scenario) -> PdagentRun {
         wireless_bytes,
         events: scenario.sim.events_processed(),
     }
-}
-
-/// Convenience: PDAgent with probing disabled (first-in-list selection).
-pub fn run_pdagent_first_gateway(n: u32, seed: u64) -> PdagentRun {
-    run_pdagent_with(n, seed, |spec| {
-        spec.device.selection = SelectionPolicy::FirstInList;
-    })
 }
 
 /// Run the client-server e-banking session with `n` transactions. Returns

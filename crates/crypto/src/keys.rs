@@ -88,11 +88,6 @@ impl KeyRegistry {
     pub fn revoke_code(&mut self, id: &UniqueId) -> bool {
         self.code_secrets.remove(id).is_some()
     }
-
-    /// Number of registered code ids.
-    pub fn registered_codes(&self) -> usize {
-        self.code_secrets.len()
-    }
 }
 
 #[cfg(test)]

@@ -101,11 +101,6 @@ impl Md5 {
         out
     }
 
-    /// Digest as a lowercase hex string.
-    pub fn finalize_hex(self) -> String {
-        pdagent_codec::hex::encode(&self.finalize())
-    }
-
     fn compress(&mut self, block: &[u8; 64]) {
         let mut m = [0u32; 16];
         for (i, chunk) in block.chunks_exact(4).enumerate() {

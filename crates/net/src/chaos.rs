@@ -22,11 +22,10 @@
 //! Plans serialize to a small JSON dialect (hand-rolled; the workspace has
 //! no serde) so a failing case can be written to disk and replayed directly.
 //!
-//! The second half of this module is the invariant layer: a typed
-//! [`Invariant`] trait plus [`InvariantRegistry`], checked at epoch barriers
-//! (mid-run, over live counters) and at quiesce (over the final outcome),
-//! and [`shrink_plan`] — the greedy fault-dropper / window-bisector /
-//! intensity-halver that reduces a failing plan to a minimal reproducer.
+//! The module ends with [`shrink_plan`] — the greedy fault-dropper /
+//! window-bisector / intensity-halver that reduces a failing plan to a
+//! minimal reproducer. The invariants a plan is judged by live with the
+//! harness that holds their evidence (`pdagent_bench::chaos_matrix`).
 
 use std::fmt::Write as _;
 
@@ -496,107 +495,6 @@ impl Node for ChaosInjector {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         let Some(&(_, action)) = self.actions.get(tag as usize) else { return };
         self.apply(ctx, action);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Invariants
-// ---------------------------------------------------------------------------
-
-/// When an invariant is being evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckPhase {
-    /// At a sharded-engine epoch barrier (live counters; the run goes on).
-    Epoch(u64),
-    /// After the simulation drained (final outcome).
-    Quiesce,
-}
-
-impl CheckPhase {
-    /// Short human name ("epoch 12" / "quiesce").
-    pub fn describe(self) -> String {
-        match self {
-            CheckPhase::Epoch(e) => format!("epoch {e}"),
-            CheckPhase::Quiesce => "quiesce".to_owned(),
-        }
-    }
-}
-
-/// A failed invariant check.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Name of the invariant that failed.
-    pub invariant: String,
-    /// When it failed ("epoch N" / "quiesce").
-    pub phase: String,
-    /// What exactly went wrong.
-    pub detail: String,
-}
-
-/// A system property that must hold under every fault schedule. `C` is the
-/// evidence the check reads — live shard counters at epoch barriers, the
-/// final outcome at quiesce — kept generic so the engine layer (this crate)
-/// stays independent of the harness types that hold the evidence.
-pub trait Invariant<C: ?Sized> {
-    /// Stable name (used in violation reports and repro files).
-    fn name(&self) -> &'static str;
-
-    /// Check the invariant; `Err(detail)` reports a violation.
-    fn check(&mut self, cx: &C, phase: CheckPhase) -> Result<(), String>;
-}
-
-/// An ordered set of invariants checked together.
-pub struct InvariantRegistry<C: ?Sized> {
-    invariants: Vec<Box<dyn Invariant<C>>>,
-}
-
-impl<C: ?Sized> Default for InvariantRegistry<C> {
-    fn default() -> Self {
-        InvariantRegistry { invariants: Vec::new() }
-    }
-}
-
-impl<C: ?Sized> InvariantRegistry<C> {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add an invariant (checked in registration order).
-    pub fn register(&mut self, inv: Box<dyn Invariant<C>>) -> &mut Self {
-        self.invariants.push(inv);
-        self
-    }
-
-    /// Registered invariant names, in check order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.invariants.iter().map(|i| i.name()).collect()
-    }
-
-    /// Run every invariant against `cx`; returns all violations (empty =
-    /// healthy).
-    pub fn check(&mut self, cx: &C, phase: CheckPhase) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for inv in &mut self.invariants {
-            if let Err(detail) = inv.check(cx, phase) {
-                out.push(Violation {
-                    invariant: inv.name().to_owned(),
-                    phase: phase.describe(),
-                    detail,
-                });
-            }
-        }
-        out
-    }
-
-    /// Number of registered invariants.
-    pub fn len(&self) -> usize {
-        self.invariants.len()
-    }
-
-    /// Is the registry empty?
-    pub fn is_empty(&self) -> bool {
-        self.invariants.is_empty()
     }
 }
 
@@ -1225,35 +1123,6 @@ mod tests {
             {\"kind\":\"clock_skew\",\"a\":18,\"b\":0,\"from_us\":1000000,\"to_us\":2000000,\"intensity\":1.5,\"window_us\":0}]}";
         assert_eq!(text, golden);
         assert_eq!(ChaosPlan::parse(&text).unwrap(), plan);
-    }
-
-    #[test]
-    fn registry_reports_violations_with_phase() {
-        struct AlwaysBad;
-        impl Invariant<u32> for AlwaysBad {
-            fn name(&self) -> &'static str {
-                "always-bad"
-            }
-            fn check(&mut self, cx: &u32, _phase: CheckPhase) -> Result<(), String> {
-                Err(format!("cx was {cx}"))
-            }
-        }
-        struct NeverBad;
-        impl Invariant<u32> for NeverBad {
-            fn name(&self) -> &'static str {
-                "never-bad"
-            }
-            fn check(&mut self, _cx: &u32, _phase: CheckPhase) -> Result<(), String> {
-                Ok(())
-            }
-        }
-        let mut reg: InvariantRegistry<u32> = InvariantRegistry::new();
-        reg.register(Box::new(AlwaysBad)).register(Box::new(NeverBad));
-        let v = reg.check(&7, CheckPhase::Epoch(3));
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, "always-bad");
-        assert_eq!(v[0].phase, "epoch 3");
-        assert!(reg.check(&7, CheckPhase::Quiesce)[0].phase == "quiesce");
     }
 
     #[test]

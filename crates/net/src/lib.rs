@@ -45,7 +45,7 @@
 //!   (partitions, loss/corruption/duplication/reorder bursts, crash windows,
 //!   clock skew, scrape blackouts) compiled into simulator events on salted
 //!   RNG streams so any run is byte-replayable from `(seed, plan)`, plus the
-//!   [`chaos::Invariant`] registry and the plan shrinker.
+//!   plan shrinker.
 //!
 //! Determinism: a simulation is a pure function of its seed and setup. All
 //! randomness flows from the seed; the event queue breaks time ties by
@@ -98,10 +98,7 @@ pub mod trace;
 
 /// Convenient glob import for protocol crates.
 pub mod prelude {
-    pub use crate::chaos::{
-        shrink_plan, ChaosInjector, ChaosPlan, CheckPhase, Fault, FaultKind, Invariant,
-        InvariantRegistry, Violation,
-    };
+    pub use crate::chaos::{shrink_plan, ChaosInjector, ChaosPlan, Fault, FaultKind};
     pub use crate::federation::{
         FederationReport, FederationRollup, FederationScraper, FederationSpec,
     };

@@ -143,12 +143,10 @@ impl Metrics {
     }
 }
 
-/// Registry of per-node metrics plus a global scoreboard.
+/// Registry of per-node metrics.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     per_node: Vec<Metrics>,
-    /// Simulation-wide counters (e.g. total wireless bytes).
-    pub global: Metrics,
 }
 
 impl MetricsRegistry {

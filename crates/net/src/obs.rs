@@ -376,7 +376,8 @@ pub struct RetainedTrace {
     pub begin: SimTime,
     /// Latest root close seen.
     pub end: SimTime,
-    /// Root duration (µs) at classification (max across multi-root traces).
+    /// Longest root duration (µs) closed so far: the classifying root's, or
+    /// a later root's that joined the retained trace and ran longer.
     pub duration_us: u64,
     /// Why the trace was kept.
     pub class: SampleClass,
@@ -452,7 +453,8 @@ struct TraceBuf {
 }
 
 /// The tail-sampling engine: per-trace buffers, a classified byte-budgeted
-/// reservoir, the per-bucket exemplar table and the `/traces` stage index.
+/// reservoir (which `/traces` queries directly) and the per-bucket exemplar
+/// table.
 #[derive(Debug)]
 pub struct TailSampler {
     cfg: SamplerConfig,
@@ -463,8 +465,6 @@ pub struct TailSampler {
     retained: Vec<RetainedTrace>,
     /// trace id → index into `retained`.
     retained_index: HashMap<u64, usize>,
-    /// root stage → `(duration_us, trace)` rows — the `/traces` index.
-    index: BTreeMap<&'static str, Vec<(u64, u64)>>,
     /// Traces touched by an alert episode (classification pins them).
     alert_traces: HashSet<u64>,
     /// Per-root-stage duration histograms tracking the "slow" threshold.
@@ -484,7 +484,6 @@ impl TailSampler {
             open: HashMap::new(),
             retained: Vec::new(),
             retained_index: HashMap::new(),
-            index: BTreeMap::new(),
             alert_traces: HashSet::new(),
             root_stats: Vec::new(),
             exemplars: BTreeMap::new(),
@@ -631,7 +630,6 @@ impl TailSampler {
                 }
                 self.bytes += Self::cost(entry.spans.len());
                 self.retained_index.insert(open.trace, self.retained.len());
-                self.index.entry(open.name).or_default().push((micros, open.trace));
                 self.retained.push(entry);
                 self.evict_to_budget();
             }
@@ -672,16 +670,6 @@ impl TailSampler {
         // Open spans of the evicted trace still close correctly (histogram
         // via the open map); they are counted dropped at their own close.
         self.dropped_spans += victim.spans.iter().filter(|s| s.end.is_some()).count() as u64;
-        let empty = match self.index.get_mut(victim.root) {
-            Some(rows) => {
-                rows.retain(|&(_, t)| t != victim.trace);
-                rows.is_empty()
-            }
-            None => false,
-        };
-        if empty {
-            self.index.remove(victim.root);
-        }
     }
 
     fn stats(&self) -> SamplerStats {
@@ -943,30 +931,23 @@ impl Collector {
     /// and minimum root duration, sorted by duration (longest first, trace
     /// id as tie-break), truncated to `limit`.
     pub fn query_traces(&self, stage: Option<&str>, min_us: u64, limit: usize) -> Vec<TraceHit> {
-        let sampler = &self.sampler;
-        let rows: Vec<&(u64, u64)> = match stage {
-            Some(st) => sampler.index.get(st).into_iter().flatten().collect(),
-            None => sampler.index.values().flatten().collect(),
-        };
-        let mut hits: Vec<TraceHit> = rows
-            .into_iter()
-            .filter(|&&(dur, _)| dur >= min_us)
-            .filter_map(|&(_, trace)| {
-                let r = &sampler.retained[*sampler.retained_index.get(&trace)?];
-                Some(TraceHit {
-                    trace,
-                    root: r.root,
-                    duration_us: r.duration_us,
-                    class: r.class,
-                    spans: r.spans.len(),
-                    begin: r.begin,
-                })
+        let mut hits: Vec<TraceHit> = self
+            .sampler
+            .retained
+            .iter()
+            .filter(|r| stage.is_none_or(|st| r.root == st) && r.duration_us >= min_us)
+            .map(|r| TraceHit {
+                trace: r.trace,
+                root: r.root,
+                duration_us: r.duration_us,
+                class: r.class,
+                spans: r.spans.len(),
+                begin: r.begin,
             })
             .collect();
         hits.sort_by(|a, b| {
             b.duration_us.cmp(&a.duration_us).then(a.trace.cmp(&b.trace))
         });
-        hits.dedup_by_key(|h| h.trace);
         hits.truncate(limit);
         hits
     }
@@ -1438,5 +1419,25 @@ mod tests {
         assert_eq!(c.query_traces(Some("nope"), 0, 10).len(), 0);
         // The hit renders to a timeline.
         assert!(c.render_trace(slow).contains("journey"));
+    }
+
+    /// A late root that joins a retained trace and runs longer than the
+    /// classifying root moves the duration `/traces` both reports and
+    /// filters on.
+    #[test]
+    fn query_traces_filters_on_a_late_roots_duration() {
+        let mut c = Collector::new();
+        let t = c.new_trace();
+        let alert = c.begin_span(t, 0, "slo.alert", None, 0, SimTime(0));
+        c.end_span(alert, SimTime(100));
+        let page = c.begin_span(t, 0, "page.deliver", None, 1, SimTime(200));
+        c.end_span(page, SimTime(5_200));
+        let hits = c.query_traces(None, 1_000, 10);
+        assert_eq!(hits.len(), 1, "a 5,000 µs trace must pass ?min_us=1000");
+        assert_eq!((hits[0].trace, hits[0].root, hits[0].duration_us), (t, "slo.alert", 5_000));
+        assert_eq!(c.query_traces(Some("slo.alert"), 5_000, 10).len(), 1);
+        // The stage filter matches the classifying root only.
+        assert_eq!(c.query_traces(Some("page.deliver"), 0, 10).len(), 0);
+        assert_eq!(c.query_traces(None, 5_001, 10).len(), 0);
     }
 }

@@ -12,7 +12,7 @@
 //!   severity via a declarative [`RoutePolicy`], and delivers a
 //!   `page.deliver` message to the route's primary [`PageReceiver`], with
 //!   retry/backoff until the receiver acks.
-//! * Unacked pages escalate after `escalate_after` unacked ticks to the
+//! * Unacked pages escalate after [`ESCALATE_AFTER`] unacked ticks to the
 //!   route's escalation receiver; pages that exhaust every attempt are
 //!   *dropped* — the one counter a healthy fleet must keep at zero
 //!   (`scripts/bench_diff.sh` gates on it).
@@ -21,8 +21,8 @@
 //! fire→ack latency lands in the stage histograms and the flight recorder),
 //! and the gateway counts `page.delivered` / `page.escalated` /
 //! `page.dropped` / `page.deduped` in its metrics. All timers are bounded —
-//! a page retries at most `max_attempts` times per target and ticks at most
-//! `escalate_after` times — so simulations always drain.
+//! a page is delivered at most [`MAX_ATTEMPTS`] times per target and ticks at
+//! most [`ESCALATE_AFTER`] times — so simulations always drain.
 
 use std::collections::HashMap;
 
@@ -44,6 +44,11 @@ pub const KIND_PAGE_DELIVER: &str = "page.deliver";
 /// Message kind of a page acknowledgement (receiver → gateway).
 pub const KIND_PAGE_ACK: &str = "page.ack";
 
+/// Unacked escalation ticks before a route's escalation receiver is paged.
+const ESCALATE_AFTER: u32 = 2;
+/// Delivery attempts per receiver before giving up on it.
+const MAX_ATTEMPTS: u32 = 3;
+
 /// Page severity, routed independently by [`RoutePolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -62,26 +67,19 @@ pub struct Route {
     pub severity: Severity,
     /// Primary on-call receiver.
     pub target: NodeId,
-    /// Escalation receiver, tried after `escalate_after` unacked ticks.
+    /// Escalation receiver, tried after [`ESCALATE_AFTER`] unacked ticks.
     pub escalation: Option<NodeId>,
-    /// Unacked escalation ticks before the escalation receiver is paged.
-    pub escalate_after: u32,
-    /// Delivery attempts per receiver before giving up on it.
-    pub max_attempts: u32,
     /// Initial retry backoff; doubles per attempt.
     pub backoff: SimDuration,
 }
 
 impl Route {
-    /// A route with production-ish defaults: 3 attempts, 30 s backoff,
-    /// escalation after 2 unacked ticks.
+    /// A route with a 30 s initial backoff and no escalation receiver.
     pub fn new(severity: Severity, target: NodeId) -> Route {
         Route {
             severity,
             target,
             escalation: None,
-            escalate_after: 2,
-            max_attempts: 3,
             backoff: SimDuration::from_secs(30),
         }
     }
@@ -441,7 +439,7 @@ impl PagingGateway {
         let Some(key) = self.by_id.get(&id).cloned() else { return };
         let Some(page) = self.open.get_mut(&key) else { return };
         let route = self.policy.routes[page.route].clone();
-        if page.attempts >= route.max_attempts {
+        if page.attempts >= MAX_ATTEMPTS {
             if !page.escalated && route.escalation.is_some() {
                 // Primary exhausted; hold the page for the escalation tick.
                 ctx.metrics().bump("page.exhausted", 1.0);
@@ -471,7 +469,7 @@ impl PagingGateway {
         }
         page.unacked_ticks += 1;
         let route = self.policy.routes[page.route].clone();
-        if page.unacked_ticks >= route.escalate_after {
+        if page.unacked_ticks >= ESCALATE_AFTER {
             if route.escalation.is_some() {
                 page.escalated = true;
                 page.attempts = 1;
@@ -698,7 +696,6 @@ mod tests {
         let primary = sim.add_node(Box::new(PageReceiver::new(None)));
         let mut route = Route::new(Severity::Critical, primary);
         route.backoff = SimDuration::from_secs(10);
-        route.max_attempts = 2;
         let mut policy = RoutePolicy::new(vec![route]);
         policy.tick = SimDuration::from_secs(30);
         let gateway = sim.add_node(Box::new(PagingGateway::new(policy)));

@@ -308,11 +308,6 @@ impl Ctx<'_> {
         (self.metrics.node_mut(self.self_id), self.obs.as_ref())
     }
 
-    /// The global scoreboard.
-    pub fn global_metrics(&mut self) -> &mut Metrics {
-        &mut self.metrics.global
-    }
-
     /// Record that this node is now holding an open connection (radio up).
     pub fn connection_opened(&mut self) {
         let now = self.now;
@@ -382,11 +377,6 @@ impl Ctx<'_> {
         }
     }
 
-    /// Is `node` currently paused by a chaos crash window?
-    pub fn node_paused(&self, node: NodeId) -> bool {
-        self.paused.contains(&node)
-    }
-
     /// Set (or clear, with `1.0`) the clock-skew factor applied to every
     /// timer `node` arms from now on.
     pub fn set_clock_skew(&mut self, node: NodeId, factor: f64) {
@@ -418,11 +408,6 @@ impl Ctx<'_> {
     //
     // Every hook is a branch-and-return no-op when no collector is attached:
     // no allocation, no recording, nothing on the message hot path.
-
-    /// Is an observability collector attached to this simulation?
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
 
     /// Mint a fresh trace id (a deterministic counter). Returns 0 —
     /// "untraced" — when no collector is attached.
@@ -729,11 +714,6 @@ impl Simulator {
     /// Immutable metrics for a node.
     pub fn metrics(&self, id: NodeId) -> &Metrics {
         self.metrics.node(id)
-    }
-
-    /// The global scoreboard.
-    pub fn global_metrics(&self) -> &Metrics {
-        &self.metrics.global
     }
 
     /// Downcast a node to its concrete type.

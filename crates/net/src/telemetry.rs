@@ -201,19 +201,10 @@ fn unescape_label(v: &str) -> String {
     out
 }
 
-/// Render a float the way the exposition format expects: integers without a
-/// trailing `.0` (counters are conceptually integral), everything else via
-/// the shortest round-trip `Display`.
-fn fmt_value(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
-/// [`fmt_value`] straight into a reused buffer — the pooled render paths use
-/// this so a scrape never allocates a per-sample `String`.
+/// Render a float the way the exposition format expects, straight into a
+/// reused buffer: integers without a trailing `.0` (counters are
+/// conceptually integral), everything else via the shortest round-trip
+/// `Display`.
 pub(crate) fn write_value(out: &mut String, v: f64) {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         let _ = write!(out, "{}", v as i64);
@@ -256,77 +247,14 @@ fn split_exemplar(rest: &str) -> (&str, Option<Exemplar>) {
 /// the exact observed maximum survives the round trip). Output is sorted and
 /// byte-stable: identical state renders identically on every run and under
 /// every shard count.
+///
+/// This is a fresh [`DeltaState`]'s full render without its `# EPOCH`
+/// header line, so it is the exact body a telemetry server sends.
 pub fn render_prom(instance: &str, snap: &TelemetrySnapshot) -> String {
+    let mut state = DeltaState::new();
+    state.observe(snap);
     let mut out = String::new();
-    let inst = escape_label(instance);
-
-    // Counters and gauges: group samples by sanitized family name (distinct
-    // keys can collide post-sanitization; they become one family with two
-    // `key`-labeled series).
-    let render_scalars = |out: &mut String, items: &[(String, f64)], kind: &str, total: bool| {
-        let mut rows: Vec<(String, &str, f64)> = items
-            .iter()
-            .map(|(k, v)| {
-                let mut fam = format!("pdagent_{}", sanitize(k));
-                if total {
-                    fam.push_str("_total");
-                }
-                (fam, k.as_str(), *v)
-            })
-            .collect();
-        rows.sort_by(|a, b| (a.0.as_str(), a.1).cmp(&(b.0.as_str(), b.1)));
-        let mut last_fam = "";
-        for (fam, key, v) in &rows {
-            if fam != last_fam {
-                let _ = writeln!(out, "# TYPE {fam} {kind}");
-                last_fam = fam;
-            }
-            let _ = writeln!(
-                out,
-                "{fam}{{instance=\"{inst}\",key=\"{}\"}} {}",
-                escape_label(key),
-                fmt_value(*v)
-            );
-        }
-    };
-    render_scalars(&mut out, &snap.counters, "counter", true);
-    render_scalars(&mut out, &snap.gauges, "gauge", false);
-
-    if snap.stages.is_empty() {
-        return out;
-    }
-    let _ = writeln!(out, "# TYPE {STAGE_FAMILY} histogram");
-    for (stage, h) in &snap.stages {
-        let labels = format!("instance=\"{inst}\",stage=\"{}\"", escape_label(stage));
-        let rows = snap.exemplar_rows(stage).unwrap_or(&[]);
-        let counts = h.bucket_counts();
-        let hi = counts.iter().rposition(|&n| n > 0).unwrap_or(0);
-        let mut cum = 0u64;
-        for (i, &n) in counts.iter().enumerate().take(hi + 1) {
-            cum += n;
-            let _ = write!(
-                out,
-                "{STAGE_FAMILY}_bucket{{{labels},le=\"{}\"}} {cum}",
-                Histogram::bucket_upper(i)
-            );
-            if let Ok(r) = rows.binary_search_by(|(b, _)| b.cmp(&(i as u8))) {
-                write_exemplar(&mut out, &rows[r].1);
-            }
-            out.push('\n');
-        }
-        let _ = writeln!(out, "{STAGE_FAMILY}_bucket{{{labels},le=\"+Inf\"}} {}", h.count());
-        let _ = writeln!(out, "{STAGE_FAMILY}_sum{{{labels}}} {}", h.sum());
-        let _ = writeln!(out, "{STAGE_FAMILY}_count{{{labels}}} {}", h.count());
-    }
-    let _ = writeln!(out, "# TYPE {STAGE_FAMILY}_max gauge");
-    for (stage, h) in &snap.stages {
-        let _ = writeln!(
-            out,
-            "{STAGE_FAMILY}_max{{instance=\"{inst}\",stage=\"{}\"}} {}",
-            escape_label(stage),
-            h.max()
-        );
-    }
+    state.render_series(instance, 0, &mut out);
     out
 }
 
@@ -622,8 +550,8 @@ struct SectionDiff {
 /// # EPOCH 42 base=37       (delta; scraper applies over its epoch-37 copy)
 /// ```
 ///
-/// The full rendering is byte-identical to [`render_prom`] (pinned by test),
-/// so delta-aware and legacy scrapers can coexist against one server.
+/// The full rendering after the header is what [`render_prom`] returns, so
+/// delta-aware and legacy scrapers can coexist against one server.
 #[derive(Debug, Default)]
 pub struct DeltaState {
     epoch: u64,
@@ -933,7 +861,7 @@ impl DeltaState {
 
     /// Render into a pooled buffer (cleared first). `since: None`, or a
     /// base [`DeltaState::can_delta`] refuses, renders the full exposition —
-    /// byte-identical to [`render_prom`] after the header line. A servable
+    /// [`render_prom`]'s bytes after the header line. A servable
     /// `since: Some(e)` renders only the series whose last-changed epoch is
     /// beyond `e`. Either way the first line is the `# EPOCH` header the
     /// scraper resynchronizes on.
@@ -948,7 +876,12 @@ impl DeltaState {
                 let _ = writeln!(out, "# EPOCH {} full", self.epoch);
             }
         }
-        let since = since.unwrap_or(0);
+        self.render_series(instance, since.unwrap_or(0), out);
+    }
+
+    /// Append every series whose last-changed epoch is beyond `since`, in
+    /// exposition order (`since = 0` renders them all).
+    fn render_series(&self, instance: &str, since: u64, out: &mut String) {
         let inst = escape_label(instance);
         let scalars = |out: &mut String,
                        section: &[(String, f64)],
@@ -1515,16 +1448,6 @@ mod tests {
         ds.render_into("gw-0", since, &mut out);
         let (header, rest) = out.split_once('\n').expect("header line");
         (header.to_owned(), rest.to_owned())
-    }
-
-    #[test]
-    fn delta_full_render_matches_render_prom_byte_for_byte() {
-        let snap = sample_snapshot();
-        let mut ds = DeltaState::new();
-        let epoch = ds.observe(&snap);
-        let (header, payload) = render_split(&ds, None);
-        assert_eq!(header, format!("# EPOCH {epoch} full"));
-        assert_eq!(payload, render_prom("gw-0", &snap), "full render must not drift");
     }
 
     #[test]

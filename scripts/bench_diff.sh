@@ -211,6 +211,18 @@ for baseline in "$baseline_dir"/BENCH_*.json; do
       printf '%-28s /traces probe malformed   TRACE QUERY PLANE BROKEN\n' "$name"
       status=1
     fi
+    # Event counts and scraped bytes involve no wall clock: for the
+    # baseline's config (`soak 64 1,2`) they must match exactly. A mismatch
+    # means the code changed what the soak does; re-record the baseline in
+    # the change that meant to.
+    for key in events_unbatched events_batched fed_scraped_bytes; do
+      old_v=$(field "$baseline" "$key")
+      new_v=$(field "$report" "$key")
+      if [[ "$old_v" != "$new_v" ]]; then
+        printf '%-28s %s %s -> %s   DETERMINISTIC DRIFT\n' "$name" "$key" "$old_v" "$new_v"
+        status=1
+      fi
+    done
   fi
   if grep -q '"exemplar_probe_ok"' "$report" \
       && [[ "$(field "$report" exemplar_probe_ok)" == 0 ]]; then
