@@ -10,8 +10,8 @@
 //! * `checksum_match` — the merged fleet rollup renders byte-identically in
 //!   both modes (the delta path is an optimisation, not an approximation);
 //! * `ingest_reference_match` — every full body a cell serves in the A/B,
-//!   streamed into a fresh [`HeldSnapshot`], equals `parse_prom(body)`, the
-//!   reference parser (with `checksum_match` this carries equality through
+//!   streamed into a fresh [`HeldSnapshot`], equals the snapshot the body
+//!   was rendered from (with `checksum_match` this carries equality through
 //!   the delta path too). The check runs inside the A/B but its time is
 //!   taken out of the reported wall time, so the bench's speed figures
 //!   measure the federation alone;
@@ -43,7 +43,7 @@ use pdagent_net::message::Message;
 use pdagent_net::obs::Histogram;
 use pdagent_net::sim::{Ctx, Node, NodeId, Simulator};
 use pdagent_net::telemetry::{
-    parse_prom, parse_since, render_prom, DeltaState, HeldSnapshot, Ingested, TelemetrySnapshot,
+    parse_since, render_prom, DeltaState, HeldSnapshot, Ingested, TelemetrySnapshot,
     PATH_METRICS,
 };
 use pdagent_net::time::SimDuration;
@@ -63,7 +63,8 @@ struct SynthCell {
     snap: TelemetrySnapshot,
     delta: DeltaState,
     body: String,
-    /// Check every full body's streaming ingest against the reference.
+    /// Check every full body's streaming ingest against the state it was
+    /// rendered from.
     check: bool,
     /// Full bodies checked, how many of them the ingest got wrong, and the
     /// time the checks took.
@@ -133,7 +134,7 @@ impl Node for SynthCell {
                 let mut held = HeldSnapshot::new();
                 if held.apply(&self.body) != Ingested::Gap {
                     self.checked += 1;
-                    self.mismatches += u64::from(*held.snapshot() != parse_prom(&self.body));
+                    self.mismatches += u64::from(held.snapshot() != self.delta.snapshot());
                 }
                 self.check_time += started.elapsed();
             }
@@ -151,8 +152,8 @@ struct RunOutcome {
     /// The merged fleet rollup, rendered — the cross-mode identity witness.
     merged: String,
     events: u64,
-    /// Full bodies checked against the reference, mismatches, and the time
-    /// the checks took.
+    /// Full bodies checked against their rendered state, mismatches, and
+    /// the time the checks took.
     ingest_checked: u64,
     ingest_mismatches: u64,
     check_time: Duration,
@@ -262,7 +263,7 @@ fn main() {
         if checksum_match { "byte-identical" } else { "DIVERGED" }
     );
     println!(
-        "  streaming ingest of {ingest_checked} full bodies vs parse_prom: {}",
+        "  streaming ingest of {ingest_checked} full bodies vs their rendered snapshots: {}",
         if ingest_reference_match { "identical" } else { "MISMATCH" }
     );
 
@@ -339,7 +340,7 @@ fn main() {
         ("congestion_sweep", Json::Arr(sweep)),
     ]);
 
-    // The reference check is a gate, not part of the measured work.
+    // The ingest check is a gate, not part of the measured work.
     let wall_secs = (wall.elapsed() - full.check_time - delta.check_time).as_secs_f64();
     match write_bench_report("federation", wall_secs, events, results) {
         Ok(path) => println!("wrote {path}"),
@@ -357,7 +358,7 @@ fn main() {
     }
     if !ingest_reference_match {
         eprintln!(
-            "GATE: streaming ingest differed from parse_prom on {} of {ingest_checked} full bodies",
+            "GATE: ingest differs from the rendered snapshot on {} of {ingest_checked} full bodies",
             full.ingest_mismatches + delta.ingest_mismatches
         );
         failed = true;

@@ -127,7 +127,8 @@ pub struct LiveChecks {
 impl LiveChecks {
     /// Check the shards at epoch barrier `epoch`.
     pub fn check(&mut self, shards: &[Simulator], epoch: u64) -> Vec<Violation> {
-        let total = |key: &str| -> f64 { shards.iter().map(|s| s.counter_total(key)).sum() };
+        // Folded from +0.0: an empty `f64` sum is -0.0.
+        let total = |key: &str| shards.iter().fold(0.0, |sum, s| sum + s.counter_total(key));
         let phase = format!("epoch {epoch}");
         let mut out = Vec::new();
         for (invariant, key, what) in LIVE_ZERO {
@@ -624,6 +625,17 @@ mod tests {
                 "monotone-counters",
                 "epoch 9",
                 "msgs_sent total fell from 5 to 2".to_owned(),
+            )],
+        );
+        // A shard with no nodes totals +0, which prints as "0", not "-0".
+        let empty = Simulator::new(1);
+        assert!(empty.counter_total("msgs_sent").is_sign_positive());
+        assert_eq!(
+            live.check(&[empty], 10),
+            vec![Violation::new(
+                "monotone-counters",
+                "epoch 10",
+                "msgs_sent total fell from 2 to 0".to_owned(),
             )],
         );
     }

@@ -1,5 +1,7 @@
 //! LEB128-style unsigned varints, used by the binary framings (compressed
-//! container, agent bytecode serialization, record store).
+//! container, agent bytecode serialization, record store), and the
+//! length-prefixed fields built on them (agent records, HTTP frames, pages):
+//! the field's length as a varint, then its bytes.
 
 /// Error from [`read_u64`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +22,35 @@ impl std::fmt::Display for VarintError {
 }
 
 impl std::error::Error for VarintError {}
+
+/// Error from [`read_bytes`] and [`read_str`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldError {
+    /// The length prefix is not a well-formed varint.
+    Length(VarintError),
+    /// The field runs past the end of the input.
+    Truncated,
+    /// A string field is not UTF-8.
+    NotUtf8,
+}
+
+impl From<VarintError> for FieldError {
+    fn from(e: VarintError) -> FieldError {
+        FieldError::Length(e)
+    }
+}
+
+impl std::fmt::Display for FieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FieldError::Length(e) => write!(f, "field length: {e}"),
+            FieldError::Truncated => write!(f, "field runs past the end of the input"),
+            FieldError::NotUtf8 => write!(f, "string field is not UTF-8"),
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
 
 /// Append `value` to `out` as a varint.
 pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
@@ -60,6 +91,32 @@ pub fn read_u64(input: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
 /// Read a varint as usize.
 pub fn read_usize(input: &[u8], pos: &mut usize) -> Result<usize, VarintError> {
     read_u64(input, pos).map(|v| v as usize)
+}
+
+/// Append `bytes` as a length-prefixed field.
+pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    write_usize(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+/// Append `s` as a length-prefixed field.
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    write_bytes(out, s.as_bytes());
+}
+
+/// Read a length-prefixed field from `input` at `*pos`, advancing `*pos`
+/// past it. The field is borrowed from `input`, and a length that runs past
+/// its end is an error: nothing is allocated, whatever the length claims.
+pub fn read_bytes<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a [u8], FieldError> {
+    let len = read_usize(input, pos)?;
+    let field = input[*pos..].get(..len).ok_or(FieldError::Truncated)?;
+    *pos += len;
+    Ok(field)
+}
+
+/// [`read_bytes`] for a UTF-8 string field.
+pub fn read_str<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a str, FieldError> {
+    std::str::from_utf8(read_bytes(input, pos)?).map_err(|_| FieldError::NotUtf8)
 }
 
 #[cfg(test)]
@@ -112,6 +169,35 @@ mod tests {
         let buf = [0xff; 11];
         let mut pos = 0;
         assert_eq!(read_u64(&buf, &mut pos), Err(VarintError::Overflow));
+    }
+
+    #[test]
+    fn fields_roundtrip_and_reject_truncated_and_inflated_lengths() {
+        let mut buf = Vec::new();
+        write_str(&mut buf, "héllo");
+        write_bytes(&mut buf, &[0xff, 0]);
+        write_str(&mut buf, "");
+        let mut pos = 0;
+        assert_eq!(read_str(&buf, &mut pos), Ok("héllo"));
+        assert_eq!(read_bytes(&buf, &mut pos), Ok(&[0xff, 0][..]));
+        assert_eq!(read_str(&buf, &mut pos), Ok(""));
+        assert_eq!(pos, buf.len());
+        // Every cut inside a field is an error, never a panic.
+        for cut in 0..buf.len() {
+            let mut pos = 0;
+            let whole = (0..3).try_for_each(|_| read_bytes(&buf[..cut], &mut pos).map(drop));
+            assert!(whole.is_err(), "cut at {cut}");
+        }
+        // A length past the input, up to one that overflows `pos + len`.
+        for len in [2, 1 << 40, u64::MAX] {
+            let mut inflated = Vec::new();
+            write_u64(&mut inflated, len);
+            inflated.push(b'x');
+            assert_eq!(read_bytes(&inflated, &mut 0), Err(FieldError::Truncated));
+        }
+        let mut pos = 0;
+        assert_eq!(read_bytes(&[0x80], &mut pos), Err(FieldError::Length(VarintError::Truncated)));
+        assert_eq!(read_str(&[1, 0xff], &mut 0), Err(FieldError::NotUtf8));
     }
 
     #[test]

@@ -138,15 +138,13 @@ impl RecordStore {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.size_bytes() + 64);
         out.extend_from_slice(MAGIC);
-        varint::write_usize(&mut out, self.name.len());
-        out.extend_from_slice(self.name.as_bytes());
+        varint::write_str(&mut out, &self.name);
         varint::write_u64(&mut out, self.next_id as u64);
         varint::write_u64(&mut out, self.quota as u64);
         varint::write_usize(&mut out, self.records.len());
         for (id, data) in &self.records {
             varint::write_u64(&mut out, *id as u64);
-            varint::write_usize(&mut out, data.len());
-            out.extend_from_slice(data);
+            varint::write_bytes(&mut out, data);
         }
         out
     }
@@ -158,15 +156,7 @@ impl RecordStore {
             return Err(corrupt);
         }
         let mut pos = 4;
-        let name_len = varint::read_usize(input, &mut pos).map_err(|_| corrupt.clone())?;
-        let name_end = pos
-            .checked_add(name_len)
-            .filter(|&e| e <= input.len())
-            .ok_or(corrupt.clone())?;
-        let name = std::str::from_utf8(&input[pos..name_end])
-            .map_err(|_| corrupt.clone())?
-            .to_owned();
-        pos = name_end;
+        let name = varint::read_str(input, &mut pos).map_err(|_| corrupt.clone())?.to_owned();
         let next_id =
             varint::read_u64(input, &mut pos).map_err(|_| corrupt.clone())? as RecordId;
         let quota = varint::read_u64(input, &mut pos).map_err(|_| corrupt.clone())? as usize;
@@ -178,13 +168,8 @@ impl RecordStore {
         for _ in 0..count {
             let id =
                 varint::read_u64(input, &mut pos).map_err(|_| corrupt.clone())? as RecordId;
-            let len = varint::read_usize(input, &mut pos).map_err(|_| corrupt.clone())?;
-            let end = pos
-                .checked_add(len)
-                .filter(|&e| e <= input.len())
-                .ok_or(corrupt.clone())?;
-            records.insert(id, input[pos..end].to_vec());
-            pos = end;
+            let data = varint::read_bytes(input, &mut pos).map_err(|_| corrupt.clone())?;
+            records.insert(id, data.to_vec());
         }
         Ok(RecordStore { name, records, next_id, quota })
     }

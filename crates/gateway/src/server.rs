@@ -440,10 +440,11 @@ impl GatewayNode {
                 }
                 ControlOp::Retract | ControlOp::Dispose | ControlOp::Clone => {
                     // Nothing to do on a returned agent; dispose drops the
-                    // stored result.
+                    // stored result and its staged document.
                     if op == ControlOp::Dispose {
                         self.results.remove(&id.0);
                         self.dispatched.remove(&id.0);
+                        let _ = self.files.remove(&format!("{}/result.xml", id.0));
                     }
                     self.respond(ctx, from, req, HttpStatus::Ok, Vec::new());
                 }
@@ -547,6 +548,10 @@ impl GatewayNode {
         ) {
             return;
         }
+        // The agent is home, so its staged classes and parameters are
+        // evictable even if no site ever acked its first transfer.
+        let _ = self.files.release(&format!("{}/classes", agent.id.0));
+        let _ = self.files.release(&format!("{}/params.xml", agent.id.0));
         let doc = ResultDoc::from_agent(&agent);
         let _ = self.files.allocate(
             format!("{}/result.xml", agent.id.0),
@@ -997,6 +1002,37 @@ mod tests {
         let ids: Vec<u64> =
             sim.node_ref::<Sink>(client).unwrap().received.iter().map(|r| r.req_id).collect();
         assert_eq!(ids, vec![1, 2], "the stale copy gets no answer");
+    }
+
+    #[test]
+    fn disposing_an_unreachable_agent_leaves_no_pinned_file() {
+        // With no MAS sites the agent comes home without any site acking
+        // its transfer; a Dispose then drops its uncollected result.
+        let (mut sim, gateway, client, key) = build_sink(33);
+        sim.inject_at(gateway, client, dispatch_request(&key, 1, 0), SimTime::ZERO);
+        sim.run_until_idle();
+        let agent_id =
+            String::from_utf8(sim.node_ref::<Sink>(client).unwrap().received[0].body.to_vec())
+                .unwrap();
+        let mut dispose = HttpRequest::new(
+            "POST",
+            PATH_MANAGE,
+            encode_control(ControlOp::Dispose, &AgentId(agent_id.clone())),
+        );
+        dispose.req_id = 2;
+        let t = sim.now() + SimDuration::from_secs(1);
+        sim.inject_at(gateway, client, dispose.to_message(), t);
+        sim.run_until_idle();
+        assert_eq!(sim.node_ref::<Sink>(client).unwrap().received[1].status, HttpStatus::Ok);
+        let gw = sim.node_mut::<GatewayNode>(gateway).unwrap();
+        assert_eq!(gw.stored_results(), 0);
+        assert!(gw.files.read(&format!("{agent_id}/result.xml")).is_err());
+        // The classes and parameters stay readable, but nothing is pinned:
+        // a file the size of the whole budget evicts them both.
+        assert_eq!(gw.files.len(), 2);
+        gw.files.quota = gw.files.used();
+        gw.files.allocate("probe", FileKind::ResultDoc, vec![0; gw.files.quota]).unwrap();
+        assert_eq!(gw.files.names(), vec!["probe"]);
     }
 
     #[test]

@@ -84,26 +84,20 @@ impl std::fmt::Display for AgentDecodeError {
 
 impl std::error::Error for AgentDecodeError {}
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_usize(out, s.len());
-    out.extend_from_slice(s.as_bytes());
+impl From<varint::VarintError> for AgentDecodeError {
+    fn from(_: varint::VarintError) -> AgentDecodeError {
+        AgentDecodeError
+    }
 }
 
-fn read_str(input: &[u8], pos: &mut usize) -> Result<String, AgentDecodeError> {
-    let len = varint::read_usize(input, pos).map_err(|_| AgentDecodeError)?;
-    let end = pos.checked_add(len).ok_or(AgentDecodeError)?;
-    if end > input.len() {
-        return Err(AgentDecodeError);
+impl From<varint::FieldError> for AgentDecodeError {
+    fn from(_: varint::FieldError) -> AgentDecodeError {
+        AgentDecodeError
     }
-    let s = std::str::from_utf8(&input[*pos..end])
-        .map_err(|_| AgentDecodeError)?
-        .to_owned();
-    *pos = end;
-    Ok(s)
 }
 
 fn read_count(input: &[u8], pos: &mut usize) -> Result<usize, AgentDecodeError> {
-    let n = varint::read_usize(input, pos).map_err(|_| AgentDecodeError)?;
+    let n = varint::read_usize(input, pos)?;
     if n > input.len() {
         return Err(AgentDecodeError);
     }
@@ -155,27 +149,23 @@ impl MobileAgent {
     /// serializes as "the agent" between Aglets servers).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
-        write_str(&mut out, &self.id.0);
-        let prog = self.program.to_bytes();
-        varint::write_usize(&mut out, prog.len());
-        out.extend_from_slice(&prog);
+        varint::write_str(&mut out, &self.id.0);
+        varint::write_bytes(&mut out, &self.program.to_bytes());
         varint::write_usize(&mut out, self.params.len());
         for (k, v) in &self.params {
-            write_str(&mut out, k);
+            varint::write_str(&mut out, k);
             v.encode(&mut out);
         }
-        let state = self.state.to_bytes();
-        varint::write_usize(&mut out, state.len());
-        out.extend_from_slice(&state);
+        varint::write_bytes(&mut out, &self.state.to_bytes());
         varint::write_usize(&mut out, self.itinerary.sites.len());
         for s in &self.itinerary.sites {
-            write_str(&mut out, s);
+            varint::write_str(&mut out, s);
         }
         varint::write_usize(&mut out, self.next_hop);
         varint::write_usize(&mut out, self.results.len());
         for r in &self.results {
-            write_str(&mut out, &r.site);
-            write_str(&mut out, &r.key);
+            varint::write_str(&mut out, &r.site);
+            varint::write_str(&mut out, &r.key);
             r.value.encode(&mut out);
         }
         varint::write_u64(&mut out, self.origin);
@@ -186,45 +176,34 @@ impl MobileAgent {
     /// Parse the binary wire form.
     pub fn from_bytes(input: &[u8]) -> Result<MobileAgent, AgentDecodeError> {
         let mut pos = 0;
-        let id = AgentId(read_str(input, &mut pos)?);
-        let prog_len = read_count(input, &mut pos)?;
-        let prog_end = pos.checked_add(prog_len).ok_or(AgentDecodeError)?;
-        if prog_end > input.len() {
-            return Err(AgentDecodeError);
-        }
-        let program =
-            Program::from_bytes(&input[pos..prog_end]).map_err(|_| AgentDecodeError)?;
-        pos = prog_end;
+        let id = AgentId(varint::read_str(input, &mut pos)?.to_owned());
+        let program = Program::from_bytes(varint::read_bytes(input, &mut pos)?)
+            .map_err(|_| AgentDecodeError)?;
         let n_params = read_count(input, &mut pos)?;
         let mut params = Vec::with_capacity(n_params);
         for _ in 0..n_params {
-            let k = read_str(input, &mut pos)?;
+            let k = varint::read_str(input, &mut pos)?.to_owned();
             let v = Value::decode(input, &mut pos).map_err(|_| AgentDecodeError)?;
             params.push((k, v));
         }
-        let state_len = read_count(input, &mut pos)?;
-        let state_end = pos.checked_add(state_len).ok_or(AgentDecodeError)?;
-        if state_end > input.len() {
-            return Err(AgentDecodeError);
-        }
-        let state = AgentState::from_bytes(&input[pos..state_end]).ok_or(AgentDecodeError)?;
-        pos = state_end;
+        let state = AgentState::from_bytes(varint::read_bytes(input, &mut pos)?)
+            .ok_or(AgentDecodeError)?;
         let n_sites = read_count(input, &mut pos)?;
         let mut sites = Vec::with_capacity(n_sites);
         for _ in 0..n_sites {
-            sites.push(read_str(input, &mut pos)?);
+            sites.push(varint::read_str(input, &mut pos)?.to_owned());
         }
-        let next_hop = varint::read_usize(input, &mut pos).map_err(|_| AgentDecodeError)?;
+        let next_hop = varint::read_usize(input, &mut pos)?;
         let n_results = read_count(input, &mut pos)?;
         let mut results = Vec::with_capacity(n_results);
         for _ in 0..n_results {
-            let site = read_str(input, &mut pos)?;
-            let key = read_str(input, &mut pos)?;
+            let site = varint::read_str(input, &mut pos)?.to_owned();
+            let key = varint::read_str(input, &mut pos)?.to_owned();
             let value = Value::decode(input, &mut pos).map_err(|_| AgentDecodeError)?;
             results.push(ResultEntry { site, key, value });
         }
-        let origin = varint::read_u64(input, &mut pos).map_err(|_| AgentDecodeError)?;
-        let fuel_per_hop = varint::read_u64(input, &mut pos).map_err(|_| AgentDecodeError)?;
+        let origin = varint::read_u64(input, &mut pos)?;
+        let fuel_per_hop = varint::read_u64(input, &mut pos)?;
         Ok(MobileAgent {
             id,
             program,
@@ -259,8 +238,8 @@ impl AgentRecord {
     /// Serialize (for control responses).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        write_str(&mut out, &self.id.0);
-        write_str(&mut out, &self.site);
+        varint::write_str(&mut out, &self.id.0);
+        varint::write_str(&mut out, &self.site);
         varint::write_usize(&mut out, self.hops_done);
         varint::write_usize(&mut out, self.hops_total);
         varint::write_u64(&mut out, self.instructions);
@@ -270,11 +249,11 @@ impl AgentRecord {
     /// Deserialize.
     pub fn from_bytes(input: &[u8]) -> Result<AgentRecord, AgentDecodeError> {
         let mut pos = 0;
-        let id = AgentId(read_str(input, &mut pos)?);
-        let site = read_str(input, &mut pos)?;
-        let hops_done = varint::read_usize(input, &mut pos).map_err(|_| AgentDecodeError)?;
-        let hops_total = varint::read_usize(input, &mut pos).map_err(|_| AgentDecodeError)?;
-        let instructions = varint::read_u64(input, &mut pos).map_err(|_| AgentDecodeError)?;
+        let id = AgentId(varint::read_str(input, &mut pos)?.to_owned());
+        let site = varint::read_str(input, &mut pos)?.to_owned();
+        let hops_done = varint::read_usize(input, &mut pos)?;
+        let hops_total = varint::read_usize(input, &mut pos)?;
+        let instructions = varint::read_u64(input, &mut pos)?;
         Ok(AgentRecord { id, site, hops_done, hops_total, instructions })
     }
 }

@@ -17,10 +17,10 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use pdagent_net::prelude::*;
-use pdagent_vm::{run, Host, Outcome, Value};
+use pdagent_vm::Value;
 
 use crate::agent::MobileAgent;
-use crate::server::SiteDirectory;
+use crate::server::{run_visit, SiteDirectory};
 use crate::service::Service;
 use crate::{KIND_ACK, KIND_COMPLETE, KIND_TRANSFER};
 
@@ -44,45 +44,6 @@ pub struct BatchMasNode {
     /// Whether a tick timer is currently armed (the executor sleeps when
     /// the queue is empty, so an idle simulation can drain).
     tick_armed: bool,
-}
-
-struct BatchHost<'a> {
-    site: &'a str,
-    services: &'a mut HashMap<String, Box<dyn Service>>,
-    params: &'a [(String, Value)],
-    emitted: Vec<(String, Value)>,
-    hops_done: usize,
-    hops_total: usize,
-    abort: bool,
-}
-
-impl Host for BatchHost<'_> {
-    fn invoke(&mut self, service: &str, op: &str, args: &[Value]) -> Result<Value, String> {
-        if service == "agent" {
-            return match op {
-                "abort" => {
-                    self.abort = true;
-                    Ok(Value::Bool(true))
-                }
-                "hops_done" => Ok(Value::Int(self.hops_done as i64)),
-                "hops_total" => Ok(Value::Int(self.hops_total as i64)),
-                other => Err(format!("agent: unknown operation {other:?}")),
-            };
-        }
-        match self.services.get_mut(service) {
-            Some(svc) => svc.invoke(op, args),
-            None => Err(format!("site {} has no service {service:?}", self.site)),
-        }
-    }
-    fn param(&self, name: &str) -> Option<Value> {
-        self.params.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
-    }
-    fn emit(&mut self, key: &str, value: Value) {
-        self.emitted.push((key.to_owned(), value));
-    }
-    fn site_name(&self) -> &str {
-        self.site
-    }
 }
 
 impl BatchMasNode {
@@ -114,45 +75,7 @@ impl BatchMasNode {
 
     fn run_one(&mut self, ctx: &mut Ctx<'_>, mut agent: MobileAgent, jctx: ObsContext, hop: u32) {
         if agent.next_site() == Some(self.site_name.as_str()) {
-            let mut host = BatchHost {
-                site: &self.site_name,
-                services: &mut self.services,
-                params: &agent.params,
-                emitted: Vec::new(),
-                hops_done: agent.next_hop,
-                hops_total: agent.itinerary.len(),
-                abort: false,
-            };
-            let outcome = run(&agent.program, &mut agent.state, &mut host, agent.fuel_per_hop);
-            let emitted = std::mem::take(&mut host.emitted);
-            let abort = host.abort;
-            for (key, value) in emitted {
-                agent.push_result(&self.site_name, &key, value);
-            }
-            match outcome {
-                Outcome::Completed => {
-                    agent.next_hop += 1;
-                    if abort {
-                        agent.next_hop = agent.itinerary.len();
-                    }
-                }
-                Outcome::Failed(msg) => {
-                    agent.push_result(&self.site_name, "error", Value::Str(msg));
-                    agent.next_hop = agent.itinerary.len();
-                }
-                Outcome::OutOfFuel => {
-                    agent.push_result(
-                        &self.site_name,
-                        "error",
-                        Value::Str("out of fuel".into()),
-                    );
-                    agent.next_hop = agent.itinerary.len();
-                }
-                Outcome::Trapped(e) => {
-                    agent.push_result(&self.site_name, "error", Value::Str(e.to_string()));
-                    agent.next_hop = agent.itinerary.len();
-                }
-            }
+            run_visit(&self.site_name, &mut self.services, &mut agent);
             self.executed += 1;
             ctx.metrics().bump("batchmas.agents_executed", 1.0);
         }

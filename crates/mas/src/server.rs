@@ -123,8 +123,7 @@ pub fn decode_control(body: &[u8]) -> Option<(ControlOp, AgentId)> {
 /// several management requests outstanding.
 pub fn encode_control_resp(op: ControlOp, id: &AgentId, found: bool, payload: &[u8]) -> Vec<u8> {
     let mut out = vec![op.to_byte(), found as u8];
-    pdagent_codec::varint::write_usize(&mut out, id.0.len());
-    out.extend_from_slice(id.0.as_bytes());
+    pdagent_codec::varint::write_str(&mut out, &id.0);
     out.extend_from_slice(payload);
     out
 }
@@ -134,13 +133,8 @@ pub fn decode_control_resp(body: &[u8]) -> Option<(ControlOp, AgentId, bool, &[u
     let op = ControlOp::from_byte(*body.first()?)?;
     let found = *body.get(1)? != 0;
     let mut pos = 2;
-    let len = pdagent_codec::varint::read_usize(body, &mut pos).ok()?;
-    let end = pos.checked_add(len)?;
-    if end > body.len() {
-        return None;
-    }
-    let id = AgentId(std::str::from_utf8(&body[pos..end]).ok()?.to_owned());
-    Some((op, id, found, &body[end..]))
+    let id = AgentId(pdagent_codec::varint::read_str(body, &mut pos).ok()?.to_owned());
+    Some((op, id, found, &body[pos..]))
 }
 
 #[derive(Debug)]
@@ -165,7 +159,8 @@ struct AgentObs {
     exec: u32,
 }
 
-/// VM host adapter exposing the site's services to a visiting agent.
+/// VM host adapter exposing the site's services to a visiting agent, for
+/// both server kinds ([`MasNode`] and [`crate::BatchMasNode`]).
 struct SiteHost<'a> {
     site: &'a str,
     services: &'a mut HashMap<String, Box<dyn Service>>,
@@ -207,6 +202,49 @@ impl Host for SiteHost<'_> {
     fn site_name(&self) -> &str {
         self.site
     }
+}
+
+/// Run `agent`'s visit to `site`: execute it against the site's services,
+/// append what it emitted to its results, then record how the visit ended
+/// and advance its itinerary (an abort, an error or a trap ends it). Returns
+/// the VM instructions executed and, when the visit ended the itinerary
+/// early, why (for the server's log).
+pub(crate) fn run_visit(
+    site: &str,
+    services: &mut HashMap<String, Box<dyn Service>>,
+    agent: &mut MobileAgent,
+) -> (u64, Option<String>) {
+    let mut host = SiteHost {
+        site,
+        services,
+        params: &agent.params,
+        emitted: Vec::new(),
+        abort_requested: false,
+        hops_done: agent.next_hop,
+        hops_total: agent.itinerary.len(),
+    };
+    let before = agent.state.instructions;
+    let outcome = run(&agent.program, &mut agent.state, &mut host, agent.fuel_per_hop);
+    let executed = agent.state.instructions - before;
+    let abort = host.abort_requested;
+    for (key, value) in host.emitted {
+        agent.push_result(site, &key, value);
+    }
+    // The `error` result the visit leaves, and why it ended the itinerary.
+    let (error, ended) = match outcome {
+        Outcome::Completed => (None, abort.then(|| "aborted itinerary".to_owned())),
+        Outcome::Failed(msg) => (Some(msg.clone()), Some(format!("failed: {msg}"))),
+        Outcome::OutOfFuel => (Some("out of fuel".to_owned()), Some("out of fuel".to_owned())),
+        Outcome::Trapped(e) => (Some(e.to_string()), Some(format!("trapped: {e}"))),
+    };
+    if let Some(msg) = error {
+        agent.push_result(site, "error", Value::Str(msg));
+    }
+    agent.next_hop = match ended {
+        Some(_) => agent.itinerary.len(),
+        None => agent.next_hop + 1,
+    };
+    (executed, ended)
 }
 
 /// The mobile-agent server node.
@@ -284,50 +322,9 @@ impl MasNode {
     fn execute_and_schedule(&mut self, ctx: &mut Ctx<'_>, mut agent: MobileAgent) {
         let should_run = agent.next_site() == Some(self.site_name.as_str());
         if should_run {
-            let mut host = SiteHost {
-                site: &self.site_name,
-                services: &mut self.services,
-                params: &agent.params,
-                emitted: Vec::new(),
-                abort_requested: false,
-                hops_done: agent.next_hop,
-                hops_total: agent.itinerary.len(),
-            };
-            let before = agent.state.instructions;
-            let outcome = run(&agent.program, &mut agent.state, &mut host, agent.fuel_per_hop);
-            let executed = agent.state.instructions - before;
-            let emitted = std::mem::take(&mut host.emitted);
-            let abort = host.abort_requested;
-            for (key, value) in emitted {
-                agent.push_result(&self.site_name, &key, value);
-            }
-            match outcome {
-                Outcome::Completed => {
-                    agent.next_hop += 1;
-                    if abort {
-                        self.log.push(format!("{}: agent {} aborted itinerary", self.site_name, agent.id));
-                        agent.next_hop = agent.itinerary.len();
-                    }
-                }
-                Outcome::Failed(msg) => {
-                    agent.push_result(&self.site_name, "error", Value::Str(msg.clone()));
-                    self.log.push(format!("{}: agent {} failed: {msg}", self.site_name, agent.id));
-                    agent.next_hop = agent.itinerary.len();
-                }
-                Outcome::OutOfFuel => {
-                    agent.push_result(
-                        &self.site_name,
-                        "error",
-                        Value::Str("out of fuel".into()),
-                    );
-                    self.log.push(format!("{}: agent {} out of fuel", self.site_name, agent.id));
-                    agent.next_hop = agent.itinerary.len();
-                }
-                Outcome::Trapped(e) => {
-                    agent.push_result(&self.site_name, "error", Value::Str(e.to_string()));
-                    self.log.push(format!("{}: agent {} trapped: {e}", self.site_name, agent.id));
-                    agent.next_hop = agent.itinerary.len();
-                }
+            let (executed, ended) = run_visit(&self.site_name, &mut self.services, &mut agent);
+            if let Some(why) = ended {
+                self.log.push(format!("{}: agent {} {why}", self.site_name, agent.id));
             }
             ctx.metrics().bump("mas.agents_executed", 1.0);
             ctx.metrics().bump("mas.instructions", executed as f64);

@@ -111,33 +111,11 @@ pub struct HttpResponse {
     pub obs: ObsContext,
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_usize(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(input: &[u8], pos: &mut usize) -> Option<String> {
-    let len = varint::read_usize(input, pos).ok()?;
-    let end = pos.checked_add(len)?;
-    if end > input.len() {
-        return None;
-    }
-    let s = std::str::from_utf8(&input[*pos..end]).ok()?.to_owned();
-    *pos = end;
-    Some(s)
-}
-
 /// Read a length-prefixed byte field as a zero-copy slice of the message
 /// buffer.
 fn read_body(msg: &Message, pos: &mut usize) -> Option<Bytes> {
-    let len = varint::read_usize(&msg.body, pos).ok()?;
-    let end = pos.checked_add(len)?;
-    if end > msg.body.len() {
-        return None;
-    }
-    let b = msg.body.slice(*pos..end);
-    *pos = end;
-    Some(b)
+    let len = varint::read_bytes(&msg.body, pos).ok()?.len();
+    Some(msg.body.slice(*pos - len..*pos))
 }
 
 impl HttpRequest {
@@ -166,10 +144,9 @@ impl HttpRequest {
     pub fn to_message(&self) -> Message {
         let mut out = Vec::with_capacity(self.body.len() + 32);
         varint::write_u64(&mut out, self.req_id);
-        write_str(&mut out, &self.method);
-        write_str(&mut out, &self.path);
-        varint::write_usize(&mut out, self.body.len());
-        out.extend_from_slice(&self.body);
+        varint::write_str(&mut out, &self.method);
+        varint::write_str(&mut out, &self.path);
+        varint::write_bytes(&mut out, &self.body);
         Message::new(KIND_REQUEST, out).traced(self.obs)
     }
 
@@ -180,8 +157,8 @@ impl HttpRequest {
         }
         let mut pos = 0;
         let req_id = varint::read_u64(&msg.body, &mut pos).ok()?;
-        let method = read_str(&msg.body, &mut pos)?;
-        let path = read_str(&msg.body, &mut pos)?;
+        let method = varint::read_str(&msg.body, &mut pos).ok()?.to_owned();
+        let path = varint::read_str(&msg.body, &mut pos).ok()?.to_owned();
         let body = read_body(msg, &mut pos)?;
         Some(HttpRequest { req_id, method, path, body, obs: msg.obs })
     }
@@ -198,8 +175,7 @@ impl HttpResponse {
         let mut out = Vec::with_capacity(self.body.len() + 16);
         varint::write_u64(&mut out, self.req_id);
         varint::write_u64(&mut out, self.status.code() as u64);
-        varint::write_usize(&mut out, self.body.len());
-        out.extend_from_slice(&self.body);
+        varint::write_bytes(&mut out, &self.body);
         Message::new(KIND_RESPONSE, out).traced(self.obs)
     }
 

@@ -127,22 +127,6 @@ impl RoutePolicy {
     }
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_usize(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(input: &[u8], pos: &mut usize) -> Option<String> {
-    let len = varint::read_usize(input, pos).ok()?;
-    let end = pos.checked_add(len)?;
-    if end > input.len() {
-        return None;
-    }
-    let s = std::str::from_utf8(&input[*pos..end]).ok()?.to_owned();
-    *pos = end;
-    Some(s)
-}
-
 /// Build the alert-fired notification an SLO engine host sends its pager.
 /// Floats travel as raw bits, so the page carries the exact observed value.
 /// `exemplar` is the offending trace id behind the breached signal (0 =
@@ -156,8 +140,8 @@ pub fn page_fire(
     exemplar: u64,
 ) -> Message {
     let mut body = Vec::with_capacity(rule.len() + instance.len() + 40);
-    write_str(&mut body, rule);
-    write_str(&mut body, instance);
+    varint::write_str(&mut body, rule);
+    varint::write_str(&mut body, instance);
     varint::write_u64(&mut body, value.to_bits());
     varint::write_u64(&mut body, limit.to_bits());
     varint::write_u64(&mut body, trace);
@@ -168,8 +152,8 @@ pub fn page_fire(
 /// Build the alert-resolved notification.
 pub fn page_resolve(rule: &str, instance: &str) -> Message {
     let mut body = Vec::with_capacity(rule.len() + instance.len() + 8);
-    write_str(&mut body, rule);
-    write_str(&mut body, instance);
+    varint::write_str(&mut body, rule);
+    varint::write_str(&mut body, instance);
     Message::new(KIND_PAGE_RESOLVE, body)
 }
 
@@ -197,8 +181,8 @@ pub fn parse_delivery(msg: &Message) -> Option<PageDelivery> {
     let mut pos = 0;
     let id = varint::read_u64(&msg.body, &mut pos).ok()?;
     let escalated = varint::read_u64(&msg.body, &mut pos).ok()? != 0;
-    let rule = read_str(&msg.body, &mut pos)?;
-    let instance = read_str(&msg.body, &mut pos)?;
+    let rule = varint::read_str(&msg.body, &mut pos).ok()?.to_owned();
+    let instance = varint::read_str(&msg.body, &mut pos).ok()?.to_owned();
     let exemplar = varint::read_u64(&msg.body, &mut pos).unwrap_or(0);
     Some(PageDelivery { id, escalated, rule, instance, exemplar })
 }
@@ -212,8 +196,8 @@ pub fn page_ack(id: u64) -> Message {
 
 fn parse_fire(msg: &Message) -> Option<(String, String, f64, f64, u64, u64)> {
     let mut pos = 0;
-    let rule = read_str(&msg.body, &mut pos)?;
-    let instance = read_str(&msg.body, &mut pos)?;
+    let rule = varint::read_str(&msg.body, &mut pos).ok()?.to_owned();
+    let instance = varint::read_str(&msg.body, &mut pos).ok()?.to_owned();
     let value = f64::from_bits(varint::read_u64(&msg.body, &mut pos).ok()?);
     let limit = f64::from_bits(varint::read_u64(&msg.body, &mut pos).ok()?);
     let trace = varint::read_u64(&msg.body, &mut pos).ok()?;
@@ -223,7 +207,9 @@ fn parse_fire(msg: &Message) -> Option<(String, String, f64, f64, u64, u64)> {
 
 fn parse_resolve(msg: &Message) -> Option<(String, String)> {
     let mut pos = 0;
-    Some((read_str(&msg.body, &mut pos)?, read_str(&msg.body, &mut pos)?))
+    let rule = varint::read_str(&msg.body, &mut pos).ok()?;
+    let instance = varint::read_str(&msg.body, &mut pos).ok()?;
+    Some((rule.to_owned(), instance.to_owned()))
 }
 
 /// One open page episode.
@@ -352,8 +338,8 @@ impl PagingGateway {
         let mut body = Vec::with_capacity(page.rule.len() + page.instance.len() + 24);
         varint::write_u64(&mut body, page.id);
         varint::write_u64(&mut body, u64::from(page.escalated));
-        write_str(&mut body, &page.rule);
-        write_str(&mut body, &page.instance);
+        varint::write_str(&mut body, &page.rule);
+        varint::write_str(&mut body, &page.instance);
         varint::write_u64(&mut body, page.exemplar);
         ctx.send(to, Message::new(KIND_PAGE_DELIVER, body));
         ctx.metrics().bump("page.sent", 1.0);

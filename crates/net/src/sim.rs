@@ -608,7 +608,8 @@ impl Simulator {
 
     /// Sum of a named [`Metrics`] counter over every node.
     pub fn counter_total(&self, key: &str) -> f64 {
-        (0..self.nodes.len()).map(|i| self.metrics.node(i).counter(key)).sum()
+        // Folded from +0.0: an empty `f64` sum is -0.0.
+        (0..self.nodes.len()).fold(0.0, |sum, i| sum + self.metrics.node(i).counter(key))
     }
 
     /// Register a node; returns its id.

@@ -7,10 +7,12 @@
 //! answer `GET /metrics` with the text exposition produced by
 //! [`render_prom`], and `GET /healthz` with a liveness document — served over
 //! the same modeled links as protocol traffic, so a monitor sees exactly the
-//! staleness and loss a real scraper would. [`parse_prom`] is the inverse;
-//! the in-sim scrapers ([`crate::slo`], [`crate::federation`]) stream bodies
-//! into a [`HeldSnapshot`] instead, and `parse_prom` is the reference that
-//! ingest is tested against.
+//! staleness and loss a real scraper would. The in-sim scrapers
+//! ([`crate::slo`], [`crate::federation`]) stream every body into the
+//! [`HeldSnapshot`] they keep per target; [`parse_prom`], the inverse of
+//! [`render_prom`], is that same ingest run on a fresh holder. There is no
+//! other exposition parser outside tests: the owning parser the ingest
+//! replaced is a `#[cfg(test)]` reference (`telemetry/oracle.rs`).
 //!
 //! The [`FlightRecorder`] is the post-mortem half: a bounded ring of recent
 //! span/alert lines for one node, which the soak binary writes to
@@ -29,7 +31,7 @@
 //! output is byte-stable across runs and shard counts, and nothing consults
 //! the wall clock.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
 use bytes::Bytes;
@@ -41,7 +43,9 @@ use crate::sim::{Ctx, NodeId};
 use crate::time::SimTime;
 
 mod ingest;
-pub use ingest::{HeldSnapshot, Ingested};
+#[cfg(test)]
+mod oracle;
+pub use ingest::{parse_prom, HeldSnapshot, Ingested};
 
 /// Scrape endpoint path served by gateway and MAS nodes.
 pub const PATH_METRICS: &str = "/metrics";
@@ -258,78 +262,6 @@ pub fn render_prom(instance: &str, snap: &TelemetrySnapshot) -> String {
     out
 }
 
-/// A parsed sample's `(label, value)` pairs, in line order.
-type Labels = Vec<(String, String)>;
-
-/// One parsed exposition sample: name, labels, value, optional exemplar.
-fn parse_sample_full(line: &str) -> Option<(&str, Labels, f64, Option<Exemplar>)> {
-    let brace = line.find('{')?;
-    let name = &line[..brace];
-    let rest = &line[brace + 1..];
-    let finish = |labels: Labels, tail: &str| {
-        let (value_text, exemplar) = split_exemplar(tail);
-        let value: f64 = value_text.trim().parse().ok()?;
-        Some((name, labels, value, exemplar))
-    };
-    let mut labels = Vec::new();
-    let mut chars = rest.char_indices();
-    let mut key_start = 0;
-    loop {
-        // Label key up to '='.
-        let eq = loop {
-            match chars.next() {
-                Some((i, '=')) => break i,
-                Some((i, '}')) => {
-                    // Empty label set or trailing comma; value follows.
-                    return finish(labels, &rest[i + 1..]);
-                }
-                Some(_) => continue,
-                None => return None,
-            }
-        };
-        let key = rest[key_start..eq].trim_start_matches(',').to_owned();
-        // Opening quote.
-        match chars.next() {
-            Some((_, '"')) => {}
-            _ => return None,
-        }
-        // Value until the unescaped closing quote.
-        let mut raw = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '\\')) => {
-                    raw.push('\\');
-                    if let Some((_, c)) = chars.next() {
-                        raw.push(c);
-                    }
-                }
-                Some((_, '"')) => break,
-                Some((_, c)) => raw.push(c),
-                None => return None,
-            }
-        }
-        labels.push((key, unescape_label(&raw)));
-        // After a label value: ',' continues, '}' ends.
-        match chars.next() {
-            Some((i, ',')) => key_start = i + 1,
-            Some((i, '}')) => {
-                return finish(labels, &rest[i + 1..]);
-            }
-            _ => return None,
-        }
-    }
-}
-
-/// [`parse_sample_full`] without the exemplar.
-#[cfg(test)]
-fn parse_sample(line: &str) -> Option<(&str, Labels, f64)> {
-    parse_sample_full(line).map(|(n, l, v, _)| (n, l, v))
-}
-
-fn label<'a>(labels: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-}
-
 /// The histogram bucket a cumulative `le="<upper>"` sample belongs to:
 /// [`Histogram::bucket_upper`] inverted (`2^i - 1` → `i`, `0` → `0`).
 /// `None` for `u64::MAX`, whose successor overflows; such a sample is
@@ -371,96 +303,6 @@ fn sort_last_wins<K: Ord, V>(items: &mut Vec<(K, V)>) {
         }
         repeat
     });
-}
-
-/// Parse text exposition produced by [`render_prom`] back into a
-/// [`TelemetrySnapshot`]. Counter/gauge keys come from the `key` label (so
-/// sanitization is lossless); stage histograms are rebuilt from the
-/// cumulative `_bucket` series plus `_sum` and `_max`. Unknown lines are
-/// ignored, making the parser tolerant of future families, and a series
-/// repeated in one body takes its last line's value.
-///
-/// Scrapers apply bodies with [`HeldSnapshot::ingest`], which streams them
-/// into the snapshot they hold; this owning parser is the reference its
-/// tests compare against.
-pub fn parse_prom(text: &str) -> TelemetrySnapshot {
-    let mut snap = TelemetrySnapshot::default();
-    let bucket_name = format!("{STAGE_FAMILY}_bucket");
-    let sum_name = format!("{STAGE_FAMILY}_sum");
-    let count_name = format!("{STAGE_FAMILY}_count");
-    let max_name = format!("{STAGE_FAMILY}_max");
-    // stage → (upper bound → cumulative count), plus sum/max per stage.
-    let mut cums: BTreeMap<String, BTreeMap<u64, u64>> = BTreeMap::new();
-    let mut sums: BTreeMap<String, u64> = BTreeMap::new();
-    let mut maxes: BTreeMap<String, u64> = BTreeMap::new();
-    // stage → (bucket → exemplar) from `_bucket` suffixes.
-    let mut exes: BTreeMap<String, BTreeMap<u8, Exemplar>> = BTreeMap::new();
-    // family → declared kind from `# TYPE` lines. Classifying by declared
-    // type (not the `_total` suffix) keeps a *gauge* whose key sanitizes to
-    // `..._total` (e.g. `queue.total`) a gauge through the round trip.
-    let mut types: BTreeMap<String, String> = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            if let Some(decl) = line.strip_prefix("# TYPE ") {
-                let mut parts = decl.split_whitespace();
-                if let (Some(fam), Some(kind)) = (parts.next(), parts.next()) {
-                    types.insert(fam.to_owned(), kind.to_owned());
-                }
-            }
-            continue;
-        }
-        let Some((name, labels, value, exemplar)) = parse_sample_full(line) else { continue };
-        if name == bucket_name {
-            let (Some(stage), Some(le)) = (label(&labels, "stage"), label(&labels, "le")) else {
-                continue;
-            };
-            if le == "+Inf" {
-                continue; // same as the _count series
-            }
-            let Ok(upper) = le.parse::<u64>() else { continue };
-            let Some(idx) = bucket_index(upper) else { continue };
-            cums.entry(stage.to_owned()).or_default().insert(upper, value as u64);
-            if let Some(e) = exemplar {
-                exes.entry(stage.to_owned()).or_default().insert(idx as u8, e);
-            }
-        } else if name == sum_name {
-            if let Some(stage) = label(&labels, "stage") {
-                sums.insert(stage.to_owned(), value as u64);
-            }
-        } else if name == max_name {
-            if let Some(stage) = label(&labels, "stage") {
-                maxes.insert(stage.to_owned(), value as u64);
-            }
-        } else if name == count_name {
-            // Redundant with the bucket series; nothing to record.
-        } else if let Some(key) = label(&labels, "key") {
-            // Prefer the declared `# TYPE`; fall back to the suffix
-            // heuristic for expositions from other producers.
-            let is_counter = match types.get(name).map(String::as_str) {
-                Some("counter") => true,
-                Some(_) => false,
-                None => name.ends_with("_total"),
-            };
-            if is_counter {
-                snap.counters.push((key.to_owned(), value));
-            } else {
-                snap.gauges.push((key.to_owned(), value));
-            }
-        }
-    }
-    sort_last_wins(&mut snap.counters);
-    sort_last_wins(&mut snap.gauges);
-    for (stage, by_upper) in cums {
-        let sum = sums.get(&stage).copied().unwrap_or(0);
-        let max = maxes.get(&stage).copied().unwrap_or(0);
-        let h = histogram_from_cumulative(by_upper, sum, max);
-        snap.stages.push((stage, h));
-    }
-    for (stage, by_bucket) in exes {
-        snap.exemplars.push((stage, by_bucket.into_iter().collect()));
-    }
-    snap
 }
 
 /// Render the `/healthz` document: a one-line JSON liveness statement. The
@@ -1225,40 +1067,6 @@ impl FlightRecorder {
     }
 }
 
-/// The owning delta apply that [`HeldSnapshot::ingest`] replaced, kept as
-/// the reference for its tests.
-#[cfg(test)]
-impl TelemetrySnapshot {
-    /// Apply a delta body (the changed series of a `# EPOCH .. base=..`
-    /// exposition, parsed by [`parse_prom`]): every series in `delta`
-    /// *replaces* its slot here, new series are inserted in key order, and a
-    /// stage's exemplar rows are replaced, not merged.
-    pub(crate) fn apply_delta(&mut self, delta: &TelemetrySnapshot) {
-        fn upsert(dst: &mut Vec<(String, f64)>, src: &[(String, f64)]) {
-            for (k, v) in src {
-                match dst.binary_search_by(|(dk, _)| dk.as_str().cmp(k)) {
-                    Ok(i) => dst[i].1 = *v,
-                    Err(i) => dst.insert(i, (k.clone(), *v)),
-                }
-            }
-        }
-        upsert(&mut self.counters, &delta.counters);
-        upsert(&mut self.gauges, &delta.gauges);
-        for (name, h) in &delta.stages {
-            match self.stages.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.stages[i].1.clone_from(h),
-                Err(i) => self.stages.insert(i, (name.clone(), h.clone())),
-            }
-        }
-        for (name, rows) in &delta.exemplars {
-            match self.exemplars.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.exemplars[i].1.clone_from(rows),
-                Err(i) => self.exemplars.insert(i, (name.clone(), rows.clone())),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1324,8 +1132,8 @@ mod tests {
         // And through a full render/parse cycle via the instance label.
         let text = render_prom(weird, &sample_snapshot());
         for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let (_, labels, _) = parse_sample(line).expect(line);
-            assert_eq!(label(&labels, "instance"), Some(weird));
+            let (_, labels, _) = oracle::parse_sample(line).expect(line);
+            assert_eq!(oracle::label(&labels, "instance"), Some(weird));
         }
     }
 
@@ -1477,18 +1285,20 @@ mod tests {
         h.record(10);
         let mut ds = DeltaState::new();
         let e1 = ds.observe(&TelemetrySnapshot::capture(&m, &[("s.rtt".to_owned(), h.clone())]));
-        // Scraper state: parse the full body.
-        let (_, full) = render_split(&ds, None);
-        let mut held = parse_prom(&full);
+        // Scraper state: the full body.
+        let mut body = String::new();
+        ds.render_into("gw-0", None, &mut body);
+        let mut held = HeldSnapshot::new();
+        assert_eq!(held.apply(&body), Ingested::Full { regressed: false });
         // Mutate: counter bump, new counter, histogram record.
         m.bump("a.count", 2.0);
         m.bump("b.new", 9.0);
         h.record(50_000);
         ds.observe(&TelemetrySnapshot::capture(&m, &[("s.rtt".to_owned(), h)]));
-        let (_, delta) = render_split(&ds, Some(e1));
-        held.apply_delta(&parse_prom(&delta));
+        ds.render_into("gw-0", Some(e1), &mut body);
+        assert_eq!(held.apply(&body), Ingested::Delta { regressed: false });
         assert_eq!(
-            render_prom("gw-0", &held),
+            render_prom("gw-0", held.snapshot()),
             render_prom("gw-0", ds.snapshot()),
             "delta-applied snapshot must equal the live one byte-for-byte"
         );
@@ -1567,7 +1377,7 @@ mod tests {
             let mut h = Histogram::new();
             let mut ds = DeltaState::new();
             // Scraper-side state.
-            let mut held = TelemetrySnapshot::default();
+            let mut held = HeldSnapshot::new();
             let mut last_epoch: Option<u64> = None;
             for (step, (op, slot, val)) in ops.iter().enumerate() {
                 match op {
@@ -1584,15 +1394,12 @@ mod tests {
                 let hd = parse_epoch_header(&body).expect("header");
                 if hd.base.is_some() {
                     proptest::prop_assert_eq!(hd.base, last_epoch);
-                    held.apply_delta(&parse_prom(&body));
-                } else {
-                    held = parse_prom(&body);
                 }
+                proptest::prop_assert!(held.apply(&body) != Ingested::Gap);
                 last_epoch = Some(hd.epoch);
                 // Byte-identity with the live view at every step.
-                let _ = step;
                 proptest::prop_assert_eq!(
-                    render_prom("gw-0", &held),
+                    render_prom("gw-0", held.snapshot()),
                     render_prom("gw-0", ds.snapshot())
                 );
             }
@@ -1664,8 +1471,10 @@ mod tests {
         let base = TelemetrySnapshot::capture(&m, &[("gateway.stage".to_owned(), h)]);
         let mut ds = DeltaState::new();
         let e1 = ds.observe(&base);
-        let (_, full) = render_split(&ds, None);
-        let mut held = parse_prom(&full);
+        let mut body = String::new();
+        ds.render_into("gw-0", None, &mut body);
+        let mut held = HeldSnapshot::new();
+        held.apply(&body);
         let mut bumped = base.clone();
         bumped.exemplars = vec![(
             "gateway.stage".to_owned(),
@@ -1676,11 +1485,11 @@ mod tests {
         )];
         let e2 = ds.observe(&bumped);
         assert!(e2 > e1, "exemplar-only change must bump the epoch");
-        let (_, delta) = render_split(&ds, Some(e1));
-        assert!(delta.contains("trace_id=\"000000000005\""), "{delta}");
-        held.apply_delta(&parse_prom(&delta));
+        ds.render_into("gw-0", Some(e1), &mut body);
+        assert!(body.contains("trace_id=\"000000000005\""), "{body}");
+        assert_eq!(held.apply(&body), Ingested::Delta { regressed: false });
         assert_eq!(
-            render_prom("gw-0", &held),
+            render_prom("gw-0", held.snapshot()),
             render_prom("gw-0", ds.snapshot()),
             "delta-applied exemplars must match the live view"
         );
@@ -1738,7 +1547,7 @@ mod tests {
             let mut exes: std::collections::BTreeMap<u8, Exemplar> =
                 std::collections::BTreeMap::new();
             let mut ds = DeltaState::new();
-            let mut held = TelemetrySnapshot::default();
+            let mut held = HeldSnapshot::new();
             let mut last_epoch: Option<u64> = None;
             for (step, (op, val)) in ops.iter().enumerate() {
                 match op {
@@ -1762,14 +1571,10 @@ mod tests {
                 let mut body = String::new();
                 ds.render_into("gw-0", last_epoch, &mut body);
                 let hd = parse_epoch_header(&body).expect("header");
-                if hd.base.is_some() {
-                    held.apply_delta(&parse_prom(&body));
-                } else {
-                    held = parse_prom(&body);
-                }
+                proptest::prop_assert!(held.apply(&body) != Ingested::Gap);
                 last_epoch = Some(hd.epoch);
                 proptest::prop_assert_eq!(
-                    render_prom("gw-0", &held),
+                    render_prom("gw-0", held.snapshot()),
                     render_prom("gw-0", ds.snapshot())
                 );
             }

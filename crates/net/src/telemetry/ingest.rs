@@ -1,11 +1,11 @@
 //! Streaming scrape ingest: exposition bodies applied straight into the
 //! snapshot a scraper holds for one target.
 //!
-//! [`parse_prom`](super::parse_prom) builds a whole [`TelemetrySnapshot`]
-//! per body, with a `String` per label and a map entry per bucket, and a
-//! delta body then has to be folded into the held copy. [`HeldSnapshot`]
-//! scans the body once instead, borrowing family and label text from it, and
-//! updates counters, gauges, stage histograms and exemplar rows in place.
+//! [`HeldSnapshot`] scans a body once, borrowing family and label text from
+//! it, and updates counters, gauges, stage histograms and exemplar rows in
+//! place: no intermediate [`TelemetrySnapshot`], no `String` per label and
+//! no map entry per bucket. It is the only exposition parser outside tests;
+//! [`parse_prom`] is a fresh holder's full ingest.
 //!
 //! It also remembers, per target, where each label set (`{…}` exactly as it
 //! appeared on the wire) resolved to. Scrapes of one target repeat the same
@@ -18,12 +18,13 @@
 //! its snapshot corresponds to, applies a delta only over the `base=` it
 //! names, and reports a gap otherwise ([`HeldSnapshot::apply`]).
 //!
-//! The result is exactly the reference's: a full body leaves
-//! `parse_prom(body)`, and a delta leaves the old owning apply of
-//! `parse_prom(body)` over the held copy (`# TYPE`-declared kinds,
-//! last-wins repeats, stages rebuilt from cumulative buckets, exemplar rows
-//! replaced per stage). The tests below hold it to that on random delta
-//! streams, reordered lines and damaged bodies.
+//! The result is exactly that of the owning parser it replaced, kept as a
+//! `#[cfg(test)]` reference (`telemetry/oracle.rs`): a full body leaves the
+//! reference's parse of it, and a delta leaves the reference's owning apply
+//! of that parse over the held copy (`# TYPE`-declared kinds, last-wins
+//! repeats, stages rebuilt from cumulative buckets, exemplar rows replaced
+//! per stage). The tests below hold it to that on random delta streams,
+//! reordered lines and damaged bodies.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -220,6 +221,21 @@ impl Scratch {
             None => family.ends_with("_total"),
         }
     }
+}
+
+/// Parse text exposition (what [`render_prom`](super::render_prom) or a
+/// [`DeltaState`](super::DeltaState) writes) into a [`TelemetrySnapshot`]:
+/// a fresh [`HeldSnapshot`]'s full ingest. Counter and gauge keys come from
+/// the `key` label, so sanitization is lossless, and their kind from the
+/// family's `# TYPE` line (an undeclared family is a counter when its name
+/// ends in `_total`). Stage histograms are rebuilt from the cumulative
+/// `_bucket` series plus `_sum` and `_max`. Unknown lines, an `# EPOCH`
+/// header among them, are ignored, and a series repeated in one body takes
+/// its last line's value.
+pub fn parse_prom(text: &str) -> TelemetrySnapshot {
+    let mut held = HeldSnapshot::new();
+    held.ingest(text, true);
+    held.snap
 }
 
 impl HeldSnapshot {
@@ -709,19 +725,9 @@ mod tests {
     use super::*;
     use crate::metrics::Metrics;
     use crate::obs::Histogram;
-    use crate::telemetry::{parse_epoch_header, parse_prom, render_prom, DeltaState};
+    use crate::telemetry::oracle;
+    use crate::telemetry::{parse_epoch_header, render_prom, DeltaState};
     use proptest::collection::vec;
-
-    /// The reference ingest: parse the whole body, then replace the held
-    /// copy (full) or apply the parsed delta over it.
-    fn reference(held: &mut TelemetrySnapshot, body: &str, full: bool) {
-        let parsed = parse_prom(body);
-        if full {
-            *held = parsed;
-        } else {
-            held.apply_delta(&parsed);
-        }
-    }
 
     /// A snapshot with its floats as bits, so NaN samples compare equal.
     type Bits = (
@@ -750,7 +756,7 @@ mod tests {
         full: bool,
     ) -> Result<(), String> {
         held.ingest(body, full);
-        reference(want, body, full);
+        oracle::apply(want, body, full);
         if bits(held.snapshot()) == bits(want) {
             Ok(())
         } else {
@@ -1094,7 +1100,7 @@ mod tests {
             }
             step(&mut held, &mut want, &shuffled, true)?;
             step(&mut held, &mut want, &shuffled, false)?;
-            proptest::prop_assert_eq!(bits(held.snapshot()), bits(&parse_prom(&full)));
+            proptest::prop_assert_eq!(bits(held.snapshot()), bits(&oracle::parse_prom(&full)));
         }
     }
 
@@ -1165,7 +1171,7 @@ mod tests {
         assert_eq!(held.apply(legacy), Ingested::Full { regressed: false });
         assert_eq!(
             held.snapshot(),
-            &parse_prom(legacy),
+            &oracle::parse_prom(legacy),
             "series it lacks are dropped"
         );
         assert_eq!(held.epoch(), None, "no header, no epoch to delta over");

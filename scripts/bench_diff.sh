@@ -176,10 +176,11 @@ for baseline in "$baseline_dir"/BENCH_*.json; do
     status=1
   fi
   # Every full body the A/B served, streamed into a fresh held snapshot,
-  # must equal the reference parser's snapshot — always a hard failure.
+  # must equal the snapshot it was rendered from: ingest that differs from
+  # the rendered snapshot is always a hard failure.
   ingest_ref=$(sed -n 's/.*"ingest_reference_match": *\(true\|false\).*/\1/p' "$report" | head -1)
   if [[ "$ingest_ref" == "false" ]]; then
-    printf '%-28s streaming ingest differs from parse_prom   INGEST REFERENCE MISMATCH\n' "$name"
+    printf '%-28s ingest differs from the rendered snapshot   INGEST REFERENCE MISMATCH\n' "$name"
     status=1
   fi
 

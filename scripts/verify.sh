@@ -36,6 +36,7 @@ pdbench_pinned() {
 pdbench_pinned 69a31352277dfa9b --workload fleet_ops > /dev/null
 pdbench_pinned 50193c3905865c34 --workload bulk_pi > /dev/null
 pdbench_pinned 90c9e1e39da3699e --workload roaming > /dev/null
+pdbench_pinned 2a47fcc9e1cc6d67 --workload lossy > /dev/null
 
 # Codec and XML smoke: one traced bulk_pi pass pushes a thousand 48 KB PIs
 # through the streaming XML writer, compress and decompress; pdbench exits
@@ -82,8 +83,8 @@ cargo build --release -p pdagent-bench --bin soak
 # Federation delta-plane smoke: the 300-cell A/B must keep the merged
 # rollup byte-identical between delta and full scrape modes while moving at
 # least 3x fewer bytes per round, and every full body's streaming ingest must
-# equal the reference parser's snapshot (the binary exits nonzero on any of
-# these gates).
+# equal the snapshot the body was rendered from; ingest that differs from the
+# rendered snapshot fails (the binary exits nonzero on any of these gates).
 cargo build --release -p pdagent-bench --bin fed_bench
 ./target/release/fed_bench 300 12 42 > /dev/null
 
