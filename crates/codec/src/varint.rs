@@ -104,19 +104,30 @@ pub fn write_str(out: &mut Vec<u8>, s: &str) {
     write_bytes(out, s.as_bytes());
 }
 
-/// Read a length-prefixed field from `input` at `*pos`, advancing `*pos`
-/// past it. The field is borrowed from `input`, and a length that runs past
-/// its end is an error: nothing is allocated, whatever the length claims.
-pub fn read_bytes<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a [u8], FieldError> {
+/// Read a field's length prefix at `*pos`, advancing `*pos` past the prefix
+/// only, and borrow the field it announces. A length that runs past the end
+/// of `input` is an error: nothing is allocated, whatever the length claims.
+fn field<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a [u8], FieldError> {
     let len = read_usize(input, pos)?;
-    let field = input[*pos..].get(..len).ok_or(FieldError::Truncated)?;
-    *pos += len;
-    Ok(field)
+    input[*pos..].get(..len).ok_or(FieldError::Truncated)
 }
 
-/// [`read_bytes`] for a UTF-8 string field.
+/// Read a length-prefixed field from `input` at `*pos`, advancing `*pos`
+/// past it. The field is borrowed from `input`. On a field that runs past
+/// the end, `*pos` stays just after the length prefix.
+pub fn read_bytes<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a [u8], FieldError> {
+    let bytes = field(input, pos)?;
+    *pos += bytes.len();
+    Ok(bytes)
+}
+
+/// [`read_bytes`] for a UTF-8 string field. The field is checked before
+/// `*pos` moves past it, so on [`FieldError::NotUtf8`] too `*pos` stays
+/// just after the length prefix.
 pub fn read_str<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a str, FieldError> {
-    std::str::from_utf8(read_bytes(input, pos)?).map_err(|_| FieldError::NotUtf8)
+    let s = std::str::from_utf8(field(input, pos)?).map_err(|_| FieldError::NotUtf8)?;
+    *pos += s.len();
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -197,7 +208,10 @@ mod tests {
         }
         let mut pos = 0;
         assert_eq!(read_bytes(&[0x80], &mut pos), Err(FieldError::Length(VarintError::Truncated)));
-        assert_eq!(read_str(&[1, 0xff], &mut 0), Err(FieldError::NotUtf8));
+        // A non-UTF-8 string leaves `pos` just after its length prefix.
+        let mut pos = 0;
+        assert_eq!(read_str(&[1, 0xff], &mut pos), Err(FieldError::NotUtf8));
+        assert_eq!(pos, 1);
     }
 
     #[test]

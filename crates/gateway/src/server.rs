@@ -13,7 +13,8 @@ use pdagent_crypto::rsa::{KeyPair, PublicKey};
 use pdagent_mas::server::{
     decode_control, decode_control_resp, encode_control, ControlOp, SiteDirectory,
 };
-use pdagent_mas::{AgentId, Itinerary, MobileAgent, KIND_COMPLETE, KIND_CONTROL, KIND_CONTROL_RESP, KIND_TRANSFER, KIND_ACK};
+use pdagent_mas::transfer::TransferSender;
+use pdagent_mas::{AgentId, Itinerary, MobileAgent, KIND_ACK, KIND_COMPLETE, KIND_CONTROL, KIND_CONTROL_RESP};
 use pdagent_net::http::{reply, HttpRequest, HttpStatus};
 use pdagent_net::prelude::*;
 use pdagent_net::telemetry::TelemetryServer;
@@ -57,10 +58,6 @@ const PROCESSING_BASE: SimDuration = SimDuration::from_millis(20);
 const PROCESSING_PER_KIB: SimDuration = SimDuration::from_millis(2);
 /// Compression used for subscription payloads and result documents.
 const COMPRESSION: Algorithm = Algorithm::Auto;
-/// Ack timeout for agent transfers to the first site.
-const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-/// Transfer attempts before skipping the first site.
-const MAX_TRANSFER_ATTEMPTS: u32 = 3;
 /// How long a collected agent — its `dispatched` entry plus its stored
 /// result — is kept after its first collect, for re-download and `Status`.
 /// Uncollected results are held until the device comes back for them.
@@ -83,30 +80,22 @@ struct ManagePending {
     outstanding: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TagKind {
-    /// Finish processing a dispatch and launch the agent.
-    Launch,
-    /// Transfer ack timeout.
-    AckTimeout,
-}
-
 /// The gateway node.
 pub struct GatewayNode {
     config: GatewayConfig,
     keys: KeyPair,
     registry: KeyRegistry,
     catalog: HashMap<String, Program>,
-    directory: SiteDirectory,
     next_agent: u64,
     next_code: u64,
     dispatched: HashMap<String, DispatchState>,
     results: HashMap<String, ResultDoc>,
-    /// Agents being processed or awaiting transfer acks, keyed by id.
-    staging: HashMap<String, (MobileAgent, u32)>,
-    tags: HashMap<u64, (String, TagKind)>,
+    /// Agents in their processing delay, keyed by the timer that launches
+    /// them into `transfers`, the first hop's sender.
+    launching: HashMap<u64, MobileAgent>,
     next_tag: u64,
-    pending_manage: HashMap<(u8, String), ManagePending>,
+    transfers: TransferSender,
+    pending_manage: HashMap<(ControlOp, String), ManagePending>,
     /// One reply slot per client: the id, status and body of the latest
     /// request whose answer was cached. A handheld has one request in flight
     /// at a time and its `HttpClient` ids only grow, so a retransmission
@@ -130,8 +119,7 @@ pub struct GatewayNode {
     /// Observability side table: journey context (trace id + journey root
     /// span, taken from the dispatch request) and the open `gateway.stage`
     /// span per agent. Kept outside [`MobileAgent`] so the agent wire format
-    /// is untouched; needed because [`GatewayNode::launch`] re-creates the
-    /// transfer message on every retry.
+    /// is untouched.
     obs: HashMap<String, (ObsContext, u32)>,
     /// Human-readable event log.
     pub log: Vec<String>,
@@ -148,17 +136,16 @@ impl GatewayNode {
     pub fn new(config: GatewayConfig, directory: SiteDirectory) -> GatewayNode {
         let keys = KeyPair::generate(config.key_seed);
         GatewayNode {
+            transfers: TransferSender::new("gateway", config.name.clone(), directory),
             config,
             keys,
             registry: KeyRegistry::new(),
             catalog: HashMap::new(),
-            directory,
             next_agent: 0,
             next_code: 0,
             dispatched: HashMap::new(),
             results: HashMap::new(),
-            staging: HashMap::new(),
-            tags: HashMap::new(),
+            launching: HashMap::new(),
             next_tag: 0,
             pending_manage: HashMap::new(),
             replies: HashMap::new(),
@@ -239,12 +226,6 @@ impl GatewayNode {
     /// Result for an agent (inspection in tests/harnesses).
     pub fn result_for(&self, agent_id: &str) -> Option<&ResultDoc> {
         self.results.get(agent_id)
-    }
-
-    fn fresh_tag(&mut self, agent_id: &str, kind: TagKind) -> u64 {
-        self.next_tag += 1;
-        self.tags.insert(self.next_tag, (agent_id.to_owned(), kind));
-        self.next_tag
     }
 
     fn processing_delay(&self, payload_bytes: usize) -> SimDuration {
@@ -378,9 +359,9 @@ impl GatewayNode {
         let stage = ctx.span_begin(req.obs.trace, req.obs.span, "gateway.stage");
         self.obs.insert(agent_id.clone(), (req.obs, stage));
         let delay = self.processing_delay(req.body.len());
-        let tag = self.fresh_tag(&agent_id, TagKind::Launch);
-        ctx.set_timer(delay, tag);
-        self.staging.insert(agent_id.clone(), (agent, 1));
+        self.next_tag += 1;
+        ctx.set_timer(delay, self.next_tag);
+        self.launching.insert(self.next_tag, agent);
         ctx.metrics().bump("gateway.dispatches", 1.0);
         self.log.push(format!("{}: dispatching agent {agent_id}", self.config.name));
     }
@@ -427,7 +408,7 @@ impl GatewayNode {
         // out: ignore; the pending completion will answer it.
         if self
             .pending_manage
-            .get(&(op_byte(op), id.0.clone()))
+            .get(&(op, id.0.clone()))
             .is_some_and(|p| p.device == from && p.request.req_id == req.req_id)
         {
             return;
@@ -456,10 +437,10 @@ impl GatewayNode {
             return;
         }
         // Fan the control request out to every MAS site.
-        let sites = self.directory.names();
+        let directory = self.transfers.directory();
         let mut outstanding = 0;
-        for site in &sites {
-            if let Some(node) = self.directory.resolve(site) {
+        for site in &directory.names() {
+            if let Some(node) = directory.resolve(site) {
                 ctx.send(node, Message::new(KIND_CONTROL, encode_control(op, &id)));
                 outstanding += 1;
             }
@@ -470,14 +451,14 @@ impl GatewayNode {
         }
         ctx.metrics().bump("gateway.manage_relayed", 1.0);
         self.pending_manage.insert(
-            (op_byte(op), id.0.clone()),
+            (op, id.0.clone()),
             ManagePending { device: from, request: req.clone(), outstanding },
         );
     }
 
     fn handle_control_resp(&mut self, ctx: &mut Ctx<'_>, body: &[u8]) {
         let Some((op, id, found, payload)) = decode_control_resp(body) else { return };
-        let key = (op_byte(op), id.0.clone());
+        let key = (op, id.0.clone());
         let Some(pending) = self.pending_manage.get_mut(&key) else { return };
         if found {
             let pending = self.pending_manage.remove(&key).expect("present");
@@ -510,33 +491,7 @@ impl GatewayNode {
         }
     }
 
-    // --- agent launch & return -------------------------------------------
-
-    fn launch(&mut self, ctx: &mut Ctx<'_>, agent_id: &str, attempts: u32) {
-        let Some((mut agent, _)) = self.staging.remove(agent_id) else { return };
-        // Find the first resolvable site, skipping unknown ones.
-        while let Some(site) = agent.next_site().map(str::to_owned) {
-            if self.directory.resolve(&site).is_some() {
-                break;
-            }
-            agent.push_result(&self.config.name, "unreachable", site.into());
-            agent.next_hop += 1;
-        }
-        match agent.next_site().map(str::to_owned) {
-            Some(site) => {
-                let node = self.directory.resolve(&site).expect("checked above");
-                let octx = self.obs.get(agent_id).map(|&(c, _)| c).unwrap_or_default();
-                ctx.send(node, Message::new(KIND_TRANSFER, agent.to_bytes()).traced(octx));
-                let tag = self.fresh_tag(agent_id, TagKind::AckTimeout);
-                ctx.set_timer(ACK_TIMEOUT, tag);
-                self.staging.insert(agent_id.to_owned(), (agent, attempts));
-            }
-            None => {
-                // Entire itinerary unreachable: complete immediately.
-                self.store_result(ctx, agent);
-            }
-        }
-    }
+    // --- agent return ----------------------------------------------------
 
     fn store_result(&mut self, ctx: &mut Ctx<'_>, agent: MobileAgent) {
         // A second completion (a transfer retried past an ack the paused
@@ -584,15 +539,6 @@ fn code_secret(operator_secret: &str, id: &UniqueId) -> String {
     md5_hex(format!("{operator_secret}/{}", id.0).as_bytes())
 }
 
-fn op_byte(op: ControlOp) -> u8 {
-    match op {
-        ControlOp::Status => 1,
-        ControlOp::Retract => 2,
-        ControlOp::Dispose => 3,
-        ControlOp::Clone => 4,
-    }
-}
-
 impl Node for GatewayNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
         self.evict(ctx);
@@ -607,8 +553,8 @@ impl Node for GatewayNode {
                 }
             }
             KIND_ACK => {
-                if let Ok(id) = std::str::from_utf8(&msg.body) {
-                    self.staging.remove(id);
+                if let Some(agent) = self.transfers.on_ack(&msg.body) {
+                    let id = &agent.id.0;
                     // Staging ends when the first MAS acks the transfer.
                     if let Some(&(_, stage)) = self.obs.get(id) {
                         ctx.span_end(stage);
@@ -654,29 +600,17 @@ impl Node for GatewayNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        let Some((agent_id, kind)) = self.tags.remove(&tag) else { return };
-        match kind {
-            TagKind::Launch => self.launch(ctx, &agent_id, 1),
-            TagKind::AckTimeout => {
-                let Some((_, attempts)) = self.staging.get(&agent_id) else {
-                    return; // acked
-                };
-                let attempts = *attempts;
-                if attempts >= MAX_TRANSFER_ATTEMPTS {
-                    // First site unreachable: skip it and try the next.
-                    if let Some((mut agent, _)) = self.staging.remove(&agent_id) {
-                        let site = agent.next_site().unwrap_or("?").to_owned();
-                        agent.push_result(&self.config.name, "unreachable", site.into());
-                        agent.next_hop += 1;
-                        ctx.metrics().bump("gateway.hops_skipped", 1.0);
-                        self.staging.insert(agent_id.clone(), (agent, 1));
-                        self.launch(ctx, &agent_id, 1);
-                    }
-                } else {
-                    ctx.metrics().bump("gateway.transfer_retries", 1.0);
-                    self.launch(ctx, &agent_id, attempts + 1);
-                }
+        // Processing is over: launch the agent. One with no reachable site
+        // left, at launch or once the sender gave up on the last one, is home.
+        let home = match self.launching.remove(&tag) {
+            Some(agent) => {
+                let octx = self.obs.get(&agent.id.0).map(|&(c, _)| c).unwrap_or_default();
+                self.transfers.send(ctx, agent, octx)
             }
+            None => self.transfers.on_timer(ctx, tag),
+        };
+        if let Some(agent) = home {
+            self.store_result(ctx, agent);
         }
     }
 }
@@ -1154,6 +1088,28 @@ mod tests {
         assert_eq!(parsed.gauges, snap.gauges);
         assert_eq!(parsed.counter("gateway.completed_evictions"), 1.0);
         assert_eq!(parsed.gauge("gateway.replay_entries"), 1.0);
+    }
+
+    #[test]
+    fn cut_first_site_is_retried_then_skipped_by_the_gateway() {
+        let (mut sim, gateway, device) = build(25);
+        sim.cut_link(gateway, 1);
+        sim.run_until_idle();
+        let m = sim.metrics(gateway);
+        assert_eq!(m.counter("gateway.transfer_retries"), 2.0);
+        assert_eq!(m.counter("gateway.hops_skipped"), 1.0);
+        let d = sim.node_ref::<ScriptDevice>(device).unwrap();
+        let result = d.result.as_ref().expect("result collected");
+        // The gateway records the miss under its own name, and the agent
+        // goes on to the second site.
+        let unreachable: Vec<(&str, String)> = result
+            .entries_for("unreachable")
+            .map(|e| (e.site.as_str(), e.value.render()))
+            .collect();
+        assert_eq!(unreachable, vec![("gw-1", "bank-a".to_owned())]);
+        let sites: Vec<&str> =
+            result.entries_for("receipt").map(|e| e.site.as_str()).collect();
+        assert_eq!(sites, vec!["bank-b"]);
     }
 
     #[test]

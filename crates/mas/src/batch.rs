@@ -7,11 +7,14 @@
 //! This type is the reproduction's proof of that: a MAS with a completely
 //! different execution discipline (arrivals are queued and executed in
 //! periodic batches, the way cron-driven or thread-pool-per-tick servers
-//! behave, instead of [`crate::MasNode`]'s per-arrival scheduling), no ack
-//! retries (it relies on the sender's retry), and its own CPU model — yet
-//! agents flow through itineraries that mix both server kinds because the
-//! wire contract (`mas.transfer`/`mas.ack`/`mas.complete` + the agent
-//! serialization) is all they share.
+//! behave, instead of [`crate::MasNode`]'s per-arrival scheduling),
+//! fire-and-forget forwarding instead of [`crate::MasNode`]'s acked
+//! [`crate::transfer::TransferSender`] (it relies on the *sender's* retry),
+//! and its own CPU model — yet agents flow through itineraries that mix both
+//! server kinds because both speak the wire contract (`mas.transfer`/
+//! `mas.ack`/`mas.complete` + the agent serialization). Arrivals enter
+//! through the intake both kinds share, [`crate::transfer::receive`]
+//! (decode, ack, drop a duplicate, open the `itinerary.hop` span).
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -22,7 +25,8 @@ use pdagent_vm::Value;
 use crate::agent::MobileAgent;
 use crate::server::{run_visit, SiteDirectory};
 use crate::service::Service;
-use crate::{KIND_ACK, KIND_COMPLETE, KIND_TRANSFER};
+use crate::transfer;
+use crate::{KIND_COMPLETE, KIND_TRANSFER};
 
 const TAG_TICK: u64 = 1;
 
@@ -104,26 +108,17 @@ impl BatchMasNode {
 
 impl Node for BatchMasNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
-        if msg.kind == KIND_TRANSFER {
-            if let Ok(agent) = MobileAgent::from_bytes(&msg.body) {
-                ctx.send(from, Message::new(KIND_ACK, agent.id.0.clone().into_bytes()));
-                // Duplicate (our ack was lost)? Drop it.
-                if self.queue.iter().any(|(a, _, _)| a.id == agent.id) {
-                    return;
-                }
-                // Residence span: queued-waiting-for-tick counts as part of
-                // the hop — that wait is the batch server's defining cost.
-                let hop = ctx.span_begin_indexed(
-                    msg.obs.trace,
-                    msg.obs.span,
-                    "itinerary.hop",
-                    Some(agent.next_hop as u32),
-                );
-                self.queue.push_back((agent, msg.obs, hop));
-                ctx.metrics().set_gauge("batchmas.queued_agents", self.queue.len() as f64);
-                let delay = self.tick;
-                self.arm_tick(ctx, delay);
-            }
+        if msg.kind != KIND_TRANSFER {
+            return;
+        }
+        let resident = |id: &_| self.queue.iter().any(|(a, _, _)| a.id == *id);
+        if let Some(arrival) = transfer::receive(ctx, "batchmas", from, &msg, resident) {
+            // The hop span covers the queued wait for the tick — that wait
+            // is the batch server's defining cost.
+            self.queue.push_back(arrival);
+            ctx.metrics().set_gauge("batchmas.queued_agents", self.queue.len() as f64);
+            let delay = self.tick;
+            self.arm_tick(ctx, delay);
         }
     }
 

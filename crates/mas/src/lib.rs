@@ -16,15 +16,17 @@
 //! (destroy it), *clone* (fork a copy that continues independently) and
 //! *status* — the same verb set Aglets exposes.
 //!
-//! Reliability: agent transfers are acknowledged; if the next site is down,
-//! the sender skips it after a timeout, records the miss in the agent's
-//! results, and continues — so one dead bank does not strand the user's
-//! e-banking agent.
+//! Reliability: agent transfers are acknowledged, all through one sender
+//! ([`transfer::TransferSender`]: the gateway's first hop and every
+//! [`server::MasNode`] hop). If the next site is down, it skips it after a
+//! timeout, records the miss in the agent's results, and continues — so one
+//! dead bank does not strand the user's e-banking agent.
 
 pub mod agent;
 pub mod batch;
 pub mod server;
 pub mod service;
+pub mod transfer;
 
 pub use agent::{AgentId, AgentRecord, Itinerary, MobileAgent, ResultEntry};
 pub use batch::BatchMasNode;

@@ -7,12 +7,8 @@ use pdagent_vm::{run, Host, Outcome, Value};
 
 use crate::agent::{AgentId, AgentRecord, MobileAgent};
 use crate::service::Service;
+use crate::transfer::{self, TransferSender};
 use crate::{KIND_ACK, KIND_COMPLETE, KIND_CONTROL, KIND_CONTROL_RESP, KIND_TRANSFER};
-
-/// How long to wait for a transfer ack before retrying.
-const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-/// Transfer attempts (including the first) before skipping the site.
-const MAX_TRANSFER_ATTEMPTS: u32 = 3;
 
 /// Execution-time model for the site CPU: running an agent that executes
 /// `n` VM instructions occupies the site for `base + n * per_instruction`.
@@ -70,29 +66,21 @@ impl SiteDirectory {
     }
 }
 
-/// Control operations (paper §3.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Control operations (paper §3.6); the discriminant is the wire byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum ControlOp {
     /// Query the agent's status.
-    Status,
+    Status = 1,
     /// Pull the agent back to the requester immediately.
-    Retract,
+    Retract = 2,
     /// Destroy the agent.
-    Dispose,
+    Dispose = 3,
     /// Fork a copy that continues independently.
-    Clone,
+    Clone = 4,
 }
 
 impl ControlOp {
-    fn to_byte(self) -> u8 {
-        match self {
-            ControlOp::Status => 1,
-            ControlOp::Retract => 2,
-            ControlOp::Dispose => 3,
-            ControlOp::Clone => 4,
-        }
-    }
-
     fn from_byte(b: u8) -> Option<ControlOp> {
         match b {
             1 => Some(ControlOp::Status),
@@ -106,7 +94,7 @@ impl ControlOp {
 
 /// Encode a control request message body.
 pub fn encode_control(op: ControlOp, id: &AgentId) -> Vec<u8> {
-    let mut out = vec![op.to_byte()];
+    let mut out = vec![op as u8];
     out.extend_from_slice(id.0.as_bytes());
     out
 }
@@ -122,7 +110,7 @@ pub fn decode_control(body: &[u8]) -> Option<(ControlOp, AgentId)> {
 /// The echoed agent id lets a gateway correlate responses when it has
 /// several management requests outstanding.
 pub fn encode_control_resp(op: ControlOp, id: &AgentId, found: bool, payload: &[u8]) -> Vec<u8> {
-    let mut out = vec![op.to_byte(), found as u8];
+    let mut out = vec![op as u8, found as u8];
     pdagent_codec::varint::write_str(&mut out, &id.0);
     out.extend_from_slice(payload);
     out
@@ -135,17 +123,6 @@ pub fn decode_control_resp(body: &[u8]) -> Option<(ControlOp, AgentId, bool, &[u
     let mut pos = 2;
     let id = AgentId(pdagent_codec::varint::read_str(body, &mut pos).ok()?.to_owned());
     Some((op, id, found, &body[pos..]))
-}
-
-#[derive(Debug)]
-enum Slot {
-    /// Executing on the site CPU; departs when the timer fires.
-    Executing,
-    /// Sent onward; retained until the receiver acks. `wire` caches the
-    /// serialized transfer frame: the agent is frozen while awaiting an ack,
-    /// so retries clone the same buffer instead of re-serializing (and the
-    /// cached frame keeps its observability context across retries).
-    AwaitingAck { attempts: u32, wire: Message },
 }
 
 /// Observability state for one resident agent, kept beside (not inside) the
@@ -250,12 +227,15 @@ pub(crate) fn run_visit(
 /// The mobile-agent server node.
 pub struct MasNode {
     site_name: String,
-    directory: SiteDirectory,
     services: HashMap<String, Box<dyn Service>>,
     cpu: CpuModel,
-    agents: HashMap<AgentId, (MobileAgent, Slot)>,
+    /// Agents executing on the site CPU; each departs when its timer fires.
+    agents: HashMap<AgentId, MobileAgent>,
+    /// Agents sent onward and retained until the next site acks.
+    transfers: TransferSender,
     obs: HashMap<AgentId, AgentObs>,
-    tags: HashMap<u64, (AgentId, TagKind)>,
+    /// Departure timers: tag → agent.
+    tags: HashMap<u64, AgentId>,
     next_tag: u64,
     clones: u64,
     /// Human-readable event log (tests and demos inspect this).
@@ -265,18 +245,13 @@ pub struct MasNode {
     telemetry: pdagent_net::telemetry::TelemetryServer,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TagKind {
-    Depart,
-    AckTimeout,
-}
-
 impl MasNode {
     /// A MAS for `site_name` with a directory of peer sites.
     pub fn new(site_name: impl Into<String>, directory: SiteDirectory) -> MasNode {
+        let site_name = site_name.into();
         MasNode {
-            site_name: site_name.into(),
-            directory,
+            transfers: TransferSender::new("mas", site_name.clone(), directory),
+            site_name,
             services: HashMap::new(),
             cpu: CpuModel::default(),
             agents: HashMap::new(),
@@ -305,121 +280,84 @@ impl MasNode {
         &self.site_name
     }
 
-    /// Ids of agents currently present (executing or awaiting ack).
-    pub fn resident_agents(&self) -> Vec<AgentId> {
-        let mut v: Vec<AgentId> = self.agents.keys().cloned().collect();
-        v.sort();
-        v
+    /// A resident agent, executing or awaiting its transfer ack.
+    fn resident(&self, id: &AgentId) -> Option<&MobileAgent> {
+        self.agents.get(id).or_else(|| self.transfers.get(id))
     }
 
-    fn fresh_tag(&mut self, id: &AgentId, kind: TagKind) -> u64 {
-        self.next_tag += 1;
-        self.tags.insert(self.next_tag, (id.clone(), kind));
-        self.next_tag
+    /// Take a resident agent off this site (retract, dispose).
+    fn take_resident(&mut self, id: &AgentId) -> Option<MobileAgent> {
+        self.agents.remove(id).or_else(|| self.transfers.cancel(id))
+    }
+
+    fn set_resident_gauge(&self, ctx: &mut Ctx<'_>) {
+        let resident = self.agents.len() + self.transfers.in_flight();
+        ctx.metrics().set_gauge("mas.resident_agents", resident as f64);
     }
 
     /// Execute an arriving agent on this site and schedule its departure.
     fn execute_and_schedule(&mut self, ctx: &mut Ctx<'_>, mut agent: MobileAgent) {
-        let should_run = agent.next_site() == Some(self.site_name.as_str());
-        if should_run {
+        // A mis-routed or already-finished agent is relayed without running.
+        let mut delay = SimDuration::from_millis(1);
+        if agent.next_site() == Some(self.site_name.as_str()) {
             let (executed, ended) = run_visit(&self.site_name, &mut self.services, &mut agent);
             if let Some(why) = ended {
                 self.log.push(format!("{}: agent {} {why}", self.site_name, agent.id));
             }
             ctx.metrics().bump("mas.agents_executed", 1.0);
             ctx.metrics().bump("mas.instructions", executed as f64);
-            let delay = self.cpu.exec_time(executed);
+            delay = self.cpu.exec_time(executed);
             // `mas.exec` covers the modeled CPU occupancy: now → departure.
             if let Some(o) = self.obs.get_mut(&agent.id) {
                 let (trace, hop) = (o.jctx.trace, o.hop);
                 o.exec = ctx.span_begin(trace, hop, "mas.exec");
             }
-            let tag = self.fresh_tag(&agent.id, TagKind::Depart);
-            ctx.set_timer(delay, tag);
-            self.agents.insert(agent.id.clone(), (agent, Slot::Executing));
-        } else {
-            // Relay without executing (mis-routed or already-finished agent).
-            let tag = self.fresh_tag(&agent.id, TagKind::Depart);
-            ctx.set_timer(SimDuration::from_millis(1), tag);
-            self.agents.insert(agent.id.clone(), (agent, Slot::Executing));
         }
+        self.next_tag += 1;
+        self.tags.insert(self.next_tag, agent.id.clone());
+        ctx.set_timer(delay, self.next_tag);
+        self.agents.insert(agent.id.clone(), agent);
     }
 
-    /// Send the agent onward (next site or origin). Called at departure time
-    /// and on ack-timeout retries.
-    fn depart(&mut self, ctx: &mut Ctx<'_>, id: &AgentId, attempts: u32) {
-        let Some((agent, slot)) = self.agents.remove(id) else { return };
-        let jctx = match self.obs.get_mut(id) {
+    /// Send the agent onward: to the next site through the transfer sender,
+    /// or home once its itinerary is over.
+    fn depart(&mut self, ctx: &mut Ctx<'_>, id: &AgentId) {
+        let Some(agent) = self.agents.remove(id) else { return };
+        let jctx = match self.obs.get(id) {
             Some(o) => {
-                // CPU occupancy ends at departure time (idempotent on ack
-                // retries, where the exec span is long closed).
+                // CPU occupancy ends at departure time.
                 ctx.span_end(o.exec);
                 o.jctx
             }
             None => ObsContext::NONE,
         };
-        if agent.done() {
-            // Return to the origin gateway.
-            let origin = agent.origin as NodeId;
-            let body = agent.to_bytes();
-            ctx.send(origin, Message::new(KIND_COMPLETE, body).traced(jctx));
-            if let Some(o) = self.obs.remove(id) {
-                ctx.span_end(o.hop);
-            }
-            ctx.metrics().set_gauge("mas.resident_agents", self.agents.len() as f64);
-            self.log.push(format!("{}: agent {} returned to origin", self.site_name, id));
-            // Origin delivery runs over the (reliable, wired) backbone; no ack.
-            return;
-        }
-        let next_name = agent.next_site().expect("not done").to_owned();
-        match self.directory.resolve(&next_name) {
-            Some(next_node) => {
-                let wire = match slot {
-                    Slot::AwaitingAck { wire, .. } => wire,
-                    _ => Message::new(KIND_TRANSFER, agent.to_bytes()).traced(jctx),
-                };
-                let sent = ctx.send(next_node, wire.clone());
-                let tag = self.fresh_tag(id, TagKind::AckTimeout);
-                ctx.set_timer(ACK_TIMEOUT, tag);
-                self.agents.insert(id.clone(), (agent, Slot::AwaitingAck { attempts, wire }));
-                if !sent {
-                    ctx.metrics().bump("mas.transfer_send_failed", 1.0);
-                }
-            }
-            None => {
-                // Unknown site: skip it.
-                self.skip_current_hop(ctx, agent, &next_name);
-            }
+        if let Some(agent) = self.transfers.send(ctx, agent, jctx) {
+            self.return_home(ctx, agent);
         }
     }
 
-    /// Close any open spans for an agent leaving this site abnormally
-    /// (retract/dispose) and drop its side-table entry. Returns the journey
-    /// context for stamping a final message.
+    /// Return a finished agent to its origin gateway. Origin delivery runs
+    /// over the (reliable, wired) backbone; no ack.
+    fn return_home(&mut self, ctx: &mut Ctx<'_>, agent: MobileAgent) {
+        let jctx = self.close_agent_obs(ctx, &agent.id);
+        let complete = Message::new(KIND_COMPLETE, agent.to_bytes()).traced(jctx);
+        ctx.send(agent.origin as NodeId, complete);
+        self.log.push(format!("{}: agent {} returned to origin", self.site_name, agent.id));
+    }
+
+    /// Close any open spans for an agent leaving this site and drop its
+    /// side-table entry. Returns the journey context for stamping a final
+    /// message.
     fn close_agent_obs(&mut self, ctx: &mut Ctx<'_>, id: &AgentId) -> ObsContext {
         match self.obs.remove(id) {
             Some(o) => {
                 ctx.span_end(o.exec);
                 ctx.span_end(o.hop);
-                ctx.metrics().set_gauge("mas.resident_agents", self.agents.len() as f64);
+                self.set_resident_gauge(ctx);
                 o.jctx
             }
             None => ObsContext::NONE,
         }
-    }
-
-    fn skip_current_hop(&mut self, ctx: &mut Ctx<'_>, mut agent: MobileAgent, site: &str) {
-        agent.push_result(
-            &self.site_name,
-            "unreachable",
-            Value::Str(site.to_owned()),
-        );
-        agent.next_hop += 1;
-        ctx.metrics().bump("mas.hops_skipped", 1.0);
-        self.log.push(format!("{}: skipping unreachable site {site} for agent {}", self.site_name, agent.id));
-        let id = agent.id.clone();
-        self.agents.insert(id.clone(), (agent, Slot::Executing));
-        self.depart(ctx, &id, 1);
     }
 
     fn handle_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, body: &[u8]) {
@@ -431,7 +369,7 @@ impl MasNode {
         };
         match op {
             ControlOp::Status => {
-                let payload = self.agents.get(&id).map(|(agent, _)| {
+                let payload = self.resident(&id).map(|agent| {
                     AgentRecord {
                         id: id.clone(),
                         site: self.site_name.clone(),
@@ -443,8 +381,8 @@ impl MasNode {
                 });
                 ctx.send(from, resp(payload.is_some(), payload.unwrap_or_default()));
             }
-            ControlOp::Retract => match self.agents.remove(&id) {
-                Some((mut agent, _)) => {
+            ControlOp::Retract => match self.take_resident(&id) {
+                Some(mut agent) => {
                     agent.push_result(&self.site_name, "retracted", Value::Bool(true));
                     agent.next_hop = agent.itinerary.len();
                     let jctx = self.close_agent_obs(ctx, &id);
@@ -457,17 +395,16 @@ impl MasNode {
                 }
             },
             ControlOp::Dispose => {
-                let found = self.agents.remove(&id).is_some();
+                let found = self.take_resident(&id).is_some();
                 if found {
                     self.close_agent_obs(ctx, &id);
                     self.log.push(format!("{}: agent {} disposed", self.site_name, id));
                 }
                 ctx.send(from, resp(found, Vec::new()));
             }
-            ControlOp::Clone => match self.agents.get(&id) {
-                Some((agent, _)) => {
+            ControlOp::Clone => match self.resident(&id).cloned() {
+                Some(mut copy) => {
                     self.clones += 1;
-                    let mut copy = agent.clone();
                     copy.id = AgentId(format!("{}-clone{}", id.0, self.clones));
                     let payload = copy.id.0.clone().into_bytes();
                     self.log.push(format!("{}: agent {} cloned as {}", self.site_name, id, copy.id));
@@ -479,8 +416,8 @@ impl MasNode {
                         self.obs.get(&id).map(|o| o.jctx).unwrap_or(ObsContext::NONE);
                     self.obs
                         .insert(copy_id.clone(), AgentObs { jctx, hop: 0, exec: 0 });
-                    self.agents.insert(copy_id.clone(), (copy, Slot::Executing));
-                    self.depart(ctx, &copy_id, 1);
+                    self.agents.insert(copy_id.clone(), copy);
+                    self.depart(ctx, &copy_id);
                     ctx.send(from, resp(true, payload));
                 }
                 None => {
@@ -495,41 +432,18 @@ impl Node for MasNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
         match msg.kind.as_str() {
             KIND_TRANSFER => {
-                let Ok(agent) = MobileAgent::from_bytes(&msg.body) else {
-                    ctx.metrics().bump("mas.malformed_transfers", 1.0);
-                    return;
-                };
-                // Ack receipt so the sender releases its copy.
-                ctx.send(from, Message::new(KIND_ACK, agent.id.0.clone().into_bytes()));
-                // Duplicate transfer (our ack was lost)? Drop the duplicate.
-                if self.agents.contains_key(&agent.id) {
-                    ctx.metrics().bump("mas.duplicate_transfers", 1.0);
-                    return;
+                let here = |id: &_| self.resident(id).is_some();
+                if let Some((agent, jctx, hop)) = transfer::receive(ctx, "mas", from, &msg, here) {
+                    self.obs.insert(agent.id.clone(), AgentObs { jctx, hop, exec: 0 });
+                    self.log.push(format!("{}: agent {} arrived", self.site_name, agent.id));
+                    self.execute_and_schedule(ctx, agent);
+                    self.set_resident_gauge(ctx);
                 }
-                // One `itinerary.hop[i]` span per residence at this site,
-                // parented to the journey root the transfer message carries.
-                let hop = ctx.span_begin_indexed(
-                    msg.obs.trace,
-                    msg.obs.span,
-                    "itinerary.hop",
-                    Some(agent.next_hop as u32),
-                );
-                self.obs
-                    .insert(agent.id.clone(), AgentObs { jctx: msg.obs, hop, exec: 0 });
-                self.log.push(format!("{}: agent {} arrived", self.site_name, agent.id));
-                self.execute_and_schedule(ctx, agent);
-                ctx.metrics().set_gauge("mas.resident_agents", self.agents.len() as f64);
             }
             KIND_ACK => {
-                let Ok(id) = std::str::from_utf8(&msg.body) else { return };
-                let id = AgentId(id.to_owned());
-                if matches!(self.agents.get(&id), Some((_, Slot::AwaitingAck { .. }))) {
-                    self.agents.remove(&id);
-                    // The next site has the agent: this residence is over.
-                    if let Some(o) = self.obs.remove(&id) {
-                        ctx.span_end(o.hop);
-                    }
-                    ctx.metrics().set_gauge("mas.resident_agents", self.agents.len() as f64);
+                // The next site has the agent: this residence is over.
+                if let Some(agent) = self.transfers.on_ack(&msg.body) {
+                    self.close_agent_obs(ctx, &agent.id);
                 }
             }
             KIND_CONTROL => self.handle_control(ctx, from, &msg.body),
@@ -546,29 +460,10 @@ impl Node for MasNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        let Some((id, kind)) = self.tags.remove(&tag) else { return };
-        match kind {
-            TagKind::Depart => {
-                if matches!(self.agents.get(&id), Some((_, Slot::Executing))) {
-                    self.depart(ctx, &id, 1);
-                }
-            }
-            TagKind::AckTimeout => {
-                let Some((_, Slot::AwaitingAck { attempts, .. })) = self.agents.get(&id)
-                else {
-                    return; // acked in the meantime
-                };
-                let attempts = *attempts;
-                if attempts >= MAX_TRANSFER_ATTEMPTS {
-                    // Give up on this site: skip the hop.
-                    let (agent, _) = self.agents.remove(&id).expect("checked above");
-                    let site = agent.next_site().unwrap_or("?").to_owned();
-                    self.skip_current_hop(ctx, agent, &site);
-                } else {
-                    ctx.metrics().bump("mas.transfer_retries", 1.0);
-                    self.depart(ctx, &id, attempts + 1);
-                }
-            }
+        if let Some(id) = self.tags.remove(&tag) {
+            self.depart(ctx, &id);
+        } else if let Some(agent) = self.transfers.on_timer(ctx, tag) {
+            self.return_home(ctx, agent);
         }
     }
 }

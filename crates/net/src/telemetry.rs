@@ -31,6 +31,7 @@
 //! output is byte-stable across runs and shard counts, and nothing consults
 //! the wall clock.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -101,15 +102,8 @@ impl TelemetrySnapshot {
     /// the simulation collector's; pass `&[]` when observability is off —
     /// the exposition simply omits the histogram families).
     pub fn capture(metrics: &Metrics, stages: &[(String, Histogram)]) -> TelemetrySnapshot {
-        let mut counters: Vec<(String, f64)> = vec![
-            ("bytes_received".to_owned(), metrics.bytes_received as f64),
-            ("bytes_sent".to_owned(), metrics.bytes_sent as f64),
-            ("msgs_dropped".to_owned(), metrics.msgs_dropped as f64),
-            ("msgs_received".to_owned(), metrics.msgs_received as f64),
-            ("msgs_sent".to_owned(), metrics.msgs_sent as f64),
-        ];
-        counters.extend(metrics.counters_sorted().into_iter().map(|(k, v)| (k.to_owned(), v)));
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
+        let counters: Vec<(String, f64)> =
+            node_counters(metrics).into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
         let gauges: Vec<(String, f64)> =
             metrics.gauges_sorted().into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
         let mut stages: Vec<(String, Histogram)> = stages.to_vec();
@@ -159,6 +153,22 @@ impl TelemetrySnapshot {
             .map(|(_, e)| e.trace)
             .unwrap_or(0)
     }
+}
+
+/// A node's counters in key order: the five built-in transport counters
+/// merged into its dynamic counters. Both runs are sorted, so the stable
+/// sort is a merge; on a key tie the built-in comes first.
+fn node_counters(metrics: &Metrics) -> Vec<(&str, f64)> {
+    let mut counters = vec![
+        ("bytes_received", metrics.bytes_received as f64),
+        ("bytes_sent", metrics.bytes_sent as f64),
+        ("msgs_dropped", metrics.msgs_dropped as f64),
+        ("msgs_received", metrics.msgs_received as f64),
+        ("msgs_sent", metrics.msgs_sent as f64),
+    ];
+    counters.extend(metrics.counters_sorted());
+    counters.sort_by(|a, b| a.0.cmp(b.0));
+    counters
 }
 
 /// Map a free-form telemetry key to an exposition metric-name fragment:
@@ -434,24 +444,25 @@ impl DeltaState {
         since <= self.epoch && since >= self.reset_epoch
     }
 
-    /// Diff one scalar section in place. Fast path: identical key set →
-    /// value-only compare, zero allocation. Slow path (keys appeared or
-    /// vanished): realign by merge walk, reusing every surviving key's
-    /// `String` and [`SeriesId`].
-    fn diff_scalars(
-        prev: &mut Vec<(String, f64)>,
+    /// Diff one section (scalars or stage histograms) in place. Fast path:
+    /// identical key set → value-only compare, zero allocation. Slow path
+    /// (keys appeared or vanished): realign by merge walk, reusing every
+    /// surviving key's `String`, value buffer and [`SeriesId`].
+    fn diff_section<V: Clone + Default + PartialEq, B: Borrow<V>>(
+        prev: &mut Vec<(String, V)>,
         ids: &mut Vec<SeriesId>,
         epochs: &mut Vec<u64>,
-        next: &[(&str, f64)],
+        next: &[(&str, B)],
         new_epoch: u64,
         interner: &mut SeriesInterner,
         kind: SeriesKind,
     ) -> SectionDiff {
         if prev.len() == next.len() && prev.iter().zip(next).all(|((pk, _), (nk, _))| pk == nk) {
             let mut changed = false;
-            for (i, ((_, pv), &(_, nv))) in prev.iter_mut().zip(next).enumerate() {
-                if *pv != nv {
-                    *pv = nv;
+            for (i, ((_, pv), (_, nv))) in prev.iter_mut().zip(next).enumerate() {
+                let nv = nv.borrow();
+                if pv != nv {
+                    pv.clone_from(nv);
                     epochs[i] = new_epoch;
                     changed = true;
                 }
@@ -463,73 +474,25 @@ impl DeltaState {
         let mut out_epochs = Vec::with_capacity(next.len());
         let mut removed = false;
         let mut i = 0;
-        for &(nk, nv) in next {
+        for (nk, nv) in next {
+            let (nk, nv) = (*nk, nv.borrow());
             while i < prev.len() && prev[i].0.as_str() < nk {
                 removed = true;
                 i += 1;
             }
             if i < prev.len() && prev[i].0 == nk {
-                let unchanged = prev[i].1 == nv;
-                out.push((std::mem::take(&mut prev[i].0), nv));
-                out_ids.push(ids[i]);
-                out_epochs.push(if unchanged { epochs[i] } else { new_epoch });
-                i += 1;
-            } else {
-                out.push((nk.to_owned(), nv));
-                out_ids.push(interner.intern(kind, nk));
-                out_epochs.push(new_epoch);
-            }
-        }
-        removed |= i < prev.len();
-        *prev = out;
-        *ids = out_ids;
-        *epochs = out_epochs;
-        SectionDiff { changed: true, reshaped: true, removed }
-    }
-
-    /// [`DeltaState::diff_scalars`] for the stage-histogram section.
-    fn diff_stages(
-        prev: &mut Vec<(String, Histogram)>,
-        ids: &mut Vec<SeriesId>,
-        epochs: &mut Vec<u64>,
-        next: &[(&str, &Histogram)],
-        new_epoch: u64,
-        interner: &mut SeriesInterner,
-    ) -> SectionDiff {
-        if prev.len() == next.len() && prev.iter().zip(next).all(|((pk, _), (nk, _))| pk == nk) {
-            let mut changed = false;
-            for (i, ((_, ph), &(_, nh))) in prev.iter_mut().zip(next).enumerate() {
-                if ph != nh {
-                    ph.clone_from(nh);
-                    epochs[i] = new_epoch;
-                    changed = true;
-                }
-            }
-            return SectionDiff { changed, reshaped: false, removed: false };
-        }
-        let mut out = Vec::with_capacity(next.len());
-        let mut out_ids = Vec::with_capacity(next.len());
-        let mut out_epochs = Vec::with_capacity(next.len());
-        let mut removed = false;
-        let mut i = 0;
-        for &(nk, nh) in next {
-            while i < prev.len() && prev[i].0.as_str() < nk {
-                removed = true;
-                i += 1;
-            }
-            if i < prev.len() && prev[i].0 == nk {
-                let unchanged = prev[i].1 == *nh;
-                let (key, mut hist) = std::mem::take(&mut prev[i]);
+                let unchanged = prev[i].1 == *nv;
+                let (key, mut value) = std::mem::take(&mut prev[i]);
                 if !unchanged {
-                    hist.clone_from(nh);
+                    value.clone_from(nv);
                 }
-                out.push((key, hist));
+                out.push((key, value));
                 out_ids.push(ids[i]);
                 out_epochs.push(if unchanged { epochs[i] } else { new_epoch });
                 i += 1;
             } else {
-                out.push((nk.to_owned(), nh.clone()));
-                out_ids.push(interner.intern(SeriesKind::Stage, nk));
+                out.push((nk.to_owned(), nv.clone()));
+                out_ids.push(interner.intern(kind, nk));
                 out_epochs.push(new_epoch);
             }
         }
@@ -596,7 +559,7 @@ impl DeltaState {
         exemplars: &[(&str, &[(u8, Exemplar)])],
     ) -> u64 {
         let new_epoch = self.epoch + 1;
-        let dc = Self::diff_scalars(
+        let dc = Self::diff_section(
             &mut self.prev.counters,
             &mut self.counter_ids,
             &mut self.counter_epochs,
@@ -605,7 +568,7 @@ impl DeltaState {
             &mut self.interner,
             SeriesKind::Counter,
         );
-        let dg = Self::diff_scalars(
+        let dg = Self::diff_section(
             &mut self.prev.gauges,
             &mut self.gauge_ids,
             &mut self.gauge_epochs,
@@ -614,13 +577,14 @@ impl DeltaState {
             &mut self.interner,
             SeriesKind::Gauge,
         );
-        let ds = Self::diff_stages(
+        let ds = Self::diff_section(
             &mut self.prev.stages,
             &mut self.stage_ids,
             &mut self.stage_epochs,
             stages,
             new_epoch,
             &mut self.interner,
+            SeriesKind::Stage,
         );
         let dx = Self::diff_exemplars(
             &mut self.prev.exemplars,
@@ -658,40 +622,17 @@ impl DeltaState {
     }
 
     /// Observe a node's live telemetry without materializing a
-    /// [`TelemetrySnapshot`]: the built-in transport counters are merge-
-    /// walked into the dynamic counters (same order [`TelemetrySnapshot::capture`]
-    /// produces) and stage histograms are borrowed straight from the
-    /// collector — no `String` or `Histogram` clones on the unchanged path.
+    /// [`TelemetrySnapshot`]: the counters are borrowed in the order
+    /// [`TelemetrySnapshot::capture`] produces and stage histograms straight
+    /// from the collector — no `String` or `Histogram` clones on the
+    /// unchanged path.
     pub fn observe_node(
         &mut self,
         metrics: &Metrics,
         stages: &[(&str, &Histogram)],
         exemplars: &[(&str, &[(u8, Exemplar)])],
     ) -> u64 {
-        let builtin = [
-            ("bytes_received", metrics.bytes_received as f64),
-            ("bytes_sent", metrics.bytes_sent as f64),
-            ("msgs_dropped", metrics.msgs_dropped as f64),
-            ("msgs_received", metrics.msgs_received as f64),
-            ("msgs_sent", metrics.msgs_sent as f64),
-        ];
-        let dynamic = metrics.counters_sorted();
-        let mut counters: Vec<(&str, f64)> = Vec::with_capacity(builtin.len() + dynamic.len());
-        let (mut i, mut j) = (0, 0);
-        while i < builtin.len() || j < dynamic.len() {
-            let take_builtin = match (builtin.get(i), dynamic.get(j)) {
-                (Some(b), Some(d)) => b.0 <= d.0,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_builtin {
-                counters.push(builtin[i]);
-                i += 1;
-            } else {
-                counters.push(dynamic[j]);
-                j += 1;
-            }
-        }
+        let counters = node_counters(metrics);
         let gauges = metrics.gauges_sorted();
         self.observe_views(&counters, &gauges, stages, exemplars)
     }

@@ -132,16 +132,8 @@ impl Value {
                 Ok(Value::Int(unzigzag(raw)))
             }
             4 => {
-                let len = varint::read_usize(input, pos).map_err(|_| err(*pos))?;
-                let end = pos.checked_add(len).ok_or(err(*pos))?;
-                if end > input.len() {
-                    return Err(err(*pos));
-                }
-                let s = std::str::from_utf8(&input[*pos..end])
-                    .map_err(|_| err(*pos))?
-                    .to_owned();
-                *pos = end;
-                Ok(Value::Str(s))
+                let s = varint::read_str(input, pos).map_err(|_| err(*pos))?;
+                Ok(Value::Str(s.to_owned()))
             }
             5 => {
                 if depth == MAX_DEPTH {
@@ -383,6 +375,16 @@ mod tests {
         let mut hostile = [5u8, 1].repeat(200_000);
         hostile.push(0);
         assert!(Value::decode(&hostile, &mut 0).is_err());
+    }
+
+    #[test]
+    fn bad_string_field_reports_the_offset_after_its_length_prefix() {
+        // A string inside a one-item list: tag 5, length 1, then tag 4,
+        // length 2 at byte 3, and a non-UTF-8 field at byte 4.
+        let bytes = [5, 1, 4, 2, 0xff, 0xfe];
+        assert_eq!(Value::decode(&bytes, &mut 0), Err(ValueDecodeError { offset: 4 }));
+        // The same offset when the field runs past the end.
+        assert_eq!(Value::decode(&bytes[..5], &mut 0), Err(ValueDecodeError { offset: 4 }));
     }
 
     #[test]
