@@ -258,6 +258,34 @@ fn bench_vm_ebank_hop(c: &mut Criterion) {
     });
 }
 
+/// The agent-transfer side of one `roaming` hop: decode a roaming-sized
+/// agent (the ebank program, 32 transactions, a 1 KB pad, 16 results),
+/// append the two entries a visit leaves, and encode it for the next site.
+fn bench_agent_hop_roaming(c: &mut Criterion) {
+    let pi = roaming_pi();
+    let mut agent = MobileAgent::new(
+        AgentId("ag-1@gw-0".into()),
+        pi.program,
+        pi.params,
+        Itinerary { sites: pi.itinerary },
+        0,
+    );
+    for i in 0..16 {
+        agent.push_result(&format!("bank-{}", i % 8), "receipt", Value::Str(format!("rcpt-{i}")));
+    }
+    agent.next_hop = 4;
+    let bytes = agent.to_bytes();
+    c.bench_function("mas/agent_hop_roaming", |b| {
+        b.iter(|| {
+            let mut agent = MobileAgent::from_bytes(std::hint::black_box(&bytes)).unwrap();
+            agent.push_result("bank-4", "receipt", Value::Str("rcpt-16".into()));
+            agent.push_result("bank-4", "settled", Value::Int(4));
+            agent.next_hop += 1;
+            agent.to_bytes()
+        })
+    });
+}
+
 fn bench_pi_roundtrip(c: &mut Criterion) {
     // The full device-side packing path: XML → compress → seal; and the
     // gateway-side unpack: open → decompress → parse.
@@ -439,6 +467,7 @@ criterion_group!(
     bench_security,
     bench_vm,
     bench_vm_ebank_hop,
+    bench_agent_hop_roaming,
     bench_pi_roundtrip,
     bench_rms,
     bench_agent_transfer,

@@ -217,9 +217,10 @@ pub struct ResultDoc {
 impl ResultDoc {
     /// Build from a returned agent.
     pub fn from_agent(agent: &MobileAgent) -> ResultDoc {
-        let status = if agent.results.iter().any(|r| r.key == "retracted") {
+        let entries: Vec<ResultEntry> = agent.results.iter().collect();
+        let status = if entries.iter().any(|r| r.key == "retracted") {
             ResultStatus::Retracted
-        } else if agent.results.iter().any(|r| r.key == "error") {
+        } else if entries.iter().any(|r| r.key == "error") {
             ResultStatus::Failed
         } else {
             ResultStatus::Completed
@@ -227,7 +228,7 @@ impl ResultDoc {
         ResultDoc {
             agent_id: agent.id.0.clone(),
             status,
-            entries: agent.results.clone(),
+            entries,
             instructions: agent.state.instructions,
         }
     }

@@ -121,8 +121,6 @@ pub struct GatewayNode {
     /// span per agent. Kept outside [`MobileAgent`] so the agent wire format
     /// is untouched.
     obs: HashMap<String, (ObsContext, u32)>,
-    /// Human-readable event log.
-    pub log: Vec<String>,
     /// The File Directory (Figure 6): staged agent classes, parameter docs
     /// and result documents, under a disk quota.
     pub files: FileDirectory,
@@ -152,7 +150,6 @@ impl GatewayNode {
             completed_queue: VecDeque::new(),
             dispatch_seen: HashSet::new(),
             obs: HashMap::new(),
-            log: Vec::new(),
             files: FileDirectory::new(64 << 20), // 64 MiB gateway disk budget
             telemetry: TelemetryServer::new(),
         }
@@ -264,7 +261,6 @@ impl GatewayNode {
         };
         let body = compress(subscription.download_document().as_bytes(), COMPRESSION);
         ctx.metrics().bump("gateway.subscriptions", 1.0);
-        self.log.push(format!("{}: issued code {} to device {from}", self.config.name, id.0));
         self.respond(ctx, from, req, HttpStatus::Ok, body);
     }
 
@@ -315,21 +311,28 @@ impl GatewayNode {
         let agent_id = format!("ag-{}@{}", self.next_agent, self.config.name);
         // File Directory (Figure 6): stage the generated agent classes and
         // the parameter document for the MAS to pick up.
+        let mut params_doc = Vec::new();
+        for (k, v) in &pi.params {
+            params_doc.extend_from_slice(k.as_bytes());
+            params_doc.push(b'=');
+            params_doc.extend_from_slice(v.render().as_bytes());
+            params_doc.push(b'\n');
+        }
+        let mut agent = MobileAgent::new(
+            AgentId(agent_id.clone()),
+            pi.program,
+            pi.params,
+            Itinerary { sites: pi.itinerary },
+            ctx.id() as u64,
+        );
         let staged = self
             .files
             .allocate(
                 format!("{agent_id}/classes"),
                 FileKind::AgentClasses,
-                pi.program.to_bytes(),
+                agent.program.wire().to_vec(),
             )
             .and_then(|()| {
-                let mut params_doc = Vec::new();
-                for (k, v) in &pi.params {
-                    params_doc.extend_from_slice(k.as_bytes());
-                    params_doc.push(b'=');
-                    params_doc.extend_from_slice(v.render().as_bytes());
-                    params_doc.push(b'\n');
-                }
                 self.files.allocate(
                     format!("{agent_id}/params.xml"),
                     FileKind::ParameterDoc,
@@ -341,13 +344,6 @@ impl GatewayNode {
             self.respond(ctx, from, req, HttpStatus::ServerError, e.to_string().into_bytes());
             return;
         }
-        let mut agent = MobileAgent::new(
-            AgentId(agent_id.clone()),
-            pi.program,
-            pi.params,
-            Itinerary { sites: pi.itinerary },
-            ctx.id() as u64,
-        );
         agent.fuel_per_hop = pi.fuel_per_hop;
         self.dispatched.insert(agent_id.clone(), DispatchState::InFlight);
         // Respond immediately with the agent id (the device shows it on
@@ -363,7 +359,6 @@ impl GatewayNode {
         ctx.set_timer(delay, self.next_tag);
         self.launching.insert(self.next_tag, agent);
         ctx.metrics().bump("gateway.dispatches", 1.0);
-        self.log.push(format!("{}: dispatching agent {agent_id}", self.config.name));
     }
 
     fn handle_result(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: &HttpRequest) {
@@ -513,12 +508,6 @@ impl GatewayNode {
             FileKind::ResultDoc,
             doc.to_document_string().into_bytes(),
         );
-        self.log.push(format!(
-            "{}: stored result for {} ({} entries)",
-            self.config.name,
-            agent.id,
-            doc.entries.len()
-        ));
         ctx.metrics().bump("gateway.results_stored", 1.0);
         // Close the stage span if it is still open (idempotent — an agent
         // whose whole itinerary was unreachable never got an ack), and drop

@@ -212,12 +212,8 @@ mod tests {
         sim.run_until_idle();
         let done = &sim.node_ref::<StubOrigin>(origin).unwrap().completed;
         assert_eq!(done.len(), 1);
-        let sites: Vec<&str> = done[0]
-            .results
-            .iter()
-            .filter(|r| r.key == "visited")
-            .map(|r| r.site.as_str())
-            .collect();
+        let sites: Vec<String> =
+            done[0].results.iter().filter(|r| r.key == "visited").map(|r| r.site).collect();
         assert_eq!(sites, vec!["aglets-like", "batch-like", "aglets-like-2"]);
         // The batch server actually executed it.
         let batch = sim.node_ref::<BatchMasNode>(2).unwrap();

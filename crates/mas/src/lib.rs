@@ -24,13 +24,15 @@
 
 pub mod agent;
 pub mod batch;
+#[cfg(test)]
+mod oracle;
 pub mod server;
 pub mod service;
 pub mod transfer;
 
 pub use agent::{AgentId, AgentRecord, Itinerary, MobileAgent, ResultEntry};
 pub use batch::BatchMasNode;
-pub use server::{CpuModel, MasNode, SiteDirectory};
+pub use server::{run_visit, CpuModel, MasNode, SiteDirectory};
 pub use service::{EchoService, KvService, MailboxService, Service};
 
 /// Message kind: an agent in transit between sites (or site → gateway).

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use pdagent_net::prelude::*;
 use pdagent_vm::{run, Host, Outcome, Value};
 
-use crate::agent::{AgentId, AgentRecord, MobileAgent};
+use crate::agent::{AgentId, AgentRecord, MobileAgent, ParamsSection, ResultsSection};
 use crate::service::Service;
 use crate::transfer::{self, TransferSender};
 use crate::{KIND_ACK, KIND_COMPLETE, KIND_CONTROL, KIND_CONTROL_RESP, KIND_TRANSFER};
@@ -137,12 +137,14 @@ struct AgentObs {
 }
 
 /// VM host adapter exposing the site's services to a visiting agent, for
-/// both server kinds ([`MasNode`] and [`crate::BatchMasNode`]).
+/// both server kinds ([`MasNode`] and [`crate::BatchMasNode`]). It hands
+/// the agent's parameters to the VM encoded and appends what the agent
+/// emits straight to its results.
 struct SiteHost<'a> {
     site: &'a str,
     services: &'a mut HashMap<String, Box<dyn Service>>,
-    params: &'a [(String, Value)],
-    emitted: Vec<(String, Value)>,
+    params: &'a ParamsSection,
+    results: &'a mut ResultsSection,
     abort_requested: bool,
     hops_done: usize,
     hops_total: usize,
@@ -169,11 +171,15 @@ impl Host for SiteHost<'_> {
     }
 
     fn param(&self, name: &str) -> Option<Value> {
-        self.params.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+        Value::decode(self.params.get(name)?, &mut 0).ok()
+    }
+
+    fn param_bytes(&self, name: &str) -> Option<&[u8]> {
+        self.params.get(name)
     }
 
     fn emit(&mut self, key: &str, value: Value) {
-        self.emitted.push((key.to_owned(), value));
+        self.results.push(self.site, key, &value);
     }
 
     fn site_name(&self) -> &str {
@@ -183,19 +189,18 @@ impl Host for SiteHost<'_> {
 
 /// Run `agent`'s visit to `site`: execute it against the site's services,
 /// append what it emitted to its results, then record how the visit ended
-/// and advance its itinerary (an abort, an error or a trap ends it). Returns
-/// the VM instructions executed and, when the visit ended the itinerary
-/// early, why (for the server's log).
-pub(crate) fn run_visit(
+/// and advance its itinerary (an abort, an error or a trap ends it).
+/// Returns the VM instructions executed.
+pub fn run_visit(
     site: &str,
     services: &mut HashMap<String, Box<dyn Service>>,
     agent: &mut MobileAgent,
-) -> (u64, Option<String>) {
+) -> u64 {
     let mut host = SiteHost {
         site,
         services,
         params: &agent.params,
-        emitted: Vec::new(),
+        results: &mut agent.results,
         abort_requested: false,
         hops_done: agent.next_hop,
         hops_total: agent.itinerary.len(),
@@ -204,24 +209,18 @@ pub(crate) fn run_visit(
     let outcome = run(&agent.program, &mut agent.state, &mut host, agent.fuel_per_hop);
     let executed = agent.state.instructions - before;
     let abort = host.abort_requested;
-    for (key, value) in host.emitted {
-        agent.push_result(site, &key, value);
-    }
-    // The `error` result the visit leaves, and why it ended the itinerary.
-    let (error, ended) = match outcome {
-        Outcome::Completed => (None, abort.then(|| "aborted itinerary".to_owned())),
-        Outcome::Failed(msg) => (Some(msg.clone()), Some(format!("failed: {msg}"))),
-        Outcome::OutOfFuel => (Some("out of fuel".to_owned()), Some("out of fuel".to_owned())),
-        Outcome::Trapped(e) => (Some(e.to_string()), Some(format!("trapped: {e}"))),
+    let error = match outcome {
+        Outcome::Completed => None,
+        Outcome::Failed(msg) => Some(msg),
+        Outcome::OutOfFuel => Some("out of fuel".to_owned()),
+        Outcome::Trapped(e) => Some(e.to_string()),
     };
+    let ended = abort || error.is_some();
     if let Some(msg) = error {
         agent.push_result(site, "error", Value::Str(msg));
     }
-    agent.next_hop = match ended {
-        Some(_) => agent.itinerary.len(),
-        None => agent.next_hop + 1,
-    };
-    (executed, ended)
+    agent.next_hop = if ended { agent.itinerary.len() } else { agent.next_hop.saturating_add(1) };
+    executed
 }
 
 /// The mobile-agent server node.
@@ -238,8 +237,6 @@ pub struct MasNode {
     tags: HashMap<u64, AgentId>,
     next_tag: u64,
     clones: u64,
-    /// Human-readable event log (tests and demos inspect this).
-    pub log: Vec<String>,
     /// Delta-encoded `/metrics` + `/healthz` server: interned series, dirty
     /// epochs, pooled render buffer.
     telemetry: pdagent_net::telemetry::TelemetryServer,
@@ -259,7 +256,6 @@ impl MasNode {
             tags: HashMap::new(),
             next_tag: 0,
             clones: 0,
-            log: Vec::new(),
             telemetry: pdagent_net::telemetry::TelemetryServer::new(),
         }
     }
@@ -300,10 +296,7 @@ impl MasNode {
         // A mis-routed or already-finished agent is relayed without running.
         let mut delay = SimDuration::from_millis(1);
         if agent.next_site() == Some(self.site_name.as_str()) {
-            let (executed, ended) = run_visit(&self.site_name, &mut self.services, &mut agent);
-            if let Some(why) = ended {
-                self.log.push(format!("{}: agent {} {why}", self.site_name, agent.id));
-            }
+            let executed = run_visit(&self.site_name, &mut self.services, &mut agent);
             ctx.metrics().bump("mas.agents_executed", 1.0);
             ctx.metrics().bump("mas.instructions", executed as f64);
             delay = self.cpu.exec_time(executed);
@@ -342,7 +335,6 @@ impl MasNode {
         let jctx = self.close_agent_obs(ctx, &agent.id);
         let complete = Message::new(KIND_COMPLETE, agent.to_bytes()).traced(jctx);
         ctx.send(agent.origin as NodeId, complete);
-        self.log.push(format!("{}: agent {} returned to origin", self.site_name, agent.id));
     }
 
     /// Close any open spans for an agent leaving this site and drop its
@@ -388,7 +380,6 @@ impl MasNode {
                     let jctx = self.close_agent_obs(ctx, &id);
                     ctx.send(from, Message::new(KIND_COMPLETE, agent.to_bytes()).traced(jctx));
                     ctx.send(from, resp(true, Vec::new()));
-                    self.log.push(format!("{}: agent {} retracted", self.site_name, id));
                 }
                 None => {
                     ctx.send(from, resp(false, Vec::new()));
@@ -398,7 +389,6 @@ impl MasNode {
                 let found = self.take_resident(&id).is_some();
                 if found {
                     self.close_agent_obs(ctx, &id);
-                    self.log.push(format!("{}: agent {} disposed", self.site_name, id));
                 }
                 ctx.send(from, resp(found, Vec::new()));
             }
@@ -407,7 +397,6 @@ impl MasNode {
                     self.clones += 1;
                     copy.id = AgentId(format!("{}-clone{}", id.0, self.clones));
                     let payload = copy.id.0.clone().into_bytes();
-                    self.log.push(format!("{}: agent {} cloned as {}", self.site_name, id, copy.id));
                     let copy_id = copy.id.clone();
                     // The clone continues the same logical journey: it
                     // inherits the original's trace context, and the sites it
@@ -435,7 +424,6 @@ impl Node for MasNode {
                 let here = |id: &_| self.resident(id).is_some();
                 if let Some((agent, jctx, hop)) = transfer::receive(ctx, "mas", from, &msg, here) {
                     self.obs.insert(agent.id.clone(), AgentObs { jctx, hop, exec: 0 });
-                    self.log.push(format!("{}: agent {} arrived", self.site_name, agent.id));
                     self.execute_and_schedule(ctx, agent);
                     self.set_resident_gauge(ctx);
                 }
@@ -561,18 +549,11 @@ mod tests {
         assert_eq!(done.len(), 1);
         let agent = &done[0];
         assert!(agent.done());
-        let visited: Vec<&str> = agent
-            .results
-            .iter()
-            .filter(|r| r.key == "visited")
-            .map(|r| r.site.as_str())
-            .collect();
+        let visited: Vec<String> =
+            agent.results.iter().filter(|r| r.key == "visited").map(|r| r.site).collect();
         assert_eq!(visited, vec!["site-0", "site-1", "site-2"]);
         // Each visit echoes "visit(<site>)".
-        assert_eq!(
-            agent.results[0].value,
-            Value::Str("visit(site-0)".into())
-        );
+        assert_eq!(agent.results.iter().next().unwrap().value, Value::Str("visit(site-0)".into()));
     }
 
     #[test]

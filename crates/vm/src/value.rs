@@ -48,6 +48,83 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// One decoded scalar, its string borrowed from the input.
+pub(crate) enum Scalar<'a> {
+    Nil,
+    Bool(bool),
+    Int(i64),
+    Str(&'a str),
+}
+
+/// What the one binary value decoder, [`decode_at`], builds: a [`Value`],
+/// the interpreter's shared value, or `()`, the allocation-free walk of
+/// [`Value::skip`] (a `Vec<()>` never allocates).
+pub(crate) trait Decode: Sized {
+    fn scalar(s: Scalar<'_>) -> Self;
+    fn list(items: Vec<Self>) -> Self;
+}
+
+impl Decode for Value {
+    fn scalar(s: Scalar<'_>) -> Value {
+        match s {
+            Scalar::Nil => Value::Nil,
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+
+    fn list(items: Vec<Value>) -> Value {
+        Value::List(items)
+    }
+}
+
+impl Decode for () {
+    fn scalar(_: Scalar<'_>) {}
+
+    fn list(_: Vec<()>) {}
+}
+
+/// Decode one value from `input` at `*pos`, inside `depth` enclosing lists.
+pub(crate) fn decode_at<T: Decode>(
+    input: &[u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<T, ValueDecodeError> {
+    let err = |pos: usize| ValueDecodeError { offset: pos };
+    let tag = *input.get(*pos).ok_or(err(*pos))?;
+    *pos += 1;
+    match tag {
+        0 => Ok(T::scalar(Scalar::Nil)),
+        1 => Ok(T::scalar(Scalar::Bool(false))),
+        2 => Ok(T::scalar(Scalar::Bool(true))),
+        3 => {
+            let raw = varint::read_u64(input, pos).map_err(|_| err(*pos))?;
+            Ok(T::scalar(Scalar::Int(unzigzag(raw))))
+        }
+        4 => {
+            let s = varint::read_str(input, pos).map_err(|_| err(*pos))?;
+            Ok(T::scalar(Scalar::Str(s)))
+        }
+        5 => {
+            if depth == MAX_DEPTH {
+                return Err(err(*pos - 1));
+            }
+            let len = varint::read_usize(input, pos).map_err(|_| err(*pos))?;
+            // Guard absurd lengths before allocating.
+            if len > input.len().saturating_sub(*pos) {
+                return Err(err(*pos));
+            }
+            let mut items = Vec::with_capacity(len);
+            for _ in 0..len {
+                items.push(decode_at(input, pos, depth + 1)?);
+            }
+            Ok(T::list(items))
+        }
+        _ => Err(err(*pos - 1)),
+    }
+}
+
 impl Value {
     /// Truthiness: `Nil`, `false`, `0`, `""` and `[]` are false.
     pub fn truthy(&self) -> bool {
@@ -115,43 +192,15 @@ impl Value {
     /// Decode one value from `input` starting at `*pos`. Lists nested more
     /// than [`MAX_DEPTH`] deep are rejected.
     pub fn decode(input: &[u8], pos: &mut usize) -> Result<Value, ValueDecodeError> {
-        Value::decode_at(input, pos, 0)
+        decode_at(input, pos, 0)
     }
 
-    /// [`Value::decode`] inside `depth` enclosing lists.
-    fn decode_at(input: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ValueDecodeError> {
-        let err = |pos: usize| ValueDecodeError { offset: pos };
-        let tag = *input.get(*pos).ok_or(err(*pos))?;
-        *pos += 1;
-        match tag {
-            0 => Ok(Value::Nil),
-            1 => Ok(Value::Bool(false)),
-            2 => Ok(Value::Bool(true)),
-            3 => {
-                let raw = varint::read_u64(input, pos).map_err(|_| err(*pos))?;
-                Ok(Value::Int(unzigzag(raw)))
-            }
-            4 => {
-                let s = varint::read_str(input, pos).map_err(|_| err(*pos))?;
-                Ok(Value::Str(s.to_owned()))
-            }
-            5 => {
-                if depth == MAX_DEPTH {
-                    return Err(err(*pos - 1));
-                }
-                let len = varint::read_usize(input, pos).map_err(|_| err(*pos))?;
-                // Guard absurd lengths before allocating.
-                if len > input.len().saturating_sub(*pos) {
-                    return Err(err(*pos));
-                }
-                let mut items = Vec::with_capacity(len);
-                for _ in 0..len {
-                    items.push(Value::decode_at(input, pos, depth + 1)?);
-                }
-                Ok(Value::List(items))
-            }
-            _ => Err(err(*pos - 1)),
-        }
+    /// Step `*pos` over one encoded value without building it: the check
+    /// [`Value::decode`] makes, by the same rules (tags, varints, UTF-8,
+    /// [`MAX_DEPTH`], list counts against the bytes left), allocating
+    /// nothing.
+    pub fn skip(input: &[u8], pos: &mut usize) -> Result<(), ValueDecodeError> {
+        decode_at::<()>(input, pos, 0)
     }
 
     /// Render for result documents / display.

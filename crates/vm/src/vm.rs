@@ -17,7 +17,7 @@ use pdagent_codec::varint;
 
 use crate::isa::Instr;
 use crate::program::Program;
-use crate::value::{Value, MAX_DEPTH};
+use crate::value::{decode_at, Decode, Scalar, Value, MAX_DEPTH};
 
 /// Number of local variable slots: one for every `load`/`store` operand.
 pub const LOCALS: usize = u8::MAX as usize + 1;
@@ -32,6 +32,15 @@ pub trait Host {
 
     /// A launch parameter by name (`None` → the VM pushes `Nil`).
     fn param(&self, name: &str) -> Option<Value>;
+
+    /// The launch parameter `name` in its binary encoding
+    /// ([`Value::encode`]), for a host that keeps its parameters encoded:
+    /// [`run`] decodes it straight into its own shared values, and traps
+    /// with [`VmError::Host`] if it is malformed. With `None`, the default,
+    /// [`run`] asks [`Host::param`].
+    fn param_bytes(&self, _name: &str) -> Option<&[u8]> {
+        None
+    }
 
     /// Append a value to the agent's result document.
     fn emit(&mut self, key: &str, value: Value);
@@ -228,7 +237,8 @@ impl AgentState {
 /// its constant pool: a [`Value`] whose strings and lists are shared, so
 /// `load`, `dup`, `listget` and constant pushes copy a pointer instead of a
 /// tree. It never leaves `run`; it converts to and from `Value` only where
-/// the agent touches its host or its migrating globals.
+/// the agent touches its host or its migrating globals, and a parameter a
+/// host keeps encoded ([`Host::param_bytes`]) decodes straight into it.
 ///
 /// A list carries its nesting depth (1 for a list of scalars), so `listpush`
 /// can refuse to build a value deeper than [`MAX_DEPTH`] without walking it:
@@ -298,6 +308,22 @@ impl Val {
     }
 }
 
+impl Decode for Val {
+    fn scalar(s: Scalar<'_>) -> Val {
+        match s {
+            Scalar::Nil => Val::Nil,
+            Scalar::Bool(b) => Val::Bool(b),
+            Scalar::Int(i) => Val::Int(i),
+            Scalar::Str(s) => Val::Str(Rc::from(s)),
+        }
+    }
+
+    fn list(items: Vec<Val>) -> Val {
+        let depth = items.iter().map(Val::depth).max().unwrap_or(0).saturating_add(1);
+        Val::List(Rc::new(items), depth)
+    }
+}
+
 impl From<&Value> for Val {
     fn from(v: &Value) -> Val {
         match v {
@@ -305,11 +331,7 @@ impl From<&Value> for Val {
             Value::Bool(b) => Val::Bool(*b),
             Value::Int(i) => Val::Int(*i),
             Value::Str(s) => Val::Str(Rc::from(s.as_str())),
-            Value::List(items) => {
-                let items: Vec<Val> = items.iter().map(Val::from).collect();
-                let depth = items.iter().map(Val::depth).max().unwrap_or(0).saturating_add(1);
-                Val::List(Rc::new(items), depth)
-            }
+            Value::List(items) => Val::list(items.iter().map(Val::from).collect()),
         }
     }
 }
@@ -608,8 +630,18 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
                 }
             }
             Instr::Param(i) => {
-                let v = host.param(&name!(i));
-                push!(at, v.as_ref().map_or(Val::Nil, Val::from));
+                let name = name!(i);
+                let v = match host.param_bytes(&name) {
+                    Some(bytes) => match decode_at::<Val>(bytes, &mut 0, 0) {
+                        Ok(v) => v,
+                        Err(e) => {
+                            let message = format!("parameter {name:?}: {e}");
+                            return Outcome::Trapped(VmError::Host { at, message });
+                        }
+                    },
+                    None => host.param(&name).as_ref().map_or(Val::Nil, Val::from),
+                };
+                push!(at, v);
             }
             Instr::Emit(i) => {
                 let v = pop!(at);
@@ -628,6 +660,9 @@ pub fn run(program: &Program, state: &mut AgentState, host: &mut dyn Host, fuel:
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+
     use super::*;
     use crate::asm::assemble;
 
@@ -731,6 +766,131 @@ mod tests {
         let (out, host, _) = exec("param \"nope\"\nemit \"x\"\nhalt");
         assert_eq!(out, Outcome::Completed);
         assert_eq!(host.emitted("x"), Some(&Value::Nil));
+    }
+
+    /// A host that keeps its parameter `p` encoded and answers any other
+    /// name from `inner`.
+    struct EncodedHost {
+        p: Vec<u8>,
+        inner: MapHost,
+    }
+
+    impl Host for EncodedHost {
+        fn invoke(&mut self, service: &str, op: &str, args: &[Value]) -> Result<Value, String> {
+            self.inner.invoke(service, op, args)
+        }
+        fn param(&self, name: &str) -> Option<Value> {
+            self.inner.param(name)
+        }
+        fn param_bytes(&self, name: &str) -> Option<&[u8]> {
+            (name == "p").then_some(&self.p[..])
+        }
+        fn emit(&mut self, key: &str, value: Value) {
+            self.inner.emit(key, value)
+        }
+        fn site_name(&self) -> &str {
+            self.inner.site_name()
+        }
+    }
+
+    fn encoded(v: &Value) -> Vec<u8> {
+        let mut out = Vec::new();
+        v.encode(&mut out);
+        out
+    }
+
+    /// Run `param "p"; emit "out"` against a host keeping `p` as `bytes`.
+    fn exec_param_bytes(bytes: Vec<u8>) -> (Outcome, Option<Value>) {
+        let program = assemble("param \"p\"\nemit \"out\"\nhalt").unwrap();
+        let mut host = EncodedHost { p: bytes, inner: MapHost::new("site-a") };
+        let outcome = run(&program, &mut AgentState::default(), &mut host, 100);
+        (outcome, host.inner.emitted("out").cloned())
+    }
+
+    #[test]
+    fn encoded_params_decode_into_the_vm_and_others_fall_back_to_param() {
+        let list = Value::List(vec![Value::Int(-3), Value::Str("x".into()), Value::Nil]);
+        let program = assemble("param \"p\"\nemit \"a\"\nparam \"q\"\nemit \"b\"\nhalt").unwrap();
+        let mut host = EncodedHost { p: encoded(&list), inner: MapHost::new("site-a") };
+        host.inner.set_param("q", Value::Int(5));
+        host.inner.set_param("p", Value::Nil);
+        let outcome = run(&program, &mut AgentState::default(), &mut host, 100);
+        assert_eq!(outcome, Outcome::Completed);
+        assert_eq!(host.inner.emitted("a"), Some(&list));
+        assert_eq!(host.inner.emitted("b"), Some(&Value::Int(5)));
+    }
+
+    #[test]
+    fn malformed_or_too_deep_encoded_params_trap() {
+        let deep = (0..=MAX_DEPTH).fold(Value::Nil, |inner, _| Value::List(vec![inner]));
+        let mut hostile = [5u8, 1].repeat(200_000);
+        hostile.push(0);
+        for bytes in
+            [vec![], vec![9], vec![4, 100, b'a'], vec![4, 1, 0xff], encoded(&deep), hostile]
+        {
+            let (outcome, out) = exec_param_bytes(bytes);
+            assert!(
+                matches!(outcome, Outcome::Trapped(VmError::Host { at: 0, .. })),
+                "{outcome:?}"
+            );
+            assert_eq!(out, None);
+        }
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Nil),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            "\\PC{0,6}".prop_map(Value::Str),
+        ];
+        leaf.prop_recursive(3, 16, 4, |inner| pvec(inner, 0..4).prop_map(Value::List))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The `Val` decode is `Val::from(&Value::decode(..))`, and
+        /// [`Value::skip`] accepts and steps over exactly what
+        /// [`Value::decode`] does, on encodings cut short or with one byte
+        /// replaced; a `param` of bytes `Value::decode` rejects traps.
+        #[test]
+        fn encoded_params_decode_like_value_decode(
+            v in value(),
+            mode in 0u8..3,
+            at in any::<u16>(),
+            byte in any::<u8>(),
+        ) {
+            let mut bytes = encoded(&v);
+            match mode {
+                1 => bytes.truncate(at as usize % (bytes.len() + 1)),
+                2 => {
+                    let k = at as usize % bytes.len();
+                    bytes[k] = byte;
+                }
+                _ => {}
+            }
+            let (mut slow_pos, mut fast_pos, mut skip_pos) = (0, 0, 0);
+            let slow = Value::decode(&bytes, &mut slow_pos);
+            let fast = decode_at::<Val>(&bytes, &mut fast_pos, 0);
+            let skip = Value::skip(&bytes, &mut skip_pos);
+            prop_assert_eq!(fast.clone().map(|v| Value::from(&v)), slow.clone());
+            prop_assert_eq!(skip, slow.clone().map(|_| ()));
+            if let (Ok(fast), Ok(slow)) = (&fast, &slow) {
+                prop_assert!(*fast == Val::from(slow));
+                prop_assert_eq!((fast_pos, skip_pos), (slow_pos, slow_pos));
+            }
+            let (outcome, out) = exec_param_bytes(bytes);
+            match slow {
+                Ok(v) => {
+                    prop_assert_eq!(outcome, Outcome::Completed);
+                    prop_assert_eq!(out, Some(v));
+                }
+                Err(_) => {
+                    prop_assert!(matches!(outcome, Outcome::Trapped(VmError::Host { at: 0, .. })));
+                }
+            }
+        }
     }
 
     #[test]
