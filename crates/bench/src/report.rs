@@ -5,7 +5,7 @@
 //! no serde, and the value space here is tiny.
 
 use pdagent_net::federation::FederationReport;
-use pdagent_net::obs::{ObsEvent, ObsSummary};
+use pdagent_net::obs::{write_json_escaped, ObsEvent, ObsSummary};
 use pdagent_net::paging::PagingReport;
 use pdagent_net::slo::SloReport;
 use std::fmt::Write as _;
@@ -62,23 +62,7 @@ impl Json {
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -95,7 +79,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -103,6 +87,13 @@ impl Json {
             }
         }
     }
+}
+
+/// Append `s` as a quoted JSON string.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    write_json_escaped(out, s);
+    out.push('"');
 }
 
 impl From<f64> for Json {

@@ -381,9 +381,10 @@ pub struct SoakOutcome {
     /// [`Drill::PagerOutage`] runs with the fleet plane).
     pub page_slo: Vec<SloReport>,
     /// Devices whose deploy dispatched an agent but at quiesce neither
-    /// collected a result nor recorded any error — plus devices stuck
-    /// mid-command. Must be zero: every launched itinerary completes or is
-    /// accounted failed (the chaos suite's no-lost-agents oracle).
+    /// collected a result nor recorded any error, devices stuck mid-command,
+    /// and devices that abandoned a deploy at the collect deadline. Must be
+    /// zero: every launched itinerary completes or is accounted failed (the
+    /// chaos suite's no-lost-agents oracle).
     pub lost_agents: u64,
     /// `gateway.duplicate_executions` summed over every cell gateway: times
     /// a dispatch handler re-ran for a `(client, req_id)` it had already
@@ -837,7 +838,10 @@ pub fn run_soak_with(
             }
             // No-lost-agents accounting: a dispatched agent must end in a
             // collected result or an error event, and the device's command
-            // queue must have drained — anything else is a lost itinerary.
+            // queue must have drained — anything else is a lost itinerary. A
+            // deploy the handheld abandoned at its collect deadline ended in
+            // an error, but its result never came home: that is lost too.
+            let m = sim.metrics(dev);
             let mut dispatched = 0u64;
             let mut accounted = 0u64;
             for e in &node.events {
@@ -849,10 +853,10 @@ pub fn run_soak_with(
                     _ => {}
                 }
             }
-            if (dispatched > 0 && accounted == 0) || !node.idle() {
+            let abandoned = m.counter("device.collect_abandoned") > 0.0;
+            if (dispatched > 0 && accounted == 0) || !node.idle() || abandoned {
                 lost_agents += 1;
             }
-            let m = sim.metrics(dev);
             wireless_bytes += m.bytes_sent + m.bytes_received;
         }
         let gw = sim.metrics(cell.gateway);

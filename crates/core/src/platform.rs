@@ -10,6 +10,12 @@
 //! online phases: the RTT-probe → PI-upload window and each result-download
 //! attempt — matching the paper's definition "PDAgent — time for sending
 //! 'Packed Information' (online) + time for downloading result (online)".
+//!
+//! A deploy's phases each hold one record: entry and probing the
+//! [`DeployRequest`], `Uploading` an `Upload` (gateway, RTT, PI size, when
+//! the connection opened), and `WaitingResult` and `Collecting` a
+//! `Dispatched` (agent id, gateway, online times, PI size, give-up count),
+//! which is also what a parked deploy is. All three carry the journey spans.
 
 use std::collections::VecDeque;
 
@@ -240,6 +246,14 @@ const RTT_THRESHOLD: SimDuration = SimDuration::from_millis(1500);
 /// Offline think-time per form field during data entry.
 const ENTRY_TIME_PER_PARAM: SimDuration = SimDuration::from_secs(2);
 
+/// Collects of one deploy that may give up (link down) before it fails.
+const COLLECT_GIVE_UPS: u32 = 10;
+
+/// How long after dispatch a deploy may wait for its result before it ends
+/// in a `collect` error and `device.collect_abandoned` (a lost completion
+/// would otherwise poll 409 forever); the gateway's completed-list TTL.
+pub const COLLECT_DEADLINE: SimDuration = SimDuration::from_secs(600);
+
 /// Observability handles for one agent journey (§ [`pdagent_net::obs`]):
 /// the trace id minted at data entry plus the span ids opened so far. All
 /// zeros when no collector is attached — every hook call is then a no-op,
@@ -268,21 +282,42 @@ impl JourneyObs {
     }
 }
 
+/// A deploy from its PI upload to the dispatch ack.
+#[derive(Debug)]
+struct Upload {
+    gateway: GatewayEntry,
+    /// RTT measured to `gateway` (zero without probing).
+    rtt: SimDuration,
+    /// When the connection opened: the start of the probe round.
+    opened_at: SimTime,
+    /// Bytes of the sealed PI envelope.
+    pi_bytes: usize,
+    obs: JourneyObs,
+}
+
+/// A dispatched deploy: the agent is out and the handheld polls its
+/// gateway until the result comes home.
+#[derive(Debug)]
+struct Dispatched {
+    agent_id: String,
+    gateway: GatewayEntry,
+    /// When the dispatch ack landed; [`COLLECT_DEADLINE`] counts from here.
+    dispatched_at: SimTime,
+    dispatch_online: SimDuration,
+    /// Online time of the collect attempts so far.
+    collect_online: SimDuration,
+    pi_bytes: usize,
+    /// Collects of this deploy that gave up, out of [`COLLECT_GIVE_UPS`].
+    give_ups: u32,
+    obs: JourneyObs,
+}
+
 #[derive(Debug)]
 enum Phase {
     Idle,
-    FetchingList {
-        resume_deploy: Option<(DeployRequest, JourneyObs)>,
-    },
-    Subscribing {
-        service: String,
-        req_id: u64,
-        gateway_idx: usize,
-    },
-    Entering {
-        deploy: DeployRequest,
-        obs: JourneyObs,
-    },
+    FetchingList { resume_deploy: Option<(DeployRequest, JourneyObs)> },
+    Subscribing { service: String, req_id: u64, gateway_idx: usize },
+    Entering { deploy: DeployRequest, obs: JourneyObs },
     Probing {
         deploy: DeployRequest,
         sent_at: SimTime,
@@ -291,37 +326,23 @@ enum Phase {
         attempt: u32,
         obs: JourneyObs,
     },
-    Uploading {
-        gateway: GatewayEntry,
-        rtt: SimDuration,
-        opened_at: SimTime,
-        pi_bytes: usize,
-        req_id: u64,
-        obs: JourneyObs,
-    },
-    WaitingResult {
-        agent_id: String,
-        gateway: GatewayEntry,
-        dispatch_online: SimDuration,
-        collect_online: SimDuration,
-        pi_bytes: usize,
-        obs: JourneyObs,
-    },
-    Collecting {
-        agent_id: String,
-        gateway: GatewayEntry,
-        dispatch_online: SimDuration,
-        collect_online: SimDuration,
-        pi_bytes: usize,
-        opened_at: SimTime,
-        req_id: u64,
-        obs: JourneyObs,
-    },
-    Managing {
-        op: ControlOp,
-        agent_id: String,
-        req_id: u64,
-    },
+    Uploading { upload: Upload, req_id: u64 },
+    WaitingResult(Dispatched),
+    Collecting { job: Dispatched, opened_at: SimTime, req_id: u64 },
+    Managing { op: ControlOp, agent_id: String, req_id: u64 },
+}
+
+impl Phase {
+    /// The journey spans of the deploy this phase runs, if it runs one.
+    fn journey(&self) -> Option<&JourneyObs> {
+        match self {
+            Phase::Entering { obs, .. } | Phase::Probing { obs, .. } => Some(obs),
+            Phase::FetchingList { resume_deploy } => resume_deploy.as_ref().map(|(_, obs)| obs),
+            Phase::Uploading { upload, .. } => Some(&upload.obs),
+            Phase::WaitingResult(job) | Phase::Collecting { job, .. } => Some(&job.obs),
+            Phase::Idle | Phase::Subscribing { .. } | Phase::Managing { .. } => None,
+        }
+    }
 }
 
 /// The PDAgent device platform node.
@@ -335,10 +356,8 @@ pub struct DeviceNode {
     phase: Phase,
     /// A deploy parked in its waiting-for-result phase while another command
     /// (typically agent management, §3.6) runs in the foreground.
-    parked: Option<Phase>,
+    parked: Option<Dispatched>,
     gateways: Vec<GatewayEntry>,
-    /// Consecutive failed collect attempts for the active deployment.
-    collect_failures: u32,
     /// Events for the application layer, in order.
     pub events: Vec<DeviceEvent>,
     /// One timing record per completed deployment.
@@ -359,7 +378,6 @@ impl DeviceNode {
             queue: commands.into(),
             phase: Phase::Idle,
             parked: None,
-            collect_failures: 0,
             gateways,
             events: Vec::new(),
             timings: Vec::new(),
@@ -416,28 +434,46 @@ impl DeviceNode {
         ctx.set_timer(SimDuration::ZERO, TAG_NEXT);
     }
 
+    /// End the running command in an error: report it, close the journey's
+    /// spans if it is a deploy, and move on to the next command.
+    fn fail(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        journey: Option<&JourneyObs>,
+        context: &str,
+        detail: impl Into<String>,
+    ) {
+        self.error(context, detail);
+        if let Some(obs) = journey {
+            obs.close_all(ctx);
+        }
+        self.next_command(ctx);
+    }
+
     fn start_next(&mut self, ctx: &mut Ctx<'_>) {
         if !matches!(self.phase, Phase::Idle) {
             // The result-wait phase is interruptible: the user can manage
             // agents (or subscribe to something else) while a dispatched
             // agent is still out. Park the wait and run the next command.
-            let interruptible = matches!(self.phase, Phase::WaitingResult { .. });
-            if interruptible && !self.queue.is_empty() && self.parked.is_none() {
-                self.parked = Some(std::mem::replace(&mut self.phase, Phase::Idle));
-            } else {
+            let interruptible = matches!(self.phase, Phase::WaitingResult(_));
+            if !interruptible || self.queue.is_empty() || self.parked.is_some() {
                 return;
             }
+            let Phase::WaitingResult(job) = std::mem::replace(&mut self.phase, Phase::Idle) else {
+                unreachable!("checked above");
+            };
+            self.parked = Some(job);
         }
         let Some(cmd) = self.queue.pop_front() else {
             // Nothing more to do: resume a parked result-wait, if any.
-            if let Some(parked) = self.parked.take() {
-                self.phase = parked;
+            if let Some(job) = self.parked.take() {
+                self.phase = Phase::WaitingResult(job);
             }
             return;
         };
         match cmd {
             DeviceCommand::FetchGatewayList => self.start_fetch_list(ctx, None),
-            DeviceCommand::Subscribe { service } => self.start_subscribe(ctx, service),
+            DeviceCommand::Subscribe { service } => self.start_subscribe(ctx, service, 0),
             DeviceCommand::Deploy(deploy) => self.start_entry(ctx, deploy),
             DeviceCommand::Manage { op, agent_id } => self.start_manage(ctx, op, agent_id),
             DeviceCommand::Unsubscribe { service } => {
@@ -463,8 +499,7 @@ impl DeviceNode {
         resume_deploy: Option<(DeployRequest, JourneyObs)>,
     ) {
         let Some(central) = self.config.central_server else {
-            self.error("fetch-gateways", "no central server configured");
-            self.next_command(ctx);
+            self.fail(ctx, None, "fetch-gateways", "no central server configured");
             return;
         };
         ctx.connection_opened();
@@ -497,24 +532,19 @@ impl DeviceNode {
         }
         match resume_deploy {
             // A deploy was waiting on the refreshed list: re-probe.
-            Some((deploy, obs)) => self.start_probing(ctx, deploy, obs, true),
+            Some((deploy, obs)) => self.start_probing(ctx, deploy, obs, true, 1),
             None => self.next_command(ctx),
         }
     }
 
     // --- subscription ------------------------------------------------------
 
-    fn start_subscribe(&mut self, ctx: &mut Ctx<'_>, service: String) {
-        self.start_subscribe_at(ctx, service, 0);
-    }
-
     /// Subscribe via the gateway at `gateway_idx` (an *attempt counter*:
     /// it wraps around the list so that transient loss on a single-gateway
     /// deployment gets a second round before giving up).
-    fn start_subscribe_at(&mut self, ctx: &mut Ctx<'_>, service: String, gateway_idx: usize) {
+    fn start_subscribe(&mut self, ctx: &mut Ctx<'_>, service: String, gateway_idx: usize) {
         if self.gateways.is_empty() || gateway_idx >= self.gateways.len() * 3 {
-            self.error("subscribe", "no (more) gateways to subscribe at");
-            self.next_command(ctx);
+            self.fail(ctx, None, "subscribe", "no (more) gateways to subscribe at");
             return;
         }
         let gateway = self.gateways[gateway_idx % self.gateways.len()].clone();
@@ -536,8 +566,7 @@ impl DeviceNode {
     ) {
         ctx.connection_closed();
         if status != HttpStatus::Ok {
-            self.error("subscribe", format!("HTTP {}", status.code()));
-            self.next_command(ctx);
+            self.fail(ctx, None, "subscribe", format!("HTTP {}", status.code()));
             return;
         }
         match Subscription::from_download(service, body) {
@@ -563,8 +592,7 @@ impl DeviceNode {
 
     fn start_entry(&mut self, ctx: &mut Ctx<'_>, deploy: DeployRequest) {
         if self.db.subscription(&deploy.service).is_none() {
-            self.error("deploy", format!("not subscribed to {:?}", deploy.service));
-            self.next_command(ctx);
+            self.fail(ctx, None, "deploy", format!("not subscribed to {:?}", deploy.service));
             return;
         }
         // Offline data entry: the user fills the form while disconnected.
@@ -586,25 +614,13 @@ impl DeviceNode {
         deploy: DeployRequest,
         obs: JourneyObs,
         refreshed: bool,
-    ) {
-        self.start_probing_attempt(ctx, deploy, obs, refreshed, 1);
-    }
-
-    fn start_probing_attempt(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        deploy: DeployRequest,
-        obs: JourneyObs,
-        refreshed: bool,
         attempt: u32,
     ) {
         if self.gateways.is_empty() {
             if !refreshed && self.config.central_server.is_some() {
                 self.start_fetch_list(ctx, Some((deploy, obs)));
             } else {
-                self.error("deploy", "no gateways available");
-                obs.close_all(ctx);
-                self.next_command(ctx);
+                self.fail(ctx, Some(&obs), "deploy", "no gateways available");
             }
             return;
         }
@@ -658,11 +674,9 @@ impl DeviceNode {
                 ctx.connection_closed();
                 if attempt < 3 {
                     ctx.metrics().bump("device.probe_retries", 1.0);
-                    self.start_probing_attempt(ctx, deploy, obs, refreshed, attempt + 1);
+                    self.start_probing(ctx, deploy, obs, refreshed, attempt + 1);
                 } else {
-                    self.error("deploy", "no gateway answered probes");
-                    obs.close_all(ctx);
-                    self.next_command(ctx);
+                    self.fail(ctx, Some(&obs), "deploy", "no gateway answered probes");
                 }
             }
             Some((idx, rtt)) => {
@@ -694,9 +708,7 @@ impl DeviceNode {
     ) {
         let Some(sub) = self.db.subscription(&deploy.service) else {
             ctx.connection_closed();
-            self.error("deploy", "subscription vanished");
-            obs.close_all(ctx);
-            self.next_command(ctx);
+            self.fail(ctx, Some(&obs), "deploy", "subscription vanished");
             return;
         };
         // PI assembly is instantaneous in sim time; record it as an instant
@@ -734,47 +746,33 @@ impl DeviceNode {
                 .traced(ObsContext { trace: obs.trace, span: obs.root }),
             upload_rto,
         );
-        self.phase = Phase::Uploading {
-            gateway,
-            rtt,
-            opened_at: conn_opened_at,
-            pi_bytes,
-            req_id,
-            obs,
-        };
+        let upload = Upload { gateway, rtt, opened_at: conn_opened_at, pi_bytes, obs };
+        self.phase = Phase::Uploading { upload, req_id };
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn finish_upload(
         &mut self,
         ctx: &mut Ctx<'_>,
         status: HttpStatus,
         body: &[u8],
-        gateway: GatewayEntry,
-        rtt: SimDuration,
-        pi_bytes: usize,
-        opened_at: SimTime,
-        mut obs: JourneyObs,
+        upload: Upload,
     ) {
+        let Upload { gateway, rtt, opened_at, pi_bytes, mut obs } = upload;
         // Online window closes as soon as the 202 lands — "once the agent is
         // dispatched, the user can disconnect from the network".
         let dispatch_online = ctx.now().since(opened_at);
         ctx.connection_closed();
         ctx.span_end(obs.upload);
         if status != HttpStatus::Accepted {
-            self.error("deploy", format!("dispatch rejected: HTTP {}", status.code()));
-            obs.close_all(ctx);
-            self.next_command(ctx);
+            let detail = format!("dispatch rejected: HTTP {}", status.code());
+            self.fail(ctx, Some(&obs), "deploy", detail);
             return;
         }
         let Ok(agent_id) = std::str::from_utf8(body).map(str::to_owned) else {
-            self.error("deploy", "bad agent id in dispatch response");
-            obs.close_all(ctx);
-            self.next_command(ctx);
+            self.fail(ctx, Some(&obs), "deploy", "bad agent id in dispatch response");
             return;
         };
         ctx.metrics().bump("device.dispatches", 1.0);
-        self.collect_failures = 0;
         self.events.push(DeviceEvent::Dispatched {
             agent_id: agent_id.clone(),
             gateway: gateway.name.clone(),
@@ -783,69 +781,66 @@ impl DeviceNode {
         // Disconnect, then reconnect later to collect.
         obs.wait = ctx.span_begin(obs.trace, obs.root, "result.wait");
         ctx.set_timer(self.config.result_poll_initial, TAG_POLL);
-        self.phase = Phase::WaitingResult {
+        self.phase = Phase::WaitingResult(Dispatched {
             agent_id,
             gateway,
+            dispatched_at: ctx.now(),
             dispatch_online,
             collect_online: SimDuration::ZERO,
             pi_bytes,
+            give_ups: 0,
             obs,
-        };
+        });
     }
 
     // --- result collection ---------------------------------------------------
 
     fn start_collect(&mut self, ctx: &mut Ctx<'_>) {
-        let Phase::WaitingResult {
-            agent_id,
-            gateway,
-            dispatch_online,
-            collect_online,
-            pi_bytes,
-            mut obs,
-        } = std::mem::replace(&mut self.phase, Phase::Idle)
+        let Phase::WaitingResult(mut job) = std::mem::replace(&mut self.phase, Phase::Idle)
         else {
             return;
         };
+        if ctx.now().since(job.dispatched_at) >= COLLECT_DEADLINE {
+            ctx.metrics().bump("device.collect_abandoned", 1.0);
+            self.fail(ctx, Some(&job.obs), "collect", "no result by the collect deadline");
+            return;
+        }
         ctx.connection_opened();
+        let obs = &mut job.obs;
         obs.fetch = ctx.span_begin(obs.trace, obs.root, "result.fetch");
         let req_id = self.http.send(
             ctx,
-            gateway.node,
-            HttpRequest::new("GET", PATH_RESULT, agent_id.clone().into_bytes())
+            job.gateway.node,
+            HttpRequest::new("GET", PATH_RESULT, job.agent_id.clone().into_bytes())
                 .traced(ObsContext { trace: obs.trace, span: obs.fetch }),
         );
-        self.phase = Phase::Collecting {
-            agent_id,
-            gateway,
-            dispatch_online,
-            collect_online,
-            pi_bytes,
-            opened_at: ctx.now(),
-            req_id,
-            obs,
-        };
+        self.phase = Phase::Collecting { job, opened_at: ctx.now(), req_id };
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Back to waiting after a collect that brought no result: the fetch
+    /// span closes (`result.wait` stays open) and the next poll is armed.
+    fn wait_again(&mut self, ctx: &mut Ctx<'_>, mut job: Dispatched) {
+        ctx.set_timer(self.config.result_poll_interval, TAG_POLL);
+        ctx.span_end(job.obs.fetch);
+        job.obs.fetch = 0;
+        self.phase = Phase::WaitingResult(job);
+    }
+
     fn finish_collect(
         &mut self,
         ctx: &mut Ctx<'_>,
         status: HttpStatus,
         body: &[u8],
-        agent_id: String,
-        gateway: GatewayEntry,
-        dispatch_online: SimDuration,
-        mut collect_online: SimDuration,
-        pi_bytes: usize,
+        mut job: Dispatched,
         opened_at: SimTime,
-        mut obs: JourneyObs,
     ) {
-        collect_online += ctx.now().since(opened_at);
+        job.collect_online += ctx.now().since(opened_at);
         ctx.connection_closed();
-        ctx.span_end(obs.fetch);
+        ctx.span_end(job.obs.fetch);
         match status {
             HttpStatus::Ok => {
+                let Dispatched { agent_id, dispatch_online, collect_online, pi_bytes, obs, .. } =
+                    job;
                 let result_bytes = body.len();
                 let parsed = decompress(body).map_err(|e| e.to_string()).and_then(|xml| {
                     ResultDoc::from_document_str(
@@ -875,25 +870,12 @@ impl DeviceNode {
                 self.next_command(ctx);
             }
             HttpStatus::Conflict => {
-                // Not ready: disconnect and re-poll later (the `result.wait`
-                // span stays open — the journey is still in flight).
+                // Not ready: disconnect and re-poll later (the journey is
+                // still in flight).
                 ctx.metrics().bump("device.result_polls", 1.0);
-                ctx.set_timer(self.config.result_poll_interval, TAG_POLL);
-                obs.fetch = 0;
-                self.phase = Phase::WaitingResult {
-                    agent_id,
-                    gateway,
-                    dispatch_online,
-                    collect_online,
-                    pi_bytes,
-                    obs,
-                };
+                self.wait_again(ctx, job);
             }
-            other => {
-                self.error("collect", format!("HTTP {}", other.code()));
-                obs.close_all(ctx);
-                self.next_command(ctx);
-            }
+            other => self.fail(ctx, Some(&job.obs), "collect", format!("HTTP {}", other.code())),
         }
     }
 
@@ -901,8 +883,7 @@ impl DeviceNode {
 
     fn start_manage(&mut self, ctx: &mut Ctx<'_>, op: ControlOp, agent_id: String) {
         let Some(gateway) = self.gateways.first().cloned() else {
-            self.error("manage", "gateway list is empty");
-            self.next_command(ctx);
+            self.fail(ctx, None, "manage", "gateway list is empty");
             return;
         };
         ctx.connection_opened();
@@ -964,35 +945,11 @@ impl Node for DeviceNode {
             Phase::Subscribing { service, req_id, .. } if req_id == resp.req_id => {
                 self.finish_subscribe(ctx, &service, resp.status, &resp.body);
             }
-            Phase::Uploading { gateway, rtt, pi_bytes, req_id, opened_at, obs }
-                if req_id == resp.req_id =>
-            {
-                self.finish_upload(
-                    ctx, resp.status, &resp.body, gateway, rtt, pi_bytes, opened_at, obs,
-                );
+            Phase::Uploading { upload, req_id } if req_id == resp.req_id => {
+                self.finish_upload(ctx, resp.status, &resp.body, upload);
             }
-            Phase::Collecting {
-                agent_id,
-                gateway,
-                dispatch_online,
-                collect_online,
-                pi_bytes,
-                opened_at,
-                req_id,
-                obs,
-            } if req_id == resp.req_id => {
-                self.finish_collect(
-                    ctx,
-                    resp.status,
-                    &resp.body,
-                    agent_id,
-                    gateway,
-                    dispatch_online,
-                    collect_online,
-                    pi_bytes,
-                    opened_at,
-                    obs,
-                );
+            Phase::Collecting { job, opened_at, req_id } if req_id == resp.req_id => {
+                self.finish_collect(ctx, resp.status, &resp.body, job, opened_at);
             }
             Phase::Managing { op, agent_id, req_id } if req_id == resp.req_id => {
                 self.finish_manage(ctx, op, agent_id, resp.status, resp.body);
@@ -1011,12 +968,12 @@ impl Node for DeviceNode {
                 if let Phase::Entering { deploy, obs } =
                     std::mem::replace(&mut self.phase, Phase::Idle)
                 {
-                    self.start_probing(ctx, deploy, obs, false);
+                    self.start_probing(ctx, deploy, obs, false, 1);
                 }
             }
             TAG_PROBE_TIMEOUT => self.maybe_finish_probing(ctx, true),
             TAG_POLL => {
-                if matches!(self.phase, Phase::WaitingResult { .. }) {
+                if matches!(self.phase, Phase::WaitingResult(_)) {
                     self.start_collect(ctx);
                 } else if self.parked.is_some() {
                     // A foreground command holds the device; poll again soon.
@@ -1034,32 +991,15 @@ impl Node for DeviceNode {
                     match std::mem::replace(&mut self.phase, Phase::Idle) {
                         Phase::Subscribing { service, gateway_idx, .. } => {
                             ctx.metrics().bump("device.subscribe_failovers", 1.0);
-                            self.start_subscribe_at(ctx, service, gateway_idx + 1);
+                            self.start_subscribe(ctx, service, gateway_idx + 1);
                         }
-                        Phase::Collecting {
-                            agent_id,
-                            gateway,
-                            dispatch_online,
-                            collect_online,
-                            pi_bytes,
-                            opened_at,
-                            mut obs,
-                            ..
-                        } if self.collect_failures < 10 => {
-                            self.collect_failures += 1;
+                        Phase::Collecting { mut job, opened_at, .. }
+                            if job.give_ups < COLLECT_GIVE_UPS =>
+                        {
+                            job.give_ups += 1;
                             ctx.metrics().bump("device.collect_failures", 1.0);
-                            let extra = ctx.now().since(opened_at);
-                            ctx.set_timer(self.config.result_poll_interval, TAG_POLL);
-                            ctx.span_end(obs.fetch);
-                            obs.fetch = 0;
-                            self.phase = Phase::WaitingResult {
-                                agent_id,
-                                gateway,
-                                dispatch_online,
-                                collect_online: collect_online + extra,
-                                pi_bytes,
-                                obs,
-                            };
+                            job.collect_online += ctx.now().since(opened_at);
+                            self.wait_again(ctx, job);
                         }
                         other => {
                             let context = match &other {
@@ -1070,19 +1010,8 @@ impl Node for DeviceNode {
                                 _ => "http",
                             };
                             // Close any journey spans the dying phase held.
-                            match &other {
-                                Phase::Uploading { obs, .. }
-                                | Phase::Collecting { obs, .. }
-                                | Phase::Entering { obs, .. }
-                                | Phase::Probing { obs, .. }
-                                | Phase::WaitingResult { obs, .. } => obs.close_all(ctx),
-                                Phase::FetchingList {
-                                    resume_deploy: Some((_, obs)),
-                                } => obs.close_all(ctx),
-                                _ => {}
-                            }
-                            self.error(context, "request timed out after retries");
-                            self.next_command(ctx);
+                            let detail = "request timed out after retries";
+                            self.fail(ctx, other.journey(), context, detail);
                         }
                     }
                 }

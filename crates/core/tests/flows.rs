@@ -1,14 +1,15 @@
 //! End-to-end device-platform flows over full scenarios.
 
+use pdagent_core::platform::COLLECT_DEADLINE;
 use pdagent_core::{
     ControlOp, DeployRequest, DeviceCommand, DeviceEvent, DeviceNode, Scenario, ScenarioSpec,
-    SiteSpec,
+    SelectionPolicy, SiteSpec,
 };
 use pdagent_crypto::KeyPair;
 use pdagent_mas::{AgentRecord, EchoService};
 use pdagent_net::http::HttpStatus;
 use pdagent_net::link::LinkSpec;
-use pdagent_net::time::SimDuration;
+use pdagent_net::time::{SimDuration, SimTime};
 use pdagent_vm::{assemble, Program, Value};
 
 fn ebank_program() -> Program {
@@ -428,4 +429,164 @@ fn metrics_counters_tell_the_full_story() {
         .map(|&s| scenario.sim.metrics(s).counter("mas.agents_executed"))
         .sum();
     assert_eq!(executed, 2.0);
+}
+
+fn collect_gave_ups(scenario: &Scenario) -> f64 {
+    scenario.sim.metrics(scenario.device).counter("device.collect_failures")
+}
+
+#[test]
+fn a_parked_deploy_keeps_its_own_give_up_budget() {
+    // Deploy A dispatches through gw-near, then loses coverage to it. After
+    // one of its collects gave up, the user starts deploy B, which parks A
+    // and dispatches through gw-far. B's dispatch must not hand A a fresh
+    // budget: A gives up exactly ten collects in all, then fails.
+    let mut spec = base_spec(93);
+    spec.gateways = vec!["gw-near".into(), "gw-far".into()];
+    spec.gateway_extra_latency = vec![SimDuration::ZERO, SimDuration::from_millis(100)];
+    spec.device.result_poll_initial = SimDuration::from_secs(20);
+    spec.device.result_poll_interval = SimDuration::from_secs(5);
+    let mut scenario = Scenario::build(spec);
+    scenario.sim.run_until(SimTime(12_000_000));
+    assert!(scenario.device_ref().last_agent_id().is_some(), "A dispatched by t=12s");
+    scenario.sim.cut_link(scenario.device, scenario.gateways[0]);
+    // Step until A's first collect gives up; A then waits 5 s for its next
+    // poll, so the kick below parks it.
+    let mut secs = 12;
+    while collect_gave_ups(&scenario) < 1.0 {
+        assert!(secs < 200, "no collect gave up by t={secs}s");
+        secs += 1;
+        scenario.sim.run_until(SimTime(secs * 1_000_000));
+    }
+    scenario.device_mut().enqueue(DeviceCommand::Deploy(DeployRequest::new(
+        "ebank",
+        vec![("user".into(), Value::Str("bob".into()))],
+        vec!["bank-b".into()],
+    )));
+    DeviceNode::kick(&mut scenario.sim, scenario.device);
+    scenario.sim.run_until_idle();
+
+    let device = scenario.device_ref();
+    assert_eq!(device.timings.len(), 1, "B completes: {:?}", device.events);
+    assert_eq!(collect_gave_ups(&scenario), 10.0);
+    assert!(matches!(
+        device.events.last(),
+        Some(DeviceEvent::Error { context, detail })
+            if context == "collect" && detail == "request timed out after retries"
+    ));
+    assert_eq!(scenario.sim.metrics(scenario.device).counter("device.collect_abandoned"), 0.0);
+}
+
+#[test]
+fn a_lost_completion_ends_at_the_collect_deadline() {
+    // The last site cannot reach the gateway, so the agent's completion is
+    // lost and every collect is answered 409. The handheld gives up at the
+    // collect deadline with a counted failure, and the simulation drains.
+    let mut spec = base_spec(94);
+    spec.observe = true;
+    let mut scenario = Scenario::build(spec);
+    scenario.sim.cut_link(scenario.sites[1], scenario.gateways[0]);
+    let horizon = COLLECT_DEADLINE + SimDuration::from_secs(60);
+    scenario.sim.run_until(SimTime(horizon.as_micros()));
+    assert_eq!(scenario.sim.next_event_time(), None, "the simulation drained");
+
+    let device = scenario.device_ref();
+    assert!(device.idle());
+    assert!(device.timings.is_empty());
+    assert!(matches!(
+        device.events.last(),
+        Some(DeviceEvent::Error { context, .. }) if context == "collect"
+    ));
+    let m = scenario.sim.metrics(scenario.device);
+    assert_eq!(m.counter("device.collect_abandoned"), 1.0);
+    assert!(m.counter("device.result_polls") > 100.0);
+    assert_journey_closed(&scenario);
+}
+
+/// Every span of the last journey's trace is closed.
+fn assert_journey_closed(scenario: &Scenario) {
+    let collector = scenario.sim.obs().expect("observed");
+    let trace = collector.traces();
+    let spans: Vec<_> = collector.spans_for(trace).collect();
+    assert!(spans.iter().any(|s| s.name == "journey"), "trace {trace} has no journey");
+    for s in spans {
+        assert!(s.end.is_some(), "span {} left open", s.label());
+    }
+}
+
+#[test]
+fn traced_failure_exits_close_the_journey() {
+    // Subscribe on an observed scenario, break one thing, deploy, and check
+    // the deploy failed with `error` and every span of its trace closed.
+    fn fail_deploy(
+        seed: u64,
+        spec_tweak: impl FnOnce(&mut ScenarioSpec),
+        break_it: impl FnOnce(&mut Scenario),
+        error: (&str, &str),
+    ) {
+        let mut spec = base_spec(seed);
+        spec.observe = true;
+        let deploy = spec.commands.pop().expect("deploy command");
+        spec_tweak(&mut spec);
+        let mut scenario = Scenario::build(spec);
+        scenario.run();
+        scenario.device_mut().enqueue(deploy);
+        break_it(&mut scenario);
+        DeviceNode::kick(&mut scenario.sim, scenario.device);
+        scenario.sim.run_until_idle();
+        let device = scenario.device_ref();
+        assert!(device.timings.is_empty());
+        assert!(
+            matches!(
+                device.events.last(),
+                Some(DeviceEvent::Error { context, detail }) if (&**context, &**detail) == error
+            ),
+            "{error:?}: {:?}",
+            device.events
+        );
+        assert_journey_closed(&scenario);
+    }
+
+    // No gateway answers a probe round, three times over.
+    fn cut_gateway(s: &mut Scenario) {
+        s.sim.cut_link(s.device, s.gateways[0]);
+    }
+    fail_deploy(95, |_| {}, cut_gateway, ("deploy", "no gateway answered probes"));
+
+    // The gateway cannot open the envelope and rejects the dispatch.
+    let wrong_key = |s: &mut Scenario| {
+        let device = s.device_mut();
+        let mut sub = device.db.subscription("ebank").expect("subscribed");
+        sub.public_key = KeyPair::generate(99).public;
+        device.db.put_subscription(&sub).unwrap();
+    };
+    fail_deploy(96, |_| {}, wrong_key, ("deploy", "dispatch rejected: HTTP 400"));
+
+    // The upload itself times out (no probing: straight to the gateway).
+    let first_in_list =
+        |spec: &mut ScenarioSpec| spec.device.selection = SelectionPolicy::FirstInList;
+    let timed_out = "request timed out after retries";
+    fail_deploy(97, first_in_list, cut_gateway, ("deploy", timed_out));
+
+    // The probed RTT is over the threshold and the list refresh times out.
+    let distant = |spec: &mut ScenarioSpec| {
+        spec.gateway_extra_latency = vec![SimDuration::from_millis(600)];
+        spec.device.probe_timeout = SimDuration::from_secs(5);
+    };
+    let cut_central = |s: &mut Scenario| s.sim.cut_link(s.device, s.central);
+    fail_deploy(98, distant, cut_central, ("fetch-gateways", timed_out));
+
+    // The gateway forgets the agent (disposed while the deploy is parked),
+    // so the collect is answered 404.
+    let slow_poll = |spec: &mut ScenarioSpec| {
+        spec.device.result_poll_initial = SimDuration::from_secs(60);
+    };
+    let dispose = |s: &mut Scenario| {
+        let until = s.sim.now() + SimDuration::from_secs(30);
+        DeviceNode::kick(&mut s.sim, s.device);
+        s.sim.run_until(until);
+        let agent_id = dispatched_id(s.device_ref());
+        s.device_mut().enqueue(DeviceCommand::Manage { op: ControlOp::Dispose, agent_id });
+    };
+    fail_deploy(99, slow_poll, dispose, ("collect", "HTTP 404"));
 }

@@ -89,7 +89,9 @@ pub struct GatewayNode {
     next_agent: u64,
     next_code: u64,
     dispatched: HashMap<String, DispatchState>,
-    results: HashMap<String, ResultDoc>,
+    /// Held results as the compressed document a collect serves, encoded
+    /// once when the agent comes home; every collect clones the handle.
+    results: HashMap<String, Bytes>,
     /// Agents in their processing delay, keyed by the timer that launches
     /// them into `transfers`, the first hop's sender.
     launching: HashMap<u64, MobileAgent>,
@@ -220,9 +222,11 @@ impl GatewayNode {
         self.results.len()
     }
 
-    /// Result for an agent (inspection in tests/harnesses).
-    pub fn result_for(&self, agent_id: &str) -> Option<&ResultDoc> {
-        self.results.get(agent_id)
+    /// Result for an agent, decoded from the held download (inspection in
+    /// tests/harnesses).
+    pub fn result_for(&self, agent_id: &str) -> Option<ResultDoc> {
+        let xml = decompress(self.results.get(agent_id)?).ok()?;
+        ResultDoc::from_document_str(std::str::from_utf8(&xml).ok()?).ok()
     }
 
     fn processing_delay(&self, payload_bytes: usize) -> SimDuration {
@@ -368,8 +372,8 @@ impl GatewayNode {
         };
         let agent_id = agent_id.to_owned();
         match self.results.get(&agent_id) {
-            Some(doc) => {
-                let body = compress(doc.to_document_string().as_bytes(), COMPRESSION);
+            Some(body) => {
+                let body = body.clone();
                 ctx.metrics().bump("gateway.results_served", 1.0);
                 let _ = self.files.release(&format!("{agent_id}/result.xml"));
                 // The first collect puts the agent on the completed list; until
@@ -502,11 +506,12 @@ impl GatewayNode {
         // evictable even if no site ever acked its first transfer.
         let _ = self.files.release(&format!("{}/classes", agent.id.0));
         let _ = self.files.release(&format!("{}/params.xml", agent.id.0));
-        let doc = ResultDoc::from_agent(&agent);
+        let xml = ResultDoc::from_agent(&agent).to_document_string();
+        let body = Bytes::from(compress(xml.as_bytes(), COMPRESSION));
         let _ = self.files.allocate(
             format!("{}/result.xml", agent.id.0),
             FileKind::ResultDoc,
-            doc.to_document_string().into_bytes(),
+            xml.into_bytes(),
         );
         ctx.metrics().bump("gateway.results_stored", 1.0);
         // Close the stage span if it is still open (idempotent — an agent
@@ -516,7 +521,7 @@ impl GatewayNode {
             ctx.span_end(stage);
         }
         self.dispatched.insert(agent.id.0.clone(), DispatchState::Done);
-        self.results.insert(agent.id.0.clone(), doc);
+        self.results.insert(agent.id.0.clone(), body);
         ctx.metrics().set_gauge("gateway.results_entries", self.results.len() as f64);
         ctx.metrics().set_gauge("gateway.dispatched_entries", self.dispatched.len() as f64);
     }

@@ -6,13 +6,16 @@
 #
 # Usage:
 #   scripts/loc.sh [rev]
+#   scripts/loc.sh A B
 #
 # Without a rev it counts the working tree (untracked files included);
-# with one it counts that commit, e.g. `scripts/loc.sh HEAD~1`.
+# with one it counts that commit, e.g. `scripts/loc.sh HEAD~1`. With two it
+# prints each crate's lines at A and at B and the delta; `.` names the
+# working tree, e.g. `scripts/loc.sh HEAD .`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-rev="${1:-}"
+rev=""
 
 # Print the tracked (or, in the working tree, also untracked) source files.
 files() {
@@ -46,18 +49,45 @@ count() {
   '
 }
 
-declare -A lines=()
-while read -r f; do
-  [[ -n "$rev" || -f "$f" ]] || continue # deleted but not yet staged
-  crate=${f#crates/}
-  crate=${crate%%/*}
-  lines[$crate]=$(( ${lines[$crate]:-0} + $(contents "$f" | count) ))
-done < <(files)
+# Print `crate lines` for every crate at $rev.
+per_crate() {
+  declare -A lines=()
+  local f crate
+  while read -r f; do
+    [[ -n "$rev" || -f "$f" ]] || continue # deleted but not yet staged
+    crate=${f#crates/}
+    crate=${crate%%/*}
+    lines[$crate]=$(( ${lines[$crate]:-0} + $(contents "$f" | count) ))
+  done < <(files)
+  for crate in "${!lines[@]}"; do
+    printf '%s %d\n' "$crate" "${lines[$crate]}"
+  done | sort
+}
 
-total=0
-printf '%-12s %8s\n' crate lines
-for crate in $(printf '%s\n' "${!lines[@]}" | sort); do
-  printf '%-12s %8d\n' "$crate" "${lines[$crate]}"
-  total=$(( total + lines[$crate] ))
+if [[ $# -lt 2 ]]; then
+  rev="${1:-}"
+  total=0
+  printf '%-12s %8s\n' crate lines
+  while read -r crate n; do
+    printf '%-12s %8d\n' "$crate" "$n"
+    total=$(( total + n ))
+  done < <(per_crate)
+  printf '%-12s %8d\n' total "$total"
+  exit 0
+fi
+
+# Two revisions: before, after and delta per crate (0 where a crate is
+# absent on one side).
+declare -A before=() after=()
+rev=$1; [[ "$rev" == . ]] && rev=""
+while read -r crate n; do before[$crate]=$n; done < <(per_crate)
+rev=$2; [[ "$rev" == . ]] && rev=""
+while read -r crate n; do after[$crate]=$n; done < <(per_crate)
+tb=0 ta=0
+printf '%-12s %8s %8s %8s\n' crate before after delta
+for crate in $(printf '%s\n' "${!before[@]}" "${!after[@]}" | sort -u); do
+  b=${before[$crate]:-0} a=${after[$crate]:-0}
+  printf '%-12s %8d %8d %+8d\n' "$crate" "$b" "$a" $(( a - b ))
+  tb=$(( tb + b )) ta=$(( ta + a ))
 done
-printf '%-12s %8d\n' total "$total"
+printf '%-12s %8d %8d %+8d\n' total "$tb" "$ta" $(( ta - tb ))
