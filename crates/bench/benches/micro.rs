@@ -101,8 +101,10 @@ fn bench_xml(c: &mut Criterion) {
 }
 
 /// A PI carrying `pad` bytes of base64-alphabet text (six bits of entropy
-/// per byte, xorshift64*): the shape of pdbench's `bulk_pi` upload.
-fn padded_pi_doc(pad: usize) -> String {
+/// per byte, xorshift64*) and `transactions` spread over `banks` sites: the
+/// shape of a pdbench upload (`bulk_pi`: 48 KB, 1 over 1; `roaming`: 1 KB,
+/// 32 over 8).
+fn padded_pi_doc(pad: usize, transactions: usize, banks: usize) -> String {
     const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
     let mut state = 42u64;
     let pad_text: String = (0..pad)
@@ -113,12 +115,17 @@ fn padded_pi_doc(pad: usize) -> String {
             ALPHABET[(state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 58) as usize] as char
         })
         .collect();
-    let txs = [Transaction::new("bank-0", "alice", "payee-0", 1000)];
+    let txs: Vec<Transaction> = (0..transactions)
+        .map(|i| {
+            let bank = format!("bank-{}", i % banks);
+            Transaction::new(bank, "alice", format!("payee-{i}"), 1000 + i as i64)
+        })
+        .collect();
     let pi = PackedInformation {
         code_id: "ebank@dev#1".into(),
         auth_key: "0123456789abcdef0123456789abcdef".into(),
         program: ebank_program(),
-        itinerary: vec!["bank-0".into()],
+        itinerary: itinerary_for(&txs),
         params: vec![transactions_param(&txs), ("pi_pad".into(), Value::Str(pad_text))],
         fuel_per_hop: 1_000_000,
     };
@@ -143,13 +150,24 @@ fn bench_compression(c: &mut Criterion) {
             |b, packed| b.iter(|| decompress(std::hint::black_box(packed)).unwrap()),
         );
     }
+    // The roaming shape: a 1 KB pad under 32 transactions, where Auto keeps
+    // LZSS and most positions find a trigram inside the window.
+    let roaming = padded_pi_doc(1024, 32, 8);
+    let roaming = roaming.as_bytes();
+    group.throughput(Throughput::Bytes(roaming.len() as u64));
+    group.bench_function("compress/auto_roaming_pi", |b| {
+        b.iter(|| compress(std::hint::black_box(roaming), Algorithm::Auto))
+    });
     // The bulk_pi shape: 48 KB of base64 pad, where Auto tries every coder
-    // and keeps Huffman.
-    let bulk = padded_pi_doc(48 * 1024);
+    // and keeps Huffman, and most LZSS positions have no trigram to follow.
+    let bulk = padded_pi_doc(48 * 1024, 1, 1);
     let bulk = bulk.as_bytes();
     group.throughput(Throughput::Bytes(bulk.len() as u64));
     group.bench_function("compress/auto_48k_base64_pi", |b| {
         b.iter(|| compress(std::hint::black_box(bulk), Algorithm::Auto))
+    });
+    group.bench_function("lzss/48k_base64_pi", |b| {
+        b.iter(|| pdagent_codec::lzss::encode(std::hint::black_box(bulk)))
     });
     let packed = compress(bulk, Algorithm::Auto);
     group.bench_function("decompress/auto_48k_base64_pi", |b| {

@@ -106,6 +106,17 @@ impl<'a> BitReader<'a> {
         (window >> (64 - u32::from(count))) as u32
     }
 
+    /// The 64 bits from the byte under the cursor on, shifted so the next
+    /// unread bit is the most significant, when all eight of those bytes
+    /// are in the stream: at least the top 57 bits are then unread stream
+    /// bits. `None` nearer the end, where [`BitReader::peek_bits`] pads.
+    #[inline]
+    pub fn peek_word(&self) -> Option<u64> {
+        let byte = self.pos / 8;
+        let bytes: [u8; 8] = self.input.get(byte..byte + 8)?.try_into().ok()?;
+        Some(u64::from_be_bytes(bytes) << (self.pos % 8))
+    }
+
     /// Skip `count` bits, failing (and consuming nothing) if fewer remain.
     #[inline]
     pub fn consume(&mut self, count: usize) -> Result<(), BitEof> {
@@ -221,6 +232,23 @@ mod tests {
         assert_eq!(r.consume(3), Err(BitEof));
         r.consume(2).unwrap();
         assert_eq!(r.peek_bits(32), 0);
+    }
+
+    #[test]
+    fn peek_word_needs_eight_whole_bytes() {
+        let bytes = [0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x0f];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.peek_word(), Some(0x1234_5678_9abc_def0));
+        r.consume(4).unwrap();
+        assert_eq!(r.peek_word(), Some(0x2345_6789_abcd_ef00));
+        assert_eq!(r.peek_word().unwrap() >> 32, u64::from(r.peek_bits(32)));
+        r.consume(4).unwrap();
+        assert_eq!(r.peek_word(), Some(0x3456_789a_bcde_f00f));
+        r.consume(7).unwrap();
+        assert_eq!(r.peek_word(), Some(0x3456_789a_bcde_f00f << 7));
+        r.consume(1).unwrap();
+        assert_eq!(r.peek_word(), None);
+        assert_eq!(BitReader::new(&bytes[..7]).peek_word(), None);
     }
 
     #[test]

@@ -311,6 +311,24 @@ pub fn decode(data: &[u8], original_len: usize) -> Result<Vec<u8>, HuffmanError>
     // at least one bit, so the stream cannot produce more bytes than it has
     // bits, and a longer promise fails with `Truncated` once they run out.
     let mut out = Vec::with_capacity(original_len.min(data.len().saturating_mul(8)));
+    // While eight whole bytes remain under the cursor, one load holds at
+    // least 57 stream bits: room for three codes of at most 15 bits, none
+    // of which can run past the end. A code the table lacks stops this loop
+    // on its first bit, for the loop below to classify.
+    'words: while original_len - out.len() >= 3 {
+        let Some(mut word) = r.peek_word() else { break };
+        let mut used = 0;
+        for _ in 0..3 {
+            let Some((sym, len)) = table.lookup((word >> (64 - MAX_CODE_LEN)) as u32) else {
+                r.consume(used).expect("decoded codes lie inside the word");
+                break 'words;
+            };
+            out.push(sym);
+            word <<= len;
+            used += usize::from(len);
+        }
+        r.consume(used).expect("three codes fit in the word");
+    }
     while out.len() < original_len {
         // Past the end the peek pads with zeros; `consume` then rejects a
         // code longer than the bits that really remain.
@@ -537,5 +555,27 @@ mod tests {
         assert_eq!(decode(&fifteen, 10), Err(HuffmanError::Truncated));
         agrees_with_oracle(&sixteen, 9);
         agrees_with_oracle(&fifteen, 10);
+    }
+
+    #[test]
+    fn an_unused_code_far_from_the_end_stops_the_word_loop() {
+        // a:`0` b:`10` leave `11` unassigned. After 32, 33 or 34 `a`s, so at
+        // each of the three codes one word holds, `11` comes with more than
+        // eight bytes still to go: the word loop must hand over to the
+        // careful one, which calls it a bad table.
+        for run in 32..35 {
+            let mut w = BitWriter::new();
+            w.write_bits(0, 16);
+            w.write_bits(0, run - 16);
+            w.write_bits(0b11, 2);
+            w.write_bits(0, 30);
+            let mut payload = w.finish();
+            payload.extend_from_slice(&[0; 10]);
+            let bad = stream(&[(b'a', 1), (b'b', 2)], &payload);
+            let run = usize::from(run);
+            assert_eq!(decode(&bad, run).unwrap(), vec![b'a'; run]);
+            assert_eq!(decode(&bad, run + 1), Err(HuffmanError::InvalidTable));
+            agrees_with_oracle(&bad, run + 1);
+        }
     }
 }

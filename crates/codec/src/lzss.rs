@@ -59,43 +59,109 @@ const MATCH_BITS: u8 = 17;
 /// Compress `data`. Returns the raw LZSS bit stream (no header; pair it with
 /// the original length, as [`crate::compress`] does).
 pub fn encode(data: &[u8]) -> Vec<u8> {
+    // Links to positions below 4 GiB - `WINDOW` fit in 32 bits.
+    if data.len() < u32::MAX as usize - WINDOW {
+        encode_with::<u32>(data)
+    } else {
+        encode_with::<u64>(data)
+    }
+}
+
+/// A stored position: the position plus `WINDOW + 1`, so zero means none
+/// and a link `l` is a position inside the window of the cursor `i` exactly
+/// when `l > i`. [`encode`] picks the narrowest type that holds its links.
+trait Link: Copy + Default {
+    fn of(pos: usize) -> Self;
+    fn raw(self) -> usize;
+}
+
+impl Link for u32 {
+    #[inline]
+    fn of(pos: usize) -> u32 {
+        (pos + WINDOW + 1) as u32
+    }
+    #[inline]
+    fn raw(self) -> usize {
+        self as usize
+    }
+}
+
+impl Link for u64 {
+    #[inline]
+    fn of(pos: usize) -> u64 {
+        (pos + WINDOW + 1) as u64
+    }
+    #[inline]
+    fn raw(self) -> usize {
+        self as usize
+    }
+}
+
+/// The first three bytes of `bytes`, big-endian.
+#[inline]
+fn trigram(bytes: &[u8]) -> u32 {
+    u32::from(bytes[0]) << 16 | u32::from(bytes[1]) << 8 | u32::from(bytes[2])
+}
+
+/// How many leading bytes `a` and `b` share; both have the same length.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut l = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(y.try_into().expect("8 bytes"));
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + a[l..].iter().zip(&b[l..]).take_while(|(x, y)| x == y).count()
+}
+
+fn encode_with<L: Link>(data: &[u8]) -> Vec<u8> {
     let mut w = BitWriter::new();
     // Hash chains over 3-byte prefixes for O(1) candidate lookup. A chain is
     // only followed while it stays inside the window, so its links live in a
     // window-sized ring indexed by position: the slot of a position `WINDOW`
     // or more behind the cursor may be reused, but is never read again.
-    const HASH_SIZE: usize = 1 << 13;
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; WINDOW];
-
+    const HASH_BITS: u32 = 13;
+    let mut head = [L::default(); 1 << HASH_BITS];
+    let mut prev = [L::default(); WINDOW];
     #[inline]
-    fn hash3(data: &[u8], i: usize) -> usize {
-        let h = (data[i] as usize) << 10 ^ (data[i + 1] as usize) << 5 ^ data[i + 2] as usize;
-        h & ((1 << 13) - 1)
+    fn hash3(t: u32) -> usize {
+        let h = (t >> 16) << 10 ^ (t >> 8 & 0xff) << 5 ^ (t & 0xff);
+        h as usize & ((1 << HASH_BITS) - 1)
     }
+
+    // The dead-end filter: the last position whose whole trigram has each
+    // key. Every position sharing the cursor's trigram shares its key, so
+    // when that last position is out of the window, so is every match of
+    // `MIN_MATCH` or more, and the chain walk could only end in a literal.
+    // Many trigrams share a 13-bit chain hash but few share this key. The
+    // table has 2^(bit length of the input) slots, clamped to 2^8..2^16, so
+    // a long input rarely passes on a foreign trigram and a short one keeps
+    // its table in cache.
+    let key_bits = (usize::BITS - data.len().leading_zeros()).clamp(8, 16);
+    let mut last = vec![L::default(); 1 << key_bits];
+    let mask = (1 << key_bits) - 1;
+    let key = |t: u32| (t.wrapping_mul(0x9e37_79b1) >> 16) as usize & mask;
 
     let mut i = 0;
     while i < data.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
-            let mut cand = head[h];
+        let trigram_here = data.get(i..i + MIN_MATCH).map(trigram);
+        if let Some(t) = trigram_here.filter(|&t| last[key(t)].raw() > i) {
+            let mut link = head[hash3(t)];
             let mut chain_budget = 64; // bounded search keeps encoding O(n)
             let limit = (data.len() - i).min(MAX_MATCH);
             let ahead = &data[i..i + limit];
-            while cand != usize::MAX && chain_budget > 0 {
-                if i - cand > WINDOW {
-                    break;
-                }
+            while link.raw() > i && chain_budget > 0 {
+                let cand = link.raw() - (WINDOW + 1);
                 // A candidate can only beat `best_len` if it also matches
                 // the byte at that offset, so check that one first.
                 if data[cand + best_len] == ahead[best_len] {
-                    let l = data[cand..cand + limit]
-                        .iter()
-                        .zip(ahead)
-                        .take_while(|(a, b)| a == b)
-                        .count();
+                    let l = common_prefix(&data[cand..cand + limit], ahead);
                     if l > best_len {
                         best_len = l;
                         best_dist = i - cand;
@@ -104,7 +170,7 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
                         }
                     }
                 }
-                cand = prev[cand % WINDOW];
+                link = prev[cand % WINDOW];
                 chain_budget -= 1;
             }
         }
@@ -116,11 +182,14 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
             w.write_bits(1 << 8 | u32::from(data[i]), LITERAL_BITS);
             1
         };
-        // Insert every covered position into the hash chains.
-        for pos in i..(i + advance).min((data.len() + 1).saturating_sub(MIN_MATCH)) {
-            let h = hash3(data, pos);
+        // Insert every covered position into the hash chains and the filter.
+        let end = (i + advance).min((data.len() + 1).saturating_sub(MIN_MATCH));
+        for (pos, tri) in (i..end).zip(data[i..].windows(MIN_MATCH)) {
+            let t = trigram(tri);
+            let h = hash3(t);
             prev[pos % WINDOW] = head[h];
-            head[h] = pos;
+            head[h] = L::of(pos);
+            last[key(t)] = L::of(pos);
         }
         i += advance;
     }
@@ -232,6 +301,22 @@ mod tests {
             data.extend_from_slice(format!("line-{} ", i % 97).as_bytes());
         }
         roundtrip(&data);
+    }
+
+    #[test]
+    fn wide_links_encode_the_same_bytes() {
+        // `encode` keeps 64-bit links for inputs of 4 GiB or more; on any
+        // other input they must pick the same matches as 32-bit ones.
+        let mut x: u32 = 0x2545_f491;
+        let text: Vec<u8> = (0..20_000)
+            .map(|i| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                if i % 5000 < 300 { b"abcabd"[i % 6] } else { b'A' + (x >> 27) as u8 }
+            })
+            .collect();
+        assert_eq!(encode_with::<u64>(&text), encode_with::<u32>(&text));
+        let data = vec![b'a'; 9000];
+        assert_eq!(encode_with::<u64>(&data), encode_with::<u32>(&data));
     }
 
     #[test]

@@ -324,7 +324,7 @@ mod tests {
     /// and small XML documents: the shapes the platform compresses. A
     /// four-letter alphabet adds LZSS hash chains that outrun the 64-candidate
     /// budget once the input passes a few kilobytes.
-    fn inputs(max: usize) -> impl Strategy<Value = Vec<u8>> {
+    fn short_inputs(max: usize) -> impl Strategy<Value = Vec<u8>> {
         let base64 = ("[A-Za-z0-9+/]{0,64}", 1usize..6)
             .prop_map(move |(text, reps)| text.repeat(reps).into_bytes());
         let xml = pvec(("[a-z]{1,6}", "[a-z0-9 ]{0,12}", 0usize..3), 0..24).prop_map(|nodes| {
@@ -342,6 +342,34 @@ mod tests {
             doc.into_bytes()
         });
         prop_oneof![pvec(any::<u8>(), 0..max), pvec(0u8..4, 0..3 * max), base64, xml]
+    }
+
+    /// [`short_inputs`] plus 5–70 KB of base64 pad, the `bulk_pi` shape,
+    /// with trigrams copied from 4095, 4096 and 4097 bytes back: the edges of
+    /// the window, where LZSS's dead-end filter must pass the first two
+    /// trigrams to the chain walk and may skip the third.
+    fn inputs(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        let planted = (5 * 1024..70 * 1024usize, any::<u64>(), pvec((any::<usize>(), 0usize..3), 0..48))
+            .prop_map(|(len, seed, plants)| {
+                const ALPHABET: &[u8] =
+                    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+                let mut state = seed | 1;
+                let mut pad: Vec<u8> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        ALPHABET[(state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 58) as usize]
+                    })
+                    .collect();
+                for (at, edge) in plants {
+                    let distance = WINDOW - 1 + edge;
+                    let to = distance + at % (len - distance - MIN_MATCH);
+                    pad.copy_within(to - distance..to - distance + MIN_MATCH, to);
+                }
+                pad
+            });
+        prop_oneof![short_inputs(max), planted]
     }
 
     /// Both decoders on `container`: the same bytes or the same error.
@@ -401,7 +429,7 @@ mod tests {
 
         #[test]
         fn decompress_matches_oracle_on_hostile_containers(
-            data in inputs(300),
+            data in short_inputs(300),
             pick in 0usize..6,
             flips in pvec(any::<usize>(), 48..49),
         ) {

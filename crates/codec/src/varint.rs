@@ -125,7 +125,14 @@ pub fn read_bytes<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a [u8], Fiel
 /// `*pos` moves past it, so on [`FieldError::NotUtf8`] too `*pos` stays
 /// just after the length prefix.
 pub fn read_str<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a str, FieldError> {
-    let s = std::str::from_utf8(field(input, pos)?).map_err(|_| FieldError::NotUtf8)?;
+    let bytes = field(input, pos)?;
+    // Almost every field is ASCII, which one word-wide pass proves valid.
+    let s = if bytes.is_ascii() {
+        // SAFETY: a byte string of ASCII bytes alone is valid UTF-8.
+        unsafe { std::str::from_utf8_unchecked(bytes) }
+    } else {
+        std::str::from_utf8(bytes).map_err(|_| FieldError::NotUtf8)?
+    };
     *pos += s.len();
     Ok(s)
 }
@@ -212,6 +219,42 @@ mod tests {
         let mut pos = 0;
         assert_eq!(read_str(&[1, 0xff], &mut pos), Err(FieldError::NotUtf8));
         assert_eq!(pos, 1);
+    }
+
+    /// `read_str` on `bytes` as one field agrees with `std::str::from_utf8`,
+    /// and leaves `pos` past the field or, on an error, past its prefix.
+    fn agrees_with_std(bytes: &[u8]) {
+        let mut field = Vec::new();
+        write_bytes(&mut field, bytes);
+        let prefix = field.len() - bytes.len();
+        let mut pos = 0;
+        let got = read_str(&field, &mut pos);
+        assert_eq!(got, std::str::from_utf8(bytes).map_err(|_| FieldError::NotUtf8), "{bytes:02x?}");
+        assert_eq!(pos, if got.is_ok() { field.len() } else { prefix });
+    }
+
+    #[test]
+    fn read_str_agrees_with_std_utf8() {
+        for a in 0..=255u8 {
+            agrees_with_std(&[a]);
+            for b in 0..=255u8 {
+                agrees_with_std(&[a, b]);
+            }
+        }
+        // Mixed fields: mostly ASCII, with lead, continuation and invalid
+        // bytes and whole multi-byte characters among them.
+        let pieces: [&[u8]; 8] =
+            [b"bank-3", b"a", "é".as_bytes(), "€".as_bytes(), "😀".as_bytes(), &[0x80], &[0xc3], &[0xff]];
+        let mut x = 0x9e37_79b9u32;
+        for _ in 0..20_000 {
+            let mut bytes = Vec::new();
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            for k in 0..(x >> 28) {
+                let pick = (x >> (k % 8 * 3)) as usize % if x & 1 == 0 { 5 } else { 8 };
+                bytes.extend_from_slice(pieces[pick]);
+            }
+            agrees_with_std(&bytes);
+        }
     }
 
     #[test]

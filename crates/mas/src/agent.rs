@@ -219,6 +219,24 @@ impl ResultsSection {
         self.count += 1;
     }
 
+    /// Bytes the entries take on the wire.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.wire.len()
+    }
+
+    /// Append an entry unless that takes the entries past `cap` wire
+    /// bytes; returns whether it was appended.
+    pub(crate) fn push_within(&mut self, cap: usize, site: &str, key: &str, value: &Value) -> bool {
+        let start = self.wire.len();
+        self.push(site, key, value);
+        if self.wire.len() <= cap {
+            return true;
+        }
+        self.wire.truncate(start);
+        self.count -= 1;
+        false
+    }
+
     /// The entries in order, decoded.
     pub fn iter(&self) -> impl Iterator<Item = ResultEntry> + '_ {
         let mut pos = 0;

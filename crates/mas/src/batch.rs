@@ -79,9 +79,12 @@ impl BatchMasNode {
 
     fn run_one(&mut self, ctx: &mut Ctx<'_>, mut agent: MobileAgent, jctx: ObsContext, hop: u32) {
         if agent.next_site() == Some(self.site_name.as_str()) {
-            run_visit(&self.site_name, &mut self.services, &mut agent);
+            let visit = run_visit(&self.site_name, &mut self.services, &mut agent);
             self.executed += 1;
             ctx.metrics().bump("batchmas.agents_executed", 1.0);
+            if visit.over_budget {
+                ctx.metrics().bump("mas.result_budget_exceeded", 1.0);
+            }
         }
         // Forward (fire-and-forget: the batch server leans on the *sender's*
         // retry for reliability, a deliberately different design). Onward

@@ -32,7 +32,7 @@ pub mod transfer;
 
 pub use agent::{AgentId, AgentRecord, Itinerary, MobileAgent, ResultEntry};
 pub use batch::BatchMasNode;
-pub use server::{run_visit, CpuModel, MasNode, SiteDirectory};
+pub use server::{run_visit, CpuModel, MasNode, SiteDirectory, Visit, VISIT_RESULT_BUDGET};
 pub use service::{EchoService, KvService, MailboxService, Service};
 
 /// Message kind: an agent in transit between sites (or site → gateway).

@@ -14,6 +14,7 @@ use pdagent_codec::varint;
 use pdagent_vm::{run, AgentState, Host, Outcome, Program, Value};
 
 use crate::agent::{read_count, AgentDecodeError, AgentId, Itinerary, MobileAgent, ResultEntry};
+use crate::server::{RESULT_BUDGET_EXCEEDED, VISIT_RESULT_BUDGET};
 use crate::service::Service;
 
 /// A mobile agent with every section decoded.
@@ -122,17 +123,20 @@ impl EagerAgent {
             services,
             params: &self.params,
             emitted: Vec::new(),
+            emitted_bytes: 0,
+            over_budget: false,
             abort_requested: false,
             site,
             hops_done: self.next_hop,
             hops_total: self.itinerary.len(),
         };
         let outcome = run(&self.program, &mut self.state, &mut host, self.fuel_per_hop);
-        let abort = host.abort_requested;
+        let (abort, over_budget) = (host.abort_requested, host.over_budget);
         for (key, value) in host.emitted {
             self.results.push(ResultEntry { site: site.to_owned(), key, value });
         }
         let error = match outcome {
+            _ if over_budget => Some(RESULT_BUDGET_EXCEEDED.to_owned()),
             Outcome::Completed => None,
             Outcome::Failed(msg) => Some(msg),
             Outcome::OutOfFuel => Some("out of fuel".to_owned()),
@@ -154,6 +158,9 @@ struct EagerHost<'a> {
     services: &'a mut HashMap<String, Box<dyn Service>>,
     params: &'a [(String, Value)],
     emitted: Vec<(String, Value)>,
+    /// Wire bytes of `emitted`, each entry encoded on its own.
+    emitted_bytes: usize,
+    over_budget: bool,
     abort_requested: bool,
     site: &'a str,
     hops_done: usize,
@@ -184,7 +191,15 @@ impl Host for EagerHost<'_> {
     }
 
     fn emit(&mut self, key: &str, value: Value) {
-        self.emitted.push((key.to_owned(), value));
+        let mut entry = Vec::new();
+        varint::write_str(&mut entry, self.site);
+        varint::write_str(&mut entry, key);
+        value.encode(&mut entry);
+        self.over_budget |= self.emitted_bytes + entry.len() > VISIT_RESULT_BUDGET;
+        if !self.over_budget {
+            self.emitted_bytes += entry.len();
+            self.emitted.push((key.to_owned(), value));
+        }
     }
 
     fn site_name(&self) -> &str {
@@ -292,6 +307,32 @@ mod tests {
         services.insert("echo".into(), Box::new(EchoService));
         services.insert("kv".into(), Box::new(KvService::new()));
         services
+    }
+
+    #[test]
+    fn a_visit_that_floods_its_results_ends_at_the_budget() {
+        // Each emit appends the 1 KB parameter: the 64th passes the budget.
+        let program = ".name floods\nloop:\nparam \"a\"\nemit \"a\"\njmp loop\n";
+        let mut agent = MobileAgent::new(
+            AgentId("ag-1".into()),
+            assemble(program).unwrap(),
+            vec![("a".into(), Value::Str("Q".repeat(1024)))],
+            Itinerary::new(["s0", "s1"]),
+            0,
+        );
+        agent.push_result("s9", "earlier", Value::Int(1));
+        let before = agent.results.wire_len();
+        let bytes = agent.to_bytes();
+        let mut slow = EagerAgent::from_bytes(&bytes).unwrap();
+        let visit = run_visit("s0", &mut services(), &mut agent);
+        slow.visit("s0", &mut services());
+        assert!(visit.over_budget);
+        assert_eq!(agent.to_bytes(), slow.to_bytes());
+        assert_eq!(agent.results.len(), 1 + 63 + 1);
+        let last = agent.results.iter().last().unwrap();
+        assert_eq!((last.key.as_str(), last.value), ("error", Value::Str(RESULT_BUDGET_EXCEEDED.into())));
+        assert!(agent.results.wire_len() - before <= VISIT_RESULT_BUDGET + 64);
+        assert!(agent.done());
     }
 
     proptest! {

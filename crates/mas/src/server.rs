@@ -136,15 +136,29 @@ struct AgentObs {
     exec: u32,
 }
 
+/// The most result bytes (on the wire) one visit may append to an agent.
+/// No agent of the platform comes near it: a `roaming` bank visit appends
+/// a few hundred bytes. Without it a few hundred bytes of program could
+/// fill a host with results for as long as its fuel lasts.
+pub const VISIT_RESULT_BUDGET: usize = 64 * 1024;
+
+/// The `error` result of a visit that emitted past [`VISIT_RESULT_BUDGET`].
+pub(crate) const RESULT_BUDGET_EXCEEDED: &str = "result budget exceeded";
+
 /// VM host adapter exposing the site's services to a visiting agent, for
 /// both server kinds ([`MasNode`] and [`crate::BatchMasNode`]). It hands
 /// the agent's parameters to the VM encoded and appends what the agent
-/// emits straight to its results.
+/// emits straight to its results, up to the visit's budget.
 struct SiteHost<'a> {
     site: &'a str,
     services: &'a mut HashMap<String, Box<dyn Service>>,
     params: &'a ParamsSection,
     results: &'a mut ResultsSection,
+    /// Wire length the results may grow to in this visit.
+    results_cap: usize,
+    /// An emit would have passed `results_cap`: later ones are dropped and
+    /// the visit ends in an error.
+    over_budget: bool,
     abort_requested: bool,
     hops_done: usize,
     hops_total: usize,
@@ -179,7 +193,9 @@ impl Host for SiteHost<'_> {
     }
 
     fn emit(&mut self, key: &str, value: Value) {
-        self.results.push(self.site, key, &value);
+        if !self.over_budget {
+            self.over_budget = !self.results.push_within(self.results_cap, self.site, key, &value);
+        }
     }
 
     fn site_name(&self) -> &str {
@@ -187,29 +203,42 @@ impl Host for SiteHost<'_> {
     }
 }
 
+/// What one visit cost: see [`run_visit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Visit {
+    /// VM instructions executed.
+    pub instructions: u64,
+    /// The agent emitted more than [`VISIT_RESULT_BUDGET`] bytes of results.
+    pub over_budget: bool,
+}
+
 /// Run `agent`'s visit to `site`: execute it against the site's services,
 /// append what it emitted to its results, then record how the visit ended
-/// and advance its itinerary (an abort, an error or a trap ends it).
-/// Returns the VM instructions executed.
+/// and advance its itinerary (an abort, an error or a trap ends it). An
+/// emit that would take the visit's results past [`VISIT_RESULT_BUDGET`]
+/// is dropped with every later one, and the visit ends in an error.
 pub fn run_visit(
     site: &str,
     services: &mut HashMap<String, Box<dyn Service>>,
     agent: &mut MobileAgent,
-) -> u64 {
+) -> Visit {
     let mut host = SiteHost {
         site,
         services,
         params: &agent.params,
+        results_cap: agent.results.wire_len().saturating_add(VISIT_RESULT_BUDGET),
         results: &mut agent.results,
+        over_budget: false,
         abort_requested: false,
         hops_done: agent.next_hop,
         hops_total: agent.itinerary.len(),
     };
     let before = agent.state.instructions;
     let outcome = run(&agent.program, &mut agent.state, &mut host, agent.fuel_per_hop);
-    let executed = agent.state.instructions - before;
-    let abort = host.abort_requested;
+    let instructions = agent.state.instructions - before;
+    let (abort, over_budget) = (host.abort_requested, host.over_budget);
     let error = match outcome {
+        _ if over_budget => Some(RESULT_BUDGET_EXCEEDED.to_owned()),
         Outcome::Completed => None,
         Outcome::Failed(msg) => Some(msg),
         Outcome::OutOfFuel => Some("out of fuel".to_owned()),
@@ -220,7 +249,7 @@ pub fn run_visit(
         agent.push_result(site, "error", Value::Str(msg));
     }
     agent.next_hop = if ended { agent.itinerary.len() } else { agent.next_hop.saturating_add(1) };
-    executed
+    Visit { instructions, over_budget }
 }
 
 /// The mobile-agent server node.
@@ -296,10 +325,13 @@ impl MasNode {
         // A mis-routed or already-finished agent is relayed without running.
         let mut delay = SimDuration::from_millis(1);
         if agent.next_site() == Some(self.site_name.as_str()) {
-            let executed = run_visit(&self.site_name, &mut self.services, &mut agent);
+            let visit = run_visit(&self.site_name, &mut self.services, &mut agent);
             ctx.metrics().bump("mas.agents_executed", 1.0);
-            ctx.metrics().bump("mas.instructions", executed as f64);
-            delay = self.cpu.exec_time(executed);
+            ctx.metrics().bump("mas.instructions", visit.instructions as f64);
+            if visit.over_budget {
+                ctx.metrics().bump("mas.result_budget_exceeded", 1.0);
+            }
+            delay = self.cpu.exec_time(visit.instructions);
             // `mas.exec` covers the modeled CPU occupancy: now → departure.
             if let Some(o) = self.obs.get_mut(&agent.id) {
                 let (trace, hop) = (o.jctx.trace, o.hop);
@@ -554,6 +586,29 @@ mod tests {
         assert_eq!(visited, vec!["site-0", "site-1", "site-2"]);
         // Each visit echoes "visit(<site>)".
         assert_eq!(agent.results.iter().next().unwrap().value, Value::Str("visit(site-0)".into()));
+    }
+
+    #[test]
+    fn a_flooding_agent_is_stopped_at_the_result_budget_and_counted() {
+        let (mut sim, origin, sites, _) = build(2, 5);
+        let program = ".name floods\nloop:\nparam \"a\"\nemit \"a\"\njmp loop\n";
+        let agent = MobileAgent::new(
+            AgentId("ag-1".into()),
+            assemble(program).unwrap(),
+            vec![("a".into(), Value::Str("Q".repeat(1024)))],
+            Itinerary::new(["site-0", "site-1"]),
+            origin as u64,
+        );
+        sim.inject(sites[0], origin, Message::new(KIND_TRANSFER, agent.to_bytes()), SimDuration::ZERO);
+        sim.run_until_idle();
+        let done = &sim.node_ref::<StubOrigin>(origin).unwrap().completed;
+        assert_eq!(done.len(), 1);
+        let results: Vec<_> = done[0].results.iter().collect();
+        assert!(results.iter().all(|r| r.site == "site-0"));
+        assert_eq!(results.last().unwrap().key, "error");
+        assert!(done[0].results.wire_len() <= VISIT_RESULT_BUDGET + 64);
+        assert_eq!(sim.metrics(sites[0]).counter("mas.result_budget_exceeded"), 1.0);
+        assert_eq!(sim.metrics(sites[1]).counter("mas.result_budget_exceeded"), 0.0);
     }
 
     #[test]

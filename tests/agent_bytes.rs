@@ -8,8 +8,10 @@
 //! the end) put in place of every byte. For every input, `from_bytes`
 //! returns an agent or an error; an agent it accepts has its parameters and
 //! results listed, makes a visit through `run_visit` and is encoded again,
-//! none of which may panic; and what all that has live at once stays within
-//! a small multiple of the input's length.
+//! none of which may panic; what decoding, listing and encoding have live
+//! at once stays within a small multiple of the input's length, and what
+//! the visit and the encoding after it have live stays within that plus a
+//! small multiple of the per-visit result budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +19,7 @@ use std::collections::HashMap;
 
 use pdagent_apps::ebank::{ebank_program, itinerary_for, transactions_param};
 use pdagent_apps::{BankService, Transaction};
-use pdagent_mas::{run_visit, AgentId, Itinerary, MobileAgent, Service};
+use pdagent_mas::{run_visit, AgentId, Itinerary, MobileAgent, Service, VISIT_RESULT_BUDGET};
 use pdagent_vm::Value;
 
 /// Counts the bytes this thread has live, and the most it has had, so a
@@ -95,8 +97,8 @@ fn banks() -> HashMap<String, Box<dyn Service>> {
 
 /// Decode `bytes` and, if that gives an agent, list its sections and encode
 /// it, checking what that has live at once against the input's length; then
-/// make its visit and encode it again. Returns whether the bytes were
-/// accepted.
+/// make its visit and encode it again, checking that against the result
+/// budget too. Returns whether the bytes were accepted.
 fn handle(bytes: &[u8]) -> bool {
     let bound = 16 * bytes.len() + 16 * 1024;
     let mut decoded = None;
@@ -107,11 +109,16 @@ fn handle(bytes: &[u8]) -> bool {
     });
     assert!(peak <= bound, "{peak} bytes live decoding {} bytes", bytes.len());
     let Some(mut agent) = decoded else { return false };
-    // What a visit allocates is what its program computes and emits, which
-    // the agent's fuel bounds, not the length of its transfer.
+    // A visit appends at most `VISIT_RESULT_BUDGET` bytes of results, which
+    // the results section and the encoded agent may each hold twice over.
     let site = agent.next_site().unwrap_or("bank-4").to_owned();
-    run_visit(&site, &mut banks(), &mut agent);
-    agent.to_bytes();
+    let mut services = banks();
+    let peak = peak_allocation(|| {
+        run_visit(&site, &mut services, &mut agent);
+        agent.to_bytes()
+    });
+    let visit_bound = bound + 4 * VISIT_RESULT_BUDGET;
+    assert!(peak <= visit_bound, "{peak} bytes live visiting with {} bytes", bytes.len());
     true
 }
 
