@@ -14,15 +14,54 @@ use std::collections::HashMap;
 use pdagent_mas::{AgentId, Itinerary, MobileAgent, KIND_COMPLETE, KIND_TRANSFER};
 use pdagent_net::http::{reply, HttpClient, HttpRequest, HttpStatus, TimerOutcome};
 use pdagent_net::prelude::*;
-use pdagent_gateway::pi::ResultDoc;
+use pdagent_gateway::pi::{first_value, ResultDoc};
 use pdagent_mas::server::SiteDirectory;
 use pdagent_vm::{Program, Value};
-use pdagent_xml::Element;
+use pdagent_xml::{DocReader, XmlWriter};
 
 /// HTTP path for launching a pre-installed application.
 pub const PATH_LAUNCH: &str = "/agentserver/launch";
 /// HTTP path for collecting results.
 pub const PATH_RESULT: &str = "/agentserver/result";
+
+/// The launch document:
+/// `<launch app=".."><param name=".."><v ../></param>…</launch>`.
+fn launch_document(app: &str, params: &[(String, Value)]) -> String {
+    let mut w = XmlWriter::compact();
+    w.declaration();
+    w.start("launch");
+    w.attr("app", app);
+    for (name, value) in params {
+        w.start("param");
+        w.attr("name", name);
+        value.write_xml(&mut w);
+        w.end();
+    }
+    w.end();
+    w.finish()
+}
+
+/// Decode a launch body into the app name and its parameters. A `<param>`
+/// without a name or a `<v>` is ignored; one whose `<v>` does not decode
+/// fails the launch, as a bad PI parameter fails a deploy.
+fn decode_launch(body: &[u8]) -> Result<(String, Vec<(String, Value)>), String> {
+    let doc = std::str::from_utf8(body).map_err(|e| e.to_string())?;
+    DocReader::read_document(doc, |r, mut launch| {
+        let app = launch.require_attr("app")?.into_owned();
+        let mut params = Vec::new();
+        while let Some(param) = r.next_child(&mut launch)? {
+            if param.name != "param" {
+                r.skip(param)?;
+                continue;
+            }
+            let name = param.attr("name").map(|n| n.into_owned());
+            if let (Some(name), Some(value)) = (name, first_value(r, param)?) {
+                params.push((name, value));
+            }
+        }
+        Ok((app, params))
+    })
+}
 
 /// The combined web + mobile-agent server.
 pub struct AgentServerNode {
@@ -68,30 +107,15 @@ impl AgentServerNode {
     }
 
     fn handle_launch(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: &HttpRequest) {
-        // Body: <launch app="..."><param name=".."><v ../></param>…</launch>
-        let parsed = std::str::from_utf8(&req.body)
-            .ok()
-            .and_then(|s| Element::parse_str(s).ok());
-        let Some(doc) = parsed else {
+        let Ok((app, params)) = decode_launch(&req.body) else {
             reply(ctx, from, req, HttpStatus::BadRequest, Vec::new());
             return;
         };
-        let Some(app) = doc.attr("app") else {
-            reply(ctx, from, req, HttpStatus::BadRequest, Vec::new());
-            return;
-        };
-        let Some((program, itinerary)) = self.apps.get(app).cloned() else {
+        let Some((program, itinerary)) = self.apps.get(&app).cloned() else {
             // The §2 limitation in action: not installed → unavailable.
             reply(ctx, from, req, HttpStatus::NotFound, Vec::new());
             return;
         };
-        let mut params = Vec::new();
-        for p in doc.children_named("param") {
-            let (Some(name), Some(v_el)) = (p.attr("name"), p.child("v")) else { continue };
-            if let Ok(v) = Value::from_xml(v_el) {
-                params.push((name.to_owned(), v));
-            }
-        }
         self.next_agent += 1;
         let agent_id = format!("cas-{}", self.next_agent);
         let agent = MobileAgent::new(
@@ -205,18 +229,9 @@ impl ClientAgentDevice {
 
 impl Node for ClientAgentDevice {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let mut doc = Element::new("launch").with_attr("app", &self.app);
-        for (name, v) in &self.params {
-            let mut p = Element::new("param").with_attr("name", name);
-            p.push_child(v.to_xml());
-            doc.push_child(p);
-        }
+        let body = launch_document(&self.app, &self.params);
         ctx.connection_opened();
-        self.http.send(
-            ctx,
-            self.server,
-            HttpRequest::new("POST", PATH_LAUNCH, doc.to_document_string().into_bytes()),
-        );
+        self.http.send(ctx, self.server, HttpRequest::new("POST", PATH_LAUNCH, body.into_bytes()));
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
@@ -351,12 +366,110 @@ mod tests {
     #[test]
     fn launch_request_is_smaller_than_a_pi() {
         // No code mobility — the launch body carries only parameters.
-        let mut doc = Element::new("launch").with_attr("app", "tour");
-        let mut p = Element::new("param").with_attr("name", "user");
-        p.push_child(Value::Str("carol".into()).to_xml());
-        doc.push_child(p);
-        let body = doc.to_document_string();
+        let body = launch_document("tour", &[("user".into(), Value::Str("carol".into()))]);
         // Far below the 1 KB floor of the paper's agent-code sizes.
         assert!(body.len() < 256, "launch body is {} bytes", body.len());
+    }
+
+    fn sample_params() -> Vec<(String, Value)> {
+        vec![
+            ("user".into(), Value::Str("carol <&\"'>".into())),
+            ("amount".into(), Value::Int(-12_500)),
+            ("flags".into(), Value::List(vec![Value::Bool(true), Value::Nil])),
+        ]
+    }
+
+    #[test]
+    fn launch_document_matches_the_element_tree() {
+        use pdagent_xml::{Element, TreeBuilder};
+        for params in [vec![], sample_params()] {
+            let mut doc = Element::new("launch").with_attr("app", "tour");
+            for (name, value) in &params {
+                let mut v = TreeBuilder::default();
+                value.write_xml(&mut v);
+                let param = Element::new("param").with_attr("name", name);
+                doc.push_child(param.with_child(v.finish()));
+            }
+            let written = launch_document("tour", &params);
+            assert_eq!(written, doc.to_document_string());
+            assert_eq!(decode_launch(written.as_bytes()).unwrap(), ("tour".into(), params));
+        }
+    }
+
+    #[test]
+    fn launch_decoder_skips_unnamed_params_and_rejects_bad_values() {
+        let doc = concat!(
+            r#"<launch app="tour"><x/><param><v t="int">1</v></param><param name="n"/>"#,
+            r#"<param name="u"><v t="str">ok</v><v t="alien"/></param></launch>"#,
+        );
+        assert_eq!(
+            decode_launch(doc.as_bytes()).unwrap(),
+            ("tour".into(), vec![("u".into(), Value::Str("ok".into()))])
+        );
+        let no_app = r#"<launch><param name="u"><v t="str"/></param></launch>"#;
+        assert!(decode_launch(no_app.as_bytes()).is_err());
+        let bad = r#"<launch app="tour"><param name="n"><v t="int">x</v></param></launch>"#;
+        assert!(decode_launch(bad.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn launch_decoder_survives_every_cut_and_substitution() {
+        // Each input decodes or is an error; none may panic.
+        let doc = launch_document("tour", &sample_params()).into_bytes();
+        for cut in 0..=doc.len() {
+            let _ = decode_launch(&doc[..cut]);
+        }
+        for at in 0..doc.len() {
+            for sub in [0x00, 0x7f, 0x80, 0xff, doc[at] ^ 1] {
+                let mut bytes = doc.clone();
+                bytes[at] = sub;
+                let _ = decode_launch(&bytes);
+            }
+        }
+    }
+
+    /// Posts one raw launch body and keeps the response status.
+    struct RawLauncher {
+        server: NodeId,
+        body: Vec<u8>,
+        http: HttpClient,
+        status: Option<HttpStatus>,
+    }
+
+    impl Node for RawLauncher {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let body = std::mem::take(&mut self.body);
+            self.http.send(ctx, self.server, HttpRequest::new("POST", PATH_LAUNCH, body));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
+            if let Some(resp) = self.http.on_response(ctx, &msg) {
+                self.status = Some(resp.status);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            self.http.on_timer(ctx, tag);
+        }
+    }
+
+    fn launch_status(body: &str) -> Option<HttpStatus> {
+        let (mut sim, _, server) = build(true, 3);
+        let raw = RawLauncher {
+            server,
+            body: body.as_bytes().to_vec(),
+            http: HttpClient::new(),
+            status: None,
+        };
+        let raw = sim.add_node(Box::new(raw));
+        sim.connect(raw, server, LinkSpec::wired_internet());
+        sim.run_until_idle();
+        sim.node_ref::<RawLauncher>(raw).unwrap().status
+    }
+
+    #[test]
+    fn launch_with_an_undecodable_value_is_a_bad_request() {
+        let good = r#"<launch app="tour"><param name="user"><v t="str">dave</v></param></launch>"#;
+        assert_eq!(launch_status(good), Some(HttpStatus::Accepted));
+        let bad = r#"<launch app="tour"><param name="user"><v t="int">dave</v></param></launch>"#;
+        assert_eq!(launch_status(bad), Some(HttpStatus::BadRequest));
     }
 }

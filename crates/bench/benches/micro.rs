@@ -20,7 +20,7 @@ use pdagent_net::message::Message;
 use pdagent_net::sim::{Ctx, Node, NodeId, Simulator};
 use pdagent_net::time::SimDuration;
 use pdagent_vm::{run, AgentState, Host, MapHost, Value};
-use pdagent_xml::Element;
+use pdagent_xml::{DocReader, Element};
 
 fn sample_pi_doc(n_tx: u32) -> String {
     let txs: Vec<Transaction> = (0..n_tx)
@@ -384,15 +384,13 @@ fn bench_program_encodings(c: &mut Criterion) {
     let program = ebank_program();
     let mut group = c.benchmark_group("program_encoding");
     group.bench_function("verbose_xml_encode", |b| {
-        b.iter(|| std::hint::black_box(&program).to_xml().to_document_string())
+        b.iter(|| std::hint::black_box(&program).to_document_string())
     });
-    let verbose = program.to_xml().to_document_string();
+    let verbose = program.to_document_string();
     group.bench_function("verbose_xml_decode", |b| {
         b.iter(|| {
-            pdagent_vm::Program::from_xml(
-                &Element::parse_str(std::hint::black_box(&verbose)).unwrap(),
-            )
-            .unwrap()
+            DocReader::read_document(std::hint::black_box(&verbose), pdagent_vm::Program::read_xml)
+                .unwrap()
         })
     });
     group.bench_function("binary_encode", |b| {

@@ -34,7 +34,7 @@ pub struct CodeFootprint {
 impl CodeFootprint {
     fn of(program: &Program) -> CodeFootprint {
         let bytecode = program.to_bytes();
-        let xml = program.to_xml().to_document_string();
+        let xml = program.to_document_string();
         let compressed = [Algorithm::Rle, Algorithm::Lzss, Algorithm::Huffman, Algorithm::LzssHuffman, Algorithm::Auto]
             .iter()
             .map(|&alg| (alg.name(), compress(xml.as_bytes(), alg).len()))

@@ -31,6 +31,7 @@ use pdagent_gateway::{
 use pdagent_mas::server::{encode_control, ControlOp};
 use pdagent_net::http::{HttpClient, HttpRequest, HttpStatus, TimerOutcome};
 use pdagent_net::prelude::*;
+use pdagent_net::sim::TimerId;
 use pdagent_vm::Value;
 
 use crate::db::{DeviceDb, Subscription};
@@ -357,6 +358,9 @@ pub struct DeviceNode {
     /// A deploy parked in its waiting-for-result phase while another command
     /// (typically agent management, §3.6) runs in the foreground.
     parked: Option<Dispatched>,
+    /// The one armed result-poll timer, if any. It always belongs to the
+    /// deploy in the foreground: arming a poll cancels the one before.
+    poll: Option<TimerId>,
     gateways: Vec<GatewayEntry>,
     /// Events for the application layer, in order.
     pub events: Vec<DeviceEvent>,
@@ -378,6 +382,7 @@ impl DeviceNode {
             queue: commands.into(),
             phase: Phase::Idle,
             parked: None,
+            poll: None,
             gateways,
             events: Vec::new(),
             timings: Vec::new(),
@@ -429,6 +434,15 @@ impl DeviceNode {
         });
     }
 
+    /// Arm the poll that starts the foreground deploy's next collect,
+    /// cancelling any poll still armed.
+    fn arm_poll(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration) {
+        if let Some(id) = self.poll.take() {
+            ctx.cancel_timer(id);
+        }
+        self.poll = Some(ctx.set_timer(delay, TAG_POLL));
+    }
+
     fn next_command(&mut self, ctx: &mut Ctx<'_>) {
         self.phase = Phase::Idle;
         ctx.set_timer(SimDuration::ZERO, TAG_NEXT);
@@ -465,9 +479,13 @@ impl DeviceNode {
             self.parked = Some(job);
         }
         let Some(cmd) = self.queue.pop_front() else {
-            // Nothing more to do: resume a parked result-wait, if any.
+            // Nothing more to do: resume a parked result-wait, if any, and
+            // arm its poll if another deploy's replaced it or it fired.
             if let Some(job) = self.parked.take() {
                 self.phase = Phase::WaitingResult(job);
+                if self.poll.is_none() {
+                    self.arm_poll(ctx, self.config.result_poll_interval);
+                }
             }
             return;
         };
@@ -780,7 +798,7 @@ impl DeviceNode {
         });
         // Disconnect, then reconnect later to collect.
         obs.wait = ctx.span_begin(obs.trace, obs.root, "result.wait");
-        ctx.set_timer(self.config.result_poll_initial, TAG_POLL);
+        self.arm_poll(ctx, self.config.result_poll_initial);
         self.phase = Phase::WaitingResult(Dispatched {
             agent_id,
             gateway,
@@ -820,7 +838,7 @@ impl DeviceNode {
     /// Back to waiting after a collect that brought no result: the fetch
     /// span closes (`result.wait` stays open) and the next poll is armed.
     fn wait_again(&mut self, ctx: &mut Ctx<'_>, mut job: Dispatched) {
-        ctx.set_timer(self.config.result_poll_interval, TAG_POLL);
+        self.arm_poll(ctx, self.config.result_poll_interval);
         ctx.span_end(job.obs.fetch);
         job.obs.fetch = 0;
         self.phase = Phase::WaitingResult(job);
@@ -973,11 +991,9 @@ impl Node for DeviceNode {
             }
             TAG_PROBE_TIMEOUT => self.maybe_finish_probing(ctx, true),
             TAG_POLL => {
+                self.poll = None;
                 if matches!(self.phase, Phase::WaitingResult(_)) {
                     self.start_collect(ctx);
-                } else if self.parked.is_some() {
-                    // A foreground command holds the device; poll again soon.
-                    ctx.set_timer(SimDuration::from_millis(500), TAG_POLL);
                 }
             }
             other => match self.http.on_timer(ctx, other) {

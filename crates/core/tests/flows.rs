@@ -590,3 +590,60 @@ fn traced_failure_exits_close_the_journey() {
     };
     fail_deploy(99, slow_poll, dispose, ("collect", "HTTP 404"));
 }
+
+#[test]
+fn a_parked_deploy_does_not_poll_for_the_foreground_one() {
+    // Both agents end at bank-b, which cannot reach the gateway, so both
+    // completions are lost and every collect is answered 409. Deploy A is
+    // parked by deploy B; while B waits in the foreground, only B's own
+    // poll timer may start its collects. Once B gives up at the collect
+    // deadline, A resumes and is collected (it gives up too).
+    let mut spec = base_spec(101);
+    spec.device.result_poll_initial = SimDuration::from_secs(5);
+    let interval = spec.device.result_poll_interval;
+    let mut scenario = Scenario::build(spec);
+    scenario.sim.cut_link(scenario.sites[1], scenario.gateways[0]);
+    let dispatches = |s: &Scenario| {
+        s.device_ref().events.iter().filter(|e| matches!(e, DeviceEvent::Dispatched { .. })).count()
+    };
+    let mut now = SimTime::ZERO;
+    let mut step_until = |s: &mut Scenario, n: usize| {
+        while dispatches(s) < n {
+            assert!(now < SimTime(120_000_000), "deploy {n} not dispatched by {now}");
+            now += SimDuration::from_millis(100);
+            s.sim.run_until(now);
+        }
+    };
+    step_until(&mut scenario, 1);
+    scenario.device_mut().enqueue(DeviceCommand::Deploy(DeployRequest::new(
+        "ebank",
+        vec![("user".into(), Value::Str("bob".into()))],
+        vec!["bank-a".into(), "bank-b".into()],
+    )));
+    DeviceNode::kick(&mut scenario.sim, scenario.device);
+    step_until(&mut scenario, 2);
+
+    let polls = |s: &Scenario| s.sim.metrics(s.device).counter("device.result_polls");
+    let before = polls(&scenario);
+    let window = SimDuration(COLLECT_DEADLINE.as_micros() - 60_000_000);
+    scenario.sim.run_until(now + window);
+    let foreground = polls(&scenario) - before;
+    let most = (window.as_micros() / interval.as_micros() + 1) as f64;
+    assert!(foreground <= most, "B polled {foreground} times in {window}, at most {most} allowed");
+    assert!(foreground >= most / 2.0, "B polled only {foreground} times in {window}");
+
+    let horizon = now + COLLECT_DEADLINE + COLLECT_DEADLINE;
+    scenario.sim.run_until(horizon);
+    let device = scenario.device_ref();
+    assert!(device.idle(), "A never resumed: {:?}", device.events);
+    let abandoned = device
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(e, DeviceEvent::Error { context, detail }
+                if context == "collect" && detail == "no result by the collect deadline")
+        })
+        .count();
+    assert_eq!(abandoned, 2, "{:?}", device.events);
+    assert_eq!(scenario.sim.metrics(scenario.device).counter("device.collect_abandoned"), 2.0);
+}

@@ -7,7 +7,7 @@
 
 use pdagent_net::http::{reply, HttpRequest, HttpStatus};
 use pdagent_net::prelude::*;
-use pdagent_xml::Element;
+use pdagent_xml::{DocReader, XmlWriter};
 
 use crate::PATH_GATEWAYS;
 
@@ -22,34 +22,40 @@ pub struct GatewayEntry {
 
 /// Serialize a gateway list to its XML document.
 pub fn gateway_list_to_xml(entries: &[GatewayEntry]) -> String {
-    let mut root = Element::new("gateways");
+    let mut w = XmlWriter::compact();
+    w.declaration();
+    w.start("gateways");
     for e in entries {
-        root.push_child(
-            Element::new("gateway")
-                .with_attr("name", &e.name)
-                .with_attr("node", e.node.to_string()),
-        );
+        w.start("gateway");
+        w.attr("name", &e.name);
+        w.attr_int("node", e.node as u64);
+        w.end();
     }
-    root.to_document_string()
+    w.end();
+    w.finish()
 }
 
-/// Parse a gateway-list document.
+/// Parse a gateway-list document: every `<gateway>` child of the root, in
+/// order; other children are ignored.
 pub fn parse_gateway_list(doc: &str) -> Result<Vec<GatewayEntry>, String> {
-    let root = Element::parse_str(doc).map_err(|e| e.to_string())?;
-    if root.name() != "gateways" {
-        return Err(format!("expected <gateways>, found <{}>", root.name()));
-    }
-    let mut out = Vec::new();
-    for g in root.children_named("gateway") {
-        let name = g.require_attr("name").map_err(|e| e.to_string())?.to_owned();
-        let node = g
-            .require_attr("node")
-            .map_err(|e| e.to_string())?
-            .parse::<NodeId>()
-            .map_err(|e| format!("bad node id: {e}"))?;
-        out.push(GatewayEntry { name, node });
-    }
-    Ok(out)
+    DocReader::read_document(doc, |r, mut root| {
+        if root.name != "gateways" {
+            return Err(format!("expected <gateways>, found <{}>", root.name));
+        }
+        let mut out = Vec::new();
+        while let Some(g) = r.next_child(&mut root)? {
+            if g.name == "gateway" {
+                let name = g.require_attr("name")?.into_owned();
+                let node = g
+                    .require_attr("node")?
+                    .parse::<NodeId>()
+                    .map_err(|e| format!("bad node id: {e}"))?;
+                out.push(GatewayEntry { name, node });
+            }
+            r.skip(g)?;
+        }
+        Ok(out)
+    })
 }
 
 /// The central server node. Devices `GET /pdagent/gateways` to fetch the

@@ -10,10 +10,10 @@
 //!
 //! Each format has one encoder, into an [`XmlWriter`], and one decoder, from
 //! a [`DocReader`]: documents go straight between typed values and text,
-//! with no element tree in between. The decoders answer exactly as a walk
-//! over the parsed [`pdagent_xml::Element`] tree would: the first child of a
-//! given name counts, unknown elements and attributes are ignored, and the
-//! DOM's whitespace rule and nesting cap apply.
+//! with no element tree in between. The decoders answer as the tree walkers
+//! of this crate's test oracle do: the first child of a given name counts,
+//! unknown elements and attributes are ignored, and the reader's whitespace
+//! rule and nesting cap apply.
 
 use pdagent_codec::compress::{compress, decompress, Algorithm};
 use pdagent_crypto::rsa::PublicKey;
@@ -28,11 +28,11 @@ fn document() -> XmlWriter {
     w
 }
 
-/// The value in the first `<v>` child of `parent` (others are ignored), or
-/// `None` if there is none.
-fn first_value<'a>(r: &mut DocReader<'a>, mut parent: Tag<'a>) -> Result<Option<Value>, String> {
+/// The value in the first `<v>` child of `el` (others are ignored), or
+/// `None` if there is none. `el` is read to its end.
+pub fn first_value<'a>(r: &mut DocReader<'a>, mut el: Tag<'a>) -> Result<Option<Value>, String> {
     let mut value = None;
-    while let Some(child) = r.next_child(&mut parent)? {
+    while let Some(child) = r.next_child(&mut el)? {
         if child.name == "v" && value.is_none() {
             value = Some(Value::read_xml(r, child)?);
         } else {
@@ -431,25 +431,18 @@ mod tests {
         // third-party tooling) must parse identically — the gateway promises
         // format interoperability, not one blessed encoding.
         let pi = sample_pi();
-        let mut el = Element::new("pi").with_attr("version", "1");
-        el.push_child(
-            Element::new("auth").with_attr("id", &pi.code_id).with_attr("key", &pi.auth_key),
+        let doc = pi.to_document_string();
+        let bytes = pi.program.to_bytes();
+        let compact = format!(
+            "<ma-code name=\"{}\" format=\"pdac-1\" size=\"{}\">{}</ma-code>",
+            pi.program.name,
+            bytes.len(),
+            pdagent_codec::base64::encode(&bytes)
         );
-        el.push_child(pi.program.to_xml_compact());
-        let mut itin = Element::new("itinerary");
-        for site in &pi.itinerary {
-            itin.push_child(Element::new("site").with_text(site.clone()));
-        }
-        el.push_child(itin);
-        let mut params = Element::new("params");
-        for (name, value) in &pi.params {
-            let mut p = Element::new("param").with_attr("name", name);
-            p.push_child(value.to_xml());
-            params.push_child(p);
-        }
-        el.push_child(params);
-        el.push_child(Element::new("options").with_attr("fuel", pi.fuel_per_hop.to_string()));
-        let parsed = PackedInformation::from_document_str(&el.to_document_string()).unwrap();
+        let (start, end) = (doc.find("<ma-code ").unwrap(), doc.find("</ma-code>").unwrap());
+        let doc = format!("{}{compact}{}", &doc[..start], &doc[end + "</ma-code>".len()..]);
+        assert!(!doc.contains("pdax-1"), "{doc}");
+        let parsed = PackedInformation::from_document_str(&doc).unwrap();
         assert_eq!(parsed, pi);
     }
 
@@ -471,23 +464,19 @@ mod tests {
             Value::Str("x <&> y".into()),
             Value::List(vec![Value::Int(1), Value::List(vec![Value::Str("deep".into())])]),
         ] {
-            let el = v.to_xml();
-            let doc = el.to_document_string();
-            let parsed = Element::parse_str(&doc).unwrap();
-            assert_eq!(Value::from_xml(&parsed).unwrap(), v);
+            let mut w = XmlWriter::compact();
+            v.write_xml(&mut w);
+            let doc = w.finish();
+            assert_eq!(DocReader::read_document(&doc, Value::read_xml).unwrap(), v);
         }
     }
 
     #[test]
     fn value_xml_rejects_garbage() {
-        let el = Element::new("v").with_attr("t", "int").with_text("not-a-number");
-        assert!(Value::from_xml(&el).is_err());
-        let el = Element::new("v").with_attr("t", "alien");
-        assert!(Value::from_xml(&el).is_err());
-        let el = Element::new("w").with_attr("t", "int");
-        assert!(Value::from_xml(&el).is_err());
-        let el = Element::new("v");
-        assert!(Value::from_xml(&el).is_err());
+        let docs = [r#"<v t="int">no</v>"#, r#"<v t="alien"/>"#, r#"<w t="int"/>"#, "<v/>"];
+        for doc in docs {
+            assert!(DocReader::read_document(doc, Value::read_xml).is_err(), "{doc}");
+        }
     }
 
     #[test]

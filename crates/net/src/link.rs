@@ -472,33 +472,18 @@ impl Topology {
     }
 
     /// Route one logical message of `wire_size` bytes as a *burst* of
-    /// `mtu`-byte link frames. Returns the arrival offset of every frame
+    /// `mtu`-byte link frames. Fills `out` (cleared first, so one buffer
+    /// serves every burst) with the arrival offset of every frame
     /// (ascending; the last entry is when the message's final byte lands —
-    /// the delivery time of the message itself), or `None` if the link is
-    /// down or the loss draw killed the burst.
+    /// the delivery time of the message itself) and returns `true`, or
+    /// returns `false`, with `out` left empty, when the link is down,
+    /// absent, or the loss draw killed the burst.
     ///
     /// The burst is one transfer: exactly one loss draw and one jitter draw
     /// are taken, the same stream consumption as [`Topology::route`], so a
     /// simulation's draw sequence is identical whether or not fragmentation
     /// is modelled — and identical between batched (one heap event at the
     /// tail) and per-fragment (one heap event per frame) scheduling.
-    pub fn route_burst(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        wire_size: usize,
-        mtu: usize,
-        now: SimTime,
-    ) -> Option<Vec<SimDuration>> {
-        let mut out = Vec::new();
-        self.route_burst_into(from, to, wire_size, mtu, now, &mut out).then_some(out)
-    }
-
-    /// [`Topology::route_burst`] without the per-burst allocation: fills the
-    /// caller's `out` buffer (cleared first) with the frame arrival offsets
-    /// and returns `true`, or returns `false` — with `out` left empty — when
-    /// the link is down, absent, or the loss draw killed the burst. The RNG
-    /// draw sequence is identical to `route_burst` in every case.
     pub fn route_burst_into(
         &mut self,
         from: NodeId,
@@ -697,7 +682,8 @@ mod tests {
         // rounding), and earlier frames land strictly earlier.
         let mut topo = Topology::new();
         topo.connect(0, 1, LinkSpec::ideal().with_bandwidth(1000));
-        let arrivals = topo.route_burst(0, 1, 1000, 100, SimTime::ZERO).unwrap();
+        let mut arrivals = Vec::new();
+        assert!(topo.route_burst_into(0, 1, 1000, 100, SimTime::ZERO, &mut arrivals));
         assert_eq!(arrivals.len(), 10);
         assert_eq!(*arrivals.last().unwrap(), SimDuration::from_secs(1));
         for w in arrivals.windows(2) {
@@ -720,7 +706,7 @@ mod tests {
         b.connect(0, 1, spec.clone());
         let probe = Message::new("m", vec![0u8; 160]);
         let _ = a.route(0, 1, &probe, SimTime::ZERO);
-        let _ = b.route_burst(0, 1, probe.wire_size(), 64, SimTime::ZERO);
+        b.route_burst_into(0, 1, probe.wire_size(), 64, SimTime::ZERO, &mut Vec::new());
         // Compare at a quiet time so busy_until rounding cannot differ.
         let later = SimTime(60_000_000);
         assert_eq!(a.route(0, 1, &msg, later), b.route(0, 1, &msg, later));

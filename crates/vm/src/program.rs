@@ -8,7 +8,7 @@
 use std::borrow::Cow;
 
 use pdagent_codec::{base64, varint};
-use pdagent_xml::{DocReader, Element, Tag, TreeBuilder, XmlError, XmlSink};
+use pdagent_xml::{DocReader, Element, Tag, TreeBuilder, XmlError, XmlSink, XmlWriter};
 
 use crate::isa::Instr;
 use crate::value::Value;
@@ -428,22 +428,27 @@ impl Program {
         w.end();
     }
 
-    /// The `pdax-1` form as an [`Element`], built by [`Program::write_xml`].
+    /// The `pdax-1` form as a compact document with the XML declaration:
+    /// what footprint accounting and the golden tests measure.
+    pub fn to_document_string(&self) -> String {
+        let mut w = XmlWriter::compact();
+        w.declaration();
+        self.write_xml(&mut w);
+        w.finish()
+    }
+
+    /// The `pdax-1` form as an [`Element`] tree, built by
+    /// [`Program::write_xml`] through a [`TreeBuilder`].
+    ///
+    /// This and [`Program::from_xml`] are the DOM boundary of pdbench's
+    /// traced replay, which rebuilds subscription documents as trees; the
+    /// platform itself writes and reads text. The tree is built, not parsed
+    /// back from text, because a parse would turn `<v t="str"></v>` into
+    /// `<v t="str"/>` and change the document the replay checks.
     pub fn to_xml(&self) -> Element {
         let mut tree = TreeBuilder::default();
         self.write_xml(&mut tree);
         tree.finish()
-    }
-
-    /// Wrap in the compact `pdac-1` form: base64 of the binary encoding.
-    /// Denser on the wire, but opaque to non-PDAgent tooling.
-    pub fn to_xml_compact(&self) -> Element {
-        let bytes = self.to_bytes();
-        Element::new("ma-code")
-            .with_attr("name", &self.name)
-            .with_attr("format", "pdac-1")
-            .with_attr("size", bytes.len().to_string())
-            .with_text(base64::encode(&bytes))
     }
 
     /// Read a `<ma-code>` element (either format) to its end: `tag` is its
@@ -493,10 +498,11 @@ impl Program {
         }
     }
 
-    /// Unwrap from a `<ma-code>` [`Element`] (either format), walking it
-    /// with [`Program::read_xml`].
+    /// Read a `<ma-code>` [`Element`] (either format): its compact text,
+    /// read by [`Program::read_xml`]. The other half of the DOM boundary
+    /// [`Program::to_xml`] describes.
     pub fn from_xml(el: &Element) -> Result<Program, ProgramError> {
-        DocReader::read_element(el, Program::read_xml)
+        DocReader::read_document(&el.to_document_string(), Program::read_xml)
     }
 
     /// Size of the binary form in bytes — the quantity the paper budgets at
@@ -548,43 +554,49 @@ mod tests {
         assert_eq!(Program::from_bytes(&bytes).unwrap(), p);
     }
 
+    fn read(doc: &str) -> Result<Program, ProgramError> {
+        DocReader::read_document(doc, Program::read_xml)
+    }
+
     #[test]
     fn xml_roundtrip_verbose() {
         let p = sample();
+        let doc = p.to_document_string();
+        assert!(doc.contains(r#"<ma-code name="sample" format="pdax-1">"#), "{doc}");
+        assert_eq!(read(&doc).unwrap(), p);
+        // The tree boundary: built by the same encoder, read as its text.
         let el = p.to_xml();
-        assert_eq!(el.attr("name"), Some("sample"));
-        assert_eq!(el.attr("format"), Some("pdax-1"));
-        let doc = el.to_document_string();
-        let back = Element::parse_str(&doc).unwrap();
-        assert_eq!(Program::from_xml(&back).unwrap(), p);
+        assert_eq!(el.to_document_string(), doc);
+        assert_eq!(Program::from_xml(&el).unwrap(), p);
     }
 
     #[test]
     fn xml_roundtrip_compact() {
         let p = sample();
-        let el = p.to_xml_compact();
-        assert_eq!(el.attr("format"), Some("pdac-1"));
-        let doc = el.to_document_string();
-        let back = Element::parse_str(&doc).unwrap();
-        assert_eq!(Program::from_xml(&back).unwrap(), p);
+        let bytes = p.to_bytes();
+        let mut w = XmlWriter::compact();
+        w.start("ma-code");
+        w.attr("name", &p.name);
+        w.attr("format", "pdac-1");
+        w.attr_int("size", bytes.len() as u64);
+        w.text(&base64::encode(&bytes));
+        w.end();
+        let doc = w.finish();
+        assert_eq!(read(&doc).unwrap(), p);
+        assert_eq!(Program::from_xml(&Element::parse_str(&doc).unwrap()).unwrap(), p);
     }
 
     #[test]
     fn verbose_xml_rejects_bad_references() {
         // An out-of-range const index must fail validation at parse time.
         let doc = r#"<ma-code name="x" format="pdax-1"><consts/><code><i op="pushc" c="3"/></code></ma-code>"#;
-        let el = Element::parse_str(doc).unwrap();
-        assert!(matches!(
-            Program::from_xml(&el),
-            Err(ProgramError::BadReference { at: 0 })
-        ));
+        assert!(matches!(read(doc), Err(ProgramError::BadReference { at: 0 })));
     }
 
     #[test]
     fn verbose_xml_rejects_unknown_ops() {
         let doc = r#"<ma-code name="x" format="pdax-1"><consts/><code><i op="explode"/></code></ma-code>"#;
-        let el = Element::parse_str(doc).unwrap();
-        assert!(matches!(Program::from_xml(&el), Err(ProgramError::BadXml(_))));
+        assert!(matches!(read(doc), Err(ProgramError::BadXml(_))));
     }
 
     #[test]
@@ -659,8 +671,8 @@ mod tests {
 
     #[test]
     fn from_xml_rejects_wrong_element() {
-        let el = Element::new("not-code");
-        assert!(matches!(Program::from_xml(&el), Err(ProgramError::BadXml(_))));
+        assert!(matches!(read("<not-code/>"), Err(ProgramError::BadXml(_))));
+        assert!(matches!(read(r#"<ma-code format="java-class"/>"#), Err(ProgramError::BadXml(_))));
         let el = Element::new("ma-code").with_attr("format", "java-class");
         assert!(matches!(Program::from_xml(&el), Err(ProgramError::BadXml(_))));
     }

@@ -1,7 +1,7 @@
 //! The dynamic value type agents compute with, and its serialization.
 
 use pdagent_codec::varint;
-use pdagent_xml::{DocReader, Element, Tag, TreeBuilder, XmlSink};
+use pdagent_xml::{DocReader, Tag, XmlSink};
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,19 +280,6 @@ impl Value {
             }
             other => Err(format!("unknown value type {other:?}")),
         }
-    }
-
-    /// The typed XML form as an [`Element`], built by [`Value::write_xml`].
-    pub fn to_xml(&self) -> Element {
-        let mut tree = TreeBuilder::default();
-        self.write_xml(&mut tree);
-        tree.finish()
-    }
-
-    /// Parse the typed XML form from an [`Element`], walking it with
-    /// [`Value::read_xml`].
-    pub fn from_xml(el: &Element) -> Result<Value, String> {
-        DocReader::read_element(el, Value::read_xml)
     }
 }
 

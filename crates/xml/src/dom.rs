@@ -1,21 +1,17 @@
 //! A minimal DOM built on top of the pull parser.
 //!
-//! [`Element`] is an owned tree node; it is what the PDAgent wire formats
-//! (Packed Information, agent code documents, result documents) are built
-//! from and serialized to.
+//! [`Element`] is an owned tree node. The platform does not use it: its
+//! formats are written with [`XmlWriter`] and read with
+//! [`DocReader`](crate::DocReader). The tree is the reference type of the
+//! test oracles, and [`TreeBuilder`] builds the trees pdbench's traced
+//! replay checks (through `Program::to_xml`).
 
 use std::fmt;
 
 use crate::error::{XmlError, XmlResult};
 use crate::pull::{Attributes, PullParser, XmlEvent};
+use crate::reader::{too_deep, MAX_DEPTH};
 use crate::writer::{push_int, XmlSink, XmlWriter};
-
-/// Deepest element nesting [`Element::parse_str`] accepts (the root is depth
-/// 1). The DOM builder recurses once per open element, so an unbounded
-/// depth would let a few KB of hostile input — a Packed Information document
-/// compresses `<a><a><a>…` to almost nothing — overflow the stack. Real
-/// PDAgent documents nest a handful of levels.
-pub const MAX_DEPTH: usize = 256;
 
 /// A node in the DOM tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +28,7 @@ pub enum Node {
 /// nothing. An element's packed tag ([`push_piece`]) is one: most elements
 /// of PDAgent documents fit (`1:v1:t3:str`, `1:i2:op5:gload1:c1:0`).
 #[derive(Clone)]
-pub(crate) enum XmlStr {
+enum XmlStr {
     /// The first `len` bytes of `bytes`, copied from a `str`.
     Inline { len: u8, bytes: [u8; XmlStr::INLINE] },
     Heap(Box<str>),
@@ -43,7 +39,7 @@ impl XmlStr {
     const INLINE: usize = 30;
 
     #[inline]
-    pub(crate) fn new(s: &str) -> XmlStr {
+    fn new(s: &str) -> XmlStr {
         if s.len() <= Self::INLINE {
             let mut bytes = [0; Self::INLINE];
             bytes[..s.len()].copy_from_slice(s.as_bytes());
@@ -54,7 +50,7 @@ impl XmlStr {
     }
 
     #[inline]
-    pub(crate) fn as_str(&self) -> &str {
+    fn as_str(&self) -> &str {
         match self {
             XmlStr::Inline { len, bytes } => {
                 std::str::from_utf8(&bytes[..usize::from(*len)]).expect("copied from a str")
@@ -82,7 +78,7 @@ impl Eq for XmlStr {}
 /// `:`, then the piece. A packed tag is the element name followed by each
 /// attribute's name and value, so it is one string however many attributes
 /// there are, and all of it is valid UTF-8.
-pub(crate) fn push_piece(tag: &mut String, piece: &str) {
+fn push_piece(tag: &mut String, piece: &str) {
     if piece.len() < 10 {
         tag.push(char::from(b'0' + piece.len() as u8));
         tag.push(':');
@@ -108,7 +104,7 @@ pub(crate) fn push_piece(tag: &mut String, piece: &str) {
 /// Split the first piece off a packed tag: `(piece, rest)`. An empty tag
 /// gives `None`.
 #[inline]
-pub(crate) fn split_piece(tag: &str) -> Option<(&str, &str)> {
+fn split_piece(tag: &str) -> Option<(&str, &str)> {
     let bytes = tag.as_bytes();
     let mut len = 0usize;
     let mut at = 0;
@@ -125,7 +121,7 @@ pub(crate) fn split_piece(tag: &str) -> Option<(&str, &str)> {
 
 /// The attribute pairs of a packed tag, after its name.
 #[derive(Debug, Clone)]
-pub(crate) struct Pairs<'a>(pub(crate) &'a str);
+struct Pairs<'a>(&'a str);
 
 impl<'a> Iterator for Pairs<'a> {
     type Item = (&'a str, &'a str);
@@ -143,7 +139,7 @@ impl<'a> Iterator for Pairs<'a> {
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct Element {
     /// The name and the attributes, packed ([`push_piece`]).
-    pub(crate) tag: XmlStr,
+    tag: XmlStr,
     pub(crate) children: Vec<Node>,
 }
 
@@ -191,7 +187,7 @@ impl Element {
 
     /// The name, and the packed attribute pairs after it.
     #[inline]
-    pub(crate) fn split_tag(&self) -> (&str, &str) {
+    fn split_tag(&self) -> (&str, &str) {
         split_piece(self.tag.as_str()).unwrap_or_default()
     }
 
@@ -282,12 +278,6 @@ impl Element {
             }
         }
         out
-    }
-
-    /// Text of the first child element with the given name (common accessor
-    /// for `<param name="..">value</param>`-style formats).
-    pub fn child_text(&self, name: &str) -> Option<String> {
-        self.child(name).map(|e| e.text())
     }
 
     /// Parse a document from a string; returns the root element.
@@ -431,7 +421,7 @@ impl Element {
     }
 
     /// Write this element (recursively) into an [`XmlWriter`].
-    pub fn write_to(&self, w: &mut XmlWriter) {
+    fn write_to(&self, w: &mut XmlWriter) {
         let (name, pairs) = self.split_tag();
         w.start(name);
         for (k, v) in Pairs(pairs) {
@@ -451,12 +441,6 @@ impl Element {
     pub fn element_count(&self) -> usize {
         1 + self.children().map(Element::element_count).sum::<usize>()
     }
-}
-
-/// The error for an element nested deeper than [`MAX_DEPTH`], detected at
-/// `offset` (just past its start tag).
-pub(crate) fn too_deep(offset: usize) -> XmlError {
-    XmlError::Syntax { offset, message: format!("elements nested deeper than {MAX_DEPTH}") }
 }
 
 /// An [`XmlSink`] that builds an [`Element`] tree, node for node what the
@@ -562,7 +546,7 @@ mod tests {
         assert_eq!(el.name(), "pi");
         assert_eq!(el.attr("version"), Some("1"));
         assert_eq!(el.child("code").unwrap().text(), "abc");
-        assert_eq!(el.child_text("param").as_deref(), Some("x"));
+        assert_eq!(el.child("param").unwrap().text(), "x");
         assert_eq!(el.child("missing"), None);
         assert_eq!(el.element_count(), 3);
     }
@@ -594,7 +578,7 @@ mod tests {
         assert_eq!(params.len(), 2);
         assert_eq!(params[0].attr("name"), Some("from"));
         assert_eq!(params[1].text(), "B");
-        assert_eq!(doc.child("header").unwrap().child_text("id").unwrap(), "ma-1");
+        assert_eq!(doc.child("header").unwrap().child("id").unwrap().text(), "ma-1");
     }
 
     #[test]

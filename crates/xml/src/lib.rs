@@ -6,20 +6,20 @@
 //!
 //! [kXML]: http://kxml.org
 //!
-//! The crate provides three layers, mirroring kXML's feature set
-//! (pull parsing, a minimal DOM, and document writing):
+//! The platform has one XML encoder and one decoder, both over text:
 //!
 //! * [`pull`] — an event-based *pull* parser ([`pull::PullParser`]) that yields
-//!   [`pull::XmlEvent`]s one at a time, borrowing from the input. This is the
-//!   lowest-allocation way to consume a document and is what the higher
-//!   layers are built on.
-//! * [`dom`] — a small in-memory tree ([`dom::Element`]) with convenience
-//!   accessors (`child`, `attr`, `text`), built from the pull parser.
-//! * [`writer`] — [`writer::XmlWriter`] for producing well-formed documents,
-//!   with optional pretty-printing, and the [`writer::XmlSink`] trait that
-//!   lets one encoder write either text or a tree.
+//!   [`pull::XmlEvent`]s one at a time, borrowing from the input, as kXML's
+//!   does.
 //! * [`reader`] — [`reader::DocReader`], which decodes typed values straight
-//!   from the pull parser with the DOM's semantics, no tree built.
+//!   from the pull parser: every format's decoder is one event loop over it.
+//! * [`writer`] — [`writer::XmlWriter`] for producing well-formed documents,
+//!   with optional pretty-printing, behind the [`writer::XmlSink`] trait
+//!   every format's encoder writes into.
+//! * [`dom`] — a small in-memory tree ([`dom::Element`]) with convenience
+//!   accessors (`child`, `attr`, `text`). No platform code uses it: it is the
+//!   reference type of the test oracles, and [`dom::TreeBuilder`] (an
+//!   `XmlSink`) builds the trees pdbench's traced replay checks.
 //!
 //! The dialect supported is the subset the PDAgent wire formats need:
 //! elements, attributes (single- or double-quoted), character data, CDATA
@@ -29,13 +29,26 @@
 //! character references (`&#NN;`, `&#xHH;`) are decoded.
 //!
 //! ```
-//! use pdagent_xml::dom::Element;
+//! use pdagent_xml::{DocReader, XmlError, XmlWriter};
 //!
-//! let doc = Element::parse_str(
-//!     "<pi version=\"1\"><code id=\"ma-7\">QkFTRTY0</code></pi>").unwrap();
-//! assert_eq!(doc.name(), "pi");
-//! assert_eq!(doc.attr("version"), Some("1"));
-//! assert_eq!(doc.child("code").unwrap().text(), "QkFTRTY0");
+//! let mut w = XmlWriter::compact();
+//! w.start("pi");
+//! w.attr("version", "1");
+//! w.start("code");
+//! w.attr("id", "ma-7");
+//! w.text("QkFTRTY0");
+//! w.end();
+//! w.end();
+//! let doc = w.finish();
+//! let code = DocReader::read_document(&doc, |r, mut pi| {
+//!     assert_eq!(pi.attr("version").as_deref(), Some("1"));
+//!     let code = r.next_child(&mut pi)?.expect("a child");
+//!     assert_eq!(code.attr("id").as_deref(), Some("ma-7"));
+//!     let text = r.text(code)?.into_owned();
+//!     assert!(r.next_child(&mut pi)?.is_none());
+//!     Ok::<_, XmlError>(text)
+//! });
+//! assert_eq!(code.unwrap(), "QkFTRTY0");
 //! ```
 
 pub mod dom;

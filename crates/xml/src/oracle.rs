@@ -664,7 +664,8 @@ pub mod writer {
 pub mod dom {
     use super::pull::{PullParser, XmlEvent};
     use super::writer::XmlWriter;
-    use crate::dom::{Element, Node, MAX_DEPTH};
+    use crate::dom::{Element, Node};
+    use crate::reader::MAX_DEPTH;
     use crate::error::{XmlError, XmlResult};
 
     /// Parse a document into a tree, as `Element::parse_str` did.

@@ -12,7 +12,6 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::ops::Range;
 
-use crate::dom::Pairs;
 use crate::error::{XmlError, XmlResult};
 use crate::escape::unescape;
 
@@ -26,36 +25,20 @@ pub struct Attribute<'a> {
     pub value: Cow<'a, str>,
 }
 
-/// The attributes of one start tag. From the parser, this is the raw text
-/// between the element name and the tag's close, already checked (syntax,
-/// entity references, no duplicates) and decoded on demand, so a start tag
-/// costs no allocation. Walking an [`Element`](crate::Element) tree, it is
-/// the element's packed attribute pairs.
+/// The attributes of one start tag: the raw text between the element name
+/// and the tag's close, already checked by the parser (syntax, entity
+/// references, no duplicates) and decoded on demand, so a start tag costs
+/// no allocation.
 #[derive(Debug, Clone, Copy)]
 pub struct Attributes<'a> {
-    repr: Repr<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Repr<'a> {
-    Raw(&'a str),
-    Tree(&'a str),
+    raw: &'a str,
 }
 
 impl<'a> Attributes<'a> {
-    /// Attributes held in an element tree, as packed pairs.
-    pub(crate) fn tree(pairs: &'a str) -> Attributes<'a> {
-        Attributes { repr: Repr::Tree(pairs) }
-    }
-
     /// The attributes in document order.
     #[inline]
     pub fn iter(&self) -> AttributeIter<'a> {
-        let inner = match self.repr {
-            Repr::Raw(text) => IterRepr::Raw(text),
-            Repr::Tree(pairs) => IterRepr::Tree(Pairs(pairs)),
-        };
-        AttributeIter { inner }
+        AttributeIter { rest: self.raw }
     }
 
     /// The decoded value of attribute `name`, if present.
@@ -76,14 +59,8 @@ impl Eq for Attributes<'_> {}
 /// Iterator over [`Attributes`].
 #[derive(Debug, Clone)]
 pub struct AttributeIter<'a> {
-    inner: IterRepr<'a>,
-}
-
-#[derive(Debug, Clone)]
-enum IterRepr<'a> {
     /// The checked raw tag text not yet returned.
-    Raw(&'a str),
-    Tree(Pairs<'a>),
+    rest: &'a str,
 }
 
 impl<'a> Iterator for AttributeIter<'a> {
@@ -91,18 +68,10 @@ impl<'a> Iterator for AttributeIter<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Attribute<'a>> {
-        let rest = match &mut self.inner {
-            IterRepr::Raw(rest) => rest,
-            IterRepr::Tree(pairs) => {
-                return pairs
-                    .next()
-                    .map(|(name, value)| Attribute { name, value: Cow::Borrowed(value) })
-            }
-        };
         // The parser validated this text, so every step here succeeds.
-        let text = trim_start_ws(rest);
+        let text = trim_start_ws(self.rest);
         if text.is_empty() {
-            *rest = text;
+            self.rest = text;
             return None;
         }
         let name_len = name_len(text).expect("validated attribute name");
@@ -111,7 +80,7 @@ impl<'a> Iterator for AttributeIter<'a> {
         let text = trim_start_ws(&text[1..]); // '='
         let value = scan_value(&text[1..], text.as_bytes()[0]).expect("validated value");
         let raw = &text[1..1 + value.len];
-        *rest = &text[value.len + 2..];
+        self.rest = &text[value.len + 2..];
         let value = if value.has_amp {
             unescape(raw, 0).expect("validated attribute value")
         } else {
@@ -272,19 +241,6 @@ impl<'a> PullParser<'a> {
             // the root, a DOCTYPE).
             if let Some(event) = event {
                 return Ok(event);
-            }
-        }
-    }
-
-    /// Iterate events until `Eof`, collecting them. Mostly useful in tests.
-    pub fn collect_events(mut self) -> XmlResult<Vec<XmlEvent<'a>>> {
-        let mut out = Vec::new();
-        loop {
-            let ev = self.next_event()?;
-            let end = ev == XmlEvent::Eof;
-            out.push(ev);
-            if end {
-                return Ok(out);
             }
         }
     }
@@ -513,7 +469,7 @@ impl<'a> PullParser<'a> {
             }
             count += 1;
         };
-        let attributes = Attributes { repr: Repr::Raw(&input[attrs_start..pos]) };
+        let attributes = Attributes { raw: &input[attrs_start..pos] };
         self.pos = pos + if self_closing { 2 } else { 1 };
         self.note_element(tag_offset)?;
         if !self_closing {
@@ -614,16 +570,30 @@ pub fn is_name_char(ch: char) -> bool {
 mod tests {
     use super::*;
 
+    /// Every event up to and including `Eof`.
+    fn collect_events(s: &str) -> XmlResult<Vec<XmlEvent<'_>>> {
+        let mut p = PullParser::new(s);
+        let mut out = Vec::new();
+        loop {
+            let ev = p.next_event()?;
+            let end = ev == XmlEvent::Eof;
+            out.push(ev);
+            if end {
+                return Ok(out);
+            }
+        }
+    }
+
     fn events(s: &str) -> Vec<XmlEvent<'_>> {
-        PullParser::new(s).collect_events().unwrap()
+        collect_events(s).unwrap()
     }
 
     fn err(s: &str) -> XmlError {
-        PullParser::new(s).collect_events().unwrap_err()
+        collect_events(s).unwrap_err()
     }
 
     fn events_or_err(s: &str) -> Result<usize, XmlError> {
-        PullParser::new(s).collect_events().map(|evs| evs.len())
+        collect_events(s).map(|evs| evs.len())
     }
 
     fn old_err(s: &str) -> XmlError {

@@ -1,36 +1,42 @@
 //! Streaming decoding: read a document's elements straight into typed
-//! values, with the same answers a walk over the [`Element`] tree of the
-//! same document would give, but without building the tree.
+//! values, as the pull parser reports them, without building a tree. This
+//! is the one XML decoder of the platform (kXML, which the paper's handheld
+//! used, is a pull parser too).
 //!
-//! A decoder is handed the root start tag by [`DocReader::read_document`]
-//! (or [`DocReader::read_element`], which walks an [`Element`] tree
-//! instead of text). It walks child elements in document order with
+//! A decoder is handed the root start tag by [`DocReader::read_document`].
+//! It walks child elements in document order with
 //! [`DocReader::next_child`], and for each child either descends, reads its
 //! text with [`DocReader::text`] or passes over it with [`DocReader::skip`];
-//! the rest of the document is then checked. The reader applies the DOM's
-//! rules:
+//! the rest of the document is then checked. The reader's rules:
 //!
-//! * every element is checked against [`MAX_DEPTH`], skipped ones included,
-//!   so a document the DOM rejects as too deep is rejected here too;
-//! * [`DocReader::text`] is [`Element::text`]: the element's own text and
-//!   CDATA runs concatenated, where a whitespace-only run is dropped if (and
-//!   only if) the element also has element children;
+//! * every element is checked against [`MAX_DEPTH`], skipped ones included;
+//! * [`DocReader::text`] is the element's own text and CDATA runs
+//!   concatenated, where a whitespace-only run is dropped if (and only if)
+//!   the element also has element children, so indentation is not data;
 //! * comments and processing instructions are ignored, and the document as
 //!   a whole must be well-formed.
 //!
-//! The first-of-duplicates and ignore-unknown rules of `Element::child` are
-//! the decoder's to keep: it decodes the first child it wants of each name
-//! and skips the rest.
-//!
-//! [`Element`]: crate::Element
-//! [`Element::text`]: crate::Element::text
-//! [`MAX_DEPTH`]: crate::dom::MAX_DEPTH
+//! A decoder keeps the first child it wants of each name and skips the
+//! rest, as `Element::child` does; the test oracles hold every decoder to
+//! the element tree's answers.
 
 use std::borrow::Cow;
 
-use crate::dom::{too_deep, Element, Node, MAX_DEPTH};
 use crate::error::{XmlError, XmlResult};
 use crate::pull::{Attributes, PullParser, XmlEvent};
+
+/// Deepest element nesting a document may have (the root is depth 1).
+/// Decoders recurse once per element they descend into, so an unbounded
+/// depth would let a few KB of hostile input (a Packed Information document
+/// compresses `<a><a><a>…` to almost nothing) overflow the stack. Real
+/// PDAgent documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
+/// The error for an element nested deeper than [`MAX_DEPTH`], detected at
+/// `offset` (just past its start tag).
+pub(crate) fn too_deep(offset: usize) -> XmlError {
+    XmlError::Syntax { offset, message: format!("elements nested deeper than {MAX_DEPTH}") }
+}
 
 /// A start tag the reader has consumed.
 #[derive(Debug)]
@@ -53,8 +59,8 @@ impl<'a> Tag<'a> {
         self.attributes.get(name)
     }
 
-    /// The value of attribute `name`, or the error `Element::require_attr`
-    /// gives.
+    /// The value of attribute `name`, or an error naming the element and
+    /// the attribute.
     pub fn require_attr(&self, name: &str) -> XmlResult<Cow<'a, str>> {
         self.attr(name).ok_or_else(|| XmlError::Syntax {
             offset: 0,
@@ -62,8 +68,7 @@ impl<'a> Tag<'a> {
         })
     }
 
-    /// The error `Element::require_child` gives when this element has no
-    /// child named `name`.
+    /// The error for this element having no child named `name`.
     pub fn missing_child(&self, name: &str) -> XmlError {
         XmlError::Syntax {
             offset: 0,
@@ -72,16 +77,9 @@ impl<'a> Tag<'a> {
     }
 }
 
-/// A pull parser, or a walk over an element tree, wrapped for decoding; see
-/// the [module docs](self).
+/// A pull parser wrapped for decoding; see the [module docs](self).
 pub struct DocReader<'a> {
-    source: Source<'a>,
-}
-
-/// Where a [`DocReader`]'s events come from.
-enum Source<'a> {
-    Text(PullParser<'a>),
-    Tree(TreeEvents<'a>),
+    parser: PullParser<'a>,
 }
 
 impl<'a> DocReader<'a> {
@@ -91,54 +89,26 @@ impl<'a> DocReader<'a> {
         doc: &'a str,
         decode: impl FnOnce(&mut DocReader<'a>, Tag<'a>) -> Result<T, E>,
     ) -> Result<T, E> {
-        DocReader { source: Source::Text(PullParser::new(doc)) }.read(decode)
-    }
-
-    /// Decode the tree under `root` the same way: the reader sees the
-    /// events the parser would report for the tree's compact text, without
-    /// writing or parsing it, so one decoder serves documents and trees.
-    pub fn read_element<T, E: From<XmlError>>(
-        root: &'a Element,
-        decode: impl FnOnce(&mut DocReader<'a>, Tag<'a>) -> Result<T, E>,
-    ) -> Result<T, E> {
-        let tree = TreeEvents { root: Some(root), open: Vec::new() };
-        DocReader { source: Source::Tree(tree) }.read(decode)
-    }
-
-    fn read<T, E: From<XmlError>>(
-        mut self,
-        decode: impl FnOnce(&mut DocReader<'a>, Tag<'a>) -> Result<T, E>,
-    ) -> Result<T, E> {
-        let root = self.root()?;
-        let value = decode(&mut self, root)?;
-        self.finish()?;
+        let mut reader = DocReader { parser: PullParser::new(doc) };
+        let root = reader.root()?;
+        let value = decode(&mut reader, root)?;
+        reader.finish()?;
         Ok(value)
-    }
-
-    /// Current element nesting depth.
-    fn depth(&self) -> usize {
-        match &self.source {
-            Source::Text(parser) => parser.depth(),
-            Source::Tree(tree) => tree.open.len(),
-        }
     }
 
     /// The next event, with the nesting cap applied to start tags.
     fn next(&mut self) -> XmlResult<XmlEvent<'a>> {
-        let (event, offset) = match &mut self.source {
-            Source::Text(parser) => (parser.next_event()?, parser.offset()),
-            Source::Tree(tree) => (tree.next_event(), 0),
-        };
+        let event = self.parser.next_event()?;
         if let XmlEvent::StartElement { self_closing, .. } = event {
-            if self.depth() + usize::from(self_closing) > MAX_DEPTH {
-                return Err(too_deep(offset));
+            if self.parser.depth() + usize::from(self_closing) > MAX_DEPTH {
+                return Err(too_deep(self.parser.offset()));
             }
         }
         Ok(event)
     }
 
     fn tag(&self, name: &'a str, attributes: Attributes<'a>, self_closing: bool) -> Tag<'a> {
-        let depth = self.depth() + usize::from(self_closing);
+        let depth = self.parser.depth() + usize::from(self_closing);
         Tag { name, attributes, depth, closed: self_closing }
     }
 
@@ -168,7 +138,7 @@ impl<'a> DocReader<'a> {
         if parent.closed {
             return Ok(None);
         }
-        debug_assert_eq!(self.depth(), parent.depth, "previous child not read to its end");
+        debug_assert_eq!(self.parser.depth(), parent.depth, "previous child not read to its end");
         loop {
             match self.next()? {
                 XmlEvent::StartElement { name, attributes, self_closing } => {
@@ -206,11 +176,8 @@ impl<'a> DocReader<'a> {
         Ok(())
     }
 
-    /// Read `el` to its end and return its text, as [`Element::text`] of
-    /// the parsed element would: child elements are skipped, and
-    /// whitespace-only runs count only if there are none.
-    ///
-    /// [`Element::text`]: crate::Element::text
+    /// Read `el` to its end and return its text: child elements are
+    /// skipped, and whitespace-only runs count only if there are none.
     pub fn text(&mut self, mut el: Tag<'a>) -> XmlResult<Cow<'a, str>> {
         let mut text = Text::default();
         let mut has_child = false;
@@ -246,50 +213,6 @@ impl<'a> DocReader<'a> {
                 _ => unreachable!("parser enforces single root"),
             }
         }
-    }
-}
-
-/// The events of an element tree, in document order: what the pull parser
-/// reports for the tree's compact text. An element without children is
-/// reported as self-closing.
-struct TreeEvents<'a> {
-    /// The root, until its start tag has been reported.
-    root: Option<&'a Element>,
-    /// Open elements, each with its name and the index of its next child.
-    open: Vec<(&'a Element, &'a str, usize)>,
-}
-
-impl<'a> TreeEvents<'a> {
-    fn next_event(&mut self) -> XmlEvent<'a> {
-        if let Some(root) = self.root.take() {
-            return self.start(root);
-        }
-        let Some(&mut (el, name, ref mut next)) = self.open.last_mut() else {
-            return XmlEvent::Eof;
-        };
-        match el.children.get(*next) {
-            Some(node) => {
-                *next += 1;
-                match node {
-                    Node::Element(child) => self.start(child),
-                    Node::Text(text) => XmlEvent::Text(Cow::Borrowed(text)),
-                    Node::Comment(text) => XmlEvent::Comment(text),
-                }
-            }
-            None => {
-                self.open.pop();
-                XmlEvent::EndElement { name }
-            }
-        }
-    }
-
-    fn start(&mut self, el: &'a Element) -> XmlEvent<'a> {
-        let self_closing = el.children.is_empty();
-        let (name, pairs) = el.split_tag();
-        if !self_closing {
-            self.open.push((el, name, 0));
-        }
-        XmlEvent::StartElement { name, attributes: Attributes::tree(pairs), self_closing }
     }
 }
 

@@ -9,9 +9,9 @@ use std::ops::Range;
 
 use crate::escape::{escape_attr, escape_text};
 
-/// The calls a document encoder makes. [`XmlWriter`] turns them into text;
-/// [`crate::dom::TreeBuilder`] turns them into an [`crate::Element`] tree,
-/// so one encoder serves both the wire form and the DOM form of a format.
+/// The calls a document encoder makes. [`XmlWriter`] turns them into text,
+/// the wire form; [`crate::dom::TreeBuilder`] turns them into an
+/// [`crate::Element`] tree for the test oracles and pdbench's replay.
 pub trait XmlSink {
     /// Open an element.
     fn start(&mut self, name: &str);
@@ -187,25 +187,6 @@ impl XmlWriter {
         push_int(&mut self.out, value.into());
     }
 
-    /// Write a CDATA section. A literal `]]>` in the payload is handled with
-    /// the standard section-splitting trick (`]]` ends one section, `>` starts
-    /// the next), so any string re-parses identically.
-    pub fn cdata(&mut self, data: &str) {
-        self.begin_text();
-        let parts: Vec<&str> = data.split("]]>").collect();
-        for (i, part) in parts.iter().enumerate() {
-            self.out.push_str("<![CDATA[");
-            self.out.push_str(part);
-            if i + 1 < parts.len() {
-                self.out.push_str("]]");
-            }
-            self.out.push_str("]]>");
-            if i + 1 < parts.len() {
-                self.out.push_str("<![CDATA[>]]>");
-            }
-        }
-    }
-
     /// Write a comment. A comment may not contain `--` or end in `-`, so a
     /// space goes between any two adjacent dashes and after a final dash:
     /// the comment then re-parses as one comment with that payload.
@@ -268,15 +249,6 @@ impl XmlWriter {
         self.out
     }
 
-    /// Bytes written so far (useful for size accounting while streaming).
-    pub fn len(&self) -> usize {
-        self.out.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
-    }
 }
 
 /// Append `value` in decimal: what `Display` writes, without the
@@ -433,36 +405,5 @@ mod tests {
         let s = w.finish();
         Element::parse_str(&s).unwrap();
         assert!(s.contains("<!--x - - y-->"));
-    }
-
-    #[test]
-    fn cdata_simple() {
-        let mut w = XmlWriter::compact();
-        w.start("a");
-        w.cdata("<raw> & stuff");
-        w.end();
-        let s = w.finish();
-        let el = Element::parse_str(&s).unwrap();
-        assert_eq!(el.text(), "<raw> & stuff");
-    }
-
-    #[test]
-    fn cdata_with_embedded_terminator_roundtrips() {
-        let mut w = XmlWriter::compact();
-        w.start("a");
-        w.cdata("x]]>y]]>z");
-        w.end();
-        let s = w.finish();
-        let el = Element::parse_str(&s).unwrap();
-        assert_eq!(el.text(), "x]]>y]]>z");
-    }
-
-    #[test]
-    fn len_tracks_bytes() {
-        let mut w = XmlWriter::compact();
-        assert!(w.is_empty());
-        w.start("a");
-        w.end();
-        assert_eq!(w.len(), "<a/>".len());
     }
 }

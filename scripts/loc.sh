@@ -36,12 +36,15 @@ contents() {
 }
 
 # Count non-blank lines before a `#[cfg(test)]` line that opens `mod tests`.
+# The rest of the input is read, not cut off: an early exit would kill
+# `git show` with SIGPIPE and, under pipefail, end the count.
 count() {
   awk '
+    tests { next }
     held {
-      if ($0 ~ /^[[:space:]]*mod tests/) exit
-      n++
       held = 0
+      if ($0 ~ /^[[:space:]]*mod tests/) { tests = 1; next }
+      n++
     }
     /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = 1; next }
     /[^[:space:]]/ { n++ }

@@ -9,6 +9,26 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# One XML API: the platform writes with `XmlWriter` and reads with
+# `DocReader`. No non-test code names the element tree outside the xml
+# crate, the test oracles and `crates/vm/src/program.rs`, whose
+# `Program::{to_xml, from_xml}` are pdbench's replay boundary. Non-test
+# lines are the ones `scripts/loc.sh` counts: those before the
+# `#[cfg(test)]` that opens a file's `mod tests`.
+dom_users=$(find crates -path 'crates/*/src/*' -name '*.rs' ! -path 'crates/xml/src/*' \
+        ! -name oracle.rs ! -path crates/vm/src/program.rs | sort | xargs awk '
+    FNR == 1 { held = 0; tests = 0 }
+    tests { next }
+    held { held = 0; if ($0 ~ /^[[:space:]]*mod tests/) { tests = 1; next } }
+    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = 1; next }
+    /(^|[^A-Za-z0-9_])(Element|TreeBuilder)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }
+')
+if [[ -n "$dom_users" ]]; then
+    echo "verify: non-test code names the element tree:" >&2
+    printf '%s\n' "$dom_users" >&2
+    exit 1
+fi
+
 # pdbench is a standalone package (not a workspace member), so the
 # workspace run above cannot catch a change that breaks its build. Test it,
 # then run untraced first passes; pdbench exits nonzero when any of its

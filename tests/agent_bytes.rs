@@ -13,8 +13,6 @@
 //! the visit and the encoding after it have live stays within that plus a
 //! small multiple of the per-visit result budget.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
 
 use pdagent_apps::ebank::{ebank_program, itinerary_for, transactions_param};
@@ -22,48 +20,8 @@ use pdagent_apps::{BankService, Transaction};
 use pdagent_mas::{run_visit, AgentId, Itinerary, MobileAgent, Service, VISIT_RESULT_BUDGET};
 use pdagent_vm::Value;
 
-/// Counts the bytes this thread has live, and the most it has had, so a
-/// test can bound what one decode allocates.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-fn track(grow: usize, shrink: usize) {
-    let _ = LIVE.try_with(|live| {
-        let now = live.get() + grow - shrink.min(live.get() + grow);
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-    });
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        track(layout.size(), 0);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        track(0, layout.size());
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        track(new_size, layout.size());
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// The most bytes `f` had live at once, beyond what was live before it.
-fn peak_allocation<T>(f: impl FnOnce() -> T) -> usize {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
-    drop(f());
-    PEAK.with(Cell::get) - base
-}
+mod support;
+use support::peak_allocation;
 
 /// The agent as it leaves its fifth bank on a `roaming` deploy.
 fn roaming_agent() -> MobileAgent {

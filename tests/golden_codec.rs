@@ -127,7 +127,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("pi_48k_base64_pad", pi_document(1, 2, 48 * 1024, 42)),
         ("roaming_pi_1k", pi_document(32, 8, 1024, 7)),
-        ("ebank_program_xml", ebank_program().to_xml().to_document_string().into_bytes()),
+        ("ebank_program_xml", ebank_program().to_document_string().into_bytes()),
         ("zeros_4k", vec![0u8; 4096]),
         ("pi_8k_base64_pad", pi_document(1, 2, 8 * 1024, 310)),
         ("byte_cycle", (0..=255u8).cycle().take(4096).collect()),

@@ -19,60 +19,19 @@
 //! the stack, and allocate in proportion to its input. (The gateway crate's
 //! oracle tests check that those values and errors are the DOM walkers'.)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use pdagent_apps::ebank::{ebank_program, itinerary_for, transactions_param};
 use pdagent_apps::Transaction;
 use pdagent_codec::compress::decompress;
 use pdagent_core::Subscription;
 use pdagent_crypto::rsa::PublicKey;
+use pdagent_gateway::central::{gateway_list_to_xml, parse_gateway_list, GatewayEntry};
 use pdagent_gateway::pi::{PackedInformation, ResultDoc, ResultStatus};
 use pdagent_mas::ResultEntry;
 use pdagent_vm::Value;
+use pdagent_xml::Element;
 
-/// Counts the bytes this thread has live, and the most it has had, so a
-/// test can bound what one decode allocates.
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-fn track(grow: usize, shrink: usize) {
-    let _ = LIVE.try_with(|live| {
-        let now = live.get() + grow - shrink.min(live.get() + grow);
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-    });
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        track(layout.size(), 0);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        track(0, layout.size());
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        track(new_size, layout.size());
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// The most bytes `f` had live at once, beyond what was live before it.
-fn peak_allocation<T>(f: impl FnOnce() -> T) -> usize {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(base));
-    drop(f());
-    PEAK.with(Cell::get) - base
-}
+mod support;
+use support::peak_allocation;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -243,7 +202,7 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
         ("pi_48k_pad", ebank_pi(1, 2, 48 * 1024, 42).to_document_string().into_bytes()),
         ("pi_awkward_strings", awkward_pi().to_document_string().into_bytes()),
         ("pi_nested_lists", nested_pi().to_document_string().into_bytes()),
-        ("program_ebank", ebank_program().to_xml().to_document_string().into_bytes()),
+        ("program_ebank", ebank_program().to_document_string().into_bytes()),
         ("result_roaming_40", roaming_result().to_document_string().into_bytes()),
         ("result_failed", failed_result().to_document_string().into_bytes()),
         ("result_retracted", retracted_result().to_document_string().into_bytes()),
@@ -353,4 +312,47 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
     assert!(ResultDoc::from_document_str(&result).is_err());
     decode_all(pi.as_bytes());
     decode_all(result.as_bytes());
+}
+
+fn gateway_list(n: usize) -> Vec<GatewayEntry> {
+    let names = ["gw-east", "gw <&\"'> west", "gw-中"];
+    (0..n).map(|i| GatewayEntry { name: names[i % names.len()].into(), node: 3 + 7 * i }).collect()
+}
+
+#[test]
+fn gateway_list_matches_the_element_tree() {
+    for n in [0, 1, 3] {
+        let entries = gateway_list(n);
+        let mut tree = Element::new("gateways");
+        for e in &entries {
+            let gateway = Element::new("gateway").with_attr("name", &e.name);
+            tree.push_child(gateway.with_attr("node", e.node.to_string()));
+        }
+        let doc = gateway_list_to_xml(&entries);
+        assert_eq!(doc, tree.to_document_string());
+        assert_eq!(parse_gateway_list(&doc).unwrap(), entries);
+    }
+}
+
+#[test]
+fn hostile_gateway_lists_decode_or_fail_within_bounds() {
+    let doc = gateway_list_to_xml(&gateway_list(3)).into_bytes();
+    let check = |bytes: &[u8]| {
+        let bound = 16 * bytes.len() + 16 * 1024;
+        let peak = peak_allocation(|| {
+            let list = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+            parse_gateway_list(list)
+        });
+        assert!(peak <= bound, "{peak} bytes live decoding {} bytes", bytes.len());
+    };
+    for cut in 0..=doc.len() {
+        check(&doc[..cut]);
+    }
+    for at in 0..doc.len() {
+        for sub in [0x00, 0x7f, 0x80, 0xff, doc[at] ^ 1] {
+            let mut bytes = doc.clone();
+            bytes[at] = sub;
+            check(&bytes);
+        }
+    }
 }

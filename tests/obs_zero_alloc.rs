@@ -6,7 +6,6 @@
 //! This file holds a single test so the global allocation counter is not
 //! perturbed by concurrently running tests in the same binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use pdagent::net::message::Message;
@@ -14,26 +13,8 @@ use pdagent::net::obs::ObsContext;
 use pdagent::net::sim::{Ctx, Node, NodeId, Simulator};
 use pdagent::net::time::SimDuration;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+mod support;
+use support::allocation_count;
 
 /// Allocations observed inside the hook loop, written by the node.
 static HOOK_ALLOCS: AtomicU64 = AtomicU64::new(u64::MAX);
@@ -48,7 +29,7 @@ impl Node for HotPath {
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Message) {}
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-        let before = ALLOCS.load(Relaxed);
+        let before = allocation_count();
         for _ in 0..10_000 {
             let trace = ctx.obs_new_trace();
             let span = ctx.span_begin(trace, 0, "hot");
@@ -56,7 +37,7 @@ impl Node for HotPath {
             ctx.span_end(hop);
             ctx.span_end(span);
         }
-        HOOK_ALLOCS.store(ALLOCS.load(Relaxed) - before, Relaxed);
+        HOOK_ALLOCS.store(allocation_count() - before, Relaxed);
     }
 }
 
@@ -79,12 +60,12 @@ fn disabled_observability_is_allocation_free() {
     //    both sides see the same steady state.
     let warm = Message::new("zeroalloc.kind", vec![1u8, 2, 3]);
     drop(warm);
-    let t0 = ALLOCS.load(Relaxed);
+    let t0 = allocation_count();
     let plain = Message::new("zeroalloc.kind", vec![4u8, 5, 6]);
-    let t1 = ALLOCS.load(Relaxed);
+    let t1 = allocation_count();
     let traced = Message::new("zeroalloc.kind", vec![4u8, 5, 6])
         .traced(ObsContext { trace: 7, span: 9 });
-    let t2 = ALLOCS.load(Relaxed);
+    let t2 = allocation_count();
     assert_eq!(t2 - t1, t1 - t0, "tracing a message added allocations");
     assert_eq!(plain, traced, "obs context must not affect message equality");
 }

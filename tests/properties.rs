@@ -13,7 +13,7 @@ use pdagent::crypto::rsa::KeyPair;
 use pdagent::gateway::pi::{PackedInformation, ResultDoc, ResultStatus};
 use pdagent::mas::{AgentId, Itinerary, MobileAgent, ResultEntry};
 use pdagent::vm::{assemble, disassemble, Program, Value};
-use pdagent::xml::Element;
+use pdagent::xml::{DocReader, Element, XmlWriter};
 
 // --- generators -------------------------------------------------------------
 
@@ -156,9 +156,11 @@ proptest! {
 
     #[test]
     fn value_xml_roundtrip(v in value_strategy()) {
-        let doc = v.to_xml().to_document_string();
-        let parsed = Element::parse_str(&doc).unwrap();
-        prop_assert_eq!(Value::from_xml(&parsed).unwrap(), v);
+        let mut w = XmlWriter::compact();
+        w.declaration();
+        v.write_xml(&mut w);
+        let doc = w.finish();
+        prop_assert_eq!(DocReader::read_document(&doc, Value::read_xml).unwrap(), v);
     }
 
     #[test]
@@ -199,8 +201,8 @@ proptest! {
         src.push_str("halt\n");
         let p = assemble(&src).unwrap();
         prop_assert_eq!(Program::from_bytes(&p.to_bytes()).unwrap(), p.clone());
-        let xml_doc = p.to_xml().to_document_string();
-        let back = Program::from_xml(&Element::parse_str(&xml_doc).unwrap()).unwrap();
+        let xml_doc = p.to_document_string();
+        let back = DocReader::read_document(&xml_doc, Program::read_xml).unwrap();
         prop_assert_eq!(&back, &p);
         let dis = disassemble(&p);
         prop_assert_eq!(assemble(&dis).unwrap().code, p.code);
@@ -556,7 +558,9 @@ proptest! {
         let msg = Message::new("m", vec![0u8; size]);
         let wire = msg.wire_size();
         let d = whole.route(1, 2, &msg, SimTime::ZERO).expect("lossless");
-        let arrivals = burst.route_burst(1, 2, wire, mtu, SimTime::ZERO).expect("lossless");
+        let mut arrivals = Vec::new();
+        let delivered = burst.route_burst_into(1, 2, wire, mtu, SimTime::ZERO, &mut arrivals);
+        prop_assert!(delivered, "lossless");
         let nfrags = wire.div_ceil(mtu);
         prop_assert_eq!(arrivals.len(), nfrags);
         for pair in arrivals.windows(2) {
@@ -598,14 +602,15 @@ proptest! {
         burst.connect(1, 2, spec);
 
         let mut slack = 0u64; // cumulative rounding allowance, in µs
+        let mut a = Vec::new();
         for (i, &size) in sizes.iter().enumerate() {
             let now = SimTime(i as u64 * 1_000);
             let msg = Message::new("m", vec![0u8; size]);
             let wire = msg.wire_size();
             let d = whole.route(1, 2, &msg, now);
-            let a = burst.route_burst(1, 2, wire, mtu, now);
-            prop_assert_eq!(d.is_some(), a.is_some());
-            let (Some(d), Some(a)) = (d, a) else { continue };
+            let delivered = burst.route_burst_into(1, 2, wire, mtu, now, &mut a);
+            prop_assert_eq!(d.is_some(), delivered);
+            let Some(d) = d else { continue };
             slack += wire.div_ceil(mtu) as u64;
             let tail = a.last().copied().unwrap();
             prop_assert!(
