@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks for the PDAgent building blocks: the XML
 //! codec, compression, the security pipeline (SEC/µ in DESIGN.md), the
-//! agent VM and the PI pack/unpack path. These measure wall-clock cost of
-//! the device- and gateway-side CPU work (the simulator measures network
-//! time separately).
+//! agent VM, the PI pack/unpack path and scrape text. These measure
+//! wall-clock cost of the device- and gateway-side CPU work (the simulator
+//! measures network time separately).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use pdagent_apps::ebank::{ebank_program, itinerary_for, transactions_param};
 use pdagent_apps::{BankService, Transaction};
+use pdagent_bench::scrape;
 use pdagent_codec::compress::{compress, decompress, Algorithm};
 use pdagent_crypto::envelope::{open_envelope, seal_envelope};
 use pdagent_crypto::md5::md5;
@@ -18,6 +19,7 @@ use pdagent_mas::{AgentId, Itinerary, MobileAgent, ResultEntry, Service};
 use pdagent_net::link::LinkSpec;
 use pdagent_net::message::Message;
 use pdagent_net::sim::{Ctx, Node, NodeId, Simulator};
+use pdagent_net::telemetry::{DeltaState, HeldSnapshot};
 use pdagent_net::time::SimDuration;
 use pdagent_vm::{run, AgentState, Host, MapHost, Value};
 use pdagent_xml::{DocReader, Element};
@@ -476,6 +478,47 @@ fn bench_message_hop(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_telemetry(c: &mut Criterion) {
+    // Scrape text on both sides of a `fleet_ops` target: its delta rendered
+    // from cached line heads, that delta ingested by a warm holder, and a
+    // monitor's full cell view rendered for federation.
+    let mut group = c.benchmark_group("telemetry");
+    let mut ds = DeltaState::new();
+    let base = ds.observe(&scrape::target_snapshot(1, scrape::STAGES.len()));
+    ds.observe(&scrape::target_snapshot(2, scrape::STAGES.len()));
+    let mut body = String::new();
+    ds.render_into("gw-0", Some(base), &mut body);
+    group.throughput(Throughput::Bytes(body.len() as u64));
+    group.bench_function("render/delta_target", |b| {
+        b.iter(|| ds.render_into("gw-0", Some(base), &mut body))
+    });
+
+    // The holder takes the delta and the same series under the reverse
+    // header in turn, so every iteration is one delta over the held epoch.
+    let (full, delta) = scrape::target_bodies(scrape::STAGES.len());
+    let series = delta.strip_prefix("# EPOCH 2 base=1\n").expect("round 2 over round 1");
+    let back = format!("# EPOCH 1 base=2\n{series}");
+    let mut held = HeldSnapshot::new();
+    held.apply(&full);
+    let mut turn = false;
+    group.throughput(Throughput::Bytes(delta.len() as u64));
+    group.bench_function("ingest/delta_target", |b| {
+        b.iter(|| {
+            turn = !turn;
+            held.apply(if turn { &delta } else { &back })
+        })
+    });
+
+    let mut view = DeltaState::new();
+    view.observe(&scrape::cell_view_snapshot(2));
+    view.render_into("cell-0", None, &mut body);
+    group.throughput(Throughput::Bytes(body.len() as u64));
+    group.bench_function("render/cell_view", |b| {
+        b.iter(|| view.render_into("cell-0", None, &mut body))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_xml,
@@ -489,6 +532,7 @@ criterion_group!(
     bench_agent_transfer,
     bench_program_encodings,
     bench_event_loop,
-    bench_message_hop
+    bench_message_hop,
+    bench_telemetry
 );
 criterion_main!(benches);

@@ -29,6 +29,8 @@
 //!   `src/bin/*` binaries emit (wall time, events/sec, per-point results).
 //! * [`event_queue`] — timer-wheel vs. binary-heap scheduler head-to-head
 //!   on the soak's event mix (`BENCH_event_queue.json`).
+//! * [`scrape`] — `fleet_ops`-shaped scrape bodies for the telemetry micro
+//!   benches and the ingest allocation bound.
 //! * [`chaos_matrix`] — system invariants over soak outcomes, the
 //!   fault-class × intensity chaos grid, and shrink-to-minimal-reproducer
 //!   plumbing behind `cargo run --bin chaos`.
@@ -42,6 +44,7 @@ pub mod footprint;
 pub mod gateway_selection;
 pub mod parallel;
 pub mod report;
+pub mod scrape;
 pub mod shard;
 pub mod soak;
 pub mod workload;

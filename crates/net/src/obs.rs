@@ -198,8 +198,7 @@ impl Histogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let upper = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                return upper.min(self.max);
+                return Self::bucket_upper(i).min(self.max);
             }
         }
         self.max
@@ -237,12 +236,13 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Inclusive upper bound of bucket `i`: 0 for bucket 0, `2^i - 1` above.
-    pub fn bucket_upper(i: usize) -> u64 {
+    /// Inclusive upper bound of bucket `i`: 0 for bucket 0, `2^i - 1` above
+    /// (`u64::MAX` for the top bucket, where `1 << 64` would overflow).
+    pub const fn bucket_upper(i: usize) -> u64 {
         if i == 0 {
             0
         } else {
-            (1u64 << i) - 1
+            u64::MAX >> (64 - i)
         }
     }
 

@@ -23,7 +23,6 @@
 //! protocol traffic (the same argument as PR 2's zero-cost tracing).
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 
 use bytes::Bytes;
 
@@ -35,7 +34,7 @@ use crate::obs::Histogram;
 use crate::paging::{page_fire, page_resolve};
 use crate::sim::{Ctx, Node, NodeId};
 use crate::telemetry::{
-    escape_label, parse_since, scrape_request, write_value, DeltaState, HeldSnapshot, Ingested,
+    parse_since, scrape_request, write_value, DeltaState, HeldSnapshot, Ingested,
     TelemetrySnapshot, PATH_HEALTHZ, PATH_METRICS, RESYNC_EVERY, SCRAPE_RETRIES,
 };
 use crate::time::{SimDuration, SimTime};
@@ -660,11 +659,10 @@ impl Node for SloMonitor {
                 let now = ctx.now();
                 let max_staleness =
                     self.targets.iter().map(|t| Self::staleness(t, now)).fold(0.0, f64::max);
-                let _ = writeln!(self.body, "# TYPE pdagent_scrape_staleness_max gauge");
-                let _ = write!(
-                    self.body,
-                    "pdagent_scrape_staleness_max{{instance=\"{}\",key=\"{KEY_SCRAPE_STALENESS}\"}} ",
-                    escape_label(&self.instance)
+                self.serve_delta.push_gauge_head(
+                    &mut self.body,
+                    "pdagent_scrape_staleness_max",
+                    KEY_SCRAPE_STALENESS,
                 );
                 write_value(&mut self.body, max_staleness);
                 self.body.push('\n');

@@ -39,7 +39,7 @@ use bytes::Bytes;
 
 use crate::http::{reply, HttpRequest, HttpStatus};
 use crate::metrics::{Metrics, KEY_QUEUE_DEPTH};
-use crate::obs::{Collector, Exemplar, Histogram};
+use crate::obs::{Collector, Exemplar, Histogram, HISTOGRAM_BUCKETS};
 use crate::sim::{Ctx, NodeId};
 use crate::time::SimTime;
 
@@ -221,10 +221,87 @@ fn unescape_label(v: &str) -> String {
 /// `Display`.
 pub(crate) fn write_value(out: &mut String, v: f64) {
     if v.fract() == 0.0 && v.abs() < 1e15 {
-        let _ = write!(out, "{}", v as i64);
+        let n = v as i64;
+        if n < 0 {
+            out.push('-');
+        }
+        write_u64(out, n.unsigned_abs(), 0);
     } else {
         let _ = write!(out, "{v}");
     }
+}
+
+/// Append `v` in decimal, zero-padded to at least `width` digits (at most
+/// 20): `format!("{v:0width$}")` without the formatting machinery.
+fn write_u64(out: &mut String, mut v: u64, width: usize) {
+    let mut buf = [b'0'; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let at = at.min(buf.len() - width.min(buf.len()));
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+}
+
+/// Decimal digits of `v`.
+const fn decimal_len(mut v: u64) -> usize {
+    let mut n = 1;
+    while v >= 10 {
+        v /= 10;
+        n += 1;
+    }
+    n
+}
+
+/// Bytes of every bucket's `le` bound, [`Histogram::bucket_upper`] in
+/// decimal, back to back.
+const LE_LEN: usize = {
+    let mut n = 0;
+    let mut i = 0;
+    while i < HISTOGRAM_BUCKETS {
+        n += decimal_len(Histogram::bucket_upper(i));
+        i += 1;
+    }
+    n
+};
+
+/// The `le` bounds' text, and where each bucket's ends (bucket `i` is
+/// `ends[i]..ends[i + 1]`).
+static LE_BOUNDS: ([u8; LE_LEN], [usize; HISTOGRAM_BUCKETS + 1]) = {
+    let mut text = [0u8; LE_LEN];
+    let mut ends = [0usize; HISTOGRAM_BUCKETS + 1];
+    let mut i = 0;
+    while i < HISTOGRAM_BUCKETS {
+        let mut v = Histogram::bucket_upper(i);
+        let end = ends[i] + decimal_len(v);
+        let mut at = end;
+        loop {
+            at -= 1;
+            text[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        ends[i + 1] = end;
+        i += 1;
+    }
+    (text, ends)
+};
+
+static LE_TEXT: &str = match std::str::from_utf8(&LE_BOUNDS.0) {
+    Ok(text) => text,
+    Err(_) => panic!("decimal digits are ASCII"),
+};
+
+/// Bucket `i`'s `le` bound as text: `Histogram::bucket_upper(i)` in decimal.
+fn le_bound(i: usize) -> &'static str {
+    &LE_TEXT[LE_BOUNDS.1[i]..LE_BOUNDS.1[i + 1]]
 }
 
 /// Append an OpenMetrics-style exemplar suffix to a `_bucket` sample line:
@@ -233,23 +310,12 @@ pub(crate) fn write_value(out: &mut String, v: f64) {
 /// value — scrape bodies must stay byte-stable across shard counts (same
 /// rationale as the padded queue-depth gauge).
 fn write_exemplar(out: &mut String, e: &Exemplar) {
-    let _ = write!(out, " # {{trace_id=\"{:012}\"}} {} {}", e.trace, e.value_us, e.ts_us);
-}
-
-/// Split an exposition sample's value field from an optional exemplar
-/// suffix. Returns `(value_text, exemplar)`.
-fn split_exemplar(rest: &str) -> (&str, Option<Exemplar>) {
-    let Some((value, suffix)) = rest.split_once(" # ") else { return (rest, None) };
-    let parse = || -> Option<Exemplar> {
-        let body = suffix.trim().strip_prefix('{')?;
-        let (labels, tail) = body.split_once('}')?;
-        let trace = labels.strip_prefix("trace_id=\"")?.strip_suffix('"')?.parse().ok()?;
-        let mut parts = tail.split_whitespace();
-        let value_us = parts.next()?.parse().ok()?;
-        let ts_us = parts.next()?.parse().ok()?;
-        Some(Exemplar { trace, value_us, ts_us })
-    };
-    (value, parse())
+    out.push_str(" # {trace_id=\"");
+    write_u64(out, e.trace, 12);
+    out.push_str("\"} ");
+    write_u64(out, e.value_us, 0);
+    out.push(' ');
+    write_u64(out, e.ts_us, 0);
 }
 
 /// Render a snapshot as Prometheus text exposition.
@@ -267,8 +333,9 @@ fn split_exemplar(rest: &str) -> (&str, Option<Exemplar>) {
 pub fn render_prom(instance: &str, snap: &TelemetrySnapshot) -> String {
     let mut state = DeltaState::new();
     state.observe(snap);
+    state.interner.set_instance(instance);
     let mut out = String::new();
-    state.render_series(instance, 0, &mut out);
+    state.render_series(0, &mut out);
     out
 }
 
@@ -342,13 +409,29 @@ pub struct SeriesId(u32);
 
 /// The intern table: `(kind, key)` → [`SeriesId`], plus the pre-rendered
 /// exposition fragments every render would otherwise recompute — the family
-/// name (`pdagent_<sanitized>[_total]`; stage series keep [`STAGE_FAMILY`])
-/// and the escaped `key`/`stage` label value.
+/// name (`pdagent_<sanitized>[_total]`; stage series keep [`STAGE_FAMILY`]),
+/// the escaped `key`/`stage` label value, and each series' line heads for
+/// the instance last rendered.
 #[derive(Debug, Default)]
 pub struct SeriesInterner {
     ids: HashMap<(SeriesKind, String), SeriesId>,
+    kinds: Vec<SeriesKind>,
     families: Vec<String>,
     escaped: Vec<String>,
+    /// The instance `heads` are rendered for, and its escaped label value.
+    instance: String,
+    escaped_instance: String,
+    /// Every series' line heads for `instance`, by id, back to back: all of
+    /// a sample line before its value. A scalar has one head,
+    /// `family{instance="…",key="…"} `. A stage has four: its bucket head up
+    /// to `le="`, which serves all its buckets since the bound comes from
+    /// [`le_bound`], then its `_sum`, `_count` and `_max` heads.
+    heads: String,
+    /// Where each id's heads end in `heads`: the scalar or bucket head, then
+    /// the `_sum`, `_count` and `_max` heads (a scalar's four are equal).
+    /// Ids interned since the last [`SeriesInterner::set_instance`] have
+    /// none yet.
+    head_ends: Vec<[u32; 4]>,
 }
 
 impl SeriesInterner {
@@ -362,6 +445,7 @@ impl SeriesInterner {
             SeriesKind::Gauge => format!("pdagent_{}", sanitize(key)),
             SeriesKind::Stage => STAGE_FAMILY.to_owned(),
         };
+        self.kinds.push(kind);
         self.families.push(family);
         self.escaped.push(escape_label(key));
         self.ids.insert((kind, key.to_owned()), id);
@@ -372,8 +456,53 @@ impl SeriesInterner {
         &self.families[id.0 as usize]
     }
 
-    fn escaped(&self, id: SeriesId) -> &str {
-        &self.escaped[id.0 as usize]
+    /// Series `id`'s heads: a scalar's, or a stage's bucket, `_sum`,
+    /// `_count` and `_max` heads.
+    fn heads(&self, id: SeriesId) -> [&str; 4] {
+        let i = id.0 as usize;
+        let start = if i == 0 { 0 } else { self.head_ends[i - 1][3] as usize };
+        let [a, b, c, d] = self.head_ends[i].map(|e| e as usize);
+        [&self.heads[start..a], &self.heads[a..b], &self.heads[b..c], &self.heads[c..d]]
+    }
+
+    /// Make every interned series' heads the ones for `instance`: all of
+    /// them when the instance changed, else those interned since.
+    fn set_instance(&mut self, instance: &str) {
+        if self.instance != instance {
+            self.instance.clear();
+            self.instance.push_str(instance);
+            self.escaped_instance = escape_label(instance);
+            self.heads.clear();
+            self.head_ends.clear();
+        }
+        for i in self.head_ends.len()..self.families.len() {
+            let labels = |out: &mut String, suffix: &str, label: &str| {
+                out.push_str(&self.families[i]);
+                out.push_str(suffix);
+                out.push_str("{instance=\"");
+                out.push_str(&self.escaped_instance);
+                out.push_str("\",");
+                out.push_str(label);
+                out.push_str("=\"");
+                out.push_str(&self.escaped[i]);
+            };
+            let mut ends = [0; 4];
+            if self.kinds[i] == SeriesKind::Stage {
+                labels(&mut self.heads, "_bucket", "stage");
+                self.heads.push_str("\",le=\"");
+                ends[0] = self.heads.len() as u32;
+                for (end, suffix) in ends[1..].iter_mut().zip(["_sum", "_count", "_max"]) {
+                    labels(&mut self.heads, suffix, "stage");
+                    self.heads.push_str("\"} ");
+                    *end = self.heads.len() as u32;
+                }
+            } else {
+                labels(&mut self.heads, "", "key");
+                self.heads.push_str("\"} ");
+                ends = [self.heads.len() as u32; 4];
+            }
+            self.head_ends.push(ends);
+        }
     }
 }
 
@@ -648,62 +777,76 @@ impl DeltaState {
     /// `since: Some(e)` renders only the series whose last-changed epoch is
     /// beyond `e`. Either way the first line is the `# EPOCH` header the
     /// scraper resynchronizes on.
-    pub fn render_into(&self, instance: &str, since: Option<u64>, out: &mut String) {
+    pub fn render_into(&mut self, instance: &str, since: Option<u64>, out: &mut String) {
         out.clear();
+        self.interner.set_instance(instance);
         let since = since.filter(|&s| self.can_delta(s));
+        out.push_str("# EPOCH ");
+        write_u64(out, self.epoch, 0);
         match since {
             Some(s) => {
-                let _ = writeln!(out, "# EPOCH {} base={s}", self.epoch);
+                out.push_str(" base=");
+                write_u64(out, s, 0);
             }
-            None => {
-                let _ = writeln!(out, "# EPOCH {} full", self.epoch);
-            }
+            None => out.push_str(" full"),
         }
-        self.render_series(instance, since.unwrap_or(0), out);
+        out.push('\n');
+        self.render_series(since.unwrap_or(0), out);
+    }
+
+    /// Append a `# TYPE <family> gauge` line and the head of that gauge's
+    /// sample for `key`, under the instance of the last render: a line a
+    /// server adds after the rendered state. Its value and newline follow.
+    pub(crate) fn push_gauge_head(&self, out: &mut String, family: &str, key: &str) {
+        push_type(out, family, " gauge");
+        out.push_str(family);
+        out.push_str("{instance=\"");
+        out.push_str(&self.interner.escaped_instance);
+        out.push_str("\",key=\"");
+        out.push_str(key);
+        out.push_str("\"} ");
     }
 
     /// Append every series whose last-changed epoch is beyond `since`, in
-    /// exposition order (`since = 0` renders them all).
-    fn render_series(&self, instance: &str, since: u64, out: &mut String) {
-        let inst = escape_label(instance);
+    /// exposition order (`since = 0` renders them all), for the instance of
+    /// the last [`SeriesInterner::set_instance`]. Each line is its cached
+    /// head, then its value.
+    fn render_series(&self, since: u64, out: &mut String) {
+        let interner = &self.interner;
         let scalars = |out: &mut String,
                        section: &[(String, f64)],
                        ids: &[SeriesId],
                        epochs: &[u64],
                        order: &[u32],
-                       kind: &str| {
+                       rest: &str| {
             let mut last_fam = "";
             for &oi in order {
                 let i = oi as usize;
                 if epochs[i] <= since {
                     continue;
                 }
-                let fam = self.interner.family(ids[i]);
+                let fam = interner.family(ids[i]);
                 if fam != last_fam {
-                    let _ = writeln!(out, "# TYPE {fam} {kind}");
+                    push_type(out, fam, rest);
                     last_fam = fam;
                 }
-                let _ = write!(
-                    out,
-                    "{fam}{{instance=\"{inst}\",key=\"{}\"}} ",
-                    self.interner.escaped(ids[i])
-                );
+                out.push_str(interner.heads(ids[i])[0]);
                 write_value(out, section[i].1);
                 out.push('\n');
             }
         };
-        scalars(out, &self.prev.counters, &self.counter_ids, &self.counter_epochs, &self.counter_order, "counter");
-        scalars(out, &self.prev.gauges, &self.gauge_ids, &self.gauge_epochs, &self.gauge_order, "gauge");
+        scalars(out, &self.prev.counters, &self.counter_ids, &self.counter_epochs, &self.counter_order, " counter");
+        scalars(out, &self.prev.gauges, &self.gauge_ids, &self.gauge_epochs, &self.gauge_order, " gauge");
 
         if !self.stage_epochs.iter().any(|&e| e > since) {
             return;
         }
-        let _ = writeln!(out, "# TYPE {STAGE_FAMILY} histogram");
+        push_type(out, STAGE_FAMILY, " histogram");
         for (i, (name, h)) in self.prev.stages.iter().enumerate() {
             if self.stage_epochs[i] <= since {
                 continue;
             }
-            let stage = self.interner.escaped(self.stage_ids[i]);
+            let [bucket, sum, count, _] = interner.heads(self.stage_ids[i]);
             let rows: &[(u8, Exemplar)] = match self
                 .prev
                 .exemplars
@@ -717,37 +860,45 @@ impl DeltaState {
             let mut cum = 0u64;
             for (b, &n) in counts.iter().enumerate().take(hi + 1) {
                 cum += n;
-                let _ = write!(
-                    out,
-                    "{STAGE_FAMILY}_bucket{{instance=\"{inst}\",stage=\"{stage}\",le=\"{}\"}} {cum}",
-                    Histogram::bucket_upper(b)
-                );
+                out.push_str(bucket);
+                out.push_str(le_bound(b));
+                out.push_str("\"} ");
+                write_u64(out, cum, 0);
                 if let Ok(r) = rows.binary_search_by(|(eb, _)| eb.cmp(&(b as u8))) {
                     write_exemplar(out, &rows[r].1);
                 }
                 out.push('\n');
             }
-            let _ = writeln!(
-                out,
-                "{STAGE_FAMILY}_bucket{{instance=\"{inst}\",stage=\"{stage}\",le=\"+Inf\"}} {}",
-                h.count()
-            );
-            let _ = writeln!(out, "{STAGE_FAMILY}_sum{{instance=\"{inst}\",stage=\"{stage}\"}} {}", h.sum());
-            let _ = writeln!(out, "{STAGE_FAMILY}_count{{instance=\"{inst}\",stage=\"{stage}\"}} {}", h.count());
+            out.push_str(bucket);
+            out.push_str("+Inf\"} ");
+            push_line(out, "", h.count());
+            push_line(out, sum, h.sum());
+            push_line(out, count, h.count());
         }
-        let _ = writeln!(out, "# TYPE {STAGE_FAMILY}_max gauge");
+        push_type(out, STAGE_FAMILY, "_max gauge");
         for (i, (_, h)) in self.prev.stages.iter().enumerate() {
             if self.stage_epochs[i] <= since {
                 continue;
             }
-            let _ = writeln!(
-                out,
-                "{STAGE_FAMILY}_max{{instance=\"{inst}\",stage=\"{}\"}} {}",
-                self.interner.escaped(self.stage_ids[i]),
-                h.max()
-            );
+            push_line(out, interner.heads(self.stage_ids[i])[3], h.max());
         }
     }
+}
+
+/// Append a `# TYPE <family><rest>` line (`rest` starts with the space
+/// before the kind, or with a family suffix).
+fn push_type(out: &mut String, family: &str, rest: &str) {
+    out.push_str("# TYPE ");
+    out.push_str(family);
+    out.push_str(rest);
+    out.push('\n');
+}
+
+/// Append a sample line: `head`, then the integer value `v`.
+fn push_line(out: &mut String, head: &str, v: u64) {
+    out.push_str(head);
+    write_u64(out, v, 0);
+    out.push('\n');
 }
 
 /// The parsed `# EPOCH` first line of a delta-aware exposition body.
@@ -837,12 +988,9 @@ impl TelemetryServer {
                 // them the monitor-plane SLO digests, would diverge between
                 // partitionings. Emitted in every body, full or delta, like
                 // any other live gauge.
-                let _ = writeln!(self.body, "# TYPE pdagent_sim_queue_depth gauge");
-                let _ = writeln!(
-                    self.body,
-                    "pdagent_sim_queue_depth{{instance=\"{}\",key=\"{KEY_QUEUE_DEPTH}\"}} {queue_depth:012}",
-                    escape_label(instance)
-                );
+                self.delta.push_gauge_head(&mut self.body, "pdagent_sim_queue_depth", KEY_QUEUE_DEPTH);
+                write_u64(&mut self.body, queue_depth as u64, 12);
+                self.body.push('\n');
                 ctx.metrics().bump("telemetry.scrapes", 1.0);
                 reply(ctx, from, req, HttpStatus::Ok, Bytes::copy_from_slice(self.body.as_bytes()));
                 true
@@ -1192,7 +1340,7 @@ mod tests {
     }
 
     /// Render a [`DeltaState`] body, returning `(header, payload)`.
-    fn render_split(ds: &DeltaState, since: Option<u64>) -> (String, String) {
+    fn render_split(ds: &mut DeltaState, since: Option<u64>) -> (String, String) {
         let mut out = String::new();
         ds.render_into("gw-0", since, &mut out);
         let (header, rest) = out.split_once('\n').expect("header line");
@@ -1210,7 +1358,7 @@ mod tests {
         m.bump("gateway.replays", 2.0);
         let e2 = ds.observe(&TelemetrySnapshot::capture(&m, &[]));
         assert!(e2 > e1);
-        let (header, payload) = render_split(&ds, Some(e1));
+        let (header, payload) = render_split(&mut ds, Some(e1));
         assert_eq!(header, format!("# EPOCH {e2} base={e1}"));
         assert!(payload.contains("key=\"gateway.replays\"} 5"), "{payload}");
         assert!(!payload.contains("http.gave_up"), "unchanged series leaked: {payload}");
@@ -1252,7 +1400,7 @@ mod tests {
         let e1 = ds.observe(&snap);
         let e2 = ds.observe(&snap);
         assert_eq!(e1, e2, "identical observation must not bump the epoch");
-        let (header, payload) = render_split(&ds, Some(e1));
+        let (header, payload) = render_split(&mut ds, Some(e1));
         assert_eq!(header, format!("# EPOCH {e1} base={e1}"));
         assert_eq!(payload, "", "no-change delta must be header-only");
     }
@@ -1398,7 +1546,7 @@ mod tests {
         assert!(!text.contains(" # {"), "exemplar leaked into an exemplar-free body");
         let mut ds = DeltaState::new();
         ds.observe(&sample_snapshot());
-        let (_, full) = render_split(&ds, None);
+        let (_, full) = render_split(&mut ds, None);
         assert!(!full.contains(" # {"));
     }
 
@@ -1470,6 +1618,93 @@ mod tests {
             render_traces_body(&c, "/traces?trace=999"),
             "trace 000000000999 not retained\n"
         );
+    }
+
+    const ODD_KEYS: [&str; 6] = ["a.b", "a_b", "q\"uote", "back\\slash", "new\nline", "é.utf8"];
+    const ODD_VALUES: [f64; 17] = [
+        0.0,
+        -0.0,
+        1.0,
+        -7.0,
+        0.5,
+        -2.25,
+        1e-7,
+        1e15,
+        -1e15,
+        1e15 - 1.0,
+        -(1e15 - 1.0),
+        9_007_199_254_740_993.0,
+        1e300,
+        f64::MIN_POSITIVE,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    const ODD_RECORDS: [u64; 7] = [0, 1, 3, 900, 65_000, 1 << 40, u64::MAX];
+    const ODD_TRACES: [u64; 6] =
+        [0, 42, 999_999_999_999, 1_000_000_000_000, 123_456_789_012_345, u64::MAX];
+
+    /// A snapshot from random picks `(section, key, value)`: counters and
+    /// gauges take odd values, stages odd records, and exemplars odd trace
+    /// ids on the bucket of an odd record. No picks, no sections.
+    fn odd_snapshot(picks: &[(u8, usize, usize)]) -> TelemetrySnapshot {
+        use std::collections::BTreeMap;
+        let mut counters = BTreeMap::new();
+        let mut gauges = BTreeMap::new();
+        let mut stages: BTreeMap<String, Histogram> = BTreeMap::new();
+        let mut exemplars: BTreeMap<String, BTreeMap<u8, Exemplar>> = BTreeMap::new();
+        for &(section, k, v) in picks {
+            let key = ODD_KEYS[k % ODD_KEYS.len()].to_owned();
+            let record = ODD_RECORDS[v % ODD_RECORDS.len()];
+            match section {
+                0 => drop(counters.insert(key, ODD_VALUES[v % ODD_VALUES.len()])),
+                1 => drop(gauges.insert(key, ODD_VALUES[v % ODD_VALUES.len()])),
+                2 => stages.entry(key).or_default().record(record),
+                _ => {
+                    let trace = ODD_TRACES[(k + v) % ODD_TRACES.len()];
+                    let e = Exemplar { trace, value_us: record, ts_us: v as u64 * 1_000_003 };
+                    exemplars.entry(key).or_default().insert(Histogram::bucket_of(record) as u8, e);
+                }
+            }
+        }
+        TelemetrySnapshot {
+            counters: counters.into_iter().collect(),
+            gauges: gauges.into_iter().collect(),
+            stages: stages.into_iter().collect(),
+            exemplars: exemplars.into_iter().map(|(k, rows)| (k, rows.into_iter().collect())).collect(),
+        }
+    }
+
+    // The cached-head renderer writes the bytes the `write!`-based one it
+    // replaced writes: random snapshots with keys that need escaping, values
+    // on every formatting edge, long trace ids and empty sections, rendered
+    // full and at random `since` by one state under two instance names.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        #[test]
+        fn rendering_matches_the_oracle(
+            steps in proptest::collection::vec(
+                (proptest::collection::vec((0u8..4, 0usize..64, 0usize..64), 0..14), 0u64..8, 0usize..2),
+                1..10,
+            ),
+        ) {
+            let instances = ["gw-0", "cell\"0\nx"];
+            let mut ds = DeltaState::new();
+            let (mut got, mut want) = (String::new(), String::new());
+            for (picks, since, inst) in &steps {
+                let snap = odd_snapshot(picks);
+                let epoch = ds.observe(&snap);
+                let since = (*since > 0).then(|| (since - 1).min(epoch + 1));
+                ds.render_into(instances[*inst], since, &mut got);
+                oracle::render_into(&ds, instances[*inst], since, &mut want);
+                proptest::prop_assert_eq!(&got, &want);
+                let mut fresh = DeltaState::new();
+                fresh.observe(&snap);
+                oracle::render_into(&fresh, instances[*inst], None, &mut want);
+                let body = want.split_once('\n').map_or("", |(_, body)| body);
+                proptest::prop_assert_eq!(render_prom(instances[*inst], &snap), body);
+            }
+        }
     }
 
     // The exemplar-bearing delta contract, pinned adversarially: any mix of

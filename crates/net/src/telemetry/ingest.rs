@@ -31,8 +31,8 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
 use super::{
-    bucket_index, histogram_from_cumulative, parse_epoch_header, sort_last_wins, split_exemplar,
-    unescape_label, TelemetrySnapshot, STAGE_FAMILY,
+    bucket_index, histogram_from_cumulative, parse_epoch_header, sort_last_wins, unescape_label,
+    TelemetrySnapshot, STAGE_FAMILY,
 };
 use crate::obs::Exemplar;
 
@@ -172,29 +172,41 @@ struct Scratch {
     /// `# TYPE` declarations of the current body: `(start, end)` of the
     /// family name in the body text, and whether it declares a counter.
     types: Vec<(usize, usize, bool)>,
-    /// The body's samples per held stage, by position (it only grows, so
-    /// targets with different stage counts do not churn its buffers).
+    /// The body's samples per stage: the held stages by position, then the
+    /// stages the held snapshot lacks (it only grows, so targets with
+    /// different stage counts do not churn its buffers).
     stages: Vec<StageLines>,
     /// Positions in `stages` the body touched.
     touched: Vec<u32>,
-    /// The body's samples of stages the held snapshot lacks.
-    new_stages: BTreeMap<String, StageLines>,
+    /// How many stages are held: `stages` past them are new ones.
+    held_stages: usize,
+    /// The stages the held snapshot lacks, by name: their position in
+    /// `stages`.
+    new_stages: BTreeMap<String, u32>,
     new_counters: Vec<(String, f64)>,
     new_gauges: Vec<(String, f64)>,
     /// Held series the body carried (a full body drops the others).
     seen_counters: Vec<bool>,
     seen_gauges: Vec<bool>,
+    /// Where each held counter, gauge and stage moved when the body
+    /// reshaped its section (`None` if dropped); empty when it did not.
+    moved_counters: Vec<Option<u32>>,
+    moved_gauges: Vec<Option<u32>>,
+    moved_stages: Vec<Option<u32>>,
 }
 
 impl Scratch {
-    /// A sample of a stage the held snapshot lacks.
-    fn new_stage_sample(&mut self, stage: Cow<'_, str>, part: StagePart, tail: &str) {
-        if let Some((value, exemplar)) = sample_value(tail) {
-            self.new_stages
-                .entry(stage.into_owned())
-                .or_default()
-                .add(part, value, exemplar);
+    /// The position in `stages` of a stage the held snapshot lacks.
+    fn new_stage(&mut self, name: Cow<'_, str>) -> u32 {
+        if let Some(&pos) = self.new_stages.get(name.as_ref()) {
+            return pos;
         }
+        let pos = self.held_stages + self.new_stages.len();
+        if self.stages.len() <= pos {
+            self.stages.resize_with(pos + 1, StageLines::default);
+        }
+        self.new_stages.insert(name.into_owned(), pos as u32);
+        pos as u32
     }
 
     fn stage(&mut self, pos: u32) -> &mut StageLines {
@@ -280,9 +292,9 @@ impl HeldSnapshot {
     fn ingest(&mut self, text: &str, full: bool) {
         let mut sc = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         sc.types.clear();
-        if sc.stages.len() < self.snap.stages.len() {
-            sc.stages
-                .resize_with(self.snap.stages.len(), StageLines::default);
+        sc.held_stages = self.snap.stages.len();
+        if sc.stages.len() < sc.held_stages {
+            sc.stages.resize_with(sc.held_stages, StageLines::default);
         }
         sc.seen_counters.clear();
         sc.seen_counters.resize(self.snap.counters.len(), false);
@@ -291,15 +303,52 @@ impl HeldSnapshot {
         if full {
             self.snap.exemplars.clear();
         }
-        for line in text.lines() {
-            let line = line.trim();
+        // The last bucket line whose label set ended in its `le` label: the
+        // line up to its bound, and its stage's position in `sc.stages`. A
+        // stage's bucket lines come in a run that differs only in bound and
+        // value, and the stage such a prefix resolves to stays the same while
+        // a body is read, so a line that starts the same way is that stage's
+        // without a lookup.
+        let mut run: Option<(&str, u32)> = None;
+        let mut rest = text;
+        while !rest.is_empty() {
+            if let Some((prefix, stage)) = run {
+                if let Some((bound, past)) = rest.strip_prefix(prefix).and_then(plain_bound) {
+                    // What the general path below reads from this line:
+                    // the prefix holds its first `{`, and the bound, which
+                    // holds no `"`, `\` or `}`, ends its first `}`.
+                    let tail_start = prefix.len() + past;
+                    if let Some((count, len)) = plain_count(&rest.as_bytes()[tail_start..]) {
+                        // The line ends with its count: no exemplar, and
+                        // nothing to trim.
+                        if let Some((upper, index)) = bucket_bound(bound) {
+                            let part = StagePart::Bucket { upper, index };
+                            sc.stage(stage).add(part, count as f64, None);
+                        }
+                        rest = rest.get(tail_start + len + 1..).unwrap_or("");
+                        continue;
+                    }
+                    let end = rest[tail_start..]
+                        .find('\n')
+                        .map_or(rest.len(), |i| tail_start + i);
+                    let line = trim_line(&rest[..end]);
+                    rest = rest.get(end + 1..).unwrap_or("");
+                    apply_bucket(&mut sc, stage, bound, &line[tail_start..]);
+                    continue;
+                }
+            }
+            let (line, next) = match rest.find('\n') {
+                Some(end) => (&rest[..end], &rest[end + 1..]),
+                None => (rest, ""),
+            };
+            rest = next;
+            let line = trim_line(line);
             if line.is_empty() {
                 continue;
             }
             if line.starts_with('#') {
                 if let Some(decl) = line.strip_prefix("# TYPE ") {
-                    let mut words = decl.split_whitespace();
-                    if let (Some(family), Some(kind)) = (words.next(), words.next()) {
+                    if let Some((family, kind)) = type_words(decl) {
                         let start = family.as_ptr() as usize - text.as_ptr() as usize;
                         sc.types
                             .push((start, start + family.len(), kind == "counter"));
@@ -325,6 +374,8 @@ impl HeldSnapshot {
             let hit = if family == Family::Bucket {
                 bucket_key(line, brace, guess).and_then(|(base, bound)| {
                     let stage = self.slots.get(base)?.stage?;
+                    let bound_start = bound.as_ptr() as usize - line.as_ptr() as usize;
+                    run = Some((&line[..bound_start], stage));
                     apply_bucket(&mut sc, stage, bound, tail);
                     Some(())
                 })
@@ -363,10 +414,13 @@ impl HeldSnapshot {
                     found.ok().map(|i| i as u32)
                 }),
             };
-            let cache_key = match family {
+            let bucket = match family {
                 Family::Bucket => bucket_key(line, brace, labels.close)
-                    .map(|(base, _)| base)
-                    .filter(|base| brace + base.len() == labels.le_start),
+                    .filter(|(base, _)| brace + base.len() == labels.le_start),
+                _ => None,
+            };
+            let cache_key = match family {
+                Family::Bucket => bucket.map(|(base, _)| base),
                 _ => Some(&line[brace..=labels.close]),
             };
             if let Some(cache_key) = cache_key {
@@ -381,14 +435,14 @@ impl HeldSnapshot {
                 let (Some(stage), Some(le)) = (stage, labels.le) else {
                     continue;
                 };
-                let le = unescaped(le);
-                match series.stage {
-                    Some(pos) => apply_bucket(&mut sc, pos, &le, tail),
-                    None => {
-                        if let Some((upper, index)) = bucket_bound(&le) {
-                            sc.new_stage_sample(stage, StagePart::Bucket { upper, index }, tail);
-                        }
-                    }
+                let pos = match series.stage {
+                    Some(pos) => pos,
+                    None => sc.new_stage(stage),
+                };
+                apply_bucket(&mut sc, pos, &unescaped(le), tail);
+                if let Some((_, bound)) = bucket {
+                    let bound_start = bound.as_ptr() as usize - line.as_ptr() as usize;
+                    run = Some((&line[..bound_start], pos));
                 }
             } else if self
                 .apply_sample(&mut sc, text, name, family, series, tail)
@@ -404,7 +458,10 @@ impl HeldSnapshot {
                         } else {
                             StagePart::Max
                         };
-                        sc.new_stage_sample(stage, part, tail);
+                        let pos = sc.new_stage(stage);
+                        if let Some((value, exemplar)) = sample_value(tail) {
+                            sc.stage(pos).add(part, value, exemplar);
+                        }
                     }
                     _ => {
                         let Some(key) = key else { continue };
@@ -421,7 +478,19 @@ impl HeldSnapshot {
             }
         }
         if self.settle(&mut sc, full) {
-            self.slots.clear();
+            // The cached positions follow their series. A component that
+            // was `None` stays so, and a line that needs it takes the
+            // general path, which caches it again.
+            let follow = |moved: &[Option<u32>], pos: &mut Option<u32>| {
+                if !moved.is_empty() {
+                    *pos = pos.and_then(|p| moved[p as usize]);
+                }
+            };
+            for series in self.slots.values_mut() {
+                follow(&sc.moved_counters, &mut series.counter);
+                follow(&sc.moved_gauges, &mut series.gauge);
+                follow(&sc.moved_stages, &mut series.stage);
+            }
         }
         SCRATCH.with(|s| *s.borrow_mut() = sc);
     }
@@ -469,7 +538,7 @@ impl HeldSnapshot {
 
     /// End of body: rebuild the stages it carried, insert its new series,
     /// and for a full body drop what it did not carry. Returns whether a
-    /// section changed shape (which invalidates the slot cache).
+    /// section changed shape, with where its series moved in `sc.moved_*`.
     fn settle(&mut self, sc: &mut Scratch, full: bool) -> bool {
         let TelemetrySnapshot {
             counters,
@@ -477,44 +546,75 @@ impl HeldSnapshot {
             stages,
             exemplars,
         } = &mut self.snap;
-        let mut reshaped = settle_scalars(counters, &sc.seen_counters, &mut sc.new_counters, full);
-        reshaped |= settle_scalars(gauges, &sc.seen_gauges, &mut sc.new_gauges, full);
+        let mut reshaped = settle_scalars(
+            counters,
+            &sc.seen_counters,
+            &mut sc.new_counters,
+            full,
+            &mut sc.moved_counters,
+        );
+        reshaped |= settle_scalars(
+            gauges,
+            &sc.seen_gauges,
+            &mut sc.new_gauges,
+            full,
+            &mut sc.moved_gauges,
+        );
 
-        // A stage is rebuilt only when the body carried cumulative buckets
-        // for it; `_sum`/`_max` alone leave it as it was.
-        let mut kept = vec![false; if full { stages.len() } else { 0 }];
+        // A stage is rebuilt, or added, only when the body carried
+        // cumulative buckets for it; `_sum`/`_max` alone leave it as it was.
+        let held = stages.len();
+        let mut kept = vec![false; if full { held } else { 0 }];
         for &pos in &sc.touched {
-            let lines = &mut sc.stages[pos as usize];
-            if !lines.cums.is_empty() {
-                let (name, h) = &mut stages[pos as usize];
+            let pos = pos as usize;
+            let lines = &mut sc.stages[pos];
+            if pos < held && !lines.cums.is_empty() {
+                let (name, h) = &mut stages[pos];
                 *h = rebuild(lines);
                 put_rows(exemplars, name, &mut lines.exemplars);
-                if let Some(k) = kept.get_mut(pos as usize) {
+                if let Some(k) = kept.get_mut(pos) {
                     *k = true;
                 }
             }
-            lines.reset();
         }
-        sc.touched.clear();
-        if kept.contains(&false) {
+        let dropping = kept.contains(&false);
+        let lines = &sc.stages;
+        sc.new_stages
+            .retain(|_, pos| !lines[*pos as usize].cums.is_empty());
+        sc.moved_stages.clear();
+        if dropping || !sc.new_stages.is_empty() {
+            moves(
+                stages.iter().map(|(name, _)| name.as_str()),
+                |p| !dropping || kept[p],
+                |name| {
+                    sc.new_stages
+                        .keys()
+                        .take_while(|k| k.as_str() < name)
+                        .count()
+                },
+                &mut sc.moved_stages,
+            );
+            reshaped = true;
+        }
+        if dropping {
             let mut pos = 0;
             stages.retain(|_| {
                 pos += 1;
                 kept[pos - 1]
             });
-            reshaped = true;
         }
-        for (name, mut lines) in std::mem::take(&mut sc.new_stages) {
-            if lines.cums.is_empty() {
-                continue;
-            }
-            let h = rebuild(&mut lines);
+        for (name, pos) in std::mem::take(&mut sc.new_stages) {
+            let lines = &mut sc.stages[pos as usize];
+            let h = rebuild(lines);
             put_rows(exemplars, &name, &mut lines.exemplars);
             if let Err(i) = stages.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
                 stages.insert(i, (name, h));
             }
-            reshaped = true;
         }
+        for &pos in &sc.touched {
+            sc.stages[pos as usize].reset();
+        }
+        sc.touched.clear();
         reshaped
     }
 }
@@ -534,8 +634,31 @@ fn apply_bucket(sc: &mut Scratch, stage: u32, bound: &str, tail: &str) {
 /// A bucket's `le` bound and bucket index; `None` for `+Inf` (the same as
 /// the `_count` series) and for bounds the reference ignores.
 fn bucket_bound(le: &str) -> Option<(u64, u8)> {
-    let upper = le.parse::<u64>().ok()?;
+    let upper = parse_u64(le)?;
     Some((upper, bucket_index(upper)? as u8))
+}
+
+/// The bound that starts `after`, the rest of a bucket line past its `le="`,
+/// and the index just past the `"}` that closes it. `None` unless the bound
+/// holds no `"`, `\`, `}` or line break and `"}` follows it.
+fn plain_bound(after: &str) -> Option<(&str, usize)> {
+    let b = after.as_bytes();
+    let quote = b
+        .iter()
+        .position(|&c| matches!(c, b'"' | b'\\' | b'}' | b'\n'))?;
+    (b[quote] == b'"' && b.get(quote + 1) == Some(&b'}')).then(|| (&after[..quote], quote + 2))
+}
+
+/// A sample tail that is a space and then 1 to [`FAST_DIGITS`] digits that
+/// end the line, as the renderer writes a bucket count: the count, and the
+/// tail's length up to the line break.
+fn plain_count(tail: &[u8]) -> Option<(u64, usize)> {
+    let digits = tail.strip_prefix(b" ")?;
+    let len = digits.iter().take_while(|c| c.is_ascii_digit()).count();
+    if !matches!(digits.get(len), None | Some(b'\n')) {
+        return None;
+    }
+    Some((plain_digits(&digits[..len])?, len + 1))
 }
 
 /// Split a bucket line whose label set (opening at `brace`) is shaped like
@@ -597,39 +720,182 @@ fn put_rows(
 
 /// End of body for one scalar section: a full body drops the series it did
 /// not carry, and new series go in at their key order. Returns whether the
-/// section changed shape.
+/// section changed shape, with where each series moved in `moved`.
 fn settle_scalars(
     section: &mut Vec<(String, f64)>,
     seen: &[bool],
     fresh: &mut Vec<(String, f64)>,
     full: bool,
+    moved: &mut Vec<Option<u32>>,
 ) -> bool {
-    let mut reshaped = false;
-    if full && seen.contains(&false) {
+    moved.clear();
+    let dropping = full && seen.contains(&false);
+    if !dropping && fresh.is_empty() {
+        return false;
+    }
+    sort_last_wins(fresh);
+    moves(
+        section.iter().map(|(key, _)| key.as_str()),
+        |p| !dropping || seen[p],
+        |key| fresh.partition_point(|(k, _)| k.as_str() < key),
+        moved,
+    );
+    if dropping {
         let mut pos = 0;
         section.retain(|_| {
             pos += 1;
             seen[pos - 1]
         });
-        reshaped = true;
     }
     if !fresh.is_empty() {
         // `fresh` holds only keys the section lacked, so one sort of the
         // two sorted runs interleaves them.
-        sort_last_wins(fresh);
         section.append(fresh);
         section.sort_by(|a, b| a.0.cmp(&b.0));
-        reshaped = true;
     }
-    reshaped
+    true
+}
+
+/// Where each series of a section sorted by `keys` lands when those `kept`
+/// refuses are dropped and new keys, none of them held, are merged in
+/// (`before(key)` counts the new keys that sort before `key`): its rank
+/// among the kept plus the new keys before it, or `None` when dropped.
+fn moves<'a>(
+    keys: impl Iterator<Item = &'a str>,
+    kept: impl Fn(usize) -> bool,
+    before: impl Fn(&str) -> usize,
+    moved: &mut Vec<Option<u32>>,
+) {
+    let mut rank = 0;
+    for (p, key) in keys.enumerate() {
+        if kept(p) {
+            moved.push(Some((rank + before(key)) as u32));
+            rank += 1;
+        } else {
+            moved.push(None);
+        }
+    }
+}
+
+/// A `# TYPE` declaration's first two whitespace-separated words, the
+/// family and its kind. The usual `<family> <kind>`, two runs of printable
+/// ASCII split by one space, is read without the Unicode word split.
+fn type_words(decl: &str) -> Option<(&str, &str)> {
+    if let Some((family, kind)) = decl.split_once(' ') {
+        let plain = |word: &str| !word.is_empty() && word.bytes().all(|b| b.is_ascii_graphic());
+        if plain(family) && plain(kind) {
+            return Some((family, kind));
+        }
+    }
+    let mut words = decl.split_whitespace();
+    Some((words.next()?, words.next()?))
+}
+
+/// `line.trim()`, without the Unicode scan when both ends are printable
+/// ASCII: whitespace, Unicode or not, never starts or ends with such a byte.
+fn trim_line(line: &str) -> &str {
+    match line.as_bytes() {
+        [first, .., last] if first.is_ascii_graphic() && last.is_ascii_graphic() => line,
+        _ => line.trim(),
+    }
 }
 
 /// A sample's value and optional exemplar from the text after its label
 /// set, exactly as the reference reads them (`None` when the value is not a
 /// number).
 fn sample_value(tail: &str) -> Option<(f64, Option<Exemplar>)> {
+    if let Some(value) = plain_value(tail) {
+        return Some((value, None));
+    }
     let (value, exemplar) = split_exemplar(tail);
-    Some((value.trim().parse().ok()?, exemplar))
+    let value = plain_value(value).or_else(|| value.trim().parse().ok())?;
+    Some((value, exemplar))
+}
+
+/// A space and plain digits, as the renderer writes an integer value: the
+/// number `str::parse` reads from them.
+fn plain_value(text: &str) -> Option<f64> {
+    let digits = text.as_bytes().strip_prefix(b" ")?;
+    plain_digits(digits).map(|n| n as f64)
+}
+
+/// Split a sample's value field from an optional exemplar suffix at the
+/// first ` # `, as `split_once(" # ")` does, by searching for its `#`.
+fn split_exemplar(rest: &str) -> (&str, Option<Exemplar>) {
+    let b = rest.as_bytes();
+    let mut from = 0;
+    while let Some(i) = rest[from..].find('#') {
+        let at = from + i;
+        if at > 0 && b[at - 1] == b' ' && b.get(at + 1) == Some(&b' ') {
+            return (&rest[..at - 1], parse_exemplar(&rest[at + 2..]));
+        }
+        from = at + 1;
+    }
+    (rest, None)
+}
+
+/// The exemplar a ` # ` suffix spells: `{trace_id="<id>"} <value_us> <ts_us>`.
+fn parse_exemplar(suffix: &str) -> Option<Exemplar> {
+    if let Some(e) = plain_exemplar(suffix.as_bytes()) {
+        return Some(e);
+    }
+    let body = suffix.trim().strip_prefix('{')?;
+    let (labels, tail) = body.split_once('}')?;
+    let trace = parse_u64(labels.strip_prefix("trace_id=\"")?.strip_suffix('"')?)?;
+    let mut parts = tail.split_whitespace();
+    let value_us = parse_u64(parts.next()?)?;
+    let ts_us = parse_u64(parts.next()?)?;
+    Some(Exemplar {
+        trace,
+        value_us,
+        ts_us,
+    })
+}
+
+/// An exemplar suffix exactly as the renderer writes it, its three numbers
+/// plain digits: what the general parse reads from it, without the
+/// searching and trimming.
+fn plain_exemplar(suffix: &[u8]) -> Option<Exemplar> {
+    let rest = suffix.strip_prefix(b"{trace_id=\"")?;
+    let quote = rest.iter().position(|&c| c == b'"')?;
+    let trace = plain_digits(&rest[..quote])?;
+    let rest = rest[quote..].strip_prefix(b"\"} ")?;
+    let space = rest.iter().position(|&c| c == b' ')?;
+    let value_us = plain_digits(&rest[..space])?;
+    let ts_us = plain_digits(&rest[space + 1..])?;
+    Some(Exemplar {
+        trace,
+        value_us,
+        ts_us,
+    })
+}
+
+/// Longest run of decimal digits read without `str::parse`. Below 10^15
+/// every integer is an exact `f64`, so both parsers agree on it.
+const FAST_DIGITS: usize = 15;
+
+/// `text` as a number if it is 1 to [`FAST_DIGITS`] ASCII digits.
+fn plain_digits(text: &[u8]) -> Option<u64> {
+    if text.is_empty() || text.len() > FAST_DIGITS {
+        return None;
+    }
+    let mut n = 0u64;
+    for &c in text {
+        let d = c.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n = n * 10 + u64::from(d);
+    }
+    Some(n)
+}
+
+/// `text.parse::<u64>()`, with plain digits read directly.
+fn parse_u64(text: &str) -> Option<u64> {
+    match plain_digits(text.as_bytes()) {
+        Some(n) => Some(n),
+        None => text.parse().ok(),
+    }
 }
 
 /// A label value with its escapes resolved, borrowed when it has none.
@@ -1101,6 +1367,48 @@ mod tests {
             step(&mut held, &mut want, &shuffled, true)?;
             step(&mut held, &mut want, &shuffled, false)?;
             proptest::prop_assert_eq!(bits(held.snapshot()), bits(&oracle::parse_prom(&full)));
+        }
+    }
+
+    // Every spelling the digit fast path must either read as `str::parse`
+    // does or hand to it, as a scalar value, a bucket count, an `le` bound
+    // and exemplar fields, read cold and over a warm cache.
+    #[test]
+    fn value_and_bound_spellings_match_the_reference() {
+        let spellings = [
+            "+5",
+            "007",
+            "-0",
+            "1e3",
+            "5.",
+            ".5",
+            "inf",
+            "NaN",
+            "0x10",
+            " 5 ",
+            "1234567890123456",
+            "9007199254740993",
+            "18446744073709551616",
+            "123456789012345",
+            "7",
+        ];
+        for text in spellings {
+            let bodies = [
+                format!("# TYPE pdagent_x gauge\npdagent_x{{key=\"x\"}} {text}\npdagent_y_total{{key=\"y\"}} {text}\n"),
+                format!(
+                    "pdagent_stage_duration_us_bucket{{stage=\"s\",le=\"{text}\"}} 3\n\
+                     pdagent_stage_duration_us_bucket{{stage=\"s\",le=\"15\"}} {text} # {{trace_id=\"{text}\"}} {text} 1\n\
+                     pdagent_stage_duration_us_sum{{stage=\"s\"}} {text}\n\
+                     pdagent_stage_duration_us_max{{stage=\"s\"}} {text}\n"
+                ),
+            ];
+            for body in &bodies {
+                for full in [true, false] {
+                    let (mut held, mut want) = (HeldSnapshot::new(), TelemetrySnapshot::default());
+                    step(&mut held, &mut want, body, full).unwrap();
+                    step(&mut held, &mut want, body, full).unwrap();
+                }
+            }
         }
     }
 

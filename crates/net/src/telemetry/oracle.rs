@@ -1,20 +1,149 @@
 //! The owning exposition parser and delta apply that
-//! [`HeldSnapshot`](super::HeldSnapshot) replaced, kept as the reference its
-//! differential tests compare against.
+//! [`HeldSnapshot`](super::HeldSnapshot) replaced, and the `write!`-based
+//! renderer that [`DeltaState`]'s cached line heads replaced, kept as the
+//! references their differential tests compare against.
 //!
 //! [`parse_prom`](super::parse_prom) is the streaming ingest itself, so a
 //! test that compared the ingest with it would compare the ingest with
 //! itself. This parser builds a whole [`TelemetrySnapshot`] per body, with a
 //! `String` per label and a map entry per bucket, exactly as the scrapers
-//! did before they streamed.
+//! did before they streamed. The renderer formats every line afresh from
+//! the observed snapshot and the interned family names and escaped keys.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use super::{
-    bucket_index, histogram_from_cumulative, sort_last_wins, split_exemplar, unescape_label,
-    TelemetrySnapshot, STAGE_FAMILY,
+    bucket_index, escape_label, histogram_from_cumulative, sort_last_wins, unescape_label,
+    DeltaState, SeriesId, TelemetrySnapshot, STAGE_FAMILY,
 };
-use crate::obs::Exemplar;
+use crate::obs::{Exemplar, Histogram};
+
+/// Split an exposition sample's value field from an optional exemplar
+/// suffix. Returns `(value_text, exemplar)`.
+pub(crate) fn split_exemplar(rest: &str) -> (&str, Option<Exemplar>) {
+    let Some((value, suffix)) = rest.split_once(" # ") else { return (rest, None) };
+    let parse = || -> Option<Exemplar> {
+        let body = suffix.trim().strip_prefix('{')?;
+        let (labels, tail) = body.split_once('}')?;
+        let trace = labels.strip_prefix("trace_id=\"")?.strip_suffix('"')?.parse().ok()?;
+        let mut parts = tail.split_whitespace();
+        let value_us = parts.next()?.parse().ok()?;
+        let ts_us = parts.next()?.parse().ok()?;
+        Some(Exemplar { trace, value_us, ts_us })
+    };
+    (value, parse())
+}
+
+/// A float as the exposition format writes it: integers below 1e15 without
+/// a trailing `.0`, everything else via `Display`.
+fn write_value(out: &mut String, v: f64) {
+    if v.fract() == 0.0 && v.abs() < 1e15 {
+        let _ = write!(out, "{}", v as i64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// What [`DeltaState::render_into`] writes: the `# EPOCH` header, then
+/// every series changed since a servable `since` (all of them otherwise).
+pub(crate) fn render_into(ds: &DeltaState, instance: &str, since: Option<u64>, out: &mut String) {
+    out.clear();
+    let since = since.filter(|&s| ds.can_delta(s));
+    match since {
+        Some(s) => {
+            let _ = writeln!(out, "# EPOCH {} base={s}", ds.epoch);
+        }
+        None => {
+            let _ = writeln!(out, "# EPOCH {} full", ds.epoch);
+        }
+    }
+    render_series(ds, instance, since.unwrap_or(0), out);
+}
+
+/// Append every series of `ds` whose last-changed epoch is beyond `since`,
+/// in exposition order, formatting each line with `write!`.
+fn render_series(ds: &DeltaState, instance: &str, since: u64, out: &mut String) {
+    let inst = escape_label(instance);
+    let family = |id: SeriesId| ds.interner.families[id.0 as usize].as_str();
+    let escaped = |id: SeriesId| ds.interner.escaped[id.0 as usize].as_str();
+    let scalars = |out: &mut String,
+                   section: &[(String, f64)],
+                   ids: &[SeriesId],
+                   epochs: &[u64],
+                   order: &[u32],
+                   kind: &str| {
+        let mut last_fam = "";
+        for &oi in order {
+            let i = oi as usize;
+            if epochs[i] <= since {
+                continue;
+            }
+            let fam = family(ids[i]);
+            if fam != last_fam {
+                let _ = writeln!(out, "# TYPE {fam} {kind}");
+                last_fam = fam;
+            }
+            let _ = write!(out, "{fam}{{instance=\"{inst}\",key=\"{}\"}} ", escaped(ids[i]));
+            write_value(out, section[i].1);
+            out.push('\n');
+        }
+    };
+    let prev = &ds.prev;
+    scalars(out, &prev.counters, &ds.counter_ids, &ds.counter_epochs, &ds.counter_order, "counter");
+    scalars(out, &prev.gauges, &ds.gauge_ids, &ds.gauge_epochs, &ds.gauge_order, "gauge");
+
+    if !ds.stage_epochs.iter().any(|&e| e > since) {
+        return;
+    }
+    let _ = writeln!(out, "# TYPE {STAGE_FAMILY} histogram");
+    for (i, (name, h)) in prev.stages.iter().enumerate() {
+        if ds.stage_epochs[i] <= since {
+            continue;
+        }
+        let stage = escaped(ds.stage_ids[i]);
+        let rows: &[(u8, Exemplar)] =
+            match prev.exemplars.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+                Ok(x) => &prev.exemplars[x].1,
+                Err(_) => &[],
+            };
+        let counts = h.bucket_counts();
+        let hi = counts.iter().rposition(|&n| n > 0).unwrap_or(0);
+        let mut cum = 0u64;
+        for (b, &n) in counts.iter().enumerate().take(hi + 1) {
+            cum += n;
+            let _ = write!(
+                out,
+                "{STAGE_FAMILY}_bucket{{instance=\"{inst}\",stage=\"{stage}\",le=\"{}\"}} {cum}",
+                Histogram::bucket_upper(b)
+            );
+            if let Ok(r) = rows.binary_search_by(|(eb, _)| eb.cmp(&(b as u8))) {
+                let e = &rows[r].1;
+                let _ = write!(out, " # {{trace_id=\"{:012}\"}} {} {}", e.trace, e.value_us, e.ts_us);
+            }
+            out.push('\n');
+        }
+        let _ = writeln!(
+            out,
+            "{STAGE_FAMILY}_bucket{{instance=\"{inst}\",stage=\"{stage}\",le=\"+Inf\"}} {}",
+            h.count()
+        );
+        let _ = writeln!(out, "{STAGE_FAMILY}_sum{{instance=\"{inst}\",stage=\"{stage}\"}} {}", h.sum());
+        let _ = writeln!(out, "{STAGE_FAMILY}_count{{instance=\"{inst}\",stage=\"{stage}\"}} {}", h.count());
+    }
+    let _ = writeln!(out, "# TYPE {STAGE_FAMILY}_max gauge");
+    for (i, (_, h)) in prev.stages.iter().enumerate() {
+        if ds.stage_epochs[i] <= since {
+            continue;
+        }
+        let _ = writeln!(
+            out,
+            "{STAGE_FAMILY}_max{{instance=\"{inst}\",stage=\"{}\"}} {}",
+            escaped(ds.stage_ids[i]),
+            h.max()
+        );
+    }
+}
 
 /// A parsed sample's `(label, value)` pairs, in line order.
 type Labels = Vec<(String, String)>;

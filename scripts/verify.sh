@@ -129,6 +129,11 @@ SOAK_CHAOS=1 ./target/release/soak 700 1 > /dev/null
 # criterion event-loop benches must run clean.
 cargo build --release -p pdagent-bench --bin event_queue
 ./target/release/event_queue 200000 5000 42 > /dev/null
-cargo bench -p pdagent-bench --bench event_queue -- arm_cancel_fire > /dev/null
+cargo bench -p pdagent-bench --bench event_queue > /dev/null
+
+# Scrape-text smoke: the micro benches' `telemetry` group (a target's delta
+# rendered from cached line heads, a warm holder's ingest of it, a monitor's
+# cell view) runs once in criterion's `--test` mode, untimed.
+cargo bench -p pdagent-bench --bench micro -- --test telemetry > /dev/null
 
 echo "verify: OK"

@@ -7,9 +7,36 @@
 //! Statistics are intentionally simple: an adaptive calibration pass picks an
 //! iteration count per sample, then the median of `sample_size` samples is
 //! reported, with derived throughput when one was declared.
+//!
+//! Like criterion, the bench binary takes `[--test] [FILTER]` after `--`:
+//! `FILTER` runs only the benchmarks whose full name contains it, and
+//! `--test` runs each selected routine once, untimed, to check it works.
 
 use std::fmt::Display;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
+
+/// The bench binary's arguments: `--test` and an optional name filter.
+/// Other flags (cargo passes `--bench`) are ignored.
+struct Mode {
+    test: bool,
+    filter: Option<String>,
+}
+
+fn mode() -> &'static Mode {
+    static MODE: OnceLock<Mode> = OnceLock::new();
+    MODE.get_or_init(|| {
+        let mut mode = Mode { test: false, filter: None };
+        for arg in std::env::args().skip(1) {
+            if arg == "--test" {
+                mode.test = true;
+            } else if !arg.starts_with("--") && mode.filter.is_none() {
+                mode.filter = Some(arg);
+            }
+        }
+        mode
+    })
+}
 
 /// Declared per-iteration workload, used to derive a rate from the timing.
 #[derive(Debug, Clone, Copy)]
@@ -37,6 +64,8 @@ impl BenchmarkId {
 pub struct Bencher<'a> {
     samples: usize,
     measurement_window: Duration,
+    /// Test mode: run the routine once and time nothing.
+    test: bool,
     result: &'a mut Option<Measurement>,
 }
 
@@ -53,6 +82,16 @@ struct Measurement {
 impl Bencher<'_> {
     /// Time `routine`, keeping the median over the configured sample count.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        if self.test {
+            std::hint::black_box(routine());
+            *self.result = Some(Measurement {
+                median_ns_per_iter: 0.0,
+                stddev_ns: 0.0,
+                mad_ns: 0.0,
+                total_iters: 1,
+            });
+            return;
+        }
         // Calibration: grow the per-sample iteration count until one sample
         // takes a meaningful slice of the measurement window.
         let per_sample_target = self.measurement_window.as_secs_f64() / self.samples as f64;
@@ -133,14 +172,20 @@ fn run_one(
     throughput: Option<Throughput>,
     f: &mut dyn FnMut(&mut Bencher<'_>),
 ) {
+    let mode = mode();
+    if mode.filter.as_ref().is_some_and(|filter| !name.contains(filter.as_str())) {
+        return;
+    }
     let mut result = None;
     let mut bencher = Bencher {
         samples: samples.max(2),
         measurement_window: Duration::from_millis(500),
+        test: mode.test,
         result: &mut result,
     };
     f(&mut bencher);
     match result {
+        Some(_) if mode.test => println!("Testing {name}\nSuccess"),
         Some(m) => {
             let mut line = format!(
                 "{name:<52} time: {:>12} ± {:>9} (MAD {})",
