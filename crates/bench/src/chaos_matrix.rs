@@ -114,7 +114,7 @@ const LIVE_ZERO: [(&str, &str, &str); 3] = [
 ];
 
 /// Epoch-barrier checks over live shard counters, catching violations
-/// *while the run is still going*: the [`LIVE_ZERO`] counters summed across
+/// *while the run is still going*: the `LIVE_ZERO` counters summed across
 /// shards, then `monotone-counters` — counters are cumulative, so the
 /// sent-message total falling between barriers would mean metric state was
 /// lost or rewound.

@@ -38,8 +38,8 @@
 //! * Every node carries a globally unique label, identical across
 //!   partitionings ([`Simulator::set_label`]).
 //! * Both endpoints of a cross-shard link install the link with the same
-//!   [`LinkSpec`]: the owner side links `local ↔ placeholder`, the other
-//!   side mirrors it.
+//!   [`LinkSpec`](pdagent_net::link::LinkSpec): the owner side links
+//!   `local ↔ placeholder`, the other side mirrors it.
 //! * Cross-shard links have base latency ≥ the engine's `lookahead`, and
 //!   nonzero serialization time (so arrivals are strictly inside the next
 //!   epoch and ties across shards cannot occur).

@@ -16,7 +16,7 @@
 //! * [`rle`] — run-length encoding (the simplest baseline).
 //! * [`lzss`] — an LZSS dictionary compressor (4 KiB window), the workhorse.
 //! * [`huffman`] — a canonical, static Huffman coder.
-//! * [`compress`] — the self-describing container format (`PDAZ`) combining
+//! * [`mod@compress`] — the self-describing container format (`PDAZ`) combining
 //!   an algorithm byte with the original length, so any receiver can decode.
 //!
 //! ```

@@ -11,7 +11,7 @@
 //! * flag bit `0` → match: 12-bit distance (1-based, 1..=4096) followed by a
 //!   4-bit length field encoding lengths `MIN_MATCH..=MIN_MATCH+15`.
 //!
-//! The uncompressed length is carried by the [`crate::compress`] container,
+//! The uncompressed length is carried by the [`mod@crate::compress`] container,
 //! so the decoder knows exactly when to stop and trailing pad bits are
 //! harmless.
 
@@ -57,7 +57,7 @@ const LITERAL_BITS: u8 = 9;
 const MATCH_BITS: u8 = 17;
 
 /// Compress `data`. Returns the raw LZSS bit stream (no header; pair it with
-/// the original length, as [`crate::compress`] does).
+/// the original length, as [`crate::compress()`] does).
 pub fn encode(data: &[u8]) -> Vec<u8> {
     // Links to positions below 4 GiB - `WINDOW` fit in 32 bits.
     if data.len() < u32::MAX as usize - WINDOW {

@@ -22,6 +22,19 @@ pub enum FileKind {
     ResultDoc,
 }
 
+impl FileKind {
+    /// The name an agent's file of this kind is staged under:
+    /// `{id}/classes`, `{id}/params.xml` or `{id}/result.xml`.
+    pub fn staged_name(self, agent_id: &str) -> String {
+        let leaf = match self {
+            FileKind::AgentClasses => "classes",
+            FileKind::ParameterDoc => "params.xml",
+            FileKind::ResultDoc => "result.xml",
+        };
+        format!("{agent_id}/{leaf}")
+    }
+}
+
 /// One staged file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagedFile {
@@ -154,6 +167,18 @@ impl FileDirectory {
             }
             None => Err(FileDirError::NotFound),
         }
+    }
+
+    /// Stage an agent's file of `kind` under its [`FileKind::staged_name`].
+    pub fn stage(&mut self, id: &str, kind: FileKind, bytes: Vec<u8>) -> Result<(), FileDirError> {
+        self.allocate(kind.staged_name(id), kind, bytes)
+    }
+
+    /// Release an agent's staged classes and parameter document: a MAS has
+    /// the agent, or it is home.
+    pub fn release_staging(&mut self, id: &str) {
+        let _ = self.release(&FileKind::AgentClasses.staged_name(id));
+        let _ = self.release(&FileKind::ParameterDoc.staged_name(id));
     }
 
     /// Remove a file immediately.

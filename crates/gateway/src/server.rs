@@ -58,19 +58,57 @@ const PROCESSING_BASE: SimDuration = SimDuration::from_millis(20);
 const PROCESSING_PER_KIB: SimDuration = SimDuration::from_millis(2);
 /// Compression used for subscription payloads and result documents.
 const COMPRESSION: Algorithm = Algorithm::Auto;
-/// How long a collected agent — its `dispatched` entry plus its stored
-/// result — is kept after its first collect, for re-download and `Status`.
-/// Uncollected results are held until the device comes back for them.
+/// How long a collected agent's record, with its held result, is kept
+/// after its first collect, for re-download and `Status`. Uncollected
+/// results are held until the device comes back for them.
 const COMPLETED_TTL: SimDuration = SimDuration::from_secs(600);
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DispatchState {
+/// Where an agent's result is: `InFlight → Done → Collected`.
+#[derive(Debug, Default)]
+enum AgentState {
     /// Launched; no result yet.
+    #[default]
     InFlight,
-    /// Result stored and held until the device collects it.
-    Done,
+    /// Home: the compressed result document every collect serves, encoded
+    /// once, held until the device collects it.
+    Done(Bytes),
     /// Collected at least once; on the completed list.
-    Collected,
+    Collected(Bytes),
+}
+
+impl AgentState {
+    /// The held result, once the agent is home.
+    fn result(&self) -> Option<&Bytes> {
+        match self {
+            AgentState::InFlight => None,
+            AgentState::Done(body) | AgentState::Collected(body) => Some(body),
+        }
+    }
+
+    /// Collect the held result: a `Done` agent becomes `Collected`. Returns
+    /// the result and whether this was its first collect.
+    fn collect(&mut self) -> Option<(Bytes, bool)> {
+        let body = self.result()?.clone();
+        let first = matches!(self, AgentState::Done(_));
+        *self = AgentState::Collected(body.clone());
+        Some((body, first))
+    }
+}
+
+/// The gateway's one record of an agent, from its dispatch (or the answer
+/// naming a clone, or a completion it had no record for) until a Dispose
+/// or the completed-list sweep. Only a dispatched agent has a journey and
+/// a stage span.
+#[derive(Debug, Default)]
+struct Agent {
+    state: AgentState,
+    /// The journey context (trace id and journey root span) taken from the
+    /// dispatch request, kept outside [`MobileAgent`] so the agent wire
+    /// format is untouched.
+    journey: ObsContext,
+    /// The `gateway.stage` span: dispatch arrival → first transfer acked,
+    /// or the agent home.
+    stage: u32,
 }
 
 #[derive(Debug)]
@@ -80,7 +118,9 @@ struct ManagePending {
     outstanding: usize,
 }
 
-/// The gateway node.
+/// The gateway node: one record per agent (its state, which carries the held
+/// result, its journey context and its `gateway.stage` span), one reply slot
+/// per client, and the File Directory.
 pub struct GatewayNode {
     config: GatewayConfig,
     keys: KeyPair,
@@ -88,14 +128,13 @@ pub struct GatewayNode {
     catalog: HashMap<String, Program>,
     next_agent: u64,
     next_code: u64,
-    dispatched: HashMap<String, DispatchState>,
-    /// Held results as the compressed document a collect serves, encoded
-    /// once when the agent comes home; every collect clones the handle.
-    results: HashMap<String, Bytes>,
+    /// One record per agent, keyed by agent id.
+    agents: HashMap<String, Agent>,
+    /// How many records hold a result: the `gateway.results_entries` gauge.
+    held: usize,
     /// Agents in their processing delay, keyed by the timer that launches
     /// them into `transfers`, the first hop's sender.
     launching: HashMap<u64, MobileAgent>,
-    next_tag: u64,
     transfers: TransferSender,
     pending_manage: HashMap<(ControlOp, String), ManagePending>,
     /// One reply slot per client: the id, status and body of the latest
@@ -106,8 +145,8 @@ pub struct GatewayNode {
     /// lower id is a stale copy from a sender that has already moved on.
     /// Without this, a retransmitted dispatch would create a duplicate agent.
     replies: HashMap<NodeId, (u64, HttpStatus, Bytes)>,
-    /// Collected agent ids in first-collect order — the "completed list" the
-    /// device-facing `dispatched`/`results` maps grow into. Evicted lazily on
+    /// Collected agent ids in first-collect order: the "completed list",
+    /// through which collected records leave `agents`. Evicted lazily on
     /// every inbound message, after [`COMPLETED_TTL`] or past
     /// [`GatewayConfig::completed_max_entries`].
     completed_queue: VecDeque<(SimTime, String)>,
@@ -118,11 +157,6 @@ pub struct GatewayNode {
     /// `gateway.duplicate_executions` counter it feeds is the chaos suite's
     /// no-duplicate-execution oracle.
     dispatch_seen: HashSet<(NodeId, u64)>,
-    /// Observability side table: journey context (trace id + journey root
-    /// span, taken from the dispatch request) and the open `gateway.stage`
-    /// span per agent. Kept outside [`MobileAgent`] so the agent wire format
-    /// is untouched.
-    obs: HashMap<String, (ObsContext, u32)>,
     /// The File Directory (Figure 6): staged agent classes, parameter docs
     /// and result documents, under a disk quota.
     pub files: FileDirectory,
@@ -143,15 +177,13 @@ impl GatewayNode {
             catalog: HashMap::new(),
             next_agent: 0,
             next_code: 0,
-            dispatched: HashMap::new(),
-            results: HashMap::new(),
+            agents: HashMap::new(),
+            held: 0,
             launching: HashMap::new(),
-            next_tag: 0,
             pending_manage: HashMap::new(),
             replies: HashMap::new(),
             completed_queue: VecDeque::new(),
             dispatch_seen: HashSet::new(),
-            obs: HashMap::new(),
             files: FileDirectory::new(64 << 20), // 64 MiB gateway disk budget
             telemetry: TelemetryServer::new(),
         }
@@ -187,18 +219,29 @@ impl GatewayNode {
                 break;
             }
             let (_, id) = self.completed_queue.pop_front().expect("front checked");
-            // A Dispose may have removed the entry already.
-            if self.dispatched.get(&id) == Some(&DispatchState::Collected) {
-                self.dispatched.remove(&id);
-                if self.results.remove(&id).is_some() {
-                    let _ = self.files.release(&format!("{id}/result.xml"));
-                }
+            // A Dispose may have removed the record already. The first
+            // collect released the result document.
+            if self.agents.get(&id).is_some_and(|a| matches!(a.state, AgentState::Collected(_))) {
+                self.agents.remove(&id);
+                self.held -= 1;
                 ctx.metrics().bump("gateway.completed_evictions", 1.0);
             }
         }
         ctx.metrics().set_gauge("gateway.replay_entries", self.replies.len() as f64);
-        ctx.metrics().set_gauge("gateway.results_entries", self.results.len() as f64);
-        ctx.metrics().set_gauge("gateway.dispatched_entries", self.dispatched.len() as f64);
+        ctx.metrics().set_gauge("gateway.results_entries", self.held as f64);
+        ctx.metrics().set_gauge("gateway.dispatched_entries", self.agents.len() as f64);
+    }
+
+    /// Drop an agent's record (Dispose, in any state) with its held result
+    /// and that result's document.
+    fn dispose(&mut self, ctx: &mut Ctx<'_>, id: &str) {
+        let Some(agent) = self.agents.remove(id) else { return };
+        // Staging ends here if the Dispose overtook the first hop's ack.
+        ctx.span_end(agent.stage);
+        if agent.state.result().is_some() {
+            self.held -= 1;
+            let _ = self.files.remove(&FileKind::ResultDoc.staged_name(id));
+        }
     }
 
     /// The gateway's public key — devices obtain this at subscription time
@@ -217,15 +260,15 @@ impl GatewayNode {
         self.catalog.insert(service.into(), program);
     }
 
-    /// Number of stored (uncollected or collected) result documents.
+    /// Number of held (uncollected or collected) result documents.
     pub fn stored_results(&self) -> usize {
-        self.results.len()
+        self.held
     }
 
     /// Result for an agent, decoded from the held download (inspection in
     /// tests/harnesses).
     pub fn result_for(&self, agent_id: &str) -> Option<ResultDoc> {
-        let xml = decompress(self.results.get(agent_id)?).ok()?;
+        let xml = decompress(self.agents.get(agent_id)?.state.result()?).ok()?;
         ResultDoc::from_document_str(std::str::from_utf8(&xml).ok()?).ok()
     }
 
@@ -241,13 +284,10 @@ impl GatewayNode {
             self.respond(ctx, from, req, HttpStatus::BadRequest, Vec::new());
             return;
         };
-        let service = service.to_owned();
-        if !self.catalog.contains_key(&service) {
+        let Some(program) = self.catalog.get(service).cloned() else {
             self.respond(ctx, from, req, HttpStatus::NotFound, Vec::new());
             return;
-        }
-        let program = self.catalog.get(&service).expect("checked").clone();
-        let service = service.as_str();
+        };
         self.next_code += 1;
         let id = UniqueId::mint(service, &format!("dev{}", ctx.label_of(from)), self.next_code);
         // Derive a per-code shared secret; the device receives it inside the
@@ -278,17 +318,11 @@ impl GatewayNode {
                 return;
             }
         };
-        let xml_bytes = match decompress(&plaintext) {
-            Ok(b) => b,
-            Err(e) => {
-                self.respond(ctx, from, req, HttpStatus::BadRequest, e.to_string().into_bytes());
-                return;
-            }
-        };
-        let pi = match std::str::from_utf8(&xml_bytes)
-            .map_err(|e| e.to_string())
-            .and_then(PackedInformation::from_document_str)
-        {
+        let pi = match decompress(&plaintext).map_err(|e| e.to_string()).and_then(|xml| {
+            std::str::from_utf8(&xml)
+                .map_err(|e| e.to_string())
+                .and_then(PackedInformation::from_document_str)
+        }) {
             Ok(pi) => pi,
             Err(e) => {
                 self.respond(ctx, from, req, HttpStatus::BadRequest, e.into_bytes());
@@ -331,25 +365,14 @@ impl GatewayNode {
         );
         let staged = self
             .files
-            .allocate(
-                format!("{agent_id}/classes"),
-                FileKind::AgentClasses,
-                agent.program.wire().to_vec(),
-            )
-            .and_then(|()| {
-                self.files.allocate(
-                    format!("{agent_id}/params.xml"),
-                    FileKind::ParameterDoc,
-                    params_doc,
-                )
-            });
+            .stage(&agent_id, FileKind::AgentClasses, agent.program.wire().to_vec())
+            .and_then(|()| self.files.stage(&agent_id, FileKind::ParameterDoc, params_doc));
         if let Err(e) = staged {
             ctx.metrics().bump("gateway.disk_full", 1.0);
             self.respond(ctx, from, req, HttpStatus::ServerError, e.to_string().into_bytes());
             return;
         }
         agent.fuel_per_hop = pi.fuel_per_hop;
-        self.dispatched.insert(agent_id.clone(), DispatchState::InFlight);
         // Respond immediately with the agent id (the device shows it on
         // screen, Figure 11c), then launch after the processing delay.
         self.respond(ctx, from, req, HttpStatus::Accepted, agent_id.clone().into_bytes());
@@ -357,11 +380,10 @@ impl GatewayNode {
         // Onward transfers carry the journey root (`req.obs.span`) so MAS hop
         // spans nest directly under the journey, not under this stage.
         let stage = ctx.span_begin(req.obs.trace, req.obs.span, "gateway.stage");
-        self.obs.insert(agent_id.clone(), (req.obs, stage));
-        let delay = self.processing_delay(req.body.len());
-        self.next_tag += 1;
-        ctx.set_timer(delay, self.next_tag);
-        self.launching.insert(self.next_tag, agent);
+        self.agents.insert(agent_id, Agent { journey: req.obs, stage, ..Agent::default() });
+        // The agent's number is its launch timer's tag.
+        ctx.set_timer(self.processing_delay(req.body.len()), self.next_agent);
+        self.launching.insert(self.next_agent, agent);
         ctx.metrics().bump("gateway.dispatches", 1.0);
     }
 
@@ -370,32 +392,23 @@ impl GatewayNode {
             self.respond(ctx, from, req, HttpStatus::BadRequest, Vec::new());
             return;
         };
-        let agent_id = agent_id.to_owned();
-        match self.results.get(&agent_id) {
-            Some(body) => {
-                let body = body.clone();
-                ctx.metrics().bump("gateway.results_served", 1.0);
-                let _ = self.files.release(&format!("{agent_id}/result.xml"));
-                // The first collect puts the agent on the completed list; until
-                // then its result is held however long the device stays away.
-                if self.dispatched.insert(agent_id.clone(), DispatchState::Collected)
-                    != Some(DispatchState::Collected)
-                {
-                    self.completed_queue.push_back((ctx.now(), agent_id));
-                }
-                self.respond(ctx, from, req, HttpStatus::Ok, body);
-            }
-            None => {
-                let status = if self.dispatched.contains_key(&agent_id) {
-                    HttpStatus::Conflict // dispatched, not back yet
-                } else {
-                    HttpStatus::NotFound
-                };
-                // Deliberately NOT cached: a later retry must be able to see
-                // the result once the agent returns.
-                reply(ctx, from, req, status, Vec::new());
-            }
+        // A 404, or a 409 (dispatched, not back yet), is deliberately NOT
+        // cached: a later retry must be able to see the result once the
+        // agent returns.
+        let Some(agent) = self.agents.get_mut(agent_id) else {
+            return reply(ctx, from, req, HttpStatus::NotFound, Vec::new());
+        };
+        let Some((body, first)) = agent.state.collect() else {
+            return reply(ctx, from, req, HttpStatus::Conflict, Vec::new());
+        };
+        ctx.metrics().bump("gateway.results_served", 1.0);
+        let _ = self.files.release(&FileKind::ResultDoc.staged_name(agent_id));
+        // The first collect puts the agent on the completed list; until then
+        // its result is held however long the device stays away.
+        if first {
+            self.completed_queue.push_back((ctx.now(), agent_id.to_owned()));
         }
+        self.respond(ctx, from, req, HttpStatus::Ok, body);
     }
 
     fn handle_manage(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: &HttpRequest) {
@@ -412,27 +425,19 @@ impl GatewayNode {
         {
             return;
         }
-        // Already back home? Answer directly.
-        if self.results.contains_key(&id.0) {
-            match op {
-                ControlOp::Status => {
-                    self.respond(ctx, from, req, HttpStatus::Ok, b"returned".to_vec());
-                }
-                ControlOp::Retract | ControlOp::Dispose | ControlOp::Clone => {
-                    // Nothing to do on a returned agent; dispose drops the
-                    // stored result and its staged document.
-                    if op == ControlOp::Dispose {
-                        self.results.remove(&id.0);
-                        self.dispatched.remove(&id.0);
-                        let _ = self.files.remove(&format!("{}/result.xml", id.0));
-                    }
-                    self.respond(ctx, from, req, HttpStatus::Ok, Vec::new());
-                }
-            }
-            return;
-        }
-        if !self.dispatched.contains_key(&id.0) {
+        let Some(home) = self.agents.get(&id.0).map(|a| a.state.result().is_some()) else {
             self.respond(ctx, from, req, HttpStatus::NotFound, Vec::new());
+            return;
+        };
+        // Already back home: answer directly. Nothing else to do on a
+        // returned agent; dispose drops the held result and its staged
+        // document.
+        if home {
+            if op == ControlOp::Dispose {
+                self.dispose(ctx, &id.0);
+            }
+            let body = if op == ControlOp::Status { b"returned".to_vec() } else { Vec::new() };
+            self.respond(ctx, from, req, HttpStatus::Ok, body);
             return;
         }
         // Fan the control request out to every MAS site.
@@ -459,35 +464,31 @@ impl GatewayNode {
         let Some((op, id, found, payload)) = decode_control_resp(body) else { return };
         let key = (op, id.0.clone());
         let Some(pending) = self.pending_manage.get_mut(&key) else { return };
-        if found {
-            let pending = self.pending_manage.remove(&key).expect("present");
-            if op == ControlOp::Clone {
-                // Track the clone so its completion is stored too.
-                if let Ok(clone_id) = std::str::from_utf8(payload) {
-                    self.dispatched.insert(clone_id.to_owned(), DispatchState::InFlight);
-                }
-            }
-            if op == ControlOp::Dispose {
-                self.dispatched.remove(&id.0);
-            }
-            let device = pending.device;
-            let request = pending.request.clone();
-            self.respond(ctx, device, &request, HttpStatus::Ok, payload.to_vec());
-        } else {
-            pending.outstanding -= 1;
-            if pending.outstanding == 0 {
-                let pending = self.pending_manage.remove(&key).expect("present");
-                // The agent may be in transit between sites; report 409 so
-                // the device can retry, unless we never heard of it.
-                let status = if self.dispatched.contains_key(&id.0) {
-                    HttpStatus::Conflict
-                } else {
-                    HttpStatus::NotFound
-                };
-                // Not cached: the device may retry and deserve a fresh answer.
-                reply(ctx, pending.device, &pending.request, status, Vec::new());
+        pending.outstanding -= 1;
+        if !found && pending.outstanding > 0 {
+            return;
+        }
+        let pending = self.pending_manage.remove(&key).expect("present");
+        if !found {
+            // No site has the agent, which may be in transit between sites:
+            // a 409 (404 if we never heard of it), not cached, so the device
+            // can retry and get a fresh answer.
+            let known = self.agents.contains_key(&id.0);
+            let status = if known { HttpStatus::Conflict } else { HttpStatus::NotFound };
+            reply(ctx, pending.device, &pending.request, status, Vec::new());
+            return;
+        }
+        if op == ControlOp::Clone {
+            // Track the clone so its completion is stored too. The
+            // completion may have landed first: keep its record.
+            if let Ok(clone_id) = std::str::from_utf8(payload) {
+                self.agents.entry(clone_id.to_owned()).or_default();
             }
         }
+        if op == ControlOp::Dispose {
+            self.dispose(ctx, &id.0);
+        }
+        self.respond(ctx, pending.device, &pending.request, HttpStatus::Ok, payload.to_vec());
     }
 
     // --- agent return ----------------------------------------------------
@@ -496,34 +497,25 @@ impl GatewayNode {
         // A second completion (a transfer retried past an ack the paused
         // gateway dropped) must not take a collected agent off the
         // completed list, where nothing would ever evict it.
-        if matches!(
-            self.dispatched.get(&agent.id.0),
-            Some(DispatchState::Done | DispatchState::Collected)
-        ) {
+        let id = agent.id.0.as_str();
+        if self.agents.get(id).is_some_and(|a| a.state.result().is_some()) {
             return;
         }
         // The agent is home, so its staged classes and parameters are
         // evictable even if no site ever acked its first transfer.
-        let _ = self.files.release(&format!("{}/classes", agent.id.0));
-        let _ = self.files.release(&format!("{}/params.xml", agent.id.0));
+        self.files.release_staging(id);
         let xml = ResultDoc::from_agent(&agent).to_document_string();
         let body = Bytes::from(compress(xml.as_bytes(), COMPRESSION));
-        let _ = self.files.allocate(
-            format!("{}/result.xml", agent.id.0),
-            FileKind::ResultDoc,
-            xml.into_bytes(),
-        );
+        let _ = self.files.stage(id, FileKind::ResultDoc, xml.into_bytes());
         ctx.metrics().bump("gateway.results_stored", 1.0);
+        let record = self.agents.entry(agent.id.0).or_default();
         // Close the stage span if it is still open (idempotent — an agent
-        // whose whole itinerary was unreachable never got an ack), and drop
-        // the journey's side-table entry: the gateway is done with it.
-        if let Some((_, stage)) = self.obs.remove(&agent.id.0) {
-            ctx.span_end(stage);
-        }
-        self.dispatched.insert(agent.id.0.clone(), DispatchState::Done);
-        self.results.insert(agent.id.0.clone(), body);
-        ctx.metrics().set_gauge("gateway.results_entries", self.results.len() as f64);
-        ctx.metrics().set_gauge("gateway.dispatched_entries", self.dispatched.len() as f64);
+        // whose whole itinerary was unreachable never got an ack).
+        ctx.span_end(record.stage);
+        record.state = AgentState::Done(body);
+        self.held += 1;
+        ctx.metrics().set_gauge("gateway.results_entries", self.held as f64);
+        ctx.metrics().set_gauge("gateway.dispatched_entries", self.agents.len() as f64);
     }
 }
 
@@ -547,16 +539,11 @@ impl Node for GatewayNode {
                 }
             }
             KIND_ACK => {
-                if let Some(agent) = self.transfers.on_ack(&msg.body) {
+                if let Some((agent, ..)) = self.transfers.on_ack(&msg.body) {
                     let id = &agent.id.0;
                     // Staging ends when the first MAS acks the transfer.
-                    if let Some(&(_, stage)) = self.obs.get(id) {
-                        ctx.span_end(stage);
-                    }
-                    // The MAS has the agent; the staged classes/params are
-                    // now evictable.
-                    let _ = self.files.release(&format!("{id}/classes"));
-                    let _ = self.files.release(&format!("{id}/params.xml"));
+                    ctx.span_end(self.agents.get(id).map_or(0, |a| a.stage));
+                    self.files.release_staging(id);
                 }
             }
             KIND_CONTROL_RESP => self.handle_control_resp(ctx, &msg.body),
@@ -598,12 +585,12 @@ impl Node for GatewayNode {
         // left, at launch or once the sender gave up on the last one, is home.
         let home = match self.launching.remove(&tag) {
             Some(agent) => {
-                let octx = self.obs.get(&agent.id.0).map(|&(c, _)| c).unwrap_or_default();
-                self.transfers.send(ctx, agent, octx)
+                let journey = self.agents.get(&agent.id.0).map_or(ObsContext::NONE, |a| a.journey);
+                self.transfers.send(ctx, agent, journey, 0)
             }
             None => self.transfers.on_timer(ctx, tag),
         };
-        if let Some(agent) = home {
+        if let Some((agent, ..)) = home {
             self.store_result(ctx, agent);
         }
     }
@@ -614,7 +601,8 @@ mod tests {
     use super::*;
     use pdagent_codec::compress::decompress;
     use pdagent_crypto::envelope::seal_envelope;
-    use pdagent_mas::{EchoService, MasNode};
+    use pdagent_mas::server::{encode_control_resp, CpuModel};
+    use pdagent_mas::{EchoService, MasNode, KIND_TRANSFER};
     use pdagent_net::http::{HttpClient, HttpResponse};
     use pdagent_net::link::LinkSpec;
     use pdagent_net::sim::Simulator;
@@ -828,11 +816,8 @@ mod tests {
         // the device collected it.
         let agent_id = d.agent_id.as_ref().unwrap();
         assert_eq!(gw.files.len(), 3);
-        for suffix in ["classes", "params.xml", "result.xml"] {
-            assert!(
-                gw.files.read(&format!("{agent_id}/{suffix}")).is_ok(),
-                "missing staged {suffix}"
-            );
+        for kind in [FileKind::AgentClasses, FileKind::ParameterDoc, FileKind::ResultDoc] {
+            assert!(gw.files.read(&kind.staged_name(agent_id)).is_ok(), "missing staged {kind:?}");
         }
         assert!(gw.files.used() > 0);
     }
@@ -954,7 +939,7 @@ mod tests {
         assert_eq!(sim.node_ref::<Sink>(client).unwrap().received[1].status, HttpStatus::Ok);
         let gw = sim.node_mut::<GatewayNode>(gateway).unwrap();
         assert_eq!(gw.stored_results(), 0);
-        assert!(gw.files.read(&format!("{agent_id}/result.xml")).is_err());
+        assert!(gw.files.read(&FileKind::ResultDoc.staged_name(&agent_id)).is_err());
         // The classes and parameters stay readable, but nothing is pinned:
         // a file the size of the whole budget evicts them both.
         assert_eq!(gw.files.len(), 2);
@@ -1024,7 +1009,7 @@ mod tests {
         // One client, one slot, however many requests it made.
         assert_eq!(sim.metrics(gateway).gauge("gateway.replay_entries"), 1.0);
         // A probe past the TTL triggers the lazy sweep: the collected agent
-        // (dispatched entry + stored result) is dropped; the slot is not.
+        // (its record with the held result) is dropped; the slot is not.
         let later = sim.now() + COMPLETED_TTL + SimDuration::from_secs(1);
         sim.inject_at(gateway, device, Message::new(KIND_PROBE, vec![1]), later);
         sim.run_until_idle();
@@ -1055,6 +1040,136 @@ mod tests {
         assert_eq!(m.gauge("gateway.results_entries"), 0.0);
         assert_eq!(m.gauge("gateway.dispatched_entries"), 0.0);
         assert_eq!(sim.node_ref::<GatewayNode>(gateway).unwrap().stored_results(), 0);
+        assert_no_agent_state(sim.node_ref::<GatewayNode>(gateway).unwrap());
+    }
+
+    /// The gateway holds nothing for any agent: no record, no launch, no
+    /// unacked first hop, no pending manage request, no completed-list entry.
+    fn assert_no_agent_state(gw: &GatewayNode) {
+        assert!(gw.agents.is_empty(), "records {:?}", gw.agents.keys().collect::<Vec<_>>());
+        assert_eq!(gw.held, 0);
+        assert!(gw.launching.is_empty());
+        assert_eq!(gw.transfers.in_flight(), 0);
+        assert!(gw.pending_manage.is_empty());
+        assert!(gw.completed_queue.is_empty());
+    }
+
+    /// A manage request from a [`Sink`] client.
+    fn manage_request(op: ControlOp, agent_id: &str, req_id: u64) -> Message {
+        let body = encode_control(op, &AgentId(agent_id.into()));
+        let mut req = HttpRequest::new("POST", PATH_MANAGE, body);
+        req.req_id = req_id;
+        req.to_message()
+    }
+
+    /// A collect request from a [`Sink`] client.
+    fn collect_request(agent_id: &str, req_id: u64) -> Message {
+        let mut req = HttpRequest::new("GET", PATH_RESULT, agent_id.as_bytes().to_vec());
+        req.req_id = req_id;
+        req.to_message()
+    }
+
+    fn statuses(sim: &Simulator, client: NodeId) -> Vec<HttpStatus> {
+        sim.node_ref::<Sink>(client).unwrap().received.iter().map(|r| r.status).collect()
+    }
+
+    #[test]
+    fn disposing_an_agent_in_flight_leaves_no_agent_state() {
+        // One site, `bank-a`, whose CPU holds each agent for a minute.
+        let mut sim = Simulator::new(34);
+        let mut directory = SiteDirectory::new();
+        directory.insert("bank-a", 2);
+        let gw = GatewayNode::new(GatewayConfig::new("gw-1", 99), directory.clone());
+        let key = gw.public_key();
+        let gateway = sim.add_node(Box::new(gw));
+        let client = sim.add_node(Box::new(Sink::default()));
+        let slow = CpuModel { base: SimDuration::from_secs(60), per_instruction_ns: 0 };
+        let mut mas = MasNode::new("bank-a", directory).with_cpu(slow);
+        mas.register_service("echo", Box::new(EchoService));
+        let site = sim.add_node(Box::new(mas));
+        sim.connect(client, gateway, LinkSpec::lan());
+        sim.connect(gateway, site, LinkSpec::wired_internet());
+        sim.inject_at(gateway, client, dispatch_request(&key, 1, 0), SimTime::ZERO);
+        // Ten seconds in, the agent is executing at bank-a.
+        let t = SimTime::ZERO + SimDuration::from_secs(10);
+        sim.inject_at(gateway, client, manage_request(ControlOp::Dispose, "ag-1@gw-1", 2), t);
+        sim.run_until_idle();
+        assert_eq!(statuses(&sim, client), vec![HttpStatus::Accepted, HttpStatus::Ok]);
+        let m = sim.metrics(gateway);
+        assert_eq!(m.counter("gateway.manage_relayed"), 1.0);
+        assert_eq!(m.counter("gateway.results_stored"), 0.0);
+        assert_no_agent_state(sim.node_ref::<GatewayNode>(gateway).unwrap());
+    }
+
+    /// A MAS site that acks every transfer and keeps the agent, and answers
+    /// no control request: the test answers for it.
+    struct HoldingSite;
+
+    impl Node for HoldingSite {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
+            if msg.kind == KIND_TRANSFER {
+                let agent = MobileAgent::from_bytes(&msg.body).unwrap();
+                ctx.send(from, Message::new(KIND_ACK, agent.id.0.into_bytes()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_that_completes_before_the_answer_naming_it_is_collected_once() {
+        let mut sim = Simulator::new(35);
+        let mut directory = SiteDirectory::new();
+        directory.insert("bank-a", 2);
+        let gw = GatewayNode::new(GatewayConfig::new("gw-1", 99), directory);
+        let key = gw.public_key();
+        let gateway = sim.add_node(Box::new(gw));
+        let client = sim.add_node(Box::new(Sink::default()));
+        let site = sim.add_node(Box::new(HoldingSite));
+        sim.connect(client, gateway, LinkSpec::lan());
+        sim.connect(gateway, site, LinkSpec::lan());
+        // Each message reaches the gateway a second after the last one
+        // settled.
+        let step = |sim: &mut Simulator, from: NodeId, msg: Message| {
+            let t = sim.now() + SimDuration::from_secs(1);
+            sim.inject_at(gateway, from, msg, t);
+            sim.run_until_idle();
+        };
+        let (original, clone) = (AgentId("ag-1@gw-1".into()), "ag-1@gw-1-clone1");
+        let answer = |op: ControlOp, payload: &[u8]| {
+            Message::new(KIND_CONTROL_RESP, encode_control_resp(op, &original, true, payload))
+        };
+        step(&mut sim, client, dispatch_request(&key, 1, 0));
+        step(&mut sim, client, manage_request(ControlOp::Clone, &original.0, 2));
+        // The clone comes home before the site's answer that names it.
+        let home = MobileAgent::new(
+            AgentId(clone.into()),
+            banking_program(),
+            vec![],
+            Itinerary { sites: vec![] },
+            gateway as u64,
+        );
+        step(&mut sim, site, Message::new(KIND_COMPLETE, home.to_bytes()));
+        step(&mut sim, site, answer(ControlOp::Clone, clone.as_bytes()));
+        // Dispose of the original, so the clone's is the only record left.
+        step(&mut sim, client, manage_request(ControlOp::Dispose, &original.0, 3));
+        step(&mut sim, site, answer(ControlOp::Dispose, b""));
+        step(&mut sim, client, collect_request(clone, 4));
+        step(&mut sim, client, collect_request(clone, 5));
+        let ok = HttpStatus::Ok;
+        assert_eq!(statuses(&sim, client), vec![HttpStatus::Accepted, ok, ok, ok, ok]);
+        let m = sim.metrics(gateway);
+        assert_eq!(m.counter("gateway.results_stored"), 1.0);
+        assert_eq!(m.counter("gateway.results_served"), 2.0);
+        assert_eq!(m.gauge("gateway.results_entries"), 1.0);
+        assert_eq!(m.gauge("gateway.dispatched_entries"), 1.0);
+        assert_eq!(sim.node_ref::<GatewayNode>(gateway).unwrap().completed_queue.len(), 1);
+        let later = sim.now() + COMPLETED_TTL + SimDuration::from_secs(1);
+        sim.inject_at(gateway, client, Message::new(KIND_PROBE, vec![1]), later);
+        sim.run_until_idle();
+        let m = sim.metrics(gateway);
+        assert_eq!(m.counter("gateway.completed_evictions"), 1.0);
+        assert_eq!(m.gauge("gateway.results_entries"), 0.0);
+        assert_eq!(m.gauge("gateway.dispatched_entries"), 0.0);
+        assert_no_agent_state(sim.node_ref::<GatewayNode>(gateway).unwrap());
     }
 
     #[test]

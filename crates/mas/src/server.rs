@@ -7,7 +7,7 @@ use pdagent_vm::{run, Host, Outcome, Value};
 
 use crate::agent::{AgentId, AgentRecord, MobileAgent, ParamsSection, ResultsSection};
 use crate::service::Service;
-use crate::transfer::{self, TransferSender};
+use crate::transfer::{self, Carried, TransferSender};
 use crate::{KIND_ACK, KIND_COMPLETE, KIND_CONTROL, KIND_CONTROL_RESP, KIND_TRANSFER};
 
 /// Execution-time model for the site CPU: running an agent that executes
@@ -125,12 +125,12 @@ pub fn decode_control_resp(body: &[u8]) -> Option<(ControlOp, AgentId, bool, &[u
     Some((op, id, found, &body[pos..]))
 }
 
-/// Observability state for one resident agent, kept beside (not inside) the
-/// agent so the wire format is untouched: the journey context from the
-/// arriving transfer, the open `itinerary.hop[i]` span, and the open
-/// `mas.exec` span while the site CPU is busy.
-#[derive(Debug, Clone, Copy, Default)]
-struct AgentObs {
+/// An agent executing on the site CPU, with its observability state beside
+/// (not inside) it so the wire format is untouched: the journey context
+/// from the arriving transfer, the open `itinerary.hop[i]` span, and the
+/// `mas.exec` span, open while the site CPU is busy.
+struct Executing {
+    agent: MobileAgent,
     jctx: ObsContext,
     hop: u32,
     exec: u32,
@@ -258,10 +258,10 @@ pub struct MasNode {
     services: HashMap<String, Box<dyn Service>>,
     cpu: CpuModel,
     /// Agents executing on the site CPU; each departs when its timer fires.
-    agents: HashMap<AgentId, MobileAgent>,
-    /// Agents sent onward and retained until the next site acks.
+    agents: HashMap<AgentId, Executing>,
+    /// Agents sent onward and retained, with their hop spans, until the
+    /// next site acks.
     transfers: TransferSender,
-    obs: HashMap<AgentId, AgentObs>,
     /// Departure timers: tag → agent.
     tags: HashMap<u64, AgentId>,
     next_tag: u64,
@@ -281,7 +281,6 @@ impl MasNode {
             services: HashMap::new(),
             cpu: CpuModel::default(),
             agents: HashMap::new(),
-            obs: HashMap::new(),
             tags: HashMap::new(),
             next_tag: 0,
             clones: 0,
@@ -305,14 +304,35 @@ impl MasNode {
         &self.site_name
     }
 
-    /// A resident agent, executing or awaiting its transfer ack.
-    fn resident(&self, id: &AgentId) -> Option<&MobileAgent> {
-        self.agents.get(id).or_else(|| self.transfers.get(id))
+    /// A resident agent, executing or awaiting its transfer ack, with its
+    /// journey context.
+    fn resident(&self, id: &AgentId) -> Option<(&MobileAgent, ObsContext)> {
+        self.agents.get(id).map(|e| (&e.agent, e.jctx)).or_else(|| self.transfers.get(id))
     }
 
-    /// Take a resident agent off this site (retract, dispose).
-    fn take_resident(&mut self, id: &AgentId) -> Option<MobileAgent> {
-        self.agents.remove(id).or_else(|| self.transfers.cancel(id))
+    /// Take a resident agent off this site (retract, dispose) and close its
+    /// spans. Returns it with its journey context.
+    fn take_resident(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: &AgentId,
+    ) -> Option<(MobileAgent, ObsContext)> {
+        let (agent, jctx, hop) = match self.agents.remove(id) {
+            Some(e) => {
+                ctx.span_end(e.exec);
+                (e.agent, e.jctx, e.hop)
+            }
+            None => self.transfers.cancel(id)?,
+        };
+        self.leave(ctx, hop);
+        Some((agent, jctx))
+    }
+
+    /// An agent's residence here is over: close its hop span and count the
+    /// agents left.
+    fn leave(&mut self, ctx: &mut Ctx<'_>, hop: u32) {
+        ctx.span_end(hop);
+        self.set_resident_gauge(ctx);
     }
 
     fn set_resident_gauge(&self, ctx: &mut Ctx<'_>) {
@@ -321,9 +341,10 @@ impl MasNode {
     }
 
     /// Execute an arriving agent on this site and schedule its departure.
-    fn execute_and_schedule(&mut self, ctx: &mut Ctx<'_>, mut agent: MobileAgent) {
+    fn execute_and_schedule(&mut self, ctx: &mut Ctx<'_>, (mut agent, jctx, hop): Carried) {
         // A mis-routed or already-finished agent is relayed without running.
         let mut delay = SimDuration::from_millis(1);
+        let mut exec = 0;
         if agent.next_site() == Some(self.site_name.as_str()) {
             let visit = run_visit(&self.site_name, &mut self.services, &mut agent);
             ctx.metrics().bump("mas.agents_executed", 1.0);
@@ -333,67 +354,38 @@ impl MasNode {
             }
             delay = self.cpu.exec_time(visit.instructions);
             // `mas.exec` covers the modeled CPU occupancy: now → departure.
-            if let Some(o) = self.obs.get_mut(&agent.id) {
-                let (trace, hop) = (o.jctx.trace, o.hop);
-                o.exec = ctx.span_begin(trace, hop, "mas.exec");
-            }
+            exec = ctx.span_begin(jctx.trace, hop, "mas.exec");
         }
         self.next_tag += 1;
         self.tags.insert(self.next_tag, agent.id.clone());
         ctx.set_timer(delay, self.next_tag);
-        self.agents.insert(agent.id.clone(), agent);
+        self.agents.insert(agent.id.clone(), Executing { agent, jctx, hop, exec });
     }
 
     /// Send the agent onward: to the next site through the transfer sender,
     /// or home once its itinerary is over.
     fn depart(&mut self, ctx: &mut Ctx<'_>, id: &AgentId) {
-        let Some(agent) = self.agents.remove(id) else { return };
-        let jctx = match self.obs.get(id) {
-            Some(o) => {
-                // CPU occupancy ends at departure time.
-                ctx.span_end(o.exec);
-                o.jctx
-            }
-            None => ObsContext::NONE,
-        };
-        if let Some(agent) = self.transfers.send(ctx, agent, jctx) {
-            self.return_home(ctx, agent);
+        let Some(e) = self.agents.remove(id) else { return };
+        // CPU occupancy ends at departure time.
+        ctx.span_end(e.exec);
+        if let Some(home) = self.transfers.send(ctx, e.agent, e.jctx, e.hop) {
+            self.return_home(ctx, home);
         }
     }
 
     /// Return a finished agent to its origin gateway. Origin delivery runs
     /// over the (reliable, wired) backbone; no ack.
-    fn return_home(&mut self, ctx: &mut Ctx<'_>, agent: MobileAgent) {
-        let jctx = self.close_agent_obs(ctx, &agent.id);
+    fn return_home(&mut self, ctx: &mut Ctx<'_>, (agent, jctx, hop): Carried) {
+        self.leave(ctx, hop);
         let complete = Message::new(KIND_COMPLETE, agent.to_bytes()).traced(jctx);
         ctx.send(agent.origin as NodeId, complete);
     }
 
-    /// Close any open spans for an agent leaving this site and drop its
-    /// side-table entry. Returns the journey context for stamping a final
-    /// message.
-    fn close_agent_obs(&mut self, ctx: &mut Ctx<'_>, id: &AgentId) -> ObsContext {
-        match self.obs.remove(id) {
-            Some(o) => {
-                ctx.span_end(o.exec);
-                ctx.span_end(o.hop);
-                self.set_resident_gauge(ctx);
-                o.jctx
-            }
-            None => ObsContext::NONE,
-        }
-    }
-
     fn handle_control(&mut self, ctx: &mut Ctx<'_>, from: NodeId, body: &[u8]) {
-        let Some((op, id)) = decode_control(body) else {
-            return;
-        };
-        let resp = |found: bool, payload: Vec<u8>| {
-            Message::new(KIND_CONTROL_RESP, encode_control_resp(op, &id, found, &payload))
-        };
-        match op {
+        let Some((op, id)) = decode_control(body) else { return };
+        let (found, payload) = match op {
             ControlOp::Status => {
-                let payload = self.resident(&id).map(|agent| {
+                let record = self.resident(&id).map(|(agent, _)| {
                     AgentRecord {
                         id: id.clone(),
                         site: self.site_name.clone(),
@@ -403,49 +395,36 @@ impl MasNode {
                     }
                     .to_bytes()
                 });
-                ctx.send(from, resp(payload.is_some(), payload.unwrap_or_default()));
+                (record.is_some(), record.unwrap_or_default())
             }
-            ControlOp::Retract => match self.take_resident(&id) {
-                Some(mut agent) => {
+            ControlOp::Retract => match self.take_resident(ctx, &id) {
+                Some((mut agent, jctx)) => {
                     agent.push_result(&self.site_name, "retracted", Value::Bool(true));
                     agent.next_hop = agent.itinerary.len();
-                    let jctx = self.close_agent_obs(ctx, &id);
                     ctx.send(from, Message::new(KIND_COMPLETE, agent.to_bytes()).traced(jctx));
-                    ctx.send(from, resp(true, Vec::new()));
+                    (true, Vec::new())
                 }
-                None => {
-                    ctx.send(from, resp(false, Vec::new()));
-                }
+                None => (false, Vec::new()),
             },
-            ControlOp::Dispose => {
-                let found = self.take_resident(&id).is_some();
-                if found {
-                    self.close_agent_obs(ctx, &id);
-                }
-                ctx.send(from, resp(found, Vec::new()));
-            }
-            ControlOp::Clone => match self.resident(&id).cloned() {
-                Some(mut copy) => {
+            ControlOp::Dispose => (self.take_resident(ctx, &id).is_some(), Vec::new()),
+            ControlOp::Clone => match self.resident(&id).map(|(a, jctx)| (a.clone(), jctx)) {
+                Some((mut copy, jctx)) => {
                     self.clones += 1;
                     copy.id = AgentId(format!("{}-clone{}", id.0, self.clones));
                     let payload = copy.id.0.clone().into_bytes();
-                    let copy_id = copy.id.clone();
                     // The clone continues the same logical journey: it
                     // inherits the original's trace context, and the sites it
                     // visits open their own hop spans under the same root.
-                    let jctx =
-                        self.obs.get(&id).map(|o| o.jctx).unwrap_or(ObsContext::NONE);
-                    self.obs
-                        .insert(copy_id.clone(), AgentObs { jctx, hop: 0, exec: 0 });
-                    self.agents.insert(copy_id.clone(), copy);
-                    self.depart(ctx, &copy_id);
-                    ctx.send(from, resp(true, payload));
+                    if let Some(home) = self.transfers.send(ctx, copy, jctx, 0) {
+                        self.return_home(ctx, home);
+                    }
+                    (true, payload)
                 }
-                None => {
-                    ctx.send(from, resp(false, Vec::new()));
-                }
+                None => (false, Vec::new()),
             },
-        }
+        };
+        let resp = encode_control_resp(op, &id, found, &payload);
+        ctx.send(from, Message::new(KIND_CONTROL_RESP, resp));
     }
 }
 
@@ -454,16 +433,15 @@ impl Node for MasNode {
         match msg.kind.as_str() {
             KIND_TRANSFER => {
                 let here = |id: &_| self.resident(id).is_some();
-                if let Some((agent, jctx, hop)) = transfer::receive(ctx, "mas", from, &msg, here) {
-                    self.obs.insert(agent.id.clone(), AgentObs { jctx, hop, exec: 0 });
-                    self.execute_and_schedule(ctx, agent);
+                if let Some(arrival) = transfer::receive(ctx, "mas", from, &msg, here) {
+                    self.execute_and_schedule(ctx, arrival);
                     self.set_resident_gauge(ctx);
                 }
             }
             KIND_ACK => {
                 // The next site has the agent: this residence is over.
-                if let Some(agent) = self.transfers.on_ack(&msg.body) {
-                    self.close_agent_obs(ctx, &agent.id);
+                if let Some((_, _, hop)) = self.transfers.on_ack(&msg.body) {
+                    self.leave(ctx, hop);
                 }
             }
             KIND_CONTROL => self.handle_control(ctx, from, &msg.body),
@@ -482,8 +460,8 @@ impl Node for MasNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         if let Some(id) = self.tags.remove(&tag) {
             self.depart(ctx, &id);
-        } else if let Some(agent) = self.transfers.on_timer(ctx, tag) {
-            self.return_home(ctx, agent);
+        } else if let Some(home) = self.transfers.on_timer(ctx, tag) {
+            self.return_home(ctx, home);
         }
     }
 }
@@ -893,6 +871,79 @@ mod tests {
         let ids: Vec<&str> = done.iter().map(|a| a.id.0.as_str()).collect();
         assert!(ids.contains(&"ag-1"));
         assert!(ids.contains(&clone_id.as_str()));
+    }
+
+    #[test]
+    fn agents_taken_from_the_transfer_sender_leave_no_span_open() {
+        // Three agents wait at site-0 for an ack site-1 can never send; a
+        // controller then retracts the first, disposes of the second and
+        // clones the third.
+        let (mut sim, origin, sites, _) = build(2, 11);
+        sim.enable_obs();
+        sim.cut_link(sites[0], sites[1]);
+        for name in ["ag-r", "ag-d", "ag-c"] {
+            let agent = MobileAgent::new(
+                AgentId(name.into()),
+                tour_program(),
+                vec![],
+                Itinerary::new(["site-0", "site-1"]),
+                origin as u64,
+            );
+            let trace = sim.obs_mut().unwrap().new_trace();
+            let msg = Message::new(KIND_TRANSFER, agent.to_bytes())
+                .traced(ObsContext { trace, span: 0 });
+            sim.inject(sites[0], origin, msg, SimDuration::ZERO);
+        }
+        struct Controller {
+            mas: NodeId,
+            answers: Vec<(ControlOp, bool)>,
+            retracted: Vec<MobileAgent>,
+        }
+        impl Node for Controller {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                // Well after the agents left the CPU, well before the first
+                // retry of their transfers.
+                ctx.set_timer(SimDuration::from_millis(100), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+                let ops =
+                    [(ControlOp::Retract, "ag-r"), (ControlOp::Dispose, "ag-d"), (ControlOp::Clone, "ag-c")];
+                for (op, id) in ops {
+                    let body = encode_control(op, &AgentId(id.into()));
+                    ctx.send(self.mas, Message::new(KIND_CONTROL, body));
+                }
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
+                match msg.kind.as_str() {
+                    KIND_COMPLETE => self.retracted.push(MobileAgent::from_bytes(&msg.body).unwrap()),
+                    KIND_CONTROL_RESP => {
+                        let (op, _, found, _) = decode_control_resp(&msg.body).unwrap();
+                        self.answers.push((op, found));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let ctl = Controller { mas: sites[0], answers: vec![], retracted: vec![] };
+        let ctl = sim.add_node(Box::new(ctl));
+        sim.connect(ctl, sites[0], LinkSpec::ideal());
+        sim.run_until_idle();
+        let c = sim.node_ref::<Controller>(ctl).unwrap();
+        let found = [(ControlOp::Retract, true), (ControlOp::Dispose, true), (ControlOp::Clone, true)];
+        assert_eq!(c.answers, found);
+        assert_eq!(c.retracted.len(), 1);
+        // The third agent and its clone skip site-1 and come home.
+        let home = &sim.node_ref::<StubOrigin>(origin).unwrap().completed;
+        assert_eq!(home.len(), 2);
+        assert!(home.iter().all(|a| a.results.iter().any(|r| r.key == "unreachable")));
+        let spans: Vec<_> =
+            sim.obs().unwrap().spans_snapshot().into_iter().filter(|s| s.node == sites[0]).collect();
+        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names.iter().filter(|&&n| n == "itinerary.hop").count(), 3);
+        assert_eq!(names.iter().filter(|&&n| n == "mas.exec").count(), 3);
+        let open: Vec<String> = spans.iter().filter(|s| s.end.is_none()).map(|s| s.label()).collect();
+        assert!(open.is_empty(), "spans left open at site-0: {open:?}");
+        assert_eq!(sim.metrics(sites[0]).gauge("mas.resident_agents"), 0.0);
     }
 
     #[test]

@@ -20,11 +20,18 @@ pub const MAX_TRANSFER_ATTEMPTS: u32 = 3;
 /// Timer tags of [`TransferSender`] start here; the owner's stay below.
 pub const TRANSFER_TIMER_BASE: u64 = 1 << 61;
 
+/// An agent with its journey context and its open `itinerary.hop` span (0,
+/// the null span, if none): what [`receive`] returns, and what a
+/// [`TransferSender`] keeps until the ack and hands back.
+pub type Carried = (MobileAgent, ObsContext, u32);
+
 /// An agent sent onward, retained until the receiver acks it. The frame is
 /// serialized once: the agent is frozen until acked, so a retry resends it.
 #[derive(Debug)]
 struct InFlight {
     agent: MobileAgent,
+    /// The sender's open `itinerary.hop` span, handed back with the agent.
+    hop: u32,
     to: NodeId,
     wire: Message,
     attempts: u32,
@@ -37,6 +44,9 @@ struct InFlight {
 /// a site the directory does not know, retries an unacked frame and, after
 /// [`MAX_TRANSFER_ATTEMPTS`], records the site `unreachable` and goes on.
 /// Counts `<prefix>.transfer_retries`, `.hops_skipped`, `.transfer_send_failed`.
+/// Every way out (`on_ack`, `cancel`, and `send` or `on_timer` when the
+/// agent is home) hands the agent back [`Carried`], with the hop span the
+/// sender kept (none for the gateway's first hop).
 #[derive(Debug)]
 pub struct TransferSender {
     prefix: &'static str,
@@ -63,46 +73,50 @@ impl TransferSender {
         self.in_flight.len()
     }
 
-    /// The agent awaiting an ack under `id`.
-    pub fn get(&self, id: &AgentId) -> Option<&MobileAgent> {
-        self.in_flight.get(id).map(|f| &f.agent)
+    /// The agent awaiting an ack under `id`, with its journey context.
+    pub fn get(&self, id: &AgentId) -> Option<(&MobileAgent, ObsContext)> {
+        self.in_flight.get(id).map(|f| (&f.agent, f.wire.obs))
     }
 
     /// Stop waiting for `id`'s ack and hand the agent back.
-    pub fn cancel(&mut self, id: &AgentId) -> Option<MobileAgent> {
-        self.in_flight.remove(id).map(|f| f.agent)
+    pub fn cancel(&mut self, id: &AgentId) -> Option<Carried> {
+        self.in_flight.remove(id).map(|f| (f.agent, f.wire.obs, f.hop))
     }
 
     /// Send `agent` to the first site left on its itinerary that the
-    /// directory knows, in a frame carrying `obs`. Returns the agent when no
-    /// site is left: its itinerary is over and the caller takes it home.
+    /// directory knows, in a frame carrying `obs`, keeping `hop` until the
+    /// ack. Returns all three when no site is left: the itinerary is over
+    /// and the caller takes the agent home.
     pub fn send(
         &mut self,
         ctx: &mut Ctx<'_>,
         mut agent: MobileAgent,
         obs: ObsContext,
-    ) -> Option<MobileAgent> {
+        hop: u32,
+    ) -> Option<Carried> {
         let to = loop {
-            let Some(site) = agent.next_site().map(str::to_owned) else { return Some(agent) };
+            let Some(site) = agent.next_site().map(str::to_owned) else {
+                return Some((agent, obs, hop));
+            };
             match self.directory.resolve(&site) {
                 Some(to) => break to,
                 None => self.skip(ctx, &mut agent, site),
             }
         };
         let wire = Message::new(KIND_TRANSFER, agent.to_bytes()).traced(obs);
-        self.transmit(ctx, InFlight { agent, to, wire, attempts: 1, timer: 0 });
+        self.transmit(ctx, InFlight { agent, hop, to, wire, attempts: 1, timer: 0 });
         None
     }
 
     /// Offer a `mas.ack` body. Returns the agent it releases, if any.
-    pub fn on_ack(&mut self, body: &[u8]) -> Option<MobileAgent> {
+    pub fn on_ack(&mut self, body: &[u8]) -> Option<Carried> {
         self.cancel(&AgentId(std::str::from_utf8(body).ok()?.to_owned()))
     }
 
     /// Offer a fired timer tag (other tags and those of acked transfers are
     /// ignored): retry, or skip the site and send on. Returns the agent when
     /// that skipped the last sites, for the caller to take home.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> Option<MobileAgent> {
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> Option<Carried> {
         if !(TRANSFER_TIMER_BASE..HTTP_TIMER_BASE).contains(&tag) {
             return None;
         }
@@ -116,7 +130,7 @@ impl TransferSender {
         }
         let site = f.agent.next_site().unwrap_or("?").to_owned();
         self.skip(ctx, &mut f.agent, site);
-        self.send(ctx, f.agent, f.wire.obs)
+        self.send(ctx, f.agent, f.wire.obs, f.hop)
     }
 
     fn transmit(&mut self, ctx: &mut Ctx<'_>, mut f: InFlight) {
@@ -153,7 +167,7 @@ pub fn receive(
     from: NodeId,
     msg: &Message,
     resident: impl FnOnce(&AgentId) -> bool,
-) -> Option<(MobileAgent, ObsContext, u32)> {
+) -> Option<Carried> {
     let Ok(agent) = MobileAgent::from_bytes(&msg.body) else {
         ctx.metrics().bump(&format!("{prefix}.malformed_transfers"), 1.0);
         return None;

@@ -12,7 +12,7 @@
 //!   severity via a declarative [`RoutePolicy`], and delivers a
 //!   `page.deliver` message to the route's primary [`PageReceiver`], with
 //!   retry/backoff until the receiver acks.
-//! * Unacked pages escalate after [`ESCALATE_AFTER`] unacked ticks to the
+//! * Unacked pages escalate after `ESCALATE_AFTER` unacked ticks to the
 //!   route's escalation receiver; pages that exhaust every attempt are
 //!   *dropped* — the one counter a healthy fleet must keep at zero
 //!   (`scripts/bench_diff.sh` gates on it).
@@ -21,8 +21,8 @@
 //! fire→ack latency lands in the stage histograms and the flight recorder),
 //! and the gateway counts `page.delivered` / `page.escalated` /
 //! `page.dropped` / `page.deduped` in its metrics. All timers are bounded —
-//! a page is delivered at most [`MAX_ATTEMPTS`] times per target and ticks at
-//! most [`ESCALATE_AFTER`] times — so simulations always drain.
+//! a page is delivered at most `MAX_ATTEMPTS` times per target and ticks at
+//! most `ESCALATE_AFTER` times — so simulations always drain.
 
 use std::collections::HashMap;
 
@@ -67,7 +67,7 @@ pub struct Route {
     pub severity: Severity,
     /// Primary on-call receiver.
     pub target: NodeId,
-    /// Escalation receiver, tried after [`ESCALATE_AFTER`] unacked ticks.
+    /// Escalation receiver, tried after `ESCALATE_AFTER` unacked ticks.
     pub escalation: Option<NodeId>,
     /// Initial retry backoff; doubles per attempt.
     pub backoff: SimDuration,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification: build, test, lint. This is what CI runs and what a
-# contributor should run before pushing. Tier-1 (ROADMAP.md) is the
+# Repo verification: build, test, lint, docs. This is what CI runs and what
+# a contributor should run before pushing. Tier-1 (ROADMAP.md) is the
 # build+test pair; clippy keeps the workspace warning-clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Docs: every intra-doc link must resolve, so renaming a documented item or
+# field fails here instead of leaving a dead link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # One XML API: the platform writes with `XmlWriter` and reads with
 # `DocReader`. No non-test code names the element tree outside the xml
