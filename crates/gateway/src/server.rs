@@ -97,15 +97,10 @@ impl AgentState {
 
 /// The gateway's one record of an agent, from its dispatch (or the answer
 /// naming a clone, or a completion it had no record for) until a Dispose
-/// or the completed-list sweep. Only a dispatched agent has a journey and
-/// a stage span.
+/// or the completed-list sweep. Only a dispatched agent has a stage span.
 #[derive(Debug, Default)]
 struct Agent {
     state: AgentState,
-    /// The journey context (trace id and journey root span) taken from the
-    /// dispatch request, kept outside [`MobileAgent`] so the agent wire
-    /// format is untouched.
-    journey: ObsContext,
     /// The `gateway.stage` span: dispatch arrival → first transfer acked,
     /// or the agent home.
     stage: u32,
@@ -119,8 +114,10 @@ struct ManagePending {
 }
 
 /// The gateway node: one record per agent (its state, which carries the held
-/// result, its journey context and its `gateway.stage` span), one reply slot
-/// per client, and the File Directory.
+/// result, and its `gateway.stage` span), one reply slot per client, and the
+/// File Directory. Its [`TransferSender`] holds each dispatched agent, with
+/// the journey context of the dispatch request, from dispatch until the
+/// first site acks it.
 pub struct GatewayNode {
     config: GatewayConfig,
     keys: KeyPair,
@@ -132,9 +129,8 @@ pub struct GatewayNode {
     agents: HashMap<String, Agent>,
     /// How many records hold a result: the `gateway.results_entries` gauge.
     held: usize,
-    /// Agents in their processing delay, keyed by the timer that launches
-    /// them into `transfers`, the first hop's sender.
-    launching: HashMap<u64, MobileAgent>,
+    /// The first hop's sender: it holds each agent from dispatch, through
+    /// the processing delay, until the first site acks it.
     transfers: TransferSender,
     pending_manage: HashMap<(ControlOp, String), ManagePending>,
     /// One reply slot per client: the id, status and body of the latest
@@ -179,7 +175,6 @@ impl GatewayNode {
             next_code: 0,
             agents: HashMap::new(),
             held: 0,
-            launching: HashMap::new(),
             pending_manage: HashMap::new(),
             replies: HashMap::new(),
             completed_queue: VecDeque::new(),
@@ -380,10 +375,9 @@ impl GatewayNode {
         // Onward transfers carry the journey root (`req.obs.span`) so MAS hop
         // spans nest directly under the journey, not under this stage.
         let stage = ctx.span_begin(req.obs.trace, req.obs.span, "gateway.stage");
-        self.agents.insert(agent_id, Agent { journey: req.obs, stage, ..Agent::default() });
-        // The agent's number is its launch timer's tag.
-        ctx.set_timer(self.processing_delay(req.body.len()), self.next_agent);
-        self.launching.insert(self.next_agent, agent);
+        self.agents.insert(agent_id, Agent { stage, ..Agent::default() });
+        let delay = self.processing_delay(req.body.len());
+        self.transfers.send_after(ctx, delay, agent, req.obs, 0, 0);
         ctx.metrics().bump("gateway.dispatches", 1.0);
     }
 
@@ -539,7 +533,7 @@ impl Node for GatewayNode {
                 }
             }
             KIND_ACK => {
-                if let Some((agent, ..)) = self.transfers.on_ack(&msg.body) {
+                if let Some((agent, ..)) = self.transfers.on_ack(ctx, from, &msg.body) {
                     let id = &agent.id.0;
                     // Staging ends when the first MAS acks the transfer.
                     ctx.span_end(self.agents.get(id).map_or(0, |a| a.stage));
@@ -581,16 +575,9 @@ impl Node for GatewayNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        // Processing is over: launch the agent. One with no reachable site
-        // left, at launch or once the sender gave up on the last one, is home.
-        let home = match self.launching.remove(&tag) {
-            Some(agent) => {
-                let journey = self.agents.get(&agent.id.0).map_or(ObsContext::NONE, |a| a.journey);
-                self.transfers.send(ctx, agent, journey, 0)
-            }
-            None => self.transfers.on_timer(ctx, tag),
-        };
-        if let Some((agent, ..)) = home {
+        // An agent with no reachable site left, at launch or once the sender
+        // gave up on the last one, is home.
+        if let Some((agent, ..)) = self.transfers.on_timer(ctx, tag) {
             self.store_result(ctx, agent);
         }
     }
@@ -1043,13 +1030,12 @@ mod tests {
         assert_no_agent_state(sim.node_ref::<GatewayNode>(gateway).unwrap());
     }
 
-    /// The gateway holds nothing for any agent: no record, no launch, no
+    /// The gateway holds nothing for any agent: no record, no launching or
     /// unacked first hop, no pending manage request, no completed-list entry.
     fn assert_no_agent_state(gw: &GatewayNode) {
         assert!(gw.agents.is_empty(), "records {:?}", gw.agents.keys().collect::<Vec<_>>());
         assert_eq!(gw.held, 0);
-        assert!(gw.launching.is_empty());
-        assert_eq!(gw.transfers.in_flight(), 0);
+        assert_eq!(gw.transfers.held(), 0);
         assert!(gw.pending_manage.is_empty());
         assert!(gw.completed_queue.is_empty());
     }

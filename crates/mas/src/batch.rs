@@ -29,6 +29,10 @@ use crate::transfer;
 use crate::{KIND_COMPLETE, KIND_TRANSFER};
 
 const TAG_TICK: u64 = 1;
+/// How often the batch executor wakes up.
+const TICK: SimDuration = SimDuration::from_millis(50);
+/// Per-agent execution cost charged at batch time.
+const EXEC_COST: SimDuration = SimDuration::from_millis(8);
 
 /// The batch-scheduled mobile agent server.
 pub struct BatchMasNode {
@@ -39,10 +43,6 @@ pub struct BatchMasNode {
     /// span (carried beside the agent — the wire format stays shared with
     /// [`crate::MasNode`]).
     queue: VecDeque<(MobileAgent, ObsContext, u32)>,
-    /// How often the batch executor wakes up.
-    pub tick: SimDuration,
-    /// Per-agent execution cost charged at batch time.
-    pub exec_cost: SimDuration,
     /// Agents executed (for reporting).
     pub executed: u64,
     /// Whether a tick timer is currently armed (the executor sleeps when
@@ -58,8 +58,6 @@ impl BatchMasNode {
             directory,
             services: HashMap::new(),
             queue: VecDeque::new(),
-            tick: SimDuration::from_millis(50),
-            exec_cost: SimDuration::from_millis(8),
             executed: 0,
             tick_armed: false,
         }
@@ -120,8 +118,7 @@ impl Node for BatchMasNode {
             // is the batch server's defining cost.
             self.queue.push_back(arrival);
             ctx.metrics().set_gauge("batchmas.queued_agents", self.queue.len() as f64);
-            let delay = self.tick;
-            self.arm_tick(ctx, delay);
+            self.arm_tick(ctx, TICK);
         }
     }
 
@@ -130,17 +127,16 @@ impl Node for BatchMasNode {
             return;
         }
         self.tick_armed = false;
-        // Drain the whole queue this tick, charging exec_cost per agent by
+        // Drain the whole queue this tick, charging EXEC_COST per agent by
         // *delaying the next tick* (the batch runner is busy).
         let batch: Vec<(MobileAgent, ObsContext, u32)> = self.queue.drain(..).collect();
-        let busy = SimDuration(self.exec_cost.as_micros() * batch.len() as u64);
+        let busy = SimDuration(EXEC_COST.as_micros() * batch.len() as u64);
         for (agent, jctx, hop) in batch {
             self.run_one(ctx, agent, jctx, hop);
         }
         ctx.metrics().set_gauge("batchmas.queued_agents", self.queue.len() as f64);
         if !self.queue.is_empty() {
-            let delay = self.tick + busy;
-            self.arm_tick(ctx, delay);
+            self.arm_tick(ctx, TICK + busy);
         }
     }
 }

@@ -119,21 +119,14 @@ pub fn encode_control_resp(op: ControlOp, id: &AgentId, found: bool, payload: &[
 /// Decode a control response.
 pub fn decode_control_resp(body: &[u8]) -> Option<(ControlOp, AgentId, bool, &[u8])> {
     let op = ControlOp::from_byte(*body.first()?)?;
-    let found = *body.get(1)? != 0;
+    let found = match body.get(1)? {
+        0 => false,
+        1 => true,
+        _ => return None,
+    };
     let mut pos = 2;
     let id = AgentId(pdagent_codec::varint::read_str(body, &mut pos).ok()?.to_owned());
     Some((op, id, found, &body[pos..]))
-}
-
-/// An agent executing on the site CPU, with its observability state beside
-/// (not inside) it so the wire format is untouched: the journey context
-/// from the arriving transfer, the open `itinerary.hop[i]` span, and the
-/// `mas.exec` span, open while the site CPU is busy.
-struct Executing {
-    agent: MobileAgent,
-    jctx: ObsContext,
-    hop: u32,
-    exec: u32,
 }
 
 /// The most result bytes (on the wire) one visit may append to an agent.
@@ -252,19 +245,16 @@ pub fn run_visit(
     Visit { instructions, over_budget }
 }
 
-/// The mobile-agent server node.
+/// The mobile-agent server node. An arriving agent runs its visit at once;
+/// its [`TransferSender`] then holds it, with its journey context and hop
+/// span, for the modeled CPU time and until the next site acks it. The
+/// sender is the one table of the agents resident here.
 pub struct MasNode {
     site_name: String,
     services: HashMap<String, Box<dyn Service>>,
     cpu: CpuModel,
-    /// Agents executing on the site CPU; each departs when its timer fires.
-    agents: HashMap<AgentId, Executing>,
-    /// Agents sent onward and retained, with their hop spans, until the
-    /// next site acks.
+    /// Every resident agent: on the site CPU, then awaiting its ack.
     transfers: TransferSender,
-    /// Departure timers: tag → agent.
-    tags: HashMap<u64, AgentId>,
-    next_tag: u64,
     clones: u64,
     /// Delta-encoded `/metrics` + `/healthz` server: interned series, dirty
     /// epochs, pooled render buffer.
@@ -280,9 +270,6 @@ impl MasNode {
             site_name,
             services: HashMap::new(),
             cpu: CpuModel::default(),
-            agents: HashMap::new(),
-            tags: HashMap::new(),
-            next_tag: 0,
             clones: 0,
             telemetry: pdagent_net::telemetry::TelemetryServer::new(),
         }
@@ -304,12 +291,6 @@ impl MasNode {
         &self.site_name
     }
 
-    /// A resident agent, executing or awaiting its transfer ack, with its
-    /// journey context.
-    fn resident(&self, id: &AgentId) -> Option<(&MobileAgent, ObsContext)> {
-        self.agents.get(id).map(|e| (&e.agent, e.jctx)).or_else(|| self.transfers.get(id))
-    }
-
     /// Take a resident agent off this site (retract, dispose) and close its
     /// spans. Returns it with its journey context.
     fn take_resident(
@@ -317,13 +298,7 @@ impl MasNode {
         ctx: &mut Ctx<'_>,
         id: &AgentId,
     ) -> Option<(MobileAgent, ObsContext)> {
-        let (agent, jctx, hop) = match self.agents.remove(id) {
-            Some(e) => {
-                ctx.span_end(e.exec);
-                (e.agent, e.jctx, e.hop)
-            }
-            None => self.transfers.cancel(id)?,
-        };
+        let (agent, jctx, hop) = self.transfers.cancel(ctx, id)?;
         self.leave(ctx, hop);
         Some((agent, jctx))
     }
@@ -336,11 +311,11 @@ impl MasNode {
     }
 
     fn set_resident_gauge(&self, ctx: &mut Ctx<'_>) {
-        let resident = self.agents.len() + self.transfers.in_flight();
-        ctx.metrics().set_gauge("mas.resident_agents", resident as f64);
+        ctx.metrics().set_gauge("mas.resident_agents", self.transfers.held() as f64);
     }
 
-    /// Execute an arriving agent on this site and schedule its departure.
+    /// Execute an arriving agent on this site and hand it to the sender to
+    /// depart once the site CPU is done with it.
     fn execute_and_schedule(&mut self, ctx: &mut Ctx<'_>, (mut agent, jctx, hop): Carried) {
         // A mis-routed or already-finished agent is relayed without running.
         let mut delay = SimDuration::from_millis(1);
@@ -356,21 +331,7 @@ impl MasNode {
             // `mas.exec` covers the modeled CPU occupancy: now → departure.
             exec = ctx.span_begin(jctx.trace, hop, "mas.exec");
         }
-        self.next_tag += 1;
-        self.tags.insert(self.next_tag, agent.id.clone());
-        ctx.set_timer(delay, self.next_tag);
-        self.agents.insert(agent.id.clone(), Executing { agent, jctx, hop, exec });
-    }
-
-    /// Send the agent onward: to the next site through the transfer sender,
-    /// or home once its itinerary is over.
-    fn depart(&mut self, ctx: &mut Ctx<'_>, id: &AgentId) {
-        let Some(e) = self.agents.remove(id) else { return };
-        // CPU occupancy ends at departure time.
-        ctx.span_end(e.exec);
-        if let Some(home) = self.transfers.send(ctx, e.agent, e.jctx, e.hop) {
-            self.return_home(ctx, home);
-        }
+        self.transfers.send_after(ctx, delay, agent, jctx, hop, exec);
     }
 
     /// Return a finished agent to its origin gateway. Origin delivery runs
@@ -385,7 +346,7 @@ impl MasNode {
         let Some((op, id)) = decode_control(body) else { return };
         let (found, payload) = match op {
             ControlOp::Status => {
-                let record = self.resident(&id).map(|(agent, _)| {
+                let record = self.transfers.get(&id).map(|(agent, _)| {
                     AgentRecord {
                         id: id.clone(),
                         site: self.site_name.clone(),
@@ -407,7 +368,7 @@ impl MasNode {
                 None => (false, Vec::new()),
             },
             ControlOp::Dispose => (self.take_resident(ctx, &id).is_some(), Vec::new()),
-            ControlOp::Clone => match self.resident(&id).map(|(a, jctx)| (a.clone(), jctx)) {
+            ControlOp::Clone => match self.transfers.get(&id).map(|(a, jctx)| (a.clone(), jctx)) {
                 Some((mut copy, jctx)) => {
                     self.clones += 1;
                     copy.id = AgentId(format!("{}-clone{}", id.0, self.clones));
@@ -415,8 +376,9 @@ impl MasNode {
                     // The clone continues the same logical journey: it
                     // inherits the original's trace context, and the sites it
                     // visits open their own hop spans under the same root.
-                    if let Some(home) = self.transfers.send(ctx, copy, jctx, 0) {
-                        self.return_home(ctx, home);
+                    match self.transfers.send(ctx, copy, jctx, 0) {
+                        Some(home) => self.return_home(ctx, home),
+                        None => self.set_resident_gauge(ctx),
                     }
                     (true, payload)
                 }
@@ -432,7 +394,7 @@ impl Node for MasNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
         match msg.kind.as_str() {
             KIND_TRANSFER => {
-                let here = |id: &_| self.resident(id).is_some();
+                let here = |id: &_| self.transfers.get(id).is_some();
                 if let Some(arrival) = transfer::receive(ctx, "mas", from, &msg, here) {
                     self.execute_and_schedule(ctx, arrival);
                     self.set_resident_gauge(ctx);
@@ -440,7 +402,7 @@ impl Node for MasNode {
             }
             KIND_ACK => {
                 // The next site has the agent: this residence is over.
-                if let Some((_, _, hop)) = self.transfers.on_ack(&msg.body) {
+                if let Some((_, _, hop)) = self.transfers.on_ack(ctx, from, &msg.body) {
                     self.leave(ctx, hop);
                 }
             }
@@ -458,9 +420,8 @@ impl Node for MasNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        if let Some(id) = self.tags.remove(&tag) {
-            self.depart(ctx, &id);
-        } else if let Some(home) = self.transfers.on_timer(ctx, tag) {
+        // Departure or ack timeout: the agent leaves, or is home.
+        if let Some(home) = self.transfers.on_timer(ctx, tag) {
             self.return_home(ctx, home);
         }
     }
@@ -927,6 +888,11 @@ mod tests {
         let ctl = Controller { mas: sites[0], answers: vec![], retracted: vec![] };
         let ctl = sim.add_node(Box::new(ctl));
         sim.connect(ctl, sites[0], LinkSpec::ideal());
+        // Right after the control round: the third agent and its clone wait
+        // for their acks.
+        sim.run_until(SimTime(200_000));
+        assert_eq!(sim.node_ref::<Controller>(ctl).unwrap().answers.len(), 3);
+        assert_eq!(sim.metrics(sites[0]).gauge("mas.resident_agents"), 2.0);
         sim.run_until_idle();
         let c = sim.node_ref::<Controller>(ctl).unwrap();
         let found = [(ControlOp::Retract, true), (ControlOp::Dispose, true), (ControlOp::Clone, true)];
@@ -943,6 +909,28 @@ mod tests {
         assert_eq!(names.iter().filter(|&&n| n == "mas.exec").count(), 3);
         let open: Vec<String> = spans.iter().filter(|s| s.end.is_none()).map(|s| s.label()).collect();
         assert!(open.is_empty(), "spans left open at site-0: {open:?}");
+        assert_eq!(sim.metrics(sites[0]).gauge("mas.resident_agents"), 0.0);
+    }
+
+    #[test]
+    fn an_ack_releases_only_an_agent_sent_to_its_sender() {
+        // site-1 can never ack: two stray acks naming the agent arrive at
+        // site-0 instead, one from site-1 while the agent is on the site CPU,
+        // one from site-2 while the agent waits for site-1's ack.
+        let (mut sim, origin, sites, _) = build(3, 12);
+        sim.cut_link(sites[0], sites[1]);
+        let id = launch(&mut sim, origin, sites[0], Itinerary::new(["site-0", "site-1"]));
+        let ack = || Message::new(KIND_ACK, id.0.clone().into_bytes());
+        sim.inject(sites[0], sites[1], ack(), SimDuration::from_millis(2));
+        sim.inject(sites[0], sites[2], ack(), SimDuration::from_millis(100));
+        sim.run_until_idle();
+        let done = &sim.node_ref::<StubOrigin>(origin).unwrap().completed;
+        assert_eq!(done.len(), 1);
+        assert!(done[0]
+            .results
+            .iter()
+            .any(|r| r.key == "unreachable" && r.value == Value::Str("site-1".into())));
+        assert_eq!(sim.metrics(sites[0]).counter("mas.transfer_retries"), 2.0);
         assert_eq!(sim.metrics(sites[0]).gauge("mas.resident_agents"), 0.0);
     }
 
@@ -969,5 +957,32 @@ mod tests {
         }
         assert!(decode_control(&[]).is_none());
         assert!(decode_control(&[99, b'x']).is_none());
+    }
+
+    #[test]
+    fn hostile_control_bodies_decode_to_none_or_round_trip() {
+        let id = AgentId("ag-7@gw-0-clone2".into());
+        let request = encode_control(ControlOp::Clone, &id);
+        let response = encode_control_resp(ControlOp::Clone, &id, true, b"ag-7@gw-0-clone3");
+        let check = |bytes: &[u8]| {
+            if let Some((op, id)) = decode_control(bytes) {
+                assert_eq!(encode_control(op, &id), bytes);
+            }
+            if let Some((op, id, found, payload)) = decode_control_resp(bytes) {
+                assert_eq!(encode_control_resp(op, &id, found, payload), bytes);
+            }
+        };
+        for body in [request, response] {
+            for cut in 0..=body.len() {
+                check(&body[..cut]);
+            }
+            for at in 0..body.len() {
+                for sub in [0x00, 0x7f, 0x80, 0xff, body[at] ^ 1] {
+                    let mut bytes = body.clone();
+                    bytes[at] = sub;
+                    check(&bytes);
+                }
+            }
+        }
     }
 }

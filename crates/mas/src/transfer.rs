@@ -22,26 +22,36 @@ pub const TRANSFER_TIMER_BASE: u64 = 1 << 61;
 
 /// An agent with its journey context and its open `itinerary.hop` span (0,
 /// the null span, if none): what [`receive`] returns, and what a
-/// [`TransferSender`] keeps until the ack and hands back.
+/// [`TransferSender`] holds and hands back.
 pub type Carried = (MobileAgent, ObsContext, u32);
 
-/// An agent sent onward, retained until the receiver acks it. The frame is
-/// serialized once: the agent is frozen until acked, so a retry resends it.
+/// An agent the sender holds, from the moment its host schedules its
+/// departure until the next site acks it.
 #[derive(Debug)]
-struct InFlight {
+struct Held {
     agent: MobileAgent,
-    /// The sender's open `itinerary.hop` span, handed back with the agent.
+    /// The journey context every frame of it carries.
+    obs: ObsContext,
+    /// The host's open `itinerary.hop` span, handed back with the agent.
     hop: u32,
-    to: NodeId,
-    wire: Message,
-    attempts: u32,
-    /// The tag of its one live ack timer.
+    /// The tag of its one live timer: the departure, then the ack timeout.
     timer: u64,
+    leg: Leg,
 }
 
-/// The send side, shaped like [`pdagent_net::http::HttpClient`]: `send`,
-/// then every `mas.ack` to `on_ack` and every timer to `on_timer`. It skips
-/// a site the directory does not know, retries an unacked frame and, after
+#[derive(Debug)]
+enum Leg {
+    /// Before departure: the `mas.exec` span (0 at the gateway) that ends then.
+    Departing(u32),
+    /// Sent to `to` `attempts` times in one frame, serialized once: the agent
+    /// is frozen until acked, so a retry resends it.
+    Sent { to: NodeId, wire: Message, attempts: u32 },
+}
+
+/// The send side and its host's one table of departing agents, shaped like
+/// [`pdagent_net::http::HttpClient`]: `send_after` (or `send`), then every
+/// `mas.ack` to `on_ack` and every timer to `on_timer`. It skips a site the
+/// directory does not know, retries an unacked frame and, after
 /// [`MAX_TRANSFER_ATTEMPTS`], records the site `unreachable` and goes on.
 /// Counts `<prefix>.transfer_retries`, `.hops_skipped`, `.transfer_send_failed`.
 /// Every way out (`on_ack`, `cancel`, and `send` or `on_timer` when the
@@ -53,14 +63,17 @@ pub struct TransferSender {
     /// The site or gateway name `unreachable` entries are recorded under.
     owner: String,
     directory: SiteDirectory,
-    in_flight: HashMap<AgentId, InFlight>,
+    held: HashMap<AgentId, Held>,
+    /// Each live timer's tag → the agent it belongs to.
+    timers: HashMap<u64, AgentId>,
     next_timer: u64,
 }
 
 impl TransferSender {
     /// A sender for `owner`.
     pub fn new(prefix: &'static str, owner: String, directory: SiteDirectory) -> TransferSender {
-        TransferSender { prefix, owner, directory, in_flight: HashMap::new(), next_timer: 0 }
+        let (held, timers) = (HashMap::new(), HashMap::new());
+        TransferSender { prefix, owner, directory, held, timers, next_timer: 0 }
     }
 
     /// The site directory transfers resolve in.
@@ -68,19 +81,38 @@ impl TransferSender {
         &self.directory
     }
 
-    /// The number of agents awaiting an ack.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+    /// The number of agents held: departing or awaiting an ack.
+    pub fn held(&self) -> usize {
+        self.held.len()
     }
 
-    /// The agent awaiting an ack under `id`, with its journey context.
+    /// The agent held under `id`, with its journey context.
     pub fn get(&self, id: &AgentId) -> Option<(&MobileAgent, ObsContext)> {
-        self.in_flight.get(id).map(|f| (&f.agent, f.wire.obs))
+        self.held.get(id).map(|h| (&h.agent, h.obs))
     }
 
-    /// Stop waiting for `id`'s ack and hand the agent back.
-    pub fn cancel(&mut self, id: &AgentId) -> Option<Carried> {
-        self.in_flight.remove(id).map(|f| (f.agent, f.wire.obs, f.hop))
+    /// Give up `id`'s departure or ack and hand the agent back, ending its
+    /// `exec` span if it had not left yet.
+    pub fn cancel(&mut self, ctx: &mut Ctx<'_>, id: &AgentId) -> Option<Carried> {
+        let h = self.held.remove(id)?;
+        self.timers.remove(&h.timer);
+        if let Leg::Departing(exec) = h.leg {
+            ctx.span_end(exec);
+        }
+        Some((h.agent, h.obs, h.hop))
+    }
+
+    /// Hold `agent` for `delay`, then end `exec` and [`Self::send`] it.
+    pub fn send_after(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        delay: SimDuration,
+        agent: MobileAgent,
+        obs: ObsContext,
+        hop: u32,
+        exec: u32,
+    ) {
+        self.hold(ctx, delay, (agent, obs, hop), Leg::Departing(exec));
     }
 
     /// Send `agent` to the first site left on its itinerary that the
@@ -104,44 +136,62 @@ impl TransferSender {
             }
         };
         let wire = Message::new(KIND_TRANSFER, agent.to_bytes()).traced(obs);
-        self.transmit(ctx, InFlight { agent, hop, to, wire, attempts: 1, timer: 0 });
+        self.transmit(ctx, to, &wire);
+        self.hold(ctx, ACK_TIMEOUT, (agent, obs, hop), Leg::Sent { to, wire, attempts: 1 });
         None
     }
 
-    /// Offer a `mas.ack` body. Returns the agent it releases, if any.
-    pub fn on_ack(&mut self, body: &[u8]) -> Option<Carried> {
-        self.cancel(&AgentId(std::str::from_utf8(body).ok()?.to_owned()))
+    /// Offer a `mas.ack` body from node `from`. Returns the agent it
+    /// releases: one transmitted to `from`, and no other.
+    pub fn on_ack(&mut self, ctx: &mut Ctx<'_>, from: NodeId, body: &[u8]) -> Option<Carried> {
+        let id = AgentId(std::str::from_utf8(body).ok()?.to_owned());
+        match &self.held.get(&id)?.leg {
+            Leg::Sent { to, .. } if *to == from => self.cancel(ctx, &id),
+            _ => None,
+        }
     }
 
-    /// Offer a fired timer tag (other tags and those of acked transfers are
-    /// ignored): retry, or skip the site and send on. Returns the agent when
-    /// that skipped the last sites, for the caller to take home.
+    /// Offer a fired timer tag (other tags and those of released agents are
+    /// ignored): depart, retry, or skip the site and send on. Returns the
+    /// agent when no site was left, for the caller to take home.
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> Option<Carried> {
         if !(TRANSFER_TIMER_BASE..HTTP_TIMER_BASE).contains(&tag) {
             return None;
         }
-        let id = self.in_flight.iter().find(|(_, f)| f.timer == tag).map(|(id, _)| id.clone())?;
-        let mut f = self.in_flight.remove(&id).expect("found above");
-        if f.attempts < MAX_TRANSFER_ATTEMPTS {
-            self.bump(ctx, "transfer_retries");
-            f.attempts += 1;
-            self.transmit(ctx, f);
-            return None;
+        let id = self.timers.remove(&tag)?;
+        let Held { mut agent, obs, hop, leg, .. } =
+            self.held.remove(&id).expect("timed agent is held");
+        match leg {
+            Leg::Departing(exec) => ctx.span_end(exec),
+            Leg::Sent { to, wire, attempts } if attempts < MAX_TRANSFER_ATTEMPTS => {
+                self.bump(ctx, "transfer_retries");
+                self.transmit(ctx, to, &wire);
+                let leg = Leg::Sent { to, wire, attempts: attempts + 1 };
+                self.hold(ctx, ACK_TIMEOUT, (agent, obs, hop), leg);
+                return None;
+            }
+            Leg::Sent { .. } => {
+                let site = agent.next_site().unwrap_or("?").to_owned();
+                self.skip(ctx, &mut agent, site);
+            }
         }
-        let site = f.agent.next_site().unwrap_or("?").to_owned();
-        self.skip(ctx, &mut f.agent, site);
-        self.send(ctx, f.agent, f.wire.obs, f.hop)
+        self.send(ctx, agent, obs, hop)
     }
 
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, mut f: InFlight) {
-        let sent = ctx.send(f.to, f.wire.clone());
-        self.next_timer += 1;
-        f.timer = TRANSFER_TIMER_BASE | self.next_timer;
-        ctx.set_timer(ACK_TIMEOUT, f.timer);
-        self.in_flight.insert(f.agent.id.clone(), f);
-        if !sent {
+    fn transmit(&self, ctx: &mut Ctx<'_>, to: NodeId, wire: &Message) {
+        if !ctx.send(to, wire.clone()) {
             self.bump(ctx, "transfer_send_failed");
         }
+    }
+
+    /// Take an agent into custody under a fresh timer armed for `delay`.
+    fn hold(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, carried: Carried, leg: Leg) {
+        let (agent, obs, hop) = carried;
+        self.next_timer += 1;
+        let timer = TRANSFER_TIMER_BASE | self.next_timer;
+        ctx.set_timer(delay, timer);
+        self.timers.insert(timer, agent.id.clone());
+        self.held.insert(agent.id.clone(), Held { agent, obs, hop, timer, leg });
     }
 
     fn skip(&self, ctx: &mut Ctx<'_>, agent: &mut MobileAgent, site: String) {

@@ -252,10 +252,8 @@ pub struct PagingReport {
 #[derive(Debug)]
 pub struct PagingGateway {
     policy: RoutePolicy,
-    /// dedup key (`rule\x1finstance`) → open page.
-    open: HashMap<String, PageState>,
-    /// page id → dedup key.
-    by_id: HashMap<u64, String>,
+    /// Open pages by id; at most one per dedup key (rule and instance).
+    open: HashMap<u64, PageState>,
     next_id: u64,
     /// Pages opened.
     pub fired: u64,
@@ -279,17 +277,12 @@ pub struct PagingGateway {
     instance: String,
 }
 
-fn dedup_key(rule: &str, instance: &str) -> String {
-    format!("{rule}\x1f{instance}")
-}
-
 impl PagingGateway {
     /// Gateway applying `policy`.
     pub fn new(policy: RoutePolicy) -> PagingGateway {
         PagingGateway {
             policy,
             open: HashMap::new(),
-            by_id: HashMap::new(),
             next_id: 1,
             fired: 0,
             delivered: 0,
@@ -345,18 +338,16 @@ impl PagingGateway {
         ctx.metrics().bump("page.sent", 1.0);
     }
 
-    fn close(&mut self, key: &str) {
-        if let Some(page) = self.open.remove(key) {
-            self.by_id.remove(&page.id);
-        }
+    /// The id of the open page for `rule` on `instance`.
+    fn open_page(&self, rule: &str, instance: &str) -> Option<u64> {
+        self.open.values().find(|p| p.rule == rule && p.instance == instance).map(|p| p.id)
     }
 
     fn on_fire(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
         let Some((rule, instance, _value, _limit, trace, exemplar)) = parse_fire(msg) else {
             return;
         };
-        let key = dedup_key(&rule, &instance);
-        if self.open.contains_key(&key) {
+        if self.open_page(&rule, &instance).is_some() {
             self.deduped += 1;
             ctx.metrics().bump("page.deduped", 1.0);
             return;
@@ -391,39 +382,33 @@ impl PagingGateway {
         let route = &self.policy.routes[route_idx];
         ctx.set_timer(route.backoff, id * 2);
         ctx.set_timer(self.policy.tick, id * 2 + 1);
-        self.by_id.insert(id, key.clone());
-        self.open.insert(key, page);
+        self.open.insert(id, page);
     }
 
     fn on_resolve(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
         let Some((rule, instance)) = parse_resolve(msg) else { return };
-        let key = dedup_key(&rule, &instance);
-        if let Some(page) = self.open.get(&key) {
+        if let Some(page) = self.open_page(&rule, &instance).and_then(|id| self.open.remove(&id)) {
             ctx.span_end(page.span);
             self.resolved += 1;
             ctx.metrics().bump("page.resolved", 1.0);
-            self.close(&key);
         }
     }
 
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
         let mut pos = 0;
         let Ok(id) = varint::read_u64(&msg.body, &mut pos) else { return };
-        let Some(key) = self.by_id.get(&id).cloned() else { return };
-        let Some(page) = self.open.get(&key) else { return };
+        let Some(page) = self.open.remove(&id) else { return };
         self.delivery.record(ctx.now().since(page.fired_at).0);
         ctx.span_end(page.span);
         self.delivered += 1;
         ctx.metrics().bump("page.delivered", 1.0);
-        self.close(&key);
     }
 
     /// Retry timer for page `id`: re-deliver with doubled backoff, or — once
     /// attempts are exhausted — drop the page unless escalation is still
     /// ahead of it.
     fn on_retry(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let Some(key) = self.by_id.get(&id).cloned() else { return };
-        let Some(page) = self.open.get_mut(&key) else { return };
+        let Some(page) = self.open.get_mut(&id) else { return };
         let route = self.policy.routes[page.route].clone();
         if page.attempts >= MAX_ATTEMPTS {
             if !page.escalated && route.escalation.is_some() {
@@ -434,22 +419,21 @@ impl PagingGateway {
             ctx.span_end(page.span);
             self.dropped += 1;
             ctx.metrics().bump("page.dropped", 1.0);
-            self.close(&key);
+            self.open.remove(&id);
             return;
         }
         page.attempts += 1;
         let backoff =
             SimDuration::from_micros(route.backoff.as_micros() << (page.attempts - 1).min(8));
         ctx.metrics().bump("page.retries", 1.0);
-        let page = &self.open[&key];
+        let page = &self.open[&id];
         self.deliver(ctx, page);
         ctx.set_timer(backoff, id * 2);
     }
 
     /// Escalation tick for page `id`.
     fn on_tick(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let Some(key) = self.by_id.get(&id).cloned() else { return };
-        let Some(page) = self.open.get_mut(&key) else { return };
+        let Some(page) = self.open.get_mut(&id) else { return };
         if page.escalated {
             return;
         }
@@ -464,14 +448,14 @@ impl PagingGateway {
                 ctx.metrics().bump("page.escalated", 1.0);
                 let span = ctx.span_begin(trace, 0, "page.escalate");
                 ctx.span_end(span);
-                let page = &self.open[&key];
+                let page = &self.open[&id];
                 self.deliver(ctx, page);
                 ctx.set_timer(route.backoff, id * 2);
             } else {
                 ctx.span_end(page.span);
                 self.dropped += 1;
                 ctx.metrics().bump("page.dropped", 1.0);
-                self.close(&key);
+                self.open.remove(&id);
             }
         } else {
             ctx.set_timer(self.policy.tick, id * 2 + 1);

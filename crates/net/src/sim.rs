@@ -528,9 +528,11 @@ pub struct Simulator {
     parked: Vec<ParkedTimer>,
     /// Per-node clock-skew factors (chaos fault; absent = 1.0).
     skews: HashMap<NodeId, f64>,
-    /// Safety valve against runaway protocols.
-    pub max_events: u64,
 }
+
+/// Safety valve against runaway protocols: the most events one simulator
+/// dispatches.
+const MAX_EVENTS: u64 = 50_000_000;
 
 impl Simulator {
     /// New simulator with the given RNG seed.
@@ -560,7 +562,6 @@ impl Simulator {
             paused: HashSet::new(),
             parked: Vec::new(),
             skews: HashMap::new(),
-            max_events: 50_000_000,
         }
     }
 
@@ -869,14 +870,13 @@ impl Simulator {
     /// Run until the event queue drains. Returns the final virtual time.
     ///
     /// # Panics
-    /// Panics if `max_events` is exceeded (protocol livelock guard).
+    /// Panics if `MAX_EVENTS` is exceeded (protocol livelock guard).
     pub fn run_until_idle(&mut self) -> SimTime {
         self.schedule_starts();
         while let Some((time, _seq, kind)) = self.queue.pop() {
             assert!(
-                self.events_processed < self.max_events,
-                "simulation exceeded {} events — livelock?",
-                self.max_events
+                self.events_processed < MAX_EVENTS,
+                "simulation exceeded {MAX_EVENTS} events — livelock?"
             );
             self.dispatch(SimTime(time), kind);
         }
@@ -892,9 +892,8 @@ impl Simulator {
                 break;
             }
             assert!(
-                self.events_processed < self.max_events,
-                "simulation exceeded {} events — livelock?",
-                self.max_events
+                self.events_processed < MAX_EVENTS,
+                "simulation exceeded {MAX_EVENTS} events — livelock?"
             );
             let (time, _seq, kind) = self.queue.pop().expect("peeked");
             self.dispatch(SimTime(time), kind);

@@ -1,13 +1,21 @@
 #!/usr/bin/env bash
-# Repo verification: build, test, lint, docs. This is what CI runs and what
-# a contributor should run before pushing. Tier-1 (ROADMAP.md) is the
-# build+test pair; clippy keeps the workspace warning-clean.
+# Repo verification: build, test, lint, examples, docs. This is what CI
+# runs and what a contributor should run before pushing. Tier-1
+# (ROADMAP.md) is the build+test pair; clippy keeps the workspace
+# warning-clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Examples: each runs once and exits nonzero on a failed `expect`.
+# `agent_management` retracts an agent still on a site CPU, so the MAS's
+# custody of a departing agent runs end to end here, not only in unit tests.
+for example in examples/*.rs; do
+    cargo run --release --offline --quiet --example "$(basename "$example" .rs)" > /dev/null
+done
 
 # Docs: every intra-doc link must resolve, so renaming a documented item or
 # field fails here instead of leaving a dead link.
