@@ -117,11 +117,11 @@ mod tests {
     impl Node for Probe {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             for path in ["/login", "/form", "/missing"] {
-                self.http.send(ctx, self.server, HttpRequest::new("GET", path, vec![]));
+                self.http.send(ctx, self.server, HttpRequest::new("GET", path, vec![]), ());
             }
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-            if let Some(HttpResponse { status, body, .. }) = self.http.on_response(ctx, &msg)
+            if let Some((HttpResponse { status, body, .. }, ())) = self.http.on_response(ctx, &msg)
             {
                 self.responses.push((status, body.len(), ctx.now()));
             }
@@ -137,7 +137,7 @@ mod tests {
         let server = sim.add_node(Box::new(BankServer::new()));
         let probe = sim.add_node(Box::new(Probe {
             server,
-            http: HttpClient::new(),
+            http: HttpClient::default(),
             responses: vec![],
         }));
         sim.connect(probe, server, LinkSpec::ideal());
@@ -166,6 +166,7 @@ mod tests {
                         ctx,
                         self.server,
                         HttpRequest::new("POST", "/submit", vec![0; 100]),
+                        (),
                     );
                 }
             }
@@ -179,7 +180,7 @@ mod tests {
         let mut sim = Simulator::new(2);
         let server = sim.add_node(Box::new(BankServer::new()));
         let client =
-            sim.add_node(Box::new(Submitter { server, http: HttpClient::new() }));
+            sim.add_node(Box::new(Submitter { server, http: HttpClient::default() }));
         sim.connect(client, server, LinkSpec::lan());
         sim.run_until_idle();
         assert_eq!(sim.node_ref::<BankServer>(server).unwrap().transactions_processed, 3);

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use pdagent_mas::{AgentId, Itinerary, MobileAgent, KIND_COMPLETE, KIND_TRANSFER};
-use pdagent_net::http::{reply, HttpClient, HttpRequest, HttpStatus, TimerOutcome};
+use pdagent_net::http::{reply, HttpClient, HttpRequest, HttpStatus};
 use pdagent_net::prelude::*;
 use pdagent_gateway::pi::{first_value, ResultDoc};
 use pdagent_mas::server::SiteDirectory;
@@ -216,7 +216,7 @@ impl ClientAgentDevice {
             server,
             app: app.into(),
             params,
-            http: HttpClient::new(),
+            http: HttpClient::default(),
             phase: Phase::Launching,
             agent_id: None,
             poll_interval: SimDuration::from_secs(2),
@@ -231,11 +231,12 @@ impl Node for ClientAgentDevice {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let body = launch_document(&self.app, &self.params);
         ctx.connection_opened();
-        self.http.send(ctx, self.server, HttpRequest::new("POST", PATH_LAUNCH, body.into_bytes()));
+        let launch = HttpRequest::new("POST", PATH_LAUNCH, body.into_bytes());
+        self.http.send(ctx, self.server, launch, ());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-        let Some(resp) = self.http.on_response(ctx, &msg) else { return };
+        let Some((resp, ())) = self.http.on_response(ctx, &msg) else { return };
         match self.phase {
             Phase::Launching => {
                 self.launch_status = Some(resp.status);
@@ -281,10 +282,11 @@ impl Node for ClientAgentDevice {
                 ctx,
                 self.server,
                 HttpRequest::new("GET", PATH_RESULT, id.into_bytes()),
+                (),
             );
             return;
         }
-        if let TimerOutcome::GaveUp { .. } = self.http.on_timer(ctx, tag) {
+        if self.http.on_timer(ctx, tag).is_some() {
             ctx.connection_closed();
             self.phase = Phase::Done;
         }
@@ -439,10 +441,10 @@ mod tests {
     impl Node for RawLauncher {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             let body = std::mem::take(&mut self.body);
-            self.http.send(ctx, self.server, HttpRequest::new("POST", PATH_LAUNCH, body));
+            self.http.send(ctx, self.server, HttpRequest::new("POST", PATH_LAUNCH, body), ());
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-            if let Some(resp) = self.http.on_response(ctx, &msg) {
+            if let Some((resp, ())) = self.http.on_response(ctx, &msg) {
                 self.status = Some(resp.status);
             }
         }
@@ -456,7 +458,7 @@ mod tests {
         let raw = RawLauncher {
             server,
             body: body.as_bytes().to_vec(),
-            http: HttpClient::new(),
+            http: HttpClient::default(),
             status: None,
         };
         let raw = sim.add_node(Box::new(raw));

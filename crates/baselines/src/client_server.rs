@@ -11,7 +11,7 @@
 //! open, so connection time (and its variance) grows with the number of
 //! transactions.
 
-use pdagent_net::http::{HttpClient, HttpRequest, HttpStatus, TimerOutcome};
+use pdagent_net::http::{HttpClient, HttpRequest, HttpStatus};
 use pdagent_net::prelude::*;
 
 /// Workload shape for the client-server device.
@@ -76,12 +76,10 @@ impl ClientServerDevice {
         // A long RTO models TCP's in-order delivery of large responses: a
         // 6 KiB form takes >3 s to serialize on the GPRS link, and a real
         // transport does not re-issue the whole request for that.
-        let mut http = HttpClient::new();
-        http.timeout = SimDuration::from_secs(15);
         ClientServerDevice {
             server,
             config,
-            http,
+            http: HttpClient::new(SimDuration::from_secs(15), 4),
             phase: Phase::Entering,
             tx_done: 0,
             finished_at: None,
@@ -93,7 +91,7 @@ impl ClientServerDevice {
 
     fn get(&mut self, ctx: &mut Ctx<'_>, path: &str, size: usize) {
         let body = vec![0x31; size];
-        self.http.send(ctx, self.server, HttpRequest::new("POST", path, body));
+        self.http.send(ctx, self.server, HttpRequest::new("POST", path, body), ());
     }
 
     fn advance(&mut self, ctx: &mut Ctx<'_>, status: HttpStatus) {
@@ -151,7 +149,7 @@ impl Node for ClientServerDevice {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-        if let Some(resp) = self.http.on_response(ctx, &msg) {
+        if let Some((resp, ())) = self.http.on_response(ctx, &msg) {
             self.advance(ctx, resp.status);
         }
     }
@@ -165,7 +163,7 @@ impl Node for ClientServerDevice {
             self.get(ctx, "/login", 128);
             return;
         }
-        if let TimerOutcome::GaveUp { .. } = self.http.on_timer(ctx, tag) {
+        if self.http.on_timer(ctx, tag).is_some() {
             self.abort(ctx);
         }
     }

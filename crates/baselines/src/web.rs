@@ -5,7 +5,7 @@
 //! interaction — so connection time still grows with the number of
 //! transactions.
 
-use pdagent_net::http::{HttpClient, HttpRequest, HttpStatus, TimerOutcome};
+use pdagent_net::http::{HttpClient, HttpRequest, HttpStatus};
 use pdagent_net::prelude::*;
 
 /// Workload shape for the desktop browser session.
@@ -55,12 +55,10 @@ pub struct WebClient {
 impl WebClient {
     /// A browser session against `server`.
     pub fn new(server: NodeId, config: WebClientConfig) -> WebClient {
-        let mut http = HttpClient::new();
-        http.timeout = SimDuration::from_secs(15);
         WebClient {
             server,
             config,
-            http,
+            http: HttpClient::new(SimDuration::from_secs(15), 4),
             phase: Phase::LoggingIn,
             tx_done: 0,
             finished_at: None,
@@ -70,7 +68,7 @@ impl WebClient {
     }
 
     fn get(&mut self, ctx: &mut Ctx<'_>, path: &str, size: usize) {
-        self.http.send(ctx, self.server, HttpRequest::new("POST", path, vec![0x33; size]));
+        self.http.send(ctx, self.server, HttpRequest::new("POST", path, vec![0x33; size]), ());
     }
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, aborted: bool) {
@@ -121,7 +119,7 @@ impl Node for WebClient {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-        if let Some(resp) = self.http.on_response(ctx, &msg) {
+        if let Some((resp, ())) = self.http.on_response(ctx, &msg) {
             self.advance(ctx, resp.status);
         }
     }
@@ -134,7 +132,7 @@ impl Node for WebClient {
             }
             return;
         }
-        if let TimerOutcome::GaveUp { .. } = self.http.on_timer(ctx, tag) {
+        if self.http.on_timer(ctx, tag).is_some() {
             self.finish(ctx, true);
         }
     }

@@ -29,7 +29,7 @@ use pdagent_gateway::{
     PATH_SUBSCRIBE,
 };
 use pdagent_mas::server::{encode_control, ControlOp};
-use pdagent_net::http::{HttpClient, HttpRequest, HttpStatus, TimerOutcome};
+use pdagent_net::http::{HttpClient, HttpRequest, HttpStatus};
 use pdagent_net::prelude::*;
 use pdagent_net::sim::TimerId;
 use pdagent_vm::Value;
@@ -220,11 +220,14 @@ impl DeviceConfig {
     }
 }
 
-// Device-private timer tags (HttpClient owns tags with the top bit set).
+// Device-private timer tags (below the HTTP client's retransmission tags).
 const TAG_NEXT: u64 = 1;
 const TAG_ENTRY_DONE: u64 = 2;
 const TAG_PROBE_TIMEOUT: u64 = 3;
 const TAG_POLL: u64 = 4;
+
+/// The handheld's retransmission timeout (the HTTP client's default).
+const DEVICE_RTO: SimDuration = SimDuration::from_secs(3);
 
 /// Retransmissions before the handheld abandons a request. On a link that
 /// loses 5% of packets each way an attempt fails with probability
@@ -236,8 +239,7 @@ const DEVICE_MAX_RETRIES: u32 = 8;
 /// Extra upload-RTO allowance per KiB of PI envelope beyond the first 4 KiB.
 /// Large PIs serialize for tens of seconds on the wireless link, so a fixed
 /// RTO would retransmit (and eventually abandon) an upload that is still
-/// trickling out; small PIs stay under the client's default timeout and are
-/// unaffected.
+/// trickling out; small PIs stay under `DEVICE_RTO` and are unaffected.
 const UPLOAD_RTO_PER_KIB: SimDuration = SimDuration::from_secs(1);
 
 /// §3.5: if the best probed RTT exceeds this, refresh the gateway list
@@ -373,12 +375,10 @@ impl DeviceNode {
     /// A device with the given config and an initial command queue.
     pub fn new(config: DeviceConfig, commands: Vec<DeviceCommand>) -> DeviceNode {
         let gateways = config.gateways.clone();
-        let mut http = HttpClient::new();
-        http.max_retries = DEVICE_MAX_RETRIES;
         DeviceNode {
             config,
             db: DeviceDb::new(),
-            http,
+            http: HttpClient::new(DEVICE_RTO, DEVICE_MAX_RETRIES),
             queue: commands.into(),
             phase: Phase::Idle,
             parked: None,
@@ -424,7 +424,7 @@ impl DeviceNode {
     /// serialization time on the wireless link.
     fn upload_rto(&self, pi_bytes: usize) -> SimDuration {
         let extra_kib = (pi_bytes.saturating_sub(4096) as u64).div_ceil(1024);
-        self.http.timeout + SimDuration(UPLOAD_RTO_PER_KIB.as_micros() * extra_kib)
+        DEVICE_RTO + SimDuration(UPLOAD_RTO_PER_KIB.as_micros() * extra_kib)
     }
 
     fn error(&mut self, context: &str, detail: impl Into<String>) {
@@ -521,7 +521,7 @@ impl DeviceNode {
             return;
         };
         ctx.connection_opened();
-        self.http.send(ctx, central, HttpRequest::new("GET", PATH_GATEWAYS, vec![]));
+        self.http.send(ctx, central, HttpRequest::new("GET", PATH_GATEWAYS, vec![]), ());
         self.phase = Phase::FetchingList { resume_deploy };
     }
 
@@ -571,6 +571,7 @@ impl DeviceNode {
             ctx,
             gateway.node,
             HttpRequest::new("POST", PATH_SUBSCRIBE, service.clone().into_bytes()),
+            (),
         );
         self.phase = Phase::Subscribing { service, req_id, gateway_idx };
     }
@@ -763,6 +764,7 @@ impl DeviceNode {
             HttpRequest::new("POST", PATH_DISPATCH, payload)
                 .traced(ObsContext { trace: obs.trace, span: obs.root }),
             upload_rto,
+            (),
         );
         let upload = Upload { gateway, rtt, opened_at: conn_opened_at, pi_bytes, obs };
         self.phase = Phase::Uploading { upload, req_id };
@@ -831,6 +833,7 @@ impl DeviceNode {
             job.gateway.node,
             HttpRequest::new("GET", PATH_RESULT, job.agent_id.clone().into_bytes())
                 .traced(ObsContext { trace: obs.trace, span: obs.fetch }),
+            (),
         );
         self.phase = Phase::Collecting { job, opened_at: ctx.now(), req_id };
     }
@@ -907,7 +910,7 @@ impl DeviceNode {
         ctx.connection_opened();
         let body = encode_control(op, &pdagent_mas::AgentId(agent_id.clone()));
         let req_id =
-            self.http.send(ctx, gateway.node, HttpRequest::new("POST", PATH_MANAGE, body));
+            self.http.send(ctx, gateway.node, HttpRequest::new("POST", PATH_MANAGE, body), ());
         self.phase = Phase::Managing { op, agent_id, req_id };
     }
 
@@ -954,7 +957,7 @@ impl Node for DeviceNode {
             self.maybe_finish_probing(ctx, false);
             return;
         }
-        let Some(resp) = self.http.on_response(ctx, &msg) else { return };
+        let Some((resp, ())) = self.http.on_response(ctx, &msg) else { return };
         // Route the response by current phase.
         match std::mem::replace(&mut self.phase, Phase::Idle) {
             Phase::FetchingList { resume_deploy } => {
@@ -996,43 +999,43 @@ impl Node for DeviceNode {
                     self.start_collect(ctx);
                 }
             }
-            other => match self.http.on_timer(ctx, other) {
-                TimerOutcome::GaveUp { .. } => {
-                    // The request died (link down too long). Fail the phase —
-                    // except subscription (fails over down the list) and
-                    // result collection (the whole point of PDAgent is that
-                    // the device may be disconnected for long periods: go
-                    // back to waiting and poll again later).
-                    ctx.connection_closed();
-                    match std::mem::replace(&mut self.phase, Phase::Idle) {
-                        Phase::Subscribing { service, gateway_idx, .. } => {
-                            ctx.metrics().bump("device.subscribe_failovers", 1.0);
-                            self.start_subscribe(ctx, service, gateway_idx + 1);
-                        }
-                        Phase::Collecting { mut job, opened_at, .. }
-                            if job.give_ups < COLLECT_GIVE_UPS =>
-                        {
-                            job.give_ups += 1;
-                            ctx.metrics().bump("device.collect_failures", 1.0);
-                            job.collect_online += ctx.now().since(opened_at);
-                            self.wait_again(ctx, job);
-                        }
-                        other => {
-                            let context = match &other {
-                                Phase::FetchingList { .. } => "fetch-gateways",
-                                Phase::Uploading { .. } => "deploy",
-                                Phase::Collecting { .. } => "collect",
-                                Phase::Managing { .. } => "manage",
-                                _ => "http",
-                            };
-                            // Close any journey spans the dying phase held.
-                            let detail = "request timed out after retries";
-                            self.fail(ctx, other.journey(), context, detail);
-                        }
+            other => {
+                if self.http.on_timer(ctx, other).is_none() {
+                    return;
+                }
+                // The request died (link down too long). Fail the phase —
+                // except subscription (fails over down the list) and
+                // result collection (the whole point of PDAgent is that
+                // the device may be disconnected for long periods: go
+                // back to waiting and poll again later).
+                ctx.connection_closed();
+                match std::mem::replace(&mut self.phase, Phase::Idle) {
+                    Phase::Subscribing { service, gateway_idx, .. } => {
+                        ctx.metrics().bump("device.subscribe_failovers", 1.0);
+                        self.start_subscribe(ctx, service, gateway_idx + 1);
+                    }
+                    Phase::Collecting { mut job, opened_at, .. }
+                        if job.give_ups < COLLECT_GIVE_UPS =>
+                    {
+                        job.give_ups += 1;
+                        ctx.metrics().bump("device.collect_failures", 1.0);
+                        job.collect_online += ctx.now().since(opened_at);
+                        self.wait_again(ctx, job);
+                    }
+                    other => {
+                        let context = match &other {
+                            Phase::FetchingList { .. } => "fetch-gateways",
+                            Phase::Uploading { .. } => "deploy",
+                            Phase::Collecting { .. } => "collect",
+                            Phase::Managing { .. } => "manage",
+                            _ => "http",
+                        };
+                        // Close any journey spans the dying phase held.
+                        let detail = "request timed out after retries";
+                        self.fail(ctx, other.journey(), context, detail);
                     }
                 }
-                TimerOutcome::Retried { .. } | TimerOutcome::NotMine => {}
-            },
+            }
         }
     }
 }

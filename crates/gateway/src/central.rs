@@ -133,10 +133,10 @@ mod tests {
     }
     impl Node for Fetcher {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            self.http.send(ctx, self.server, HttpRequest::new("GET", PATH_GATEWAYS, vec![]));
+            self.http.send(ctx, self.server, HttpRequest::new("GET", PATH_GATEWAYS, vec![]), ());
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-            if let Some(HttpResponse { status, body, .. }) = self.http.on_response(ctx, &msg)
+            if let Some((HttpResponse { status, body, .. }, ())) = self.http.on_response(ctx, &msg)
             {
                 self.status = Some(status);
                 if status == HttpStatus::Ok {
@@ -159,7 +159,7 @@ mod tests {
         }])));
         let client = sim.add_node(Box::new(Fetcher {
             server,
-            http: HttpClient::new(),
+            http: HttpClient::default(),
             list: None,
             status: None,
         }));
@@ -180,10 +180,10 @@ mod tests {
         }
         impl Node for BadPath {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                self.http.send(ctx, self.server, HttpRequest::new("GET", "/nope", vec![]));
+                self.http.send(ctx, self.server, HttpRequest::new("GET", "/nope", vec![]), ());
             }
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-                if let Some(resp) = self.http.on_response(ctx, &msg) {
+                if let Some((resp, ())) = self.http.on_response(ctx, &msg) {
                     self.status = Some(resp.status);
                 }
             }
@@ -195,7 +195,7 @@ mod tests {
         let server = sim.add_node(Box::new(CentralServer::new(vec![])));
         let client = sim.add_node(Box::new(BadPath {
             server,
-            http: HttpClient::new(),
+            http: HttpClient::default(),
             status: None,
         }));
         sim.connect(client, server, LinkSpec::lan());

@@ -642,7 +642,7 @@ mod tests {
         fn new(gateway: NodeId) -> ScriptDevice {
             ScriptDevice {
                 gateway,
-                http: HttpClient::new(),
+                http: HttpClient::default(),
                 phase: Phase::Subscribing,
                 sub: None,
                 agent_id: None,
@@ -678,6 +678,7 @@ mod tests {
                 ctx,
                 self.gateway,
                 HttpRequest::new("POST", PATH_DISPATCH, env.bytes),
+                (),
             );
         }
     }
@@ -688,6 +689,7 @@ mod tests {
                 ctx,
                 self.gateway,
                 HttpRequest::new("POST", PATH_SUBSCRIBE, b"ebank".to_vec()),
+                (),
             );
         }
 
@@ -695,7 +697,7 @@ mod tests {
             if let Some(resp) = HttpResponse::from_message(&msg) {
                 self.wire.push((resp.req_id, resp.status));
             }
-            let Some(HttpResponse { status, body, .. }) = self.http.on_response(ctx, &msg)
+            let Some((HttpResponse { status, body, .. }, ())) = self.http.on_response(ctx, &msg)
             else {
                 return;
             };
@@ -749,6 +751,7 @@ mod tests {
                     ctx,
                     self.gateway,
                     HttpRequest::new("GET", PATH_RESULT, id.into_bytes()),
+                    (),
                 ));
             } else {
                 self.http.on_timer(ctx, tag);
@@ -1231,10 +1234,11 @@ mod tests {
                     ctx,
                     self.gateway,
                     HttpRequest::new("POST", PATH_SUBSCRIBE, b"no-such-app".to_vec()),
+                    (),
                 );
             }
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-                if let Some(resp) = self.http.on_response(ctx, &msg) {
+                if let Some((resp, ())) = self.http.on_response(ctx, &msg) {
                     self.status = Some(resp.status);
                 }
             }
@@ -1248,7 +1252,7 @@ mod tests {
         let gateway = sim.add_node(Box::new(gw));
         let client = sim.add_node(Box::new(BadSub {
             gateway,
-            http: HttpClient::new(),
+            http: HttpClient::default(),
             status: None,
         }));
         sim.connect(client, gateway, LinkSpec::lan());
@@ -1272,10 +1276,11 @@ mod tests {
                     ctx,
                     self.gateway,
                     HttpRequest::new("POST", PATH_DISPATCH, vec![0u8; 64]),
+                    (),
                 );
             }
             fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-                if let Some(resp) = self.http.on_response(ctx, &msg) {
+                if let Some((resp, ())) = self.http.on_response(ctx, &msg) {
                     self.status = Some(resp.status);
                 }
             }
@@ -1288,7 +1293,7 @@ mod tests {
         let gateway = sim.add_node(Box::new(gw));
         let client = sim.add_node(Box::new(Garbage {
             gateway,
-            http: HttpClient::new(),
+            http: HttpClient::default(),
             status: None,
         }));
         sim.connect(client, gateway, LinkSpec::lan());

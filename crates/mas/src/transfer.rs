@@ -1,12 +1,12 @@
 //! The agent-transfer protocol, the one contract every server shares: the
 //! send side [`TransferSender`] (the gateway's first hop and every
 //! [`crate::MasNode`] hop) and the receive side [`receive`] (both server
-//! kinds).
+//! kinds). The sender's custody table is a
+//! [`pdagent_net::retry::Retransmitter`]: a departure is a held entry, a
+//! hop a transmitted one, retried on a fixed [`ACK_TIMEOUT`].
 
-use std::collections::HashMap;
-
-use pdagent_net::http::HTTP_TIMER_BASE;
 use pdagent_net::prelude::*;
+use pdagent_net::retry::{Fired, Lane, Retransmitter};
 use pdagent_vm::Value;
 
 use crate::agent::{AgentId, MobileAgent};
@@ -17,8 +17,6 @@ use crate::{KIND_ACK, KIND_TRANSFER};
 pub const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 /// Transfer attempts (including the first) before skipping the site.
 pub const MAX_TRANSFER_ATTEMPTS: u32 = 3;
-/// Timer tags of [`TransferSender`] start here; the owner's stay below.
-pub const TRANSFER_TIMER_BASE: u64 = 1 << 61;
 
 /// An agent with its journey context and its open `itinerary.hop` span (0,
 /// the null span, if none): what [`receive`] returns, and what a
@@ -34,18 +32,9 @@ struct Held {
     obs: ObsContext,
     /// The host's open `itinerary.hop` span, handed back with the agent.
     hop: u32,
-    /// The tag of its one live timer: the departure, then the ack timeout.
-    timer: u64,
-    leg: Leg,
-}
-
-#[derive(Debug)]
-enum Leg {
-    /// Before departure: the `mas.exec` span (0 at the gateway) that ends then.
-    Departing(u32),
-    /// Sent to `to` `attempts` times in one frame, serialized once: the agent
-    /// is frozen until acked, so a retry resends it.
-    Sent { to: NodeId, wire: Message, attempts: u32 },
+    /// The `mas.exec` span that ends at departure (0 at the gateway, and
+    /// once the agent has left).
+    exec: u32,
 }
 
 /// The send side and its host's one table of departing agents, shaped like
@@ -63,17 +52,14 @@ pub struct TransferSender {
     /// The site or gateway name `unreachable` entries are recorded under.
     owner: String,
     directory: SiteDirectory,
-    held: HashMap<AgentId, Held>,
-    /// Each live timer's tag → the agent it belongs to.
-    timers: HashMap<u64, AgentId>,
-    next_timer: u64,
+    held: Retransmitter<AgentId, Held>,
 }
 
 impl TransferSender {
     /// A sender for `owner`.
     pub fn new(prefix: &'static str, owner: String, directory: SiteDirectory) -> TransferSender {
-        let (held, timers) = (HashMap::new(), HashMap::new());
-        TransferSender { prefix, owner, directory, held, timers, next_timer: 0 }
+        let held = Retransmitter::new(Lane::Transfer, MAX_TRANSFER_ATTEMPTS, 0);
+        TransferSender { prefix, owner, directory, held }
     }
 
     /// The site directory transfers resolve in.
@@ -94,11 +80,8 @@ impl TransferSender {
     /// Give up `id`'s departure or ack and hand the agent back, ending its
     /// `exec` span if it had not left yet.
     pub fn cancel(&mut self, ctx: &mut Ctx<'_>, id: &AgentId) -> Option<Carried> {
-        let h = self.held.remove(id)?;
-        self.timers.remove(&h.timer);
-        if let Leg::Departing(exec) = h.leg {
-            ctx.span_end(exec);
-        }
+        let h = self.held.take(ctx, id)?;
+        ctx.span_end(h.exec);
         Some((h.agent, h.obs, h.hop))
     }
 
@@ -112,7 +95,9 @@ impl TransferSender {
         hop: u32,
         exec: u32,
     ) {
-        self.hold(ctx, delay, (agent, obs, hop), Leg::Departing(exec));
+        let id = agent.id.clone();
+        self.held.insert(id.clone(), Held { agent, obs, hop, exec });
+        self.held.hold(ctx, &id, delay);
     }
 
     /// Send `agent` to the first site left on its itinerary that the
@@ -136,8 +121,11 @@ impl TransferSender {
             }
         };
         let wire = Message::new(KIND_TRANSFER, agent.to_bytes()).traced(obs);
-        self.transmit(ctx, to, &wire);
-        self.hold(ctx, ACK_TIMEOUT, (agent, obs, hop), Leg::Sent { to, wire, attempts: 1 });
+        let id = agent.id.clone();
+        self.held.insert(id.clone(), Held { agent, obs, hop, exec: 0 });
+        if !self.held.transmit(ctx, &id, to, wire, ACK_TIMEOUT) {
+            self.bump(ctx, "transfer_send_failed");
+        }
         None
     }
 
@@ -145,53 +133,34 @@ impl TransferSender {
     /// releases: one transmitted to `from`, and no other.
     pub fn on_ack(&mut self, ctx: &mut Ctx<'_>, from: NodeId, body: &[u8]) -> Option<Carried> {
         let id = AgentId(std::str::from_utf8(body).ok()?.to_owned());
-        match &self.held.get(&id)?.leg {
-            Leg::Sent { to, .. } if *to == from => self.cancel(ctx, &id),
-            _ => None,
-        }
-    }
-
-    /// Offer a fired timer tag (other tags and those of released agents are
-    /// ignored): depart, retry, or skip the site and send on. Returns the
-    /// agent when no site was left, for the caller to take home.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> Option<Carried> {
-        if !(TRANSFER_TIMER_BASE..HTTP_TIMER_BASE).contains(&tag) {
+        if self.held.sent_to(&id)? != from {
             return None;
         }
-        let id = self.timers.remove(&tag)?;
-        let Held { mut agent, obs, hop, leg, .. } =
-            self.held.remove(&id).expect("timed agent is held");
-        match leg {
-            Leg::Departing(exec) => ctx.span_end(exec),
-            Leg::Sent { to, wire, attempts } if attempts < MAX_TRANSFER_ATTEMPTS => {
+        self.cancel(ctx, &id)
+    }
+
+    /// Offer a fired timer tag (other tags are ignored): depart, retry, or
+    /// skip the site and send on. Returns the agent when no site was left,
+    /// for the caller to take home.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> Option<Carried> {
+        let (id, departing) = match self.held.on_timer(ctx, tag) {
+            Fired::NotMine => return None,
+            Fired::Retried(_, accepted) => {
                 self.bump(ctx, "transfer_retries");
-                self.transmit(ctx, to, &wire);
-                let leg = Leg::Sent { to, wire, attempts: attempts + 1 };
-                self.hold(ctx, ACK_TIMEOUT, (agent, obs, hop), leg);
+                if !accepted {
+                    self.bump(ctx, "transfer_send_failed");
+                }
                 return None;
             }
-            Leg::Sent { .. } => {
-                let site = agent.next_site().unwrap_or("?").to_owned();
-                self.skip(ctx, &mut agent, site);
-            }
+            Fired::Due(id) => (id, true),
+            Fired::Expired(id) => (id, false),
+        };
+        let (mut agent, obs, hop) = self.cancel(ctx, &id).expect("timed agent is held");
+        if !departing {
+            let site = agent.next_site().unwrap_or("?").to_owned();
+            self.skip(ctx, &mut agent, site);
         }
         self.send(ctx, agent, obs, hop)
-    }
-
-    fn transmit(&self, ctx: &mut Ctx<'_>, to: NodeId, wire: &Message) {
-        if !ctx.send(to, wire.clone()) {
-            self.bump(ctx, "transfer_send_failed");
-        }
-    }
-
-    /// Take an agent into custody under a fresh timer armed for `delay`.
-    fn hold(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, carried: Carried, leg: Leg) {
-        let (agent, obs, hop) = carried;
-        self.next_timer += 1;
-        let timer = TRANSFER_TIMER_BASE | self.next_timer;
-        ctx.set_timer(delay, timer);
-        self.timers.insert(timer, agent.id.clone());
-        self.held.insert(agent.id.clone(), Held { agent, obs, hop, timer, leg });
     }
 
     fn skip(&self, ctx: &mut Ctx<'_>, agent: &mut MobileAgent, site: String) {

@@ -39,9 +39,9 @@
 //! state only — so enabling federation never perturbs protocol traffic, and
 //! a sharded fleet federates byte-identically at every shard count.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use crate::http::{HttpClient, TimerOutcome};
+use crate::http::HttpClient;
 use crate::message::Message;
 use crate::obs::Histogram;
 use crate::sim::{Ctx, Node, NodeId};
@@ -299,8 +299,8 @@ pub struct FederationReport {
     pub breached: usize,
 }
 
-/// Timer tags (below `HTTP_TIMER_BASE`, so the HTTP client's tags pass
-/// through untouched).
+/// Node-private timer tags (below every retransmission engine's, so the
+/// HTTP client's tags pass through untouched).
 const TAG_ROUND: u64 = 1;
 const TAG_BATCH: u64 = 2;
 
@@ -312,9 +312,9 @@ pub struct FederationScraper {
     targets: Vec<(NodeId, String)>,
     /// True while the current round scrapes full snapshots.
     full_round: bool,
-    http: HttpClient,
-    /// req_id → (target index, first-transmission time, asked-for-delta).
-    pending: HashMap<u64, (usize, SimTime, bool)>,
+    /// Each scrape carries its target index, its first transmission's time
+    /// and whether it asked for a delta.
+    http: HttpClient<(usize, SimTime, bool)>,
     rollup: FederationRollup,
     engine: SloEngine,
     /// Targets not yet dispatched this round.
@@ -356,16 +356,13 @@ pub struct FederationScraper {
 impl FederationScraper {
     /// Scraper over `(cell monitor node, instance name)` pairs.
     pub fn new(spec: FederationSpec, targets: Vec<(NodeId, String)>) -> FederationScraper {
-        let mut http = HttpClient::new();
-        http.timeout = spec.rto;
-        http.max_retries = SCRAPE_RETRIES;
+        let http = HttpClient::new(spec.rto, SCRAPE_RETRIES);
         let engine = SloEngine::new(spec.rules.clone());
         FederationScraper {
             spec,
             targets,
             full_round: true,
             http,
-            pending: HashMap::new(),
             rollup: FederationRollup::new(),
             engine,
             queue: VecDeque::new(),
@@ -442,8 +439,8 @@ impl FederationScraper {
             let tidx = self.queue.pop_front().expect("non-empty queue");
             let (node, instance) = &self.targets[tidx];
             let since = if self.full_round { None } else { self.rollup.epoch(instance) };
-            let id = self.http.send(ctx, *node, scrape_request(since));
-            self.pending.insert(id, (tidx, ctx.now(), since.is_some()));
+            let scrape = (tidx, ctx.now(), since.is_some());
+            self.http.send(ctx, *node, scrape_request(since), scrape);
             self.issued += 1;
             self.inflight += 1;
             self.peak_inflight = self.peak_inflight.max(self.inflight);
@@ -502,8 +499,9 @@ impl Node for FederationScraper {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-        let Some(resp) = self.http.on_response(ctx, &msg) else { return };
-        let Some((tidx, sent, asked_delta)) = self.pending.remove(&resp.req_id) else { return };
+        let Some((resp, (tidx, sent, asked_delta))) = self.http.on_response(ctx, &msg) else {
+            return;
+        };
         self.scraped_bytes += resp.body.len() as u64;
         let body = if resp.status.is_success() {
             std::str::from_utf8(&resp.body).ok()
@@ -525,8 +523,8 @@ impl Node for FederationScraper {
                     self.ingest_nanos += ingest_started.elapsed().as_nanos() as u64;
                     self.resyncs += 1;
                     ctx.metrics().bump("federation.resyncs", 1.0);
-                    let id = self.http.send(ctx, self.targets[tidx].0, scrape_request(None));
-                    self.pending.insert(id, (tidx, sent, false));
+                    let node = self.targets[tidx].0;
+                    self.http.send(ctx, node, scrape_request(None), (tidx, sent, false));
                     return;
                 }
                 Ingested::Delta { .. } => self.delta_scrapes += 1,
@@ -557,17 +555,11 @@ impl Node for FederationScraper {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        match self.http.on_timer(ctx, tag) {
-            TimerOutcome::Retried { .. } => return,
-            TimerOutcome::GaveUp { req_id, .. } => {
-                if self.pending.remove(&req_id).is_some() {
-                    self.scrape_failures += 1;
-                    ctx.metrics().bump("federation.scrape_failures", 1.0);
-                    self.complete(ctx);
-                }
-                return;
-            }
-            TimerOutcome::NotMine => {}
+        if self.http.on_timer(ctx, tag).is_some() {
+            self.scrape_failures += 1;
+            ctx.metrics().bump("federation.scrape_failures", 1.0);
+            self.complete(ctx);
+            return;
         }
         match tag {
             TAG_ROUND => {

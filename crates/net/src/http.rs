@@ -4,29 +4,27 @@
 //! module gives protocol nodes that abstraction over raw messages: framed
 //! requests and responses correlated by id, plus a client-side helper
 //! ([`HttpClient`]) that retries lost requests — the reliability mechanism
-//! that lets PDAgent tolerate the lossy wireless hop.
+//! that lets PDAgent tolerate the lossy wireless hop. The client keeps its
+//! pending requests in the workspace's one retransmission engine
+//! ([`crate::retry::Retransmitter`]): a fixed timeout, `max_retries`
+//! resends, then a give-up that hands the caller's payload back.
 //!
 //! Wire framing is a compact binary format (varint-length-prefixed fields)
 //! carried in messages of kind [`KIND_REQUEST`] / [`KIND_RESPONSE`].
-
-use std::collections::HashMap;
 
 use bytes::Bytes;
 use pdagent_codec::varint;
 
 use crate::message::Message;
 use crate::obs::ObsContext;
-use crate::sim::{Ctx, NodeId, TimerId};
+use crate::retry::{Fired, Lane, Retransmitter};
+use crate::sim::{Ctx, NodeId};
 use crate::time::SimDuration;
 
 /// Message kind for requests.
 pub const KIND_REQUEST: &str = "http.request";
 /// Message kind for responses.
 pub const KIND_RESPONSE: &str = "http.response";
-
-/// Timer-tag namespace used by [`HttpClient`]; node-private tags must stay
-/// below this value.
-pub const HTTP_TIMER_BASE: u64 = 1 << 62;
 
 /// Status codes used by the PDAgent protocols.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,89 +184,55 @@ impl HttpResponse {
         }
         let mut pos = 0;
         let req_id = varint::read_u64(&msg.body, &mut pos).ok()?;
-        let code = varint::read_u64(&msg.body, &mut pos).ok()? as u16;
+        let code = u16::try_from(varint::read_u64(&msg.body, &mut pos).ok()?).ok()?;
         let body = read_body(msg, &mut pos)?;
         Some(HttpResponse { req_id, status: HttpStatus::from_code(code), body, obs: msg.obs })
     }
 }
 
-/// Outcome of [`HttpClient::on_timer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TimerOutcome {
-    /// The tag did not belong to this client.
-    NotMine,
-    /// A lost request was retransmitted.
-    Retried {
-        /// The request id that was retransmitted.
-        req_id: u64,
-    },
-    /// Retries exhausted; the request has failed.
-    GaveUp {
-        /// The failed request id.
-        req_id: u64,
-        /// The original request, for error reporting.
-        request: HttpRequest,
-    },
-}
-
-#[derive(Debug)]
-struct Pending {
-    request: HttpRequest,
-    /// The serialized request, kept so retransmissions clone the same wire
-    /// buffer (a refcount bump) instead of re-serializing the request.
-    wire: Message,
-    server: NodeId,
-    attempts: u32,
-    timer: TimerId,
-    /// This request's retransmission timeout (usually the client-wide RTO;
-    /// see [`HttpClient::send_with_timeout`]).
-    timeout: SimDuration,
-}
-
 /// Client-side request tracker with timeout/retransmit, embedded in a node.
+/// Its requests wait in one [`Retransmitter`] keyed by request id, each
+/// with a caller's payload `T` handed back with its response or give-up.
 ///
 /// Usage pattern inside a [`crate::sim::Node`]:
 /// * call [`HttpClient::send`] to issue a request;
 /// * forward every incoming message to [`HttpClient::on_response`]; a
-///   `Some(response)` return is a completed exchange;
-/// * forward every timer to [`HttpClient::on_timer`] and handle
-///   [`TimerOutcome::GaveUp`].
+///   `Some((response, payload))` return is a completed exchange;
+/// * forward every timer to [`HttpClient::on_timer`]; a `Some(payload)`
+///   return is a request given up.
 #[derive(Debug)]
-pub struct HttpClient {
+pub struct HttpClient<T = ()> {
     next_id: u64,
-    pending: HashMap<u64, Pending>,
-    /// Retransmission timeout.
-    pub timeout: SimDuration,
-    /// Retransmissions before giving up.
-    pub max_retries: u32,
+    pending: Retransmitter<u64, T>,
+    timeout: SimDuration,
 }
 
-impl Default for HttpClient {
+impl<T> Default for HttpClient<T> {
+    /// A 3 s RTO and 4 retries, suited to the wireless link.
     fn default() -> Self {
-        Self::new()
+        Self::new(SimDuration::from_secs(3), 4)
     }
 }
 
-impl HttpClient {
-    /// Client with defaults suited to the wireless link (3 s RTO, 4 retries).
-    pub fn new() -> HttpClient {
-        HttpClient {
-            next_id: 0,
-            pending: HashMap::new(),
-            timeout: SimDuration::from_secs(3),
-            max_retries: 4,
-        }
+impl<T> HttpClient<T> {
+    /// A client that retransmits an unanswered request every `timeout`,
+    /// `max_retries` times, before giving up on it.
+    pub fn new(timeout: SimDuration, max_retries: u32) -> HttpClient<T> {
+        let pending = Retransmitter::new(Lane::Http, max_retries + 1, 0);
+        HttpClient { next_id: 0, pending, timeout }
     }
 
-    /// Number of requests awaiting responses.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Send `request` to `server`. Returns the assigned request id.
-    pub fn send(&mut self, ctx: &mut Ctx<'_>, server: NodeId, request: HttpRequest) -> u64 {
+    /// Send `request` to `server`, keeping `payload` until the exchange
+    /// ends. Returns the assigned request id.
+    pub fn send(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        server: NodeId,
+        request: HttpRequest,
+        payload: T,
+    ) -> u64 {
         let timeout = self.timeout;
-        self.send_with_timeout(ctx, server, request, timeout)
+        self.send_with_timeout(ctx, server, request, timeout, payload)
     }
 
     /// [`HttpClient::send`] with a per-request retransmission timeout, for
@@ -282,54 +246,39 @@ impl HttpClient {
         server: NodeId,
         mut request: HttpRequest,
         timeout: SimDuration,
+        payload: T,
     ) -> u64 {
         self.next_id += 1;
         let req_id = self.next_id;
         request.req_id = req_id;
-        let wire = request.to_message();
-        ctx.send(server, wire.clone());
-        let timer = ctx.set_timer(timeout, HTTP_TIMER_BASE | req_id);
-        self.pending.insert(
-            req_id,
-            Pending { request, wire, server, attempts: 1, timer, timeout },
-        );
+        self.pending.insert(req_id, payload);
+        self.pending.transmit(ctx, &req_id, server, request.to_message(), timeout);
         req_id
     }
 
-    /// Offer an incoming message. Returns the response if it completes one of
-    /// this client's pending requests.
-    pub fn on_response(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Option<HttpResponse> {
+    /// Offer an incoming message. Returns the response and its request's
+    /// payload if it completes one of this client's pending requests.
+    pub fn on_response(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Option<(HttpResponse, T)> {
         let resp = HttpResponse::from_message(msg)?;
-        let pending = self.pending.remove(&resp.req_id)?;
-        ctx.cancel_timer(pending.timer);
-        Some(resp)
+        let payload = self.pending.take(ctx, &resp.req_id)?;
+        Some((resp, payload))
     }
 
-    /// Offer a fired timer tag.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> TimerOutcome {
-        if tag & HTTP_TIMER_BASE == 0 {
-            return TimerOutcome::NotMine;
-        }
-        let req_id = tag & !HTTP_TIMER_BASE;
-        let Some(mut pending) = self.pending.remove(&req_id) else {
-            return TimerOutcome::NotMine; // already completed
-        };
-        if pending.attempts > self.max_retries {
-            ctx.metrics().bump("http.gave_up", 1.0);
-            return TimerOutcome::GaveUp { req_id, request: pending.request };
-        }
-        pending.attempts += 1;
-        ctx.metrics().bump("http.retransmits", 1.0);
-        ctx.send(pending.server, pending.wire.clone());
-        pending.timer = ctx.set_timer(pending.timeout, HTTP_TIMER_BASE | req_id);
-        self.pending.insert(req_id, pending);
-        TimerOutcome::Retried { req_id }
-    }
-
-    /// Abandon all in-flight requests (e.g. when going offline).
-    pub fn abort_all(&mut self, ctx: &mut Ctx<'_>) {
-        for (_, pending) in self.pending.drain() {
-            ctx.cancel_timer(pending.timer);
+    /// Offer a fired timer tag: retransmit a request whose response is
+    /// overdue, or give it up once its retries are spent. Returns the
+    /// payload of a request given up; `None` for a retransmission or a tag
+    /// that is not the client's.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> Option<T> {
+        match self.pending.on_timer(ctx, tag) {
+            Fired::NotMine | Fired::Due(_) => None,
+            Fired::Retried(..) => {
+                ctx.metrics().bump("http.retransmits", 1.0);
+                None
+            }
+            Fired::Expired(req_id) => {
+                ctx.metrics().bump("http.gave_up", 1.0);
+                self.pending.take(ctx, &req_id)
+            }
         }
     }
 }
@@ -397,6 +346,35 @@ mod tests {
         let mut msg = req.to_message();
         msg.body = msg.body.slice(..msg.body.len() - 2);
         assert!(HttpRequest::from_message(&msg).is_none());
+    }
+
+    #[test]
+    fn a_status_code_past_u16_is_malformed() {
+        // 65,736 is 200 plus 2^16: cut to 16 bits it would read as 200 Ok.
+        let mut body = Vec::new();
+        varint::write_u64(&mut body, 1);
+        varint::write_u64(&mut body, 65_736);
+        varint::write_bytes(&mut body, b"ok");
+        assert!(HttpResponse::from_message(&Message::new(KIND_RESPONSE, body)).is_none());
+    }
+
+    #[test]
+    fn hostile_frames_decode_to_none_or_round_trip() {
+        let obs = ObsContext { trace: 3, span: 9 };
+        let mut req = HttpRequest::new("POST", "/pdagent/dispatch", vec![0x5a; 40]).traced(obs);
+        req.req_id = 300;
+        let resp = HttpResponse::reply(&req, HttpStatus::Conflict, b"not ready".to_vec());
+        for wire in [req.to_message(), resp.to_message()] {
+            for body in crate::tests::hostile_bodies(&wire.body) {
+                let msg = Message::new(wire.kind.clone(), body).traced(obs);
+                if let Some(req) = HttpRequest::from_message(&msg) {
+                    assert_eq!(HttpRequest::from_message(&req.to_message()), Some(req));
+                }
+                if let Some(resp) = HttpResponse::from_message(&msg) {
+                    assert_eq!(HttpResponse::from_message(&resp.to_message()), Some(resp));
+                }
+            }
+        }
     }
 
     #[test]
@@ -475,21 +453,21 @@ mod tests {
     }
     impl OneShot {
         fn new(server: NodeId) -> Self {
-            OneShot { server, http: HttpClient::new(), response: None, gave_up: false }
+            OneShot { server, http: HttpClient::default(), response: None, gave_up: false }
         }
     }
     impl Node for OneShot {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             let req = HttpRequest::new("POST", "/echo", b"hello".to_vec());
-            self.http.send(ctx, self.server, req);
+            self.http.send(ctx, self.server, req, ());
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-            if let Some(resp) = self.http.on_response(ctx, &msg) {
+            if let Some((resp, ())) = self.http.on_response(ctx, &msg) {
                 self.response = Some(resp);
             }
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-            if let TimerOutcome::GaveUp { .. } = self.http.on_timer(ctx, tag) {
+            if self.http.on_timer(ctx, tag).is_some() {
                 self.gave_up = true;
             }
         }
@@ -534,51 +512,6 @@ mod tests {
         assert_eq!(sim.metrics(client).counter("http.gave_up"), 1.0);
         // 1 initial + 4 retries.
         assert_eq!(sim.metrics(client).msgs_sent, 5);
-    }
-
-    #[test]
-    fn abort_all_cancels_in_flight_requests() {
-        struct SilentServer;
-        impl Node for SilentServer {
-            fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Message) {}
-        }
-        struct Aborter {
-            server: NodeId,
-            http: HttpClient,
-            gave_up: bool,
-        }
-        impl Node for Aborter {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                self.http.send(ctx, self.server, HttpRequest::new("GET", "/a", vec![]));
-                self.http.send(ctx, self.server, HttpRequest::new("GET", "/b", vec![]));
-                assert_eq!(self.http.in_flight(), 2);
-                // Go offline immediately: abandon everything.
-                self.http.abort_all(ctx);
-                assert_eq!(self.http.in_flight(), 0);
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, _: NodeId, msg: Message) {
-                self.http.on_response(ctx, &msg);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-                if let TimerOutcome::GaveUp { .. } = self.http.on_timer(ctx, tag) {
-                    self.gave_up = true;
-                }
-            }
-        }
-        let mut sim = Simulator::new(11);
-        let server = sim.add_node(Box::new(SilentServer));
-        let client = sim.add_node(Box::new(Aborter {
-            server,
-            http: HttpClient::new(),
-            gave_up: false,
-        }));
-        sim.connect(client, server, LinkSpec::lan());
-        sim.run_until_idle();
-        // No retransmission storm, no give-up callbacks: the timers were
-        // cancelled along with the requests.
-        let c = sim.node_ref::<Aborter>(client).unwrap();
-        assert!(!c.gave_up);
-        assert_eq!(sim.metrics(client).counter("http.retransmits"), 0.0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   [`PagingGateway`] node over ordinary simulated links.
 //! * The gateway dedups by `(rule, instance)` key, classifies the rule's
 //!   severity via a declarative [`RoutePolicy`], and delivers a
-//!   `page.deliver` message to the route's primary [`PageReceiver`], with
-//!   retry/backoff until the receiver acks.
+//!   `page.deliver` message to the route's primary [`PageReceiver`], resent
+//!   with doubling backoff from its open-page [`Retransmitter`] until acked.
 //! * Unacked pages escalate after `ESCALATE_AFTER` unacked ticks to the
 //!   route's escalation receiver; pages that exhaust every attempt are
 //!   *dropped* — the one counter a healthy fleet must keep at zero
@@ -31,6 +31,7 @@ use pdagent_codec::varint;
 use crate::http::HttpRequest;
 use crate::message::Message;
 use crate::obs::Histogram;
+use crate::retry::{Fired, Lane, Retransmitter};
 use crate::sim::{Ctx, Node, NodeId};
 use crate::telemetry::TelemetryServer;
 use crate::time::{SimDuration, SimTime};
@@ -48,6 +49,8 @@ pub const KIND_PAGE_ACK: &str = "page.ack";
 const ESCALATE_AFTER: u32 = 2;
 /// Delivery attempts per receiver before giving up on it.
 const MAX_ATTEMPTS: u32 = 3;
+/// Backoff doublings before the retry delay stops growing.
+const BACKOFF_CAP: u32 = 8;
 
 /// Page severity, routed independently by [`RoutePolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -194,6 +197,10 @@ pub fn page_ack(id: u64) -> Message {
     Message::new(KIND_PAGE_ACK, body)
 }
 
+fn parse_ack(msg: &Message) -> Option<u64> {
+    varint::read_u64(&msg.body, &mut 0).ok()
+}
+
 fn parse_fire(msg: &Message) -> Option<(String, String, f64, f64, u64, u64)> {
     let mut pos = 0;
     let rule = varint::read_str(&msg.body, &mut pos).ok()?.to_owned();
@@ -215,14 +222,11 @@ fn parse_resolve(msg: &Message) -> Option<(String, String)> {
 /// One open page episode.
 #[derive(Debug)]
 struct PageState {
-    id: u64,
     rule: String,
     instance: String,
     trace: u64,
     exemplar: u64,
     fired_at: SimTime,
-    /// Attempts against the *current* receiver (reset on escalation).
-    attempts: u32,
     unacked_ticks: u32,
     escalated: bool,
     span: u32,
@@ -253,7 +257,7 @@ pub struct PagingReport {
 pub struct PagingGateway {
     policy: RoutePolicy,
     /// Open pages by id; at most one per dedup key (rule and instance).
-    open: HashMap<u64, PageState>,
+    open: Retransmitter<u64, PageState>,
     next_id: u64,
     /// Pages opened.
     pub fired: u64,
@@ -282,7 +286,7 @@ impl PagingGateway {
     pub fn new(policy: RoutePolicy) -> PagingGateway {
         PagingGateway {
             policy,
-            open: HashMap::new(),
+            open: Retransmitter::new(Lane::Page, MAX_ATTEMPTS, BACKOFF_CAP),
             next_id: 1,
             fired: 0,
             delivered: 0,
@@ -321,7 +325,9 @@ impl PagingGateway {
         self.open.len()
     }
 
-    fn deliver(&self, ctx: &mut Ctx<'_>, page: &PageState) {
+    /// Send page `id` to its current receiver, restarting its attempts.
+    fn deliver(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+        let page = self.open.get(&id).expect("delivered page is open");
         let route = &self.policy.routes[page.route];
         let to = if page.escalated {
             route.escalation.expect("escalated page has an escalation receiver")
@@ -329,18 +335,18 @@ impl PagingGateway {
             route.target
         };
         let mut body = Vec::with_capacity(page.rule.len() + page.instance.len() + 24);
-        varint::write_u64(&mut body, page.id);
+        varint::write_u64(&mut body, id);
         varint::write_u64(&mut body, u64::from(page.escalated));
         varint::write_str(&mut body, &page.rule);
         varint::write_str(&mut body, &page.instance);
         varint::write_u64(&mut body, page.exemplar);
-        ctx.send(to, Message::new(KIND_PAGE_DELIVER, body));
+        self.open.transmit(ctx, &id, to, Message::new(KIND_PAGE_DELIVER, body), route.backoff);
         ctx.metrics().bump("page.sent", 1.0);
     }
 
     /// The id of the open page for `rule` on `instance`.
     fn open_page(&self, rule: &str, instance: &str) -> Option<u64> {
-        self.open.values().find(|p| p.rule == rule && p.instance == instance).map(|p| p.id)
+        self.open.iter().find(|(_, p)| p.rule == rule && p.instance == instance).map(|(id, _)| *id)
     }
 
     fn on_fire(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
@@ -364,13 +370,11 @@ impl PagingGateway {
         self.next_id += 1;
         let span = ctx.span_begin(trace, 0, "page.deliver");
         let page = PageState {
-            id,
             rule,
             instance,
             trace,
             exemplar,
             fired_at: ctx.now(),
-            attempts: 1,
             unacked_ticks: 0,
             escalated: false,
             span,
@@ -378,16 +382,15 @@ impl PagingGateway {
         };
         self.fired += 1;
         ctx.metrics().bump("page.fired", 1.0);
-        self.deliver(ctx, &page);
-        let route = &self.policy.routes[route_idx];
-        ctx.set_timer(route.backoff, id * 2);
-        ctx.set_timer(self.policy.tick, id * 2 + 1);
         self.open.insert(id, page);
+        self.deliver(ctx, id);
+        ctx.set_timer(self.policy.tick, id);
     }
 
     fn on_resolve(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
         let Some((rule, instance)) = parse_resolve(msg) else { return };
-        if let Some(page) = self.open_page(&rule, &instance).and_then(|id| self.open.remove(&id)) {
+        if let Some(page) = self.open_page(&rule, &instance).and_then(|id| self.open.take(ctx, &id))
+        {
             ctx.span_end(page.span);
             self.resolved += 1;
             ctx.metrics().bump("page.resolved", 1.0);
@@ -395,40 +398,30 @@ impl PagingGateway {
     }
 
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
-        let mut pos = 0;
-        let Ok(id) = varint::read_u64(&msg.body, &mut pos) else { return };
-        let Some(page) = self.open.remove(&id) else { return };
+        let Some(page) = parse_ack(msg).and_then(|id| self.open.take(ctx, &id)) else { return };
         self.delivery.record(ctx.now().since(page.fired_at).0);
         ctx.span_end(page.span);
         self.delivered += 1;
         ctx.metrics().bump("page.delivered", 1.0);
     }
 
-    /// Retry timer for page `id`: re-deliver with doubled backoff, or — once
-    /// attempts are exhausted — drop the page unless escalation is still
-    /// ahead of it.
-    fn on_retry(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        let Some(page) = self.open.get_mut(&id) else { return };
-        let route = self.policy.routes[page.route].clone();
-        if page.attempts >= MAX_ATTEMPTS {
-            if !page.escalated && route.escalation.is_some() {
-                // Primary exhausted; hold the page for the escalation tick.
-                ctx.metrics().bump("page.exhausted", 1.0);
-                return;
-            }
-            ctx.span_end(page.span);
-            self.dropped += 1;
-            ctx.metrics().bump("page.dropped", 1.0);
-            self.open.remove(&id);
-            return;
+    /// Every delivery of page `id` to its current receiver timed out: hold
+    /// it for its escalation tick if escalation is still ahead of it, else
+    /// drop it.
+    fn on_exhausted(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+        let page = self.open.get(&id).expect("expired page is open");
+        if !page.escalated && self.policy.routes[page.route].escalation.is_some() {
+            ctx.metrics().bump("page.exhausted", 1.0);
+        } else {
+            self.drop_page(ctx, id);
         }
-        page.attempts += 1;
-        let backoff =
-            SimDuration::from_micros(route.backoff.as_micros() << (page.attempts - 1).min(8));
-        ctx.metrics().bump("page.retries", 1.0);
-        let page = &self.open[&id];
-        self.deliver(ctx, page);
-        ctx.set_timer(backoff, id * 2);
+    }
+
+    fn drop_page(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+        let page = self.open.take(ctx, &id).expect("dropped page is open");
+        ctx.span_end(page.span);
+        self.dropped += 1;
+        ctx.metrics().bump("page.dropped", 1.0);
     }
 
     /// Escalation tick for page `id`.
@@ -438,27 +431,17 @@ impl PagingGateway {
             return;
         }
         page.unacked_ticks += 1;
-        let route = self.policy.routes[page.route].clone();
-        if page.unacked_ticks >= ESCALATE_AFTER {
-            if route.escalation.is_some() {
-                page.escalated = true;
-                page.attempts = 1;
-                let trace = page.trace;
-                self.escalated += 1;
-                ctx.metrics().bump("page.escalated", 1.0);
-                let span = ctx.span_begin(trace, 0, "page.escalate");
-                ctx.span_end(span);
-                let page = &self.open[&id];
-                self.deliver(ctx, page);
-                ctx.set_timer(route.backoff, id * 2);
-            } else {
-                ctx.span_end(page.span);
-                self.dropped += 1;
-                ctx.metrics().bump("page.dropped", 1.0);
-                self.open.remove(&id);
-            }
+        if page.unacked_ticks < ESCALATE_AFTER {
+            ctx.set_timer(self.policy.tick, id);
+        } else if self.policy.routes[page.route].escalation.is_some() {
+            page.escalated = true;
+            self.escalated += 1;
+            ctx.metrics().bump("page.escalated", 1.0);
+            let span = ctx.span_begin(page.trace, 0, "page.escalate");
+            ctx.span_end(span);
+            self.deliver(ctx, id);
         } else {
-            ctx.set_timer(self.policy.tick, id * 2 + 1);
+            self.drop_page(ctx, id);
         }
     }
 }
@@ -483,11 +466,14 @@ impl Node for PagingGateway {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        let id = tag / 2;
-        if tag.is_multiple_of(2) {
-            self.on_retry(ctx, id);
-        } else {
-            self.on_tick(ctx, id);
+        match self.open.on_timer(ctx, tag) {
+            // Escalation ticks are the gateway's own timers, tagged by page id.
+            Fired::NotMine | Fired::Due(_) => self.on_tick(ctx, tag),
+            Fired::Retried(..) => {
+                ctx.metrics().bump("page.retries", 1.0);
+                ctx.metrics().bump("page.sent", 1.0);
+            }
+            Fired::Expired(id) => self.on_exhausted(ctx, id),
         }
     }
 }
@@ -563,6 +549,50 @@ mod tests {
         assert_eq!(parse_fire(&fire), Some(("burn".into(), "gw-0".into(), 1.5, 0.5, 42, 17)));
         let resolve = page_resolve("burn", "gw-0");
         assert_eq!(parse_resolve(&resolve), Some(("burn".into(), "gw-0".into())));
+    }
+
+    #[test]
+    fn hostile_page_bodies_decode_to_none_or_round_trip() {
+        // Floats compare by their bits: a substituted byte may make a NaN.
+        let fire = |m: &Message| {
+            parse_fire(m).map(|(r, i, v, l, t, e)| (r, i, v.to_bits(), l.to_bits(), t, e))
+        };
+        // The gateway's `page.deliver` encoding, field for field.
+        let page_delivery = |id, escalated, rule: &str, instance: &str, exemplar| {
+            let mut body = Vec::new();
+            varint::write_u64(&mut body, id);
+            varint::write_u64(&mut body, u64::from(escalated));
+            varint::write_str(&mut body, rule);
+            varint::write_str(&mut body, instance);
+            varint::write_u64(&mut body, exemplar);
+            Message::new(KIND_PAGE_DELIVER, body)
+        };
+        let wires = [
+            page_fire("drop-burn-rate", "gw-0", 1.5, 0.25, 42, 17),
+            page_resolve("drop-burn-rate", "gw-0"),
+            page_delivery(300, true, "drop-burn-rate", "gw-0", 17),
+            page_ack(300),
+        ];
+        for wire in wires {
+            for body in crate::tests::hostile_bodies(&wire.body) {
+                let msg = |kind: &str| Message::new(kind, body.clone());
+                if let Some((r, i, v, l, t, e)) = fire(&msg(KIND_PAGE_FIRE)) {
+                    let again = page_fire(&r, &i, f64::from_bits(v), f64::from_bits(l), t, e);
+                    assert_eq!(fire(&again), Some((r, i, v, l, t, e)));
+                }
+                if let Some((rule, instance)) = parse_resolve(&msg(KIND_PAGE_RESOLVE)) {
+                    let again = parse_resolve(&page_resolve(&rule, &instance));
+                    assert_eq!(again, Some((rule, instance)));
+                }
+                if let Some(d) = parse_delivery(&msg(KIND_PAGE_DELIVER)) {
+                    let again = page_delivery(d.id, d.escalated, &d.rule, &d.instance, d.exemplar);
+                    assert_eq!(parse_delivery(&again), Some(d));
+                }
+                if let Some(id) = parse_ack(&msg(KIND_PAGE_ACK)) {
+                    assert_eq!(parse_ack(&page_ack(id)), Some(id));
+                }
+            }
+        }
     }
 
     #[test]
@@ -658,6 +688,35 @@ mod tests {
         assert!(p.received >= 1 && p.received_escalated == 0);
         let e = sim.node_ref::<PageReceiver>(esc).unwrap();
         assert_eq!(e.received_escalated, 1);
+    }
+
+    #[test]
+    fn escalation_gives_the_escalation_receiver_its_own_retry_schedule() {
+        // Nobody acks. The primary gets deliveries at 0, 20 and 60 s; the
+        // tick escalates at 60 s while the primary's next retry timer is
+        // still armed (due at 140 s). Escalation replaces it: the
+        // escalation receiver gets 60, 80 and 120 s, and the page drops
+        // when those time out at 200 s, not when the primary's would have.
+        let mut sim = Simulator::new(9);
+        let primary = sim.add_node(Box::new(PageReceiver::new(None)));
+        let esc = sim.add_node(Box::new(PageReceiver::new(None)));
+        let mut route = Route::new(Severity::Critical, primary).with_escalation(esc);
+        route.backoff = SimDuration::from_secs(20);
+        let mut policy = RoutePolicy::new(vec![route]);
+        policy.tick = SimDuration::from_secs(30);
+        let gateway = sim.add_node(Box::new(PagingGateway::new(policy)));
+        let source = sim.add_node(Box::new(FireOnce { gateway, resolve_at: None }));
+        for (a, b) in [(source, gateway), (gateway, primary), (gateway, esc)] {
+            sim.connect(a, b, LinkSpec::ideal());
+        }
+        sim.run_until(SimTime(150_000_000));
+        assert_eq!(sim.node_ref::<PagingGateway>(gateway).unwrap().open_pages(), 1);
+        sim.run_until_idle();
+        let gw = sim.node_ref::<PagingGateway>(gateway).unwrap();
+        assert_eq!((gw.escalated, gw.dropped, gw.open_pages()), (1, 1, 0));
+        assert!(sim.now() >= SimTime(200_000_000), "dropped at {}", sim.now());
+        assert_eq!(sim.node_ref::<PageReceiver>(primary).unwrap().received, 3);
+        assert_eq!(sim.node_ref::<PageReceiver>(esc).unwrap().received_escalated, 3);
     }
 
     #[test]

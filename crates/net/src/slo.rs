@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use bytes::Bytes;
 
 use crate::federation::{add_scalar, merge_snapshot, merge_stage};
-use crate::http::{self, HttpClient, HttpRequest, HttpStatus, TimerOutcome};
+use crate::http::{self, HttpClient, HttpRequest, HttpStatus};
 use crate::message::Message;
 use crate::metrics::KEY_QUEUE_DEPTH;
 use crate::obs::Histogram;
@@ -489,7 +489,8 @@ impl Signals for Observed<'_> {
     }
 }
 
-/// Timer tag for the scrape cadence (below `HTTP_TIMER_BASE`).
+/// Timer tag for the scrape cadence (a node-private tag, below every
+/// retransmission engine's).
 const TAG_SCRAPE: u64 = 1;
 
 /// The scraping monitor node. See the module docs for the protocol.
@@ -507,10 +508,10 @@ pub struct SloMonitor {
     /// Paging gateway the monitor notifies on alert edges, if any.
     pager: Option<NodeId>,
     targets: Vec<TargetState>,
-    http: HttpClient,
+    /// Each probe carries its target index, which probe it is and its
+    /// first transmission's time.
+    http: HttpClient<(usize, Probe, SimTime)>,
     round: u32,
-    /// req_id → (target index, which probe, first-transmission time).
-    pending: HashMap<u64, (usize, Probe, SimTime)>,
     /// Delta state over the served cell view (minus the staleness gauge,
     /// which is a function of `now` and is appended to each reply).
     serve_delta: DeltaState,
@@ -528,9 +529,6 @@ pub struct SloMonitor {
 impl SloMonitor {
     /// Monitor over `(target node, instance name)` pairs.
     pub fn new(spec: MonitorSpec, targets: Vec<(NodeId, String)>) -> SloMonitor {
-        let mut http = HttpClient::new();
-        http.timeout = MONITOR_RTO;
-        http.max_retries = SCRAPE_RETRIES;
         let targets = targets
             .into_iter()
             .map(|(node, instance)| TargetState {
@@ -549,9 +547,8 @@ impl SloMonitor {
             instance: "monitor".to_owned(),
             pager: None,
             targets,
-            http,
+            http: HttpClient::new(MONITOR_RTO, SCRAPE_RETRIES),
             round: 0,
-            pending: HashMap::new(),
             serve_delta: DeltaState::new(),
             body: String::new(),
             scrapes_ok: 0,
@@ -628,11 +625,9 @@ impl SloMonitor {
             let node = self.targets[tidx].node;
             let now = ctx.now();
             let health = HttpRequest::new("GET", PATH_HEALTHZ, Vec::new());
-            let id = self.http.send(ctx, node, health);
-            self.pending.insert(id, (tidx, Probe::Health, now));
+            self.http.send(ctx, node, health, (tidx, Probe::Health, now));
             let since = if full_round { None } else { self.targets[tidx].held.epoch() };
-            let id = self.http.send(ctx, node, scrape_request(since));
-            self.pending.insert(id, (tidx, Probe::Metrics, now));
+            self.http.send(ctx, node, scrape_request(since), (tidx, Probe::Metrics, now));
         }
     }
 }
@@ -682,8 +677,7 @@ impl Node for SloMonitor {
             }
             return;
         }
-        let Some(resp) = self.http.on_response(ctx, &msg) else { return };
-        let Some((tidx, probe, sent)) = self.pending.remove(&resp.req_id) else { return };
+        let Some((resp, (tidx, probe, sent))) = self.http.on_response(ctx, &msg) else { return };
         let rtt = ctx.now().since(sent);
         match probe {
             Probe::Health => {
@@ -702,8 +696,8 @@ impl Node for SloMonitor {
                                 // snapshot under the same probe slot.
                                 self.resyncs += 1;
                                 ctx.metrics().bump("slo.resyncs", 1.0);
-                                let id = self.http.send(ctx, t.node, scrape_request(None));
-                                self.pending.insert(id, (tidx, Probe::Metrics, sent));
+                                let probe = (tidx, Probe::Metrics, sent);
+                                self.http.send(ctx, t.node, scrape_request(None), probe);
                                 return;
                             }
                             // The chaos suite's monotone-epochs invariant
@@ -726,20 +720,12 @@ impl Node for SloMonitor {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        match self.http.on_timer(ctx, tag) {
-            TimerOutcome::Retried { .. } => return,
-            TimerOutcome::GaveUp { req_id, .. } => {
-                if let Some((tidx, _, _)) = self.pending.remove(&req_id) {
-                    self.targets[tidx].consecutive_failures += 1.0;
-                    self.probe_failures += 1;
-                    ctx.metrics().bump("slo.probe_failures", 1.0);
-                    self.evaluate_target(ctx, tidx);
-                }
-                return;
-            }
-            TimerOutcome::NotMine => {}
-        }
-        if tag == TAG_SCRAPE {
+        if let Some((tidx, _, _)) = self.http.on_timer(ctx, tag) {
+            self.targets[tidx].consecutive_failures += 1.0;
+            self.probe_failures += 1;
+            ctx.metrics().bump("slo.probe_failures", 1.0);
+            self.evaluate_target(ctx, tidx);
+        } else if tag == TAG_SCRAPE {
             self.round += 1;
             self.scrape_all(ctx);
             if self.round < self.spec.rounds {
@@ -787,15 +773,15 @@ mod tests {
         }
 
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-            if let Some(resp) = self.http.on_response(ctx, &msg) {
+            if let Some((resp, ())) = self.http.on_response(ctx, &msg) {
                 let text = std::str::from_utf8(&resp.body).expect("UTF-8 body");
                 self.bodies.push(crate::telemetry::parse_prom(text));
             }
         }
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-            if self.http.on_timer(ctx, tag) == TimerOutcome::NotMine {
-                self.http.send(ctx, self.target, scrape_request(None));
+            if self.http.on_timer(ctx, tag).is_none() && tag < self.at.len() as u64 {
+                self.http.send(ctx, self.target, scrape_request(None), ());
             }
         }
     }
@@ -816,7 +802,7 @@ mod tests {
         let scraper = sim.add_node(Box::new(Scraper {
             target: monitor,
             at,
-            http: HttpClient::new(),
+            http: HttpClient::default(),
             bodies: Vec::new(),
         }));
         sim.connect(monitor, target, LinkSpec::lan());
