@@ -107,40 +107,24 @@ impl std::error::Error for CodecError {}
 /// Compress `data` into a `PDAZ` container.
 pub fn compress(data: &[u8], alg: Algorithm) -> Vec<u8> {
     use Algorithm::*;
-    let wants = |algs: &[Algorithm]| algs.contains(&alg);
     // The LZSS stream is a candidate of its own, the input of LzssHuffman and
-    // (by length) part of LzssHuffman's header, so it is encoded once. The
-    // Huffman candidates know their sizes before they are written, so only
-    // the one kept is ever encoded.
-    let run_length = wants(&[Rle, Auto]).then(|| rle::encode(data));
-    let lz = wants(&[Lzss, LzssHuffman, Auto]).then(|| lzss::encode(data));
-    let huff = wants(&[Huffman, Auto]).then(|| huffman::Fitted::new(data));
-    let lz_huff = lz.as_deref().filter(|_| wants(&[LzssHuffman, Auto])).map(huffman::Fitted::new);
-    // Only the candidates this call considers are ever sized.
-    let size = |alg| match alg {
-        Store => data.len(),
-        Rle => run_length.as_ref().map_or(usize::MAX, Vec::len),
-        Lzss => lz.as_ref().map_or(usize::MAX, Vec::len),
-        Huffman => huff.as_ref().map_or(usize::MAX, |h| h.encoded_len()),
-        LzssHuffman => lz_huff.as_ref().map_or(usize::MAX, |h| h.encoded_len()),
-        Auto => unreachable!(),
+    // (by length) part of LzssHuffman's header, so it is encoded once.
+    let lz = matches!(alg, Lzss | LzssHuffman | Auto).then(|| lzss::encode(data));
+    let lz = lz.as_deref().unwrap_or_default();
+    let (alg, payload) = match alg {
+        Auto => smallest(data, lz),
+        Store => (Store, Cow::Borrowed(data)),
+        Rle => (Rle, Cow::Owned(rle::encode(data))),
+        Lzss => (Lzss, Cow::Borrowed(lz)),
+        Huffman => (Huffman, Cow::Owned(huffman::encode(data))),
+        LzssHuffman => (LzssHuffman, Cow::Owned(huffman::encode(lz))),
     };
-    let alg = match alg {
-        // The first strictly smallest wins, Store first.
-        Auto => [Rle, Lzss, Huffman, LzssHuffman]
-            .into_iter()
-            .fold(Store, |best, cand| if size(cand) < size(best) { cand } else { best }),
-        // Never ship an expanded payload: fall back to Store.
-        other if other != Store && size(other) >= data.len() => Store,
-        other => other,
-    };
-    let payload: Cow<'_, [u8]> = match alg {
-        Store => Cow::Borrowed(data),
-        Rle => Cow::Owned(run_length.expect("RLE candidate encoded")),
-        Lzss => Cow::Borrowed(lz.as_deref().expect("LZSS candidate encoded")),
-        Huffman => Cow::Owned(huff.expect("Huffman candidate fitted").encode()),
-        LzssHuffman => Cow::Owned(lz_huff.expect("LzssHuffman candidate fitted").encode()),
-        Auto => unreachable!(),
+    // Never ship an expanded payload: fall back to Store. (`Auto` only ever
+    // picks a payload shorter than `data`.)
+    let (alg, payload) = if alg != Store && payload.len() >= data.len() {
+        (Store, Cow::Borrowed(data))
+    } else {
+        (alg, payload)
     };
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(MAGIC);
@@ -148,10 +132,44 @@ pub fn compress(data: &[u8], alg: Algorithm) -> Vec<u8> {
     varint::write_usize(&mut out, data.len());
     // For LzssHuffman the Huffman layer needs the intermediate length too.
     if alg == LzssHuffman {
-        varint::write_usize(&mut out, lz.as_ref().expect("LZSS stream encoded").len());
+        varint::write_usize(&mut out, lz.len());
     }
     out.extend_from_slice(&payload);
     out
+}
+
+/// `Auto`'s pick, with its payload: the first strictly smallest of Store,
+/// Rle, Lzss, Huffman and LzssHuffman, in that order, where `lz` is the LZSS
+/// stream of `data`. RLE is sized by counting. A Huffman candidate is fitted
+/// only when its entropy bound, which never exceeds its size, is below the
+/// best size so far; otherwise it cannot win. Only the winner is encoded.
+fn smallest<'a>(data: &'a [u8], lz: &'a [u8]) -> (Algorithm, Cow<'a, [u8]>) {
+    use Algorithm::*;
+    let mut best = (Store, data.len());
+    for (alg, len) in [(Rle, rle::encoded_len(data)), (Lzss, lz.len())] {
+        if len < best.1 {
+            best = (alg, len);
+        }
+    }
+    let mut fitted = None;
+    for (alg, input) in [(Huffman, data), (LzssHuffman, lz)] {
+        let freqs = huffman::histogram(input);
+        if huffman::encoded_len_bound(&freqs, input.len()) < best.1 {
+            let fit = huffman::Fitted::with_histogram(input, &freqs);
+            if fit.encoded_len() < best.1 {
+                best = (alg, fit.encoded_len());
+                fitted = Some(fit);
+            }
+        }
+    }
+    let payload = match best.0 {
+        Store => Cow::Borrowed(data),
+        Rle => Cow::Owned(rle::encode(data)),
+        Lzss => Cow::Borrowed(lz),
+        Huffman | LzssHuffman => Cow::Owned(fitted.expect("the kept fit").encode()),
+        Auto => unreachable!(),
+    };
+    (best.0, payload)
 }
 
 /// Which algorithm a container was encoded with (without decompressing).

@@ -163,6 +163,42 @@ pub(crate) fn canonical_codes(lengths: &[u8; 256]) -> Result<[(u32, u8); 256], H
 /// Bytes of the code-length header: 256 lengths of 4 bits each.
 const HEADER_BYTES: usize = 256 * 4 / 8;
 
+/// The byte frequencies of `data`, counted in four interleaved tables so
+/// that consecutive equal bytes do not wait on one counter.
+pub(crate) fn histogram(data: &[u8]) -> [u64; 256] {
+    let mut lanes = [[0u64; 256]; 4];
+    let mut quads = data.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &b) in lanes.iter_mut().zip(quad) {
+            lane[b as usize] += 1;
+        }
+    }
+    for &b in quads.remainder() {
+        lanes[0][b as usize] += 1;
+    }
+    std::array::from_fn(|sym| lanes.iter().map(|lane| lane[sym]).sum())
+}
+
+/// A lower bound on [`Fitted::encoded_len`] for an input of `len` bytes with
+/// byte frequencies `freqs`, found without fitting a code. The lengths
+/// [`code_lengths`] gives obey the Kraft inequality, so the payload holds at
+/// least the histogram's entropy, `Σ f·log2(len/f)` bits, after the fixed
+/// header. The `f64` sum is lowered by a relative 1e-9 and one bit, far more
+/// than its rounding error, so the bound never exceeds the true size.
+pub(crate) fn encoded_len_bound(freqs: &[u64; 256], len: usize) -> usize {
+    if len == 0 {
+        return 0;
+    }
+    let total = len as f64;
+    let entropy: f64 = freqs
+        .iter()
+        .filter(|&&f| f > 0)
+        .map(|&f| f as f64 * (total / f as f64).log2())
+        .sum();
+    let bits = (entropy * (1.0 - 1e-9) - 1.0).max(0.0);
+    HEADER_BYTES + (bits / 8.0).ceil() as usize
+}
+
 /// The Huffman code fitted to one input. It knows the size of its encoding
 /// before writing it, so [`crate::compress`] can rank the candidates of
 /// `Algorithm::Auto` and encode only the one it keeps.
@@ -175,11 +211,12 @@ pub(crate) struct Fitted<'a> {
 
 impl<'a> Fitted<'a> {
     pub(crate) fn new(data: &'a [u8]) -> Fitted<'a> {
-        let mut freqs = [0u64; 256];
-        for &b in data {
-            freqs[b as usize] += 1;
-        }
-        let lengths = code_lengths(&freqs);
+        Fitted::with_histogram(data, &histogram(data))
+    }
+
+    /// The code for `data`, whose [`histogram`] is `freqs`.
+    pub(crate) fn with_histogram(data: &'a [u8], freqs: &[u64; 256]) -> Fitted<'a> {
+        let lengths = code_lengths(freqs);
         let bits = freqs.iter().zip(&lengths).map(|(&f, &l)| f * u64::from(l)).sum();
         Fitted { data, lengths, bits }
     }
@@ -433,6 +470,21 @@ mod tests {
         }
         let enc = w.finish();
         assert_eq!(decode(&enc, 1).unwrap_err(), HuffmanError::InvalidTable);
+    }
+
+    #[test]
+    fn entropy_bound_is_reached_by_a_uniform_histogram_and_never_passed() {
+        let bound = |data: &[u8]| encoded_len_bound(&histogram(data), data.len());
+        // Every byte value equally often: the code is 8 bits flat, exactly
+        // the entropy, and the margins do not cost a byte.
+        let uniform: Vec<u8> = (0..=255u8).cycle().take(256 * 37).collect();
+        assert_eq!(bound(&uniform), Fitted::new(&uniform).encoded_len());
+        let mut skewed = vec![7u8; 5000];
+        skewed.extend(0..=255u8);
+        for data in [&uniform[..], &skewed, b"x", b"", b"abracadabra"] {
+            assert!(bound(data) <= encode(data).len(), "{} bytes", data.len());
+        }
+        assert_eq!(bound(b""), 0);
     }
 
     #[test]

@@ -150,9 +150,14 @@ fn encode_with<L: Link>(data: &[u8]) -> Vec<u8> {
     while i < data.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        let trigram_here = data.get(i..i + MIN_MATCH).map(trigram);
-        if let Some(t) = trigram_here.filter(|&t| last[key(t)].raw() > i) {
-            let mut link = head[hash3(t)];
+        // The cursor's chain hash and filter key, found once for the walk
+        // and the insert.
+        let here = data.get(i..i + MIN_MATCH).map(|tri| {
+            let t = trigram(tri);
+            (hash3(t), key(t))
+        });
+        if let Some((h, _)) = here.filter(|&(_, k)| last[k].raw() > i) {
+            let mut link = head[h];
             let mut chain_budget = 64; // bounded search keeps encoding O(n)
             let limit = (data.len() - i).min(MAX_MATCH);
             let ahead = &data[i..i + limit];
@@ -183,8 +188,13 @@ fn encode_with<L: Link>(data: &[u8]) -> Vec<u8> {
             1
         };
         // Insert every covered position into the hash chains and the filter.
+        if let Some((h, k)) = here {
+            prev[i % WINDOW] = head[h];
+            head[h] = L::of(i);
+            last[k] = L::of(i);
+        }
         let end = (i + advance).min((data.len() + 1).saturating_sub(MIN_MATCH));
-        for (pos, tri) in (i..end).zip(data[i..].windows(MIN_MATCH)) {
+        for (pos, tri) in (i + 1..end).zip(data[i + 1..].windows(MIN_MATCH)) {
             let t = trigram(tri);
             let h = hash3(t);
             prev[pos % WINDOW] = head[h];

@@ -372,6 +372,64 @@ mod tests {
         prop_oneof![short_inputs(max), planted]
     }
 
+    /// Inputs where `Auto`'s candidates tie or nearly tie: random stretches
+    /// between runs of one byte (RLE, LZSS and Huffman within a few bytes of
+    /// each other), one symbol, all 256 symbols in shuffled rounds (Huffman
+    /// at its entropy bound), and Fibonacci frequencies over 17 to 21
+    /// symbols, whose trees are deep enough that `limit_lengths` reshapes
+    /// them.
+    fn boundary_inputs() -> impl Strategy<Value = Vec<u8>> {
+        let mixed = pvec((any::<u8>(), 1usize..140, any::<bool>()), 0..40).prop_map(|segments| {
+            let mut state = 0x9e37_79b9u32;
+            let mut data = Vec::new();
+            for (byte, len, run) in segments {
+                if run {
+                    data.extend(std::iter::repeat_n(byte, len));
+                } else {
+                    data.extend((0..len).map(|_| {
+                        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                        byte ^ (state >> 24) as u8
+                    }));
+                }
+            }
+            data
+        });
+        let one_symbol = (any::<u8>(), 0usize..3000).prop_map(|(byte, len)| vec![byte; len]);
+        let all_symbols = (1usize..24, any::<u64>(), 0usize..256).prop_map(|(rounds, seed, extra)| {
+            let mut state = seed | 1;
+            let mut data = Vec::new();
+            for _ in 0..rounds {
+                let mut round: Vec<u8> = (0..=255).collect();
+                for i in (1..round.len()).rev() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    round.swap(i, (state % (i as u64 + 1)) as usize);
+                }
+                data.extend(round);
+            }
+            data.extend((0..extra).map(|i| i as u8));
+            data
+        });
+        let deep = (17usize..22, any::<u8>(), any::<u64>()).prop_map(|(symbols, first, seed)| {
+            let (mut a, mut b) = (1usize, 1usize);
+            let mut data = Vec::new();
+            for sym in 0..symbols {
+                data.extend(std::iter::repeat_n(first.wrapping_add(sym as u8), a));
+                (a, b) = (b, a + b);
+            }
+            let mut state = seed | 1;
+            for i in (1..data.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                data.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            data
+        });
+        prop_oneof![mixed, one_symbol, all_symbols, deep]
+    }
+
     /// Both decoders on `container`: the same bytes or the same error.
     fn same_decode(container: &[u8]) -> Result<(), String> {
         let got = fast::decompress(container);
@@ -421,6 +479,26 @@ mod tests {
             }
         }
 
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn auto_matches_oracle_where_candidates_tie(data in boundary_inputs()) {
+            let auto = Algorithm::Auto;
+            prop_assert_eq!(fast::compress(&data, auto), compress(&data, auto));
+        }
+
+        #[test]
+        fn auto_sizes_never_exceed_what_they_bound(data in boundary_inputs()) {
+            prop_assert_eq!(rle::encoded_len(&data), rle::encode(&data).len());
+            let lz = lzss::encode(&data);
+            for input in [&data[..], &lz[..]] {
+                let bound = huffman::encoded_len_bound(&huffman::histogram(input), input.len());
+                prop_assert!(bound <= huffman_encode(input).len(), "{} bytes", input.len());
+            }
+        }
     }
 
     proptest! {

@@ -21,40 +21,51 @@ impl std::fmt::Display for RleError {
 
 impl std::error::Error for RleError {}
 
+/// Walk `data` as [`encode`] packs it: `packet(literals, run)` is called
+/// for every run of three or more equal bytes (at most 129, as `(byte,
+/// count)`) with the literal stretch before it, then once more with the
+/// stretch after the last run and no run. Stretches may be empty.
+fn packets<'a>(data: &'a [u8], mut packet: impl FnMut(&'a [u8], Option<(u8, usize)>)) {
+    let mut i = 0;
+    let mut literal_start = 0;
+    while i < data.len() {
+        let run_byte = data[i];
+        let longest = (data.len() - i).min(129);
+        let run_len = 1 + data[i + 1..i + longest].iter().take_while(|&&b| b == run_byte).count();
+        if run_len >= 3 {
+            packet(&data[literal_start..i], Some((run_byte, run_len)));
+            literal_start = i + run_len;
+        }
+        i += run_len;
+    }
+    packet(&data[literal_start..], None);
+}
+
 /// Run-length encode `data`.
 pub fn encode(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    let mut i = 0;
-    let mut literal_start = 0;
-
-    fn flush_literals(out: &mut Vec<u8>, data: &[u8], start: usize, end: usize) {
-        let mut s = start;
-        while s < end {
-            let n = (end - s).min(128);
-            out.push((n - 1) as u8);
-            out.extend_from_slice(&data[s..s + n]);
-            s += n;
+    packets(data, |literals, run| {
+        for chunk in literals.chunks(128) {
+            out.push((chunk.len() - 1) as u8);
+            out.extend_from_slice(chunk);
         }
-    }
-
-    while i < data.len() {
-        let run_byte = data[i];
-        let mut run_len = 1;
-        while i + run_len < data.len() && data[i + run_len] == run_byte && run_len < 129 {
-            run_len += 1;
+        if let Some((byte, count)) = run {
+            out.push((count + 126) as u8);
+            out.push(byte);
         }
-        if run_len >= 3 {
-            flush_literals(&mut out, data, literal_start, i);
-            out.push((run_len + 126) as u8);
-            out.push(run_byte);
-            i += run_len;
-            literal_start = i;
-        } else {
-            i += run_len;
-        }
-    }
-    flush_literals(&mut out, data, literal_start, data.len());
+    });
     out
+}
+
+/// The length of [`encode`]'s output, counted without writing it: each
+/// literal stretch costs its bytes plus one control byte per 128, and each
+/// run two bytes.
+pub(crate) fn encoded_len(data: &[u8]) -> usize {
+    let mut len = 0;
+    packets(data, |literals, run| {
+        len += literals.len() + literals.len().div_ceil(128) + if run.is_some() { 2 } else { 0 };
+    });
+    len
 }
 
 /// Decode an RLE stream produced by [`encode`].

@@ -2,7 +2,7 @@
 //! Management"): a typed layer over the RMS record store that holds service
 //! subscriptions (downloaded MA code) and collected result documents.
 
-use pdagent_codec::compress::{compress, decompress, Algorithm};
+use pdagent_codec::compress::decompress;
 use pdagent_gateway::pi::ResultDoc;
 
 use crate::rms::{RecordStore, RmsError};
@@ -61,6 +61,12 @@ impl DeviceDb {
             .find(|s| s.service == service)
     }
 
+    /// Whether a subscription for `service` is stored, read from each
+    /// record's root tag without decoding its program.
+    pub fn has_subscription(&self, service: &str) -> bool {
+        self.subscriptions.enumerate().any(|(_, bytes)| Subscription::record_is_for(bytes, service))
+    }
+
     /// All subscribed service names (sorted).
     pub fn subscribed_services(&self) -> Vec<String> {
         let mut v: Vec<String> = self
@@ -87,10 +93,10 @@ impl DeviceDb {
         }
     }
 
-    /// Store a collected result document (compressed).
-    pub fn put_result(&mut self, doc: &ResultDoc) -> Result<(), RmsError> {
-        let record = compress(doc.to_document_string().as_bytes(), Algorithm::Auto);
-        self.results.add_record(&record).map(|_| ())
+    /// Store a collected result: `record` is the compressed `<result>`
+    /// document as the gateway sent it, kept as it came.
+    pub fn put_result(&mut self, record: &[u8]) -> Result<(), RmsError> {
+        self.results.add_record(record).map(|_| ())
     }
 
     /// Look up a stored result by agent id.
@@ -151,6 +157,7 @@ impl DeviceDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdagent_codec::compress::{compress, Algorithm};
     use pdagent_crypto::rsa::PublicKey;
     use pdagent_mas::ResultEntry;
     use pdagent_vm::{assemble, Value};
@@ -179,6 +186,67 @@ mod tests {
         }
     }
 
+    /// The body a gateway sends for `doc`.
+    fn collected(doc: &ResultDoc) -> Vec<u8> {
+        compress(doc.to_document_string().as_bytes(), Algorithm::Auto)
+    }
+
+    #[test]
+    fn a_stored_result_is_the_record_a_reencoding_would_write() {
+        let mut awkward = sample_result("ag-<&\"'>");
+        awkward.entries.extend([
+            ResultEntry {
+                site: "bank-\u{e9}".into(),
+                key: "memo & <note>".into(),
+                value: Value::Str("caf\u{e9} \u{2192} \u{1f4b8} \"quoted\" 'single' \t tab".into()),
+            },
+            ResultEntry { site: "bank-b".into(), key: "none".into(), value: Value::List(vec![]) },
+            ResultEntry {
+                site: "bank-c".into(),
+                key: "nested".into(),
+                value: Value::List(vec![
+                    Value::List(vec![]),
+                    Value::Str(String::new()),
+                    Value::Nil,
+                ]),
+            },
+        ]);
+        let empty = ResultDoc { entries: vec![], ..sample_result("ag-empty") };
+        for doc in [sample_result("ag-1"), awkward, empty] {
+            // The handheld parses the body it collects; storing the body
+            // itself must write what re-encoding the parsed result would.
+            let body = collected(&doc);
+            let xml = decompress(&body).unwrap();
+            let parsed = ResultDoc::from_document_str(std::str::from_utf8(&xml).unwrap()).unwrap();
+            assert_eq!(parsed, doc);
+            assert_eq!(body, collected(&parsed), "{}", doc.agent_id);
+            let mut db = DeviceDb::new();
+            db.put_result(&body).unwrap();
+            assert_eq!(db.results.enumerate().next().unwrap().1, &body[..]);
+            assert_eq!(db.result(&doc.agent_id).unwrap(), doc);
+        }
+    }
+
+    #[test]
+    fn has_subscription_agrees_with_a_full_lookup() {
+        let mut db = DeviceDb::new();
+        // A download document stored as a record names no service.
+        let download = sample_sub("bare").download_document();
+        db.subscriptions.add_record(&compress(download.as_bytes(), Algorithm::Auto)).unwrap();
+        db.put_subscription(&sample_sub("ebank")).unwrap();
+        db.put_subscription(&sample_sub("food & <drink>")).unwrap();
+        for service in ["ebank", "food & <drink>", "bare", "food", "", "missing"] {
+            assert_eq!(
+                db.has_subscription(service),
+                db.subscription(service).is_some(),
+                "{service:?}"
+            );
+        }
+        assert!(db.has_subscription("ebank") && !db.has_subscription("bare"));
+        assert!(db.remove_subscription("ebank"));
+        assert!(!db.has_subscription("ebank"));
+    }
+
     #[test]
     fn subscription_record_roundtrip() {
         let sub = sample_sub("ebank");
@@ -194,6 +262,7 @@ mod tests {
         let download = sub.download_document();
         let rec = compress(download.as_bytes(), Algorithm::Auto);
         assert!(Subscription::from_record(&rec).is_err());
+        assert!(!Subscription::record_is_for(&rec, "ebank"));
         // The same document is a valid download.
         assert_eq!(Subscription::from_download("ebank", &rec).unwrap(), sub);
     }
@@ -231,8 +300,8 @@ mod tests {
     #[test]
     fn results_store_and_query() {
         let mut db = DeviceDb::new();
-        db.put_result(&sample_result("ag-1")).unwrap();
-        db.put_result(&sample_result("ag-2")).unwrap();
+        db.put_result(&collected(&sample_result("ag-1"))).unwrap();
+        db.put_result(&collected(&sample_result("ag-2"))).unwrap();
         assert_eq!(db.result("ag-1").unwrap().agent_id, "ag-1");
         assert!(db.result("ag-9").is_none());
         assert_eq!(db.results().len(), 2);
@@ -242,7 +311,7 @@ mod tests {
     fn db_snapshot_roundtrip() {
         let mut db = DeviceDb::new();
         db.put_subscription(&sample_sub("ebank")).unwrap();
-        db.put_result(&sample_result("ag-1")).unwrap();
+        db.put_result(&collected(&sample_result("ag-1"))).unwrap();
         let restored = DeviceDb::from_bytes(&db.to_bytes()).unwrap();
         assert_eq!(restored, db);
     }
@@ -278,7 +347,7 @@ mod tests {
         db.put_subscription(&sample_sub("ebank")).unwrap();
         let after_sub = db.footprint_bytes();
         assert!(after_sub > 0);
-        db.put_result(&sample_result("ag-1")).unwrap();
+        db.put_result(&collected(&sample_result("ag-1"))).unwrap();
         assert!(db.footprint_bytes() > after_sub);
     }
 }

@@ -610,7 +610,7 @@ impl DeviceNode {
     // --- deployment: offline entry → probe → upload -------------------------
 
     fn start_entry(&mut self, ctx: &mut Ctx<'_>, deploy: DeployRequest) {
-        if self.db.subscription(&deploy.service).is_none() {
+        if !self.db.has_subscription(&deploy.service) {
             self.fail(ctx, None, "deploy", format!("not subscribed to {:?}", deploy.service));
             return;
         }
@@ -870,7 +870,7 @@ impl DeviceNode {
                 });
                 match parsed {
                     Ok(result) => {
-                        if let Err(e) = self.db.put_result(&result) {
+                        if let Err(e) = self.db.put_result(body) {
                             self.error("collect", e.to_string());
                         }
                         ctx.metrics().bump("device.results_collected", 1.0);

@@ -132,6 +132,7 @@ mod tests {
     use super::*;
     use crate::db::Subscription;
     use crate::platform::{DeviceConfig, DeviceNode};
+    use pdagent_codec::compress::{compress, Algorithm};
     use pdagent_crypto::rsa::PublicKey;
     use pdagent_mas::ResultEntry;
     use pdagent_vm::{assemble, Value};
@@ -191,7 +192,8 @@ mod tests {
         let screen = agent_management_screen(&device);
         assert!(screen.contains("ag-1@gw-1"));
         assert!(screen.contains("[out]"));
-        device.db.put_result(&sample_result()).unwrap();
+        let record = compress(sample_result().to_document_string().as_bytes(), Algorithm::Auto);
+        device.db.put_result(&record).unwrap();
         let screen = agent_management_screen(&device);
         assert!(screen.contains("[done]"));
     }

@@ -27,6 +27,22 @@ const K: [u32; 64] = [
     0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 ];
 
+/// Message word read by each step (RFC 1321 §3.4).
+const G: [usize; 64] = {
+    let mut g = [0; 64];
+    let mut i = 0;
+    while i < 64 {
+        g[i] = match i / 16 {
+            0 => i,
+            1 => (5 * i + 1) % 16,
+            2 => (3 * i + 5) % 16,
+            _ => (7 * i) % 16,
+        };
+        i += 1;
+    }
+    g
+};
+
 /// Incremental MD5 state.
 #[derive(Debug, Clone)]
 pub struct Md5 {
@@ -102,34 +118,60 @@ impl Md5 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes(chunk.try_into().unwrap());
-        }
+        let m: [u32; 16] = std::array::from_fn(|i| {
+            u32::from_le_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"))
+        });
         let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
+        // Step `i` of round function `f`; each step names the state words
+        // one place further round than the last, so four steps come back.
+        macro_rules! step {
+            ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $i:expr) => {
+                $a = $b.wrapping_add(
+                    $a.wrapping_add($f($b, $c, $d))
+                        .wrapping_add(K[$i])
+                        .wrapping_add(m[G[$i]])
+                        .rotate_left(S[$i]),
+                );
             };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
         }
+        macro_rules! round {
+            ($f:ident, $($i:literal),+) => {$(
+                step!($f, a, b, c, d, $i);
+                step!($f, d, a, b, c, $i + 1);
+                step!($f, c, d, a, b, $i + 2);
+                step!($f, b, c, d, a, $i + 3);
+            )+};
+        }
+        round!(f, 0, 4, 8, 12);
+        round!(g, 16, 20, 24, 28);
+        round!(h, 32, 36, 40, 44);
+        round!(i, 48, 52, 56, 60);
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
         self.state[2] = self.state[2].wrapping_add(c);
         self.state[3] = self.state[3].wrapping_add(d);
     }
+}
+
+/// The round functions (RFC 1321 §3.4).
+#[inline(always)]
+fn f(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (!b & d)
+}
+
+#[inline(always)]
+fn g(b: u32, c: u32, d: u32) -> u32 {
+    (d & b) | (!d & c)
+}
+
+#[inline(always)]
+fn h(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn i(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (b | !d)
 }
 
 /// One-shot digest.
@@ -204,6 +246,55 @@ mod tests {
             md5_hex(&[b'a'; 64]),
             "014842d480b571495a4a0363793f7367"
         );
+    }
+
+    /// The digest through the step loop `Md5::compress` unrolled: the round
+    /// function and message word picked per step by `i / 16`.
+    fn md5_by_loop(data: &[u8]) -> [u8; 16] {
+        let mut state: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_le_bytes());
+        for block in padded.chunks_exact(64) {
+            let m: Vec<u32> =
+                block.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
+            let [mut a, mut b, mut c, mut d] = state;
+            for i in 0..64 {
+                let (f, g) = match i / 16 {
+                    0 => ((b & c) | (!b & d), i),
+                    1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                    2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                    _ => (c ^ (b | !d), (7 * i) % 16),
+                };
+                let tmp = d;
+                d = c;
+                c = b;
+                b = b.wrapping_add(
+                    a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[g]).rotate_left(S[i]),
+                );
+                a = tmp;
+            }
+            for (word, add) in state.iter_mut().zip([a, b, c, d]) {
+                *word = word.wrapping_add(add);
+            }
+        }
+        let mut out = [0u8; 16];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn unrolled_rounds_match_the_step_loop() {
+        let data: Vec<u8> =
+            (0..40 * 1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for len in (0..=300).chain([40 * 1024]) {
+            assert_eq!(md5(&data[..len]), md5_by_loop(&data[..len]), "len {len}");
+        }
     }
 
     #[test]

@@ -83,9 +83,21 @@ impl KeyStream {
         b
     }
 
-    /// XOR `data` in place with the keystream (encrypt == decrypt).
+    /// XOR `data` in place with the keystream (encrypt == decrypt): the
+    /// bytes left of the buffered word first, then whole words, then the
+    /// tail byte by byte. A word's bytes are its little-endian bytes, as
+    /// [`KeyStream::next_byte`] hands them out.
     pub fn apply(&mut self, data: &mut [u8]) {
-        for byte in data {
+        let (head, body) = data.split_at_mut((8 - self.used).min(data.len()));
+        for byte in head {
+            *byte ^= self.next_byte();
+        }
+        let mut words = body.chunks_exact_mut(8);
+        for word in &mut words {
+            let plain = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            word.copy_from_slice(&(plain ^ self.next_word()).to_le_bytes());
+        }
+        for byte in words.into_remainder() {
             *byte ^= self.next_byte();
         }
     }
@@ -152,6 +164,24 @@ mod tests {
         ks.apply(a);
         ks.apply(b);
         assert_eq!(buf, oneshot);
+    }
+
+    #[test]
+    fn apply_matches_the_byte_at_a_time_keystream() {
+        let key = SessionKey::derive(b"words");
+        for head in 0..=17 {
+            for len in 0..=41 {
+                let mut fast = KeyStream::new(&key, 9);
+                let mut slow = fast.clone();
+                let mut got: Vec<u8> = (0..head + len).map(|i| i as u8).collect();
+                let want: Vec<u8> = got.iter().map(|&b| b ^ slow.next_byte()).collect();
+                let (a, b) = got.split_at_mut(head);
+                fast.apply(a);
+                fast.apply(b);
+                assert_eq!(got, want, "head {head}, len {len}");
+                assert_eq!(fast.next_byte(), slow.next_byte(), "head {head}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -352,6 +352,16 @@ impl Subscription {
         Self::from_document(&xml, None)
     }
 
+    /// Whether the stored `record` is `service`'s subscription, read from
+    /// its root tag's `service` attribute alone: the program is not decoded.
+    pub fn record_is_for(record: &[u8], service: &str) -> bool {
+        let Ok(xml) = decompress(record) else { return false };
+        let Ok(doc) = std::str::from_utf8(&xml) else { return false };
+        DocReader::read_root(doc).is_ok_and(|root| {
+            root.name == "subscription" && root.attr("service").as_deref() == Some(service)
+        })
+    }
+
     /// Decode a subscription document. A download names its service out of
     /// band (`service`); a record carries it in its `service` attribute.
     fn from_document(xml: &[u8], service: Option<&str>) -> Result<Subscription, String> {

@@ -96,6 +96,13 @@ impl<'a> DocReader<'a> {
         Ok(value)
     }
 
+    /// The root element's start tag of `doc`, read without the rest of the
+    /// document: what a caller learns from its name and attributes alone,
+    /// not whether the document is well-formed past them.
+    pub fn read_root(doc: &'a str) -> XmlResult<Tag<'a>> {
+        DocReader { parser: PullParser::new(doc) }.root()
+    }
+
     /// The next event, with the nesting cap applied to start tags.
     fn next(&mut self) -> XmlResult<XmlEvent<'a>> {
         let event = self.parser.next_event()?;

@@ -13,7 +13,10 @@
 use pdagent_apps::ebank::{ebank_program, itinerary_for, transactions_param};
 use pdagent_apps::Transaction;
 use pdagent_codec::compress::{compress, decompress, Algorithm};
-use pdagent_gateway::pi::PackedInformation;
+use pdagent_core::Subscription;
+use pdagent_crypto::rsa::PublicKey;
+use pdagent_gateway::pi::{PackedInformation, ResultDoc, ResultStatus};
+use pdagent_mas::ResultEntry;
 use pdagent_vm::Value;
 
 /// Every algorithm, in the column order of the golden rows.
@@ -29,9 +32,12 @@ const ALGORITHMS: [Algorithm; 6] = [
 /// Digests recorded with the bit-at-a-time codec, before the word-level bit
 /// I/O and table-driven Huffman decoder replaced it. `pi_8k_base64_pad`, the
 /// lossy workload's PI shape, was recorded later, before the LZSS dead-end
-/// filter and the three-codes-per-load Huffman decoder. One row per corpus
-/// entry, one column per entry of [`ALGORITHMS`].
-const GOLDEN: [(&str, [u64; 6]); 6] = [
+/// filter and the three-codes-per-load Huffman decoder. The handheld's
+/// documents (`subscription_download`, `subscription_record_doc`,
+/// `result_roaming_40`) were recorded before `Auto` began ranking its
+/// candidates by entropy bounds. One row per corpus entry, one column per
+/// entry of [`ALGORITHMS`].
+const GOLDEN: [(&str, [u64; 6]); 9] = [
     (
         "pi_48k_base64_pad",
         [
@@ -72,6 +78,27 @@ const GOLDEN: [(&str, [u64; 6]); 6] = [
         [
             0x5692_43f0_d7ae_e780, 0xcb5f_c216_2fe9_dbca, 0xcb5f_c216_2fe9_dbca,
             0xc20c_5b94_563a_9753, 0xcb5f_c216_2fe9_dbca, 0x5692_43f0_d7ae_e780,
+        ],
+    ),
+    (
+        "subscription_download",
+        [
+            0x39a0_c8d5_8ea3_4e42, 0x9df2_bd6a_d585_da23, 0x9df2_bd6a_d585_da23,
+            0x39a0_c8d5_8ea3_4e42, 0x731e_2ea0_7333_9fac, 0x69d8_9aca_02fc_0717,
+        ],
+    ),
+    (
+        "subscription_record_doc",
+        [
+            0x2d2b_addb_f4d3_9bc8, 0x22f6_5eec_b047_bd62, 0x22f6_5eec_b047_bd62,
+            0x2d2b_addb_f4d3_9bc8, 0xc765_2102_7750_fe82, 0x5e2a_2cbd_ab70_4f5b,
+        ],
+    ),
+    (
+        "result_roaming_40",
+        [
+            0x9ad0_e874_4789_4a2e, 0xb3e2_9eaf_3c3d_f4e9, 0xb3e2_9eaf_3c3d_f4e9,
+            0x9ad0_e874_4789_4a2e, 0x2028_158f_5a5a_0af0, 0x407f_fae7_1055_c6f0,
         ],
     ),
 ];
@@ -123,6 +150,38 @@ fn pi_document(transactions: usize, banks: usize, pad: usize, seed: u64) -> Vec<
     pi.to_document_string().into_bytes()
 }
 
+fn subscription() -> Subscription {
+    Subscription {
+        service: "ebank".into(),
+        code_id: "ebank@dev3#12".into(),
+        secret: "5f2b&<secret>".into(),
+        gateway: "gw-0".into(),
+        public_key: PublicKey { n: 0xdead_beef_cafe_f00d, e: 65537 },
+        program: ebank_program(),
+    }
+}
+
+/// What a 32-transaction roaming agent brings home: a receipt per
+/// transaction and a settlement list per bank.
+fn roaming_result() -> ResultDoc {
+    let receipts = (0..32).map(|i| ResultEntry {
+        site: format!("bank-{}", i % 8),
+        key: "receipt".into(),
+        value: Value::Str(format!("rcpt-bank-{}-{i}: alice->payee-{i} {}", i % 8, 100 + i)),
+    });
+    let settled = (0..8).map(|b| ResultEntry {
+        site: format!("bank-{b}"),
+        key: "settled".into(),
+        value: Value::List(vec![Value::Str(format!("bank-{b}")), Value::Int(400 + b)]),
+    });
+    ResultDoc {
+        agent_id: "ag-17@gw-0".into(),
+        status: ResultStatus::Completed,
+        entries: receipts.chain(settled).collect(),
+        instructions: 25_660,
+    }
+}
+
 fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("pi_48k_base64_pad", pi_document(1, 2, 48 * 1024, 42)),
@@ -131,6 +190,9 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
         ("zeros_4k", vec![0u8; 4096]),
         ("pi_8k_base64_pad", pi_document(1, 2, 8 * 1024, 310)),
         ("byte_cycle", (0..=255u8).cycle().take(4096).collect()),
+        ("subscription_download", subscription().download_document().into_bytes()),
+        ("subscription_record_doc", decompress(&subscription().to_record()).unwrap()),
+        ("result_roaming_40", roaming_result().to_document_string().into_bytes()),
     ]
 }
 
