@@ -168,7 +168,7 @@ impl Node for AgentServerNode {
             _ => {
                 if let Some(req) = HttpRequest::from_message(&msg) {
                     if let Some((status, body)) = self.replay.get(&(from, req.req_id)) {
-                        reply(ctx, from, &req, *status, body.clone());
+                        reply(ctx, from, &req, *status, body);
                         return;
                     }
                     match req.path.as_str() {
@@ -416,18 +416,14 @@ mod tests {
 
     #[test]
     fn launch_decoder_survives_every_cut_and_substitution() {
-        // Each input decodes or is an error; none may panic.
+        // Each input decodes to a launch that round-trips or is an error;
+        // none may panic.
         let doc = launch_document("tour", &sample_params()).into_bytes();
-        for cut in 0..=doc.len() {
-            let _ = decode_launch(&doc[..cut]);
-        }
-        for at in 0..doc.len() {
-            for sub in [0x00, 0x7f, 0x80, 0xff, doc[at] ^ 1] {
-                let mut bytes = doc.clone();
-                bytes[at] = sub;
-                let _ = decode_launch(&bytes);
-            }
-        }
+        crate::hostile::drive(
+            crate::hostile::inputs(&doc, &[]),
+            |b| decode_launch(b).ok(),
+            |(app, params)| launch_document(app, params).into_bytes(),
+        );
     }
 
     /// Posts one raw launch body and keeps the response status.

@@ -26,6 +26,10 @@ pub mod client_agent;
 pub mod client_server;
 pub mod web;
 
+#[cfg(test)]
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;
+
 pub use bank::BankServer;
 pub use client_agent::{AgentServerNode, ClientAgentDevice};
 pub use client_server::{ClientServerConfig, ClientServerDevice};

@@ -138,7 +138,7 @@ impl Node for SynthCell {
                 }
                 self.check_time += started.elapsed();
             }
-            http::reply(ctx, from, &req, HttpStatus::Ok, self.body.clone().into_bytes());
+            http::reply(ctx, from, &req, HttpStatus::Ok, self.body.as_bytes());
         } else {
             http::reply(ctx, from, &req, HttpStatus::NotFound, Vec::new());
         }

@@ -5,7 +5,7 @@
 use pdagent_codec::compress::decompress;
 use pdagent_gateway::pi::ResultDoc;
 
-use crate::rms::{RecordStore, RmsError};
+use crate::rms::{RecordId, RecordStore, RmsError};
 
 /// A stored subscription. Its documents are a gateway wire format, so the
 /// type lives with the others in [`pdagent_gateway::pi`].
@@ -38,16 +38,7 @@ impl DeviceDb {
     pub fn put_subscription(&mut self, sub: &Subscription) -> Result<(), RmsError> {
         let record = sub.to_record();
         // Replace an existing subscription for the same service.
-        let existing = self
-            .subscriptions
-            .enumerate()
-            .find(|(_, bytes)| {
-                Subscription::from_record(bytes)
-                    .map(|s| s.service == sub.service)
-                    .unwrap_or(false)
-            })
-            .map(|(id, _)| id);
-        match existing {
+        match self.subscription_record(&sub.service) {
             Some(id) => self.subscriptions.set_record(id, &record),
             None => self.subscriptions.add_record(&record).map(|_| ()),
         }
@@ -64,7 +55,15 @@ impl DeviceDb {
     /// Whether a subscription for `service` is stored, read from each
     /// record's root tag without decoding its program.
     pub fn has_subscription(&self, service: &str) -> bool {
-        self.subscriptions.enumerate().any(|(_, bytes)| Subscription::record_is_for(bytes, service))
+        self.subscription_record(service).is_some()
+    }
+
+    /// The id of the record whose root tag names `service`.
+    fn subscription_record(&self, service: &str) -> Option<RecordId> {
+        self.subscriptions
+            .enumerate()
+            .find(|(_, bytes)| Subscription::record_is_for(bytes, service))
+            .map(|(id, _)| id)
     }
 
     /// All subscribed service names (sorted).
@@ -81,13 +80,7 @@ impl DeviceDb {
 
     /// Remove a subscription.
     pub fn remove_subscription(&mut self, service: &str) -> bool {
-        let id = self.subscriptions.enumerate().find_map(|(id, bytes)| {
-            Subscription::from_record(bytes)
-                .ok()
-                .filter(|s| s.service == service)
-                .map(|_| id)
-        });
-        match id {
+        match self.subscription_record(service) {
             Some(id) => self.subscriptions.delete_record(id).is_ok(),
             None => false,
         }
@@ -225,6 +218,23 @@ mod tests {
             assert_eq!(db.results.enumerate().next().unwrap().1, &body[..]);
             assert_eq!(db.result(&doc.agent_id).unwrap(), doc);
         }
+    }
+
+    #[test]
+    fn a_record_naming_the_service_is_replaced_and_removed_even_if_its_body_is_corrupt() {
+        // The root tag names `ebank`; the rest no longer decodes.
+        let corrupt = r#"<subscription service="ebank" id="x"><ma-code format="pdax-1">"#;
+        let record = compress(corrupt.as_bytes(), Algorithm::Auto);
+        assert!(Subscription::from_record(&record).is_err());
+        let mut db = DeviceDb::new();
+        db.subscriptions.add_record(&record).unwrap();
+        db.put_subscription(&sample_sub("ebank")).unwrap();
+        assert_eq!(db.subscriptions.num_records(), 1);
+        assert_eq!(db.subscription("ebank"), Some(sample_sub("ebank")));
+        let mut db = DeviceDb::new();
+        db.subscriptions.add_record(&record).unwrap();
+        assert!(db.remove_subscription("ebank"));
+        assert_eq!(db.subscriptions.num_records(), 0);
     }
 
     #[test]

@@ -14,11 +14,14 @@ use pdagent_mas::server::{
     decode_control, decode_control_resp, encode_control, ControlOp, SiteDirectory,
 };
 use pdagent_mas::transfer::TransferSender;
-use pdagent_mas::{AgentId, Itinerary, MobileAgent, KIND_ACK, KIND_COMPLETE, KIND_CONTROL, KIND_CONTROL_RESP};
+use pdagent_mas::{
+    AgentId, AgentRecord, Itinerary, MobileAgent, KIND_ACK, KIND_COMPLETE, KIND_CONTROL,
+    KIND_CONTROL_RESP,
+};
 use pdagent_net::http::{reply, HttpRequest, HttpStatus};
 use pdagent_net::prelude::*;
 use pdagent_net::telemetry::TelemetryServer;
-use pdagent_vm::Program;
+use pdagent_vm::{Program, Value};
 
 use crate::filedir::{FileDirectory, FileKind};
 use crate::pi::{PackedInformation, ResultDoc, Subscription};
@@ -434,6 +437,34 @@ impl GatewayNode {
             self.respond(ctx, from, req, HttpStatus::Ok, body);
             return;
         }
+        // Still in the processing delay: no site has the agent, so this
+        // gateway's copy is the one to act on. A clone still fans out.
+        if let Some(agent) = self.transfers.departing(&id).filter(|_| op != ControlOp::Clone) {
+            let body = match op {
+                ControlOp::Status => AgentRecord {
+                    id: id.clone(),
+                    site: self.config.name.clone(),
+                    hops_done: agent.next_hop,
+                    hops_total: agent.itinerary.len(),
+                    instructions: agent.state.instructions,
+                }
+                .to_bytes(),
+                _ => {
+                    let (mut agent, ..) = self.transfers.cancel(ctx, &id).expect("departing");
+                    if op == ControlOp::Retract {
+                        agent.push_result(&self.config.name, "retracted", Value::Bool(true));
+                        agent.next_hop = agent.itinerary.len();
+                        self.store_result(ctx, agent);
+                    } else {
+                        self.dispose(ctx, &id.0);
+                        self.files.release_staging(&id.0);
+                    }
+                    Vec::new()
+                }
+            };
+            self.respond(ctx, from, req, HttpStatus::Ok, body);
+            return;
+        }
         // Fan the control request out to every MAS site.
         let directory = self.transfers.directory();
         let mut outstanding = 0;
@@ -553,7 +584,7 @@ impl Node for GatewayNode {
                     // Retransmission of the request we last answered: replay.
                     Some((id, status, body)) if *id == req.req_id => {
                         ctx.metrics().bump("gateway.replays", 1.0);
-                        reply(ctx, from, &req, *status, body.clone());
+                        reply(ctx, from, &req, *status, body);
                         return;
                     }
                     // A late copy of an older request: its sender has moved on.
@@ -1064,7 +1095,20 @@ mod tests {
 
     #[test]
     fn disposing_an_agent_in_flight_leaves_no_agent_state() {
-        // One site, `bank-a`, whose CPU holds each agent for a minute.
+        // Ten seconds in, the agent is executing at bank-a.
+        let (sim, gateway, client, _) = manage_at(ControlOp::Dispose, SimDuration::from_secs(10));
+        assert_eq!(statuses(&sim, client), vec![HttpStatus::Accepted, HttpStatus::Ok]);
+        let m = sim.metrics(gateway);
+        assert_eq!(m.counter("gateway.manage_relayed"), 1.0);
+        assert_eq!(m.counter("gateway.results_stored"), 0.0);
+        assert_no_agent_state(sim.node_ref::<GatewayNode>(gateway).unwrap());
+    }
+
+    /// A dispatch at 0 to a gateway whose one site, `bank-a`, holds each
+    /// agent on its CPU for a minute, then `op` for the agent at `at`.
+    /// Returns the simulator run until idle, the gateway, the client and
+    /// the site.
+    fn manage_at(op: ControlOp, at: SimDuration) -> (Simulator, NodeId, NodeId, NodeId) {
         let mut sim = Simulator::new(34);
         let mut directory = SiteDirectory::new();
         directory.insert("bank-a", 2);
@@ -1079,15 +1123,46 @@ mod tests {
         sim.connect(client, gateway, LinkSpec::lan());
         sim.connect(gateway, site, LinkSpec::wired_internet());
         sim.inject_at(gateway, client, dispatch_request(&key, 1, 0), SimTime::ZERO);
-        // Ten seconds in, the agent is executing at bank-a.
-        let t = SimTime::ZERO + SimDuration::from_secs(10);
-        sim.inject_at(gateway, client, manage_request(ControlOp::Dispose, "ag-1@gw-1", 2), t);
+        sim.inject_at(gateway, client, manage_request(op, "ag-1@gw-1", 2), SimTime::ZERO + at);
         sim.run_until_idle();
+        (sim, gateway, client, site)
+    }
+
+    /// A manage request 5 ms after the dispatch, while the gateway still
+    /// holds the agent through its processing delay.
+    fn manage_before_launch(op: ControlOp) -> (Simulator, NodeId, NodeId, NodeId) {
+        manage_at(op, SimDuration::from_millis(5))
+    }
+
+    #[test]
+    fn disposing_an_agent_the_gateway_still_holds_answers_at_the_gateway() {
+        let (sim, gateway, client, site) = manage_before_launch(ControlOp::Dispose);
         assert_eq!(statuses(&sim, client), vec![HttpStatus::Accepted, HttpStatus::Ok]);
         let m = sim.metrics(gateway);
-        assert_eq!(m.counter("gateway.manage_relayed"), 1.0);
+        assert_eq!(m.counter("gateway.manage_relayed"), 0.0);
         assert_eq!(m.counter("gateway.results_stored"), 0.0);
+        assert_eq!(sim.metrics(site).counter("mas.agents_executed"), 0.0);
         assert_no_agent_state(sim.node_ref::<GatewayNode>(gateway).unwrap());
+    }
+
+    #[test]
+    fn status_and_retract_of_an_agent_the_gateway_still_holds_answer_at_the_gateway() {
+        let (sim, gateway, client, site) = manage_before_launch(ControlOp::Status);
+        let answer = &sim.node_ref::<Sink>(client).unwrap().received[1];
+        assert_eq!(answer.status, HttpStatus::Ok);
+        let record = AgentRecord::from_bytes(&answer.body).unwrap();
+        assert_eq!((record.site.as_str(), record.hops_done, record.hops_total), ("gw-1", 0, 1));
+        // The agent launches as if nothing was asked.
+        assert_eq!(sim.metrics(site).counter("mas.agents_executed"), 1.0);
+        assert_eq!(sim.metrics(gateway).counter("gateway.results_stored"), 1.0);
+
+        let (sim, gateway, client, site) = manage_before_launch(ControlOp::Retract);
+        assert_eq!(statuses(&sim, client), vec![HttpStatus::Accepted, HttpStatus::Ok]);
+        assert_eq!(sim.metrics(gateway).counter("gateway.results_stored"), 1.0);
+        assert_eq!(sim.metrics(site).counter("mas.agents_executed"), 0.0);
+        let result = sim.node_ref::<GatewayNode>(gateway).unwrap().result_for("ag-1@gw-1");
+        let entries = result.unwrap().entries;
+        assert!(entries.iter().any(|e| e.site == "gw-1" && e.key == "retracted"), "{entries:?}");
     }
 
     /// A MAS site that acks every transfer and keeps the agent, and answers

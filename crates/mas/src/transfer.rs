@@ -77,6 +77,13 @@ impl TransferSender {
         self.held.get(id).map(|h| (&h.agent, h.obs))
     }
 
+    /// The agent held under `id` if it has not been transmitted yet: its
+    /// host has scheduled its departure, and no site has a copy.
+    pub fn departing(&self, id: &AgentId) -> Option<&MobileAgent> {
+        let held = self.held.get(id)?;
+        self.held.sent_to(id).is_none().then_some(&held.agent)
+    }
+
     /// Give up `id`'s departure or ack and hand the agent back, ending its
     /// `exec` span if it had not left yet.
     pub fn cancel(&mut self, ctx: &mut Ctx<'_>, id: &AgentId) -> Option<Carried> {

@@ -126,29 +126,5 @@ pub mod prelude {
 pub use prelude::*;
 
 #[cfg(test)]
-mod tests {
-    /// Hostile variants of a well-formed wire body: every cut, five
-    /// substitutions (`0x00`, `0x7f`, `0x80`, `0xff`, the byte with its low
-    /// bit flipped) of every byte, and an inflated varint (a count or length
-    /// far past the end, one that overflows, one too long) in place of every
-    /// byte.
-    pub(crate) fn hostile_bodies(body: &[u8]) -> Vec<Vec<u8>> {
-        let inflated: [&[u8]; 3] = [
-            &[0xff, 0xff, 0xff, 0xff, 0x0f],
-            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
-            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
-        ];
-        let mut out: Vec<Vec<u8>> = (0..=body.len()).map(|cut| body[..cut].to_vec()).collect();
-        for at in 0..body.len() {
-            for sub in [0x00, 0x7f, 0x80, 0xff, body[at] ^ 1] {
-                let mut bytes = body.to_vec();
-                bytes[at] = sub;
-                out.push(bytes);
-            }
-            for varint in inflated {
-                out.push([&body[..at], varint, &body[at + 1..]].concat());
-            }
-        }
-        out
-    }
-}
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;

@@ -540,6 +540,7 @@ impl Node for PageReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hostile;
     use crate::link::LinkSpec;
     use crate::sim::Simulator;
 
@@ -573,25 +574,25 @@ mod tests {
             page_delivery(300, true, "drop-burn-rate", "gw-0", 17),
             page_ack(300),
         ];
+        let kinded = |kind: &'static str| move |body: &[u8]| Message::new(kind, body.to_vec());
+        let (fire_msg, resolve_msg) = (kinded(KIND_PAGE_FIRE), kinded(KIND_PAGE_RESOLVE));
+        let (delivery_msg, ack_msg) = (kinded(KIND_PAGE_DELIVER), kinded(KIND_PAGE_ACK));
         for wire in wires {
-            for body in crate::tests::hostile_bodies(&wire.body) {
-                let msg = |kind: &str| Message::new(kind, body.clone());
-                if let Some((r, i, v, l, t, e)) = fire(&msg(KIND_PAGE_FIRE)) {
-                    let again = page_fire(&r, &i, f64::from_bits(v), f64::from_bits(l), t, e);
-                    assert_eq!(fire(&again), Some((r, i, v, l, t, e)));
-                }
-                if let Some((rule, instance)) = parse_resolve(&msg(KIND_PAGE_RESOLVE)) {
-                    let again = parse_resolve(&page_resolve(&rule, &instance));
-                    assert_eq!(again, Some((rule, instance)));
-                }
-                if let Some(d) = parse_delivery(&msg(KIND_PAGE_DELIVER)) {
-                    let again = page_delivery(d.id, d.escalated, &d.rule, &d.instance, d.exemplar);
-                    assert_eq!(parse_delivery(&again), Some(d));
-                }
-                if let Some(id) = parse_ack(&msg(KIND_PAGE_ACK)) {
-                    assert_eq!(parse_ack(&page_ack(id)), Some(id));
-                }
-            }
+            let inputs = || hostile::inputs(&wire.body, &[]);
+            hostile::drive(inputs(), |b| fire(&fire_msg(b)), |&(ref r, ref i, v, l, t, e)| {
+                page_fire(r, i, f64::from_bits(v), f64::from_bits(l), t, e).body.to_vec()
+            });
+            hostile::drive(
+                inputs(),
+                |b| parse_resolve(&resolve_msg(b)),
+                |(rule, instance)| page_resolve(rule, instance).body.to_vec(),
+            );
+            hostile::drive(
+                inputs(),
+                |b| parse_delivery(&delivery_msg(b)),
+                |d| page_delivery(d.id, d.escalated, &d.rule, &d.instance, d.exemplar).body.to_vec(),
+            );
+            hostile::drive(inputs(), |b| parse_ack(&ack_msg(b)), |&id| page_ack(id).body.to_vec());
         }
     }
 

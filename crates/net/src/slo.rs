@@ -24,7 +24,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use bytes::Bytes;
 
 use crate::federation::{add_scalar, merge_snapshot, merge_stage};
 use crate::http::{self, HttpClient, HttpRequest, HttpStatus};
@@ -662,16 +661,10 @@ impl Node for SloMonitor {
                 write_value(&mut self.body, max_staleness);
                 self.body.push('\n');
                 ctx.metrics().bump("telemetry.scrapes", 1.0);
-                http::reply(
-                    ctx,
-                    from,
-                    &req,
-                    HttpStatus::Ok,
-                    Bytes::copy_from_slice(self.body.as_bytes()),
-                );
+                http::reply(ctx, from, &req, HttpStatus::Ok, self.body.as_bytes());
             } else if req.method == "GET" && path == PATH_HEALTHZ {
                 ctx.metrics().bump("telemetry.probes", 1.0);
-                http::reply(ctx, from, &req, HttpStatus::Ok, b"ok".to_vec());
+                http::reply(ctx, from, &req, HttpStatus::Ok, b"ok");
             } else {
                 http::reply(ctx, from, &req, HttpStatus::NotFound, Vec::new());
             }

@@ -35,7 +35,6 @@ use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
-use bytes::Bytes;
 
 use crate::http::{reply, HttpRequest, HttpStatus};
 use crate::metrics::{Metrics, KEY_QUEUE_DEPTH};
@@ -992,7 +991,7 @@ impl TelemetryServer {
                 write_u64(&mut self.body, queue_depth as u64, 12);
                 self.body.push('\n');
                 ctx.metrics().bump("telemetry.scrapes", 1.0);
-                reply(ctx, from, req, HttpStatus::Ok, Bytes::copy_from_slice(self.body.as_bytes()));
+                reply(ctx, from, req, HttpStatus::Ok, self.body.as_bytes());
                 true
             }
             PATH_HEALTHZ => {

@@ -209,6 +209,14 @@ impl From<XmlError> for ProgramError {
     }
 }
 
+/// A vector for `n` elements decoded from the `left` input bytes that
+/// follow their count. It reserves no more bytes than are left: a count
+/// may be as large as the input, and reserving that many elements would
+/// hold `size_of::<T>()` bytes per input byte before the first one decodes.
+fn reserve<T>(n: usize, left: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(left / std::mem::size_of::<T>()))
+}
+
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -277,7 +285,7 @@ impl Program {
         if n_consts > input.len() {
             return Err(ProgramError::Malformed { what: "const count" });
         }
-        let mut consts = Vec::with_capacity(n_consts);
+        let mut consts = reserve(n_consts, input.len() - pos);
         for _ in 0..n_consts {
             consts.push(
                 Value::decode(input, &mut pos)
@@ -290,7 +298,7 @@ impl Program {
         if n_code > input.len() {
             return Err(ProgramError::Malformed { what: "code count" });
         }
-        let mut code = Vec::with_capacity(n_code);
+        let mut code = reserve(n_code, input.len() - pos);
         let read_u16 = |input: &[u8], pos: &mut usize| -> Result<u16, ProgramError> {
             let v = varint::read_u64(input, pos)
                 .map_err(|_| ProgramError::Malformed { what: "operand" })?;

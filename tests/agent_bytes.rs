@@ -3,15 +3,16 @@
 //! boundary.
 //!
 //! A roaming-sized agent (the ebank program, 32 transactions, a 1 KB pad
-//! and 16 results) is cut short at every byte, has every byte replaced by
-//! several values, and has an inflated varint (a count or length far past
-//! the end) put in place of every byte. For every input, `from_bytes`
-//! returns an agent or an error; an agent it accepts has its parameters and
-//! results listed, makes a visit through `run_visit` and is encoded again,
-//! none of which may panic; what decoding, listing and encoding have live
-//! at once stays within a small multiple of the input's length, and what
-//! the visit and the encoding after it have live stays within that plus a
-//! small multiple of the per-visit result budget.
+//! and 16 results) goes through the hostile-input driver: cut short at
+//! every byte, every byte substituted, and an inflated varint (a count or
+//! length far past the end) put in place of every byte, one family per
+//! test. For every input, `from_bytes` returns an error or an agent that
+//! round-trips; an agent it accepts has its parameters and results listed,
+//! makes a visit through `run_visit` and is encoded again, none of which
+//! may panic; what decoding, listing and encoding have live at once stays
+//! within a small multiple of the input's length, and what the visit and
+//! the encoding after it have live stays within that plus a small multiple
+//! of the per-visit result budget.
 
 use std::collections::HashMap;
 
@@ -21,7 +22,7 @@ use pdagent_mas::{run_visit, AgentId, Itinerary, MobileAgent, Service, VISIT_RES
 use pdagent_vm::Value;
 
 mod support;
-use support::peak_allocation;
+use support::{bounded, hostile, peak_allocation};
 
 /// The agent as it leaves its fifth bank on a `roaming` deploy.
 fn roaming_agent() -> MobileAgent {
@@ -53,31 +54,35 @@ fn banks() -> HashMap<String, Box<dyn Service>> {
     services
 }
 
-/// Decode `bytes` and, if that gives an agent, list its sections and encode
-/// it, checking what that has live at once against the input's length; then
-/// make its visit and encode it again, checking that against the result
-/// budget too. Returns whether the bytes were accepted.
-fn handle(bytes: &[u8]) -> bool {
-    let bound = 16 * bytes.len() + 16 * 1024;
-    let mut decoded = None;
-    let peak = peak_allocation(|| {
-        decoded = MobileAgent::from_bytes(bytes).ok();
-        let agent = decoded.as_ref()?;
-        Some((agent.params.len(), agent.results.iter().count(), agent.to_bytes()))
+/// Run each input through the driver: decoding it and, if that gives an
+/// agent, listing its sections and encoding it has at most 16 bytes live
+/// per input byte plus 16 KiB at once. An agent it accepts then makes its
+/// visit and is encoded again, checked against the result budget too.
+/// Returns how many were accepted.
+fn handle(inputs: impl Iterator<Item = Vec<u8>>) -> usize {
+    let decode = bounded(16, 16 * 1024, |bytes| {
+        let agent = MobileAgent::from_bytes(bytes).ok()?;
+        let _ = (agent.params.len(), agent.results.iter().count(), agent.to_bytes());
+        Some(agent)
     });
-    assert!(peak <= bound, "{peak} bytes live decoding {} bytes", bytes.len());
-    let Some(mut agent) = decoded else { return false };
-    // A visit appends at most `VISIT_RESULT_BUDGET` bytes of results, which
-    // the results section and the encoded agent may each hold twice over.
-    let site = agent.next_site().unwrap_or("bank-4").to_owned();
-    let mut services = banks();
-    let peak = peak_allocation(|| {
-        run_visit(&site, &mut services, &mut agent);
-        agent.to_bytes()
+    let accepted = inputs.filter_map(|bytes| {
+        Some((hostile::check(&bytes, &decode, &MobileAgent::to_bytes)?, bytes.len()))
     });
-    let visit_bound = bound + 4 * VISIT_RESULT_BUDGET;
-    assert!(peak <= visit_bound, "{peak} bytes live visiting with {} bytes", bytes.len());
-    true
+    accepted
+        .map(|(mut agent, len)| {
+            // A visit appends at most `VISIT_RESULT_BUDGET` bytes of
+            // results, which the results section and the encoded agent may
+            // each hold twice over.
+            let site = agent.next_site().unwrap_or("bank-4").to_owned();
+            let mut services = banks();
+            let peak = peak_allocation(|| {
+                run_visit(&site, &mut services, &mut agent);
+                agent.to_bytes()
+            });
+            let bound = 16 * len + 16 * 1024 + 4 * VISIT_RESULT_BUDGET;
+            assert!(peak <= bound, "{peak} bytes live visiting with {len} bytes");
+        })
+        .count()
 }
 
 #[test]
@@ -89,28 +94,19 @@ fn the_roaming_agent_makes_its_hop() {
     assert_eq!(agent.next_hop, 5);
     let receipts = agent.results.iter().filter(|r| r.key == "receipt").count();
     assert_eq!(receipts, 16 + 4);
-    assert!(handle(&bytes));
+    assert_eq!(handle(std::iter::once(bytes)), 1);
 }
 
 #[test]
 fn every_truncation_is_rejected() {
     let bytes = roaming_agent().to_bytes();
-    for cut in 0..bytes.len() {
-        assert!(!handle(&bytes[..cut]), "accepted a cut at {cut}");
-    }
+    assert_eq!(handle(hostile::cuts(&bytes)), 0, "accepted a cut");
 }
 
 #[test]
 fn byte_substitutions_decode_or_fail_within_bounds() {
     let bytes = roaming_agent().to_bytes();
-    let mut accepted = 0;
-    for at in 0..bytes.len() {
-        for with in [0x00, 0x7f, 0x80, 0xff, bytes[at] ^ 1] {
-            let mut hostile = bytes.clone();
-            hostile[at] = with;
-            accepted += usize::from(handle(&hostile));
-        }
-    }
+    let accepted = handle(hostile::substitutions(&bytes, &[]));
     // Most replaced pad or string bytes still decode and run.
     assert!(accepted > bytes.len(), "only {accepted} accepted");
 }
@@ -118,15 +114,5 @@ fn byte_substitutions_decode_or_fail_within_bounds() {
 #[test]
 fn inflated_counts_and_lengths_are_rejected_within_bounds() {
     let bytes = roaming_agent().to_bytes();
-    let inflated: [&[u8]; 3] = [
-        &[0xff, 0xff, 0xff, 0xff, 0x0f],
-        &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
-        &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
-    ];
-    for at in 0..bytes.len() {
-        for varint in inflated {
-            let hostile = [&bytes[..at], varint, &bytes[at + 1..]].concat();
-            handle(&hostile);
-        }
-    }
+    handle(hostile::inflated(&bytes));
 }

@@ -13,25 +13,28 @@
 //! If a change is *meant* to alter a document, update the constants and say
 //! why in the commit message.
 //!
-//! The same documents, cut short at every byte and with every byte
-//! replaced, and nested 100,000 lists deep, also go through every streaming
-//! decoder: each must return a value or an error, never panic or overflow
+//! The same documents, through the hostile-input driver (every cut, byte
+//! substitution and inflated varint, plus XML's markup bytes), and nested
+//! 100,000 lists deep, also go through every streaming decoder: each must
+//! return an error or a value that round-trips, never panic or overflow
 //! the stack, and allocate in proportion to its input. (The gateway crate's
 //! oracle tests check that those values and errors are the DOM walkers'.)
 
+use std::fmt::Debug;
+
 use pdagent_apps::ebank::{ebank_program, itinerary_for, transactions_param};
 use pdagent_apps::Transaction;
-use pdagent_codec::compress::decompress;
+use pdagent_codec::compress::{compress, decompress, Algorithm};
 use pdagent_core::Subscription;
 use pdagent_crypto::rsa::PublicKey;
 use pdagent_gateway::central::{gateway_list_to_xml, parse_gateway_list, GatewayEntry};
 use pdagent_gateway::pi::{PackedInformation, ResultDoc, ResultStatus};
 use pdagent_mas::ResultEntry;
-use pdagent_vm::Value;
-use pdagent_xml::Element;
+use pdagent_vm::{Program, Value};
+use pdagent_xml::{DocReader, Element, XmlWriter};
 
 mod support;
-use support::peak_allocation;
+use support::hostile;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -242,61 +245,59 @@ fn documents_decode_to_what_was_written() {
     }
     let sub = subscription();
     assert_eq!(Subscription::from_record(&sub.to_record()).unwrap(), sub);
-    let download = pdagent_codec::compress::compress(
-        sub.download_document().as_bytes(),
-        pdagent_codec::compress::Algorithm::Auto,
-    );
+    let download = compress(sub.download_document().as_bytes(), Algorithm::Auto);
     assert_eq!(Subscription::from_download(&sub.service, &download).unwrap(), sub);
 }
 
-/// Run every streaming decoder on `doc` (as text, and as a stored
-/// subscription record) and check what each allocated against its length.
-fn decode_all(doc: &[u8]) {
-    let bound = 16 * doc.len() + 16 * 1024;
-    let record = pdagent_codec::compress::compress(doc, pdagent_codec::compress::Algorithm::Store);
-    let mut peaks = vec![
-        ("subscription record", peak_allocation(|| Subscription::from_record(&record))),
-        (
-            "subscription download",
-            peak_allocation(|| Subscription::from_download("ebank", &record)),
-        ),
-    ];
-    if let Ok(text) = std::str::from_utf8(doc) {
-        peaks.push(("pi", peak_allocation(|| PackedInformation::from_document_str(text))));
-        peaks.push(("result", peak_allocation(|| ResultDoc::from_document_str(text))));
-        peaks.push((
-            "value",
-            peak_allocation(|| pdagent_xml::DocReader::read_document(text, Value::read_xml)),
-        ));
-        peaks.push((
-            "program",
-            peak_allocation(|| {
-                pdagent_xml::DocReader::read_document(text, pdagent_vm::Program::read_xml)
-            }),
-        ));
-    }
-    for (decoder, peak) in peaks {
-        assert!(peak <= bound, "{decoder}: {peak} bytes live decoding {} bytes", doc.len());
-    }
+/// Drive `decode` over `inputs` under the bound of 16 bytes live per input
+/// byte plus 16 KiB.
+fn drive<T: PartialEq + Debug>(
+    inputs: impl Iterator<Item = Vec<u8>>,
+    decode: impl Fn(&[u8]) -> Option<T>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    hostile::drive(inputs, support::bounded(16, 16 * 1024, decode), encode);
+}
+
+/// A decoder of document text, for bytes that may not be UTF-8.
+fn text<T, E>(decode: impl Fn(&str) -> Result<T, E>) -> impl Fn(&[u8]) -> Option<T> {
+    move |doc| decode(std::str::from_utf8(doc).ok()?).ok()
+}
+
+/// Drive every streaming decoder over `inputs()`: as text, and as a stored
+/// subscription record.
+fn decode_all<I: Iterator<Item = Vec<u8>>>(inputs: impl Fn() -> I) {
+    let record = |doc: &[u8]| compress(doc, Algorithm::Store);
+    let (sub, download) = (Subscription::from_record, Subscription::from_download);
+    drive(inputs(), |d| sub(&record(d)).ok(), |s| decompress(&s.to_record()).unwrap());
+    drive(inputs(), |d| download("ebank", &record(d)).ok(), |s| s.download_document().into());
+    drive(inputs(), text(PackedInformation::from_document_str), |pi| {
+        pi.to_document_string().into()
+    });
+    drive(inputs(), text(ResultDoc::from_document_str), |r| r.to_document_string().into());
+    drive(inputs(), text(|d| DocReader::read_document(d, Value::read_xml)), |v| {
+        let mut w = XmlWriter::compact();
+        v.write_xml(&mut w);
+        w.finish().into()
+    });
+    let program = |d: &str| DocReader::read_document(d, Program::read_xml);
+    drive(inputs(), text(program), |p| p.to_document_string().into());
 }
 
 #[test]
 fn hostile_documents_decode_or_fail_within_bounds() {
     let record = subscription().to_record();
-    for doc in [
+    let docs = [
         ebank_pi(1, 2, 1024, 42).to_document_string().into_bytes(),
         roaming_result().to_document_string().into_bytes(),
         decompress(&record).unwrap(),
-    ] {
-        for cut in 0..=doc.len() {
-            decode_all(&doc[..cut]);
+    ];
+    // One thread per document: each is about 100,000 inputs.
+    std::thread::scope(|scope| {
+        for doc in &docs {
+            scope.spawn(|| decode_all(|| hostile::inputs(doc, b"<>/&\"=x\xff")));
         }
-        for at in 0..doc.len() {
-            let mut flipped = doc.clone();
-            flipped[at] = b"<>/&\"=x\xff"[at % 8];
-            decode_all(&flipped);
-        }
-    }
+    });
 }
 
 #[test]
@@ -310,8 +311,8 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
         .to_document_string()
         .replace("<entry ", &format!("<entry site=\"s\" key=\"deep\">{deep}</entry><entry "));
     assert!(ResultDoc::from_document_str(&result).is_err());
-    decode_all(pi.as_bytes());
-    decode_all(result.as_bytes());
+    decode_all(|| std::iter::once(pi.as_bytes().to_vec()));
+    decode_all(|| std::iter::once(result.as_bytes().to_vec()));
 }
 
 fn gateway_list(n: usize) -> Vec<GatewayEntry> {
@@ -337,22 +338,5 @@ fn gateway_list_matches_the_element_tree() {
 #[test]
 fn hostile_gateway_lists_decode_or_fail_within_bounds() {
     let doc = gateway_list_to_xml(&gateway_list(3)).into_bytes();
-    let check = |bytes: &[u8]| {
-        let bound = 16 * bytes.len() + 16 * 1024;
-        let peak = peak_allocation(|| {
-            let list = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
-            parse_gateway_list(list)
-        });
-        assert!(peak <= bound, "{peak} bytes live decoding {} bytes", bytes.len());
-    };
-    for cut in 0..=doc.len() {
-        check(&doc[..cut]);
-    }
-    for at in 0..doc.len() {
-        for sub in [0x00, 0x7f, 0x80, 0xff, doc[at] ^ 1] {
-            let mut bytes = doc.clone();
-            bytes[at] = sub;
-            check(&bytes);
-        }
-    }
+    drive(hostile::inputs(&doc, &[]), text(parse_gateway_list), |l| gateway_list_to_xml(l).into());
 }

@@ -1,11 +1,12 @@
-//! The counting allocator the allocation-bound tests share: include it with
-//! `mod support;` (it installs itself as the test binary's global
-//! allocator).
+//! What the root tests share (`mod support;`): the hostile-input driver
+//! ([`hostile`]) and a counting allocator, which installs itself as the
+//! test binary's global allocator.
 //!
-//! It keeps two counts. Per thread, the bytes live and the most live at
-//! once, so a test can bound what one decode allocates while other tests
-//! run on other threads ([`peak_allocation`]). Across all threads, the
-//! number of allocations and reallocations made ([`allocation_count`]).
+//! The allocator keeps two counts. Per thread, the bytes live and the most
+//! live at once, so a test can bound what one decode allocates while other
+//! tests run on other threads ([`peak_allocation`], [`bounded`]). Across
+//! all threads, the number of allocations and reallocations made
+//! ([`allocation_count`]).
 
 // Each test binary uses the half it needs.
 #![allow(dead_code)]
@@ -13,6 +14,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+pub mod hostile;
 
 struct Counting;
 
@@ -63,4 +66,19 @@ pub fn peak_allocation<T>(f: impl FnOnce() -> T) -> usize {
 /// Allocations and reallocations made so far, by every thread.
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Relaxed)
+}
+
+/// `decode`, asserting that it never has more than `per` bytes live per
+/// input byte plus `slack` at once.
+pub fn bounded<T>(
+    per: usize,
+    slack: usize,
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> impl Fn(&[u8]) -> Option<T> {
+    move |input| {
+        let mut value = None;
+        let peak = peak_allocation(|| value = decode(input));
+        assert!(peak <= per * input.len() + slack, "{peak} bytes live decoding {}", input.len());
+        value
+    }
 }
